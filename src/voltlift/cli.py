@@ -105,18 +105,6 @@ def _emit(args, payload, text: str) -> None:
         sys.stdout.write(out)
 
 
-def _threads_cap() -> int:
-    # accepted for forward compatibility; the computation is single-threaded
-    raw = os.environ.get("VOLTLIFT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise spectra.SpectrumError(f"VOLTLIFT_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise spectra.SpectrumError("VOLTLIFT_THREADS must be >= 0")
-    return cap
-
-
 def _cmd_spectrum(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
@@ -255,7 +243,6 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"voltlift: error: {exc}", file=sys.stderr)

@@ -15,10 +15,6 @@ import numpy as np
 
 MAX_ORDER = 4096
 
-# Above this order the associativity check switches from exhaustive O(n^3)
-# to random sampling of >= 10*n^2 triples.
-EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 256
-
 
 class GroupError(ValueError):
     """Raised for malformed group tables or group-spec strings."""
@@ -30,8 +26,11 @@ class GroupTable:
 
     ``classes`` is the conjugacy-class partition, each class sorted, classes
     ordered by minimum element index with the identity's class first.
-    ``family`` records the builtin spec string (e.g. ``"dihedral:3"``) when
-    the table came from :func:`build_builtin_group`, else ``None``.
+    ``generators`` is a generating set found greedily (at most log2(order)
+    elements; empty for the trivial group); validation of the table and of
+    irreps goes through it. ``family`` records the builtin spec string
+    (e.g. ``"dihedral:3"``) when the table came from
+    :func:`build_builtin_group`, else ``None``.
     """
 
     order: int
@@ -40,6 +39,7 @@ class GroupTable:
     identity: int
     inverse: tuple
     classes: tuple
+    generators: tuple = ()
     family: Optional[str] = None
 
     def __post_init__(self):
@@ -69,88 +69,102 @@ class GroupTable:
 
 
 def _check_latin_square(mul: np.ndarray) -> None:
+    # entries are already known to lie in range(n), so a row (column) is a
+    # permutation iff every value occurs in it
     n = mul.shape[0]
-    target = np.arange(n)
-    if not np.array_equal(np.sort(mul, axis=1), np.tile(target, (n, 1))):
+    seen = np.zeros((n, n), dtype=bool)
+    seen[np.arange(n)[:, None], mul] = True
+    if not seen.all():
         raise GroupError("multiplication table is not a Latin square (bad row)")
-    if not np.array_equal(np.sort(mul, axis=0), np.tile(target[:, None], (1, n))):
+    seen[:] = False
+    seen[mul, np.arange(n)[None, :]] = True
+    if not seen.all():
         raise GroupError("multiplication table is not a Latin square (bad column)")
 
 
-def _check_associativity(mul: np.ndarray, rng: Optional[np.random.Generator] = None) -> None:
-    n = mul.shape[0]
-    if n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT:
-        for a in range(n):
-            # (a*b)*c versus a*(b*c), vectorized over (b, c)
-            left = mul[mul[a], :]
-            right = mul[a][mul]
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                raise GroupError(
-                    f"associativity fails at ({a}, {b}, {c}): "
-                    f"({a}*{b})*{c} = {left[b, c]} != {a}*({b}*{c}) = {right[b, c]}"
-                )
-    else:
-        rng = rng or np.random.default_rng(0)
-        m = 10 * n * n
-        a = rng.integers(0, n, size=m)
-        b = rng.integers(0, n, size=m)
-        c = rng.integers(0, n, size=m)
-        left = mul[mul[a, b], c]
-        right = mul[a, mul[b, c]]
-        bad = np.nonzero(left != right)[0]
-        if bad.size:
-            i = bad[0]
-            raise GroupError(
-                f"associativity fails at sampled triple ({a[i]}, {b[i]}, {c[i]})"
-            )
-
-
 def _find_identity(mul: np.ndarray) -> int:
+    # in a Latin square only one row maps 0 to 0, so only it can be the identity
     n = mul.shape[0]
     target = np.arange(n)
-    for e in range(n):
-        if np.array_equal(mul[e], target) and np.array_equal(mul[:, e], target):
-            return e
+    e = int(np.argmax(mul[:, 0] == 0))
+    if np.array_equal(mul[e], target) and np.array_equal(mul[:, e], target):
+        return e
     raise GroupError("table has no identity element")
 
 
 def _find_inverses(mul: np.ndarray, identity: int) -> tuple:
-    n = mul.shape[0]
-    inv = []
-    for g in range(n):
-        h = int(np.nonzero(mul[g] == identity)[0][0])
-        if mul[h, g] != identity:
-            raise GroupError(f"element {g} has no two-sided inverse")
-        inv.append(h)
-    return tuple(inv)
+    inv = np.argmax(mul == identity, axis=1)
+    bad = np.flatnonzero(mul[inv, np.arange(mul.shape[0])] != identity)
+    if bad.size:
+        raise GroupError(f"element {bad[0]} has no two-sided inverse")
+    return tuple(inv.tolist())
 
 
-def _conjugacy_partition(mul: np.ndarray, inverse: tuple, identity: int) -> tuple:
+def _generating_set(mul: np.ndarray, identity: int) -> tuple:
+    """Greedy generators: add the first element not yet reached, then close.
+
+    The reached set is closed under products by repeated squaring, so a
+    closure takes O(log n) rounds. In a group each new generator at least
+    doubles the reached subgroup, giving at most log2(n) generators.
+    """
     n = mul.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        reached[g] = True
+        while not reached.all():
+            r = np.flatnonzero(reached)
+            reached[mul[np.ix_(r, r)]] = True
+            if reached.sum() == r.size:  # closed under products
+                break
+    return tuple(gens)
+
+
+def _check_associativity(mul: np.ndarray, generators: tuple) -> None:
+    """Light's associativity test over a generating set.
+
+    The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    products and include the identity, so if every generator passes, the
+    whole table is associative.
+    """
+    for a in generators:
+        left = mul[mul[:, a], :]     # (x*a)*y
+        right = mul[:, mul[a]]       # x*(a*y)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            raise GroupError(
+                f"associativity fails at ({x}, {a}, {y}): "
+                f"({x}*{a})*{y} = {left[x, y]} != {x}*({a}*{y}) = {right[x, y]}"
+            )
+
+
+def _conjugacy_partition(
+    mul: np.ndarray, inverse: tuple, identity: int, generators: tuple
+) -> tuple:
+    # a class is the orbit of x under x -> s x s^{-1} for generators s
+    n = mul.shape[0]
+    gens = np.asarray(generators, dtype=np.int64)
     inv = np.asarray(inverse)
-    seen = np.zeros(n, dtype=bool)
-    hs = np.arange(n)
-    classes = []
-    for g in range(n):
+    conj = mul[mul[gens, :], inv[gens][:, None]]  # conj[k, x] = s_k x s_k^{-1}
+    # central elements are the singleton classes; mark them all at once
+    central = (conj == np.arange(n)).all(axis=0)
+    seen = central.copy()
+    classes = [(int(x),) for x in np.flatnonzero(central)]
+    for g in np.flatnonzero(~central):
         if seen[g]:
             continue
-        # orbit of g under h -> h g h^{-1}; one conjugation step suffices
-        # because conjugation by the whole group is already transitive on
-        # the class
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            conj = mul[mul[hs, x], inv]
-            for y in np.unique(conj):
-                y = int(y)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for y in orbit:
-            seen[y] = True
-        classes.append(tuple(sorted(orbit)))
+        seen[g] = True
+        orbit = [g]
+        frontier = np.array([g])
+        while frontier.size:
+            img = np.unique(conj[:, frontier])
+            frontier = img[~seen[img]]
+            seen[frontier] = True
+            orbit.extend(frontier)
+        classes.append(tuple(sorted(int(x) for x in orbit)))
     classes.sort(key=lambda c: c[0])
     classes.sort(key=lambda c: identity not in c)
     return tuple(classes)
@@ -170,7 +184,10 @@ def make_group_table(
         raise GroupError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
     if len(set(names)) != n:
         raise GroupError("duplicate element names")
-    table = np.asarray(mul, dtype=np.int64)
+    try:
+        table = np.asarray(mul, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise GroupError("multiplication table must be a square array of integers") from None
     if table.shape != (n, n):
         raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
     if table.min() < 0 or table.max() >= n:
@@ -178,8 +195,9 @@ def make_group_table(
     _check_latin_square(table)
     identity = _find_identity(table)
     inverse = _find_inverses(table, identity)
-    _check_associativity(table)
-    classes = _conjugacy_partition(table, inverse, identity)
+    generators = _generating_set(table, identity)
+    _check_associativity(table, generators)
+    classes = _conjugacy_partition(table, inverse, identity, generators)
     return GroupTable(
         order=n,
         element_names=names,
@@ -187,6 +205,7 @@ def make_group_table(
         identity=identity,
         inverse=inverse,
         classes=classes,
+        generators=generators,
         family=family,
     )
 
@@ -214,13 +233,12 @@ def _dihedral(n: int) -> GroupTable:
     if n < 2:
         raise GroupError("dihedral parameter must be >= 2")
     names = [f"r^{j}" for j in range(n)] + [f"r^{j}*s" for j in range(n)]
-    mul = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            mul[a, b] = (a + b) % n                  # r^a r^b
-            mul[a, n + b] = n + (a + b) % n          # r^a (r^b s)
-            mul[n + a, b] = n + (a - b) % n          # (r^a s) r^b = r^(a-b) s
-            mul[n + a, n + b] = (a - b) % n          # (r^a s)(r^b s)
+    a = np.arange(n)[:, None]
+    b = np.arange(n)[None, :]
+    plus = (a + b) % n     # r^a r^b
+    minus = (a - b) % n    # (r^a s) r^b = r^(a-b) s
+    mul = np.block([[plus, n + plus],       # r^a (r^b s) = r^(a+b) s
+                    [n + minus, minus]])    # (r^a s)(r^b s) = r^(a-b)
     return make_group_table(names, mul, family=f"dihedral:{n}")
 
 
@@ -230,15 +248,14 @@ def _direct_product(factors: list) -> GroupTable:
     if n > MAX_ORDER:
         raise GroupError(f"product order {n} exceeds supported maximum {MAX_ORDER}")
     # lexicographic by factor indices, first factor most significant
-    tuples = [()]
-    for size in sizes:
-        tuples = [t + (i,) for t in tuples for i in range(size)]
-    index = {t: i for i, t in enumerate(tuples)}
-    names = ["(" + ",".join(f.element_names[i] for f, i in zip(factors, t)) + ")" for t in tuples]
-    mul = np.zeros((n, n), dtype=np.int64)
-    for i, ti in enumerate(tuples):
-        for j, tj in enumerate(tuples):
-            mul[i, j] = index[tuple(int(f.mul[a, b]) for f, a, b in zip(factors, ti, tj))]
+    parts = np.indices(sizes).reshape(len(sizes), n)  # parts[k, i]: factor-k index of i
+    names = [
+        "(" + ",".join(f.element_names[i] for f, i in zip(factors, t)) + ")"
+        for t in zip(*parts.tolist())
+    ]
+    mul = np.ravel_multi_index(
+        [f.mul[p[:, None], p[None, :]] for f, p in zip(factors, parts)], sizes
+    )
     spec = "product:" + ",".join(f.family for f in factors)
     return make_group_table(names, mul, family=spec)
 
@@ -288,7 +305,10 @@ def parse_group_table(doc) -> GroupTable:
         doc = json.loads(doc)
     if not isinstance(doc, dict) or "elements" not in doc or "mul" not in doc:
         raise GroupError('group-table document must have "elements" and "mul" keys')
-    return make_group_table(doc["elements"], doc["mul"])
+    elements = doc["elements"]
+    if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
+        raise GroupError('"elements" must be a list of names')
+    return make_group_table(elements, doc["mul"])
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable):

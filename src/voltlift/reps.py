@@ -79,15 +79,21 @@ def _validate_irrep(group: GroupTable, irrep: Irrep, label: str) -> None:
         )
     if not np.allclose(mats[group.identity], np.eye(d), atol=HOM_TOL):
         raise RepresentationError(f"{label}: identity element is not mapped to I")
-    prod = np.einsum("aij,bjk->abik", mats, mats)
-    expected = mats[group.mul]
-    err = np.abs(prod - expected)
+    # rho(g) rho(s) == rho(g s) for every g and generator s, together with
+    # rho(e) == I, gives rho(g) rho(h) == rho(g h) for all pairs by induction
+    # on the word length of h
+    gens = list(group.generators) or [group.identity]
+    # one BLAS product; a stacked matmul of tiny matrices is ~10x slower
+    prod = np.tensordot(mats, mats[gens], axes=(2, 1)).transpose(2, 0, 1, 3)
+    expected = mats[group.mul[:, gens].T]          # [k, g] = rho(g s_k)
+    err = np.abs(prod - expected).reshape(len(gens), n, -1).max(axis=2)
     if err.max() > HOM_TOL:
-        a, b = np.unravel_index(np.argmax(err.reshape(n, n, -1).max(axis=2)), (n, n))
+        k, a = np.unravel_index(np.argmax(err), err.shape)
+        b = gens[k]
         raise RepresentationError(
             f"{label}: not a homomorphism at pair "
             f"({group.element_names[a]!r}, {group.element_names[b]!r}), "
-            f"max entry error {err[a, b].max():.3e}"
+            f"max entry error {err[k, a]:.3e}"
         )
 
 
@@ -167,16 +173,22 @@ def validate_character_table(t: CharacterTable) -> None:
         raise RepresentationError(
             f"character table must be {nu} x {group.order}, got {t.rows.shape}"
         )
-    for i, row in enumerate(t.rows):
-        for cls in group.classes:
-            vals = row[list(cls)]
-            if np.abs(vals - vals[0]).max() > 1e-9:
-                raise RepresentationError(f"row {i} is not constant on class {cls}")
-        d = row[group.identity]
-        if abs(d.imag) > 1e-9 or abs(d.real - round(d.real)) > 1e-9 or round(d.real) < 1:
-            raise RepresentationError(
-                f"row {i}: value at identity is {d:.6g}, not a positive integer"
-            )
+    class_min = np.empty(group.order, dtype=np.int64)  # element -> its class's first element
+    for cls in group.classes:
+        class_min[list(cls)] = cls[0]
+    off = np.argwhere(np.abs(t.rows - t.rows[:, class_min]) > 1e-9)
+    if off.size:
+        i, g = off[0]
+        cls = next(c for c in group.classes if g in c)
+        raise RepresentationError(f"row {i} is not constant on class {cls}")
+    d = t.rows[:, group.identity]
+    degree = np.round(d.real)
+    bad = (np.abs(d.imag) > 1e-9) | (np.abs(d.real - degree) > 1e-9) | (degree < 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RepresentationError(
+            f"row {i}: value at identity is {d[i]:.6g}, not a positive integer"
+        )
     if not _is_trivial_row(t.rows[0]):
         raise RepresentationError("first character row is not all ones")
     _check_row_orthogonality(group, t.rows)
@@ -185,20 +197,17 @@ def validate_character_table(t: CharacterTable) -> None:
 def validate_column_orthogonality(t: CharacterTable) -> None:
     """Second (column) orthogonality relation, used as an extra validator."""
     group = t.group
-    class_of = {}
-    for ci, cls in enumerate(group.classes):
-        for g in cls:
-            class_of[g] = ci
     reps = [cls[0] for cls in group.classes]
-    for gi, g in enumerate(reps):
-        for h in reps:
-            val = np.sum(t.rows[:, g] * t.rows[:, h].conj())
-            expected = group.order / len(group.classes[gi]) if g == h else 0.0
-            if abs(val - expected) > SUM_TOL * group.order:
-                raise RepresentationError(
-                    f"column orthogonality fails for elements {g}, {h}: "
-                    f"{val:.6g} != {expected:.6g}"
-                )
+    cols = t.rows[:, reps]
+    gram = cols.T @ cols.conj()  # [g, h] = sum over irreps of chi(g) conj(chi(h))
+    expected = np.diag([group.order / len(cls) for cls in group.classes])
+    err = np.abs(gram - expected)
+    if err.max() > SUM_TOL * group.order:
+        gi, hi = np.unravel_index(np.argmax(err), err.shape)
+        raise RepresentationError(
+            f"column orthogonality fails for elements {reps[gi]}, {reps[hi]}: "
+            f"{gram[gi, hi]:.6g} != {expected[gi, hi]:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +215,19 @@ def validate_column_orthogonality(t: CharacterTable) -> None:
 
 
 def _cyclic_irreps(group: GroupTable, m: int) -> list:
-    irreps = []
-    for k in range(m):
-        mats = np.exp(2j * np.pi * k * np.arange(m) / m).reshape(m, 1, 1)
-        irreps.append(Irrep(dim=1, matrices=mats))
-    return irreps
-
-
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    k = np.arange(m)
+    table = np.exp(2j * np.pi * k[:, None] * k[None, :] / m)  # [k, j] = w^(kj)
+    return [Irrep(dim=1, matrices=row.reshape(m, 1, 1)) for row in table]
 
 
 def _dihedral_irreps(group: GroupTable, m: int) -> list:
     # element indices: j -> r^j, m+j -> r^j * s
     n = 2 * m
-    flip = np.diag([1.0, -1.0])
+    powers = np.arange(m)
 
     def one_dim(chi_r, chi_s):
-        vals = np.empty(n, dtype=complex)
-        for j in range(m):
-            vals[j] = chi_r ** j
-            vals[m + j] = chi_r ** j * chi_s
+        rot = chi_r ** powers
+        vals = np.concatenate([rot, rot * chi_s]).astype(complex)
         return Irrep(dim=1, matrices=vals.reshape(n, 1, 1))
 
     irreps = [one_dim(1.0, 1.0), one_dim(1.0, -1.0)]
@@ -235,44 +235,33 @@ def _dihedral_irreps(group: GroupTable, m: int) -> list:
         irreps.append(one_dim(-1.0, 1.0))
         irreps.append(one_dim(-1.0, -1.0))
     two_dim_count = (m - 1) // 2 if m % 2 else m // 2 - 1
-    for j in range(1, two_dim_count + 1):
-        mats = np.empty((n, 2, 2), dtype=complex)
-        for a in range(m):
-            rot = _rotation(2 * np.pi * j * a / m)
-            mats[a] = rot
-            mats[m + a] = rot @ flip
-        irreps.append(Irrep(dim=2, matrices=mats))
+    j = np.arange(1, two_dim_count + 1)[:, None]
+    theta = 2 * np.pi * j * powers[None, :] / m
+    c, s = np.cos(theta), np.sin(theta)
+    # r^a -> rotation by theta; r^a s -> rotation @ diag(1, -1)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    refl = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
+    mats = np.concatenate([rot, refl], axis=1).astype(complex)
+    irreps.extend(Irrep(dim=2, matrices=block) for block in mats)
     return irreps
 
 
 def _product_irreps(group: GroupTable, factor_specs: list) -> list:
     factors = [build_builtin_group(spec) for spec in factor_specs]
     factor_irreps = [builtin_irreps(f).irreps for f in factors]
-    sizes = [f.order for f in factors]
-
-    # element index decomposes lexicographically, first factor most significant
-    def decompose(idx):
-        out = []
-        for size in reversed(sizes):
-            out.append(idx % size)
-            idx //= size
-        return tuple(reversed(out))
-
-    n = group.order
     combos = [()]
     for irreps in factor_irreps:
         combos = [c + (r,) for c in combos for r in irreps]
     out = []
     for combo in combos:
-        d = int(np.prod([r.dim for r in combo]))
-        mats = np.empty((n, d, d), dtype=complex)
-        for idx in range(n):
-            parts = decompose(idx)
-            m = np.ones((1, 1), dtype=complex)
-            for r, p in zip(combo, parts):
-                m = np.kron(m, r.matrices[p])
-            mats[idx] = m
-        out.append(Irrep(dim=d, matrices=mats))
+        # Kronecker product for every element pair at once; element indices
+        # are lexicographic, first factor most significant
+        mats = combo[0].matrices
+        for r in combo[1:]:
+            (na, di, dj), (nb, dk, dl) = mats.shape, r.matrices.shape
+            mats = np.einsum("aij,bkl->abikjl", mats, r.matrices)
+            mats = mats.reshape(na * nb, di * dk, dj * dl)
+        out.append(Irrep(dim=mats.shape[1], matrices=mats))
     return out
 
 
@@ -302,7 +291,10 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
 
 def _matrix_from_json(entry) -> np.ndarray:
     # each scalar is a [re, im] pair
-    arr = np.asarray(entry, dtype=float)
+    try:
+        arr = np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs") from None
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise RepresentationError(f"matrix entry has bad shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -317,9 +309,21 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, list):
+        raise RepresentationError("irreps document must be a JSON list")
     irreps = []
     for i, entry in enumerate(doc):
-        d = int(entry["dim"])
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("dim"), int)
+            and entry["dim"] >= 1
+            and isinstance(entry.get("matrices"), dict)
+        ):
+            raise RepresentationError(
+                f'irrep {i}: expected an object with a positive integer "dim" '
+                'and a "matrices" object'
+            )
+        d = entry["dim"]
         mats = np.empty((g.order, d, d), dtype=complex)
         for name in g.element_names:
             if name not in entry["matrices"]:
@@ -342,6 +346,10 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     return s
 
 
+def _is_list_of_lists(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, list) for v in value)
+
+
 def load_character_table(doc, g: GroupTable) -> CharacterTable:
     """Load and validate a character table given per-class values.
 
@@ -350,7 +358,19 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
-    classes = [tuple(sorted(g.index_of(name) for name in cls)) for cls in doc["classes"]]
+    if not (
+        isinstance(doc, dict)
+        and _is_list_of_lists(doc.get("classes"))
+        and _is_list_of_lists(doc.get("rows"))
+    ):
+        raise RepresentationError(
+            'character-table document must be an object with "classes" and '
+            '"rows" lists of lists'
+        )
+    try:
+        classes = [tuple(sorted(g.index_of(name) for name in cls)) for cls in doc["classes"]]
+    except GroupError as exc:
+        raise RepresentationError(f"document classes: {exc}") from None
     if sorted(classes) != sorted(g.classes):
         raise RepresentationError(
             "document classes do not match the group's conjugacy classes"
@@ -364,6 +384,9 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
         if len(row) != len(classes):
             raise RepresentationError(f"row {i} has {len(row)} values, expected {len(classes)}")
         for cls, val in zip(classes, row):
+            if not (isinstance(val, list) and len(val) == 2
+                    and all(isinstance(x, (int, float)) for x in val)):
+                raise RepresentationError(f"row {i}: value {val!r} is not a [re, im] pair")
             rows[i, list(cls)] = complex(val[0], val[1])
     # put the trivial row first if it is elsewhere
     order = sorted(range(nu), key=lambda i: not _is_trivial_row(rows[i]))

@@ -76,12 +76,25 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
-    vertices = list(doc.get("vertices", []))
+    if not isinstance(doc, dict):
+        raise VoltageError("digraph document must be a JSON object")
+    vertices = doc.get("vertices", [])
+    arc_docs = doc.get("arcs", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise VoltageError('"vertices" must be a list of names')
+    if not isinstance(arc_docs, list):
+        raise VoltageError('"arcs" must be a list')
     if not vertices:
         raise VoltageError("vertex list is empty")
     vindex = {name: i for i, name in enumerate(vertices)}
     arcs = []
-    for arc in doc.get("arcs", []):
+    for arc in arc_docs:
+        if not isinstance(arc, dict) or not all(
+            isinstance(arc.get(key), str) for key in ("from", "to", "voltage")
+        ):
+            raise VoltageError(
+                f'arc {arc!r} must be an object with string "from", "to" and "voltage"'
+            )
         for key in ("from", "to"):
             if arc[key] not in vindex:
                 raise VoltageError(f"unknown vertex {arc[key]!r} in arc {arc}")

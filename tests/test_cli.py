@@ -151,7 +151,37 @@ def test_json_output_deterministic(k2star_path, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_threads_env_rejects_garbage(k2star_path, monkeypatch, capsys):
-    monkeypatch.setenv("VOLTLIFT_THREADS", "lots")
-    code = run(["spectrum", "--digraph", k2star_path, "--group", "dihedral:3"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [K2STAR_DOC],
+        {"vertices": ["a", "b"], "arcs": [["a", "b", "r^0"]]},
+        {"vertices": ["a", "b"], "arcs": [{"from": "a", "to": "b"}]},
+    ],
+)
+def test_malformed_digraph_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run(["verify", "--digraph", str(path), "--group", "dihedral:3"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voltlift: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--irreps", {"dim": 1, "matrices": {}}),
+        ("--irreps", [{"dim": 1, "matrices": {"r^0": [[[1, 0], [0]]]}}]),
+        ("--chars", [["r^0"]]),
+        ("--chars", {"classes": [["r^0"]], "rows": [[1, 0]]}),
+    ],
+)
+def test_malformed_irreps_or_chars_is_input_error(k2star_path, tmp_path, capsys, flag, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = run(["spectrum", "--digraph", k2star_path, "--group", "dihedral:3",
+                "--method", "charsum" if flag == "--chars" else "repr", flag, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voltlift: error:") and "Traceback" not in err

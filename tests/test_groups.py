@@ -1,10 +1,56 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import voltlift as vl
 from voltlift.groups import GroupError, make_group_table
+
+from conftest import GROUP_POOL_SPECS
+from test_reps import SMALL_BUILTINS
+
+FAMILY_SPECS = ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
+                "product:cyclic:2,dihedral:3", "product:cyclic:4,cyclic:4"]
+ALL_BUILTIN_SPECS = sorted(set(FAMILY_SPECS + GROUP_POOL_SPECS + SMALL_BUILTINS))
+
+
+def conjugacy_partition_all_elements(g):
+    """Oracle: classes as orbits under conjugation by every element."""
+    inv = np.asarray(g.inverse)
+    hs = np.arange(g.order)
+    seen = set()
+    classes = []
+    for x in range(g.order):
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for z in np.unique(g.mul[g.mul[hs, y], inv]):
+                if int(z) not in orbit:
+                    orbit.add(int(z))
+                    frontier.append(int(z))
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: c[0])
+    classes.sort(key=lambda c: g.identity not in c)
+    return tuple(classes)
+
+
+def closure_under_products(g, gens):
+    """Every element reachable from the identity by right-multiplying by gens."""
+    reached = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = g.mul_idx(x, s)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
 
 
 def assert_group_invariants(g):
@@ -56,11 +102,7 @@ class TestBuiltinGroups:
         assert len(g.classes) == 6
         assert_group_invariants(g)
 
-    @pytest.mark.parametrize(
-        "spec",
-        ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
-         "product:cyclic:2,dihedral:3", "product:cyclic:4,cyclic:4"],
-    )
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_invariants_across_families(self, spec):
         g = vl.build_builtin_group(spec)
         assert_group_invariants(g)
@@ -90,6 +132,14 @@ class TestBuiltinGroups:
     def test_order_cap(self):
         with pytest.raises(GroupError):
             vl.build_builtin_group("dihedral:3000")
+
+
+@pytest.mark.parametrize("spec", ALL_BUILTIN_SPECS)
+def test_generators_and_classes(spec):
+    g = vl.build_builtin_group(spec)
+    assert closure_under_products(g, g.generators) == set(range(g.order))
+    assert len(g.generators) <= math.ceil(math.log2(g.order))
+    assert g.classes == conjugacy_partition_all_elements(g)
 
 
 class TestParseGroupTable:
@@ -129,6 +179,24 @@ class TestParseGroupTable:
         ]
         with pytest.raises(GroupError, match="associativity"):
             vl.parse_group_table({"elements": list("eabcd"), "mul": mul})
+
+    def test_large_associativity_failure(self):
+        # cyclic:300 with one intercalate swapped: still a Latin square with
+        # identity 0 and two-sided inverses, but no longer associative
+        mul = np.array(vl.build_builtin_group("cyclic:300").mul)
+        rows, cols = [3, 153], [7, 157]
+        mul[np.ix_(rows, cols)] = mul[np.ix_(rows, cols[::-1])]
+        names = [f"x{i}" for i in range(300)]
+        with pytest.raises(GroupError, match="associativity"):
+            make_group_table(names, mul)
+
+    def test_elements_not_a_list_of_names(self):
+        with pytest.raises(GroupError, match="list of names"):
+            vl.parse_group_table({"elements": "ea", "mul": [[0, 1], [1, 0]]})
+
+    def test_ragged_table(self):
+        with pytest.raises(GroupError, match="square array"):
+            vl.parse_group_table({"elements": ["e", "a"], "mul": [[0, 1], [1]]})
 
     def test_d3_from_presentation_matches_builtin(self, d3):
         # generate the table from the dihedral presentation independently:

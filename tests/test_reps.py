@@ -105,6 +105,19 @@ class TestCharacterTable:
                 assert np.abs(vals - vals[0]).max() < 1e-12
 
 
+    def test_row_not_constant_on_class(self, d3, d3_irreps):
+        rows = np.array(vl.character_table(d3_irreps).rows)
+        rows[1, d3.index_of("r^2*s")] += 1e-6
+        with pytest.raises(RepresentationError, match="not constant on class"):
+            vl.validate_character_table(vl.CharacterTable(group=d3, rows=rows))
+
+    def test_column_orthogonality_can_fail(self, d3, d3_irreps):
+        rows = np.array(vl.character_table(d3_irreps).rows)
+        rows[2, [d3.index_of("r^1"), d3.index_of("r^2")]] = -1.5
+        with pytest.raises(RepresentationError, match="column orthogonality"):
+            vl.validate_column_orthogonality(vl.CharacterTable(group=d3, rows=rows))
+
+
 class TestLoadIrreps:
     def test_roundtrip_d3(self, d3, d3_irreps):
         doc = irreps_to_doc(d3, d3_irreps)
@@ -143,6 +156,32 @@ class TestLoadIrreps:
         }
         with pytest.raises(RepresentationError, match="homomorphism at pair"):
             vl.load_irreps([triv, bad], g)
+
+    def test_perturbed_non_generator_detected(self):
+        g = vl.build_builtin_group("dihedral:64")
+        s = vl.builtin_irreps(g)
+        assert 77 not in g.generators
+        i = s.dims.index(2)
+        mats = np.array(s.irreps[i].matrices)
+        mats[77, 0, 1] += 1e-9
+        irreps = list(s.irreps)
+        irreps[i] = vl.Irrep(dim=2, matrices=mats)
+        with pytest.raises(RepresentationError, match="homomorphism at pair"):
+            vl.validate_irrep_set(vl.IrrepSet(group=g, irreps=tuple(irreps)))
+
+    @pytest.mark.parametrize(
+        "doc", [{"dim": 1}, [[1, 0]], [{"dim": "x", "matrices": {}}],
+                [{"dim": 1, "matrices": []}]]
+    )
+    def test_malformed_document(self, d3, doc):
+        with pytest.raises(RepresentationError):
+            vl.load_irreps(doc, d3)
+
+    def test_malformed_matrix(self, d3, d3_irreps):
+        doc = irreps_to_doc(d3, d3_irreps)
+        doc[0]["matrices"]["r^1"] = [[[1.0, 0.0], [2.0]]]
+        with pytest.raises(RepresentationError, match="re, im"):
+            vl.load_irreps(doc, d3)
 
     def test_missing_element(self, d3, d3_irreps):
         doc = irreps_to_doc(d3, d3_irreps)
@@ -199,6 +238,19 @@ class TestLoadCharacterTable:
         doc = self.d3_doc(d3)
         doc["rows"][2][0] = [1.5, 0]
         with pytest.raises(RepresentationError):
+            vl.load_character_table(doc, d3)
+
+    @pytest.mark.parametrize(
+        "doc", [[], {"classes": [["r^0"]]}, {"classes": "r^0", "rows": []}]
+    )
+    def test_malformed_document(self, d3, doc):
+        with pytest.raises(RepresentationError, match="classes"):
+            vl.load_character_table(doc, d3)
+
+    def test_malformed_value(self, d3):
+        doc = self.d3_doc(d3)
+        doc["rows"][1][1] = "minus one"
+        with pytest.raises(RepresentationError, match="re, im"):
             vl.load_character_table(doc, d3)
 
     def test_wrong_row_count(self, d3):

@@ -59,6 +59,21 @@ class TestParseVoltageDigraph:
         with pytest.raises(VoltageError, match="empty"):
             vl.parse_voltage_digraph({"vertices": [], "arcs": []}, d3)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"vertices": "ab", "arcs": []},
+            {"vertices": ["a"], "arcs": {}},
+            {"vertices": ["a"], "arcs": [["a", "a", "r^0"]]},
+            {"vertices": ["a"], "arcs": [{"from": "a", "to": "a"}]},
+            {"vertices": ["a"], "arcs": [{"from": ["a"], "to": "a", "voltage": "r^0"}]},
+        ],
+    )
+    def test_malformed_document(self, d3, doc):
+        with pytest.raises(VoltageError):
+            vl.parse_voltage_digraph(doc, d3)
+
 
 class TestAssociatedMatrix:
     def test_k2star_entries(self, d3, k2star):
