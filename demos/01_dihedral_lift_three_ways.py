@@ -30,10 +30,19 @@ digraph = vl.parse_voltage_digraph(
     group,
 )
 
+
+
+def algebra_str(coeffs):
+    names = group.element_names
+    terms = [names[g] if coeffs[g] == 1 else f"{coeffs[g]}*{names[g]}" for g in np.flatnonzero(coeffs)]
+    return " + ".join(terms) or "0"
+
+
+# b[u, v, g] is the coefficient of group element g in entry (u, v)
 b = vl.associated_matrix(digraph)
 print("\nquotient matrix over the group algebra:")
 for u in range(2):
-    print("  ", [str(b.entry(u, v)) for v in range(2)])
+    print("  ", [algebra_str(b[u, v]) for v in range(2)])
 
 irreps = vl.builtin_irreps(group)
 print("\nirrep dimensions:", irreps.dims)
@@ -44,7 +53,7 @@ print(vl.rho_matrix(b, irreps.irreps[0]).real)
 print(vl.rho_matrix(b, irreps.irreps[1]).real)
 
 print("\npower sums for the 2-dim irrep (lengths 1..4):")
-sums = vl.power_sums_from_characters(b, table.rows[2], 4)
+sums = vl.power_sums_from_characters(b, table.rows[2], 4, group)
 print("  ", sums.sums)
 print("  recovered roots:", np.round(vl.roots_from_power_sums(sums), 9))
 

@@ -27,29 +27,37 @@ digraph = vl.parse_voltage_digraph(
     group,
 )
 
+
+
+def algebra_str(coeffs):
+    names = group.element_names
+    terms = [names[g] if coeffs[g] == 1 else f"{coeffs[g]}*{names[g]}" for g in np.flatnonzero(coeffs)]
+    return " + ".join(terms) or "0"
+
+
+# bp[u, v, g] is the coefficient of group element g in entry (u, v)
 b = vl.associated_matrix(digraph)
 lift = vl.build_lift(digraph)
 n = group.order
 
 for length in (2, 3, 4):
-    bp = vl.algebra_matrix_power(b, length)
-    print(f"\nlength {length}: entry (a, a) of the matrix power = {bp.entry(0, 0)}")
+    bp = vl.algebra_matrix_power(b, length, group)
+    ap = vl.lift_adjacency_power(lift, length)
+    print(f"\nlength {length}: entry (a, a) of the matrix power = {algebra_str(bp[0, 0])}")
     # cross-check every coefficient against explicit walk counts
     ok = True
     for g in range(n):
-        coeff = bp.entry(0, 0).coeffs[g]
         for h in range(n):
             src = lift.vertex_index(0, h)
             dst = lift.vertex_index(0, group.mul_idx(h, g))
-            walks = vl.count_walks_lift(lift, src, dst, length)
-            if walks != coeff:
+            if ap[src, dst] != bp[0, 0, g]:
                 ok = False
     print(f"  all {n * n} fiber-offset walk counts agree: {ok}")
 
 # the closed-walk total is fiber-independent: trace(A^L) = n * sum of
 # identity coefficients on the diagonal
 length = 4
-bp = vl.algebra_matrix_power(b, length)
+bp = vl.algebra_matrix_power(b, length, group)
 ap = vl.lift_adjacency_power(lift, length)
-diag = sum(bp.entry(u, u).coeffs[group.identity] for u in range(digraph.order))
+diag = sum(bp[u, u, group.identity] for u in range(digraph.order))
 print(f"\ntrace(A^{length}) = {np.trace(ap)} = {n} * {diag}")

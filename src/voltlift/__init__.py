@@ -11,7 +11,6 @@ from .groups import (
     GroupTable,
     build_builtin_group,
     conjugacy_classes,
-    find_isomorphism,
     make_group_table,
     parse_group_table,
 )
@@ -29,18 +28,14 @@ from .reps import (
     validate_irrep_set,
 )
 from .voltage import (
-    GroupAlgebraElement,
-    GroupAlgebraMatrix,
     LiftDigraph,
     VoltageDigraph,
     VoltageError,
+    algebra_matmul,
     algebra_matrix_power,
     algebra_mul,
-    algebra_unit,
-    algebra_zero,
     associated_matrix,
     build_lift,
-    count_walks_lift,
     lift_adjacency_power,
     lift_to_json,
     make_voltage_digraph,
@@ -61,7 +56,6 @@ from .spectra import (
     lift_spectrum_bruteforce,
     lift_spectrum_charsum,
     lift_spectrum_repr,
-    power_sums_by_walk_enumeration,
     power_sums_from_characters,
     rho_matrix,
     roots_from_power_sums,

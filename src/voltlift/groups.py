@@ -68,6 +68,19 @@ class GroupTable:
         return f"GroupTable(order={self.order}, {tag})"
 
 
+def decode_json(doc, error: type):
+    """Parse a document given as JSON text; parsed documents pass through.
+
+    Text that is not JSON raises ``error``, the calling parser's own type.
+    """
+    if isinstance(doc, (str, bytes)):
+        try:
+            return json.loads(doc)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise error(f"document is not valid JSON: {exc}") from None
+    return doc
+
+
 def _check_latin_square(mul: np.ndarray) -> None:
     # entries are already known to lie in range(n), so a row (column) is a
     # permutation iff every value occurs in it
@@ -185,9 +198,14 @@ def make_group_table(
     if len(set(names)) != n:
         raise GroupError("duplicate element names")
     try:
-        table = np.asarray(mul, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise GroupError("multiplication table must be a square array of integers") from None
+        table = np.asarray(mul)
+    except (TypeError, ValueError):  # ragged nesting
+        table = None
+    # integer dtypes only: floats would be truncated, and ints past int64
+    # come out as dtype object
+    if table is None or table.dtype.kind not in "iu":
+        raise GroupError("multiplication table must be a square array of integers")
+    table = table.astype(np.int64)
     if table.shape != (n, n):
         raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
     if table.min() < 0 or table.max() >= n:
@@ -301,31 +319,10 @@ def parse_group_table(doc) -> GroupTable:
     and conjugacy classes are inferred; all structural invariants are
     verified.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+    doc = decode_json(doc, GroupError)
     if not isinstance(doc, dict) or "elements" not in doc or "mul" not in doc:
         raise GroupError('group-table document must have "elements" and "mul" keys')
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise GroupError('"elements" must be a list of names')
     return make_group_table(elements, doc["mul"])
-
-
-def find_isomorphism(g1: GroupTable, g2: GroupTable):
-    """Brute-force search for a mul-preserving bijection g1 -> g2.
-
-    Returns the bijection as a tuple (image of each g1 index) or None.
-    Exponential; intended only as a test helper for tiny groups.
-    """
-    import itertools
-
-    if g1.order != g2.order:
-        return None
-    n = g1.order
-    for perm in itertools.permutations(range(n)):
-        if perm[g1.identity] != g2.identity:
-            continue
-        p = np.asarray(perm)
-        if np.array_equal(p[g1.mul], g2.mul[p[:, None], p[None, :]]):
-            return tuple(perm)
-    return None

@@ -9,13 +9,12 @@ equivalence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, build_builtin_group
+from .groups import GroupError, GroupTable, build_builtin_group, decode_json
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -290,11 +289,14 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
 
 
 def _matrix_from_json(entry) -> np.ndarray:
-    # each scalar is a [re, im] pair
+    # each scalar is a [re, im] pair of JSON numbers; the dtype check
+    # rejects strings such as "1", which np.asarray(dtype=float) would parse
     try:
-        arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
-        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs") from None
+        arr = np.asarray(entry)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise RepresentationError(f"matrix entry has bad shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -307,8 +309,7 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     [[[re, im], ...], ...]}}, ...]``. The trivial irrep is moved to the
     front if it appears elsewhere.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+    doc = decode_json(doc, RepresentationError)
     if not isinstance(doc, list):
         raise RepresentationError("irreps document must be a JSON list")
     irreps = []
@@ -316,6 +317,7 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
         if not (
             isinstance(entry, dict)
             and isinstance(entry.get("dim"), int)
+            and not isinstance(entry["dim"], bool)
             and entry["dim"] >= 1
             and isinstance(entry.get("matrices"), dict)
         ):
@@ -324,8 +326,8 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
                 'and a "matrices" object'
             )
         d = entry["dim"]
-        mats = np.empty((g.order, d, d), dtype=complex)
-        for name in g.element_names:
+        mats = []
+        for name in g.element_names:  # in element-index order
             if name not in entry["matrices"]:
                 raise RepresentationError(f"irrep {i}: missing matrix for element {name!r}")
             m = _matrix_from_json(entry["matrices"][name])
@@ -333,8 +335,8 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
                 raise RepresentationError(
                     f"irrep {i}: matrix for {name!r} has shape {m.shape}, expected ({d}, {d})"
                 )
-            mats[g.index_of(name)] = m
-        irreps.append(Irrep(dim=d, matrices=mats))
+            mats.append(m)
+        irreps.append(Irrep(dim=d, matrices=np.array(mats)))
     # move the trivial irrep first if present elsewhere
     for i, irrep in enumerate(irreps):
         if irrep.dim == 1 and _is_trivial_row(irrep.character()):
@@ -356,8 +358,7 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     Document format: ``{"classes": [["e"], ["s", "r*s", ...], ...],
     "rows": [[[re, im], ...], ...]}`` with one value per class per row.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+    doc = decode_json(doc, RepresentationError)
     if not (
         isinstance(doc, dict)
         and _is_list_of_lists(doc.get("classes"))

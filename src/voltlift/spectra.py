@@ -13,17 +13,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .groups import GroupTable
 from .reps import CharacterTable, Irrep, IrrepSet
 from .voltage import (
-    GroupAlgebraMatrix,
-    LiftDigraph,
     VoltageDigraph,
-    algebra_matmul,
+    algebra_trace_powers,
     associated_matrix,
     build_lift,
 )
@@ -239,19 +237,18 @@ def eig(m: np.ndarray) -> EigenDecomposition:
 # Representation route
 
 
-def rho_matrix(b: GroupAlgebraMatrix, irrep: Irrep) -> np.ndarray:
-    """Apply an irrep entrywise: each algebra entry becomes a d x d block."""
-    r = b.size
+def rho_matrix(b: np.ndarray, irrep: Irrep) -> np.ndarray:
+    """Apply an irrep entrywise: each algebra entry becomes a d x d block.
+
+    Only the nonzero coefficients of b are visited: each adds its multiple
+    of rho(x) into its (u, v) block.
+    """
+    r = b.shape[0]
     d = irrep.dim
-    out = np.zeros((r * d, r * d), dtype=complex)
-    for u in range(r):
-        for v in range(r):
-            block = np.zeros((d, d), dtype=complex)
-            for g, c in enumerate(b.entry(u, v).coeffs):
-                if c:
-                    block += c * irrep.matrices[g]
-            out[u * d:(u + 1) * d, v * d:(v + 1) * d] = block
-    return out
+    u, v, x = np.nonzero(b)
+    blocks = np.zeros((r, r, d, d), dtype=complex)
+    np.add.at(blocks, (u, v), b[u, v, x].astype(complex)[:, None, None] * irrep.matrices[x])
+    return blocks.transpose(0, 2, 1, 3).reshape(r * d, r * d)
 
 
 def lift_spectrum_repr(
@@ -312,46 +309,12 @@ class PowerSums:
 
 
 def power_sums_from_characters(
-    b: GroupAlgebraMatrix, chi: np.ndarray, length: int
+    b: np.ndarray, chi: np.ndarray, length: int, group: GroupTable
 ) -> PowerSums:
-    """s_l = chi(trace(B^l)) for l = 1..length, exact in the group algebra."""
-    chi = np.asarray(chi, dtype=complex)
-    sums = []
-    power = b
-    for _ in range(length):
-        sums.append(power.trace().apply_character(chi))
-        power = algebra_matmul(power, b)
-    return PowerSums(sums=tuple(sums), degree=length)
-
-
-def power_sums_by_walk_enumeration(
-    d: VoltageDigraph, chi: np.ndarray, length: int
-) -> tuple:
-    """Independent oracle: sum chi over all closed walks' net voltages.
-
-    Enumerates every closed walk of each length directly; exponential, so
-    only sensible for very short lengths.
-    """
-    chi = np.asarray(chi, dtype=complex)
-    group = d.group
-    out_arcs: List[List[Tuple[int, int]]] = [[] for _ in range(d.order)]
-    for u, v, x in d.arcs:
-        out_arcs[u].append((v, x))
-    sums = []
-    for ell in range(1, length + 1):
-        total = 0j
-        for start in range(d.order):
-            stack = [(start, group.identity, 0)]
-            while stack:
-                vertex, voltage, steps = stack.pop()
-                if steps == ell:
-                    if vertex == start:
-                        total += chi[voltage]
-                    continue
-                for head, x in out_arcs[vertex]:
-                    stack.append((head, group.mul_idx(voltage, x), steps + 1))
-        sums.append(complex(total))
-    return tuple(sums)
+    """s_l = chi(trace(B^l)) for l = 1..length, traces exact in the group algebra."""
+    traces = algebra_trace_powers(b, length, group)
+    sums = np.asarray(chi, dtype=complex) @ traces.astype(complex)
+    return PowerSums(sums=tuple(sums.tolist()), degree=length)
 
 
 def _newton_poly_coeffs(sums: Sequence[complex], degree: int) -> np.ndarray:
@@ -441,11 +404,13 @@ def lift_spectrum_charsum(
                 "root recovery may lose accuracy",
                 stacklevel=2,
             )
-    b = associated_matrix(d)
+    # exact traces of B^l once for every l any row needs, then the whole
+    # character table in one (nu x n) @ (n x L) product
+    traces = algebra_trace_powers(associated_matrix(d), r * max(dims), d.group)
+    table = t.rows @ traces.astype(complex)
     values: List[complex] = []
-    for chi, di in zip(t.rows, dims):
-        sums = power_sums_from_characters(b, chi, r * di)
-        roots = roots_from_power_sums(sums)
+    for sums, di in zip(table, dims):
+        roots = roots_from_power_sums(PowerSums(tuple(sums[:r * di].tolist()), r * di))
         for z in roots:
             values.extend([complex(z)] * di)
     spectrum = cluster_spectrum(values, tol)

@@ -8,13 +8,12 @@ brute-force oracle everything else is checked against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable
+from .groups import GroupError, GroupTable, decode_json
 
 
 class VoltageError(ValueError):
@@ -74,8 +73,7 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
     "voltage": "s"}, ...]}``. Voltage names must be element names of the
     group.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+    doc = decode_json(doc, VoltageError)
     if not isinstance(doc, dict):
         raise VoltageError("digraph document must be a JSON object")
     vertices = doc.get("vertices", [])
@@ -110,135 +108,64 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 
 # ---------------------------------------------------------------------------
 # Group algebra
+#
+# A matrix over the group algebra Z[G] is one object array b[r, r, n] of
+# exact Python ints: b[u, v, g] is the coefficient of element g in entry
+# (u, v), and an algebra element is a length-n vector. The arrays carry no
+# group, so every function here takes the GroupTable.
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    """An integer-coefficient element of the group algebra."""
-
-    group: GroupTable
-    coeffs: tuple  # length n, exact Python ints
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.group.order:
-            raise VoltageError("coefficient vector length != group order")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def apply_character(self, chi: np.ndarray) -> complex:
-        """Extend a character row linearly: chi(sum a_g g) = sum a_g chi(g)."""
-        return complex(sum(c * chi[i] for i, c in enumerate(self.coeffs) if c))
-
-    def __str__(self):
-        names = self.group.element_names
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            terms.append(names[i] if c == 1 else f"{c}*{names[i]}")
-        return " + ".join(terms) if terms else "0"
+def associated_matrix(d: VoltageDigraph) -> np.ndarray:
+    """The quotient matrix: b[u, v, x] counts the arcs u->v with voltage x."""
+    b = np.zeros((d.order, d.order, d.group.order), dtype=object)
+    for u, v, x in d.arcs:
+        b[u, v, x] += 1
+    return b
 
 
-def algebra_zero(group: GroupTable) -> GroupAlgebraElement:
-    return GroupAlgebraElement(group, (0,) * group.order)
+def algebra_matmul(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:
+    """Exact product of group-algebra matrices, (ab)[u, v] = sum_w a[u, w] b[w, v].
 
-
-def algebra_unit(group: GroupTable) -> GroupAlgebraElement:
-    coeffs = [0] * group.order
-    coeffs[group.identity] = 1
-    return GroupAlgebraElement(group, tuple(coeffs))
-
-
-def algebra_mul(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product in the group algebra, exact integer arithmetic."""
-    if a.group is not b.group and a.group.order != b.group.order:
-        raise VoltageError("operands live in different group algebras")
-    group = a.group
-    out = [0] * group.order
-    mul = group.mul
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = mul[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj:
-                out[row[j]] += ai * bj
-    return GroupAlgebraElement(group, tuple(out))
-
-
-@dataclass(frozen=True)
-class GroupAlgebraMatrix:
-    """Square matrix over the group algebra (the lift's quotient matrix)."""
-
-    group: GroupTable
-    size: int
-    entries: tuple  # r x r nested tuple of GroupAlgebraElement
-
-    def entry(self, u: int, v: int) -> GroupAlgebraElement:
-        return self.entries[u][v]
-
-    def trace(self) -> GroupAlgebraElement:
-        t = algebra_zero(self.group)
-        for u in range(self.size):
-            t = t + self.entries[u][u]
-        return t
-
-
-def algebra_identity_matrix(group: GroupTable, size: int) -> GroupAlgebraMatrix:
-    unit = algebra_unit(group)
-    zero = algebra_zero(group)
-    rows = tuple(
-        tuple(unit if u == v else zero for v in range(size)) for u in range(size)
-    )
-    return GroupAlgebraMatrix(group=group, size=size, entries=rows)
-
-
-def algebra_matmul(a: GroupAlgebraMatrix, b: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
-    if a.size != b.size:
+    Each nonzero b[w, v, h] adds b[w, v, h] * a[u, w, g h^-1] to the
+    coefficient of g in (ab)[u, v], so the cost scales with the nonzeros of
+    the right operand.
+    """
+    if a.shape[1] != b.shape[0]:
         raise VoltageError("matrix size mismatch")
-    r = a.size
-    rows = []
-    for u in range(r):
-        row = []
-        for v in range(r):
-            acc = algebra_zero(a.group)
-            for w in range(r):
-                if a.entries[u][w].is_zero() or b.entries[w][v].is_zero():
-                    continue
-                acc = acc + algebra_mul(a.entries[u][w], b.entries[w][v])
-            row.append(acc)
-        rows.append(tuple(row))
-    return GroupAlgebraMatrix(group=a.group, size=r, entries=tuple(rows))
-
-
-def algebra_matrix_power(b: GroupAlgebraMatrix, ell: int) -> GroupAlgebraMatrix:
-    """B^ell by repeated multiplication; B^0 is the algebra identity."""
-    if ell < 0:
-        raise VoltageError("negative power")
-    out = algebra_identity_matrix(b.group, b.size)
-    for _ in range(ell):
-        out = algebra_matmul(out, b)
+    mul = group.mul
+    inv = group.inverse
+    out = np.zeros((a.shape[0], b.shape[1], group.order), dtype=object)
+    for w, v, h in zip(*np.nonzero(b)):
+        out[:, v] += b[w, v, h] * a[:, w, mul[:, inv[h]]]
     return out
 
 
-def associated_matrix(d: VoltageDigraph) -> GroupAlgebraMatrix:
-    """The quotient matrix: entry (u, v) counts arcs u->v by voltage."""
-    r = d.order
-    n = d.group.order
-    counts = [[[0] * n for _ in range(r)] for _ in range(r)]
-    for u, v, x in d.arcs:
-        counts[u][v][x] += 1
-    rows = tuple(
-        tuple(GroupAlgebraElement(d.group, tuple(counts[u][v])) for v in range(r))
-        for u in range(r)
-    )
-    return GroupAlgebraMatrix(group=d.group, size=r, entries=rows)
+def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
+    """Convolution product of two algebra elements: the 1 x 1 matrix case."""
+    return algebra_matmul(x[None, None], y[None, None], group)[0, 0]
+
+
+def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
+    """B^ell by ell multiplications with the sparse B; B^0 is the identity."""
+    if ell < 0:
+        raise VoltageError("negative power")
+    r = b.shape[0]
+    out = np.zeros((r, r, group.order), dtype=object)
+    out[np.arange(r), np.arange(r), group.identity] = 1
+    for _ in range(ell):
+        out = algebra_matmul(out, b, group)
+    return out
+
+
+def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
+    """Exact traces of B^1..B^length as the columns of an (n, length) array."""
+    traces = np.zeros((group.order, length), dtype=object)
+    power = b
+    for ell in range(length):
+        if ell:
+            power = algebra_matmul(power, b, group)
+        traces[:, ell] = np.trace(power)
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +222,6 @@ def build_lift(d: VoltageDigraph) -> LiftDigraph:
             arcs.append((i, j))
             adj[i, j] += 1
     return LiftDigraph(base=d, arcs=tuple(arcs), adjacency=adj)
-
-
-def count_walks_lift(lift: LiftDigraph, source: int, target: int, ell: int) -> int:
-    """Number of length-ell walks between two lift vertices, exactly.
-
-    This is the brute-force oracle: an integer power of the explicit
-    adjacency matrix, computed over Python ints so it cannot overflow.
-    """
-    if ell < 0:
-        raise VoltageError("negative walk length")
-    power = lift_adjacency_power(lift, ell)
-    return int(power[source, target])
 
 
 def lift_adjacency_power(lift: LiftDigraph, ell: int) -> np.ndarray:

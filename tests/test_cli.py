@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import voltlift as vl
+from voltlift import spectra
 from voltlift.cli import run
 
 from conftest import K2STAR_DOC
@@ -123,6 +124,63 @@ def test_walks_oracle(k2star_path, capsys):
     assert doc["oracle_checked"] and doc["oracle_match"]
     aa = next(e for e in doc["entries"] if e["from"] == "a" and e["to"] == "a")
     assert aa["coeffs"] == {"r^0": 2, "r^1": 2, "r^2": 1}
+
+
+def test_walks_exact_past_int64(k2star, k2star_path, capsys):
+    # length-45 coefficients exceed 2**63 and must reach the JSON exactly
+    code = run(
+        ["walks", "--digraph", k2star_path, "--group", "dihedral:3",
+         "--length", "45", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_checked"] and doc["oracle_match"]
+    d3 = k2star.group
+    power = vl.algebra_matrix_power(vl.associated_matrix(k2star), 45, d3)
+    got = {
+        (e["from"], e["to"], name): c for e in doc["entries"] for name, c in e["coeffs"].items()
+    }
+    want = {
+        (k2star.vertices[u], k2star.vertices[v], d3.element_names[g]): power[u, v, g]
+        for u in range(2) for v in range(2) for g in range(d3.order) if power[u, v, g]
+    }
+    assert got == want
+    assert all(type(c) is int for c in got.values())
+    assert max(got.values()) > 2**63
+
+
+def test_walks_oracle_identity_not_first(tmp_path, capsys):
+    # a custom group whose identity is element 1, not element 0
+    group_path = tmp_path / "z2.json"
+    group_path.write_text(json.dumps({"elements": ["a", "e"], "mul": [[1, 0], [0, 1]]}))
+    digraph_path = tmp_path / "loop.json"
+    digraph_path.write_text(json.dumps(
+        {"vertices": ["v"], "arcs": [{"from": "v", "to": "v", "voltage": "a"}]}
+    ))
+    for length in range(4):
+        code = run(["walks", "--digraph", str(digraph_path), "--group", str(group_path),
+                    "--length", str(length)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["oracle_checked"] and doc["oracle_match"]
+        assert doc["entries"][0]["coeffs"] == {"e" if length % 2 == 0 else "a": 1}
+
+
+def test_default_tol_is_the_library_default(k2star_path, monkeypatch, capsys):
+    received = []
+    original = spectra.lift_spectrum_repr
+
+    def spy(d, s, tol=None):
+        received.append(tol)
+        return original(d, s, tol)
+
+    monkeypatch.setattr(spectra, "lift_spectrum_repr", spy)
+    code = run(["spectrum", "--digraph", k2star_path, "--group", "dihedral:3"])
+    assert code == 0
+    assert received == [None]
+    code = run(["spectrum", "--digraph", k2star_path, "--group", "dihedral:3",
+                "--tol", "1e-7"])
+    assert code == 0
+    assert received == [None, 1e-7]
 
 
 def test_validate(capsys):

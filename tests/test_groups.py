@@ -8,6 +8,7 @@ import voltlift as vl
 from voltlift.groups import GroupError, make_group_table
 
 from conftest import GROUP_POOL_SPECS
+from oracles import find_isomorphism
 from test_reps import SMALL_BUILTINS
 
 FAMILY_SPECS = ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
@@ -198,6 +199,16 @@ class TestParseGroupTable:
         with pytest.raises(GroupError, match="square array"):
             vl.parse_group_table({"elements": ["e", "a"], "mul": [[0, 1], [1]]})
 
+    @pytest.mark.parametrize(
+        "mul",
+        [[[0.0, 1.0], [1.0, 0.0]], [[0.4, 1], [1, 0]], [[True, False], [False, True]],
+         [[0, 1], [1, 2**70]], 9.2e18, "01"],
+    )
+    def test_non_integer_table(self, mul):
+        # a float entry must not be truncated to an index
+        with pytest.raises(GroupError, match="square array of integers"):
+            vl.parse_group_table({"elements": ["e", "a"], "mul": mul})
+
     def test_d3_from_presentation_matches_builtin(self, d3):
         # generate the table from the dihedral presentation independently:
         # words over {r, s} normalized as permutations of 3 points
@@ -215,7 +226,7 @@ class TestParseGroupTable:
         g = vl.parse_group_table(
             {"elements": [str(p) for p in elements], "mul": mul}
         )
-        assert vl.find_isomorphism(g, d3) is not None
+        assert find_isomorphism(g, d3) is not None
 
 
 class TestConjugacyClasses:
@@ -244,4 +255,4 @@ def test_d3_isomorphic_to_s3(d3):
         [index[tuple(p[q[i]] for i in range(3))] for q in elements] for p in elements
     ]
     s3 = vl.parse_group_table({"elements": [str(p) for p in elements], "mul": mul})
-    assert vl.find_isomorphism(d3, s3) is not None
+    assert find_isomorphism(d3, s3) is not None

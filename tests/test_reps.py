@@ -171,7 +171,9 @@ class TestLoadIrreps:
 
     @pytest.mark.parametrize(
         "doc", [{"dim": 1}, [[1, 0]], [{"dim": "x", "matrices": {}}],
-                [{"dim": 1, "matrices": []}]]
+                [{"dim": 1, "matrices": []}], [{"dim": True, "matrices": {}}],
+                # rejected before anything of size dim * dim is allocated
+                [{"dim": 2**40, "matrices": {}}]]
     )
     def test_malformed_document(self, d3, doc):
         with pytest.raises(RepresentationError):
@@ -180,6 +182,13 @@ class TestLoadIrreps:
     def test_malformed_matrix(self, d3, d3_irreps):
         doc = irreps_to_doc(d3, d3_irreps)
         doc[0]["matrices"]["r^1"] = [[[1.0, 0.0], [2.0]]]
+        with pytest.raises(RepresentationError, match="re, im"):
+            vl.load_irreps(doc, d3)
+
+    @pytest.mark.parametrize("value", [["1", "0"], [True, False], [None, 0]])
+    def test_non_numeric_matrix_entry(self, d3, d3_irreps, value):
+        doc = irreps_to_doc(d3, d3_irreps)
+        doc[0]["matrices"]["r^1"] = [[value]]
         with pytest.raises(RepresentationError, match="re, im"):
             vl.load_irreps(doc, d3)
 

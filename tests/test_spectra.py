@@ -12,6 +12,7 @@ from voltlift.spectra import (
 )
 
 from conftest import random_voltage_digraph
+from oracles import power_sums_by_walk_enumeration
 
 
 def power_sums_of(roots, length):
@@ -35,11 +36,26 @@ class TestRhoMatrix:
         vals = sorted(np.linalg.eigvals(m3).real)
         assert np.allclose(vals, [-1, 0, 0, 1], atol=1e-9)
 
+    @pytest.mark.parametrize("spec", ["cyclic:5", "dihedral:4", "product:cyclic:2,dihedral:3"])
+    def test_matches_entrywise_loop(self, spec):
+        # reference: sum c * rho(g) entry by entry, in element order
+        g = vl.build_builtin_group(spec)
+        d = random_voltage_digraph(np.random.default_rng(3), g, max_vertices=4, max_arcs=14)
+        b = vl.associated_matrix(d)
+        for irrep in vl.builtin_irreps(g).irreps:
+            k = irrep.dim
+            want = np.zeros((d.order * k, d.order * k), dtype=complex)
+            for u in range(d.order):
+                for v in range(d.order):
+                    for x in range(g.order):
+                        want[u * k:(u + 1) * k, v * k:(v + 1) * k] += b[u, v, x] * irrep.matrices[x]
+            assert np.array_equal(vl.rho_matrix(b, irrep), want)
+
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
     def test_functoriality(self, k2star, d3_irreps, ell):
         # rho(B^ell) == rho(B)^ell
         b = vl.associated_matrix(k2star)
-        bp = vl.algebra_matrix_power(b, ell)
+        bp = vl.algebra_matrix_power(b, ell, k2star.group)
         for irrep in d3_irreps.irreps:
             lhs = vl.rho_matrix(bp, irrep)
             rhs = np.linalg.matrix_power(vl.rho_matrix(b, irrep), ell)
@@ -152,7 +168,7 @@ class TestPowerSums:
     def test_chi3_values(self, k2star, d3_irreps):
         b = vl.associated_matrix(k2star)
         t = vl.character_table(d3_irreps)
-        ps = vl.power_sums_from_characters(b, t.rows[2], 4)
+        ps = vl.power_sums_from_characters(b, t.rows[2], 4, k2star.group)
         assert ps.sums == (0, 2, 0, 2)
 
     def test_chi1_values(self, k2star, d3_irreps):
@@ -160,7 +176,7 @@ class TestPowerSums:
         # eigenvalues {3, -1}: 9 + 1 = 10
         b = vl.associated_matrix(k2star)
         t = vl.character_table(d3_irreps)
-        ps = vl.power_sums_from_characters(b, t.rows[0], 2)
+        ps = vl.power_sums_from_characters(b, t.rows[0], 2, k2star.group)
         assert ps.sums == (2, 10)
 
     def test_trivial_group_traces(self):
@@ -168,7 +184,7 @@ class TestPowerSums:
         d = vl.make_voltage_digraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 0, 0)])
         b = vl.associated_matrix(d)
         adj = np.array([[1.0, 1.0], [1.0, 0.0]])
-        ps = vl.power_sums_from_characters(b, np.ones(1), 2)
+        ps = vl.power_sums_from_characters(b, np.ones(1), 2, g)
         for ell, s in enumerate(ps.sums, start=1):
             assert abs(s - np.trace(np.linalg.matrix_power(adj, ell))) < 1e-12
 
@@ -177,8 +193,8 @@ class TestPowerSums:
         b = vl.associated_matrix(k2star)
         t = vl.character_table(d3_irreps)
         for row in t.rows:
-            ps = vl.power_sums_from_characters(b, row, 4)
-            walks = vl.power_sums_by_walk_enumeration(k2star, row, 4)
+            ps = vl.power_sums_from_characters(b, row, 4, k2star.group)
+            walks = power_sums_by_walk_enumeration(k2star, row, 4)
             assert np.allclose(ps.sums, walks, atol=1e-9)
 
 
