@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +80,18 @@ def decode_json(doc, error: type):
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise error(f"document is not valid JSON: {exc}") from None
     return doc
+
+
+def has_bool(nested, depth: int) -> bool:
+    """Whether a regular nested list of the given depth holds a bool.
+
+    np.asarray promotes a JSON true or false mixed with numbers to a number
+    ([false, 1] becomes int64), so parsers look for them before converting.
+    """
+    items = nested
+    for _ in range(depth - 1):
+        items = chain.from_iterable(items)
+    return bool in map(type, items)
 
 
 def _check_latin_square(mul: np.ndarray) -> None:
@@ -201,9 +214,13 @@ def make_group_table(
         table = np.asarray(mul)
     except (TypeError, ValueError):  # ragged nesting
         table = None
-    # integer dtypes only: floats would be truncated, and ints past int64
-    # come out as dtype object
-    if table is None or table.dtype.kind not in "iu":
+    # integer dtypes only: floats would be truncated, ints past int64 come
+    # out as dtype object, and booleans mixed with ints as int64
+    if (
+        table is None
+        or table.dtype.kind not in "iu"
+        or (table.ndim == 2 and table is not mul and has_bool(mul, 2))
+    ):
         raise GroupError("multiplication table must be a square array of integers")
     table = table.astype(np.int64)
     if table.shape != (n, n):

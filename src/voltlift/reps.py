@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, build_builtin_group, decode_json
+from .groups import GroupError, GroupTable, build_builtin_group, decode_json, has_bool
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -289,8 +289,9 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
 
 
 def _matrix_from_json(entry) -> np.ndarray:
-    # each scalar is a [re, im] pair of JSON numbers; the dtype check
-    # rejects strings such as "1", which np.asarray(dtype=float) would parse
+    # each scalar is a [re, im] pair of JSON numbers: the dtype check
+    # rejects strings such as "1", which np.asarray(dtype=float) would parse,
+    # and has_bool a true or false, which np.asarray would make a number
     try:
         arr = np.asarray(entry)
     except (TypeError, ValueError):  # ragged nesting
@@ -299,6 +300,8 @@ def _matrix_from_json(entry) -> np.ndarray:
         raise RepresentationError("matrix entry is not a nested list of [re, im] pairs")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise RepresentationError(f"matrix entry has bad shape {arr.shape}")
+    if has_bool(entry, 3):
+        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

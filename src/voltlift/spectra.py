@@ -1,11 +1,13 @@
 """Lift spectra three ways, plus eigenvector construction and comparison.
 
 The default route maps the quotient matrix through each irreducible
-representation and solves the resulting small dense eigenproblems. The
-character route recovers eigenvalues from power sums (Newton's identities,
-cross-checked against a determinant formula), and the brute-force route
-diagonalizes the explicit lift. All three must agree, and the test suite
-holds them to that.
+representation and solves the resulting small dense eigenproblems, one
+batched call per irrep dimension. The character route recovers eigenvalues
+from power sums (Newton's identities, cross-checked against a determinant
+formula), and the brute-force route diagonalizes the explicit lift. The
+spectrum routes compute eigenvalues only; the residual-checked eigenpair
+solver serves the lift eigenvectors. All three routes must agree, and the
+test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -83,40 +85,63 @@ def format_eigenvalue(z: complex) -> str:
 def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
     """Single-linkage clustering of eigenvalues in the complex plane.
 
-    Any two values within tol are linked; each cluster is reported at its
-    mean, which for a smeared multiple eigenvalue is far more accurate
-    than the individual values (the sum is trace-exact). O(m^2) pairwise
-    linking; fine at desk scale.
+    Two values are linked iff |z_i - z_j| < tol; each cluster is reported
+    at its mean, which for a smeared multiple eigenvalue is far more
+    accurate than the individual values (the sum is trace-exact). Exact
+    duplicates are merged first, and only pairs whose real parts lie
+    within tol of each other are ever compared.
     """
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    m = len(vals)
-    if not m:
+    if not tol > 0:
+        raise SpectrumError("tolerance must be positive")
+    vals = np.sort(np.asarray(values, dtype=complex).reshape(-1))
+    if not vals.size:
         return SpectrumMultiset(entries=())
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    arr = np.asarray(vals, dtype=complex)
-    for i in range(m):
-        # values are sorted by real part: once the real gap alone exceeds
-        # tol, no later value can link to i
-        for j in range(i + 1, m):
-            if arr[j].real - arr[i].real >= tol:
+    if not np.all(np.isfinite(vals)):
+        raise SpectrumError("cannot cluster non-finite eigenvalues")
+    # distinct values, sorted by real part then imaginary part
+    first = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    distinct = vals[first]
+    counts = np.diff(np.r_[first, vals.size])
+    m = distinct.size
+    # every value that can link to i lies in its window i .. i + width[i] - 1:
+    # a real part past fl(re_i + tol) is at least tol away, and so is the value
+    re = distinct.real
+    width = np.searchsorted(re, re + tol, side="right") - np.arange(m)
+    links = []
+    for k in range(1, int(width.max())):
+        i = np.flatnonzero(width > k)
+        gap = distinct[i + k] - distinct[i]
+        # hypot, as abs() of a complex scalar: the vectorised complex abs
+        # can round differently and flip a link at distance ~tol
+        i = i[np.hypot(gap.real, gap.imag) < tol]
+        links.append((i, i + k))
+    # connected components by min-label propagation with pointer jumping;
+    # at the fixed point every link joins equal labels, and each label is
+    # the smallest index of its component
+    label = np.arange(m)
+    if links:
+        tails, heads = map(np.concatenate, zip(*links))
+        while True:
+            old = label
+            label = label.copy()
+            np.minimum.at(label, tails, label[heads])
+            np.minimum.at(label, heads, label[tails])
+            label = label[label]
+            if np.array_equal(label, old):
                 break
-            if abs(arr[j] - arr[i]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(vals[i])
-    entries = [(complex(np.mean(c)), len(c)) for c in groups.values()]
-    entries.sort(key=lambda e: (-e[0].real, e[0].imag))
-    return SpectrumMultiset(entries=tuple(entries))
+    _, cluster = np.unique(label, return_inverse=True)
+    mult = np.bincount(cluster, weights=counts).astype(np.int64)
+    weighted = distinct * counts
+    mean = (
+        np.bincount(cluster, weights=weighted.real)
+        + 1j * np.bincount(cluster, weights=weighted.imag)
+    ) / mult
+    # descending real part, then ascending imaginary part; ties keep the
+    # order of each cluster's smallest value
+    order = np.lexsort((mean.imag, -mean.real))
+    return SpectrumMultiset(
+        entries=tuple(zip(mean[order].tolist(), mult[order].tolist()))
+    )
 
 
 def _sorted(vals):
@@ -206,7 +231,11 @@ class EigenDecomposition:
 
 
 def eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigenpairs of a general dense complex matrix, residual-checked."""
+    """Eigenpairs of a general dense complex matrix, residual-checked.
+
+    Only lift_eigenvectors needs the vectors; the spectrum routes solve for
+    eigenvalues alone.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpectrumError(f"matrix must be square, got shape {m.shape}")
@@ -237,18 +266,34 @@ def eig(m: np.ndarray) -> EigenDecomposition:
 # Representation route
 
 
-def rho_matrix(b: np.ndarray, irrep: Irrep) -> np.ndarray:
-    """Apply an irrep entrywise: each algebra entry becomes a d x d block.
+def _rho_stack(b: np.ndarray, irreps: Sequence[Irrep]) -> np.ndarray:
+    """Images of b under irreps of one dimension d, as a (K, r*d, r*d) stack.
 
     Only the nonzero coefficients of b are visited: each adds its multiple
-    of rho(x) into its (u, v) block.
+    of rho(x) into its (u, v) block, in the order np.nonzero lists them.
     """
     r = b.shape[0]
-    d = irrep.dim
+    d = irreps[0].dim
     u, v, x = np.nonzero(b)
-    blocks = np.zeros((r, r, d, d), dtype=complex)
-    np.add.at(blocks, (u, v), b[u, v, x].astype(complex)[:, None, None] * irrep.matrices[x])
-    return blocks.transpose(0, 2, 1, 3).reshape(r * d, r * d)
+    terms = b[u, v, x].astype(complex)[:, None, None] * np.array(
+        [irrep.matrices[x] for irrep in irreps]
+    )
+    blocks = np.zeros((len(irreps), r, r, d, d), dtype=complex)
+    np.add.at(blocks, (slice(None), u, v), terms)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(len(irreps), r * d, r * d)
+
+
+def rho_matrix(b: np.ndarray, irrep: Irrep) -> np.ndarray:
+    """Apply an irrep entrywise: each algebra entry becomes a d x d block."""
+    return _rho_stack(b, [irrep])[0]
+
+
+def _checked_total(spectrum: SpectrumMultiset, total: int) -> SpectrumMultiset:
+    if spectrum.total != total:
+        raise SpectrumError(
+            f"clustered multiplicities sum to {spectrum.total}, expected {total}"
+        )
+    return spectrum
 
 
 def lift_spectrum_repr(
@@ -257,7 +302,8 @@ def lift_spectrum_repr(
     """Full lift spectrum from the per-irrep quotient eigenproblems.
 
     Each eigenvalue of the image of the quotient matrix under irrep i is
-    inserted with multiplicity dim_i.
+    inserted with multiplicity dim_i. Eigenvalues only: the images of all
+    irreps of one dimension are solved in one batched call.
     """
     if s.group.order != d.group.order:
         raise SpectrumError("irrep set and digraph use different groups")
@@ -265,29 +311,40 @@ def lift_spectrum_repr(
     if tol <= 0:
         raise SpectrumError("tolerance must be positive")
     b = associated_matrix(d)
-    values: List[complex] = []
-    for irrep in s.irreps:
-        dec = eig(rho_matrix(b, irrep))
-        for v in dec.eigenvalues:
-            values.extend([complex(v)] * irrep.dim)
-    spectrum = cluster_spectrum(values, tol)
-    assert spectrum.total == d.order * d.group.order
-    return spectrum
+    values = []
+    for dim in sorted(set(s.dims)):
+        same_dim = [irrep for irrep in s.irreps if irrep.dim == dim]
+        try:
+            vals = np.linalg.eigvals(_rho_stack(b, same_dim))
+        except np.linalg.LinAlgError as exc:
+            raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+        values.append(np.repeat(vals.reshape(-1), dim))
+    return _checked_total(
+        cluster_spectrum(np.concatenate(values), tol), d.order * d.group.order
+    )
 
 
 def lift_spectrum_bruteforce(
     d: VoltageDigraph, tol: Optional[float] = None, max_order: int = 2000
 ) -> SpectrumMultiset:
-    """Spectrum of the explicit lift adjacency matrix (the oracle path)."""
+    """Spectrum of the explicit lift adjacency matrix (the oracle path).
+
+    Eigenvalues only, in real arithmetic; a symmetric adjacency (every
+    undirected lift) goes to the Hermitian solver. The oracle uses neither
+    the irreps nor any block structure of the lift.
+    """
     tol = default_cluster_tol(d) if tol is None else tol
     if tol <= 0:
         raise SpectrumError("tolerance must be positive")
     rn = d.order * d.group.order
     if rn > max_order:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {max_order}")
-    lift = build_lift(d)
-    dec = eig(lift.adjacency.astype(float))
-    return cluster_spectrum(dec.eigenvalues, tol)
+    a = build_lift(d).adjacency
+    try:
+        vals = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+    return _checked_total(cluster_spectrum(vals, tol), rn)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +470,7 @@ def lift_spectrum_charsum(
         roots = roots_from_power_sums(PowerSums(tuple(sums[:r * di].tolist()), r * di))
         for z in roots:
             values.extend([complex(z)] * di)
-    spectrum = cluster_spectrum(values, tol)
-    assert spectrum.total == r * d.group.order
-    return spectrum
+    return _checked_total(cluster_spectrum(values, tol), r * d.group.order)
 
 
 # ---------------------------------------------------------------------------

@@ -209,19 +209,16 @@ def build_lift(d: VoltageDigraph) -> LiftDigraph:
     Each base arc (u, v, x) contributes the arcs (u, g) -> (v, g*x) for
     every group element g.
     """
-    group = d.group
-    n = group.order
+    n = d.group.order
     rn = d.order * n
+    u, v, x = np.array(d.arcs, dtype=np.int64).reshape(-1, 3).T
+    # row a of tails/heads lists arc a's n lift arcs, g = 0..n-1
+    tails = u[:, None] * n + np.arange(n)
+    heads = v[:, None] * n + d.group.mul[:, x].T  # g * x for every g
     adj = np.zeros((rn, rn), dtype=np.int64)
-    arcs = []
-    for u, v, x in d.arcs:
-        heads = group.mul[:, x]  # g * x for every g
-        for g in range(n):
-            i = u * n + g
-            j = v * n + int(heads[g])
-            arcs.append((i, j))
-            adj[i, j] += 1
-    return LiftDigraph(base=d, arcs=tuple(arcs), adjacency=adj)
+    np.add.at(adj, (tails, heads), 1)
+    arcs = tuple(zip(tails.ravel().tolist(), heads.ravel().tolist()))
+    return LiftDigraph(base=d, arcs=arcs, adjacency=adj)
 
 
 def lift_adjacency_power(lift: LiftDigraph, ell: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Brute-force oracles that the tests check the library against.
 
-Both are exponential in their input and serve only as independent second
-routes: a search for a multiplication-preserving bijection between two
-group tables, and closed-walk power sums by direct enumeration.
+Each serves only as an independent second route: a search for a
+multiplication-preserving bijection between two group tables and
+closed-walk power sums by direct enumeration (both exponential in their
+input), and single-linkage clustering by a quadratic pairwise loop.
 """
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,3 +62,38 @@ def power_sums_by_walk_enumeration(
                     stack.append((head, group.mul_idx(voltage, x), steps + 1))
         sums.append(complex(total))
     return tuple(sums)
+
+
+def cluster_spectrum_loop(values: Sequence[complex], tol: float) -> list:
+    """Single-linkage clustering by the pairwise loop: link iff |z_i - z_j| < tol.
+
+    Returns (mean, multiplicity) pairs, sorted by descending real part, then
+    ascending imaginary part. O(m^2) with union-find over sorted values.
+    """
+    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    m = len(vals)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    arr = np.asarray(vals, dtype=complex)
+    for i in range(m):
+        # values are sorted by real part: once the real gap alone reaches
+        # tol, no later value can link to i
+        for j in range(i + 1, m):
+            if arr[j].real - arr[i].real >= tol:
+                break
+            if abs(arr[j] - arr[i]) < tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(vals[i])
+    entries = [(complex(np.mean(c)), len(c)) for c in groups.values()]
+    entries.sort(key=lambda e: (-e[0].real, e[0].imag))
+    return entries

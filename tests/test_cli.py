@@ -198,6 +198,15 @@ def test_validate_bad_group_file(tmp_path, capsys):
     assert "Latin square" in capsys.readouterr().err
 
 
+def test_group_file_with_boolean_is_input_error(tmp_path, capsys):
+    # [[false, 1], [1, 0]] would pass as an order-2 group if false became 0
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"elements": ["e", "a"], "mul": [[False, 1], [1, 0]]}))
+    code = run(["validate", "--group", str(path)])
+    assert code == 2
+    assert "square array of integers" in capsys.readouterr().err
+
+
 def test_json_output_deterministic(k2star_path, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -202,7 +202,7 @@ class TestParseGroupTable:
     @pytest.mark.parametrize(
         "mul",
         [[[0.0, 1.0], [1.0, 0.0]], [[0.4, 1], [1, 0]], [[True, False], [False, True]],
-         [[0, 1], [1, 2**70]], 9.2e18, "01"],
+         [[0, 1], [1, 2**70]], 9.2e18, "01", [[False, 1], [1, 0]], [[0, 1], [1, True]]],
     )
     def test_non_integer_table(self, mul):
         # a float entry must not be truncated to an index

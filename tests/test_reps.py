@@ -185,7 +185,9 @@ class TestLoadIrreps:
         with pytest.raises(RepresentationError, match="re, im"):
             vl.load_irreps(doc, d3)
 
-    @pytest.mark.parametrize("value", [["1", "0"], [True, False], [None, 0]])
+    @pytest.mark.parametrize(
+        "value", [["1", "0"], [True, False], [None, 0], [1, False], [0.5, True]]
+    )
     def test_non_numeric_matrix_entry(self, d3, d3_irreps, value):
         doc = irreps_to_doc(d3, d3_irreps)
         doc[0]["matrices"]["r^1"] = [[value]]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
+from voltlift import spectra
 from voltlift.spectra import (
     SpectrumError,
     _determinant_poly_coeffs,
@@ -12,7 +13,7 @@ from voltlift.spectra import (
 )
 
 from conftest import random_voltage_digraph
-from oracles import power_sums_by_walk_enumeration
+from oracles import cluster_spectrum_loop, power_sums_by_walk_enumeration
 
 
 def power_sums_of(roots, length):
@@ -98,6 +99,62 @@ class TestSpectrumMultiset:
         sp = cluster_spectrum([1, 2, 3], tol=1e-9)
         assert sp.total == 3
 
+    @pytest.mark.parametrize(
+        "values, tol",
+        [([1.0], 0.0), ([1.0], -1e-9), ([1.0], np.nan), ([1.0, np.nan], 1e-9),
+         ([complex(0, np.inf)], 1e-9)],
+    )
+    def test_rejects_bad_tolerance_or_values(self, values, tol):
+        with pytest.raises(SpectrumError):
+            cluster_spectrum(values, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_loop(self, data):
+        # the pairwise loop links iff |z_i - z_j| < tol; draw the cases where
+        # that decision is closest: exact duplicates, signed zeros, chains
+        # spaced just under tol, pairs exactly tol apart, conjugate pairs
+        tol = data.draw(st.sampled_from([1e-9, 1e-4, 0.5]))
+        offset = data.draw(st.sampled_from([0.0, 1.0, -3.0, 1e3]))
+        grid = st.integers(min_value=-4, max_value=4)
+        direction = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / np.sqrt(2)])
+        values = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            z = offset + complex(data.draw(grid), data.draw(grid)) * tol * data.draw(
+                st.sampled_from([0.3, 0.999, 1.0, 2.5])
+            )
+            kind = data.draw(st.sampled_from(
+                ["point", "duplicate", "signed_zero", "chain", "at_tol", "conjugate"]
+            ))
+            if kind == "point":
+                values.append(z)
+            elif kind == "duplicate":
+                values += [z] * data.draw(st.integers(min_value=2, max_value=4))
+            elif kind == "signed_zero":
+                values += [complex(0.0, 0.0), complex(-0.0, 0.0),
+                           complex(0.0, -0.0), complex(-0.0, -0.0)]
+            elif kind == "chain":
+                step = np.nextafter(tol, 0) * data.draw(direction)
+                values += [z + k * step for k in range(data.draw(st.integers(2, 5)))]
+            elif kind == "at_tol":
+                values += [z, z + tol * data.draw(direction)]
+            else:
+                values += [z, z.conjugate()]
+        got = cluster_spectrum(values, tol).entries
+        want = cluster_spectrum_loop(values, tol)
+        assert list(got) == sorted(got, key=lambda e: (-e[0].real, e[0].imag))
+        # match clusters one to one: equal multiplicity, mean within 1e-12
+        # of the scale (the means may be summed in another order)
+        scale = max(1.0, max(abs(z) for z in values))
+        assert len(got) == len(want)
+        unused = list(got)
+        for mean, mult in want:
+            j = min(range(len(unused)),
+                    key=lambda k: (unused[k][1] != mult, abs(unused[k][0] - mean)))
+            got_mean, got_mult = unused.pop(j)
+            assert got_mult == mult
+            assert abs(got_mean - mean) <= 1e-12 * scale
+
 
 class TestSpectraEqual:
     def test_identical(self):
@@ -162,6 +219,93 @@ class TestSpectrumRoutes:
             a = vl.lift_spectrum_repr(d, s, 1e-8)
             b = vl.lift_spectrum_charsum(d, t, 1e-8)
             assert vl.spectra_equal(a, b, 1e-6).matched
+
+
+    @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3"])
+    def test_repr_batches_one_eigvals_per_dimension(self, spec, monkeypatch):
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        assert len(set(s.dims)) > 1
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
+            b = vl.associated_matrix(d)
+            # reference: one residual-checked eig per irrep
+            values = []
+            for irrep in s.irreps:
+                values += [complex(z) for z in vl.eig(vl.rho_matrix(b, irrep)).eigenvalues] * irrep.dim
+            want = cluster_spectrum(values, 1e-8)
+            stacks = []
+            eigvals = np.linalg.eigvals
+
+            def spy(a):
+                stacks.append(a.shape)
+                return eigvals(a)
+
+            monkeypatch.setattr(np.linalg, "eigvals", spy)
+            got = vl.lift_spectrum_repr(d, s, 1e-8)
+            monkeypatch.undo()
+            assert sorted(stacks) == sorted(
+                (s.dims.count(k), d.order * k, d.order * k) for k in set(s.dims)
+            )
+            assert got.total == want.total == d.order * g.order
+            assert vl.spectra_equal(got, want, 1e-7).matched
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_bruteforce_solver_matches_repr(self, symmetric, monkeypatch):
+        g = vl.build_builtin_group("dihedral:4")
+        rng = np.random.default_rng(8)
+        d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10)
+        if symmetric:
+            # every arc gets its reverse with the inverse voltage
+            arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
+            d = vl.make_voltage_digraph(g, d.vertices, arcs)
+        called = []
+
+        def spy(name, solver):
+            def solve(a):
+                called.append(name)
+                return solver(a)
+            return solve
+
+        for name in ("eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        by_brute = vl.lift_spectrum_bruteforce(d, 1e-8)
+        monkeypatch.undo()
+        assert called == ["eigvalsh" if symmetric else "eigvals"]
+        by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-8)
+        assert by_brute.total == d.order * g.order
+        assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
+
+    def test_acyclic_lift_is_one_zero_cluster(self):
+        # arcs only run from lower to higher vertices, so every image of B is
+        # strictly upper triangular and the lift is nilpotent
+        g = vl.build_builtin_group("dihedral:128")
+        rng = np.random.default_rng(4)
+        pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        arcs = [(*pairs[i], int(rng.integers(g.order)))
+                for i in rng.integers(len(pairs), size=18)]
+        d = vl.make_voltage_digraph(g, [f"v{i}" for i in range(6)], arcs)
+        sp = vl.lift_spectrum_repr(d, vl.builtin_irreps(g))
+        assert sp.entries == ((0, 1536),)
+
+    @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
+    def test_lost_multiplicity_raises(self, route, k2star, d3_irreps, monkeypatch):
+        # a clustering that drops an entry must fail the total check, also
+        # under python -O
+        cluster = spectra.cluster_spectrum
+        monkeypatch.setattr(
+            spectra, "cluster_spectrum",
+            lambda values, tol: vl.SpectrumMultiset(cluster(values, tol).entries[:-1]),
+        )
+        run = {
+            "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
+            "bruteforce": lambda: vl.lift_spectrum_bruteforce(k2star, 1e-7),
+            "charsum": lambda: vl.lift_spectrum_charsum(
+                k2star, vl.character_table(d3_irreps), 1e-7),
+        }[route]
+        with pytest.raises(SpectrumError, match="multiplicities sum to 11, expected 12"):
+            run()
 
 
 class TestPowerSums:
