@@ -3,7 +3,8 @@
 Eigenvectors of the lift come for free from the quotient eigenproblems:
 an eigencolumn of the irrep image is replicated across each fiber by
 multiplying with the representation matrices. We verify the residuals
-directly. The second half loads a group and its character table from
+directly, then show an irrep skipped as defective, with its reason. The
+second half loads a group and its character table from
 JSON documents instead of using a builtin family.
 """
 
@@ -30,6 +31,20 @@ worst = 0.0
 for mu, w in result.pairs:
     worst = max(worst, np.linalg.norm(a @ w - mu * w) / np.linalg.norm(w))
 print(f"worst eigenpair residual: {worst:.2e}")
+
+# loops r and r*s over dihedral:4: the 2-dim image rho(r)(1 + rho(s)) is
+# nonzero but squares to zero, so its eigenvectors cannot span and that
+# irrep is skipped
+d4 = vl.build_builtin_group("dihedral:4")
+d4_irreps = vl.builtin_irreps(d4)
+names = d4.element_names
+nilpotent = vl.make_voltage_digraph(
+    d4, ["u"], [(0, 0, names.index("r^1")), (0, 0, names.index("r^1*s"))]
+)
+result = vl.lift_eigenvectors(nilpotent, d4_irreps)
+print(f"\nloops r and r*s over dihedral:4: {len(result.pairs)} eigenpairs; skipped:")
+for i, why in zip(result.skipped_irreps, result.skip_reasons):
+    print(f"  irrep {i} (dim {d4_irreps.dims[i]}): {why}")
 
 # --- user-supplied group: the Klein four-group as a raw table -------------
 

@@ -48,10 +48,12 @@ from .spectra import (
     PowerSums,
     SpectrumError,
     SpectrumMultiset,
+    charsum_match_tol,
     cluster_spectrum,
     default_cluster_tol,
     eig,
     format_eigenvalue,
+    irrep_eigenvalues,
     lift_eigenvectors,
     lift_spectrum_bruteforce,
     lift_spectrum_charsum,
@@ -60,6 +62,7 @@ from .spectra import (
     rho_matrix,
     roots_from_power_sums,
     spectra_equal,
+    spectrum_from_irrep_eigenvalues,
     spectrum_to_json,
     spectrum_to_text,
 )

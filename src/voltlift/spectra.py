@@ -5,9 +5,9 @@ representation and solves the resulting small dense eigenproblems, one
 batched call per irrep dimension. The character route recovers eigenvalues
 from power sums (Newton's identities, cross-checked against a determinant
 formula), and the brute-force route diagonalizes the explicit lift. The
-spectrum routes compute eigenvalues only; the residual-checked eigenpair
-solver serves the lift eigenvectors. All three routes must agree, and the
-test suite holds them to that.
+spectrum routes compute eigenvalues only; the lift eigenvectors come from
+one batched residual-checked eigensolve per irrep dimension. All three
+routes must agree, and the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from math import factorial
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -200,6 +200,34 @@ def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Match
     )
 
 
+def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:
+    """Tolerance for matching the charsum spectrum against repr's.
+
+    Root recovery smears a k-fold root of one character's polynomial by
+    about eps**(1/k), relative to the spectral radius rho. ``values`` are
+    repr's eigenvalues per irrep image, as irrep_eigenvalues returns them;
+    k is the largest multiplicity of one of them within one image,
+    clustered at tol by single linkage as in cluster_spectrum. Returns
+    (max(tol, 1e-6, 10 * (1 + rho) * eps**(1/k)), k): the bound depends on
+    the root multiplicity, never on the polynomial degree.
+    """
+    k = 1
+    for v in values.values():
+        gap = v[:, :, None] - v[:, None, :]
+        # reach[q, i, j]: z_i and z_j of image q are linked by a chain;
+        # squaring doubles the chain length until nothing changes
+        reach = (np.hypot(gap.real, gap.imag) < tol).astype(float)
+        while True:
+            longer = (reach @ reach > 0).astype(float)
+            if np.array_equal(longer, reach):
+                break
+            reach = longer
+        k = max(k, int(reach.sum(axis=2).max()))
+    rho = max(float(np.abs(v).max()) for v in values.values())
+    eps = float(np.finfo(float).eps)
+    return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k
+
+
 def default_cluster_tol(d: VoltageDigraph) -> float:
     """1e-9 * (1 + the lift adjacency 1-norm), computed from the base."""
     # the 1-norm of the lift adjacency equals the maximum in-degree of the
@@ -230,30 +258,39 @@ class EigenDecomposition:
     vector_ok: np.ndarray
 
 
-def eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigenpairs of a general dense complex matrix, residual-checked.
+def _eig_stack(m: np.ndarray):
+    """Residual-checked eigenpairs of a (K, N, N) stack, one batched solve.
 
-    Only lift_eigenvectors needs the vectors; the spectrum routes solve for
-    eigenvalues alone.
+    Returns the eigenvalues (K, N), the eigenvectors (K, N, N) as columns,
+    the per-column residuals (K, N), each relative to its column's norm,
+    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SpectrumError(f"matrix must be square, got shape {m.shape}")
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise SpectrumError(f"matrix must be square, got shape {m.shape[1:]}")
     if not np.all(np.isfinite(m)):
         raise SpectrumError("matrix has non-finite entries")
     try:
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
-    if m.size:
-        res = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
-        scale = np.maximum(np.linalg.norm(vecs, axis=0), 1e-300)
-        res = res / scale
-    else:
-        res = np.empty(0)
-    bound = EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2)) if m.size else 0.0
+    if not m.size:
+        return vals, vecs, np.empty(vals.shape), np.zeros(len(m))
+    res = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
+    res = res / np.maximum(np.linalg.norm(vecs, axis=1), 1e-300)
+    bound = EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2, axis=(1, 2)))
+    return vals, vecs, res, bound
+
+
+def eig(m: np.ndarray) -> EigenDecomposition:
+    """Eigenpairs of a general dense complex matrix, residual-checked.
+
+    The K = 1 case of the batched solver behind lift_eigenvectors; the
+    spectrum routes solve for eigenvalues alone.
+    """
+    vals, vecs, res, bound = (a[0] for a in _eig_stack(np.asarray(m)[None]))
     return EigenDecomposition(
-        dim=m.shape[0],
+        dim=vals.shape[0],
         eigenvalues=vals,
         eigenvectors=vecs,
         residuals=res,
@@ -296,32 +333,51 @@ def _checked_total(spectrum: SpectrumMultiset, total: int) -> SpectrumMultiset:
     return spectrum
 
 
+def _by_dimension(s: IrrepSet):
+    """(dim, irrep indices) for each irrep dimension, smallest first."""
+    for dim in sorted(set(s.dims)):
+        yield dim, [i for i, k in enumerate(s.dims) if k == dim]
+
+
+def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
+    """Eigenvalues of the image of the quotient matrix under each irrep.
+
+    For each irrep dimension k, a (K, r*k) array whose row q holds the
+    eigenvalues of the image under the q-th irrep of dimension k, in
+    ``s.irreps`` order. The K images are solved in one batched eigvals call.
+    """
+    if s.group.order != d.group.order:
+        raise SpectrumError("irrep set and digraph use different groups")
+    b = associated_matrix(d)
+    values = {}
+    for dim, idx in _by_dimension(s):
+        try:
+            values[dim] = np.linalg.eigvals(_rho_stack(b, [s.irreps[i] for i in idx]))
+        except np.linalg.LinAlgError as exc:
+            raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+    return values
+
+
+def spectrum_from_irrep_eigenvalues(
+    values: Dict[int, np.ndarray], tol: float
+) -> SpectrumMultiset:
+    """The lift spectrum from irrep_eigenvalues: each eigenvalue of the
+    image under a dim-k irrep enters k times. The multiplicities must sum
+    to the number of values entered."""
+    flat = np.concatenate([np.repeat(v.reshape(-1), k) for k, v in values.items()])
+    return _checked_total(cluster_spectrum(flat, tol), flat.size)
+
+
 def lift_spectrum_repr(
     d: VoltageDigraph, s: IrrepSet, tol: Optional[float] = None
 ) -> SpectrumMultiset:
     """Full lift spectrum from the per-irrep quotient eigenproblems.
 
-    Each eigenvalue of the image of the quotient matrix under irrep i is
-    inserted with multiplicity dim_i. Eigenvalues only: the images of all
-    irreps of one dimension are solved in one batched call.
+    Eigenvalues only: irrep_eigenvalues, each entered dim times by
+    spectrum_from_irrep_eigenvalues.
     """
-    if s.group.order != d.group.order:
-        raise SpectrumError("irrep set and digraph use different groups")
     tol = default_cluster_tol(d) if tol is None else tol
-    if tol <= 0:
-        raise SpectrumError("tolerance must be positive")
-    b = associated_matrix(d)
-    values = []
-    for dim in sorted(set(s.dims)):
-        same_dim = [irrep for irrep in s.irreps if irrep.dim == dim]
-        try:
-            vals = np.linalg.eigvals(_rho_stack(b, same_dim))
-        except np.linalg.LinAlgError as exc:
-            raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
-        values.append(np.repeat(vals.reshape(-1), dim))
-    return _checked_total(
-        cluster_spectrum(np.concatenate(values), tol), d.order * d.group.order
-    )
+    return spectrum_from_irrep_eigenvalues(irrep_eigenvalues(d, s), tol)
 
 
 def lift_spectrum_bruteforce(
@@ -483,62 +539,83 @@ class LiftEigenvectors:
 
     ``pairs`` holds (eigenvalue, vector) with vectors indexed in lift
     vertex order (vertex-major, element-index minor). Irreps whose quotient
-    image is defective are skipped and listed in ``skipped_irreps``.
+    image is defective are skipped and listed in ``skipped_irreps``;
+    ``skip_reasons`` names, for each, the failed test and its numbers.
     """
 
     pairs: tuple
     zero_vectors_excluded: int
     skipped_irreps: tuple
+    skip_reasons: tuple = ()
 
 
 def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     """Lift eigenvectors assembled from quotient eigenvectors.
 
-    For each irrep, each eigencolumn of the quotient image, and each of the
-    dim coordinate slots, the lift vector takes value (rho(h) x_v c)_k at
-    lift vertex (v, h), where x_v is vertex v's row block of the quotient
-    eigenvector matrix.
+    For each irrep rho, each eigencolumn x of its quotient image and each
+    of the dim coordinate slots k, the lift vector takes the value
+    (rho(h) x_v)_k at lift vertex (v, h), where x_v is vertex v's block of
+    x. Pairs come in irrep order, then eigencolumn, then slot.
+
+    The irreps of one dimension d are solved together: one batched,
+    residual-checked eigensolve of their (K, r*d, r*d) image stack, and
+    one batched condition number of the eigenvector matrices. An irrep is
+    skipped when its eigenvector matrix is worse conditioned than
+    DEFECTIVE_COND_LIMIT or a column misses the residual bound. The
+    vectors of the kept irreps are written in place into one array
+    fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
+    irrep q, column c, slot k, filled by one matmul per slot, and the
+    returned vectors are views of it.
     """
-    group = d.group
-    n = group.order
+    n = d.group.order
     r = d.order
+    if s.group.order != n:
+        raise SpectrumError("irrep set and digraph use different groups")
     b = associated_matrix(d)
+    kept = {}
+    reasons = {}
+    for di, idx in _by_dimension(s):
+        vals, vecs, res, bound = _eig_stack(_rho_stack(b, [s.irreps[i] for i in idx]))
+        cond = np.linalg.cond(vecs)
+        worst = res.max(axis=1)
+        for q, i in enumerate(idx):
+            if not (np.isfinite(cond[q]) and cond[q] <= DEFECTIVE_COND_LIMIT):
+                reasons[i] = f"cond {cond[q]:.1e} > {DEFECTIVE_COND_LIMIT:.0e}"
+            elif not worst[q] <= bound[q]:
+                reasons[i] = f"residual {worst[q]:.1e} > bound {bound[q]:.1e}"
+        ok = [q for q, i in enumerate(idx) if i not in reasons]
+        if not ok:
+            continue
+        # fib[q, c, k, v, h] = sum_j rho_q(h)[k, j] x[q, v*d + j, c]: for
+        # slot k, a (K, r) batch of (r*d, d) @ (d, n) products, written
+        # through a strided view of fib
+        rho = np.array([s.irreps[idx[q]].matrices for q in ok])
+        x = vecs[ok].reshape(len(ok), r, di, r * di).transpose(0, 1, 3, 2)
+        fib = np.empty((len(ok), r * di, di, r, n), dtype=complex)
+        for k in range(di):
+            np.matmul(
+                x, rho[:, None, :, k, :].transpose(0, 1, 3, 2),
+                out=fib[:, :, k].transpose(0, 2, 1, 3),
+            )
+        w = fib.reshape(len(ok), r * di, di, r * n)
+        norms = np.sqrt(
+            np.einsum("qckx,qckx->qck", w.real, w.real)
+            + np.einsum("qckx,qckx->qck", w.imag, w.imag)
+        )
+        for q, wq, nq in zip(ok, w, norms):
+            kept[idx[q]] = (vals[q].tolist(), wq, nq < ZERO_VECTOR_NORM)
     pairs = []
-    skipped = []
     zeros = 0
-    for i, irrep in enumerate(s.irreps):
-        di = irrep.dim
-        m = rho_matrix(b, irrep)
-        dec = eig(m)
-        u_mat = dec.eigenvectors
-        if m.size:
-            cond = np.linalg.cond(u_mat)
-            if (
-                not np.isfinite(cond)
-                or cond > DEFECTIVE_COND_LIMIT
-                or not np.all(dec.vector_ok)
-            ):
-                skipped.append(i)
-                continue
-        # x_blocks[v] is the di x (r*di) row block for base vertex v
-        for c in range(r * di):
-            mu = complex(dec.eigenvalues[c])
-            col = u_mat[:, c]
-            # value at lift vertex (v, h), all h at once: rho(h) @ x_v_col
-            fibers = np.empty((r, n, di), dtype=complex)
-            for v in range(r):
-                xc = col[v * di:(v + 1) * di]
-                fibers[v] = np.einsum("hij,j->hi", irrep.matrices, xc)
-            for k in range(di):
-                w = fibers[:, :, k].reshape(r * n)
-                if np.linalg.norm(w) < ZERO_VECTOR_NORM:
-                    zeros += 1
-                    continue
-                pairs.append((mu, w))
+    for i in sorted(kept):
+        mus, wq, small = kept[i]
+        zeros += int(np.count_nonzero(small))
+        pairs += [(mus[c], wq[c, k]) for c, k in zip(*np.nonzero(~small))]
+    skipped = sorted(reasons)
     return LiftEigenvectors(
         pairs=tuple(pairs),
         zero_vectors_excluded=zeros,
         skipped_irreps=tuple(skipped),
+        skip_reasons=tuple(reasons[i] for i in skipped),
     )
 
 

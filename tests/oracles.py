@@ -3,7 +3,9 @@
 Each serves only as an independent second route: a search for a
 multiplication-preserving bijection between two group tables and
 closed-walk power sums by direct enumeration (both exponential in their
-input), and single-linkage clustering by a quadratic pairwise loop.
+input), single-linkage clustering by a quadratic pairwise loop, and lift
+eigenvectors by one eigensolve per irrep and one product per eigencolumn
+and base vertex.
 """
 
 from typing import List, Sequence, Tuple
@@ -11,7 +13,15 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from voltlift.groups import GroupTable
-from voltlift.voltage import VoltageDigraph
+from voltlift.reps import IrrepSet
+from voltlift.spectra import (
+    DEFECTIVE_COND_LIMIT,
+    ZERO_VECTOR_NORM,
+    LiftEigenvectors,
+    eig,
+    rho_matrix,
+)
+from voltlift.voltage import VoltageDigraph, associated_matrix
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable):
@@ -97,3 +107,54 @@ def cluster_spectrum_loop(values: Sequence[complex], tol: float) -> list:
     entries = [(complex(np.mean(c)), len(c)) for c in groups.values()]
     entries.sort(key=lambda e: (-e[0].real, e[0].imag))
     return entries
+
+
+def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
+    """Lift eigenvectors assembled from quotient eigenvectors.
+
+    For each irrep, each eigencolumn of the quotient image, and each of the
+    dim coordinate slots, the lift vector takes value (rho(h) x_v c)_k at
+    lift vertex (v, h), where x_v is vertex v's row block of the quotient
+    eigenvector matrix.
+    """
+    group = d.group
+    n = group.order
+    r = d.order
+    b = associated_matrix(d)
+    pairs = []
+    skipped = []
+    zeros = 0
+    for i, irrep in enumerate(s.irreps):
+        di = irrep.dim
+        m = rho_matrix(b, irrep)
+        dec = eig(m)
+        u_mat = dec.eigenvectors
+        if m.size:
+            cond = np.linalg.cond(u_mat)
+            if (
+                not np.isfinite(cond)
+                or cond > DEFECTIVE_COND_LIMIT
+                or not np.all(dec.vector_ok)
+            ):
+                skipped.append(i)
+                continue
+        # x_blocks[v] is the di x (r*di) row block for base vertex v
+        for c in range(r * di):
+            mu = complex(dec.eigenvalues[c])
+            col = u_mat[:, c]
+            # value at lift vertex (v, h), all h at once: rho(h) @ x_v_col
+            fibers = np.empty((r, n, di), dtype=complex)
+            for v in range(r):
+                xc = col[v * di:(v + 1) * di]
+                fibers[v] = np.einsum("hij,j->hi", irrep.matrices, xc)
+            for k in range(di):
+                w = fibers[:, :, k].reshape(r * n)
+                if np.linalg.norm(w) < ZERO_VECTOR_NORM:
+                    zeros += 1
+                    continue
+                pairs.append((mu, w))
+    return LiftEigenvectors(
+        pairs=tuple(pairs),
+        zero_vectors_excluded=zeros,
+        skipped_irreps=tuple(skipped),
+    )

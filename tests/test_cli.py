@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ from voltlift import spectra
 from voltlift.cli import run
 
 from conftest import K2STAR_DOC
+
+# bench seed 1's cube0: the cube graph (r = 8) over dihedral:32, undirected
+CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.json")
+CUBE_VERIFY = ["verify", "--digraph", CUBE_PATH, "--group", "dihedral:32"]
 
 
 @pytest.fixture()
@@ -50,6 +55,39 @@ def test_verify_match(k2star_path, capsys):
     out = capsys.readouterr().out
     assert "repr vs bruteforce: MATCH" in out
     assert "charsum vs repr: MATCH" in out
+
+
+@pytest.mark.filterwarnings("ignore:power-sum degree")
+def test_verify_cube_at_default_tol(capsys):
+    # one irrep image has a 3-fold eigenvalue, which root recovery smears
+    # by about eps**(1/3) = 6e-6; the charsum tolerance scales with that
+    assert run(CUBE_VERIFY) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["repr vs bruteforce"]["matched"]
+    report = doc["charsum vs repr"]
+    assert report["matched"] and report["root_multiplicity"] == 3
+    assert report["worst_distance"] < report["tolerance"] < 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:power-sum degree")
+def test_verify_cube_perturbed_charsum_root_is_mismatch(monkeypatch, capsys):
+    roots = spectra.roots_from_power_sums
+    calls = []
+
+    def perturbed(p, *args):
+        out = roots(p, *args)
+        if not calls:
+            out = out.copy()
+            out[0] += 1e-3
+        calls.append(p.degree)
+        return out
+
+    monkeypatch.setattr(spectra, "roots_from_power_sums", perturbed)
+    assert run(CUBE_VERIFY) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["repr vs bruteforce"]["matched"]
+    assert not doc["charsum vs repr"]["matched"]
+    assert doc["charsum vs repr"]["worst_distance"] > 5e-4
 
 
 def test_wrong_group_is_input_error(k2star_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,21 @@ from hypothesis import strategies as st
 import voltlift as vl
 from voltlift import spectra
 from voltlift.spectra import (
+    EIG_RESIDUAL_FACTOR,
     SpectrumError,
     _determinant_poly_coeffs,
+    _eig_stack,
     _newton_poly_coeffs,
     cluster_spectrum,
 )
 
 from conftest import random_voltage_digraph
-from oracles import cluster_spectrum_loop, power_sums_by_walk_enumeration
+from oracles import (
+    cluster_spectrum_loop,
+    lift_eigenvectors_loop,
+    power_sums_by_walk_enumeration,
+)
+from test_groups import FAMILY_SPECS
 
 
 def power_sums_of(roots, length):
@@ -85,6 +94,31 @@ class TestEig:
         with pytest.raises(SpectrumError, match="square"):
             vl.eig(np.zeros((2, 3)))
 
+    def test_is_a_slice_of_the_batched_solver(self):
+        # every field of eig(m) is bitwise equal to m's slice of one solve
+        # over a mixed stack, and the bound is 1e-8 * (1 + ||m||_2)
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        stack = np.array([
+            a,
+            a + a.conj().T,
+            np.diag([2.0, 2.0, -1.0, 0.0]),
+            np.eye(4, k=1),
+        ])
+        vals, vecs, res, bound = _eig_stack(stack)
+        for q, m in enumerate(stack):
+            dec = vl.eig(m)
+            assert dec.dim == 4
+            for got, want in [
+                (dec.eigenvalues, vals[q]),
+                (dec.eigenvectors, vecs[q]),
+                (dec.residuals, res[q]),
+                (dec.residual_bound, bound[q]),
+                (dec.residual_bound, EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2))),
+                (dec.vector_ok, res[q] <= bound[q]),
+            ]:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestSpectrumMultiset:
     def test_clustering(self):
@@ -154,6 +188,42 @@ class TestSpectrumMultiset:
             got_mean, got_mult = unused.pop(j)
             assert got_mult == mult
             assert abs(got_mean - mean) <= 1e-12 * scale
+
+
+class TestCharsumMatchTol:
+    EPS = float(np.finfo(float).eps)
+
+    def test_multiplicity_is_the_largest_cluster_within_one_image(self):
+        # reference: cluster each image's eigenvalues on its own
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            tol = float(rng.choice([1e-9, 0.3]))
+            values = {}
+            for dim in rng.choice([1, 2, 3], size=rng.integers(1, 4), replace=False):
+                shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)) * int(dim))
+                values[int(dim)] = (
+                    (rng.integers(-3, 4, size=shape) + 1j * rng.integers(-1, 2, size=shape)) * 0.25
+                    + rng.choice([0.0, 1e-10], size=shape)
+                )
+            rows = [row for v in values.values() for row in v]
+            k = max(max(m for _, m in cluster_spectrum(row, tol).entries) for row in rows)
+            rho = max(float(np.abs(row).max()) for row in rows)
+            got_tol, got_k = vl.charsum_match_tol(values, tol)
+            assert got_k == k
+            assert got_tol == max(tol, 1e-6, 10 * (1 + rho) * self.EPS ** (1 / k))
+
+    def test_equal_values_in_different_images_do_not_add_up(self):
+        tol, k = vl.charsum_match_tol({1: np.array([[1.0, 3.0], [1.0, 2.0]])}, 1e-9)
+        assert k == 1
+        assert tol == 1e-6
+
+    def test_independent_of_the_degree(self):
+        # 32 simple roots in one image: the bound is that of k = 1
+        roots = np.exp(2j * np.pi * np.arange(32) / 32)
+        assert vl.charsum_match_tol({4: roots[None]}, 1e-9) == (1e-6, 1)
+        tol, k = vl.charsum_match_tol({1: np.zeros((1, 8)), 4: roots[None]}, 1e-9)
+        assert k == 8
+        assert tol == 10 * 2 * self.EPS ** (1 / 8)
 
 
 class TestSpectraEqual:
@@ -457,6 +527,91 @@ class TestLiftEigenvectors:
         got = cluster_spectrum([mu for mu, _ in result.pairs], 1e-7)
         expected = vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7)
         assert vl.spectra_equal(got, expected, 1e-7).matched
+
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_matches_per_irrep_loop(self, spec):
+        # the batched pass against one eig per irrep and one product per
+        # (eigencolumn, base vertex), on directed and undirected digraphs
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(31)
+        for t in range(6):
+            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
+            if t % 2:
+                # every arc gets its reverse with the inverse voltage
+                arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
+                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+            got = vl.lift_eigenvectors(d, s)
+            want = lift_eigenvectors_loop(d, s)
+            assert got.skipped_irreps == want.skipped_irreps
+            assert len(got.skip_reasons) == len(got.skipped_irreps)
+            assert got.zero_vectors_excluded == want.zero_vectors_excluded
+            assert len(got.pairs) == len(want.pairs)
+            mus = [np.array([mu for mu, _ in r.pairs], dtype=complex) for r in (got, want)]
+            assert mus[0].tobytes() == mus[1].tobytes()
+            for (_, w), (_, v) in zip(got.pairs, want.pairs):
+                assert np.linalg.norm(w - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_vectors_are_views_of_one_array_per_dimension(self, k2star, d3_irreps):
+        result = vl.lift_eigenvectors(k2star, d3_irreps)
+        assert not result.skipped_irreps
+        assert not any(w.flags.owndata for _, w in result.pairs)
+        assert len({id(w.base) for _, w in result.pairs}) == len(set(d3_irreps.dims))
+
+    @staticmethod
+    def accounted(d, s, result):
+        # pairs + zero vectors + r * d^2 per skipped irrep = rn
+        skipped = sum(d.order * s.dims[i] ** 2 for i in result.skipped_irreps)
+        return len(result.pairs) + result.zero_vectors_excluded + skipped
+
+    def test_acyclic_digraph_skips_every_irrep(self):
+        # on the path a -> b -> c every image of B is nilpotent, with
+        # invertible blocks rho(x) above the diagonal: one Jordan chain per
+        # coordinate, so every eigenvector matrix is singular
+        g = vl.build_builtin_group("dihedral:4")
+        s = vl.builtin_irreps(g)
+        d = vl.make_voltage_digraph(g, ["a", "b", "c"], [(0, 1, 3), (1, 2, 6)])
+        result = vl.lift_eigenvectors(d, s)
+        assert result.skipped_irreps == tuple(range(len(s.irreps)))
+        assert result.pairs == ()
+        assert self.accounted(d, s, result) == d.order * g.order
+        assert len(result.skip_reasons) == len(s.irreps)
+        for why in result.skip_reasons:
+            assert re.fullmatch(r"cond \S+ > 1e\+12", why), why
+            assert float(why.split()[1]) > spectra.DEFECTIVE_COND_LIMIT
+        assert lift_eigenvectors_loop(d, s).skipped_irreps == result.skipped_irreps
+
+    def test_some_irreps_skipped_others_kept(self):
+        # loops r and r*s over dihedral:4: the 2-dim image
+        # rho(r)(1 + rho(s)) is nonzero and squares to zero, while every
+        # 1 x 1 image is diagonalisable
+        g = vl.build_builtin_group("dihedral:4")
+        s = vl.builtin_irreps(g)
+        names = g.element_names
+        d = vl.make_voltage_digraph(
+            g, ["v"], [(0, 0, names.index("r^1")), (0, 0, names.index("r^1*s"))])
+        result = vl.lift_eigenvectors(d, s)
+        two_dim = tuple(i for i, k in enumerate(s.dims) if k == 2)
+        assert result.skipped_irreps == two_dim
+        assert len(result.pairs) == 4
+        assert self.accounted(d, s, result) == d.order * g.order
+        assert [why.split()[0] for why in result.skip_reasons] == ["cond"]
+        want = lift_eigenvectors_loop(d, s)
+        assert want.skipped_irreps == two_dim
+        assert [mu for mu, _ in result.pairs] == [mu for mu, _ in want.pairs]
+
+    def test_residual_branch_reports_residual_and_bound(self, k2star, d3_irreps, monkeypatch):
+        # a bound far below rounding error fails every residual test
+        monkeypatch.setattr(spectra, "EIG_RESIDUAL_FACTOR", 1e-30)
+        result = vl.lift_eigenvectors(k2star, d3_irreps)
+        assert result.skipped_irreps == (0, 1, 2)
+        assert self.accounted(k2star, d3_irreps, result) == 12
+        for why in result.skip_reasons:
+            match = re.fullmatch(r"residual (\S+) > bound (\S+)", why)
+            assert match, why
+            assert float(match[1]) > float(match[2])
+        assert lift_eigenvectors_loop(k2star, d3_irreps).skipped_irreps == (0, 1, 2)
 
 
 class TestMainEquivalenceSample:
