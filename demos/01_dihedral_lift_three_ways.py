@@ -54,7 +54,7 @@ print(vl.rho_matrix(b, irreps.irreps[1]).real)
 
 print("\npower sums for the 2-dim irrep (lengths 1..4):")
 sums = vl.power_sums_from_characters(b, table.rows[2], 4, group)
-print("  ", sums.sums)
+print("  ", sums.real)
 print("  recovered roots:", np.round(vl.roots_from_power_sums(sums), 9))
 
 by_repr = vl.lift_spectrum_repr(digraph, irreps)

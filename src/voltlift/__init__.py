@@ -10,7 +10,6 @@ from .groups import (
     GroupError,
     GroupTable,
     build_builtin_group,
-    conjugacy_classes,
     make_group_table,
     parse_group_table,
 )
@@ -45,7 +44,6 @@ from .spectra import (
     EigenDecomposition,
     LiftEigenvectors,
     MatchReport,
-    PowerSums,
     SpectrumError,
     SpectrumMultiset,
     charsum_match_tol,

@@ -49,9 +49,6 @@ class GroupTable:
     def mul_idx(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
 
-    def inv_idx(self, a: int) -> int:
-        return self.inverse[a]
-
     def index_of(self, name: str) -> int:
         try:
             return self.element_names.index(name)
@@ -60,9 +57,6 @@ class GroupTable:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
-
-    def num_classes(self) -> int:
-        return len(self.classes)
 
     def __repr__(self):
         tag = self.family or "custom"
@@ -243,11 +237,6 @@ def make_group_table(
         generators=generators,
         family=family,
     )
-
-
-def conjugacy_classes(g: GroupTable) -> tuple:
-    """Conjugacy classes, identity's class first, then by minimum index."""
-    return g.classes
 
 
 # ---------------------------------------------------------------------------

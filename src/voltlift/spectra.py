@@ -2,20 +2,21 @@
 
 The default route maps the quotient matrix through each irreducible
 representation and solves the resulting small dense eigenproblems, one
-batched call per irrep dimension. The character route recovers eigenvalues
-from power sums (Newton's identities, cross-checked against a determinant
-formula), and the brute-force route diagonalizes the explicit lift. The
-spectrum routes compute eigenvalues only; the lift eigenvectors come from
-one batched residual-checked eigensolve per irrep dimension. All three
-routes must agree, and the test suite holds them to that.
+batched call per irrep dimension. The character route recovers the same
+per-irrep eigenvalues from power sums: Newton's identities give each
+character's polynomial, and one batched companion-matrix eigensolve per
+character degree gives its roots. The brute-force route diagonalizes the
+explicit lift. The spectrum routes compute eigenvalues only; the lift
+eigenvectors come from one batched residual-checked eigensolve per irrep
+dimension. All three routes must agree, and the test suite holds them to
+that.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import factorial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .voltage import (
 # above the hard cap and warn above the soft one.
 CHARSUM_HARD_CAP = 32
 CHARSUM_WARN_DEGREE = 12
+
+# the largest lift the brute-force route builds and diagonalizes densely
+BRUTEFORCE_MAX_ORDER = 2000
 
 EIG_RESIDUAL_FACTOR = 1e-8
 ZERO_VECTOR_NORM = 1e-12
@@ -333,10 +337,17 @@ def _checked_total(spectrum: SpectrumMultiset, total: int) -> SpectrumMultiset:
     return spectrum
 
 
-def _by_dimension(s: IrrepSet):
+def _by_dimension(dims: Sequence[int]):
     """(dim, irrep indices) for each irrep dimension, smallest first."""
-    for dim in sorted(set(s.dims)):
-        yield dim, [i for i, k in enumerate(s.dims) if k == dim]
+    for dim in sorted(set(dims)):
+        yield dim, [i for i, k in enumerate(dims) if k == dim]
+
+
+def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -> None:
+    """Irreps and characters must be those of the digraph's group: the same
+    multiplication table, not only the same order."""
+    if not (group is digraph_group or np.array_equal(group.mul, digraph_group.mul)):
+        raise SpectrumError(f"{what} and digraph use different groups")
 
 
 def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
@@ -346,11 +357,10 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     eigenvalues of the image under the q-th irrep of dimension k, in
     ``s.irreps`` order. The K images are solved in one batched eigvals call.
     """
-    if s.group.order != d.group.order:
-        raise SpectrumError("irrep set and digraph use different groups")
+    _check_same_group(s.group, d.group, "irrep set")
     b = associated_matrix(d)
     values = {}
-    for dim, idx in _by_dimension(s):
+    for dim, idx in _by_dimension(s.dims):
         try:
             values[dim] = np.linalg.eigvals(_rho_stack(b, [s.irreps[i] for i in idx]))
         except np.linalg.LinAlgError as exc:
@@ -381,20 +391,21 @@ def lift_spectrum_repr(
 
 
 def lift_spectrum_bruteforce(
-    d: VoltageDigraph, tol: Optional[float] = None, max_order: int = 2000
+    d: VoltageDigraph, tol: Optional[float] = None
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
     Eigenvalues only, in real arithmetic; a symmetric adjacency (every
     undirected lift) goes to the Hermitian solver. The oracle uses neither
-    the irreps nor any block structure of the lift.
+    the irreps nor any block structure of the lift. Lifts of more than
+    BRUTEFORCE_MAX_ORDER vertices are refused.
     """
     tol = default_cluster_tol(d) if tol is None else tol
     if tol <= 0:
         raise SpectrumError("tolerance must be positive")
     rn = d.order * d.group.order
-    if rn > max_order:
-        raise SpectrumError(f"lift order {rn} exceeds brute-force cap {max_order}")
+    if rn > BRUTEFORCE_MAX_ORDER:
+        raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
     a = build_lift(d).adjacency
     try:
         vals = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else np.linalg.eigvals(a)
@@ -407,126 +418,99 @@ def lift_spectrum_bruteforce(
 # Character / power-sum route
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """Power sums s_1..s_L of a degree-d multiset of complex numbers."""
-
-    sums: tuple
-    degree: int
-
-    def __post_init__(self):
-        if len(self.sums) < self.degree:
-            raise SpectrumError(
-                f"need at least {self.degree} power sums, got {len(self.sums)}"
-            )
-
-
 def power_sums_from_characters(
     b: np.ndarray, chi: np.ndarray, length: int, group: GroupTable
-) -> PowerSums:
-    """s_l = chi(trace(B^l)) for l = 1..length, traces exact in the group algebra."""
+) -> np.ndarray:
+    """s_l = chi(trace(B^l)) for l = 1..length, traces exact in the group algebra.
+
+    ``chi`` is one character row (n,) or a stack of rows (nu, n); the sums
+    come back as (length,) or (nu, length), one row per character.
+    """
     traces = algebra_trace_powers(b, length, group)
-    sums = np.asarray(chi, dtype=complex) @ traces.astype(complex)
-    return PowerSums(sums=tuple(sums.tolist()), degree=length)
+    return np.asarray(chi, dtype=complex) @ traces.astype(complex)
 
 
-def _newton_poly_coeffs(sums: Sequence[complex], degree: int) -> np.ndarray:
-    """Monic polynomial coefficients (highest power first) via Newton's
-    identities: k*e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} s_j."""
-    e = [1.0 + 0j]
-    for k in range(1, degree + 1):
-        acc = 0j
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * e[k - j] * sums[j - 1]
-        e.append(acc / k)
-    return np.array([(-1) ** k * e[k] for k in range(degree + 1)], dtype=complex)
-
-
-def _determinant_poly_coeffs(sums: Sequence[complex], degree: int) -> np.ndarray:
-    """Same polynomial from the (d+1) x (d+1) power-sum determinant.
-
-    Row 0 holds z^d .. z, 1; row k holds (s_k, s_{k-1}, ..., s_1, k, 0, ...).
-    Cofactor expansion along row 0 gives each coefficient as a numeric
-    minor determinant; dividing by d! makes the polynomial monic.
-    """
-    d = degree
-    c = np.zeros((d + 1, d + 1), dtype=complex)
+def _newton_poly_coeffs(sums: np.ndarray) -> np.ndarray:
+    """Monic polynomial coefficients (highest power first) for each row of a
+    (K, d) array of power sums, via Newton's identities
+    k*e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} s_j, vectorised over the rows."""
+    rows, d = sums.shape
+    signed = sums * (-1.0) ** np.arange(d)  # (-1)^(j-1) s_j in column j-1
+    e = np.zeros((rows, d + 1), dtype=complex)
+    e[:, 0] = 1
     for k in range(1, d + 1):
-        for col in range(k):
-            c[k, col] = sums[k - 1 - col]
-        c[k, k] = k
-    coeffs = np.empty(d + 1, dtype=complex)
-    for j in range(d + 1):
-        minor = np.delete(np.delete(c, 0, axis=0), j, axis=1)
-        det = np.linalg.det(minor) if minor.size else 1.0
-        coeffs[j] = (-1) ** j * det / factorial(d)
-    return coeffs
+        e[:, k] = (e[:, k - 1::-1] * signed[:, :k]).sum(axis=1) / k
+    return e * (-1.0) ** np.arange(d + 1)
 
 
-def roots_from_power_sums(p: PowerSums, max_degree: int = CHARSUM_HARD_CAP) -> np.ndarray:
-    """Recover the unique multiset with the given power sums.
+def roots_from_power_sums(sums: np.ndarray) -> np.ndarray:
+    """Recover the unique multisets with the given power sums.
 
-    Both the Newton-identity recurrence and the determinant formula are
-    evaluated and must agree coefficientwise; roots come from the Newton
-    polynomial via a companion-matrix eigensolve.
+    ``sums`` is one row (d,) or a stack (K, d) of power sums s_1..s_d; the
+    roots come back in the same shape. Newton's identities give each row's
+    monic polynomial, and one batched eigvals call solves the (K, d, d)
+    stack of companion matrices. The roots must reproduce their sums.
     """
-    d = p.degree
+    sums = np.asarray(sums, dtype=complex)
+    d = sums.shape[-1]
     if d < 1:
         raise SpectrumError("degree must be >= 1")
-    if d > max_degree:
-        raise SpectrumError(f"degree {d} exceeds cap {max_degree}")
-    sums = p.sums[:d]
-    newton = _newton_poly_coeffs(sums, d)
-    determinant = _determinant_poly_coeffs(sums, d)
-    smax = max(1.0, max(abs(s) for s in sums))
-    if np.abs(newton - determinant).max() > 1e-8 * smax ** d:
-        raise SpectrumError(
-            "Newton-identity and determinant polynomials disagree: "
-            f"max coefficient gap {np.abs(newton - determinant).max():.3e}"
-        )
-    roots = np.roots(newton)
+    if d > CHARSUM_HARD_CAP:
+        raise SpectrumError(f"degree {d} exceeds cap {CHARSUM_HARD_CAP}")
+    rows = sums.reshape(-1, d)
+    # companion matrices in np.roots' layout: -coefficients on the first
+    # row, ones on the subdiagonal
+    companion = np.zeros((len(rows), d, d), dtype=complex)
+    companion[:, 0] = -_newton_poly_coeffs(rows)[:, 1:]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+    try:
+        roots = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
     # residual check: the recovered roots must reproduce the input sums
-    recomputed = [complex(np.sum(roots ** k)) for k in range(1, d + 1)]
-    worst = max(abs(a - b) for a, b in zip(recomputed, sums))
-    if worst > 1e-5 * smax:
+    recomputed = (roots[:, None, :] ** np.arange(1, d + 1)[:, None]).sum(axis=2)
+    worst = np.abs(recomputed - rows).max(axis=1)
+    smax = np.maximum(1.0, np.abs(rows).max(axis=1))
+    if not np.all(worst <= 1e-5 * smax):
         raise SpectrumError(
-            f"inconsistent power sums: round-trip error {worst:.3e}"
+            f"inconsistent power sums: round-trip error {worst.max():.3e}"
         )
-    return roots
+    return roots.reshape(sums.shape)
 
 
 def lift_spectrum_charsum(
     d: VoltageDigraph, t: CharacterTable, tol: Optional[float] = None
 ) -> SpectrumMultiset:
-    """Lift spectrum from character power sums and root recovery."""
-    if t.group.order != d.group.order:
-        raise SpectrumError("character table and digraph use different groups")
+    """Lift spectrum from character power sums and root recovery.
+
+    Character row i gives the power sums chi_i(tr B^l), l = 1..r*d_i, of
+    the eigenvalues of the image of B under the i-th irrep. The rows of one
+    degree d_i are solved together by roots_from_power_sums, and the roots
+    are assembled as in the repr route, each entered d_i times.
+    """
+    _check_same_group(t.group, d.group, "character table")
     tol = default_cluster_tol(d) if tol is None else tol
-    if tol <= 0:
-        raise SpectrumError("tolerance must be positive")
     r = d.order
     dims = t.dims
-    for di in dims:
-        if r * di > CHARSUM_HARD_CAP:
-            raise SpectrumError(
-                f"power-sum degree {r * di} exceeds conditioning cap {CHARSUM_HARD_CAP}"
-            )
-        if r * di > CHARSUM_WARN_DEGREE:
+    top = r * max(dims)
+    if top > CHARSUM_HARD_CAP:
+        raise SpectrumError(
+            f"power-sum degree {top} exceeds conditioning cap {CHARSUM_HARD_CAP}"
+        )
+    for k in sorted(set(dims)):
+        if r * k > CHARSUM_WARN_DEGREE:
             warnings.warn(
-                f"power-sum degree {r * di} above {CHARSUM_WARN_DEGREE}; "
+                f"power-sum degree {r * k} above {CHARSUM_WARN_DEGREE}; "
                 "root recovery may lose accuracy",
                 stacklevel=2,
             )
     # exact traces of B^l once for every l any row needs, then the whole
     # character table in one (nu x n) @ (n x L) product
-    traces = algebra_trace_powers(associated_matrix(d), r * max(dims), d.group)
-    table = t.rows @ traces.astype(complex)
-    values: List[complex] = []
-    for sums, di in zip(table, dims):
-        roots = roots_from_power_sums(PowerSums(tuple(sums[:r * di].tolist()), r * di))
-        for z in roots:
-            values.extend([complex(z)] * di)
-    return _checked_total(cluster_spectrum(values, tol), r * d.group.order)
+    sums = power_sums_from_characters(associated_matrix(d), t.rows, top, d.group)
+    values = {
+        k: roots_from_power_sums(sums[idx, :r * k]) for k, idx in _by_dimension(dims)
+    }
+    return spectrum_from_irrep_eigenvalues(values, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +551,13 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     irrep q, column c, slot k, filled by one matmul per slot, and the
     returned vectors are views of it.
     """
+    _check_same_group(s.group, d.group, "irrep set")
     n = d.group.order
     r = d.order
-    if s.group.order != n:
-        raise SpectrumError("irrep set and digraph use different groups")
     b = associated_matrix(d)
     kept = {}
     reasons = {}
-    for di, idx in _by_dimension(s):
+    for di, idx in _by_dimension(s.dims):
         vals, vecs, res, bound = _eig_stack(_rho_stack(b, [s.irreps[i] for i in idx]))
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)

@@ -37,16 +37,15 @@ class VoltageDigraph:
         return len(self.vertices)
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.order, dtype=np.int64)
-        for u, _, _ in self.arcs:
-            deg[u] += 1
-        return deg
+        return np.bincount(_arc_array(self)[:, 0], minlength=self.order)
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.order, dtype=np.int64)
-        for _, v, _ in self.arcs:
-            deg[v] += 1
-        return deg
+        return np.bincount(_arc_array(self)[:, 1], minlength=self.order)
+
+
+def _arc_array(d: VoltageDigraph) -> np.ndarray:
+    """The arcs as an (|arcs|, 3) int64 array of (tail, head, voltage)."""
+    return np.array(d.arcs, dtype=np.int64).reshape(-1, 3)
 
 
 def make_voltage_digraph(group: GroupTable, vertices: Sequence[str], arcs) -> VoltageDigraph:
@@ -181,7 +180,6 @@ class LiftDigraph:
     """
 
     base: VoltageDigraph
-    arcs: tuple  # of (lift tail index, lift head index)
     adjacency: np.ndarray  # (rn, rn) int64
 
     def __post_init__(self):
@@ -203,22 +201,23 @@ class LiftDigraph:
         ]
 
 
-def build_lift(d: VoltageDigraph) -> LiftDigraph:
-    """Expand the voltage digraph into its covering digraph.
+def _lift_arcs(d: VoltageDigraph):
+    """Lift tail and head indices as two (|arcs|, n) arrays.
 
     Each base arc (u, v, x) contributes the arcs (u, g) -> (v, g*x) for
-    every group element g.
+    every group element g: row a lists arc a's n lift arcs, g = 0..n-1.
     """
     n = d.group.order
-    rn = d.order * n
-    u, v, x = np.array(d.arcs, dtype=np.int64).reshape(-1, 3).T
-    # row a of tails/heads lists arc a's n lift arcs, g = 0..n-1
-    tails = u[:, None] * n + np.arange(n)
-    heads = v[:, None] * n + d.group.mul[:, x].T  # g * x for every g
+    u, v, x = _arc_array(d).T
+    return u[:, None] * n + np.arange(n), v[:, None] * n + d.group.mul[:, x].T
+
+
+def build_lift(d: VoltageDigraph) -> LiftDigraph:
+    """Expand the voltage digraph into its covering digraph."""
+    rn = d.order * d.group.order
     adj = np.zeros((rn, rn), dtype=np.int64)
-    np.add.at(adj, (tails, heads), 1)
-    arcs = tuple(zip(tails.ravel().tolist(), heads.ravel().tolist()))
-    return LiftDigraph(base=d, arcs=arcs, adjacency=adj)
+    np.add.at(adj, _lift_arcs(d), 1)
+    return LiftDigraph(base=d, adjacency=adj)
 
 
 def lift_adjacency_power(lift: LiftDigraph, ell: int) -> np.ndarray:
@@ -235,7 +234,8 @@ def lift_adjacency_power(lift: LiftDigraph, ell: int) -> np.ndarray:
 def lift_to_json(lift: LiftDigraph) -> dict:
     """Serialize the lift with vertex names ``<base>.<element>``."""
     labels = lift.vertex_labels()
+    tails, heads = (a.ravel().tolist() for a in _lift_arcs(lift.base))
     return {
         "vertices": labels,
-        "arcs": [[labels[i], labels[j]] for i, j in lift.arcs],
+        "arcs": [[labels[i], labels[j]] for i, j in zip(tails, heads)],
     }

@@ -3,11 +3,13 @@
 Each serves only as an independent second route: a search for a
 multiplication-preserving bijection between two group tables and
 closed-walk power sums by direct enumeration (both exponential in their
-input), single-linkage clustering by a quadratic pairwise loop, and lift
+input), single-linkage clustering by a quadratic pairwise loop, lift
 eigenvectors by one eigensolve per irrep and one product per eigencolumn
-and base vertex.
+and base vertex, and the polynomial behind a row of power sums by a
+determinant formula and by a scalar Newton recurrence with np.roots.
 """
 
+from math import factorial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -158,3 +160,39 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
         zero_vectors_excluded=zeros,
         skipped_irreps=tuple(skipped),
     )
+
+
+def determinant_poly_coeffs(sums: Sequence[complex]) -> np.ndarray:
+    """Monic polynomial (highest power first) with power sums s_1..s_d, from
+    the (d+1) x (d+1) power-sum determinant.
+
+    Row 0 holds z^d .. z, 1; row k holds (s_k, s_{k-1}, ..., s_1, k, 0, ...).
+    Cofactor expansion along row 0 gives each coefficient as a numeric
+    minor determinant; dividing by d! makes the polynomial monic.
+    """
+    d = len(sums)
+    c = np.zeros((d + 1, d + 1), dtype=complex)
+    for k in range(1, d + 1):
+        for col in range(k):
+            c[k, col] = sums[k - 1 - col]
+        c[k, k] = k
+    coeffs = np.empty(d + 1, dtype=complex)
+    for j in range(d + 1):
+        minor = np.delete(np.delete(c, 0, axis=0), j, axis=1)
+        det = np.linalg.det(minor) if minor.size else 1.0
+        coeffs[j] = (-1) ** j * det / factorial(d)
+    return coeffs
+
+
+def roots_from_power_sums_loop(sums: Sequence[complex]) -> np.ndarray:
+    """Roots of one row of power sums s_1..s_d: Newton's identities
+    k*e_k = sum_{j=1..k} (-1)^(j-1) e_{k-j} s_j one scalar at a time, then
+    np.roots of the monic polynomial."""
+    d = len(sums)
+    e = [1.0 + 0j]
+    for k in range(1, d + 1):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc += (-1) ** (j - 1) * e[k - j] * sums[j - 1]
+        e.append(acc / k)
+    return np.roots(np.array([(-1) ** k * e[k] for k in range(d + 1)], dtype=complex))

@@ -78,8 +78,8 @@ def test_verify_cube_perturbed_charsum_root_is_mismatch(monkeypatch, capsys):
         out = roots(p, *args)
         if not calls:
             out = out.copy()
-            out[0] += 1e-3
-        calls.append(p.degree)
+            out.flat[0] += 1e-3
+        calls.append(p.shape[-1])
         return out
 
     monkeypatch.setattr(spectra, "roots_from_power_sums", perturbed)

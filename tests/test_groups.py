@@ -232,14 +232,14 @@ class TestParseGroupTable:
 class TestConjugacyClasses:
     def test_trivial(self):
         g = vl.build_builtin_group("cyclic:1")
-        assert vl.conjugacy_classes(g) == ((0,),)
+        assert g.classes == ((0,),)
 
     def test_cyclic_5_singletons(self):
         g = vl.build_builtin_group("cyclic:5")
-        assert vl.conjugacy_classes(g) == tuple((i,) for i in range(5))
+        assert g.classes == tuple((i,) for i in range(5))
 
     def test_d3_class_contents(self, d3):
-        classes = {frozenset(c) for c in vl.conjugacy_classes(d3)}
+        classes = {frozenset(c) for c in d3.classes}
         rots = frozenset({d3.index_of("r^1"), d3.index_of("r^2")})
         refl = frozenset(d3.index_of(f"r^{j}*s") for j in range(3))
         assert classes == {frozenset({d3.identity}), rots, refl}

@@ -10,7 +10,6 @@ from voltlift import spectra
 from voltlift.spectra import (
     EIG_RESIDUAL_FACTOR,
     SpectrumError,
-    _determinant_poly_coeffs,
     _eig_stack,
     _newton_poly_coeffs,
     cluster_spectrum,
@@ -19,8 +18,10 @@ from voltlift.spectra import (
 from conftest import random_voltage_digraph
 from oracles import (
     cluster_spectrum_loop,
+    determinant_poly_coeffs,
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
+    roots_from_power_sums_loop,
 )
 from test_groups import FAMILY_SPECS
 
@@ -273,11 +274,12 @@ class TestSpectrumRoutes:
         expected = cluster_spectrum([1, 1j, -1, -1j], 1e-9)
         assert vl.spectra_equal(sp, expected, 1e-9).matched
 
-    def test_bruteforce_size_cap(self):
+    def test_bruteforce_size_cap(self, monkeypatch):
         g = vl.build_builtin_group("cyclic:8")
         d = vl.make_voltage_digraph(g, ["v"], [(0, 0, 1)])
+        monkeypatch.setattr(spectra, "BRUTEFORCE_MAX_ORDER", 4)
         with pytest.raises(SpectrumError, match="cap"):
-            vl.lift_spectrum_bruteforce(d, 1e-9, max_order=4)
+            vl.lift_spectrum_bruteforce(d, 1e-9)
 
     def test_abelian_charsum_agrees_with_repr(self):
         g = vl.build_builtin_group("product:cyclic:2,cyclic:3")
@@ -377,13 +379,33 @@ class TestSpectrumRoutes:
         with pytest.raises(SpectrumError, match="multiplicities sum to 11, expected 12"):
             run()
 
+    @pytest.mark.parametrize("route", ["repr", "charsum", "eigenvectors"])
+    def test_irreps_of_another_group_of_equal_order_raise(self, route, k2star):
+        # cyclic:6 has the order of dihedral:3, not its multiplication table
+        s = vl.builtin_irreps(vl.build_builtin_group("cyclic:6"))
+        run = {
+            "repr": lambda: vl.lift_spectrum_repr(k2star, s),
+            "charsum": lambda: vl.lift_spectrum_charsum(k2star, vl.character_table(s)),
+            "eigenvectors": lambda: vl.lift_eigenvectors(k2star, s),
+        }[route]
+        with pytest.raises(SpectrumError, match="different groups"):
+            run()
+
+    def test_irreps_of_a_rebuilt_equal_group_are_accepted(self, k2star, d3):
+        g = vl.build_builtin_group("dihedral:3")
+        assert g is not d3
+        s = vl.builtin_irreps(g)
+        assert vl.lift_spectrum_repr(k2star, s).total == 12
+        assert vl.lift_spectrum_charsum(k2star, vl.character_table(s)).total == 12
+        assert len(vl.lift_eigenvectors(k2star, s).pairs) > 0
+
 
 class TestPowerSums:
     def test_chi3_values(self, k2star, d3_irreps):
         b = vl.associated_matrix(k2star)
         t = vl.character_table(d3_irreps)
         ps = vl.power_sums_from_characters(b, t.rows[2], 4, k2star.group)
-        assert ps.sums == (0, 2, 0, 2)
+        assert ps.tolist() == [0, 2, 0, 2]
 
     def test_chi1_values(self, k2star, d3_irreps):
         # trace(B) = 2*sigma so s1 = 2; s2 cross-checked against the known
@@ -391,7 +413,7 @@ class TestPowerSums:
         b = vl.associated_matrix(k2star)
         t = vl.character_table(d3_irreps)
         ps = vl.power_sums_from_characters(b, t.rows[0], 2, k2star.group)
-        assert ps.sums == (2, 10)
+        assert ps.tolist() == [2, 10]
 
     def test_trivial_group_traces(self):
         g = vl.build_builtin_group("cyclic:1")
@@ -399,7 +421,7 @@ class TestPowerSums:
         b = vl.associated_matrix(d)
         adj = np.array([[1.0, 1.0], [1.0, 0.0]])
         ps = vl.power_sums_from_characters(b, np.ones(1), 2, g)
-        for ell, s in enumerate(ps.sums, start=1):
+        for ell, s in enumerate(ps, start=1):
             assert abs(s - np.trace(np.linalg.matrix_power(adj, ell))) < 1e-12
 
     def test_walk_enumeration_oracle(self, k2star, d3_irreps):
@@ -409,43 +431,85 @@ class TestPowerSums:
         for row in t.rows:
             ps = vl.power_sums_from_characters(b, row, 4, k2star.group)
             walks = power_sums_by_walk_enumeration(k2star, row, 4)
-            assert np.allclose(ps.sums, walks, atol=1e-9)
+            assert np.allclose(ps, walks, atol=1e-9)
 
 
 class TestRootsFromPowerSums:
     def test_paper_system(self):
-        roots = vl.roots_from_power_sums(vl.PowerSums((0, 2, 0, 2), 4))
+        roots = vl.roots_from_power_sums(np.array([0, 2, 0, 2]))
         sp = cluster_spectrum(roots, 1e-7)
         expected = cluster_spectrum([1, 0, 0, -1], 1e-7)
         assert vl.spectra_equal(sp, expected, 1e-8).matched
 
     def test_single_value(self):
-        roots = vl.roots_from_power_sums(vl.PowerSums((5,), 1))
+        roots = vl.roots_from_power_sums(np.array([5]))
         assert np.allclose(roots, [5])
 
     def test_complex_roots_round_trip(self):
         # forward-computed power sums of {2, i, -i}
         sums = power_sums_of([2, 1j, -1j], 3)
         assert np.allclose(sums, (2, 2, 8))
-        roots = vl.roots_from_power_sums(vl.PowerSums(sums, 3))
+        roots = vl.roots_from_power_sums(np.array(sums))
         got = cluster_spectrum(roots, 1e-7)
         expected = cluster_spectrum([2, 1j, -1j], 1e-7)
         assert vl.spectra_equal(got, expected, 1e-7).matched
 
     def test_degree_cap(self):
         with pytest.raises(SpectrumError, match="cap"):
-            vl.roots_from_power_sums(vl.PowerSums(tuple(range(40)), 40))
+            vl.roots_from_power_sums(np.arange(40))
 
     def test_newton_and_determinant_agree(self):
+        # the batched recurrence against the determinant formula, row by
+        # row, relative to the row's largest coefficient
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            d = int(rng.integers(1, 9))
-            roots = rng.uniform(-3, 3, d) + 1j * rng.uniform(-3, 3, d)
-            sums = power_sums_of(roots, d)
-            c1 = _newton_poly_coeffs(sums, d)
-            c2 = _determinant_poly_coeffs(sums, d)
-            smax = max(1.0, max(abs(s) for s in sums))
-            assert np.abs(c1 - c2).max() <= 1e-8 * smax ** d
+        for d in range(1, 9):
+            roots = rng.uniform(-3, 3, (50, d)) + 1j * rng.uniform(-3, 3, (50, d))
+            sums = np.array([power_sums_of(row, d) for row in roots])
+            for got, row in zip(_newton_poly_coeffs(sums), sums):
+                want = determinant_poly_coeffs(row)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("exact_zeros", [False, True])
+    def test_batched_roots_match_per_row_np_roots(self, exact_zeros):
+        # one stack per degree against np.roots row by row, on simple roots.
+        # Distinct Gaussian integers plus k zeros give exactly zero trailing
+        # coefficients, which np.roots strips and returns as exact zeros
+        rng = np.random.default_rng(9)
+        grid = np.add.outer(np.arange(-3, 4), 1j * np.arange(-3, 4)).ravel()
+        grid = grid[grid != 0]
+        for d in range(1, 11):
+            if exact_zeros:
+                roots = np.zeros((30, d), dtype=complex)
+                for row in roots:
+                    k = int(rng.integers(d + 1))
+                    row[k:] = rng.choice(grid, d - k, replace=False)
+            else:
+                roots = rng.uniform(-3, 3, (30, d)) + 1j * rng.uniform(-3, 3, (30, d))
+            sums = np.array([power_sums_of(row, d) for row in roots])
+            got = vl.roots_from_power_sums(sums)
+            assert got.shape == (30, d)
+            for mine, row in zip(got, sums):
+                theirs = roots_from_power_sums_loop(row)
+                assert np.count_nonzero(mine == 0) == np.count_nonzero(theirs == 0)
+                rep = vl.spectra_equal(
+                    cluster_spectrum(mine, 1e-12), cluster_spectrum(theirs, 1e-12), 1e-8
+                )
+                assert rep.matched, f"degree {d}: worst {rep.worst_distance:.3e}"
+
+    def test_one_row_is_a_slice_of_the_stack(self):
+        rng = np.random.default_rng(10)
+        roots = rng.uniform(-3, 3, (4, 6)) + 1j * rng.uniform(-3, 3, (4, 6))
+        sums = np.array([power_sums_of(row, 6) for row in roots])
+        stack = vl.roots_from_power_sums(sums)
+        for row, want in zip(sums, stack):
+            assert np.array_equal(vl.roots_from_power_sums(row), want)
+
+    def test_round_trip_failure_raises(self, monkeypatch):
+        # roots that do not reproduce their sums must be refused
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) + 1e-3)
+        with pytest.raises(SpectrumError, match="inconsistent power sums"):
+            vl.roots_from_power_sums(np.array([0, 2, 0, 2]))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -461,7 +525,7 @@ class TestRootsFromPowerSums:
             for _ in range(d)
         ]
         sums = power_sums_of(roots, d)
-        got = vl.roots_from_power_sums(vl.PowerSums(sums, d))
+        got = vl.roots_from_power_sums(np.array(sums))
         # polynomial root finding smears a multiplicity-k root by roughly
         # eps**(1/k), so the match tolerance must scale with the largest
         # multiplicity the draw happened to produce
