@@ -10,6 +10,7 @@ equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,9 @@ from .groups import GroupError, GroupTable, build_builtin_group, decode_json, ha
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
 HOM_TOL = 1e-10
 SUM_TOL = 1e-8
+# Irrep validation checks K irreps of one dimension d at a time, with
+# K * n * d^2 * |generators| at most this many entries per product (cache-sized).
+BLOCK_ENTRIES = 2 ** 16
 
 
 class RepresentationError(ValueError):
@@ -51,6 +55,13 @@ class IrrepSet:
     def dims(self) -> tuple:
         return tuple(r.dim for r in self.irreps)
 
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """Character rows (nu, n); the first read validates the set."""
+        rows = validate_irrep_set(self)
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -68,38 +79,48 @@ class CharacterTable:
         return tuple(int(round(v.real)) for v in self.rows[:, e])
 
 
-def _validate_irrep(group: GroupTable, irrep: Irrep, label: str) -> None:
-    n = group.order
-    d = irrep.dim
-    mats = irrep.matrices
-    if mats.shape != (n, d, d):
-        raise RepresentationError(
-            f"{label}: expected {n} matrices of size {d}x{d}, got shape {mats.shape}"
-        )
-    if not np.allclose(mats[group.identity], np.eye(d), atol=HOM_TOL):
-        raise RepresentationError(f"{label}: identity element is not mapped to I")
-    # rho(g) rho(s) == rho(g s) for every g and generator s, together with
-    # rho(e) == I, gives rho(g) rho(h) == rho(g h) for all pairs by induction
-    # on the word length of h
-    gens = list(group.generators) or [group.identity]
-    # one BLAS product; a stacked matmul of tiny matrices is ~10x slower
-    prod = np.tensordot(mats, mats[gens], axes=(2, 1)).transpose(2, 0, 1, 3)
-    expected = mats[group.mul[:, gens].T]          # [k, g] = rho(g s_k)
-    err = np.abs(prod - expected).reshape(len(gens), n, -1).max(axis=2)
+def by_dimension(dims: Sequence[int]):
+    """(dim, irrep indices) for each irrep dimension, smallest first."""
+    dims = np.asarray(dims)
+    for dim in np.unique(dims):
+        yield int(dim), np.flatnonzero(dims == dim).tolist()
+
+
+def _reject_first(bad: np.ndarray, block: list, d: int, what: str) -> None:
+    if bad.any():
+        raise RepresentationError(f"irrep {block[int(np.argmax(bad))]} (dim {d}): {what}")
+
+
+def _check_block(group: GroupTable, a: np.ndarray, block: list, gens: list) -> np.ndarray:
+    """Check irreps block[k] of one dimension d, stacked as a[k, i, j, g] =
+    rho_k(g)[i, j]: rho(e) = I, rho(g) rho(s) = rho(g s) for every element
+    g and generator s (which gives the homomorphism property by induction
+    on word length), and a zero element sum for all but irrep 0. Returns
+    the characters of the block, (K, n)."""
+    num, d, _, n = a.shape
+    off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
+    _reject_first(off > HOM_TOL, block, d, "identity element is not mapped to I")
+    # diff[k, i, l, j, g] = rho(g s_j)[i, l] - sum_t rho(g)[i, t] rho(s_j)[t, l],
+    # the element axis innermost, so each product runs over n entries
+    diff = np.take(a, group.mul[:, gens].T, axis=3)
+    term = np.empty_like(diff)
+    at_gens = a[..., gens]  # [k, t, l, j] = rho(s_j)[t, l]
+    for t in range(d):
+        np.multiply(a[:, :, t, None, None, :], at_gens[:, None, t, :, :, None], out=term)
+        diff -= term
+    err = np.abs(diff).max(axis=(1, 2)).reshape(num, -1)  # [k, j * n + g]
     if err.max() > HOM_TOL:
-        k, a = np.unravel_index(np.argmax(err), err.shape)
-        b = gens[k]
+        q = int(np.argmax(err.max(axis=1) > HOM_TOL))
+        j, g = divmod(int(np.argmax(err[q])), n)
+        names = group.element_names
         raise RepresentationError(
-            f"{label}: not a homomorphism at pair "
-            f"({group.element_names[a]!r}, {group.element_names[b]!r}), "
-            f"max entry error {err[k, a]:.3e}"
+            f"irrep {block[q]} (dim {d}): not a homomorphism at pair "
+            f"({names[g]!r}, {names[gens[j]]!r}), max entry error {err[q].max():.3e}"
         )
-
-
-def _check_zero_sum(group: GroupTable, irrep: Irrep, label: str) -> None:
-    total = irrep.matrices.sum(axis=0)
-    if np.abs(total).max() > SUM_TOL * group.order:
-        raise RepresentationError(f"{label}: non-trivial irrep with nonzero element sum")
+    total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
+    nonzero = (total > SUM_TOL * n) & (np.asarray(block) > 0)
+    _reject_first(nonzero, block, d, "non-trivial irrep with nonzero element sum")
+    return np.trace(a, axis1=1, axis2=2)
 
 
 def _is_trivial_row(row: np.ndarray) -> bool:
@@ -119,29 +140,59 @@ def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
         )
 
 
-def validate_irrep_set(s: IrrepSet) -> None:
-    """Assert every Irrep/IrrepSet invariant, raising on the first failure."""
-    group = s.group
-    n = group.order
-    nu = len(group.classes)
-    if len(s.irreps) != nu:
+def validate_irrep_set(s: IrrepSet) -> np.ndarray:
+    """Assert every Irrep/IrrepSet invariant and return the character rows.
+
+    The irreps of one dimension are checked in blocks (_check_block), and
+    the rows, snapped block by block, need no Gram product:
+    <chi_i, chi_i> = n makes each row irreducible, and then, with nu rows
+    and sum dim^2 = n, sum_i dim_i chi_i = n [g = e] (the regular
+    character) holds only if each irreducible character appears once
+    (Serre, Linear Representations of Finite Groups, 2.3-2.4).
+    """
+    group, dims = s.group, s.dims
+    n, nu = group.order, len(group.classes)
+    if len(dims) != nu:
         raise RepresentationError(
-            f"expected {nu} irreps (one per conjugacy class), got {len(s.irreps)}"
+            f"expected {nu} irreps (one per conjugacy class), got {len(dims)}"
         )
-    if sum(r.dim ** 2 for r in s.irreps) != n:
+    if sum(d * d for d in dims) != n:
         raise RepresentationError(
-            f"sum of squared dimensions {sum(r.dim ** 2 for r in s.irreps)} != group order {n}"
+            f"sum of squared dimensions {sum(d * d for d in dims)} != group order {n}"
         )
-    rows = []
-    for i, irrep in enumerate(s.irreps):
-        label = f"irrep {i} (dim {irrep.dim})"
-        _validate_irrep(group, irrep, label)
-        if i > 0:
-            _check_zero_sum(group, irrep, label)
-        rows.append(irrep.character())
-    _check_row_orthogonality(group, np.asarray(rows))
+    bad = [i for i, r in enumerate(s.irreps) if r.matrices.shape != (n, r.dim, r.dim)]
+    if bad:
+        i = bad[0]
+        raise RepresentationError(
+            f"irrep {i} (dim {dims[i]}): expected {n} matrices of size "
+            f"{dims[i]}x{dims[i]}, got shape {s.irreps[i].matrices.shape}"
+        )
+    gens = list(group.generators) or [group.identity]
+    rows = np.empty((nu, n), dtype=complex)
+    for d, idx in by_dimension(dims):
+        size = max(1, BLOCK_ENTRIES // (n * d * d * len(gens)))
+        for start in range(0, len(idx), size):
+            block = idx[start:start + size]
+            a = np.array([s.irreps[i].matrices.transpose(1, 2, 0) for i in block])
+            rows[block] = _snap_integers(_check_block(group, a, block, gens))
+    re, im = rows.real, rows.imag
+    norms = np.einsum("ig,ig->i", re, re) + np.einsum("ig,ig->i", im, im)
+    i = int(np.argmax(np.abs(norms - n)))
+    if abs(norms[i] - n) > SUM_TOL * n:
+        raise RepresentationError(
+            f"character rows {i} and {i} violate orthogonality "
+            f"(<chi_{i}, chi_{i}> = {norms[i]:.6g}, expected {n})"
+        )
+    regular = np.asarray(dims, dtype=float) @ rows
+    regular[group.identity] -= n
+    if np.abs(regular).max() > SUM_TOL * n:
+        _check_row_orthogonality(group, rows)  # names a pair
+        raise RepresentationError(
+            "character rows violate orthogonality: sum of dim * chi is not the regular character"
+        )
     if not _is_trivial_row(rows[0]):
         raise RepresentationError("first irrep is not the trivial representation")
+    return rows
 
 
 def _snap_integers(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -160,9 +211,9 @@ def _snap_integers(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def character_table(s: IrrepSet) -> CharacterTable:
-    """Character table of an IrrepSet: rows[i][g] = trace of irrep i at g."""
-    rows = _snap_integers(np.asarray([r.character() for r in s.irreps]))
-    return CharacterTable(group=s.group, rows=rows)
+    """Character table of an IrrepSet: rows[i][g] = trace of irrep i at g,
+    the rows that validating the set computed."""
+    return CharacterTable(group=s.group, rows=s.characters)
 
 
 def validate_character_table(t: CharacterTable) -> None:
@@ -213,10 +264,19 @@ def validate_column_orthogonality(t: CharacterTable) -> None:
 # Builtin irreps
 
 
+def _irreps_of(stack: np.ndarray) -> list:
+    """One Irrep per (n, d, d) slice of a stack of one dimension d."""
+    return [Irrep(dim=stack.shape[-1], matrices=mats) for mats in stack]
+
+
 def _cyclic_irreps(group: GroupTable, m: int) -> list:
+    # [k, j] = w^(k j mod m): each root w^j is computed once, at an argument
+    # below 2 pi, and gathered
     k = np.arange(m)
-    table = np.exp(2j * np.pi * k[:, None] * k[None, :] / m)  # [k, j] = w^(kj)
-    return [Irrep(dim=1, matrices=row.reshape(m, 1, 1)) for row in table]
+    kj = np.outer(k, k)
+    kj %= m
+    table = np.exp(2j * np.pi * k / m)[kj]
+    return _irreps_of(table.reshape(m, m, 1, 1))
 
 
 def _dihedral_irreps(group: GroupTable, m: int) -> list:
@@ -238,30 +298,27 @@ def _dihedral_irreps(group: GroupTable, m: int) -> list:
     theta = 2 * np.pi * j * powers[None, :] / m
     c, s = np.cos(theta), np.sin(theta)
     # r^a -> rotation by theta; r^a s -> rotation @ diag(1, -1)
-    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    refl = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
-    mats = np.concatenate([rot, refl], axis=1).astype(complex)
-    irreps.extend(Irrep(dim=2, matrices=block) for block in mats)
+    mats = np.empty((len(theta), n, 2, 2), dtype=complex)
+    rot, refl = mats[:, :m], mats[:, m:]
+    rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
+    refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
+    irreps.extend(_irreps_of(mats))
     return irreps
 
 
 def _product_irreps(group: GroupTable, factor_specs: list) -> list:
-    factors = [build_builtin_group(spec) for spec in factor_specs]
-    factor_irreps = [builtin_irreps(f).irreps for f in factors]
-    combos = [()]
-    for irreps in factor_irreps:
-        combos = [c + (r,) for c in combos for r in irreps]
-    out = []
-    for combo in combos:
+    factors = [builtin_irreps(build_builtin_group(spec)).irreps for spec in factor_specs]
+    irreps = factors[0]
+    for factor in factors[1:]:
         # Kronecker product for every element pair at once; element indices
         # are lexicographic, first factor most significant
-        mats = combo[0].matrices
-        for r in combo[1:]:
-            (na, di, dj), (nb, dk, dl) = mats.shape, r.matrices.shape
-            mats = np.einsum("aij,bkl->abikjl", mats, r.matrices)
-            mats = mats.reshape(na * nb, di * dk, dj * dl)
-        out.append(Irrep(dim=mats.shape[1], matrices=mats))
-    return out
+        irreps = [
+            Irrep(dim=a.dim * b.dim, matrices=np.einsum(
+                "aij,bkl->abikjl", a.matrices, b.matrices
+            ).reshape(-1, a.dim * b.dim, a.dim * b.dim))
+            for a in irreps for b in factor
+        ]
+    return list(irreps)
 
 
 def builtin_irreps(g: GroupTable) -> IrrepSet:
@@ -280,7 +337,7 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
     else:
         raise RepresentationError(f"unsupported builtin family {g.family!r}")
     s = IrrepSet(group=g, irreps=tuple(irreps))
-    validate_irrep_set(s)
+    s.characters  # validates the set and keeps its character rows
     return s
 
 
@@ -288,20 +345,20 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
 # User-supplied documents
 
 
-def _matrix_from_json(entry) -> np.ndarray:
-    # each scalar is a [re, im] pair of JSON numbers: the dtype check
-    # rejects strings such as "1", which np.asarray(dtype=float) would parse,
-    # and has_bool a true or false, which np.asarray would make a number
+def _complex_from_json(entry, depth: int, what: str) -> np.ndarray:
+    """A regular nested list, depth levels deep, of [re, im] pairs of JSON
+    numbers, as a complex array. The dtype check rejects strings such as
+    "1", which np.asarray(dtype=float) would parse, and has_bool a true or
+    false, which np.asarray would make a number."""
     try:
         arr = np.asarray(entry)
     except (TypeError, ValueError):  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs")
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise RepresentationError(f"matrix entry has bad shape {arr.shape}")
-    if has_bool(entry, 3):
-        raise RepresentationError("matrix entry is not a nested list of [re, im] pairs")
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.ndim != depth + 1
+            or arr.shape[-1] != 2 or has_bool(entry, depth + 1)):
+        raise RepresentationError(f"{what} is not a nested list of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise RepresentationError(f"{what} holds a non-finite [re, im] pair")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -328,26 +385,24 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
                 f'irrep {i}: expected an object with a positive integer "dim" '
                 'and a "matrices" object'
             )
-        d = entry["dim"]
-        mats = []
-        for name in g.element_names:  # in element-index order
-            if name not in entry["matrices"]:
-                raise RepresentationError(f"irrep {i}: missing matrix for element {name!r}")
-            m = _matrix_from_json(entry["matrices"][name])
-            if m.shape != (d, d):
-                raise RepresentationError(
-                    f"irrep {i}: matrix for {name!r} has shape {m.shape}, expected ({d}, {d})"
-                )
-            mats.append(m)
-        irreps.append(Irrep(dim=d, matrices=np.array(mats)))
+        d, given = entry["dim"], entry["matrices"]
+        missing = [name for name in g.element_names if name not in given]
+        if missing:
+            raise RepresentationError(f"irrep {i}: missing matrix for element {missing[0]!r}")
+        mats = _complex_from_json(  # in element-index order
+            [given[name] for name in g.element_names], 3, f"irrep {i}: matrix entry"
+        )
+        if mats.shape[1:] != (d, d):
+            raise RepresentationError(
+                f"irrep {i}: matrices have shape {mats.shape[1:]}, expected ({d}, {d})"
+            )
+        irreps.append(Irrep(dim=d, matrices=mats))
     # move the trivial irrep first if present elsewhere
-    for i, irrep in enumerate(irreps):
-        if irrep.dim == 1 and _is_trivial_row(irrep.character()):
-            if i != 0:
-                irreps.insert(0, irreps.pop(i))
-            break
+    trivial = [i for i, r in enumerate(irreps) if r.dim == 1 and _is_trivial_row(r.character())]
+    if trivial:
+        irreps.insert(0, irreps.pop(trivial[0]))
     s = IrrepSet(group=g, irreps=tuple(irreps))
-    validate_irrep_set(s)
+    s.characters  # validates the set and keeps its character rows
     return s
 
 
@@ -383,15 +438,15 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     nu = len(g.classes)
     if len(rows_in) != nu:
         raise RepresentationError(f"expected {nu} character rows, got {len(rows_in)}")
-    rows = np.empty((nu, g.order), dtype=complex)
-    for i, row in enumerate(rows_in):
-        if len(row) != len(classes):
-            raise RepresentationError(f"row {i} has {len(row)} values, expected {len(classes)}")
-        for cls, val in zip(classes, row):
-            if not (isinstance(val, list) and len(val) == 2
-                    and all(isinstance(x, (int, float)) for x in val)):
-                raise RepresentationError(f"row {i}: value {val!r} is not a [re, im] pair")
-            rows[i, list(cls)] = complex(val[0], val[1])
+    values = _complex_from_json(rows_in, 2, "character rows")
+    if values.shape[1] != len(classes):
+        raise RepresentationError(
+            f"rows have {values.shape[1]} values, expected {len(classes)} (one per class)"
+        )
+    column = np.empty(g.order, dtype=np.int64)  # element -> its class's column
+    for c, cls in enumerate(classes):
+        column[list(cls)] = c
+    rows = values[:, column]
     # put the trivial row first if it is elsewhere
     order = sorted(range(nu), key=lambda i: not _is_trivial_row(rows[i]))
     rows = rows[order]

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .groups import GroupTable
-from .reps import CharacterTable, Irrep, IrrepSet
+from .reps import CharacterTable, Irrep, IrrepSet, by_dimension
 from .voltage import (
     VoltageDigraph,
     algebra_trace_powers,
@@ -148,10 +148,6 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
     )
 
 
-def _sorted(vals):
-    return sorted(vals, key=lambda z: (complex(z).real, complex(z).imag))
-
-
 @dataclass(frozen=True)
 class MatchReport:
     """Result of a tolerance-aware multiset comparison."""
@@ -175,8 +171,8 @@ def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Match
     right value. Adequate whenever tol is far below the eigenvalue gaps;
     mismatch is reported, never raised.
     """
-    va = _sorted(a.values())
-    vb = _sorted(b.values())
+    va = np.sort(a.values())  # by real part, then imaginary part
+    vb = np.sort(b.values())
     if len(va) != len(vb):
         return MatchReport(
             matched=False,
@@ -185,13 +181,12 @@ def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Match
             count_right=len(vb),
             message=f"sizes differ: {len(va)} vs {len(vb)}",
         )
-    if not va:
+    if not len(va):
         return MatchReport(True, 0.0, 0, 0)
-    vb_arr = np.asarray(vb, dtype=complex)
     used = np.zeros(len(vb), dtype=bool)
     worst = 0.0
     for x in va:
-        dist = np.abs(vb_arr - complex(x))
+        dist = np.abs(vb - x)
         dist[used] = np.inf
         j = int(np.argmin(dist))
         used[j] = True
@@ -337,12 +332,6 @@ def _checked_total(spectrum: SpectrumMultiset, total: int) -> SpectrumMultiset:
     return spectrum
 
 
-def _by_dimension(dims: Sequence[int]):
-    """(dim, irrep indices) for each irrep dimension, smallest first."""
-    for dim in sorted(set(dims)):
-        yield dim, [i for i, k in enumerate(dims) if k == dim]
-
-
 def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -> None:
     """Irreps and characters must be those of the digraph's group: the same
     multiplication table, not only the same order."""
@@ -360,7 +349,7 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     _check_same_group(s.group, d.group, "irrep set")
     b = associated_matrix(d)
     values = {}
-    for dim, idx in _by_dimension(s.dims):
+    for dim, idx in by_dimension(s.dims):
         try:
             values[dim] = np.linalg.eigvals(_rho_stack(b, [s.irreps[i] for i in idx]))
         except np.linalg.LinAlgError as exc:
@@ -508,7 +497,7 @@ def lift_spectrum_charsum(
     # character table in one (nu x n) @ (n x L) product
     sums = power_sums_from_characters(associated_matrix(d), t.rows, top, d.group)
     values = {
-        k: roots_from_power_sums(sums[idx, :r * k]) for k, idx in _by_dimension(dims)
+        k: roots_from_power_sums(sums[idx, :r * k]) for k, idx in by_dimension(dims)
     }
     return spectrum_from_irrep_eigenvalues(values, tol)
 
@@ -557,7 +546,7 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     b = associated_matrix(d)
     kept = {}
     reasons = {}
-    for di, idx in _by_dimension(s.dims):
+    for di, idx in by_dimension(s.dims):
         vals, vecs, res, bound = _eig_stack(_rho_stack(b, [s.irreps[i] for i in idx]))
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)

@@ -5,8 +5,10 @@ multiplication-preserving bijection between two group tables and
 closed-walk power sums by direct enumeration (both exponential in their
 input), single-linkage clustering by a quadratic pairwise loop, lift
 eigenvectors by one eigensolve per irrep and one product per eigencolumn
-and base vertex, and the polynomial behind a row of power sums by a
-determinant formula and by a scalar Newton recurrence with np.roots.
+and base vertex, the polynomial behind a row of power sums by a
+determinant formula and by a scalar Newton recurrence with np.roots, and
+irrep-set validation by one check per irrep plus the character Gram
+product.
 """
 
 from math import factorial
@@ -15,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from voltlift.groups import GroupTable
-from voltlift.reps import IrrepSet
+from voltlift.reps import HOM_TOL, SUM_TOL, Irrep, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     ZERO_VECTOR_NORM,
@@ -196,3 +198,63 @@ def roots_from_power_sums_loop(sums: Sequence[complex]) -> np.ndarray:
             acc += (-1) ** (j - 1) * e[k - j] * sums[j - 1]
         e.append(acc / k)
     return np.roots(np.array([(-1) ** k * e[k] for k in range(d + 1)], dtype=complex))
+
+
+def _validate_irrep(group: GroupTable, irrep: Irrep, label: str) -> None:
+    n = group.order
+    d = irrep.dim
+    mats = irrep.matrices
+    if mats.shape != (n, d, d):
+        raise RepresentationError(
+            f"{label}: expected {n} matrices of size {d}x{d}, got shape {mats.shape}"
+        )
+    if not np.allclose(mats[group.identity], np.eye(d), atol=HOM_TOL):
+        raise RepresentationError(f"{label}: identity element is not mapped to I")
+    gens = list(group.generators) or [group.identity]
+    prod = np.tensordot(mats, mats[gens], axes=(2, 1)).transpose(2, 0, 1, 3)
+    expected = mats[group.mul[:, gens].T]          # [k, g] = rho(g s_k)
+    err = np.abs(prod - expected).reshape(len(gens), n, -1).max(axis=2)
+    if err.max() > HOM_TOL:
+        k, a = np.unravel_index(np.argmax(err), err.shape)
+        b = gens[k]
+        raise RepresentationError(
+            f"{label}: not a homomorphism at pair "
+            f"({group.element_names[a]!r}, {group.element_names[b]!r}), "
+            f"max entry error {err[k, a]:.3e}"
+        )
+
+
+def validate_irrep_set_loop(s: IrrepSet) -> None:
+    """Irrep-set validation one irrep at a time: identity, homomorphism
+    through the generators and zero element sum per irrep, then the full
+    nu x nu Gram product of the character rows."""
+    group = s.group
+    n = group.order
+    nu = len(group.classes)
+    if len(s.irreps) != nu:
+        raise RepresentationError(
+            f"expected {nu} irreps (one per conjugacy class), got {len(s.irreps)}"
+        )
+    if sum(r.dim ** 2 for r in s.irreps) != n:
+        raise RepresentationError(
+            f"sum of squared dimensions {sum(r.dim ** 2 for r in s.irreps)} != group order {n}"
+        )
+    rows = []
+    for i, irrep in enumerate(s.irreps):
+        label = f"irrep {i} (dim {irrep.dim})"
+        _validate_irrep(group, irrep, label)
+        if i > 0 and np.abs(irrep.matrices.sum(axis=0)).max() > SUM_TOL * n:
+            raise RepresentationError(f"{label}: non-trivial irrep with nonzero element sum")
+        rows.append(irrep.character())
+    rows = np.asarray(rows)
+    gram = rows @ rows.conj().T
+    target = n * np.eye(len(rows))
+    err = np.abs(gram - target)
+    if err.max() > SUM_TOL * n:
+        i, j = np.unravel_index(np.argmax(err), err.shape)
+        raise RepresentationError(
+            f"character rows {i} and {j} violate orthogonality "
+            f"(<chi_{i}, chi_{j}> = {gram[i, j]:.6g}, expected {target[i, j]:.0f})"
+        )
+    if not np.allclose(rows[0], 1.0, atol=1e-8):
+        raise RepresentationError("first irrep is not the trivial representation")

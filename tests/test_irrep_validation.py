@@ -1,0 +1,171 @@
+"""Blocked irrep-set validation against the one-irrep-at-a-time oracle.
+
+Every perturbed set below keeps the irrep count and the sum of squared
+dimensions, so only the homomorphism, identity, norm or regular-character
+test can reject it; each test pins the message that names what failed.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import voltlift as vl
+from voltlift import reps
+from voltlift.reps import RepresentationError
+
+from oracles import validate_irrep_set_loop
+from test_groups import FAMILY_SPECS
+from test_reps import irreps_to_doc
+
+D8 = vl.build_builtin_group("dihedral:8")
+D8_IRREPS = vl.builtin_irreps(D8)  # dims (1, 1, 1, 1, 2, 2, 2)
+D64 = vl.build_builtin_group("dihedral:64")
+D64_IRREPS = vl.builtin_irreps(D64)
+# 2-dim irreps of dihedral:64 three to a block: the second block is 7, 8, 9
+D64_BLOCK_ENTRIES = 3 * D64.order * 4 * len(D64.generators)
+NON_GENERATOR = 77
+
+
+def replaced(s, i, mats):
+    irreps = list(s.irreps)
+    irreps[i] = vl.Irrep(dim=mats.shape[1], matrices=mats)
+    return vl.IrrepSet(group=s.group, irreps=tuple(irreps))
+
+
+def duplicate():
+    return replaced(D8_IRREPS, 5, np.array(D8_IRREPS.irreps[4].matrices))
+
+
+def conjugated_duplicate():
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return replaced(D8_IRREPS, 5, u @ D8_IRREPS.irreps[4].matrices @ u.conj().T)
+
+
+def reducible():
+    mats = np.zeros((D8.order, 2, 2), dtype=complex)
+    mats[:, 0, 0] = D8_IRREPS.irreps[1].matrices[:, 0, 0]
+    mats[:, 1, 1] = D8_IRREPS.irreps[2].matrices[:, 0, 0]
+    return replaced(D8_IRREPS, 5, mats)
+
+
+def perturbed_non_generator():
+    mats = np.array(D64_IRREPS.irreps[8].matrices)
+    mats[NON_GENERATOR, 0, 1] += 1e-9
+    return replaced(D64_IRREPS, 8, mats)
+
+
+def identity_not_i(i):
+    mats = np.array(D8_IRREPS.irreps[i].matrices)
+    mats[D8.identity, 0, 0] += 1e-6
+    return replaced(D8_IRREPS, i, mats)
+
+
+# (set, message the blocked validator gives): the regular-character test
+# rejects a duplicate, the norm test a reducible row
+PERTURBED = {
+    "duplicate": (duplicate, r"character rows 4 and 5 violate orthogonality"),
+    "conjugated duplicate": (conjugated_duplicate, r"rows 4 and 5 violate orthogonality"),
+    "reducible": (reducible, r"character rows 5 and 5 violate orthogonality"),
+    "non-generator": (perturbed_non_generator, r"irrep 8 \(dim 2\): not a homomorphism at"),
+    "identity dim 1": (lambda: identity_not_i(2), r"irrep 2 \(dim 1\): identity element is"),
+    "identity dim 2": (lambda: identity_not_i(5), r"irrep 5 \(dim 2\): identity element is"),
+    "one matrix short": (
+        lambda: replaced(D8_IRREPS, 5, np.array(D8_IRREPS.irreps[5].matrices[:-1])),
+        r"irrep 5 \(dim 2\): expected 16 matrices of size 2x2, got shape \(15, 2, 2\)",
+    ),
+}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(reps, "BLOCK_ENTRIES", D64_BLOCK_ENTRIES)
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_perturbed_set_rejected(small_blocks, name):
+    make, message = PERTURBED[name]
+    with pytest.raises(RepresentationError, match=message):
+        vl.validate_irrep_set(make())
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_oracle_rejects_perturbed_set(name):
+    make, _ = PERTURBED[name]
+    with pytest.raises(RepresentationError):
+        validate_irrep_set_loop(make())
+
+
+def test_perturbed_irrep_is_mid_block():
+    two = [i for i, d in enumerate(D64_IRREPS.dims) if d == 2]
+    size = D64_BLOCK_ENTRIES // (D64.order * 4 * len(D64.generators))
+    blocks = [two[k:k + size] for k in range(0, len(two), size)]
+    assert [7, 8, 9] in blocks
+    assert NON_GENERATOR not in D64.generators
+
+
+def test_non_generator_message_names_a_failing_pair(small_blocks):
+    with pytest.raises(RepresentationError) as info:
+        vl.validate_irrep_set(perturbed_non_generator())
+    a, b = re.search(r"pair \('([^']*)', '([^']*)'\)", str(info.value)).groups()
+    g, s = D64.index_of(a), D64.index_of(b)
+    assert s in D64.generators
+    # rho(g) rho(s) = rho(g s) fails exactly where g or g s is the element
+    assert NON_GENERATOR in (g, D64.mul_idx(g, s))
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
+def test_accepts_builtin_sets_as_the_oracle_does(spec):
+    s = vl.builtin_irreps(vl.build_builtin_group(spec))
+    validate_irrep_set_loop(s)
+    rows = vl.validate_irrep_set(s)
+    assert np.allclose(rows, [r.character() for r in s.irreps], atol=1e-9)
+
+
+def test_accepts_loaded_d3_set_as_the_oracle_does(d3, d3_irreps):
+    s = vl.load_irreps(irreps_to_doc(d3, d3_irreps), d3)
+    validate_irrep_set_loop(s)
+    vl.validate_irrep_set(s)
+
+
+def test_character_table_reuses_the_validated_rows(d3_irreps):
+    t = vl.character_table(d3_irreps)
+    assert t.rows is d3_irreps.characters
+    assert not t.rows.flags.writeable
+
+
+def test_characters_of_an_invalid_set_raise():
+    with pytest.raises(RepresentationError, match="orthogonality"):
+        vl.character_table(duplicate())
+
+
+class TestCyclicIrrepsByGather:
+    M = 4096
+    K = np.r_[0, 1, 2, M // 2, M - 1, np.random.default_rng(5).integers(0, M, 24)][:, None]
+    J = np.arange(M)[None, :]
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        """Rows K of the character table [k, j] = chi_k(g^j), and row 1."""
+        irreps = reps._cyclic_irreps(None, self.M)
+        return np.array([irreps[k].matrices[:, 0, 0] for k in self.K[:, 0]]), irreps[1]
+
+    def test_entries_are_gathered_roots(self, table):
+        # chi_k(g^j) is bitwise the root chi_1(g^(k j mod m))
+        rows, chi_1 = table
+        assert np.array_equal(rows, chi_1.matrices[(self.K * self.J) % self.M, 0, 0])
+
+    def test_matches_exp_of_the_unreduced_argument(self, table):
+        # the unreduced argument 2 pi k j / m reaches 2.6e4 rad; its rounding
+        # alone moves exp by up to about 2.6e4 * eps = 5.7e-12
+        unreduced = np.exp(2j * np.pi * self.K * self.J / self.M)
+        assert np.abs(table[0] - unreduced).max() <= 1e-11
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).precision < 18,
+                        reason="long double is no wider than double here")
+    def test_matches_an_extended_precision_reference(self, table):
+        # the unreduced argument in extended precision, pi included
+        angle = 2 * np.arccos(np.longdouble(-1)) * (self.K * self.J) / self.M
+        reference = np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float)
+        assert np.abs(table[0] - reference).max() <= 2e-15

@@ -186,7 +186,8 @@ class TestLoadIrreps:
             vl.load_irreps(doc, d3)
 
     @pytest.mark.parametrize(
-        "value", [["1", "0"], [True, False], [None, 0], [1, False], [0.5, True]]
+        "value", [["1", "0"], [True, False], [None, 0], [1, False], [0.5, True],
+                  [float("inf"), 0], [0, float("nan")]]
     )
     def test_non_numeric_matrix_entry(self, d3, d3_irreps, value):
         doc = irreps_to_doc(d3, d3_irreps)
@@ -261,6 +262,19 @@ class TestLoadCharacterTable:
     def test_malformed_value(self, d3):
         doc = self.d3_doc(d3)
         doc["rows"][1][1] = "minus one"
+        with pytest.raises(RepresentationError, match="re, im"):
+            vl.load_character_table(doc, d3)
+
+    @pytest.mark.parametrize(
+        "values", [{(0, 0): [True, 0]}, {(1, 1): [-1, False]},
+                   {(0, 0): [True, 0], (1, 1): [-1, False]},
+                   {(2, 2): [float("inf"), 0]}, {(1, 2): [1, float("nan")]}]
+    )
+    def test_bool_or_non_finite_value(self, d3, values):
+        # np.asarray would read true and false as 1 and 0
+        doc = self.d3_doc(d3)
+        for (i, c), value in values.items():
+            doc["rows"][i][c] = value
         with pytest.raises(RepresentationError, match="re, im"):
             vl.load_character_table(doc, d3)
 
