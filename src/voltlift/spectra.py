@@ -15,13 +15,13 @@ that.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .groups import GroupTable
-from .reps import CharacterTable, Irrep, IrrepSet, by_dimension
+from .reps import CharacterTable, IrrepSet, by_dimension
 from .voltage import (
     VoltageDigraph,
     algebra_trace_powers,
@@ -236,43 +236,33 @@ def default_cluster_tol(d: VoltageDigraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense eigensolver wrapper
+# Dense eigensolvers
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs plus per-pair residuals.
-
-    ``vector_ok[i]`` marks pairs whose residual meets the bound
-    1e-8 * (1 + ||M||); eigenvalues are always reported, but vectors of
-    defective matrices may fail the bound and are flagged instead of
-    trusted.
-    """
-
-    dim: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns paired with eigenvalues
-    residuals: np.ndarray
-    residual_bound: float
-    vector_ok: np.ndarray
+def _solve(solver, m: np.ndarray):
+    """solver(m) for one of numpy's eigensolvers, a convergence failure
+    raised as SpectrumError."""
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
 
 
-def _eig_stack(m: np.ndarray):
-    """Residual-checked eigenpairs of a (K, N, N) stack, one batched solve.
+def eig(m: np.ndarray):
+    """Residual-checked eigenpairs of a (K, N, N) stack, in one batched solve.
 
     Returns the eigenvalues (K, N), the eigenvectors (K, N, N) as columns,
     the per-column residuals (K, N), each relative to its column's norm,
-    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array.
+    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array. The
+    computed vectors of a Jordan block meet the bound too, so a caller that
+    needs a basis also tests the conditioning (lift_eigenvectors does).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise SpectrumError(f"matrix must be square, got shape {m.shape[1:]}")
+        raise SpectrumError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SpectrumError("matrix has non-finite entries")
-    try:
-        vals, vecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+    vals, vecs = _solve(np.linalg.eig, m)
     if not m.size:
         return vals, vecs, np.empty(vals.shape), np.zeros(len(m))
     res = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
@@ -281,47 +271,24 @@ def _eig_stack(m: np.ndarray):
     return vals, vecs, res, bound
 
 
-def eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigenpairs of a general dense complex matrix, residual-checked.
-
-    The K = 1 case of the batched solver behind lift_eigenvectors; the
-    spectrum routes solve for eigenvalues alone.
-    """
-    vals, vecs, res, bound = (a[0] for a in _eig_stack(np.asarray(m)[None]))
-    return EigenDecomposition(
-        dim=vals.shape[0],
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        residuals=res,
-        residual_bound=bound,
-        vector_ok=res <= bound,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Representation route
 
 
-def _rho_stack(b: np.ndarray, irreps: Sequence[Irrep]) -> np.ndarray:
-    """Images of b under irreps of one dimension d, as a (K, r*d, r*d) stack.
+def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Images of b under a (K, n, d, d) stack of irreps of one dimension d,
+    as a (K, r*d, r*d) stack: each algebra entry becomes a d x d block.
 
     Only the nonzero coefficients of b are visited: each adds its multiple
     of rho(x) into its (u, v) block, in the order np.nonzero lists them.
     """
     r = b.shape[0]
-    d = irreps[0].dim
+    num, _, d, _ = stack.shape
     u, v, x = np.nonzero(b)
-    terms = b[u, v, x].astype(complex)[:, None, None] * np.array(
-        [irrep.matrices[x] for irrep in irreps]
-    )
-    blocks = np.zeros((len(irreps), r, r, d, d), dtype=complex)
+    terms = b[u, v, x].astype(complex)[:, None, None] * stack[:, x]
+    blocks = np.zeros((num, r, r, d, d), dtype=complex)
     np.add.at(blocks, (slice(None), u, v), terms)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(len(irreps), r * d, r * d)
-
-
-def rho_matrix(b: np.ndarray, irrep: Irrep) -> np.ndarray:
-    """Apply an irrep entrywise: each algebra entry becomes a d x d block."""
-    return _rho_stack(b, [irrep])[0]
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(num, r * d, r * d)
 
 
 def _checked_total(spectrum: SpectrumMultiset, total: int) -> SpectrumMultiset:
@@ -343,18 +310,12 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     """Eigenvalues of the image of the quotient matrix under each irrep.
 
     For each irrep dimension k, a (K, r*k) array whose row q holds the
-    eigenvalues of the image under the q-th irrep of dimension k, in
-    ``s.irreps`` order. The K images are solved in one batched eigvals call.
+    eigenvalues of the image under the q-th irrep of dimension k, in global
+    irrep order. The K images are solved in one batched eigvals call.
     """
     _check_same_group(s.group, d.group, "irrep set")
     b = associated_matrix(d)
-    values = {}
-    for dim, idx in by_dimension(s.dims):
-        try:
-            values[dim] = np.linalg.eigvals(_rho_stack(b, [s.irreps[i] for i in idx]))
-        except np.linalg.LinAlgError as exc:
-            raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
-    return values
+    return {dim: _solve(np.linalg.eigvals, rho_matrix(b, st)) for dim, st in s.stacks.items()}
 
 
 def spectrum_from_irrep_eigenvalues(
@@ -396,10 +357,7 @@ def lift_spectrum_bruteforce(
     if rn > BRUTEFORCE_MAX_ORDER:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
     a = build_lift(d).adjacency
-    try:
-        vals = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+    vals = _solve(np.linalg.eigvalsh if np.array_equal(a, a.T) else np.linalg.eigvals, a)
     return _checked_total(cluster_spectrum(vals, tol), rn)
 
 
@@ -452,10 +410,7 @@ def roots_from_power_sums(sums: np.ndarray) -> np.ndarray:
     companion = np.zeros((len(rows), d, d), dtype=complex)
     companion[:, 0] = -_newton_poly_coeffs(rows)[:, 1:]
     companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-    try:
-        roots = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
+    roots = _solve(np.linalg.eigvals, companion)
     # residual check: the recovered roots must reproduce the input sums
     recomputed = (roots[:, None, :] ** np.arange(1, d + 1)[:, None]).sum(axis=2)
     worst = np.abs(recomputed - rows).max(axis=1)
@@ -547,7 +502,7 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     kept = {}
     reasons = {}
     for di, idx in by_dimension(s.dims):
-        vals, vecs, res, bound = _eig_stack(_rho_stack(b, [s.irreps[i] for i in idx]))
+        vals, vecs, res, bound = eig(rho_matrix(b, s.stacks[di]))
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)
         for q, i in enumerate(idx):
@@ -561,7 +516,7 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
         # fib[q, c, k, v, h] = sum_j rho_q(h)[k, j] x[q, v*d + j, c]: for
         # slot k, a (K, r) batch of (r*d, d) @ (d, n) products, written
         # through a strided view of fib
-        rho = np.array([s.irreps[idx[q]].matrices for q in ok])
+        rho = s.stacks[di][ok]
         x = vecs[ok].reshape(len(ok), r, di, r * di).transpose(0, 1, 3, 2)
         fib = np.empty((len(ok), r * di, di, r, n), dtype=complex)
         for k in range(di):

@@ -31,6 +31,19 @@ def k2star(d3):
     return vl.parse_voltage_digraph(K2STAR_DOC, d3)
 
 
+def irrep_matrices(s, i):
+    """The (n, d, d) matrices of irrep i of s: its row of the stack of its
+    dimension, counted in global irrep order."""
+    d = s.dims[i]
+    return s.stacks[d][s.dims[:i].count(d)]
+
+
+def replaced(s, i, mats):
+    """s with the matrices of irrep i replaced by mats, one piece per irrep."""
+    pieces = [([j], irrep_matrices(s, j)[None]) for j in range(len(s.dims)) if j != i]
+    return vl.make_irrep_set(s.group, s.dims, pieces + [([i], mats[None])])
+
+
 # builtin groups of order <= 24 used by the randomized suites
 GROUP_POOL_SPECS = [
     "cyclic:1",

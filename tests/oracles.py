@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from voltlift.groups import GroupTable
-from voltlift.reps import HOM_TOL, SUM_TOL, Irrep, IrrepSet, RepresentationError
+from voltlift.reps import HOM_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     ZERO_VECTOR_NORM,
@@ -26,6 +26,8 @@ from voltlift.spectra import (
     rho_matrix,
 )
 from voltlift.voltage import VoltageDigraph, associated_matrix
+
+from conftest import irrep_matrices
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable):
@@ -128,29 +130,28 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     pairs = []
     skipped = []
     zeros = 0
-    for i, irrep in enumerate(s.irreps):
-        di = irrep.dim
-        m = rho_matrix(b, irrep)
-        dec = eig(m)
-        u_mat = dec.eigenvectors
+    for i, di in enumerate(s.dims):
+        mats = irrep_matrices(s, i)
+        m = rho_matrix(b, mats[None])[0]
+        vals, u_mat, res, bound = (a[0] for a in eig(m[None]))
         if m.size:
             cond = np.linalg.cond(u_mat)
             if (
                 not np.isfinite(cond)
                 or cond > DEFECTIVE_COND_LIMIT
-                or not np.all(dec.vector_ok)
+                or not np.all(res <= bound)
             ):
                 skipped.append(i)
                 continue
         # x_blocks[v] is the di x (r*di) row block for base vertex v
         for c in range(r * di):
-            mu = complex(dec.eigenvalues[c])
+            mu = complex(vals[c])
             col = u_mat[:, c]
             # value at lift vertex (v, h), all h at once: rho(h) @ x_v_col
             fibers = np.empty((r, n, di), dtype=complex)
             for v in range(r):
                 xc = col[v * di:(v + 1) * di]
-                fibers[v] = np.einsum("hij,j->hi", irrep.matrices, xc)
+                fibers[v] = np.einsum("hij,j->hi", mats, xc)
             for k in range(di):
                 w = fibers[:, :, k].reshape(r * n)
                 if np.linalg.norm(w) < ZERO_VECTOR_NORM:
@@ -200,10 +201,8 @@ def roots_from_power_sums_loop(sums: Sequence[complex]) -> np.ndarray:
     return np.roots(np.array([(-1) ** k * e[k] for k in range(d + 1)], dtype=complex))
 
 
-def _validate_irrep(group: GroupTable, irrep: Irrep, label: str) -> None:
+def _validate_irrep(group: GroupTable, mats: np.ndarray, d: int, label: str) -> None:
     n = group.order
-    d = irrep.dim
-    mats = irrep.matrices
     if mats.shape != (n, d, d):
         raise RepresentationError(
             f"{label}: expected {n} matrices of size {d}x{d}, got shape {mats.shape}"
@@ -231,21 +230,22 @@ def validate_irrep_set_loop(s: IrrepSet) -> None:
     group = s.group
     n = group.order
     nu = len(group.classes)
-    if len(s.irreps) != nu:
+    if len(s.dims) != nu:
         raise RepresentationError(
-            f"expected {nu} irreps (one per conjugacy class), got {len(s.irreps)}"
+            f"expected {nu} irreps (one per conjugacy class), got {len(s.dims)}"
         )
-    if sum(r.dim ** 2 for r in s.irreps) != n:
+    if sum(d ** 2 for d in s.dims) != n:
         raise RepresentationError(
-            f"sum of squared dimensions {sum(r.dim ** 2 for r in s.irreps)} != group order {n}"
+            f"sum of squared dimensions {sum(d ** 2 for d in s.dims)} != group order {n}"
         )
     rows = []
-    for i, irrep in enumerate(s.irreps):
-        label = f"irrep {i} (dim {irrep.dim})"
-        _validate_irrep(group, irrep, label)
-        if i > 0 and np.abs(irrep.matrices.sum(axis=0)).max() > SUM_TOL * n:
+    for i, d in enumerate(s.dims):
+        label = f"irrep {i} (dim {d})"
+        mats = irrep_matrices(s, i)
+        _validate_irrep(group, mats, d, label)
+        if i > 0 and np.abs(mats.sum(axis=0)).max() > SUM_TOL * n:
             raise RepresentationError(f"{label}: non-trivial irrep with nonzero element sum")
-        rows.append(irrep.character())
+        rows.append(np.trace(mats, axis1=1, axis2=2))
     rows = np.asarray(rows)
     gram = rows @ rows.conj().T
     target = n * np.eye(len(rows))

@@ -63,8 +63,7 @@ def test_criterion_1_example_repr_spectrum():
 def test_criterion_2_example_intermediate_matrices():
     g, irreps, d = paper_example()
     b = vl.associated_matrix(d)
-    m1 = vl.rho_matrix(b, irreps.irreps[0])
-    m2 = vl.rho_matrix(b, irreps.irreps[1])
+    m1, m2 = vl.rho_matrix(b, irreps.stacks[1][:2])
     assert np.array_equal(m1, np.array([[1, 2], [2, 1]], dtype=complex))
     assert np.array_equal(m2, np.array([[-1, 2], [2, -1]], dtype=complex))
     ev1 = sorted(np.linalg.eigvals(m1), key=lambda z: z.real)

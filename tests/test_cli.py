@@ -221,6 +221,18 @@ def test_default_tol_is_the_library_default(k2star_path, monkeypatch, capsys):
     assert received == [None, 1e-7]
 
 
+def test_library_key_error_is_not_an_input_error(k2star_path, monkeypatch, capsys):
+    # the parsers raise only their own error types, so a KeyError from the
+    # library is a bug: it must surface, not exit 2 as bad input
+    def broken(*args, **kwargs):
+        raise KeyError("library bug")
+
+    monkeypatch.setattr(spectra, "lift_spectrum_repr", broken)
+    with pytest.raises(KeyError, match="library bug"):
+        run(["spectrum", "--digraph", k2star_path, "--group", "dihedral:3"])
+    assert "input" not in capsys.readouterr().err
+
+
 def test_validate(capsys):
     code = run(["validate", "--group", "dihedral:3", "--format", "text"])
     assert code == 0

@@ -17,9 +17,10 @@ from voltlift.groups import GroupError
 from voltlift.reps import RepresentationError
 from voltlift.voltage import VoltageError
 
-from conftest import K2STAR_DOC
+from conftest import K2STAR_DOC, irrep_matrices
 
 D3 = vl.build_builtin_group("dihedral:3")
+D3_IRREPS = vl.builtin_irreps(D3)
 NAMES = list(D3.element_names)
 
 
@@ -29,15 +30,15 @@ def pair(z):
 
 GROUP_DOC = {"elements": NAMES, "mul": D3.mul.tolist()}
 IRREPS_DOC = [
-    {"dim": irrep.dim,
+    {"dim": d,
      "matrices": {name: [[pair(z) for z in row] for row in m]
-                  for name, m in zip(NAMES, irrep.matrices)}}
-    for irrep in vl.builtin_irreps(D3).irreps
+                  for name, m in zip(NAMES, irrep_matrices(D3_IRREPS, i))}}
+    for i, d in enumerate(D3_IRREPS.dims)
 ]
 CHARS_DOC = {
     "classes": [[NAMES[g] for g in cls] for cls in D3.classes],
     "rows": [[pair(row[cls[0]]) for cls in D3.classes]
-             for row in vl.character_table(vl.builtin_irreps(D3)).rows],
+             for row in vl.character_table(D3_IRREPS).rows],
 }
 
 KEYS = ["vertices", "arcs", "from", "to", "voltage", "a", "b", "elements", "mul",

@@ -14,6 +14,7 @@ import voltlift as vl
 from voltlift import reps
 from voltlift.reps import RepresentationError
 
+from conftest import irrep_matrices, replaced
 from oracles import validate_irrep_set_loop
 from test_groups import FAMILY_SPECS
 from test_reps import irreps_to_doc
@@ -27,43 +28,38 @@ D64_BLOCK_ENTRIES = 3 * D64.order * 4 * len(D64.generators)
 NON_GENERATOR = 77
 
 
-def replaced(s, i, mats):
-    irreps = list(s.irreps)
-    irreps[i] = vl.Irrep(dim=mats.shape[1], matrices=mats)
-    return vl.IrrepSet(group=s.group, irreps=tuple(irreps))
-
-
 def duplicate():
-    return replaced(D8_IRREPS, 5, np.array(D8_IRREPS.irreps[4].matrices))
+    return replaced(D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 4)))
 
 
 def conjugated_duplicate():
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return replaced(D8_IRREPS, 5, u @ D8_IRREPS.irreps[4].matrices @ u.conj().T)
+    return replaced(D8_IRREPS, 5, u @ irrep_matrices(D8_IRREPS, 4) @ u.conj().T)
 
 
 def reducible():
     mats = np.zeros((D8.order, 2, 2), dtype=complex)
-    mats[:, 0, 0] = D8_IRREPS.irreps[1].matrices[:, 0, 0]
-    mats[:, 1, 1] = D8_IRREPS.irreps[2].matrices[:, 0, 0]
+    mats[:, 0, 0] = irrep_matrices(D8_IRREPS, 1)[:, 0, 0]
+    mats[:, 1, 1] = irrep_matrices(D8_IRREPS, 2)[:, 0, 0]
     return replaced(D8_IRREPS, 5, mats)
 
 
 def perturbed_non_generator():
-    mats = np.array(D64_IRREPS.irreps[8].matrices)
+    mats = np.array(irrep_matrices(D64_IRREPS, 8))
     mats[NON_GENERATOR, 0, 1] += 1e-9
     return replaced(D64_IRREPS, 8, mats)
 
 
 def identity_not_i(i):
-    mats = np.array(D8_IRREPS.irreps[i].matrices)
+    mats = np.array(irrep_matrices(D8_IRREPS, i))
     mats[D8.identity, 0, 0] += 1e-6
     return replaced(D8_IRREPS, i, mats)
 
 
 # (set, message the blocked validator gives): the regular-character test
-# rejects a duplicate, the norm test a reducible row
+# rejects a duplicate, the norm test a reducible row; make_irrep_set
+# rejects a short irrep before any validation
 PERTURBED = {
     "duplicate": (duplicate, r"character rows 4 and 5 violate orthogonality"),
     "conjugated duplicate": (conjugated_duplicate, r"rows 4 and 5 violate orthogonality"),
@@ -72,7 +68,7 @@ PERTURBED = {
     "identity dim 1": (lambda: identity_not_i(2), r"irrep 2 \(dim 1\): identity element is"),
     "identity dim 2": (lambda: identity_not_i(5), r"irrep 5 \(dim 2\): identity element is"),
     "one matrix short": (
-        lambda: replaced(D8_IRREPS, 5, np.array(D8_IRREPS.irreps[5].matrices[:-1])),
+        lambda: replaced(D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 5)[:-1])),
         r"irrep 5 \(dim 2\): expected 16 matrices of size 2x2, got shape \(15, 2, 2\)",
     ),
 }
@@ -95,6 +91,39 @@ def test_oracle_rejects_perturbed_set(name):
     make, _ = PERTURBED[name]
     with pytest.raises(RepresentationError):
         validate_irrep_set_loop(make())
+
+
+@pytest.mark.parametrize("shape", [(15, 2, 2), (17, 2, 2), (16, 3, 3), (16, 2, 3)])
+def test_constructor_rejects_a_misshapen_irrep(shape):
+    # a short irrep, one matrix too many, and the wrong size d: named
+    # before anything is validated
+    message = f"irrep 6 (dim 2): expected 16 matrices of size 2x2, got shape {shape}"
+    with pytest.raises(RepresentationError, match=re.escape(message)):
+        replaced(D8_IRREPS, 6, np.zeros(shape, dtype=complex))
+
+
+def test_constructor_rejects_a_piece_of_mixed_dimensions():
+    # one (7, 16, 1, 1) piece for all of dihedral:8: irrep 4 is the first of dim 2
+    pieces = [(range(7), np.ones((7, D8.order, 1, 1)))]
+    message = "irrep 4 (dim 2): expected 16 matrices of size 2x2, got shape (16, 1, 1)"
+    with pytest.raises(RepresentationError, match=re.escape(message)):
+        vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
+
+
+def test_irrep_no_piece_gives_fails_the_identity_check():
+    pieces = [([j], irrep_matrices(D8_IRREPS, j)[None]) for j in range(7) if j != 3]
+    s = vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
+    with pytest.raises(RepresentationError, match=r"irrep 3 \(dim 1\): identity element"):
+        vl.validate_irrep_set(s)
+
+
+def test_constructor_keeps_the_only_piece_of_a_dimension_as_a_view():
+    mats = np.array(D8_IRREPS.stacks[2])
+    pieces = [([0, 1, 2, 3], D8_IRREPS.stacks[1]), ([4, 5, 6], mats)]
+    s = vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
+    assert s.stacks[2].base is mats and not s.stacks[2].flags.writeable
+    assert mats.flags.writeable  # the caller's array is not frozen
+    assert np.array_equal(s.characters, D8_IRREPS.characters)
 
 
 def test_perturbed_irrep_is_mid_block():
@@ -120,7 +149,8 @@ def test_accepts_builtin_sets_as_the_oracle_does(spec):
     s = vl.builtin_irreps(vl.build_builtin_group(spec))
     validate_irrep_set_loop(s)
     rows = vl.validate_irrep_set(s)
-    assert np.allclose(rows, [r.character() for r in s.irreps], atol=1e-9)
+    traces = [np.trace(irrep_matrices(s, i), axis1=1, axis2=2) for i in range(len(s.dims))]
+    assert np.allclose(rows, traces, atol=1e-9)
 
 
 def test_accepts_loaded_d3_set_as_the_oracle_does(d3, d3_irreps):
@@ -140,6 +170,12 @@ def test_characters_of_an_invalid_set_raise():
         vl.character_table(duplicate())
 
 
+def test_cyclic_set_stores_its_table_as_one_view():
+    (stack,) = vl.builtin_irreps(vl.build_builtin_group("cyclic:64")).stacks.values()
+    assert stack.shape == (64, 64, 1, 1)
+    assert not stack.flags.owndata and not stack.flags.writeable
+
+
 class TestCyclicIrrepsByGather:
     M = 4096
     K = np.r_[0, 1, 2, M // 2, M - 1, np.random.default_rng(5).integers(0, M, 24)][:, None]
@@ -148,13 +184,15 @@ class TestCyclicIrrepsByGather:
     @pytest.fixture(scope="class")
     def table(self):
         """Rows K of the character table [k, j] = chi_k(g^j), and row 1."""
-        irreps = reps._cyclic_irreps(None, self.M)
-        return np.array([irreps[k].matrices[:, 0, 0] for k in self.K[:, 0]]), irreps[1]
+        dims, [(_, stack)] = reps._cyclic_irreps(self.M)
+        assert dims == (1,) * self.M and stack.shape == (self.M, self.M, 1, 1)
+        return stack[self.K[:, 0], :, 0, 0], stack[1, :, 0, 0]
 
     def test_entries_are_gathered_roots(self, table):
         # chi_k(g^j) is bitwise the root chi_1(g^(k j mod m))
         rows, chi_1 = table
-        assert np.array_equal(rows, chi_1.matrices[(self.K * self.J) % self.M, 0, 0])
+        assert np.array_equal(rows, chi_1[(self.K * self.J) % self.M])
+
 
     def test_matches_exp_of_the_unreduced_argument(self, table):
         # the unreduced argument 2 pi k j / m reaches 2.6e4 rad; its rounding

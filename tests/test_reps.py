@@ -4,6 +4,8 @@ import pytest
 import voltlift as vl
 from voltlift.reps import RepresentationError
 
+from conftest import irrep_matrices, replaced
+
 SMALL_BUILTINS = [
     "cyclic:1",
     "cyclic:2",
@@ -26,16 +28,16 @@ SMALL_BUILTINS = [
 def irreps_to_doc(group, irrep_set):
     return [
         {
-            "dim": r.dim,
+            "dim": d,
             "matrices": {
                 name: [
                     [[m.real, m.imag] for m in row]
-                    for row in r.matrices[group.index_of(name)]
+                    for row in irrep_matrices(irrep_set, i)[group.index_of(name)]
                 ]
                 for name in group.element_names
             },
         }
-        for r in irrep_set.irreps
+        for i, d in enumerate(irrep_set.dims)
     ]
 
 
@@ -80,8 +82,7 @@ class TestBuiltinIrreps:
         vl.validate_irrep_set(s)  # homomorphism, zero-sum, orthogonality
         t = vl.character_table(s)
         vl.validate_character_table(t)
-        vl.validate_column_orthogonality(t)
-        assert len(s.irreps) == len(g.classes)
+        assert len(s.dims) == len(g.classes)
         assert sum(d * d for d in s.dims) == g.order
 
     def test_untagged_group_rejected(self):
@@ -111,11 +112,14 @@ class TestCharacterTable:
         with pytest.raises(RepresentationError, match="not constant on class"):
             vl.validate_character_table(vl.CharacterTable(group=d3, rows=rows))
 
-    def test_column_orthogonality_can_fail(self, d3, d3_irreps):
+    def test_perturbed_columns_fail_the_row_relation(self, d3, d3_irreps):
+        # a table that breaks the column relation X*X = I breaks the row
+        # relation XX* = I too, since the table is square
         rows = np.array(vl.character_table(d3_irreps).rows)
         rows[2, [d3.index_of("r^1"), d3.index_of("r^2")]] = -1.5
-        with pytest.raises(RepresentationError, match="column orthogonality"):
-            vl.validate_column_orthogonality(vl.CharacterTable(group=d3, rows=rows))
+        message = "character rows 2 and 2 violate orthogonality"
+        with pytest.raises(RepresentationError, match=message):
+            vl.validate_character_table(vl.CharacterTable(group=d3, rows=rows))
 
 
 class TestLoadIrreps:
@@ -133,7 +137,8 @@ class TestLoadIrreps:
         doc = irreps_to_doc(d3, d3_irreps)
         doc = doc[1:] + doc[:1]  # trivial now last
         loaded = vl.load_irreps(doc, d3)
-        assert np.allclose(loaded.irreps[0].character(), 1.0)
+        assert loaded.dims == (1, 1, 2)
+        assert np.allclose(loaded.stacks[1][0], 1.0)
 
     def test_duplicate_row_fails_orthogonality(self):
         g = vl.build_builtin_group("cyclic:2")
@@ -162,12 +167,10 @@ class TestLoadIrreps:
         s = vl.builtin_irreps(g)
         assert 77 not in g.generators
         i = s.dims.index(2)
-        mats = np.array(s.irreps[i].matrices)
+        mats = np.array(irrep_matrices(s, i))
         mats[77, 0, 1] += 1e-9
-        irreps = list(s.irreps)
-        irreps[i] = vl.Irrep(dim=2, matrices=mats)
         with pytest.raises(RepresentationError, match="homomorphism at pair"):
-            vl.validate_irrep_set(vl.IrrepSet(group=g, irreps=tuple(irreps)))
+            vl.validate_irrep_set(replaced(s, i, mats))
 
     @pytest.mark.parametrize(
         "doc", [{"dim": 1}, [[1, 0]], [{"dim": "x", "matrices": {}}],
@@ -221,7 +224,6 @@ class TestLoadCharacterTable:
     def test_printed_table_valid(self, d3):
         t = vl.load_character_table(self.d3_doc(d3), d3)
         assert t.dims == (1, 1, 2)
-        vl.validate_column_orthogonality(t)
 
     def test_duplicate_rows_rejected(self):
         g = vl.build_builtin_group("cyclic:2")
@@ -288,6 +290,6 @@ def test_zero_sum_all_builtin_nontrivial():
     for spec in SMALL_BUILTINS:
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
-        for r in s.irreps[1:]:
-            total = r.matrices.sum(axis=0)
+        for i in range(1, len(s.dims)):
+            total = irrep_matrices(s, i).sum(axis=0)
             assert np.abs(total).max() <= 1e-8 * g.order

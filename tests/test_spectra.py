@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import voltlift as vl
 from voltlift import spectra
 from voltlift.spectra import (
+    DEFECTIVE_COND_LIMIT,
     EIG_RESIDUAL_FACTOR,
     SpectrumError,
-    _eig_stack,
     _newton_poly_coeffs,
     cluster_spectrum,
 )
 
-from conftest import random_voltage_digraph
+from conftest import irrep_matrices, random_voltage_digraph
 from oracles import (
     cluster_spectrum_loop,
     determinant_poly_coeffs,
@@ -34,14 +34,13 @@ def power_sums_of(roots, length):
 class TestRhoMatrix:
     def test_trivial_and_sign_characters(self, k2star, d3_irreps):
         b = vl.associated_matrix(k2star)
-        m1 = vl.rho_matrix(b, d3_irreps.irreps[0])
-        m2 = vl.rho_matrix(b, d3_irreps.irreps[1])
+        m1, m2 = vl.rho_matrix(b, d3_irreps.stacks[1])
         assert np.allclose(m1, [[1, 2], [2, 1]], atol=1e-12)
         assert np.allclose(m2, [[-1, 2], [2, -1]], atol=1e-12)
 
     def test_two_dim_irrep_eigenvalues(self, k2star, d3_irreps):
         b = vl.associated_matrix(k2star)
-        m3 = vl.rho_matrix(b, d3_irreps.irreps[2])
+        (m3,) = vl.rho_matrix(b, d3_irreps.stacks[2])
         assert m3.shape == (4, 4)
         assert np.abs(m3.imag).max() < 1e-12
         vals = sorted(np.linalg.eigvals(m3).real)
@@ -53,72 +52,97 @@ class TestRhoMatrix:
         g = vl.build_builtin_group(spec)
         d = random_voltage_digraph(np.random.default_rng(3), g, max_vertices=4, max_arcs=14)
         b = vl.associated_matrix(d)
-        for irrep in vl.builtin_irreps(g).irreps:
-            k = irrep.dim
+        s = vl.builtin_irreps(g)
+        for i, k in enumerate(s.dims):
+            mats = irrep_matrices(s, i)
             want = np.zeros((d.order * k, d.order * k), dtype=complex)
             for u in range(d.order):
                 for v in range(d.order):
                     for x in range(g.order):
-                        want[u * k:(u + 1) * k, v * k:(v + 1) * k] += b[u, v, x] * irrep.matrices[x]
-            assert np.array_equal(vl.rho_matrix(b, irrep), want)
+                        want[u * k:(u + 1) * k, v * k:(v + 1) * k] += b[u, v, x] * mats[x]
+            assert np.array_equal(vl.rho_matrix(b, mats[None])[0], want)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_every_stack_matches_block_construction(self, spec):
+        # reference: the blocks sum_x b[u, v, x] rho(x) of each irrep of a
+        # stack, built with the Kronecker product E_uv (x) rho(x)
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        d = random_voltage_digraph(np.random.default_rng(4), g, max_vertices=4, max_arcs=14)
+        b = vl.associated_matrix(d)
+        r = d.order
+        for k, stack in s.stacks.items():
+            got = vl.rho_matrix(b, stack)
+            assert got.shape == (len(stack), r * k, r * k)
+            for q, mats in enumerate(stack):
+                want = sum(
+                    complex(b[u, v, x]) * np.kron(np.eye(r)[:, [u]] @ np.eye(r)[[v]], mats[x])
+                    for u, v, x in zip(*np.nonzero(b))
+                )
+                assert np.abs(got[q] - want).max() <= 1e-12
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
     def test_functoriality(self, k2star, d3_irreps, ell):
         # rho(B^ell) == rho(B)^ell
         b = vl.associated_matrix(k2star)
         bp = vl.algebra_matrix_power(b, ell, k2star.group)
-        for irrep in d3_irreps.irreps:
-            lhs = vl.rho_matrix(bp, irrep)
-            rhs = np.linalg.matrix_power(vl.rho_matrix(b, irrep), ell)
-            scale = max(1.0, np.linalg.norm(rhs))
-            assert np.abs(lhs - rhs).max() <= 1e-9 * scale
+        for stack in d3_irreps.stacks.values():
+            for lhs, m in zip(vl.rho_matrix(bp, stack), vl.rho_matrix(b, stack)):
+                rhs = np.linalg.matrix_power(m, ell)
+                scale = max(1.0, np.linalg.norm(rhs))
+                assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
 
 class TestEig:
     def test_identity(self):
-        dec = vl.eig(np.eye(3))
-        assert np.allclose(sorted(dec.eigenvalues.real), [1, 1, 1])
+        vals, *_ = vl.eig(np.eye(3)[None])
+        assert np.allclose(sorted(vals[0].real), [1, 1, 1])
 
     def test_two_by_two(self):
-        dec = vl.eig(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert np.allclose(sorted(dec.eigenvalues.real), [-1, 3])
+        vals, *_ = vl.eig(np.array([[1.0, 2.0], [2.0, 1.0]])[None])
+        assert np.allclose(sorted(vals[0].real), [-1, 3])
 
     def test_nilpotent_defective(self):
-        dec = vl.eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.allclose(dec.eigenvalues, 0)
+        vals, *_ = vl.eig(np.array([[0.0, 1.0], [0.0, 0.0]])[None])
+        assert np.allclose(vals, 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(SpectrumError, match="non-finite"):
-            vl.eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            vl.eig(np.array([[np.nan, 0.0], [0.0, 1.0]])[None])
 
     def test_rejects_non_square(self):
         with pytest.raises(SpectrumError, match="square"):
-            vl.eig(np.zeros((2, 3)))
+            vl.eig(np.zeros((2, 3))[None])
 
-    def test_is_a_slice_of_the_batched_solver(self):
-        # every field of eig(m) is bitwise equal to m's slice of one solve
-        # over a mixed stack, and the bound is 1e-8 * (1 + ||m||_2)
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(SpectrumError, match="stack"):
+            vl.eig(np.eye(3))
+
+    def test_flags_only_the_defective_matrix(self):
+        # a diagonalizable matrix and the Jordan block J_3(2) (+) (5) in one
+        # stack, the block conjugated by the unimodular integer matrix
+        # u = I + N, so that it stays exact. Flags are computed as
+        # lift_eigenvectors computes them: a column is flagged when its
+        # residual misses its own matrix's bound or its matrix's
+        # eigenvector matrix is worse conditioned than DEFECTIVE_COND_LIMIT.
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        s = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        u = np.eye(4) + np.eye(4, k=1)
+        jordan = np.diag([2.0, 2.0, 2.0, 5.0]) + np.diag([1.0, 1.0, 0.0], k=1)
         stack = np.array([
-            a,
-            a + a.conj().T,
-            np.diag([2.0, 2.0, -1.0, 0.0]),
-            np.eye(4, k=1),
+            s @ np.diag([2.0, 2.0 + 1e-3, -1.0, 5.0]) @ np.linalg.inv(s),
+            u @ jordan @ np.linalg.inv(u).round(),
         ])
-        vals, vecs, res, bound = _eig_stack(stack)
+        vals, vecs, res, bound = vl.eig(stack)
+        assert vals.shape == res.shape == (2, 4) and vecs.shape == (2, 4, 4)
+        assert np.allclose(sorted(vals[1].real), [2, 2, 2, 5])
         for q, m in enumerate(stack):
-            dec = vl.eig(m)
-            assert dec.dim == 4
-            for got, want in [
-                (dec.eigenvalues, vals[q]),
-                (dec.eigenvectors, vecs[q]),
-                (dec.residuals, res[q]),
-                (dec.residual_bound, bound[q]),
-                (dec.residual_bound, EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2))),
-                (dec.vector_ok, res[q] <= bound[q]),
-            ]:
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert bound[q] == EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2))
+        # the residual test alone passes every column, the Jordan block's too
+        assert np.all(res <= bound[:, None])
+        cond = np.linalg.cond(vecs)
+        flagged = (res > bound[:, None]) | (cond > DEFECTIVE_COND_LIMIT)[:, None]
+        assert flagged.tolist() == [[False] * 4, [True] * 4]
 
 
 class TestSpectrumMultiset:
@@ -304,8 +328,9 @@ class TestSpectrumRoutes:
             b = vl.associated_matrix(d)
             # reference: one residual-checked eig per irrep
             values = []
-            for irrep in s.irreps:
-                values += [complex(z) for z in vl.eig(vl.rho_matrix(b, irrep)).eigenvalues] * irrep.dim
+            for i, k in enumerate(s.dims):
+                image = vl.rho_matrix(b, irrep_matrices(s, i)[None])
+                values += [complex(z) for z in vl.eig(image)[0][0]] * k
             want = cluster_spectrum(values, 1e-8)
             stacks = []
             eigvals = np.linalg.eigvals
@@ -360,6 +385,26 @@ class TestSpectrumRoutes:
         d = vl.make_voltage_digraph(g, [f"v{i}" for i in range(6)], arcs)
         sp = vl.lift_spectrum_repr(d, vl.builtin_irreps(g))
         assert sp.entries == ((0, 1536),)
+
+    @pytest.mark.parametrize("route, solver", [
+        ("repr", "eigvals"), ("charsum", "eigvals"), ("bruteforce", "eigvals"),
+        ("eigenvectors", "eig"),
+    ])
+    def test_solver_failure_is_a_spectrum_error(self, route, solver, k2star, d3_irreps,
+                                                monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("no convergence")
+
+        call = {
+            "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
+            "charsum": lambda: vl.lift_spectrum_charsum(
+                k2star, vl.character_table(d3_irreps), 1e-7),
+            "bruteforce": lambda: vl.lift_spectrum_bruteforce(k2star, 1e-7),
+            "eigenvectors": lambda: vl.lift_eigenvectors(k2star, d3_irreps),
+        }[route]
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with pytest.raises(SpectrumError, match="eigensolver did not converge: no convergence"):
+            call()
 
     @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
     def test_lost_multiplicity_raises(self, route, k2star, d3_irreps, monkeypatch):
@@ -577,7 +622,7 @@ class TestLiftEigenvectors:
         result = vl.lift_eigenvectors(d, s)
         n = d3.order
         # eigenvalues from the trivial irrep appear with fiber-constant vectors
-        base = vl.rho_matrix(vl.associated_matrix(d), s.irreps[0])
+        base = vl.rho_matrix(vl.associated_matrix(d), s.stacks[1][:1])[0]
         base_vals = np.linalg.eigvals(base)
         for mu, w in result.pairs:
             fibers = w.reshape(d.order, n)
@@ -637,10 +682,10 @@ class TestLiftEigenvectors:
         s = vl.builtin_irreps(g)
         d = vl.make_voltage_digraph(g, ["a", "b", "c"], [(0, 1, 3), (1, 2, 6)])
         result = vl.lift_eigenvectors(d, s)
-        assert result.skipped_irreps == tuple(range(len(s.irreps)))
+        assert result.skipped_irreps == tuple(range(len(s.dims)))
         assert result.pairs == ()
         assert self.accounted(d, s, result) == d.order * g.order
-        assert len(result.skip_reasons) == len(s.irreps)
+        assert len(result.skip_reasons) == len(s.dims)
         for why in result.skip_reasons:
             assert re.fullmatch(r"cond \S+ > 1e\+12", why), why
             assert float(why.split()[1]) > spectra.DEFECTIVE_COND_LIMIT
