@@ -21,9 +21,8 @@ digraph = vl.make_voltage_digraph(
 )
 
 result = vl.lift_eigenvectors(digraph, irreps)
-lift = vl.build_lift(digraph)
-a = lift.adjacency.astype(float)
-print(f"lift on {lift.order} vertices; {len(result.pairs)} eigenpairs returned,")
+a = vl.build_lift(digraph).astype(float)
+print(f"lift on {len(a)} vertices; {len(result.pairs)} eigenpairs returned,")
 print(f"{result.zero_vectors_excluded} zero vectors excluded,")
 print(f"irreps skipped as defective: {list(result.skipped_irreps)}")
 

@@ -26,7 +26,6 @@ from .reps import (
     validate_irrep_set,
 )
 from .voltage import (
-    LiftDigraph,
     VoltageDigraph,
     VoltageError,
     algebra_matmul,
@@ -34,7 +33,6 @@ from .voltage import (
     algebra_mul,
     associated_matrix,
     build_lift,
-    lift_adjacency_power,
     lift_to_json,
     make_voltage_digraph,
     parse_voltage_digraph,

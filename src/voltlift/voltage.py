@@ -169,36 +169,11 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
 
 # ---------------------------------------------------------------------------
 # The explicit lift
-
-
-@dataclass(frozen=True)
-class LiftDigraph:
-    """The explicit lift: one vertex (u, g) per base vertex and group element.
-
-    Vertex order is vertex-major, element-index minor: (u, g) sits at index
-    u * n + g. The adjacency matrix counts parallel arcs.
-    """
-
-    base: VoltageDigraph
-    adjacency: np.ndarray  # (rn, rn) int64
-
-    def __post_init__(self):
-        self.adjacency.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.adjacency.shape[0]
-
-    def vertex_index(self, u: int, g: int) -> int:
-        return u * self.base.group.order + g
-
-    def vertex_labels(self) -> list:
-        group = self.base.group
-        return [
-            f"{u}.{e}"
-            for u in self.base.vertices
-            for e in group.element_names
-        ]
+#
+# One vertex (u, g) per base vertex and group element, vertex-major and
+# element-index minor: (u, g) sits at index u * n + g, and is labelled
+# "<u>.<g>". Only the brute-force oracles need the adjacency matrix; the
+# digraph alone fully describes the lift, so lift_to_json never builds it.
 
 
 def _lift_arcs(d: VoltageDigraph):
@@ -212,29 +187,19 @@ def _lift_arcs(d: VoltageDigraph):
     return u[:, None] * n + np.arange(n), v[:, None] * n + d.group.mul[:, x].T
 
 
-def build_lift(d: VoltageDigraph) -> LiftDigraph:
-    """Expand the voltage digraph into its covering digraph."""
+def build_lift(d: VoltageDigraph) -> np.ndarray:
+    """The lift's read-only (rn, rn) int64 adjacency; it counts parallel arcs."""
     rn = d.order * d.group.order
     adj = np.zeros((rn, rn), dtype=np.int64)
     np.add.at(adj, _lift_arcs(d), 1)
-    return LiftDigraph(base=d, adjacency=adj)
+    adj.setflags(write=False)
+    return adj
 
 
-def lift_adjacency_power(lift: LiftDigraph, ell: int) -> np.ndarray:
-    """A^ell over exact Python integers (dtype=object)."""
-    if ell < 0:
-        raise VoltageError("negative walk length")
-    a = lift.adjacency.astype(object)
-    out = np.eye(lift.order, dtype=object)
-    for _ in range(ell):
-        out = out @ a
-    return out
-
-
-def lift_to_json(lift: LiftDigraph) -> dict:
-    """Serialize the lift with vertex names ``<base>.<element>``."""
-    labels = lift.vertex_labels()
-    tails, heads = (a.ravel().tolist() for a in _lift_arcs(lift.base))
+def lift_to_json(d: VoltageDigraph) -> dict:
+    """Serialize the lift of d with vertex names ``<base>.<element>``."""
+    labels = [f"{u}.{e}" for u in d.vertices for e in d.group.element_names]
+    tails, heads = (a.ravel().tolist() for a in _lift_arcs(d))
     return {
         "vertices": labels,
         "arcs": [[labels[i], labels[j]] for i, j in zip(tails, heads)],

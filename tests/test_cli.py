@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import voltlift as vl
-from voltlift import spectra
+from voltlift import spectra, voltage
 from voltlift.cli import run
 
 from conftest import K2STAR_DOC
@@ -302,3 +302,131 @@ def test_malformed_irreps_or_chars_is_input_error(k2star_path, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("voltlift: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", "--method", m] for m in ("repr", "charsum", "bruteforce")] + [["verify"]],
+)
+def test_non_finite_tol_is_input_error(k2star_path, capsys, command, tol):
+    code = run(command + ["--digraph", k2star_path, "--group", "dihedral:3", "--tol", tol])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive and finite" in captured.err
+
+
+def test_verify_inf_tol_cannot_hide_a_wrong_oracle(k2star_path, monkeypatch, capsys):
+    # a bruteforce spectrum 5.5e2 off must fail verify; at tol inf every
+    # value would cluster into one entry, so inf is refused instead
+    original = spectra.lift_spectrum_bruteforce
+
+    def shifted(d, tol=None):
+        sp = original(d, tol)
+        return vl.SpectrumMultiset(tuple((v + 550, m) for v, m in sp.entries))
+
+    monkeypatch.setattr(spectra, "lift_spectrum_bruteforce", shifted)
+    argv = ["verify", "--digraph", k2star_path, "--group", "dihedral:3"]
+    assert run(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["repr vs bruteforce"]["matched"]
+    assert run(argv + ["--tol", "inf"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(cmd, opt) for cmd in ("lift", "walks") for opt in ("--irreps", "--chars", "--tol")]
+    + [("validate", "--tol")],
+)
+def test_unread_option_exits_2(k2star_path, tmp_path, command, option):
+    argv = [command, "--group", "dihedral:3", "--out", str(tmp_path / "out.json")]
+    if command != "validate":
+        argv += ["--digraph", k2star_path]
+    if command == "walks":
+        argv += ["--length", "2"]
+    assert run(argv) == 0
+    value = "1e-9" if option == "--tol" else k2star_path
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [option, value])
+    assert exc.value.code == 2
+
+
+def _clique_with_loops_doc(n_rot, r):
+    # arc (i, j) for every ordered pair, loops included, with voltage
+    # r^((i + 2j) mod n_rot) in dihedral:n_rot
+    vertices = [f"v{i}" for i in range(r)]
+    return {
+        "vertices": vertices,
+        "arcs": [
+            {"from": vertices[i], "to": vertices[j], "voltage": f"r^{(i + 2 * j) % n_rot}"}
+            for i in range(r) for j in range(r)
+        ],
+    }
+
+
+def test_walks_oracle_catches_a_wrong_coefficient_at_the_cap(tmp_path, monkeypatch, capsys):
+    # 4 vertices over dihedral:25: 200 lift vertices, the largest the oracle checks
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps(_clique_with_loops_doc(25, 4)))
+    argv = ["walks", "--digraph", str(path), "--group", "dihedral:25", "--length", "3"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_checked"] and doc["oracle_match"]
+
+    power = voltage.algebra_matrix_power
+
+    def off_by_one(b, ell, group):
+        out = power(b, ell, group)
+        out[1, 2, 7] += 1
+        return out
+
+    monkeypatch.setattr(voltage, "algebra_matrix_power", off_by_one)
+    assert run(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_checked"] and doc["oracle_match"] is False
+
+
+def test_walks_oracle_skipped_past_the_cap(tmp_path, monkeypatch, capsys):
+    # 3 vertices over cyclic:67: 201 lift vertices, so the lift is never built
+    doc = {"vertices": ["a", "b", "c"], "arcs": [
+        {"from": "a", "to": "b", "voltage": "g^1"},
+        {"from": "b", "to": "c", "voltage": "g^5"},
+        {"from": "c", "to": "a", "voltage": "g^0"},
+    ]}
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(doc))
+
+    def no_lift(d):
+        raise AssertionError("lift built")
+
+    monkeypatch.setattr(voltage, "build_lift", no_lift)
+    code = run(["walks", "--digraph", str(path), "--group", "cyclic:67", "--length", "3"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_checked"] is False
+    assert doc["entries"][0]["from"] == "a" and doc["entries"][0]["to"] == "a"
+    assert doc["entries"][0]["coeffs"] == {"g^6": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_lift_never_builds_the_adjacency(k2star, k2star_path, monkeypatch, capsys, fmt):
+    def no_lift(d):
+        raise AssertionError("lift built")
+
+    monkeypatch.setattr(voltage, "build_lift", no_lift)
+    code = run(["lift", "--digraph", k2star_path, "--group", "dihedral:3", "--format", fmt])
+    assert code == 0
+    # the lift by its definition: base arc (u, v, x) gives (u, g) -> (v, g*x)
+    g = k2star.group
+    labels = [f"{u}.{e}" for u in k2star.vertices for e in g.element_names]
+    arcs = [
+        [f"{k2star.vertices[u]}.{g.element_names[h]}",
+         f"{k2star.vertices[v]}.{g.element_names[g.mul[h, x]]}"]
+        for u, v, x in k2star.arcs for h in range(g.order)
+    ]
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert out == json.dumps({"vertices": labels, "arcs": arcs}, indent=2) + "\n"
+    else:
+        assert out == "\n".join(f"{a} -> {b}" for a, b in arcs) + "\n"
