@@ -100,11 +100,13 @@ def _load_char_table(args, group):
     return reps.character_table(_load_irrep_set(args, group))
 
 
-def _emit(args, payload, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Write payload as JSON, or text() for --format text: the text form is
+    built only when it is written."""
     if args.format == "json":
         out = json.dumps(payload, indent=2) + "\n"
     else:
-        out = text + "\n"
+        out = text() + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(out)
@@ -124,7 +126,7 @@ def _cmd_spectrum(args) -> int:
     _emit(
         args,
         spectra.spectrum_to_json(spectrum, args.method),
-        spectra.spectrum_to_text(spectrum),
+        lambda: spectra.spectrum_to_text(spectrum),
     )
     return EXIT_OK
 
@@ -133,7 +135,7 @@ def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
     irreps = _load_irrep_set(args, group)
-    tol = spectra.default_cluster_tol(digraph) if args.tol is None else args.tol
+    tol = spectra.checked_cluster_tol(digraph, args.tol)
     per_irrep = spectra.irrep_eigenvalues(digraph, irreps)
     by_repr = spectra.spectrum_from_irrep_eigenvalues(per_irrep, tol)
     by_brute = spectra.lift_spectrum_bruteforce(digraph, tol)
@@ -152,10 +154,6 @@ def _cmd_verify(args) -> int:
             spectra.spectra_equal(by_chars, by_repr, char_tol),
             {"tolerance": char_tol, "root_multiplicity": k},
         )
-    lines = [
-        f"{name}: {report} at tol {extra['tolerance']:.1e}"
-        for name, (report, extra) in reports.items()
-    ]
     payload = {
         name: {
             "matched": report.matched,
@@ -164,7 +162,10 @@ def _cmd_verify(args) -> int:
         }
         for name, (report, extra) in reports.items()
     }
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(
+        f"{name}: {report} at tol {extra['tolerance']:.1e}"
+        for name, (report, extra) in reports.items()
+    ))
     return EXIT_OK if all(r.matched for r, _ in reports.values()) else EXIT_MISMATCH
 
 
@@ -172,8 +173,7 @@ def _cmd_lift(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
     doc = voltage.lift_to_json(digraph)
-    text = "\n".join(f"{a} -> {b}" for a, b in doc["arcs"])
-    _emit(args, doc, text)
+    _emit(args, doc, lambda: "\n".join(f"{a} -> {b}" for a, b in doc["arcs"]))
     return EXIT_OK
 
 
@@ -207,15 +207,19 @@ def _cmd_walks(args) -> int:
         payload["oracle_match"] = np.array_equal(rows.reshape(power.shape), power)
     else:
         payload["oracle_checked"] = False
-    lines = []
-    for e in entries:
-        terms = " + ".join(
-            name if c == 1 else f"{c}*{name}" for name, c in e["coeffs"].items()
-        )
-        lines.append(f"{e['from']} -> {e['to']}: {terms or '0'}")
-    if payload.get("oracle_checked"):
-        lines.append(f"oracle: {'MATCH' if payload['oracle_match'] else 'MISMATCH'}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text():
+        lines = []
+        for e in entries:
+            terms = " + ".join(
+                name if c == 1 else f"{c}*{name}" for name, c in e["coeffs"].items()
+            )
+            lines.append(f"{e['from']} -> {e['to']}: {terms or '0'}")
+        if payload["oracle_checked"]:
+            lines.append(f"oracle: {'MATCH' if payload['oracle_match'] else 'MISMATCH'}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     if payload.get("oracle_checked") and not payload["oracle_match"]:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -240,7 +244,7 @@ def _cmd_validate(args) -> int:
         lines.append(f"builtin irreps: dims {list(s.dims)}")
     lines.append("all checks passed")
     payload = {"valid": True, "diagnostics": lines}
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return EXIT_OK
 
 

@@ -66,9 +66,10 @@ class SpectrumMultiset:
 
     def values(self) -> np.ndarray:
         """All eigenvalues with repetition, in entry order."""
-        return np.concatenate(
-            [np.full(m, v, dtype=complex) for v, m in self.entries]
-        ) if self.entries else np.empty(0, dtype=complex)
+        return np.repeat(
+            np.array([v for v, _ in self.entries], dtype=complex),
+            np.array([m for _, m in self.entries], dtype=np.int64),
+        )
 
     def __str__(self):
         return ", ".join(f"{format_eigenvalue(v)}^{m}" for v, m in self.entries)
@@ -169,38 +170,56 @@ class MatchReport:
         return f"{verdict} (worst {self.worst_distance:.1e}){extra}"
 
 
+def _distinct(s: SpectrumMultiset) -> tuple:
+    """The distinct values of s, sorted by real part then imaginary part,
+    and the total multiplicity of each."""
+    vals, inverse = np.unique(
+        np.array([v for v, _ in s.entries], dtype=complex), return_inverse=True
+    )
+    mults = np.bincount(inverse, weights=[m for _, m in s.entries], minlength=len(vals))
+    return vals, mults.astype(np.int64)
+
+
 def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> MatchReport:
     """Greedy minimal-distance matching of two eigenvalue multisets.
 
     Both sides are sorted, then each left value grabs its nearest unused
-    right value. Adequate whenever tol is far below the eigenvalue gaps;
-    mismatch is reported, never raised.
+    right value, the first in sorted order on a tie. Adequate whenever tol
+    is far below the eigenvalue gaps; mismatch is reported, never raised.
+
+    Copies of one value are adjacent after sorting and all see the same
+    distances, so each distinct left value is processed once: its copies
+    take the nearest distinct right value with copies left, as many as it
+    has, then the next nearest, and so on.
     """
-    va = np.sort(a.values())  # by real part, then imaginary part
-    vb = np.sort(b.values())
-    if len(va) != len(vb):
+    va, ma = _distinct(a)
+    vb, mb = _distinct(b)
+    count_left, count_right = int(ma.sum()), int(mb.sum())
+    if count_left != count_right:
         return MatchReport(
             matched=False,
             worst_distance=float("inf"),
-            count_left=len(va),
-            count_right=len(vb),
-            message=f"sizes differ: {len(va)} vs {len(vb)}",
+            count_left=count_left,
+            count_right=count_right,
+            message=f"sizes differ: {count_left} vs {count_right}",
         )
-    if not len(va):
-        return MatchReport(True, 0.0, 0, 0)
-    used = np.zeros(len(vb), dtype=bool)
     worst = 0.0
-    for x in va:
+    for x, need in zip(va, ma.tolist()):
         dist = np.abs(vb - x)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        worst = max(worst, float(dist[j]))
+        dist[mb == 0] = np.inf
+        while need:
+            j = int(np.argmin(dist))
+            take = min(need, int(mb[j]))
+            need -= take
+            mb[j] -= take
+            worst = max(worst, float(dist[j]))
+            if not mb[j]:
+                dist[j] = np.inf
     return MatchReport(
         matched=worst <= tol,
         worst_distance=worst,
-        count_left=len(va),
-        count_right=len(vb),
+        count_left=count_left,
+        count_right=count_right,
     )
 
 
@@ -232,12 +251,37 @@ def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:
     return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k
 
 
-def default_cluster_tol(d: VoltageDigraph) -> float:
-    """1e-9 * (1 + the lift adjacency 1-norm), computed from the base."""
+def _max_in_degree(d: VoltageDigraph) -> int:
     # the 1-norm of the lift adjacency equals the maximum in-degree of the
     # base (each lift column replicates one base column's count)
-    max_in = int(d.in_degrees().max()) if d.arcs else 0
-    return 1e-9 * (1 + max_in)
+    return int(d.in_degrees().max()) if d.arcs else 0
+
+
+def default_cluster_tol(d: VoltageDigraph) -> float:
+    """1e-9 * (1 + the lift adjacency 1-norm), computed from the base."""
+    return 1e-9 * (1 + _max_in_degree(d))
+
+
+def checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
+    """The tolerance the spectrum routes cluster d's lift at: tol, or
+    default_cluster_tol(d) for None.
+
+    Refuses a tolerance that is not positive and finite, and one that links
+    every pair of eigenvalues: each lies within the adjacency 1-norm of 0,
+    so two are never 2 * (1 + 1-norm) apart, and clustering at that or more
+    would report one eigenvalue whatever the lift.
+    """
+    if tol is None:
+        return default_cluster_tol(d)
+    _check_tol(tol)
+    norm = _max_in_degree(d)
+    if tol >= 2 * (1 + norm):
+        raise SpectrumError(
+            f"tolerance {tol} merges the whole spectrum: every eigenvalue lies "
+            f"within {norm} of 0, so a tolerance of {2 * (1 + norm)} or more "
+            "links every pair"
+        )
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +376,7 @@ def lift_spectrum_repr(
     Eigenvalues only: irrep_eigenvalues, each entered dim times by
     spectrum_from_irrep_eigenvalues.
     """
-    tol = default_cluster_tol(d) if tol is None else tol
+    tol = checked_cluster_tol(d, tol)
     return spectrum_from_irrep_eigenvalues(irrep_eigenvalues(d, s), tol)
 
 
@@ -346,8 +390,7 @@ def lift_spectrum_bruteforce(
     the irreps nor any block structure of the lift. Lifts of more than
     BRUTEFORCE_MAX_ORDER vertices are refused.
     """
-    tol = default_cluster_tol(d) if tol is None else tol
-    _check_tol(tol)  # before the lift is built
+    tol = checked_cluster_tol(d, tol)  # before the lift is built
     rn = d.order * d.group.order
     if rn > BRUTEFORCE_MAX_ORDER:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
@@ -428,7 +471,7 @@ def lift_spectrum_charsum(
     are assembled as in the repr route, each entered d_i times.
     """
     _check_same_group(t.group, d.group, "character table")
-    tol = default_cluster_tol(d) if tol is None else tol
+    tol = checked_cluster_tol(d, tol)
     r = d.order
     dims = t.dims
     top = r * max(dims)

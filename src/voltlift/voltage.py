@@ -1,14 +1,18 @@
 """Voltage digraphs, group-algebra arithmetic, and the explicit lift.
 
-The group-algebra side (convolution, matrix powers) is kept in exact Python
-integers so walk counts are never subject to rounding; characters and
-eigensolvers are applied only downstream. The explicit lift is the
-brute-force oracle everything else is checked against.
+The group-algebra side (convolution, matrix powers, traces of powers) is
+exact, so walk counts are never subject to rounding: products run in int64
+residues modulo as many word-size primes as an a-priori bound on the result
+needs, and the Chinese remainder theorem returns every coefficient as a
+Python int. Characters and eigensolvers are applied only downstream. The
+explicit lift is the brute-force oracle everything else is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +116,15 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # exact Python ints: b[u, v, g] is the coefficient of element g in entry
 # (u, v), and an algebra element is a length-n vector. The arrays carry no
 # group, so every function here takes the GroupTable.
-
+#
+# Products run in int64 residues modulo k primes below 2^31 at once, and
+# Garner's Chinese remaindering turns the residues back into Python ints at
+# the end. k comes from an a-priori bound on the result: the row norm
+# ||b|| = max_u sum_{v,g} |b[u, v, g]| is submultiplicative, so every
+# coefficient of B^l lies within ||b||^l, and the primes' product M
+# exceeds twice the bound. Each residue stays below 2^31 and each product
+# of two below 2^62, and no sum of them passes 2^63 - 1 (see
+# _product_terms), so the int64 arithmetic is exact.
 
 def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     """The quotient matrix: b[u, v, x] counts the arcs u->v with voltage x."""
@@ -122,21 +134,152 @@ def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     return b
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7, exact for odd 7 < m < 3.2e9."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_below(m: int) -> int:
+    """The largest prime below the odd number m."""
+    m -= 2
+    while not _is_prime(m):
+        m -= 2
+    return m
+
+
+def _primes_for(bound: int) -> list:
+    """The fewest of the largest primes below 2^31 (at least one) whose
+    product exceeds 2 * bound, so that every |x| <= bound is recovered
+    from its residues."""
+    primes = [_prime_below(2**31 + 1)]
+    product = primes[0]
+    while product <= 2 * bound:
+        primes.append(_prime_below(primes[-1]))
+        product *= primes[-1]
+    return primes
+
+
+def _row_norm(x: np.ndarray) -> int:
+    """||x|| = max_u sum_{v,g} |x[u, v, g]|, exact; 0 for an empty matrix."""
+    return int(np.abs(np.asarray(x, dtype=object)).sum(axis=(1, 2)).max(initial=0))
+
+
+def _to_residues(x: np.ndarray, primes: list) -> np.ndarray:
+    """x[u, w, g] modulo each prime p_i as an int64 array res[w, g, i, u]:
+    the layout that lets one gather over g move contiguous (i, u) rows."""
+    try:
+        res = np.asarray(x, dtype=np.int64)[None] % np.array(primes)[:, None, None, None]
+    except OverflowError:  # coefficients beyond int64 are reduced one by one
+        res = np.stack([np.asarray(x % p, dtype=np.int64) for p in primes])
+    return np.ascontiguousarray(res.transpose(2, 3, 0, 1))
+
+
+def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
+    """Garner's Chinese remaindering: the Python ints x with |x| < M / 2,
+    M the product of the primes, whose residues lie along res's leading
+    axis.
+
+    The mixed-radix digits of x mod M, x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)),
+    are found in int64, one prime at a time; only their final combination
+    uses Python ints.
+    """
+    digits = []
+    for j, p in enumerate(primes):
+        # the digits so far, evaluated mod p by Horner's rule; every
+        # intermediate stays below p * p + p < 2^63
+        acc = np.zeros(res.shape[1:], dtype=np.int64)
+        for d, q in zip(digits[::-1], primes[:j][::-1]):
+            acc = (acc * q + d) % p
+        scale = pow(prod(primes[:j]) % p, -1, p)
+        digits.append((res[j] - acc) * scale % p)
+    # Horner's rule in Python ints, two digits at a time: d + p d' < p p'
+    # still fits in int64
+    x = 0
+    for j in reversed(range(0, len(primes), 2)):
+        pair = primes[j:j + 2]
+        low = digits[j] + pair[0] * digits[j + 1] if len(pair) == 2 else digits[j]
+        x = x * prod(pair) + low.astype(object)
+    m = prod(primes)
+    return np.where(x > m // 2, x - m, x)
+
+
+def _product_terms(b: np.ndarray, primes: list, group: GroupTable) -> list:
+    """The nonzeros b[w, v, h] of a right operand as (w, v, cols, scale,
+    reduce) terms for _residue_product.
+
+    cols[g] = g h^-1 lists the element of the left operand that lands on g.
+    A coefficient 0 < c < min(primes) is its own residue and scales by the
+    int c (by None for c = 1, which needs no product); any other scales by
+    its (k, 1) column of residues. The terms of one column v add up to at
+    most (max p - 1) * (sum of their scales). Only where that could pass
+    2^63 - 1 is the column reduced: each of its terms, and its sum after
+    each term, so that the sum stays below 2 max p.
+    """
+    top = max(primes) - 1
+    terms = []
+    load = {}
+    for w, v, h in zip(*np.nonzero(b)):
+        c = int(b[w, v, h])
+        if 0 < c < min(primes):
+            scale, size = (None if c == 1 else c), c
+        else:
+            scale = np.array([c % p for p in primes])[:, None]
+            size = int(scale.max())
+        terms.append((w, v, group.mul[:, group.inverse[h]], scale))
+        load[v] = load.get(v, 0) + size
+    return [(w, v, cols, scale, load[v] * top > _INT64_MAX) for w, v, cols, scale in terms]
+
+
+def _residue_product(a: np.ndarray, terms: list, width: int, primes: list) -> np.ndarray:
+    """a times the right operand given by its terms, in residues: a and the
+    result are laid out as _to_residues makes them, the result reduced."""
+    mod = np.array(primes)[:, None]
+    out = np.zeros((width,) + a.shape[1:], dtype=np.int64)
+    rows = list(out)  # views, so that += adds in place without a setitem
+    for w, v, cols, scale, reduce in terms:
+        term = a[w].take(cols, axis=0)
+        if scale is not None:
+            term *= scale
+        if reduce:
+            term %= mod
+            rows[v] += term
+            rows[v] %= mod
+        else:
+            rows[v] += term
+    out %= mod
+    return out
+
+
 def algebra_matmul(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:
     """Exact product of group-algebra matrices, (ab)[u, v] = sum_w a[u, w] b[w, v].
 
     Each nonzero b[w, v, h] adds b[w, v, h] * a[u, w, g h^-1] to the
     coefficient of g in (ab)[u, v], so the cost scales with the nonzeros of
-    the right operand.
+    the right operand. Every coefficient lies within ||a|| * max |b|.
     """
     if a.shape[1] != b.shape[0]:
         raise VoltageError("matrix size mismatch")
-    mul = group.mul
-    inv = group.inverse
-    out = np.zeros((a.shape[0], b.shape[1], group.order), dtype=object)
-    for w, v, h in zip(*np.nonzero(b)):
-        out[:, v] += b[w, v, h] * a[:, w, mul[:, inv[h]]]
-    return out
+    primes = _primes_for(_row_norm(a) * int(np.abs(np.asarray(b, dtype=object)).max(initial=0)))
+    terms = _product_terms(b, primes, group)
+    out = _residue_product(_to_residues(a, primes), terms, b.shape[1], primes)
+    return _from_residues(out.transpose(2, 3, 0, 1), primes)
 
 
 def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -144,27 +287,49 @@ def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
     return algebra_matmul(x[None, None], y[None, None], group)[0, 0]
 
 
-def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
-    """B^ell by ell multiplications with the sparse B; B^0 is the identity."""
-    if ell < 0:
-        raise VoltageError("negative power")
-    r = b.shape[0]
-    out = np.zeros((r, r, group.order), dtype=object)
-    out[np.arange(r), np.arange(r), group.identity] = 1
-    for _ in range(ell):
-        out = algebra_matmul(out, b, group)
+def _identity_residues(r: int, group: GroupTable, primes: list) -> np.ndarray:
+    """The r x r identity matrix in residues, laid out as _to_residues makes it."""
+    out = np.zeros((r, group.order, len(primes), r), dtype=np.int64)
+    out[np.arange(r), group.identity, :, np.arange(r)] = 1
     return out
 
 
+def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
+    """B^ell by ell multiplications with the sparse B; B^0 is the identity.
+
+    Every coefficient of B^ell lies within ||b||^ell.
+    """
+    if ell < 0:
+        raise VoltageError("negative power")
+    if b.shape[0] != b.shape[1]:
+        raise VoltageError("matrix size mismatch")
+    primes = _primes_for(_row_norm(b) ** ell)
+    terms = _product_terms(b, primes, group)
+    r = b.shape[0]
+    out = _identity_residues(r, group, primes)
+    for _ in range(ell):
+        out = _residue_product(out, terms, r, primes)
+    return _from_residues(out.transpose(2, 3, 0, 1), primes)
+
+
 def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
-    """Exact traces of B^1..B^length as the columns of an (n, length) array."""
-    traces = np.zeros((group.order, length), dtype=object)
-    power = b
+    """Exact traces of B^1..B^length as the columns of an (n, length) array.
+
+    Every trace coefficient lies within r ||b||^length.
+    """
+    if b.shape[0] != b.shape[1]:
+        raise VoltageError("matrix size mismatch")
+    r = b.shape[0]
+    primes = _primes_for(r * _row_norm(b) ** length)
+    terms = _product_terms(b, primes, group)
+    traces = np.zeros((len(primes), group.order, length), dtype=np.int64)
+    power = _identity_residues(r, group, primes)
+    diag = np.arange(r)
     for ell in range(length):
-        if ell:
-            power = algebra_matmul(power, b, group)
-        traces[:, ell] = np.trace(power)
-    return traces
+        power = _residue_product(power, terms, r, primes)
+        # power[u, g, i, u] summed over u: r residues, each below 2^31
+        traces[:, :, ell] = power[diag, :, :, diag].sum(axis=0).T % np.array(primes)[:, None]
+    return _from_residues(traces, primes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,16 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import voltlift as vl
 
-K2STAR_DOC = {
-    "vertices": ["a", "b"],
-    "arcs": [
-        {"from": "a", "to": "a", "voltage": "r^0*s"},
-        {"from": "b", "to": "b", "voltage": "r^0*s"},
-        {"from": "a", "to": "b", "voltage": "r^0"},
-        {"from": "b", "to": "a", "voltage": "r^0"},
-        {"from": "a", "to": "b", "voltage": "r^1"},
-        {"from": "b", "to": "a", "voltage": "r^1"},
-    ],
-}
+# the worked example: two vertices, a loop at each and two parallel edges
+# between them, over dihedral:3
+K2STAR_PATH = os.path.join(os.path.dirname(__file__), "data", "k2star_dihedral3.json")
+with open(K2STAR_PATH) as f:
+    K2STAR_DOC = json.load(f)
 
 
 @pytest.fixture(scope="session")

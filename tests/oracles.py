@@ -3,12 +3,14 @@
 Each serves only as an independent second route: a search for a
 multiplication-preserving bijection between two group tables and
 closed-walk power sums by direct enumeration (both exponential in their
-input), single-linkage clustering by a quadratic pairwise loop, lift
+input), group-algebra products by a loop over the right operand's nonzeros
+in Python-int object arithmetic, single-linkage clustering by a quadratic pairwise loop, lift
 eigenvectors by one eigensolve per irrep and one product per eigencolumn
 and base vertex, the polynomial behind a row of power sums by a
 determinant formula and by a scalar Newton recurrence with np.roots, and
 irrep-set validation by one check per irrep plus the character Gram
-product.
+product, and the greedy spectrum match by one nearest-value search per
+copy of each value.
 """
 
 from math import factorial
@@ -22,6 +24,8 @@ from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     ZERO_VECTOR_NORM,
     LiftEigenvectors,
+    MatchReport,
+    SpectrumMultiset,
     eig,
     rho_matrix,
 )
@@ -78,6 +82,57 @@ def power_sums_by_walk_enumeration(
                     stack.append((head, group.mul_idx(voltage, x), steps + 1))
         sums.append(complex(total))
     return tuple(sums)
+
+
+def algebra_matmul_loop(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:
+    """(ab)[u, v] = sum_w a[u, w] b[w, v] in Python ints: each nonzero
+    b[w, v, h] adds b[w, v, h] * a[u, w, g h^-1] to the coefficient of g."""
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    mul, inv = group.mul, group.inverse
+    out = np.zeros((a.shape[0], b.shape[1], group.order), dtype=object)
+    for w, v, h in zip(*np.nonzero(b)):
+        out[:, v] += b[w, v, h] * a[:, w, mul[:, inv[h]]]
+    return out
+
+
+def algebra_matrix_power_loop(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
+    """B^ell by ell products algebra_matmul_loop(., b); B^0 is the identity."""
+    r = b.shape[0]
+    out = np.zeros((r, r, group.order), dtype=object)
+    out[np.arange(r), np.arange(r), group.identity] = 1
+    for _ in range(ell):
+        out = algebra_matmul_loop(out, b, group)
+    return out
+
+
+def algebra_trace_powers_loop(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
+    """Traces of B^1..B^length as the columns of an (n, length) object array."""
+    traces = np.zeros((group.order, length), dtype=object)
+    power = algebra_matrix_power_loop(b, 0, group)
+    for ell in range(length):
+        power = algebra_matmul_loop(power, b, group)
+        traces[:, ell] = np.trace(power)
+    return traces
+
+
+def spectra_equal_loop(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> MatchReport:
+    """Greedy match over every copy: both sides sorted, each left value in
+    turn takes the nearest unused right value (the first on a tie)."""
+    va = np.sort(np.array([v for v, m in a.entries for _ in range(m)], dtype=complex))
+    vb = np.sort(np.array([v for v, m in b.entries for _ in range(m)], dtype=complex))
+    if len(va) != len(vb):
+        return MatchReport(False, float("inf"), len(va), len(vb),
+                           f"sizes differ: {len(va)} vs {len(vb)}")
+    used = np.zeros(len(vb), dtype=bool)
+    worst = 0.0
+    for x in va:
+        dist = np.abs(vb - x)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        used[j] = True
+        worst = max(worst, float(dist[j]))
+    return MatchReport(worst <= tol, worst, len(va), len(vb))
 
 
 def cluster_spectrum_loop(values: Sequence[complex], tol: float) -> list:

@@ -334,6 +334,26 @@ def test_verify_inf_tol_cannot_hide_a_wrong_oracle(k2star_path, monkeypatch, cap
     assert run(argv + ["--tol", "inf"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["1e3", "8"])
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum", "--method", m] for m in ("repr", "charsum", "bruteforce")] + [["verify"]],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_tol_that_merges_the_spectrum_is_input_error(capsys, command, tol, fmt):
+    # every cube eigenvalue lies within the max in-degree 3 of 0: at tol 1e3
+    # spectrum printed 0^512 and verify printed MATCH, both exiting 0
+    argv = command + ["--digraph", CUBE_PATH, "--group", "dihedral:32", "--tol", tol,
+                      "--format", fmt]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "merges the whole spectrum" in captured.err
+    if command == ["verify"]:
+        # the benchmark's tolerance stays valid
+        assert run(argv[:-4] + ["--tol", "1e-4"]) == 0
+
+
 @pytest.mark.parametrize(
     "command, option",
     [(cmd, opt) for cmd in ("lift", "walks") for opt in ("--irreps", "--chars", "--tol")]

@@ -22,6 +22,7 @@ from oracles import (
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
     roots_from_power_sums_loop,
+    spectra_equal_loop,
 )
 from test_groups import FAMILY_SPECS
 
@@ -269,6 +270,29 @@ class TestSpectraEqual:
         assert not rep.matched
         assert "sizes differ" in rep.message
 
+    def test_values_repeat_each_entry(self):
+        sp = vl.SpectrumMultiset(((2.0, 2), (1j, 0), (-1.0, 3)))
+        assert sp.values().tolist() == [2, 2, -1, -1, -1]
+        assert vl.SpectrumMultiset(()).values().dtype == complex
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_greedy_loop_over_every_copy(self, data):
+        # values on a coarse grid, so that distances tie and entries repeat a
+        # mean; multiplicities up to 4, zero included
+        grid = st.integers(min_value=-2, max_value=2)
+        value = st.builds(lambda x, y, f: complex(x, y) * f, grid, grid,
+                          st.sampled_from([0.5, 1.0, 1e-8]))
+        entry = st.tuples(value, st.integers(min_value=0, max_value=4))
+        a = vl.SpectrumMultiset(tuple(data.draw(st.lists(entry, max_size=8))))
+        b = vl.SpectrumMultiset(tuple(data.draw(st.lists(entry, max_size=8))))
+        if data.draw(st.booleans()):
+            b = vl.SpectrumMultiset(tuple(
+                (v + data.draw(st.sampled_from([0, 0.5, 1e-9j])), m) for v, m in a.entries
+            ))
+        tol = data.draw(st.sampled_from([1e-12, 1e-7, 0.5, 2.0]))
+        assert vl.spectra_equal(a, b, tol) == spectra_equal_loop(a, b, tol)
+
 
 class TestSpectrumRoutes:
     def test_worked_example_all_routes(self, k2star, d3_irreps):
@@ -422,6 +446,32 @@ class TestSpectrumRoutes:
         }[route]
         with pytest.raises(SpectrumError, match="positive and finite"):
             run()
+
+    @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
+    def test_tol_that_links_every_pair_raises(self, route, k2star, d3_irreps, monkeypatch):
+        # every eigenvalue of the k2star lift lies within its max in-degree 3
+        # of 0, so from 2 * (1 + 3) = 8 on every pair would be linked
+        monkeypatch.setattr(spectra, "build_lift", lambda d: 1 / 0)
+        run = {
+            "repr": lambda tol: vl.lift_spectrum_repr(k2star, d3_irreps, tol),
+            "bruteforce": lambda tol: vl.lift_spectrum_bruteforce(k2star, tol),
+            "charsum": lambda tol: vl.lift_spectrum_charsum(
+                k2star, vl.character_table(d3_irreps), tol),
+        }[route]
+        for tol in (8.0, 1e3):
+            with pytest.raises(SpectrumError, match="merges the whole spectrum"):
+                run(tol)
+        if route != "bruteforce":
+            assert run(7.99).total == 12
+
+    def test_checked_cluster_tol(self, k2star, d3):
+        assert vl.checked_cluster_tol(k2star, None) == vl.default_cluster_tol(k2star)
+        assert vl.checked_cluster_tol(k2star, 7.99) == 7.99
+        no_arcs = vl.make_voltage_digraph(d3, ["u"], [])
+        assert vl.checked_cluster_tol(no_arcs, 1.99) == 1.99
+        for d, tol in [(k2star, 8), (no_arcs, 2), (k2star, 0.0), (k2star, np.nan)]:
+            with pytest.raises(SpectrumError):
+                vl.checked_cluster_tol(d, tol)
 
     @pytest.mark.parametrize("route", ["repr", "charsum", "eigenvectors"])
     def test_irreps_of_another_group_of_equal_order_raise(self, route, k2star):

@@ -1,4 +1,6 @@
 import json
+import os
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -6,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
+from voltlift import voltage
 from voltlift.voltage import VoltageError
 
 from conftest import K2STAR_DOC, random_voltage_digraph
+from oracles import (
+    algebra_matmul_loop,
+    algebra_matrix_power_loop,
+    algebra_trace_powers_loop,
+)
+
+CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.json")
 
 
 def naive_convolution(a, b, group):
@@ -263,6 +273,137 @@ class TestWalkCountIdentity:
                         assert type(bp[u, v, gg]) is int
                         assert bp[u, v, gg] == walks
         assert max(bp.ravel()) > 2**63
+
+def largest_primes_below_2_31(k):
+    """The k largest primes below 2^31, by trial division."""
+    small = np.arange(2, 46341)  # every prime factor of a composite < 2^31
+    for q in range(2, 216):
+        small = small[(small % q != 0) | (small == q)]
+    primes, m = [], 2**31 - 1
+    while len(primes) < k:
+        if np.all(m % small):
+            primes.append(m)
+        m -= 2
+    return primes
+
+
+PRIMES = largest_primes_below_2_31(5)
+
+
+def obj(x):
+    return np.array(x, dtype=object)
+
+
+def assert_exact(got, want):
+    assert got.shape == want.shape and got.dtype == object
+    assert all(type(c) is int for c in got.flat)
+    assert np.array_equal(got, want)
+
+
+class TestResidueArithmetic:
+    """Every product equals the Python-int loop of tests/oracles.py."""
+
+    def test_primes_and_bound(self):
+        # the fewest largest primes below 2^31 whose product exceeds twice
+        # the bound
+        for k in range(1, 5):
+            m = prod(PRIMES[:k])
+            assert voltage._primes_for((m - 1) // 2) == PRIMES[:k]
+            assert voltage._primes_for((m + 1) // 2) == PRIMES[:k + 1]
+        assert voltage._primes_for(0) == PRIMES[:1]
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_power_at_a_prime_product_boundary(self, k, sign):
+        # B = [[c]] over the trivial group: B^l = c^l and the bound |c|^l is
+        # attained; |c|^l just below M / 2 needs exactly k primes, just
+        # above it k + 1, and both ends of the symmetric range come back
+        g = vl.build_builtin_group("cyclic:1")
+        m = prod(PRIMES[:k])
+        for c, ell in [((m - 1) // 2, 1), ((m + 1) // 2, 1), (isqrt((m - 1) // 2), 2)]:
+            b = obj([[[sign * c]]])
+            got = vl.algebra_matrix_power(b, ell, g)
+            assert_exact(got, algebra_matrix_power_loop(b, ell, g))
+            assert got[0, 0, 0] == (sign * c) ** ell
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(["cyclic:1", "cyclic:4", "dihedral:3", "product:cyclic:2,cyclic:2"]),
+        data=st.data(),
+    )
+    def test_matmul_huge_and_negative_coefficients(self, spec, data):
+        g = vl.build_builtin_group(spec)
+        r, s, t = (data.draw(st.integers(1, 3)) for _ in range(3))
+        coeff = st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([2**70, -(2**70), 2**63, -(2**63), 2**31 - 2, 1 - 2**31]),
+            st.integers(-(2**80), 2**80),
+        )
+        a = obj(data.draw(st.lists(coeff, min_size=r * s * g.order, max_size=r * s * g.order)))
+        b = obj(data.draw(st.lists(coeff, min_size=s * t * g.order, max_size=s * t * g.order)))
+        a, b = a.reshape(r, s, g.order), b.reshape(s, t, g.order)
+        assert_exact(vl.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+        assert_exact(vl.algebra_mul(a[0, 0], b[0, 0], g),
+                     algebra_matmul_loop(a[:1, :1], b[:1, :1], g)[0, 0])
+
+    @pytest.mark.parametrize("c", [-1, -(2**70) - 1, PRIMES[-1] - 1])
+    def test_column_of_residues_near_p_does_not_overflow(self, c):
+        # -1 is p - 1 modulo every prime: unreduced, the 24 terms of
+        # (p - 1)^2 in column 1 would sum to about 12 * 2^63; so would the
+        # two terms of column 2 scaled by a coefficient just below min(p)
+        g = vl.build_builtin_group("dihedral:4")
+        b = np.zeros((3, 3, g.order), dtype=object)
+        b[:, 1] = c
+        b[0, 2, :2] = c
+        a = np.full((2, 3, g.order), -1, dtype=object)
+        assert_exact(vl.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+        for ell in (2, 3):
+            assert_exact(vl.algebra_matrix_power(b, ell, g),
+                         algebra_matrix_power_loop(b, ell, g))
+        assert_exact(voltage.algebra_trace_powers(b, 3, g),
+                     algebra_trace_powers_loop(b, 3, g))
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "dihedral:3", "cyclic:6"])
+    def test_powers_and_traces_match_the_loop(self, spec):
+        rng = np.random.default_rng(11)
+        g = vl.build_builtin_group(spec)
+        d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
+        b = vl.associated_matrix(d)
+        for ell in (0, 1, 2, 7, 30):
+            assert_exact(vl.algebra_matrix_power(b, ell, g),
+                         algebra_matrix_power_loop(b, ell, g))
+        assert_exact(voltage.algebra_trace_powers(b, 20, g),
+                     algebra_trace_powers_loop(b, 20, g))
+
+    def test_digraph_without_arcs(self, d3):
+        d = vl.make_voltage_digraph(d3, ["u", "v"], [])
+        b = vl.associated_matrix(d)
+        for ell in range(4):
+            assert_exact(vl.algebra_matrix_power(b, ell, d3),
+                         algebra_matrix_power_loop(b, ell, d3))
+        for length in (0, 3):
+            assert_exact(voltage.algebra_trace_powers(b, length, d3),
+                         algebra_trace_powers_loop(b, length, d3))
+
+    def test_cube_traces_to_length_64(self):
+        # about 2^96 per coefficient: four primes by the bound 8 * 3^64
+        g = vl.build_builtin_group("dihedral:32")
+        with open(CUBE_PATH) as f:
+            b = vl.associated_matrix(vl.parse_voltage_digraph(f.read(), g))
+        got = voltage.algebra_trace_powers(b, 64, g)
+        assert_exact(got, algebra_trace_powers_loop(b, 64, g))
+        assert max(got[:, -1]) > 2**95
+
+    def test_k2star_traces_to_length_64(self, d3, k2star):
+        b = vl.associated_matrix(k2star)
+        assert_exact(voltage.algebra_trace_powers(b, 64, d3),
+                     algebra_trace_powers_loop(b, 64, d3))
+
+    def test_non_square_power_raises(self, d3):
+        b = np.zeros((2, 3, d3.order), dtype=object)
+        with pytest.raises(VoltageError, match="size mismatch"):
+            vl.algebra_matrix_power(b, 2, d3)
+
 
 def test_lift_json_roundtrip(d3, k2star):
     adj = vl.build_lift(k2star)
