@@ -43,7 +43,6 @@ from .spectra import (
     SpectrumError,
     SpectrumMultiset,
     charsum_match_tol,
-    checked_cluster_tol,
     cluster_spectrum,
     default_cluster_tol,
     eig,

@@ -135,7 +135,7 @@ def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
     irreps = _load_irrep_set(args, group)
-    tol = spectra.checked_cluster_tol(digraph, args.tol)
+    tol = spectra._checked_cluster_tol(digraph, args.tol)
     per_irrep = spectra.irrep_eigenvalues(digraph, irreps)
     by_repr = spectra.spectrum_from_irrep_eigenvalues(per_irrep, tol)
     by_brute = spectra.lift_spectrum_bruteforce(digraph, tol)

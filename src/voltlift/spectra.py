@@ -262,24 +262,25 @@ def default_cluster_tol(d: VoltageDigraph) -> float:
     return 1e-9 * (1 + _max_in_degree(d))
 
 
-def checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
+def _checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
     """The tolerance the spectrum routes cluster d's lift at: tol, or
     default_cluster_tol(d) for None.
 
-    Refuses a tolerance that is not positive and finite, and one that links
-    every pair of eigenvalues: each lies within the adjacency 1-norm of 0,
-    so two are never 2 * (1 + 1-norm) apart, and clustering at that or more
-    would report one eigenvalue whatever the lift.
+    Refuses a tolerance that is not positive and finite, and, when d has
+    arcs, one of 2 * (adjacency 1-norm) or more: every eigenvalue lies
+    within the 1-norm of 0, so from there on any two spectra match within
+    the tolerance, and above it clustering links every pair. A digraph
+    with no arcs has only the eigenvalue 0, which no tolerance misreports.
     """
     if tol is None:
         return default_cluster_tol(d)
     _check_tol(tol)
     norm = _max_in_degree(d)
-    if tol >= 2 * (1 + norm):
+    if norm and tol >= 2 * norm:
         raise SpectrumError(
             f"tolerance {tol} merges the whole spectrum: every eigenvalue lies "
-            f"within {norm} of 0, so a tolerance of {2 * (1 + norm)} or more "
-            "links every pair"
+            f"within {norm} of 0, so at a tolerance of {2 * norm} or more any "
+            "two spectra match"
         )
     return tol
 
@@ -376,7 +377,7 @@ def lift_spectrum_repr(
     Eigenvalues only: irrep_eigenvalues, each entered dim times by
     spectrum_from_irrep_eigenvalues.
     """
-    tol = checked_cluster_tol(d, tol)
+    tol = _checked_cluster_tol(d, tol)
     return spectrum_from_irrep_eigenvalues(irrep_eigenvalues(d, s), tol)
 
 
@@ -390,7 +391,7 @@ def lift_spectrum_bruteforce(
     the irreps nor any block structure of the lift. Lifts of more than
     BRUTEFORCE_MAX_ORDER vertices are refused.
     """
-    tol = checked_cluster_tol(d, tol)  # before the lift is built
+    tol = _checked_cluster_tol(d, tol)  # before the lift is built
     rn = d.order * d.group.order
     if rn > BRUTEFORCE_MAX_ORDER:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
@@ -471,7 +472,7 @@ def lift_spectrum_charsum(
     are assembled as in the repr route, each entered d_i times.
     """
     _check_same_group(t.group, d.group, "character table")
-    tol = checked_cluster_tol(d, tol)
+    tol = _checked_cluster_tol(d, tol)
     r = d.order
     dims = t.dims
     top = r * max(dims)

@@ -184,10 +184,7 @@ def _row_norm(x: np.ndarray) -> int:
 def _to_residues(x: np.ndarray, primes: list) -> np.ndarray:
     """x[u, w, g] modulo each prime p_i as an int64 array res[w, g, i, u]:
     the layout that lets one gather over g move contiguous (i, u) rows."""
-    try:
-        res = np.asarray(x, dtype=np.int64)[None] % np.array(primes)[:, None, None, None]
-    except OverflowError:  # coefficients beyond int64 are reduced one by one
-        res = np.stack([np.asarray(x % p, dtype=np.int64) for p in primes])
+    res = np.stack([np.asarray(x % p, dtype=np.int64) for p in primes])
     return np.ascontiguousarray(res.transpose(2, 3, 0, 1))
 
 
@@ -229,8 +226,9 @@ def _product_terms(b: np.ndarray, primes: list, group: GroupTable) -> list:
     int c (by None for c = 1, which needs no product); any other scales by
     its (k, 1) column of residues. The terms of one column v add up to at
     most (max p - 1) * (sum of their scales). Only where that could pass
-    2^63 - 1 is the column reduced: each of its terms, and its sum after
-    each term, so that the sum stays below 2 max p.
+    2^63 - 1 is the column reduced term by term: each term then lies below
+    max p < 2^31, and a column has at most r * n terms, far fewer than the
+    2^32 whose sum could pass 2^63 - 1.
     """
     top = max(primes) - 1
     terms = []
@@ -259,10 +257,7 @@ def _residue_product(a: np.ndarray, terms: list, width: int, primes: list) -> np
             term *= scale
         if reduce:
             term %= mod
-            rows[v] += term
-            rows[v] %= mod
-        else:
-            rows[v] += term
+        rows[v] += term
     out %= mod
     return out
 

@@ -334,7 +334,7 @@ def test_verify_inf_tol_cannot_hide_a_wrong_oracle(k2star_path, monkeypatch, cap
     assert run(argv + ["--tol", "inf"]) == 2
 
 
-@pytest.mark.parametrize("tol", ["1e3", "8"])
+@pytest.mark.parametrize("tol", ["1e3", "8", "6"])
 @pytest.mark.parametrize(
     "command",
     [["spectrum", "--method", m] for m in ("repr", "charsum", "bruteforce")] + [["verify"]],

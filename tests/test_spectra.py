@@ -450,7 +450,7 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
     def test_tol_that_links_every_pair_raises(self, route, k2star, d3_irreps, monkeypatch):
         # every eigenvalue of the k2star lift lies within its max in-degree 3
-        # of 0, so from 2 * (1 + 3) = 8 on every pair would be linked
+        # of 0, so from 2 * 3 = 6 on any two spectra would match
         monkeypatch.setattr(spectra, "build_lift", lambda d: 1 / 0)
         run = {
             "repr": lambda tol: vl.lift_spectrum_repr(k2star, d3_irreps, tol),
@@ -458,20 +458,23 @@ class TestSpectrumRoutes:
             "charsum": lambda tol: vl.lift_spectrum_charsum(
                 k2star, vl.character_table(d3_irreps), tol),
         }[route]
-        for tol in (8.0, 1e3):
+        for tol in (6.0, 6.01, 8.0, 1e3):
             with pytest.raises(SpectrumError, match="merges the whole spectrum"):
                 run(tol)
         if route != "bruteforce":
-            assert run(7.99).total == 12
+            assert run(5.99).total == 12
 
     def test_checked_cluster_tol(self, k2star, d3):
-        assert vl.checked_cluster_tol(k2star, None) == vl.default_cluster_tol(k2star)
-        assert vl.checked_cluster_tol(k2star, 7.99) == 7.99
+        check = spectra._checked_cluster_tol
+        assert check(k2star, None) == vl.default_cluster_tol(k2star)
+        assert check(k2star, 5.99) == 5.99
+        # with no arcs the only eigenvalue is 0, so any tolerance is harmless
         no_arcs = vl.make_voltage_digraph(d3, ["u"], [])
-        assert vl.checked_cluster_tol(no_arcs, 1.99) == 1.99
-        for d, tol in [(k2star, 8), (no_arcs, 2), (k2star, 0.0), (k2star, np.nan)]:
+        assert check(no_arcs, 1e3) == 1e3
+        for d, tol in [(k2star, 6), (k2star, 6.01), (no_arcs, 0.0), (k2star, 0.0),
+                       (k2star, np.nan)]:
             with pytest.raises(SpectrumError):
-                vl.checked_cluster_tol(d, tol)
+                check(d, tol)
 
     @pytest.mark.parametrize("route", ["repr", "charsum", "eigenvectors"])
     def test_irreps_of_another_group_of_equal_order_raise(self, route, k2star):
