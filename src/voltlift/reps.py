@@ -22,6 +22,10 @@ from .groups import GroupError, GroupTable, build_builtin_group, decode_json, ha
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
 HOM_TOL = 1e-10
 SUM_TOL = 1e-8
+# Entrywise tolerance for chi_j(g) = chi_i(g^-1) when pairing conjugate
+# characters: two distinct characters, orthogonal rows of norm sqrt(n),
+# differ by at least sqrt(2) at some element.
+CONJ_TOL = 1e-8
 # Irrep validation checks K irreps of one dimension d at a time, with
 # K * n * d^2 * |generators| at most this many entries per product (cache-sized).
 BLOCK_ENTRIES = 2 ** 16
@@ -40,6 +44,11 @@ class IrrepSet:
     dimension d as one read-only (K_d, n, d, d) array, in their global
     order: element index g of its q-th row is rho(g) for the q-th irrep of
     dimension d. make_irrep_set builds and shape-checks one.
+
+    ``conjugates`` pairs each irrep with the one whose character is the
+    complex conjugate of its own. For a quotient matrix B with integer
+    coefficients the partner's image has the conjugate eigenvalues, so the
+    repr route solves one irrep of each pair.
     """
 
     group: GroupTable
@@ -52,6 +61,15 @@ class IrrepSet:
         rows = validate_irrep_set(self)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def conjugates(self) -> np.ndarray:
+        """Read-only (nu,) int array: conjugates[i] is the irrep whose
+        character is conj(chi_i). An involution that fixes each real
+        character; computed on first read by _conjugate_pairing."""
+        pairing = _conjugate_pairing(self.group, self.characters)
+        pairing.setflags(write=False)
+        return pairing
 
 
 @dataclass(frozen=True)
@@ -226,6 +244,47 @@ def _snap_integers(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     snapped = re + 1j * im
     close = np.abs(rows - snapped) < tol
     return np.where(close, snapped, rows)
+
+
+def _conjugate_pairing(group: GroupTable, rows: np.ndarray) -> np.ndarray:
+    """The index j of the row chi_j = conj(chi_i) for each character row i,
+    found through conj(chi)(g) = chi(g^-1) in O(nu n) time.
+
+    Each row gets two real keys, t_i = f(chi_i) and t'_i = f(chi_i o inv),
+    for the linear form f(chi) = Re + Im of sum_g chi(g) w(g), w a fixed
+    pseudo-random real vector; one product of the table with two columns
+    gives both. A partner has t_j = t'_i up to rounding, so the row of k-th
+    smallest t' is paired with the row of k-th smallest t. Every pair is
+    then confirmed entrywise, a block of rows at a time, so a row with no
+    partner raises RepresentationError instead of taking a wrong one. The
+    rows of a validated set are distinct, so a confirmed pairing is an
+    involution.
+    """
+    nu, n = rows.shape
+    if not rows.imag.any():  # every character is its own conjugate
+        return np.arange(nu)
+    inverse = np.asarray(group.inverse)
+    # fixed pseudo-random weights in [-0.5, 0.5), without numpy.random,
+    # whose import alone takes about 15 ms and 6 MB
+    w = np.sin(np.arange(1, n + 1) * 12.9898) * 43758.5453 % 1 - 0.5
+    # complex weights: with two BLAS threads, the mixed complex-by-real
+    # product of a 512 x 512 table took 20 times as long as this one
+    keys = rows @ np.stack([w, w[inverse]], axis=1).astype(complex)
+    t, t_conj = (keys.real + keys.imag).T
+    pairing = np.empty(nu, dtype=np.int64)
+    pairing[np.argsort(t_conj, kind="stable")] = np.argsort(t, kind="stable")
+    size = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, nu, size):
+        stop = min(nu, start + size)
+        err = np.abs(rows[pairing[start:stop]] - rows[start:stop, inverse]).max(axis=1)
+        bad = err > CONJ_TOL
+        if bad.any():
+            i = start + int(np.argmax(bad))
+            raise RepresentationError(
+                f"character row {i} has no complex-conjugate row: its candidate, "
+                f"row {pairing[i]}, is {err[i - start]:.3e} away from conj(chi_{i})"
+            )
+    return pairing
 
 
 def character_table(s: IrrepSet) -> CharacterTable:

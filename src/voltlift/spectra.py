@@ -2,7 +2,10 @@
 
 The default route maps the quotient matrix through each irreducible
 representation and solves the resulting small dense eigenproblems, one
-batched call per irrep dimension. The character route recovers the same
+batched call per irrep dimension. Irreps with complex-conjugate characters
+have conjugate eigenvalues, since the quotient matrix has integer
+coefficients, so only one irrep of each such pair is solved and its
+partner gets the conjugates. The character route recovers the same
 per-irrep eigenvalues from power sums: Newton's identities give each
 character's polynomial, and one batched companion-matrix eigensolve per
 character degree gives its roots. The brute-force route diagonalizes the
@@ -353,11 +356,31 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
 
     For each irrep dimension k, a (K, r*k) array whose row q holds the
     eigenvalues of the image under the q-th irrep of dimension k, in global
-    irrep order. The K images are solved in one batched eigvals call.
+    irrep order.
+
+    B has integer coefficients, so the image under the irrep with the
+    conjugate character (IrrepSet.conjugates) is conj(rho(B)) up to
+    equivalence and has the conjugate eigenvalues. Only the
+    representatives, the irreps i with conjugates[i] >= i, are solved, in
+    one batched eigvals call per dimension; each partner's row is the
+    exact conj of its representative's row.
     """
     _check_same_group(s.group, d.group, "irrep set")
     b = associated_matrix(d)
-    return {dim: _solve(np.linalg.eigvals, rho_matrix(b, st)) for dim, st in s.stacks.items()}
+    dims, conj = np.asarray(s.dims), s.conjugates
+    values = {}
+    for dim, stack in s.stacks.items():
+        images = rho_matrix(b, stack)
+        idx = np.flatnonzero(dims == dim)
+        partner = np.searchsorted(idx, conj[idx])  # within this dimension
+        rep = partner >= np.arange(len(idx))
+        if rep.all():  # no pairs: the images are solved as they are
+            values[dim] = _solve(np.linalg.eigvals, images)
+        else:
+            vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
+            vals[rep] = _solve(np.linalg.eigvals, images[rep])
+            vals[~rep] = vals[partner[~rep]].conj()
+    return values
 
 
 def spectrum_from_irrep_eigenvalues(

@@ -293,3 +293,44 @@ def test_zero_sum_all_builtin_nontrivial():
         for i in range(1, len(s.dims)):
             total = irrep_matrices(s, i).sum(axis=0)
             assert np.abs(total).max() <= 1e-8 * g.order
+
+
+class TestConjugates:
+    @staticmethod
+    def check_pairing(s):
+        conj, rows = s.conjugates, s.characters
+        assert conj.shape == (len(s.dims),) and not conj.flags.writeable
+        assert np.array_equal(conj[conj], np.arange(len(conj)))
+        assert np.abs(rows[conj] - rows.conj()).max() <= 1e-12
+        return conj
+
+    # dihedral:7 has only real characters, so its pairing is the identity
+    @pytest.mark.parametrize("spec", ["cyclic:12", "product:dihedral:4,cyclic:3", "dihedral:7"])
+    def test_exactly_the_real_characters_map_to_themselves(self, spec):
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        conj = self.check_pairing(s)
+        real = np.abs(s.characters.imag).max(axis=1) < 1e-9
+        assert np.array_equal(conj == np.arange(len(conj)), real)
+
+    def test_shuffled_document_pairs_by_character(self):
+        # chi_k(g) = w^k and conj(chi_k) = chi_{5-k}; after the shuffle the
+        # pairing is no longer i -> -i mod 5, so it must come from the rows
+        g = vl.build_builtin_group("cyclic:5")
+        doc = irreps_to_doc(g, vl.builtin_irreps(g))
+        shuffled = [doc[k] for k in (1, 2, 4, 0, 3)]
+        loaded = vl.load_irreps(shuffled, g)
+        conj = self.check_pairing(loaded)
+        # loaded order, the trivial irrep moved first: chi_0, chi_1, chi_2, chi_4, chi_3
+        assert conj.tolist() == [0, 3, 4, 1, 2]
+
+    @pytest.mark.parametrize("tamper", ["perturbed", "duplicated"])
+    def test_row_without_partner_raises(self, tamper):
+        s = vl.builtin_irreps(vl.build_builtin_group("cyclic:5"))
+        rows = s.characters.copy()
+        if tamper == "perturbed":
+            rows[2, 1] += 1e-3
+        else:  # rows 1 and 4 both conj(chi_1), so chi_1 itself is missing
+            rows[1] = rows[4]
+        s.__dict__["characters"] = rows
+        with pytest.raises(RepresentationError, match="no complex-conjugate row"):
+            s.conjugates

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import voltlift as vl
 from voltlift import spectra
+from voltlift.reps import by_dimension
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     EIG_RESIDUAL_FACTOR,
@@ -340,11 +341,17 @@ class TestSpectrumRoutes:
             assert vl.spectra_equal(a, b, 1e-6).matched
 
 
-    @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3"])
+    @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
     def test_repr_batches_one_eigvals_per_dimension(self, spec, monkeypatch):
+        # one eigvals call per dimension, on one irrep of each conjugate
+        # pair: every real character and half of the complex ones
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
-        assert len(set(s.dims)) > 1
+        real = np.abs(s.characters.imag).max(axis=1) < 1e-9
+        solved = {
+            k: int(real[idx].sum()) + int((~real[idx]).sum()) // 2
+            for k, idx in by_dimension(s.dims)
+        }
         rng = np.random.default_rng(21)
         for _ in range(4):
             d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
@@ -366,10 +373,26 @@ class TestSpectrumRoutes:
             got = vl.lift_spectrum_repr(d, s, 1e-8)
             monkeypatch.undo()
             assert sorted(stacks) == sorted(
-                (s.dims.count(k), d.order * k, d.order * k) for k in set(s.dims)
+                (solved[k], d.order * k, d.order * k) for k in set(s.dims)
             )
             assert got.total == want.total == d.order * g.order
             assert vl.spectra_equal(got, want, 1e-7).matched
+
+    @pytest.mark.parametrize("spec", ["cyclic:12", "product:dihedral:4,cyclic:3"])
+    def test_partner_rows_are_exact_conjugates(self, spec):
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        d = random_voltage_digraph(np.random.default_rng(5), g, max_vertices=4, max_arcs=12)
+        values = vl.irrep_eigenvalues(d, s)
+        paired = 0
+        for k, idx in by_dimension(s.dims):
+            assert values[k].shape == (len(idx), d.order * k)
+            for q, i in enumerate(idx):
+                p = idx.index(int(s.conjugates[i]))
+                if p < q:
+                    assert np.array_equal(values[k][q], values[k][p].conj())
+                    paired += 1
+        assert paired
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_bruteforce_solver_matches_repr(self, symmetric, monkeypatch):
