@@ -42,9 +42,7 @@ from .spectra import (
     MatchReport,
     SpectrumError,
     SpectrumMultiset,
-    charsum_match_tol,
     cluster_spectrum,
-    default_cluster_tol,
     eig,
     format_eigenvalue,
     irrep_eigenvalues,
@@ -56,9 +54,9 @@ from .spectra import (
     rho_matrix,
     roots_from_power_sums,
     spectra_equal,
-    spectrum_from_irrep_eigenvalues,
     spectrum_to_json,
     spectrum_to_text,
+    verify,
 )
 
 __version__ = "0.1.0"

@@ -135,31 +135,10 @@ def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
     irreps = _load_irrep_set(args, group)
-    tol = spectra._checked_cluster_tol(digraph, args.tol)
-    per_irrep = spectra.irrep_eigenvalues(digraph, irreps)
-    by_repr = spectra.spectrum_from_irrep_eigenvalues(per_irrep, tol)
-    by_brute = spectra.lift_spectrum_bruteforce(digraph, tol)
-    cmp_tol = max(tol, 1e-7)
-    reports = {
-        "repr vs bruteforce": (
-            spectra.spectra_equal(by_repr, by_brute, cmp_tol), {"tolerance": cmp_tol}
-        )
-    }
-    chartable = reps.character_table(irreps) if not args.chars else _load_char_table(args, group)
-    if all(digraph.order * di <= spectra.CHARSUM_HARD_CAP for di in chartable.dims):
-        by_chars = spectra.lift_spectrum_charsum(digraph, chartable, tol)
-        # root recovery smears a k-fold root by about eps**(1/k)
-        char_tol, k = spectra.charsum_match_tol(per_irrep, tol)
-        reports["charsum vs repr"] = (
-            spectra.spectra_equal(by_chars, by_repr, char_tol),
-            {"tolerance": char_tol, "root_multiplicity": k},
-        )
+    chars = _load_char_table(args, group) if args.chars else None
+    reports = spectra.verify(digraph, irreps, chars, args.tol)
     payload = {
-        name: {
-            "matched": report.matched,
-            "worst_distance": report.worst_distance,
-            **extra,
-        }
+        name: {"matched": report.matched, "worst_distance": report.worst_distance, **extra}
         for name, (report, extra) in reports.items()
     }
     _emit(args, payload, lambda: "\n".join(
@@ -232,12 +211,10 @@ def _cmd_validate(args) -> int:
         f"{'abelian' if group.is_abelian() else 'non-abelian'}"
     ]
     if args.irreps:
-        with open(args.irreps) as f:
-            s = reps.load_irreps(f.read(), group)
+        s = _load_irrep_set(args, group)
         lines.append(f"irreps: {len(s.dims)} irreps, dims {list(s.dims)}")
     if args.chars:
-        with open(args.chars) as f:
-            t = reps.load_character_table(f.read(), group)
+        t = _load_char_table(args, group)
         lines.append(f"characters: {t.rows.shape[0]} rows, dims {list(t.dims)}")
     if not args.irreps and not args.chars and group.family:
         s = reps.builtin_irreps(group)

@@ -11,8 +11,8 @@ character's polynomial, and one batched companion-matrix eigensolve per
 character degree gives its roots. The brute-force route diagonalizes the
 explicit lift. The spectrum routes compute eigenvalues only; the lift
 eigenvectors come from one batched residual-checked eigensolve per irrep
-dimension. All three routes must agree, and the test suite holds them to
-that.
+dimension. verify cross-checks the routes: it alone decides which are
+compared and at what tolerance, and `voltlift verify` prints its reports.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .groups import GroupTable
-from .reps import CharacterTable, IrrepSet, by_dimension
+from .reps import CharacterTable, IrrepSet, by_dimension, character_table
 from .voltage import (
     VoltageDigraph,
     algebra_trace_powers,
@@ -66,13 +66,6 @@ class SpectrumMultiset:
     @property
     def total(self) -> int:
         return sum(m for _, m in self.entries)
-
-    def values(self) -> np.ndarray:
-        """All eigenvalues with repetition, in entry order."""
-        return np.repeat(
-            np.array([v for v, _ in self.entries], dtype=complex),
-            np.array([m for _, m in self.entries], dtype=np.int64),
-        )
 
     def __str__(self):
         return ", ".join(f"{format_eigenvalue(v)}^{m}" for v, m in self.entries)
@@ -254,20 +247,9 @@ def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:
     return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k
 
 
-def _max_in_degree(d: VoltageDigraph) -> int:
-    # the 1-norm of the lift adjacency equals the maximum in-degree of the
-    # base (each lift column replicates one base column's count)
-    return int(d.in_degrees().max()) if d.arcs else 0
-
-
-def default_cluster_tol(d: VoltageDigraph) -> float:
-    """1e-9 * (1 + the lift adjacency 1-norm), computed from the base."""
-    return 1e-9 * (1 + _max_in_degree(d))
-
-
 def _checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
     """The tolerance the spectrum routes cluster d's lift at: tol, or
-    default_cluster_tol(d) for None.
+    1e-9 * (1 + the lift adjacency 1-norm) for None.
 
     Refuses a tolerance that is not positive and finite, and, when d has
     arcs, one of 2 * (adjacency 1-norm) or more: every eigenvalue lies
@@ -275,10 +257,12 @@ def _checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
     the tolerance, and above it clustering links every pair. A digraph
     with no arcs has only the eigenvalue 0, which no tolerance misreports.
     """
+    # the 1-norm of the lift adjacency equals the maximum in-degree of the
+    # base (each lift column replicates one base column's count)
+    norm = int(d.in_degrees().max()) if d.arcs else 0
     if tol is None:
-        return default_cluster_tol(d)
+        return 1e-9 * (1 + norm)
     _check_tol(tol)
-    norm = _max_in_degree(d)
     if norm and tol >= 2 * norm:
         raise SpectrumError(
             f"tolerance {tol} merges the whole spectrum: every eigenvalue lies "
@@ -351,6 +335,17 @@ def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -
         raise SpectrumError(f"{what} and digraph use different groups")
 
 
+def _irrep_images(d: VoltageDigraph, s: IrrepSet):
+    """Every irrep route's prologue: check s's group, validate s, build B
+    once, and yield (dim, irrep index array, rho_matrix images) per dim."""
+    _check_same_group(s.group, d.group, "irrep set")
+    s.characters  # the first read validates the set
+    b = associated_matrix(d)
+    dims = np.asarray(s.dims)
+    for dim, stack in s.stacks.items():
+        yield dim, np.flatnonzero(dims == dim), rho_matrix(b, stack)
+
+
 def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     """Eigenvalues of the image of the quotient matrix under each irrep.
 
@@ -365,14 +360,9 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     one batched eigvals call per dimension; each partner's row is the
     exact conj of its representative's row.
     """
-    _check_same_group(s.group, d.group, "irrep set")
-    b = associated_matrix(d)
-    dims, conj = np.asarray(s.dims), s.conjugates
     values = {}
-    for dim, stack in s.stacks.items():
-        images = rho_matrix(b, stack)
-        idx = np.flatnonzero(dims == dim)
-        partner = np.searchsorted(idx, conj[idx])  # within this dimension
+    for dim, idx, images in _irrep_images(d, s):
+        partner = np.searchsorted(idx, s.conjugates[idx])  # within this dimension
         rep = partner >= np.arange(len(idx))
         if rep.all():  # no pairs: the images are solved as they are
             values[dim] = _solve(np.linalg.eigvals, images)
@@ -520,6 +510,40 @@ def lift_spectrum_charsum(
 
 
 # ---------------------------------------------------------------------------
+# Cross-checking the routes
+
+
+def verify(
+    d: VoltageDigraph, s: IrrepSet, t: Optional[CharacterTable] = None,
+    tol: Optional[float] = None,
+) -> Dict[str, tuple]:
+    """Cross-check the spectrum routes on d's lift, all clustered at tol.
+
+    Returns {name: (MatchReport, details)}, details naming the comparison
+    tolerance: "repr vs bruteforce" at max(tol, 1e-7), then, if r * max(dim)
+    <= CHARSUM_HARD_CAP, "charsum vs repr" with characters from t (from s
+    if None) at charsum_match_tol, whose root multiplicity k is added.
+    """
+    tol = _checked_cluster_tol(d, tol)
+    per_irrep = irrep_eigenvalues(d, s)
+    by_repr = spectrum_from_irrep_eigenvalues(per_irrep, tol)
+    by_brute = lift_spectrum_bruteforce(d, tol)
+    cmp_tol = max(tol, 1e-7)
+    reports = {"repr vs bruteforce": (
+        spectra_equal(by_repr, by_brute, cmp_tol), {"tolerance": cmp_tol})}
+    t = character_table(s) if t is None else t
+    if d.order * max(t.dims) <= CHARSUM_HARD_CAP:
+        by_chars = lift_spectrum_charsum(d, t, tol)
+        # root recovery smears a k-fold root by about eps**(1/k)
+        char_tol, k = charsum_match_tol(per_irrep, tol)
+        reports["charsum vs repr"] = (
+            spectra_equal(by_chars, by_repr, char_tol),
+            {"tolerance": char_tol, "root_multiplicity": k},
+        )
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # Eigenvectors of the lift
 
 
@@ -557,14 +581,12 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     irrep q, column c, slot k, filled by one matmul per slot, and the
     returned vectors are views of it.
     """
-    _check_same_group(s.group, d.group, "irrep set")
-    n = d.group.order
-    r = d.order
-    b = associated_matrix(d)
+    n, r = d.group.order, d.order
     kept = {}
     reasons = {}
-    for di, idx in by_dimension(s.dims):
-        vals, vecs, res, bound = eig(rho_matrix(b, s.stacks[di]))
+    for di, idx, images in _irrep_images(d, s):
+        idx = idx.tolist()
+        vals, vecs, res, bound = eig(images)
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)
         for q, i in enumerate(idx):

@@ -90,6 +90,32 @@ def test_verify_cube_perturbed_charsum_root_is_mismatch(monkeypatch, capsys):
     assert doc["charsum vs repr"]["worst_distance"] > 5e-4
 
 
+@pytest.mark.filterwarnings("ignore:power-sum degree")
+@pytest.mark.parametrize(
+    "name, spec",
+    [("k2star_dihedral3", "dihedral:3"), ("cube_dihedral32", "dihedral:32"),
+     ("circ6_cyclic16", "cyclic:16")],
+)
+def test_verify_prints_the_library_reports(name, spec, capsys):
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    g = vl.build_builtin_group(spec)
+    with open(path) as f:
+        d = vl.parse_voltage_digraph(f.read(), g)
+    reports = vl.verify(d, vl.builtin_irreps(g))
+    assert list(reports) == ["repr vs bruteforce", "charsum vs repr"]
+    argv = ["verify", "--digraph", path, "--group", spec]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        key: {"matched": report.matched, "worst_distance": report.worst_distance, **extra}
+        for key, (report, extra) in reports.items()
+    }
+    assert run(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{key}: {report} at tol {extra['tolerance']:.1e}"
+        for key, (report, extra) in reports.items()
+    ]
+
+
 def test_wrong_group_is_input_error(k2star_path, capsys):
     code = run(["spectrum", "--digraph", k2star_path, "--group", "cyclic:5"])
     assert code == 2

@@ -235,20 +235,20 @@ class TestCharsumMatchTol:
             rows = [row for v in values.values() for row in v]
             k = max(max(m for _, m in cluster_spectrum(row, tol).entries) for row in rows)
             rho = max(float(np.abs(row).max()) for row in rows)
-            got_tol, got_k = vl.charsum_match_tol(values, tol)
+            got_tol, got_k = spectra.charsum_match_tol(values, tol)
             assert got_k == k
             assert got_tol == max(tol, 1e-6, 10 * (1 + rho) * self.EPS ** (1 / k))
 
     def test_equal_values_in_different_images_do_not_add_up(self):
-        tol, k = vl.charsum_match_tol({1: np.array([[1.0, 3.0], [1.0, 2.0]])}, 1e-9)
+        tol, k = spectra.charsum_match_tol({1: np.array([[1.0, 3.0], [1.0, 2.0]])}, 1e-9)
         assert k == 1
         assert tol == 1e-6
 
     def test_independent_of_the_degree(self):
         # 32 simple roots in one image: the bound is that of k = 1
         roots = np.exp(2j * np.pi * np.arange(32) / 32)
-        assert vl.charsum_match_tol({4: roots[None]}, 1e-9) == (1e-6, 1)
-        tol, k = vl.charsum_match_tol({1: np.zeros((1, 8)), 4: roots[None]}, 1e-9)
+        assert spectra.charsum_match_tol({4: roots[None]}, 1e-9) == (1e-6, 1)
+        tol, k = spectra.charsum_match_tol({1: np.zeros((1, 8)), 4: roots[None]}, 1e-9)
         assert k == 8
         assert tol == 10 * 2 * self.EPS ** (1 / 8)
 
@@ -270,11 +270,6 @@ class TestSpectraEqual:
         rep = vl.spectra_equal(a, b, 1e-6)
         assert not rep.matched
         assert "sizes differ" in rep.message
-
-    def test_values_repeat_each_entry(self):
-        sp = vl.SpectrumMultiset(((2.0, 2), (1j, 0), (-1.0, 3)))
-        assert sp.values().tolist() == [2, 2, -1, -1, -1]
-        assert vl.SpectrumMultiset(()).values().dtype == complex
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -489,7 +484,7 @@ class TestSpectrumRoutes:
 
     def test_checked_cluster_tol(self, k2star, d3):
         check = spectra._checked_cluster_tol
-        assert check(k2star, None) == vl.default_cluster_tol(k2star)
+        assert check(k2star, None) == 1e-9 * (1 + int(k2star.in_degrees().max()))
         assert check(k2star, 5.99) == 5.99
         # with no arcs the only eigenvalue is 0, so any tolerance is harmless
         no_arcs = vl.make_voltage_digraph(d3, ["u"], [])
@@ -510,6 +505,23 @@ class TestSpectrumRoutes:
         }[route]
         with pytest.raises(SpectrumError, match="different groups"):
             run()
+
+    @pytest.mark.parametrize("route", ["irrep_eigenvalues", "repr", "eigenvectors", "verify"])
+    def test_an_unvalidated_irrep_set_raises_on_every_irrep_route(self, route, k2star, d3):
+        # right shapes, wrong matrices: the dim-2 irrep is all zeros, so the
+        # identity maps to no identity matrix; make_irrep_set checks only shapes
+        s = vl.make_irrep_set(d3, (1, 1, 2), [
+            ([0, 1], np.ones((2, d3.order, 1, 1))),
+            ([2], np.zeros((1, d3.order, 2, 2))),
+        ])
+        run = {
+            "irrep_eigenvalues": vl.irrep_eigenvalues,
+            "repr": vl.lift_spectrum_repr,
+            "eigenvectors": vl.lift_eigenvectors,
+            "verify": vl.verify,
+        }[route]
+        with pytest.raises(vl.RepresentationError):
+            run(k2star, s)
 
     def test_irreps_of_a_rebuilt_equal_group_are_accepted(self, k2star, d3):
         g = vl.build_builtin_group("dihedral:3")
