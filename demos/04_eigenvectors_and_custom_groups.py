@@ -23,7 +23,6 @@ digraph = vl.make_voltage_digraph(
 result = vl.lift_eigenvectors(digraph, irreps)
 a = vl.build_lift(digraph).astype(float)
 print(f"lift on {len(a)} vertices; {len(result.pairs)} eigenpairs returned,")
-print(f"{result.zero_vectors_excluded} zero vectors excluded,")
 print(f"irreps skipped as defective: {list(result.skipped_irreps)}")
 
 worst = 0.0

@@ -74,29 +74,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> bytes:
+    """An input file's bytes: json.loads detects their UTF encoding itself."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _load_group(spec: str) -> groups.GroupTable:
     if os.path.exists(spec):
-        with open(spec) as f:
-            return groups.parse_group_table(f.read())
+        return groups.parse_group_table(_read(spec))
     return groups.build_builtin_group(spec)
 
 
 def _load_digraph(path: str, group: groups.GroupTable) -> voltage.VoltageDigraph:
-    with open(path) as f:
-        return voltage.parse_voltage_digraph(f.read(), group)
+    return voltage.parse_voltage_digraph(_read(path), group)
 
 
 def _load_irrep_set(args, group):
     if args.irreps:
-        with open(args.irreps) as f:
-            return reps.load_irreps(f.read(), group)
+        return reps.load_irreps(_read(args.irreps), group)
     return reps.builtin_irreps(group)
 
 
 def _load_char_table(args, group):
     if args.chars:
-        with open(args.chars) as f:
-            return reps.load_character_table(f.read(), group)
+        return reps.load_character_table(_read(args.chars), group)
     return reps.character_table(_load_irrep_set(args, group))
 
 

@@ -71,7 +71,7 @@ def decode_json(doc, error: type):
     if isinstance(doc, (str, bytes)):
         try:
             return json.loads(doc)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF, too deep
             raise error(f"document is not valid JSON: {exc}") from None
     return doc
 

@@ -26,6 +26,7 @@ SUM_TOL = 1e-8
 # characters: two distinct characters, orthogonal rows of norm sqrt(n),
 # differ by at least sqrt(2) at some element.
 CONJ_TOL = 1e-8
+SNAP_TOL = 1e-9  # character values this close to a Gaussian integer snap to it
 # Irrep validation checks K irreps of one dimension d at a time, with
 # K * n * d^2 * |generators| at most this many entries per product (cache-sized).
 BLOCK_ENTRIES = 2 ** 16
@@ -231,8 +232,8 @@ def validate_irrep_set(s: IrrepSet) -> np.ndarray:
     return rows
 
 
-def _snap_integers(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Replace values within tol of a Gaussian integer by that integer.
+def _snap_integers(rows: np.ndarray) -> np.ndarray:
+    """Replace values within SNAP_TOL of a Gaussian integer by that integer.
 
     Character values are algebraic integers; when the true value is an
     ordinary integer (as for all dihedral characters), snapping removes the
@@ -242,7 +243,7 @@ def _snap_integers(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     re = np.round(rows.real)
     im = np.round(rows.imag)
     snapped = re + 1j * im
-    close = np.abs(rows - snapped) < tol
+    close = np.abs(rows - snapped) < SNAP_TOL
     return np.where(close, snapped, rows)
 
 

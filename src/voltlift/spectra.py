@@ -41,7 +41,6 @@ CHARSUM_WARN_DEGREE = 12
 BRUTEFORCE_MAX_ORDER = 2000
 
 EIG_RESIDUAL_FACTOR = 1e-8
-ZERO_VECTOR_NORM = 1e-12
 DEFECTIVE_COND_LIMIT = 1e12
 
 
@@ -525,6 +524,8 @@ def verify(
     if None) at charsum_match_tol, whose root multiplicity k is added.
     """
     tol = _checked_cluster_tol(d, tol)
+    if t is not None:  # even when charsum does not run
+        _check_same_group(t.group, d.group, "character table")
     per_irrep = irrep_eigenvalues(d, s)
     by_repr = spectrum_from_irrep_eigenvalues(per_irrep, tol)
     by_brute = lift_spectrum_bruteforce(d, tol)
@@ -549,12 +550,14 @@ def verify(
 
 @dataclass(frozen=True)
 class LiftEigenvectors:
-    """Eigenpairs of the lift plus bookkeeping about exclusions.
+    """Eigenpairs of the lift plus bookkeeping about skipped irreps.
 
     ``pairs`` holds (eigenvalue, vector) with vectors indexed in lift
     vertex order (vertex-major, element-index minor). Irreps whose quotient
     image is defective are skipped and listed in ``skipped_irreps``;
     ``skip_reasons`` names, for each, the failed test and its numbers.
+    No vector can be zero (see lift_eigenvectors): ``zero_vectors_excluded``
+    is always 0 and stays only for readers that still account for it.
     """
 
     pairs: tuple
@@ -569,7 +572,9 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     For each irrep rho, each eigencolumn x of its quotient image and each
     of the dim coordinate slots k, the lift vector takes the value
     (rho(h) x_v)_k at lift vertex (v, h), where x_v is vertex v's block of
-    x. Pairs come in irrep order, then eigencolumn, then slot.
+    x. Pairs come in irrep order, then eigencolumn, then slot. None is zero:
+    by Schur orthogonality its norm^2 is (n/dim) ||x||^2 for a unitary rho,
+    and at least that over cond(P)^2 for rho = P U P^-1.
 
     The irreps of one dimension d are solved together: one batched,
     residual-checked eigensolve of their (K, r*d, r*d) image stack, and
@@ -579,7 +584,7 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     vectors of the kept irreps are written in place into one array
     fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
     irrep q, column c, slot k, filled by one matmul per slot, and the
-    returned vectors are views of it.
+    returned vectors are the rows of its (K, r*d*d, r*n) reshape.
     """
     n, r = d.group.order, d.order
     kept = {}
@@ -608,23 +613,14 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
                 x, rho[:, None, :, k, :].transpose(0, 1, 3, 2),
                 out=fib[:, :, k].transpose(0, 2, 1, 3),
             )
-        w = fib.reshape(len(ok), r * di, di, r * n)
-        norms = np.sqrt(
-            np.einsum("qckx,qckx->qck", w.real, w.real)
-            + np.einsum("qckx,qckx->qck", w.imag, w.imag)
-        )
-        for q, wq, nq in zip(ok, w, norms):
-            kept[idx[q]] = (vals[q].tolist(), wq, nq < ZERO_VECTOR_NORM)
-    pairs = []
-    zeros = 0
-    for i in sorted(kept):
-        mus, wq, small = kept[i]
-        zeros += int(np.count_nonzero(small))
-        pairs += [(mus[c], wq[c, k]) for c, k in zip(*np.nonzero(~small))]
+        # row c*d + k is column c, slot k
+        mus = np.repeat(vals[ok], di, axis=1).tolist()
+        for q, mq, wq in zip(ok, mus, fib.reshape(len(ok), r * di * di, r * n)):
+            kept[idx[q]] = zip(mq, wq)
     skipped = sorted(reasons)
     return LiftEigenvectors(
-        pairs=tuple(pairs),
-        zero_vectors_excluded=zeros,
+        pairs=tuple(p for i in sorted(kept) for p in kept[i]),
+        zero_vectors_excluded=0,
         skipped_irreps=tuple(skipped),
         skip_reasons=tuple(reasons[i] for i in skipped),
     )

@@ -22,7 +22,6 @@ from voltlift.groups import GroupTable
 from voltlift.reps import HOM_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
-    ZERO_VECTOR_NORM,
     LiftEigenvectors,
     MatchReport,
     SpectrumMultiset,
@@ -32,6 +31,9 @@ from voltlift.spectra import (
 from voltlift.voltage import VoltageDigraph, associated_matrix
 
 from conftest import irrep_matrices
+
+# a lift vector below this norm counts as zero in lift_eigenvectors_loop
+ZERO_VECTOR_NORM = 1e-12
 
 
 def find_isomorphism(g1: GroupTable, g2: GroupTable):

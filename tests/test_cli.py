@@ -330,6 +330,41 @@ def test_malformed_irreps_or_chars_is_input_error(k2star_path, tmp_path, capsys,
     assert err.startswith("voltlift: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"vertices": ["\xff\xfe\x80"]}', b"[" * 100000],
+    ids=["not-utf", "too-deep"],
+)
+@pytest.mark.parametrize(
+    "option, command",
+    [
+        ("--digraph", ["spectrum", "--group", "dihedral:3"]),
+        ("--group", ["validate"]),
+        ("--irreps", ["validate", "--group", "dihedral:3"]),
+        ("--chars", ["validate", "--group", "dihedral:3"]),
+    ],
+)
+def test_unreadable_file_is_input_error(tmp_path, capsys, option, command, content):
+    # bytes in no UTF encoding, and nesting past the recursion limit
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = run(command + [option, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voltlift: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+def test_unicode_encodings_parse(tmp_path, capsys, encoding):
+    path = tmp_path / "k2star.json"
+    path.write_bytes(json.dumps(K2STAR_DOC).encode(encoding))
+    code = run(["spectrum", "--digraph", str(path), "--group", "dihedral:3",
+                "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out.split() == ["3^1", "1^3", "0^4", "-1^3", "-3^1"]
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize(
     "command",

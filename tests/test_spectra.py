@@ -16,7 +16,7 @@ from voltlift.spectra import (
     cluster_spectrum,
 )
 
-from conftest import irrep_matrices, random_voltage_digraph
+from conftest import irrep_matrices, random_voltage_digraph, replaced
 from oracles import (
     cluster_spectrum_loop,
     determinant_poly_coeffs,
@@ -506,6 +506,17 @@ class TestSpectrumRoutes:
         with pytest.raises(SpectrumError, match="different groups"):
             run()
 
+    @pytest.mark.parametrize("r", [3, 17])
+    def test_verify_refuses_a_character_table_of_another_group(self, r):
+        # a directed r-cycle over cyclic:6 with dihedral:3's table: at r = 17,
+        # r * max(dim) = 34 is past CHARSUM_HARD_CAP and charsum does not run
+        g = vl.build_builtin_group("cyclic:6")
+        d = vl.make_voltage_digraph(
+            g, [f"v{i}" for i in range(r)], [(i, (i + 1) % r, 1) for i in range(r)])
+        t = vl.character_table(vl.builtin_irreps(vl.build_builtin_group("dihedral:3")))
+        with pytest.raises(SpectrumError, match="different groups"):
+            vl.verify(d, vl.builtin_irreps(g), t)
+
     @pytest.mark.parametrize("route", ["irrep_eigenvalues", "repr", "eigenvectors", "verify"])
     def test_an_unvalidated_irrep_set_raises_on_every_irrep_route(self, route, k2star, d3):
         # right shapes, wrong matrices: the dim-2 irrep is all zeros, so the
@@ -752,6 +763,62 @@ class TestLiftEigenvectors:
         assert not result.skipped_irreps
         assert not any(w.flags.owndata for _, w in result.pairs)
         assert len({id(w.base) for _, w in result.pairs}) == len(set(d3_irreps.dims))
+
+    @staticmethod
+    def pair_dims(d, s, result):
+        # the irrep dimension behind each pair: r * dim^2 pairs per kept irrep
+        return [k for i, k in enumerate(s.dims) if i not in result.skipped_irreps
+                for _ in range(d.order * k * k)]
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_builtin_vectors_have_norm_sqrt_n_over_dim(self, spec):
+        # the builtin irreps are unitary and eig returns unit columns x, so
+        # by Schur orthogonality every lift vector has norm sqrt(n / dim)
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(41)
+        for t in range(8):
+            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
+            if t % 2:
+                arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
+                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+            result = vl.lift_eigenvectors(d, s)
+            assert result.zero_vectors_excluded == 0
+            dims = self.pair_dims(d, s, result)
+            assert len(dims) == len(result.pairs)
+            for (_, w), k in zip(result.pairs, dims):
+                want = np.sqrt(g.order / k)
+                assert abs(np.linalg.norm(w) - want) <= 1e-12 * want
+
+    def test_loaded_non_unitary_irrep_vectors_are_bounded_below(self, d3):
+        # the 2-dim irrep conjugated by P: no vector is shorter than
+        # sqrt(n / dim) / cond(P), so none is zero
+        s = vl.builtin_irreps(d3)
+        p = np.array([[1.0, 5.0], [0.0, 1.0]])
+        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))
+        loaded.characters  # validates
+        cond = np.linalg.cond(p)
+        rng = np.random.default_rng(43)
+        for _ in range(12):
+            d = random_voltage_digraph(rng, d3, max_vertices=4, max_arcs=10)
+            result = vl.lift_eigenvectors(d, loaded)
+            assert result.zero_vectors_excluded == 0
+            assert self.accounted(d, loaded, result) == d.order * d3.order
+            a = vl.build_lift(d).astype(float)
+            bound = 1e-8 * (1 + np.linalg.norm(a, 2))
+            for (mu, w), k in zip(result.pairs, self.pair_dims(d, loaded, result)):
+                norm = np.linalg.norm(w)
+                assert norm >= np.sqrt(d3.order / k) / cond
+                assert np.linalg.norm(a @ w - mu * w) <= bound * norm
+
+    def test_validation_bounds_the_conditioning_of_a_loaded_irrep(self, d3):
+        # conjugating by a P of cond ~1e4 breaks the homomorphism check, so
+        # a loaded set that validates cannot make lift vectors vanish
+        s = vl.builtin_irreps(d3)
+        p = np.array([[1.0, 100.0], [0.0, 1.0]])
+        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))
+        with pytest.raises(vl.RepresentationError, match="not a homomorphism"):
+            loaded.characters
 
     @staticmethod
     def accounted(d, s, result):
