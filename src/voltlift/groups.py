@@ -8,6 +8,7 @@ only used for I/O. The multiplication convention is ``mul[g][x] = g * x``
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -53,7 +54,7 @@ class GroupTable:
         try:
             return self.element_names.index(name)
         except ValueError:
-            raise GroupError(f"unknown element name {name!r}") from None
+            raise GroupError(f"unknown element name {short_repr(name)}") from None
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -74,6 +75,17 @@ def decode_json(doc, error: type):
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF, too deep
             raise error(f"document is not valid JSON: {exc}") from None
     return doc
+
+
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = 60
+
+
+def short_repr(value) -> str:
+    """repr(value) for an error message that echoes a document value: reprlib
+    elides long strings, lists and nesting, and the whole is cut to 100 characters."""
+    text = _SHORT.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 def has_bool(nested, depth: int) -> bool:
@@ -161,33 +173,39 @@ def _check_associativity(mul: np.ndarray, generators: tuple) -> None:
             )
 
 
+def connected_components(m: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Components of the graph on nodes 0..m-1 with undirected links
+    tails[i] -- heads[i]: label[i] is the smallest node of i's component.
+    Min-label propagation with pointer jumping (Shiloach and Vishkin,
+    J. Algorithms 3, 1982); labels only fall, each stays in its component,
+    and at the fixed point every link joins equal labels."""
+    label = np.arange(m)
+    while True:
+        old = label
+        label = label.copy()
+        np.minimum.at(label, tails, label[heads])
+        np.minimum.at(label, heads, label[tails])
+        label = label[label]
+        if np.array_equal(label, old):
+            return label
+
+
 def _conjugacy_partition(
     mul: np.ndarray, inverse: tuple, identity: int, generators: tuple
 ) -> tuple:
-    # a class is the orbit of x under x -> s x s^{-1} for generators s
+    """The conjugacy classes, the components of the links x -- s x s^-1 over
+    generators s. A stable argsort of the labels lists each class ascending,
+    the classes by smallest element, and the identity's class {identity} first."""
     n = mul.shape[0]
     gens = np.asarray(generators, dtype=np.int64)
     inv = np.asarray(inverse)
     conj = mul[mul[gens, :], inv[gens][:, None]]  # conj[k, x] = s_k x s_k^{-1}
-    # central elements are the singleton classes; mark them all at once
-    central = (conj == np.arange(n)).all(axis=0)
-    seen = central.copy()
-    classes = [(int(x),) for x in np.flatnonzero(central)]
-    for g in np.flatnonzero(~central):
-        if seen[g]:
-            continue
-        seen[g] = True
-        orbit = [g]
-        frontier = np.array([g])
-        while frontier.size:
-            img = np.unique(conj[:, frontier])
-            frontier = img[~seen[img]]
-            seen[frontier] = True
-            orbit.extend(frontier)
-        classes.append(tuple(sorted(int(x) for x in orbit)))
-    classes.sort(key=lambda c: c[0])
-    classes.sort(key=lambda c: identity not in c)
-    return tuple(classes)
+    label = connected_components(n, np.tile(np.arange(n), len(gens)), conj.reshape(-1))
+    label[identity] = -1  # sorts the identity's class first
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), n]
+    order = order.tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def make_group_table(
@@ -294,7 +312,7 @@ def build_builtin_group(spec: str) -> GroupTable:
     if spec.startswith("product:"):
         parts = spec[len("product:"):].split(",")
         if len(parts) < 2:
-            raise GroupError(f"product spec needs at least two factors: {spec!r}")
+            raise GroupError(f"product spec needs at least two factors: {short_repr(spec)}")
         factors = []
         for part in parts:
             if part.startswith("product:"):
@@ -305,7 +323,7 @@ def build_builtin_group(spec: str) -> GroupTable:
         kind, _, arg = spec.partition(":")
         n = int(arg)
     except ValueError:
-        raise GroupError(f"malformed group spec {spec!r}") from None
+        raise GroupError(f"malformed group spec {short_repr(spec)}") from None
     if kind == "cyclic":
         if n * 1 > MAX_ORDER:
             raise GroupError(f"order {n} exceeds supported maximum {MAX_ORDER}")
@@ -314,7 +332,7 @@ def build_builtin_group(spec: str) -> GroupTable:
         if 2 * n > MAX_ORDER:
             raise GroupError(f"order {2 * n} exceeds supported maximum {MAX_ORDER}")
         return _dihedral(n)
-    raise GroupError(f"unknown group family {kind!r} in spec {spec!r}")
+    raise GroupError(f"unknown group family {short_repr(kind)} in spec {short_repr(spec)}")
 
 
 def parse_group_table(doc) -> GroupTable:

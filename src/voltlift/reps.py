@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, build_builtin_group, decode_json, has_bool
+from .groups import GroupError, GroupTable, build_builtin_group, decode_json, has_bool, short_repr
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -159,7 +159,7 @@ def _check_block(group: GroupTable, a: np.ndarray, block: list, gens: list) -> n
         names = group.element_names
         raise RepresentationError(
             f"irrep {block[q]} (dim {d}): not a homomorphism at pair "
-            f"({names[g]!r}, {names[gens[j]]!r}), max entry error {err[q].max():.3e}"
+            f"{short_repr((names[g], names[gens[j]]))}, max entry error {err[q].max():.3e}"
         )
     total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
     nonzero = (total > SUM_TOL * n) & (np.asarray(block) > 0)
@@ -308,7 +308,7 @@ def validate_character_table(t: CharacterTable) -> None:
     if off.size:
         i, g = off[0]
         cls = next(c for c in group.classes if g in c)
-        raise RepresentationError(f"row {i} is not constant on class {cls}")
+        raise RepresentationError(f"row {i} is not constant on class {short_repr(cls)}")
     d = t.rows[:, group.identity]
     degree = np.round(d.real)
     bad = (np.abs(d.imag) > 1e-9) | (np.abs(d.real - degree) > 1e-9) | (degree < 1)
@@ -446,7 +446,9 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
         d, given = entry["dim"], entry["matrices"]
         missing = [name for name in g.element_names if name not in given]
         if missing:
-            raise RepresentationError(f"irrep {i}: missing matrix for element {missing[0]!r}")
+            raise RepresentationError(
+                f"irrep {i}: missing matrix for element {short_repr(missing[0])}"
+            )
         mats = _complex_from_json(  # in element-index order
             [given[name] for name in g.element_names], 3, f"irrep {i}: matrix entry"
         )

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, connected_components
 from .reps import CharacterTable, IrrepSet, by_dimension, character_table
 from .voltage import (
     VoltageDigraph,
@@ -95,24 +95,23 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
     at its mean, which for a smeared multiple eigenvalue is far more
     accurate than the individual values (the sum is trace-exact). Exact
     duplicates are merged first, and only pairs whose real parts lie
-    within tol of each other are ever compared.
+    within tol of each other are ever compared; the clusters are the
+    components that groups.connected_components finds over those links.
     """
     _check_tol(tol)
-    vals = np.sort(np.asarray(values, dtype=complex).reshape(-1))
+    vals = np.asarray(values, dtype=complex).reshape(-1)
     if not vals.size:
         return SpectrumMultiset(entries=())
     if not np.all(np.isfinite(vals)):
         raise SpectrumError("cannot cluster non-finite eigenvalues")
     # distinct values, sorted by real part then imaginary part
-    first = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-    distinct = vals[first]
-    counts = np.diff(np.r_[first, vals.size])
+    distinct, counts = np.unique(vals, return_counts=True)
     m = distinct.size
     # every value that can link to i lies in its window i .. i + width[i] - 1:
     # a real part past fl(re_i + tol) is at least tol away, and so is the value
     re = distinct.real
     width = np.searchsorted(re, re + tol, side="right") - np.arange(m)
-    links = []
+    links = [(np.arange(0), np.arange(0))]
     for k in range(1, int(width.max())):
         i = np.flatnonzero(width > k)
         gap = distinct[i + k] - distinct[i]
@@ -120,20 +119,7 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
         # can round differently and flip a link at distance ~tol
         i = i[np.hypot(gap.real, gap.imag) < tol]
         links.append((i, i + k))
-    # connected components by min-label propagation with pointer jumping;
-    # at the fixed point every link joins equal labels, and each label is
-    # the smallest index of its component
-    label = np.arange(m)
-    if links:
-        tails, heads = map(np.concatenate, zip(*links))
-        while True:
-            old = label
-            label = label.copy()
-            np.minimum.at(label, tails, label[heads])
-            np.minimum.at(label, heads, label[tails])
-            label = label[label]
-            if np.array_equal(label, old):
-                break
+    label = connected_components(m, *map(np.concatenate, zip(*links)))
     _, cluster = np.unique(label, return_inverse=True)
     mult = np.bincount(cluster, weights=counts).astype(np.int64)
     weighted = distinct * counts
@@ -225,22 +211,20 @@ def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:
     about eps**(1/k), relative to the spectral radius rho. ``values`` are
     repr's eigenvalues per irrep image, as irrep_eigenvalues returns them;
     k is the largest multiplicity of one of them within one image,
-    clustered at tol by single linkage as in cluster_spectrum. Returns
+    clustered at tol by single linkage as in cluster_spectrum: the largest
+    component of the links |z_i - z_j| < tol within one image, all images
+    in one groups.connected_components call per dimension. Returns
     (max(tol, 1e-6, 10 * (1 + rho) * eps**(1/k)), k): the bound depends on
     the root multiplicity, never on the polynomial degree.
     """
     k = 1
     for v in values.values():
+        num, size = v.shape
         gap = v[:, :, None] - v[:, None, :]
-        # reach[q, i, j]: z_i and z_j of image q are linked by a chain;
-        # squaring doubles the chain length until nothing changes
-        reach = (np.hypot(gap.real, gap.imag) < tol).astype(float)
-        while True:
-            longer = (reach @ reach > 0).astype(float)
-            if np.array_equal(longer, reach):
-                break
-            reach = longer
-        k = max(k, int(reach.sum(axis=2).max()))
+        # value i of image q is node q * size + i: no link joins two images
+        q, i, j = np.nonzero(np.hypot(gap.real, gap.imag) < tol)
+        label = connected_components(num * size, q * size + i, q * size + j)
+        k = max(k, int(np.bincount(label).max()))
     rho = max(float(np.abs(v).max()) for v in values.values())
     eps = float(np.finfo(float).eps)
     return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k
@@ -363,12 +347,9 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     for dim, idx, images in _irrep_images(d, s):
         partner = np.searchsorted(idx, s.conjugates[idx])  # within this dimension
         rep = partner >= np.arange(len(idx))
-        if rep.all():  # no pairs: the images are solved as they are
-            values[dim] = _solve(np.linalg.eigvals, images)
-        else:
-            vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
-            vals[rep] = _solve(np.linalg.eigvals, images[rep])
-            vals[~rep] = vals[partner[~rep]].conj()
+        vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
+        vals[rep] = _solve(np.linalg.eigvals, images[rep])
+        vals[~rep] = vals[partner[~rep]].conj()
     return values
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, decode_json
+from .groups import GroupTable, decode_json, short_repr
 
 
 class VoltageError(ValueError):
@@ -88,24 +88,22 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
     if not vertices:
         raise VoltageError("vertex list is empty")
     vindex = {name: i for i, name in enumerate(vertices)}
+    eindex = {name: i for i, name in enumerate(group.element_names)}
     arcs = []
     for arc in arc_docs:
         if not isinstance(arc, dict) or not all(
             isinstance(arc.get(key), str) for key in ("from", "to", "voltage")
         ):
             raise VoltageError(
-                f'arc {arc!r} must be an object with string "from", "to" and "voltage"'
+                f'arc {short_repr(arc)} must be an object with string "from", "to" and "voltage"'
             )
-        for key in ("from", "to"):
-            if arc[key] not in vindex:
-                raise VoltageError(f"unknown vertex {arc[key]!r} in arc {arc}")
-        try:
-            x = group.index_of(arc["voltage"])
-        except GroupError:
-            raise VoltageError(
-                f"unknown voltage name {arc['voltage']!r} in arc {arc}"
-            ) from None
-        arcs.append((vindex[arc["from"]], vindex[arc["to"]], x))
+        for key, index, what in (("from", vindex, "vertex"), ("to", vindex, "vertex"),
+                                 ("voltage", eindex, "voltage name")):
+            if arc[key] not in index:
+                raise VoltageError(
+                    f"unknown {what} {short_repr(arc[key])} in arc {short_repr(arc)}"
+                )
+        arcs.append((vindex[arc["from"]], vindex[arc["to"]], eindex[arc["voltage"]]))
     return make_voltage_digraph(group, vertices, arcs)
 
 

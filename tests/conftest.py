@@ -13,6 +13,23 @@ with open(K2STAR_PATH) as f:
     K2STAR_DOC = json.load(f)
 
 
+
+# inputs with one huge value, each with the parser that reads it: "digraph"
+# and "chars" documents over dihedral:3, and a "group" spec. An error
+# message must not echo the value whole.
+LONG_NAME = "q" * 100000
+HUGE_INPUTS = {
+    "voltage-name": ("digraph", {"vertices": ["a"], "arcs": [
+        {"from": "a", "to": "a", "voltage": LONG_NAME}]}),
+    "vertex-name": ("digraph", {"vertices": ["a"], "arcs": [
+        {"from": "a", "to": LONG_NAME, "voltage": "r^0"}]}),
+    "nested-voltage": ("digraph", {"vertices": ["a"], "arcs": [
+        {"from": "a", "to": "a", "voltage": json.loads("[" * 900 + "]" * 900)}]}),
+    "class-name": ("chars", {"classes": [[LONG_NAME]], "rows": [[[1, 0]]]}),
+    "group-spec": ("group", LONG_NAME),
+}
+
+
 @pytest.fixture(scope="session")
 def d3():
     return vl.build_builtin_group("dihedral:3")

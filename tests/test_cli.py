@@ -8,7 +8,7 @@ import voltlift as vl
 from voltlift import spectra, voltage
 from voltlift.cli import run
 
-from conftest import K2STAR_DOC
+from conftest import HUGE_INPUTS, K2STAR_DOC
 
 # bench seed 1's cube0: the cube graph (r = 8) over dihedral:32, undirected
 CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.json")
@@ -309,6 +309,23 @@ def test_malformed_digraph_is_input_error(tmp_path, capsys, doc):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("voltlift: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", list(HUGE_INPUTS))
+def test_error_line_does_not_echo_a_huge_value(k2star_path, tmp_path, capsys, name):
+    kind, doc = HUGE_INPUTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = {
+        "digraph": ["--digraph", str(path), "--group", "dihedral:3"],
+        "chars": ["--digraph", k2star_path, "--group", "dihedral:3",
+                  "--method", "charsum", "--chars", str(path)],
+        "group": ["--digraph", k2star_path, "--group", doc],
+    }[kind]
+    assert run(["spectrum", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("voltlift: error:") and err.count("\n") == 1
+    assert len(err) <= 300
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from voltlift.groups import GroupError
 from voltlift.reps import RepresentationError
 from voltlift.voltage import VoltageError
 
-from conftest import K2STAR_DOC, irrep_matrices
+from conftest import HUGE_INPUTS, K2STAR_DOC, irrep_matrices
 
 D3 = vl.build_builtin_group("dihedral:3")
 D3_IRREPS = vl.builtin_irreps(D3)
@@ -123,3 +123,16 @@ def test_invalid_json_text(text):
         vl.load_irreps(text, D3)
     with pytest.raises(RepresentationError, match="not valid JSON"):
         vl.load_character_table(text, D3)
+
+
+@pytest.mark.parametrize("name", list(HUGE_INPUTS))
+def test_error_message_does_not_echo_a_huge_value(name):
+    kind, doc = HUGE_INPUTS[name]
+    parse, error = {
+        "digraph": (lambda: vl.parse_voltage_digraph(doc, D3), VoltageError),
+        "chars": (lambda: vl.load_character_table(doc, D3), RepresentationError),
+        "group": (lambda: vl.build_builtin_group(doc), GroupError),
+    }[kind]
+    with pytest.raises(error) as info:
+        parse()
+    assert len(str(info.value)) <= 300

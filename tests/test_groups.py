@@ -1,11 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import voltlift as vl
-from voltlift.groups import GroupError, make_group_table
+from voltlift.groups import GroupError, connected_components, make_group_table
 
 from conftest import GROUP_POOL_SPECS
 from oracles import find_isomorphism
@@ -14,6 +15,27 @@ from test_reps import SMALL_BUILTINS
 FAMILY_SPECS = ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
                 "product:cyclic:2,dihedral:3", "product:cyclic:4,cyclic:4"]
 ALL_BUILTIN_SPECS = sorted(set(FAMILY_SPECS + GROUP_POOL_SPECS + SMALL_BUILTINS))
+Q8_PATH = os.path.join(os.path.dirname(__file__), "data", "q8_group.json")
+
+
+def components_bfs(m, tails, heads):
+    """Oracle: label each node with the smallest node of its component, by a
+    breadth-first search from each unlabelled node in increasing order."""
+    adjacent = [[] for _ in range(m)]
+    for t, h in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist()):
+        adjacent[t].append(h)
+        adjacent[h].append(t)
+    label = [-1] * m
+    for start in range(m):
+        if label[start] < 0:
+            label[start] = start
+            queue = [start]
+            for x in queue:  # the queue grows while it is read
+                for y in adjacent[x]:
+                    if label[y] < 0:
+                        label[y] = start
+                        queue.append(y)
+    return label
 
 
 def conjugacy_partition_all_elements(g):
@@ -135,12 +157,74 @@ class TestBuiltinGroups:
             vl.build_builtin_group("dihedral:3000")
 
 
-@pytest.mark.parametrize("spec", ALL_BUILTIN_SPECS)
+@pytest.mark.parametrize(
+    "spec", ALL_BUILTIN_SPECS + ["dihedral:128", "product:dihedral:8,cyclic:16", "q8"]
+)
 def test_generators_and_classes(spec):
-    g = vl.build_builtin_group(spec)
+    if spec == "q8":
+        with open(Q8_PATH) as f:
+            g = vl.parse_group_table(f.read())
+    else:
+        g = vl.build_builtin_group(spec)
     assert closure_under_products(g, g.generators) == set(range(g.order))
     assert len(g.generators) <= math.ceil(math.log2(g.order))
     assert g.classes == conjugacy_partition_all_elements(g)
+
+
+def test_identity_class_first_at_any_index():
+    # dihedral:5 relabelled so that the identity is not element 0
+    g = vl.build_builtin_group("dihedral:5")
+    p = np.roll(np.arange(g.order), 4)
+    mul = np.empty_like(g.mul)
+    mul[p[:, None], p[None, :]] = p[g.mul]
+    h = make_group_table([str(i) for i in range(g.order)], mul)
+    assert h.identity == 6
+    assert h.classes[0] == (6,)
+    assert h.classes == conjugacy_partition_all_elements(h)
+
+
+class TestConnectedComponents:
+    @staticmethod
+    def check(m, tails, heads):
+        tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
+        label = connected_components(m, tails, heads)
+        assert label.tolist() == components_bfs(m, tails, heads)
+        return label
+
+    def test_no_links(self):
+        assert self.check(5, [], []).tolist() == [0, 1, 2, 3, 4]
+
+    def test_self_links(self):
+        assert self.check(4, [0, 2, 3], [0, 2, 3]).tolist() == [0, 1, 2, 3]
+
+    def test_either_direction(self):
+        # 3 -- 1 given as (3, 1) and 2 -- 4 as (2, 4)
+        assert self.check(5, [3, 2], [1, 4]).tolist() == [0, 1, 2, 1, 2]
+
+    def test_duplicate_links(self):
+        assert self.check(4, [2, 3, 2, 3, 3], [3, 2, 3, 2, 0]).tolist() == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_shuffled_path_and_cycle(self, cycle):
+        # 4096 nodes in a random order along a path (closed into a cycle),
+        # its links shuffled and each given in a random direction
+        rng = np.random.default_rng(5)
+        m = 4096
+        walk = rng.permutation(m)
+        tails, heads = walk[:-1], walk[1:]
+        if cycle:
+            tails, heads = np.append(tails, walk[-1]), np.append(heads, walk[0])
+        shuffle = rng.permutation(len(tails))
+        flip = rng.random(len(tails)) < 0.5
+        tails, heads = np.where(flip, heads, tails)[shuffle], np.where(flip, tails, heads)[shuffle]
+        assert not self.check(m, tails, heads).any()
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            links = int(rng.integers(0, m + 1))
+            self.check(m, rng.integers(m, size=links), rng.integers(m, size=links))
 
 
 class TestParseGroupTable:

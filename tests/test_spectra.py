@@ -233,7 +233,7 @@ class TestCharsumMatchTol:
                     + rng.choice([0.0, 1e-10], size=shape)
                 )
             rows = [row for v in values.values() for row in v]
-            k = max(max(m for _, m in cluster_spectrum(row, tol).entries) for row in rows)
+            k = max(max(m for _, m in cluster_spectrum_loop(row, tol)) for row in rows)
             rho = max(float(np.abs(row).max()) for row in rows)
             got_tol, got_k = spectra.charsum_match_tol(values, tol)
             assert got_k == k
