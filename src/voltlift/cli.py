@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,11 @@ _INPUT_ERRORS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it was,
+    and building it takes about 1.5 ms, mostly argparse's terminal-size
+    queries, a sizeable share of a small command."""
     parser = argparse.ArgumentParser(
         prog="voltlift",
         description="Spectra of lifted digraphs from voltage assignments.",

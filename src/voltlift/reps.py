@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, build_builtin_group, decode_json, has_bool, short_repr
+from .groups import GroupTable, build_builtin_group, decode_json, has_bool, short_repr
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -326,13 +326,29 @@ def validate_character_table(t: CharacterTable) -> None:
 # Builtin irreps
 
 
+def _roots_of_unity(m: int) -> np.ndarray:
+    """w^k = exp(2 pi i k / m) for k = 0..m-1, each computed once, at an
+    argument at most pi, with w^(m-k) = conj(w^k) exactly and w^(m/2) = -1.
+
+    So every builtin irrep maps x^-1 to rho(x)^H bit for bit, and the image
+    of an undirected digraph's quotient matrix is Hermitian up to the
+    rounding of its sums alone (see spectra._hermitian).
+    """
+    k = np.arange(m // 2 + 1)
+    w = np.empty(m, dtype=complex)
+    w[k] = np.exp(2j * np.pi * k / m)
+    w[m - k[1:]] = w[k[1:]].conj()
+    if m % 2 == 0:
+        w[m // 2] = -1
+    return w
+
+
 def _cyclic_irreps(m: int) -> tuple:
-    # [k, j] = w^(k j mod m): each root w^j is computed once, at an argument
-    # below 2 pi, and gathered
+    # [k, j] = w^(k j mod m), gathered
     k = np.arange(m)
     kj = np.outer(k, k)
     kj %= m
-    table = np.exp(2j * np.pi * k / m)[kj]
+    table = _roots_of_unity(m)[kj]
     return (1,) * m, [(k, table.reshape(m, m, 1, 1))]
 
 
@@ -347,10 +363,10 @@ def _dihedral_irreps(m: int) -> tuple:
     at_r = chi_r ** powers
     vals = np.concatenate([at_r, at_r * chi_s], axis=1).astype(complex)
     j = np.arange(1, (m + 1) // 2)[:, None]  # the 2-dim irreps, (m - 1) // 2 of them
-    theta = 2 * np.pi * j * powers[None, :] / m
-    c, s = np.cos(theta), np.sin(theta)
-    # r^a -> rotation by theta; r^a s -> rotation @ diag(1, -1)
-    mats = np.empty((len(theta), n, 2, 2), dtype=complex)
+    w = _roots_of_unity(m)[j * powers % m]
+    c, s = w.real, w.imag
+    # r^a -> rotation by 2 pi j a / m; r^a s -> rotation @ diag(1, -1)
+    mats = np.empty((len(j), n, 2, 2), dtype=complex)
     rot, refl = mats[:, :m], mats[:, m:]
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
     refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
@@ -488,10 +504,15 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
             'character-table document must be an object with "classes" and '
             '"rows" lists of lists'
         )
-    try:
-        classes = [tuple(sorted(g.index_of(name) for name in cls)) for cls in doc["classes"]]
-    except GroupError as exc:
-        raise RepresentationError(f"document classes: {exc}") from None
+    index = {name: i for i, name in enumerate(g.element_names)}
+
+    def lookup(name):
+        if not (isinstance(name, str) and name in index):
+            raise RepresentationError(
+                f"document classes: unknown element name {short_repr(name)}")
+        return index[name]
+
+    classes = [tuple(sorted(lookup(name) for name in cls)) for cls in doc["classes"]]
     if sorted(classes) != sorted(g.classes):
         raise RepresentationError(
             "document classes do not match the group's conjugacy classes"

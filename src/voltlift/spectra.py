@@ -1,12 +1,15 @@
 """Lift spectra three ways, plus eigenvector construction and comparison.
 
 The default route maps the quotient matrix through each irreducible
-representation and solves the resulting small dense eigenproblems, one
-batched call per irrep dimension. Irreps with complex-conjugate characters
+representation and solves the resulting small dense eigenproblems, in
+batched calls per irrep dimension. Irreps with complex-conjugate characters
 have conjugate eigenvalues, since the quotient matrix has integer
 coefficients, so only one irrep of each such pair is solved and its
-partner gets the conjugates. The character route recovers the same
-per-irrep eigenvalues from power sums: Newton's identities give each
+partner gets the conjugates. When the digraph is undirected (every arc has
+its reverse with the inverse voltage), each image that is Hermitian up to
+rounding, as every image under a unitary irrep is, goes to the Hermitian
+solver; every other image keeps the general one. The character route
+recovers the same per-irrep eigenvalues from power sums: Newton's identities give each
 character's polynomial, and one batched companion-matrix eigensolve per
 character degree gives its roots. The brute-force route diagonalizes the
 explicit lift. The spectrum routes compute eigenvalues only; the lift
@@ -268,27 +271,89 @@ def _solve(solver, m: np.ndarray):
         raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Which matrices of a (K, N, N) stack are Hermitian up to rounding, as
+    a (K,) bool mask: M passes iff ||M - M^H||_F <= N^2 * eps * ||M||_F.
+
+    The bound is the order of the a-priori backward error of the
+    Householder reduction that starts both LAPACK solvers: N - 2
+    reflections of order N, each adding O(N eps ||M||_F) (Higham, Accuracy
+    and Stability of Numerical Algorithms, on sequences of Householder
+    transformations). So a passing M is within the general solver's own
+    backward error of its Hermitian part H = (M + M^H) / 2, and since H is
+    normal, every eigenvalue of M lies within ||M - H||_2 of one of H's
+    (Bauer-Fike).
+    Only H may reach eigh or eigvalsh: they read one triangle. The image of
+    an undirected digraph under a unitary irrep passes, unless its sums
+    cancel to far below the size of their terms; under a non-unitary irrep
+    P U P^-1 it is off by the order of ||M|| and fails.
+    """
+    n = m.shape[-1]
+    eps = np.finfo(float).eps
+    skew = np.linalg.norm(m - m.conj().swapaxes(1, 2), axis=(1, 2))
+    return skew <= n * n * eps * np.linalg.norm(m, axis=(1, 2))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().swapaxes(1, 2)) / 2
+
+
+def _eigvals(m: np.ndarray, measure: bool) -> np.ndarray:
+    """Eigenvalues of a (K, N, N) stack, as a complex (K, N) array. If
+    measure is true, the matrices that _hermitian passes go to one eigvalsh
+    call on their Hermitian parts; every other goes to one eigvals call."""
+    hermitian = _hermitian(m) if measure else np.zeros(len(m), dtype=bool)
+    vals = np.empty(m.shape[:2], dtype=complex)
+    if hermitian.any():
+        vals[hermitian] = _solve(np.linalg.eigvalsh, _hermitian_part(m[hermitian]))
+    if not hermitian.all():
+        vals[~hermitian] = _solve(np.linalg.eigvals, m[~hermitian])
+    return vals
+
+
 def eig(m: np.ndarray):
-    """Residual-checked eigenpairs of a (K, N, N) stack, in one batched solve.
+    """Residual-checked eigenpairs of a (K, N, N) stack, in one batched
+    solve per solver.
 
     Returns the eigenvalues (K, N), the eigenvectors (K, N, N) as columns,
     the per-column residuals (K, N), each relative to its column's norm,
-    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array. The
-    computed vectors of a Jordan block meet the bound too, so a caller that
-    needs a basis also tests the conditioning (lift_eigenvectors does).
+    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array. Each
+    matrix that _hermitian passes goes to eigh, on its Hermitian part H:
+    its eigenvalues are real, its eigenvectors orthonormal, and ||M||_2
+    is taken as max |lambda| = ||H||_2. Every other goes to eig. Residuals
+    are always of M itself. The computed vectors of a Jordan block meet
+    the bound too, so a caller that needs a basis also tests the
+    conditioning (lift_eigenvectors does).
     """
+    return _eig(m, measure=True)
+
+
+def _eig(m: np.ndarray, measure: bool):
+    """eig, but with measure false no matrix is measured and all go to the
+    general solver, as a directed digraph's images do."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise SpectrumError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SpectrumError("matrix has non-finite entries")
-    vals, vecs = _solve(np.linalg.eig, m)
+    vals = np.empty(m.shape[:2], dtype=complex)
+    vecs = np.empty(m.shape, dtype=complex)
     if not m.size:
         return vals, vecs, np.empty(vals.shape), np.zeros(len(m))
+    hermitian = _hermitian(m) if measure else np.zeros(len(m), dtype=bool)
+    norm = np.empty(len(m))
+    if hermitian.any():
+        vals[hermitian], vecs[hermitian] = _solve(
+            np.linalg.eigh, _hermitian_part(m[hermitian]))
+        norm[hermitian] = np.abs(vals[hermitian]).max(axis=1)
+    general = ~hermitian
+    if general.any():
+        g = m[general]
+        vals[general], vecs[general] = _solve(np.linalg.eig, g)
+        norm[general] = np.linalg.norm(g, 2, axis=(1, 2))
     res = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
     res = res / np.maximum(np.linalg.norm(vecs, axis=1), 1e-300)
-    bound = EIG_RESIDUAL_FACTOR * (1 + np.linalg.norm(m, 2, axis=(1, 2)))
-    return vals, vecs, res, bound
+    return vals, vecs, res, EIG_RESIDUAL_FACTOR * (1 + norm)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +404,21 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     B has integer coefficients, so the image under the irrep with the
     conjugate character (IrrepSet.conjugates) is conj(rho(B)) up to
     equivalence and has the conjugate eigenvalues. Only the
-    representatives, the irreps i with conjugates[i] >= i, are solved, in
-    one batched eigvals call per dimension; each partner's row is the
-    exact conj of its representative's row.
+    representatives, the irreps i with conjugates[i] >= i, are solved,
+    in at most two batched calls per dimension: when d.is_undirected(),
+    each image that is Hermitian up to rounding (see _hermitian; every
+    image under a unitary irrep, bar cancellation) goes to eigvalsh and
+    has real eigenvalues; every other image, and every image of a directed
+    digraph, which is never measured, goes to eigvals. Each partner's row
+    is the exact conj of its representative's row.
     """
+    undirected = d.is_undirected()
     values = {}
     for dim, idx, images in _irrep_images(d, s):
         partner = np.searchsorted(idx, s.conjugates[idx])  # within this dimension
         rep = partner >= np.arange(len(idx))
         vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
-        vals[rep] = _solve(np.linalg.eigvals, images[rep])
+        vals[rep] = _eigvals(images[rep], undirected)
         vals[~rep] = vals[partner[~rep]].conj()
     return values
 
@@ -558,21 +628,24 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     and at least that over cond(P)^2 for rho = P U P^-1.
 
     The irreps of one dimension d are solved together: one batched,
-    residual-checked eigensolve of their (K, r*d, r*d) image stack, and
-    one batched condition number of the eigenvector matrices. An irrep is
-    skipped when its eigenvector matrix is worse conditioned than
-    DEFECTIVE_COND_LIMIT or a column misses the residual bound. The
-    vectors of the kept irreps are written in place into one array
+    residual-checked eigensolve of their (K, r*d, r*d) image stack (eig;
+    only when d.is_undirected() is any image measured, and those that are
+    Hermitian up to rounding go to eigh), and one batched condition number
+    of the eigenvector matrices. An irrep is skipped when its eigenvector
+    matrix is worse conditioned than DEFECTIVE_COND_LIMIT or a column
+    misses the residual bound. The vectors of the kept irreps are written
+    in place into one array
     fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
     irrep q, column c, slot k, filled by one matmul per slot, and the
     returned vectors are the rows of its (K, r*d*d, r*n) reshape.
     """
     n, r = d.group.order, d.order
+    undirected = d.is_undirected()
     kept = {}
     reasons = {}
     for di, idx, images in _irrep_images(d, s):
         idx = idx.tolist()
-        vals, vecs, res, bound = eig(images)
+        vals, vecs, res, bound = _eig(images, undirected)
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)
         for q, i in enumerate(idx):

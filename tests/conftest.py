@@ -91,6 +91,24 @@ def random_voltage_digraph(rng, group, max_vertices=6, max_arcs=20):
     return vl.make_voltage_digraph(group, names, arcs)
 
 
+def random_voltage_graph(rng, group, max_vertices=6, max_edges=12):
+    """An undirected voltage graph: at most one edge per pair of vertices
+    and one loop per vertex, each an arc (u, v, x) and its reverse
+    (v, u, x^-1), a loop with a self-inverse x its own reverse. Every block
+    of the quotient matrix sums at most two terms, so under the builtin
+    irreps, which map x^-1 to rho(x)^H exactly, each image is exactly
+    Hermitian."""
+    r = int(rng.integers(1, max_vertices + 1))
+    pairs = [(u, v) for u in range(r) for v in range(u, r)]
+    chosen = rng.permutation(len(pairs))[:int(rng.integers(1, max_edges + 1))]
+    arcs = []
+    for u, v in (pairs[i] for i in sorted(chosen)):
+        x = int(rng.integers(group.order))
+        x_inv = int(group.inverse[x])
+        arcs += [(u, v, x)] if (u, v, x) == (v, u, x_inv) else [(u, v, x), (v, u, x_inv)]
+    return vl.make_voltage_digraph(group, [f"v{i}" for i in range(r)], arcs)
+
+
 # one PASS/FAIL line per acceptance criterion at the end of the run
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     results = {}

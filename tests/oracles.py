@@ -25,7 +25,7 @@ from voltlift.spectra import (
     LiftEigenvectors,
     MatchReport,
     SpectrumMultiset,
-    eig,
+    _eig,
     rho_matrix,
 )
 from voltlift.voltage import VoltageDigraph, associated_matrix
@@ -178,11 +178,14 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     For each irrep, each eigencolumn of the quotient image, and each of the
     dim coordinate slots, the lift vector takes value (rho(h) x_v c)_k at
     lift vertex (v, h), where x_v is vertex v's row block of the quotient
-    eigenvector matrix.
+    eigenvector matrix. Each image is solved alone, by the solver that the
+    library picks for it (spectra._eig): the Hermitian one only when d is
+    undirected and the image passes the rounding-level test.
     """
     group = d.group
     n = group.order
     r = d.order
+    undirected = d.is_undirected()
     b = associated_matrix(d)
     pairs = []
     skipped = []
@@ -190,7 +193,7 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     for i, di in enumerate(s.dims):
         mats = irrep_matrices(s, i)
         m = rho_matrix(b, mats[None])[0]
-        vals, u_mat, res, bound = (a[0] for a in eig(m[None]))
+        vals, u_mat, res, bound = (a[0] for a in _eig(m[None], undirected))
         if m.size:
             cond = np.linalg.cond(u_mat)
             if (

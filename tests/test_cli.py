@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import voltlift as vl
-from voltlift import spectra, voltage
+from voltlift import cli, spectra, voltage
 from voltlift.cli import run
 
 from conftest import HUGE_INPUTS, K2STAR_DOC
@@ -69,6 +69,31 @@ def test_verify_cube_at_default_tol(capsys):
     assert report["worst_distance"] < report["tolerance"] < 1e-3
 
 
+TRIANGLE_PATH = os.path.join(os.path.dirname(__file__), "data", "triangle_dihedral3.json")
+NON_UNITARY_PATH = os.path.join(os.path.dirname(__file__), "data", "d3_non_unitary_irreps.json")
+
+
+@pytest.mark.parametrize("irreps", [[], ["--irreps", NON_UNITARY_PATH]])
+def test_verify_undirected_triangle_picks_the_solver_per_image(irreps, monkeypatch, capsys):
+    # the CI fixture: an undirected triangle over dihedral:3, with builtin
+    # irreps and with the 2-dim irrep conjugated by P = [[1, 5], [0, 1]],
+    # whose images are not Hermitian and take the general solver
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        def spy(a, name=name, solve=getattr(np.linalg, name)):
+            calls.append((name, a.shape))
+            return solve(a)
+        monkeypatch.setattr(np.linalg, name, spy)
+    code = run(["verify", "--digraph", TRIANGLE_PATH, "--group", "dihedral:3", *irreps])
+    assert code == 0, capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
+    assert all(r["matched"] for r in report.values()) and len(report) == 2
+    # verify's repr route, one call per irrep dimension, then bruteforce on
+    # the symmetric lift; charsum's companion matrices follow
+    two_dim = ("eigvals" if irreps else "eigvalsh", (1, 6, 6))
+    assert calls[:3] == [("eigvalsh", (2, 3, 3)), two_dim, ("eigvalsh", (18, 18))]
+
+
 @pytest.mark.filterwarnings("ignore:power-sum degree")
 def test_verify_cube_perturbed_charsum_root_is_mismatch(monkeypatch, capsys):
     roots = spectra.roots_from_power_sums
@@ -126,6 +151,44 @@ def test_unknown_flag_exits_2(k2star_path):
     with pytest.raises(SystemExit) as exc:
         run(["spectrum", "--digraph", k2star_path, "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_command_as_a_fresh_one_does(k2star_path, tmp_path, capsys):
+    # the parser is built once per process; each run must still give the
+    # output and exit code of a run with a newly built parser, bad input too
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    k2 = ["--digraph", k2star_path, "--group", "dihedral:3"]
+    argvs = [
+        ["spectrum", *k2, "--format", "text", "--tol", "1e-6"],
+        ["walks", *k2, "--length", "3"],
+        ["verify", *k2],
+        ["spectrum", "--digraph", str(bad), "--group", "dihedral:3"],
+        ["spectrum", *k2, "--method", "nope"],
+        ["walks", *k2],
+        ["lift", *k2, "--format", "text"],
+        ["validate", "--group", "dihedral:3"],
+        ["spectrum", *k2, "--method", "bruteforce"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in argvs] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 2, 2, 0, 0, 0]
+    assert "not valid JSON" in fresh[3][2]
+    assert "invalid choice" in fresh[4][2] and "--length" in fresh[5][2]
 
 
 def test_missing_file_is_input_error(capsys):

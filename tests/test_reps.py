@@ -85,6 +85,16 @@ class TestBuiltinIrreps:
         assert len(s.dims) == len(g.classes)
         assert sum(d * d for d in s.dims) == g.order
 
+    @pytest.mark.parametrize("spec", SMALL_BUILTINS + ["dihedral:512", "cyclic:1024"])
+    def test_inverse_maps_to_conjugate_transpose_exactly(self, spec):
+        # rho(x^-1) == rho(x)^H bit for bit, so the image of an undirected
+        # digraph with one voltage per edge is exactly Hermitian
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        inverse = np.asarray(g.inverse)
+        for stack in s.stacks.values():
+            assert np.array_equal(stack[:, inverse], stack.conj().swapaxes(2, 3))
+
     def test_untagged_group_rejected(self):
         g = vl.parse_group_table({"elements": ["e", "a"], "mul": [[0, 1], [1, 0]]})
         with pytest.raises(RepresentationError, match="family"):
@@ -279,6 +289,23 @@ class TestLoadCharacterTable:
             doc["rows"][i][c] = value
         with pytest.raises(RepresentationError, match="re, im"):
             vl.load_character_table(doc, d3)
+
+    @pytest.mark.parametrize("name", ["q" * 100000, ["r^0"], {"r": 0}, 7, None])
+    def test_unknown_class_member_is_named_briefly(self, d3, name):
+        doc = self.d3_doc(d3)
+        doc["classes"][2] = ["r^1", name]
+        with pytest.raises(RepresentationError,
+                           match="document classes: unknown element name") as info:
+            vl.load_character_table(doc, d3)
+        assert len(str(info.value)) <= 200
+
+    def test_names_are_looked_up_in_one_dict(self, d3, monkeypatch):
+        # a list search per name made loading O(n^2)
+        def no_search(self, name):
+            raise AssertionError("linear search")
+
+        monkeypatch.setattr(vl.GroupTable, "index_of", no_search)
+        assert vl.load_character_table(self.d3_doc(d3), d3).dims == (1, 1, 2)
 
     def test_wrong_row_count(self, d3):
         doc = self.d3_doc(d3)

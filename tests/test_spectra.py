@@ -16,7 +16,13 @@ from voltlift.spectra import (
     cluster_spectrum,
 )
 
-from conftest import irrep_matrices, random_voltage_digraph, replaced
+from conftest import (
+    GROUP_POOL_SPECS,
+    irrep_matrices,
+    random_voltage_digraph,
+    random_voltage_graph,
+    replaced,
+)
 from oracles import (
     cluster_spectrum_loop,
     determinant_poly_coeffs,
@@ -145,6 +151,62 @@ class TestEig:
         cond = np.linalg.cond(vecs)
         flagged = (res > bound[:, None]) | (cond > DEFECTIVE_COND_LIMIT)[:, None]
         assert flagged.tolist() == [[False] * 4, [True] * 4]
+
+    @staticmethod
+    def hermitian_with_skew(rng, n, ratio, diagonal=False):
+        # H + S with ||(H + S) - (H + S)^H||_F = 2 ||S||_F equal to
+        # ratio * n^2 * eps * ||H||_F, S skew-Hermitian. With a real diagonal
+        # H the sum H + S is exact, so the ratio holds to rounding;
+        # otherwise adding S to H's entries rounds it by a few percent
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h, skew = (a + a.conj().T) / 2, (a - a.conj().T) / 2
+        if diagonal:
+            h = np.diag(rng.standard_normal(n)).astype(complex)
+        scale = ratio * n * n * np.finfo(float).eps * np.linalg.norm(h) / 2
+        return h + skew * scale / np.linalg.norm(skew)
+
+    def test_hermitian_gate_is_n_squared_eps_of_the_norm(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 16):
+            stack = np.array([self.hermitian_with_skew(rng, n, ratio, diagonal=True)
+                              for ratio in (0.0, 0.5, 0.99, 1.01, 2.0, 1e6)])
+            assert spectra._hermitian(stack).tolist() == [True] * 3 + [False] * 3
+        assert spectra._hermitian(np.zeros((1, 3, 3), dtype=complex)).tolist() == [True]
+
+    def test_hermitian_matrix_goes_to_eigh(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        m = self.hermitian_with_skew(rng, 6, 0.5)[None]
+        called = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: called.append(a) or eigh(a))
+        vals, vecs, res, bound = vl.eig(m)
+        monkeypatch.undo()
+        # eigh reads one triangle, so it is given the Hermitian part alone
+        assert len(called) == 1 and np.array_equal(called[0], spectra._hermitian_part(m))
+        assert np.all(vals.imag == 0)
+        assert np.allclose(vecs[0].conj().T @ vecs[0], np.eye(6), atol=1e-13)
+        # the residuals are M's own; ||M||_2 is read off the eigenvalues
+        assert np.array_equal(
+            res, np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
+            / np.linalg.norm(vecs, axis=1))
+        assert bound[0] == EIG_RESIDUAL_FACTOR * (1 + np.abs(vals[0]).max())
+        assert abs(np.abs(vals[0]).max() - np.linalg.norm(m[0], 2)) <= 1e-12
+        assert np.all(res <= bound[:, None])
+
+    def test_each_matrix_is_solved_alone(self):
+        # a mixed stack: every field of slice q equals the solve of m[q] alone
+        rng = np.random.default_rng(14)
+        stack = np.array([
+            self.hermitian_with_skew(rng, 5, 0.5),
+            rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)),
+            self.hermitian_with_skew(rng, 5, 3.0),
+            self.hermitian_with_skew(rng, 5, 0.0),
+        ])
+        assert spectra._hermitian(stack).tolist() == [True, False, False, True]
+        batched = vl.eig(stack)
+        for q in range(len(stack)):
+            for got, want in zip(batched, vl.eig(stack[q:q + 1])):
+                assert got[q:q + 1].tobytes() == want.tobytes()
 
 
 class TestSpectrumMultiset:
@@ -338,8 +400,19 @@ class TestSpectrumRoutes:
 
     @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
     def test_repr_batches_one_eigvals_per_dimension(self, spec, monkeypatch):
-        # one eigvals call per dimension, on one irrep of each conjugate
-        # pair: every real character and half of the complex ones
+        # one solver call per dimension, on one irrep of each conjugate
+        # pair: every real character and half of the complex ones. The
+        # images of a directed digraph go to eigvals
+        self.check_one_call_per_dimension(spec, False, monkeypatch)
+
+    @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
+    def test_repr_batches_one_eigvalsh_per_dimension_when_undirected(self, spec, monkeypatch):
+        # the images of an undirected voltage graph are Hermitian and go to
+        # eigvalsh, in as many calls on as many images
+        self.check_one_call_per_dimension(spec, True, monkeypatch)
+
+    @staticmethod
+    def check_one_call_per_dimension(spec, undirected, monkeypatch):
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         real = np.abs(s.characters.imag).max(axis=1) < 1e-9
@@ -347,9 +420,14 @@ class TestSpectrumRoutes:
             k: int(real[idx].sum()) + int((~real[idx]).sum()) // 2
             for k, idx in by_dimension(s.dims)
         }
+        solver = "eigvalsh" if undirected else "eigvals"
         rng = np.random.default_rng(21)
         for _ in range(4):
-            d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
+            if undirected:
+                d = random_voltage_graph(rng, g, max_vertices=4, max_edges=8)
+            else:
+                d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
+            assert d.is_undirected() == undirected
             b = vl.associated_matrix(d)
             # reference: one residual-checked eig per irrep
             values = []
@@ -358,17 +436,19 @@ class TestSpectrumRoutes:
                 values += [complex(z) for z in vl.eig(image)[0][0]] * k
             want = cluster_spectrum(values, 1e-8)
             stacks = []
-            eigvals = np.linalg.eigvals
 
-            def spy(a):
-                stacks.append(a.shape)
-                return eigvals(a)
+            def spy(name, solve):
+                def call(a):
+                    stacks.append((name, a.shape))
+                    return solve(a)
+                return call
 
-            monkeypatch.setattr(np.linalg, "eigvals", spy)
+            for name in ("eigvals", "eigvalsh"):
+                monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
             got = vl.lift_spectrum_repr(d, s, 1e-8)
             monkeypatch.undo()
             assert sorted(stacks) == sorted(
-                (solved[k], d.order * k, d.order * k) for k in set(s.dims)
+                (solver, (solved[k], d.order * k, d.order * k)) for k in set(s.dims)
             )
             assert got.total == want.total == d.order * g.order
             assert vl.spectra_equal(got, want, 1e-7).matched
@@ -429,19 +509,30 @@ class TestSpectrumRoutes:
 
     @pytest.mark.parametrize("route, solver", [
         ("repr", "eigvals"), ("charsum", "eigvals"), ("bruteforce", "eigvals"),
-        ("eigenvectors", "eig"),
+        ("eigenvectors", "eig"), ("undirected repr", "eigvalsh"),
+        ("undirected bruteforce", "eigvalsh"), ("undirected eigenvectors", "eigh"),
     ])
     def test_solver_failure_is_a_spectrum_error(self, route, solver, k2star, d3_irreps,
                                                 monkeypatch):
         def fail(m):
             raise np.linalg.LinAlgError("no convergence")
 
+        # k2star is directed: its arc a -> b with voltage r^1 has a reverse
+        # with r^1, not r^2. The triangle with every reverse is undirected
+        d3 = k2star.group
+        r1, r2 = d3.element_names.index("r^1"), d3.element_names.index("r^2")
+        triangle = vl.make_voltage_digraph(d3, ["a", "b", "c"], [
+            (0, 1, r1), (1, 0, r2), (1, 2, r1), (2, 1, r2), (2, 0, 0), (0, 2, 0)])
+        assert not k2star.is_undirected() and triangle.is_undirected()
         call = {
             "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
             "charsum": lambda: vl.lift_spectrum_charsum(
                 k2star, vl.character_table(d3_irreps), 1e-7),
             "bruteforce": lambda: vl.lift_spectrum_bruteforce(k2star, 1e-7),
             "eigenvectors": lambda: vl.lift_eigenvectors(k2star, d3_irreps),
+            "undirected repr": lambda: vl.lift_spectrum_repr(triangle, d3_irreps, 1e-7),
+            "undirected bruteforce": lambda: vl.lift_spectrum_bruteforce(triangle, 1e-7),
+            "undirected eigenvectors": lambda: vl.lift_eigenvectors(triangle, d3_irreps),
         }[route]
         monkeypatch.setattr(np.linalg, solver, fail)
         with pytest.raises(SpectrumError, match="eigensolver did not converge: no convergence"):
@@ -541,6 +632,151 @@ class TestSpectrumRoutes:
         assert vl.lift_spectrum_repr(k2star, s).total == 12
         assert vl.lift_spectrum_charsum(k2star, vl.character_table(s)).total == 12
         assert len(vl.lift_eigenvectors(k2star, s).pairs) > 0
+
+
+SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Every call of numpy's four dense eigensolvers, as (name, stack shape)."""
+    calls = []
+
+    def spy(name, solve):
+        def call(a):
+            calls.append((name, a.shape))
+            return solve(a)
+        return call
+
+    for name in SOLVERS:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+class TestSolverChoice:
+    """Which solver the repr and eigenvector routes give each irrep image:
+    the Hermitian one exactly when the digraph is undirected and the image
+    is Hermitian up to rounding."""
+
+    @staticmethod
+    def solve_both_routes(d, s, calls):
+        # the solver calls of irrep_eigenvalues and of lift_eigenvectors;
+        # repr must match bruteforce whichever solvers ran. A directed lift
+        # can be defective, and both routes smear a k-fold defective
+        # eigenvalue by about eps^(1/k), so it is matched more loosely
+        calls.clear()
+        values = vl.irrep_eigenvalues(d, s)
+        by_values = list(calls)
+        calls.clear()
+        vectors = vl.lift_eigenvectors(d, s)
+        by_vectors = list(calls)
+        by_repr = spectra.spectrum_from_irrep_eigenvalues(values, 1e-8)
+        tol = 1e-7 if d.is_undirected() else 1e-3
+        assert vl.spectra_equal(by_repr, vl.lift_spectrum_bruteforce(d, 1e-8), tol).matched
+        return by_values, by_vectors, vectors
+
+    @staticmethod
+    def per_dimension(s, d, name, count=None):
+        # one call of the named solver per irrep dimension, on `count`
+        # images of that dimension (all of them if None)
+        counts = count or {k: s.dims.count(k) for k in set(s.dims)}
+        return sorted((name, (counts[k], d.order * k, d.order * k)) for k in counts)
+
+    @pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:12", "product:cyclic:3,dihedral:4",
+                                      "dihedral:32"])
+    def test_undirected_builtin_lifts_take_the_hermitian_solver(self, spec, solver_calls):
+        # cyclic:12 pairs conjugate characters: only one irrep of each pair
+        # is solved in the repr route, and all of them for eigenvectors
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in by_dimension(s.dims)}
+        rng = np.random.default_rng(51)
+        for _ in range(4):
+            d = random_voltage_graph(rng, g, max_vertices=5, max_edges=9)
+            assert d.is_undirected()
+            by_values, by_vectors, vectors = self.solve_both_routes(d, s, solver_calls)
+            assert sorted(by_values) == self.per_dimension(s, d, "eigvalsh", solved)
+            assert sorted(by_vectors) == self.per_dimension(s, d, "eigh")
+            assert not vectors.skipped_irreps
+            assert all(mu.imag == 0 for mu, _ in vectors.pairs)
+
+    @pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:12", "product:cyclic:3,dihedral:4"])
+    def test_directed_digraphs_take_the_general_solver(self, spec, solver_calls):
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in by_dimension(s.dims)}
+        rng = np.random.default_rng(52)
+        for _ in range(4):
+            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
+            while d.is_undirected():  # a lone loop with a self-inverse voltage
+                d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
+            by_values, by_vectors, _ = self.solve_both_routes(d, s, solver_calls)
+            assert sorted(by_values) == self.per_dimension(s, d, "eigvals", solved)
+            assert sorted(by_vectors) == self.per_dimension(s, d, "eig")
+
+    def test_a_missing_reverse_arc_takes_the_general_solver(self, solver_calls):
+        # the cube over dihedral:4 with one arc dropped: its trivial image
+        # is no longer symmetric, and no image is even measured
+        g = vl.build_builtin_group("dihedral:4")
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(53)
+        arcs = []
+        for u, v in [(u, u ^ bit) for bit in (1, 2, 4) for u in range(8) if u < u ^ bit]:
+            x = int(rng.integers(g.order))
+            arcs += [(u, v, x), (v, u, int(g.inverse[x]))]
+        names = [f"v{i}" for i in range(8)]
+        assert vl.make_voltage_digraph(g, names, arcs).is_undirected()
+        d = vl.make_voltage_digraph(g, names, arcs[:-1])
+        assert not d.is_undirected()
+        by_values, by_vectors, _ = self.solve_both_routes(d, s, solver_calls)
+        assert sorted(by_values) == self.per_dimension(s, d, "eigvals")
+        assert sorted(by_vectors) == self.per_dimension(s, d, "eig")
+
+    def test_a_non_unitary_loaded_irrep_takes_the_general_solver(self, d3, solver_calls):
+        # the 2-dim irrep conjugated by P, as in
+        # TestLiftEigenvectors::test_loaded_non_unitary_irrep_vectors_are_bounded_below:
+        # its images are far from Hermitian, the 1-dim images stay Hermitian
+        s = vl.builtin_irreps(d3)
+        p = np.array([[1.0, 5.0], [0.0, 1.0]])
+        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))
+        rng = np.random.default_rng(54)
+        for _ in range(4):
+            d = random_voltage_graph(rng, d3, max_vertices=4, max_edges=8)
+            r = d.order
+            by_values, by_vectors, _ = self.solve_both_routes(d, loaded, solver_calls)
+            assert sorted(by_values) == [("eigvals", (1, 2 * r, 2 * r)), ("eigvalsh", (2, r, r))]
+            assert sorted(by_vectors) == [("eig", (1, 2 * r, 2 * r)), ("eigh", (2, r, r))]
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_eigenvalues_match_the_general_solver(self, spec):
+        # per image, the repr and eigenvector routes against numpy's general
+        # solvers, clustered and matched at the default tolerance; the
+        # undirected digraphs have parallel arcs and loops, so some images
+        # cancel and take the general solver too
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(55)
+        for t in range(8):
+            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=10)
+            if t % 2:
+                arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
+                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+            tol = spectra._checked_cluster_tol(d, None)
+            values = vl.irrep_eigenvalues(d, s)
+            vectors = vl.lift_eigenvectors(d, s)
+            mus = iter(mu for mu, _ in vectors.pairs)
+            b = vl.associated_matrix(d)
+            for i, k in enumerate(s.dims):
+                image = vl.rho_matrix(b, irrep_matrices(s, i)[None])[0]
+                q = s.dims[:i].count(k)
+                for got, want in [(values[k][q], np.linalg.eigvals(image)),
+                                  (None if i in vectors.skipped_irreps else
+                                   [next(mus) for _ in range(d.order * k * k)][::k],
+                                   np.linalg.eig(image)[0])]:
+                    if got is None:
+                        continue
+                    got, want = cluster_spectrum(got, tol), cluster_spectrum(want, tol)
+                    assert vl.spectra_equal(got, want, tol).matched, (spec, t, i)
 
 
 class TestPowerSums:
@@ -747,16 +983,30 @@ class TestLiftEigenvectors:
                 # every arc gets its reverse with the inverse voltage
                 arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
                 d = vl.make_voltage_digraph(g, d.vertices, arcs)
-            got = vl.lift_eigenvectors(d, s)
-            want = lift_eigenvectors_loop(d, s)
-            assert got.skipped_irreps == want.skipped_irreps
-            assert len(got.skip_reasons) == len(got.skipped_irreps)
-            assert got.zero_vectors_excluded == want.zero_vectors_excluded
-            assert len(got.pairs) == len(want.pairs)
-            mus = [np.array([mu for mu, _ in r.pairs], dtype=complex) for r in (got, want)]
-            assert mus[0].tobytes() == mus[1].tobytes()
-            for (_, w), (_, v) in zip(got.pairs, want.pairs):
-                assert np.linalg.norm(w - v) <= 1e-12 * np.linalg.norm(v)
+            self.assert_matches_loop(d, s)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_matches_per_irrep_loop_on_hermitian_images(self, spec):
+        # undirected voltage graphs, whose every image goes to eigh: one
+        # batched call per dimension against one call per image
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(32)
+        for _ in range(4):
+            self.assert_matches_loop(random_voltage_graph(rng, g, max_vertices=5), s)
+
+    @staticmethod
+    def assert_matches_loop(d, s):
+        got = vl.lift_eigenvectors(d, s)
+        want = lift_eigenvectors_loop(d, s)
+        assert got.skipped_irreps == want.skipped_irreps
+        assert len(got.skip_reasons) == len(got.skipped_irreps)
+        assert got.zero_vectors_excluded == want.zero_vectors_excluded
+        assert len(got.pairs) == len(want.pairs)
+        mus = [np.array([mu for mu, _ in r.pairs], dtype=complex) for r in (got, want)]
+        assert mus[0].tobytes() == mus[1].tobytes()
+        for (_, w), (_, v) in zip(got.pairs, want.pairs):
+            assert np.linalg.norm(w - v) <= 1e-12 * np.linalg.norm(v)
 
     def test_vectors_are_views_of_one_array_per_dimension(self, k2star, d3_irreps):
         result = vl.lift_eigenvectors(k2star, d3_irreps)
@@ -863,7 +1113,11 @@ class TestLiftEigenvectors:
         assert [mu for mu, _ in result.pairs] == [mu for mu, _ in want.pairs]
 
     def test_residual_branch_reports_residual_and_bound(self, k2star, d3_irreps, monkeypatch):
-        # a bound far below rounding error fails every residual test
+        # a bound far below rounding error fails every residual test. k2star
+        # is directed (see test_solver_failure_is_a_spectrum_error), so its
+        # images go to the general solver, whose residuals are not 0; a
+        # Hermitian image's eigh residuals can be exactly 0
+        assert not k2star.is_undirected()
         monkeypatch.setattr(spectra, "EIG_RESIDUAL_FACTOR", 1e-30)
         result = vl.lift_eigenvectors(k2star, d3_irreps)
         assert result.skipped_irreps == (0, 1, 2)
