@@ -177,12 +177,18 @@ class TestEig:
         rng = np.random.default_rng(13)
         m = self.hermitian_with_skew(rng, 6, 0.5)[None]
         called = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: called.append(a) or eigh(a))
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, solve=solve: called.append(a) or solve(a))
         vals, vecs, res, bound = vl.eig(m)
+        only_vals = spectra._eigvals(m, measure=True)
         monkeypatch.undo()
-        # eigh reads one triangle, so it is given the Hermitian part alone
-        assert len(called) == 1 and np.array_equal(called[0], spectra._hermitian_part(m))
+        # eigh and eigvalsh read one triangle, so they are given the
+        # Hermitian part alone, and agree on the eigenvalues
+        assert len(called) == 2
+        assert all(np.array_equal(a, spectra._hermitian_part(m)) for a in called)
+        assert np.allclose(only_vals, vals, rtol=0, atol=1e-13)
         assert np.all(vals.imag == 0)
         assert np.allclose(vecs[0].conj().T @ vecs[0], np.eye(6), atol=1e-13)
         # the residuals are M's own; ||M||_2 is read off the eigenvalues
@@ -768,13 +774,12 @@ class TestSolverChoice:
             b = vl.associated_matrix(d)
             for i, k in enumerate(s.dims):
                 image = vl.rho_matrix(b, irrep_matrices(s, i)[None])[0]
-                q = s.dims[:i].count(k)
-                for got, want in [(values[k][q], np.linalg.eigvals(image)),
-                                  (None if i in vectors.skipped_irreps else
-                                   [next(mus) for _ in range(d.order * k * k)][::k],
-                                   np.linalg.eig(image)[0])]:
-                    if got is None:
-                        continue
+                checks = [(values[k][s.dims[:i].count(k)], np.linalg.eigvals(image))]
+                if i not in vectors.skipped_irreps:
+                    # r * k eigencolumns of k slots each, slot-minor
+                    mu = [next(mus) for _ in range(d.order * k * k)][::k]
+                    checks.append((mu, np.linalg.eig(image)[0]))
+                for got, want in checks:
                     got, want = cluster_spectrum(got, tol), cluster_spectrum(want, tol)
                     assert vl.spectra_equal(got, want, tol).matched, (spec, t, i)
 
