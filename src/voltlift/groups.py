@@ -8,9 +8,10 @@ only used for I/O. The multiplication convention is ``mul[g][x] = g * x``
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -261,53 +262,29 @@ def make_group_table(
 # Builtin families
 
 
-def _cyclic(n: int) -> GroupTable:
-    if n < 1:
-        raise GroupError("cyclic group order must be >= 1")
-    names = [f"g^{j}" for j in range(n)]
-    mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return make_group_table(names, mul, family=f"cyclic:{n}")
+def _cyclic_table(m: int) -> tuple:
+    return [f"g^{j}" for j in range(m)], (np.arange(m)[:, None] + np.arange(m)) % m
 
 
-def _dihedral(n: int) -> GroupTable:
-    # order 2n; indices 0..n-1 are r^j, indices n..2n-1 are r^j*s,
-    # with relations r^n = s^2 = (r s)^2 = identity
-    if n < 2:
-        raise GroupError("dihedral parameter must be >= 2")
-    names = [f"r^{j}" for j in range(n)] + [f"r^{j}*s" for j in range(n)]
-    a = np.arange(n)[:, None]
-    b = np.arange(n)[None, :]
-    plus = (a + b) % n     # r^a r^b
-    minus = (a - b) % n    # (r^a s) r^b = r^(a-b) s
-    mul = np.block([[plus, n + plus],       # r^a (r^b s) = r^(a+b) s
-                    [n + minus, minus]])    # (r^a s)(r^b s) = r^(a-b)
-    return make_group_table(names, mul, family=f"dihedral:{n}")
+def _dihedral_table(m: int) -> tuple:
+    # order 2m: r^j at index j, r^j*s at m + j; r^m = s^2 = (r s)^2 = identity
+    names = [f"r^{j}" for j in range(m)] + [f"r^{j}*s" for j in range(m)]
+    plus = (np.arange(m)[:, None] + np.arange(m)) % m     # r^a r^b
+    minus = (np.arange(m)[:, None] - np.arange(m)) % m    # (r^a s) r^b = r^(a-b) s
+    return names, np.block([[plus, m + plus],       # r^a (r^b s) = r^(a+b) s
+                            [m + minus, minus]])    # (r^a s)(r^b s) = r^(a-b)
 
 
-def _direct_product(factors: list) -> GroupTable:
-    sizes = [f.order for f in factors]
-    n = int(np.prod(sizes))
-    if n > MAX_ORDER:
-        raise GroupError(f"product order {n} exceeds supported maximum {MAX_ORDER}")
-    # lexicographic by factor indices, first factor most significant
-    parts = np.indices(sizes).reshape(len(sizes), n)  # parts[k, i]: factor-k index of i
-    names = [
-        "(" + ",".join(f.element_names[i] for f, i in zip(factors, t)) + ")"
-        for t in zip(*parts.tolist())
-    ]
-    mul = np.ravel_multi_index(
-        [f.mul[p[:, None], p[None, :]] for f, p in zip(factors, parts)], sizes
-    )
-    spec = "product:" + ",".join(f.family for f in factors)
-    return make_group_table(names, mul, family=spec)
+# kind -> (table builder, order per unit of m, least m, message for a smaller m)
+_FAMILIES = {
+    "cyclic": (_cyclic_table, 1, 1, "cyclic group order must be >= 1"),
+    "dihedral": (_dihedral_table, 2, 2, "dihedral parameter must be >= 2"),
+}
 
 
-def build_builtin_group(spec: str) -> GroupTable:
-    """Instantiate a builtin group from a spec string.
-
-    Supported: ``cyclic:n`` (n >= 1), ``dihedral:n`` (n >= 2, order 2n),
-    ``product:<spec>,<spec>,...`` with cyclic/dihedral factors.
-    """
+def parse_builtin_spec(spec: str) -> list:
+    """The factors (kind, m) of a builtin spec, one for a single family, with
+    every order, a product's too, checked against MAX_ORDER."""
     spec = spec.strip()
     if spec.startswith("product:"):
         parts = spec[len("product:"):].split(",")
@@ -317,22 +294,43 @@ def build_builtin_group(spec: str) -> GroupTable:
         for part in parts:
             if part.startswith("product:"):
                 raise GroupError("nested product specs are not supported")
-            factors.append(build_builtin_group(part))
-        return _direct_product(factors)
+            factors += parse_builtin_spec(part)  # one factor: a part has no comma
+        n = math.prod(_FAMILIES[kind][1] * m for kind, m in factors)
+        if n > MAX_ORDER:
+            raise GroupError(f"product order {n} exceeds supported maximum {MAX_ORDER}")
+        return factors
     try:
         kind, _, arg = spec.partition(":")
-        n = int(arg)
+        m = int(arg)
     except ValueError:
         raise GroupError(f"malformed group spec {short_repr(spec)}") from None
-    if kind == "cyclic":
-        if n * 1 > MAX_ORDER:
-            raise GroupError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-        return _cyclic(n)
-    if kind == "dihedral":
-        if 2 * n > MAX_ORDER:
-            raise GroupError(f"order {2 * n} exceeds supported maximum {MAX_ORDER}")
-        return _dihedral(n)
-    raise GroupError(f"unknown group family {short_repr(kind)} in spec {short_repr(spec)}")
+    if kind not in _FAMILIES:
+        raise GroupError(f"unknown group family {short_repr(kind)} in spec {short_repr(spec)}")
+    _, per_m, least, too_small = _FAMILIES[kind]
+    if per_m * m > MAX_ORDER:
+        raise GroupError(f"order {per_m * m} exceeds supported maximum {MAX_ORDER}")
+    if m < least:
+        raise GroupError(too_small)
+    return [(kind, m)]
+
+
+def build_builtin_group(spec: str) -> GroupTable:
+    """A builtin group from a spec: ``cyclic:n`` (n >= 1), ``dihedral:n`` (n >= 2,
+    order 2n) or ``product:<spec>,<spec>,...`` of these, a product's table
+    composed from its factors' plain arrays and validated once, as a whole.
+    ``family`` is the spec in canonical form, e.g. ``cyclic:7``."""
+    factors = parse_builtin_spec(spec)
+    family = ",".join(f"{kind}:{m}" for kind, m in factors)
+    tables = [_FAMILIES[kind][0](m) for kind, m in factors]
+    names, mul = tables.pop(0)
+    if tables:  # a product: element (i, j) of G x H at index i * |H| + j
+        names = ["(" + ",".join(t) + ")" for t in product(names, *(t[0] for t in tables))]
+        family = "product:" + family
+        for _, b in tables:
+            n = len(mul) * len(b)
+            mul = (mul[:, None, :, None] * len(b) + b[None, :, None, :]).reshape(n, n)
+        del tables, b  # only the product's table is kept while it is validated
+    return make_group_table(names, mul, family=family)
 
 
 def parse_group_table(doc) -> GroupTable:

@@ -10,13 +10,13 @@ equivalence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .groups import GroupTable, build_builtin_group, decode_json, has_bool, short_repr
+from .groups import GroupError, GroupTable, decode_json, has_bool, parse_builtin_spec, short_repr
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -38,16 +38,16 @@ class RepresentationError(ValueError):
 
 @dataclass(frozen=True)
 class IrrepSet:
-    """A complete set of irreps for a group, the trivial one first.
+    """A complete, validated set of irreps for a group, the trivial one first.
 
     ``dims`` gives the dimension of each irrep in the global irrep order,
     the order of the character rows. ``stacks[d]`` holds the irreps of
     dimension d as one read-only (K_d, n, d, d) array, in their global
     order: element index g of its q-th row is rho(g) for the q-th irrep of
-    dimension d. make_irrep_set builds and shape-checks one.
-
+    dimension d. Every IrrepSet is validated when made (validate_irrep_set),
+    which sets ``characters``, the read-only (nu, n) character rows.
     ``conjugates`` pairs each irrep with the one whose character is the
-    complex conjugate of its own. For a quotient matrix B with integer
+    complex conjugate of its own: for a quotient matrix B with integer
     coefficients the partner's image has the conjugate eigenvalues, so the
     repr route solves one irrep of each pair.
     """
@@ -55,13 +55,12 @@ class IrrepSet:
     group: GroupTable
     dims: tuple
     stacks: dict
+    characters: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def characters(self) -> np.ndarray:
-        """Character rows (nu, n); the first read validates the set."""
+    def __post_init__(self):
         rows = validate_irrep_set(self)
         rows.setflags(write=False)
-        return rows
+        object.__setattr__(self, "characters", rows)
 
     @cached_property
     def conjugates(self) -> np.ndarray:
@@ -98,11 +97,14 @@ def by_dimension(dims: Sequence[int]):
 
 def make_irrep_set(group: GroupTable, dims: Sequence[int], pieces) -> IrrepSet:
     """An IrrepSet from dims, in global irrep order, and pieces (indices,
-    mats), mats[q] holding the n matrices of irrep indices[q]. The only
-    piece of a dimension, all its irreps in order, becomes its stack as a
-    view; other pieces are copied into a new stack. Shapes are checked here,
-    naming the first irrep that fails; validation waits for the characters.
-    """
+    mats), mats[q] holding the n matrices of irrep indices[q]."""
+    return IrrepSet(group, *stack_pieces(group, dims, pieces))
+
+
+def stack_pieces(group: GroupTable, dims: Sequence[int], pieces) -> tuple:
+    """make_irrep_set's dims tuple and stacks, shape-checked, naming the first
+    irrep that fails, but not validated. The only piece of a dimension, all
+    its irreps in order, becomes its stack as a view; others are copied."""
     n, dims = group.order, tuple(int(d) for d in dims)
     by_dim = {}
     for idx, mats in pieces:
@@ -127,7 +129,7 @@ def make_irrep_set(group: GroupTable, dims: Sequence[int], pieces) -> IrrepSet:
                 stack[np.searchsorted(idx, i)] = mats
         stack.setflags(write=False)
         stacks[d] = stack
-    return IrrepSet(group=group, dims=dims, stacks=stacks)
+    return dims, stacks
 
 
 def _reject_first(bad: np.ndarray, block: list, d: int, what: str) -> None:
@@ -184,8 +186,8 @@ def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
         )
 
 
-def validate_irrep_set(s: IrrepSet) -> np.ndarray:
-    """Assert every IrrepSet invariant and return the character rows.
+def validate_irrep_set(s) -> np.ndarray:
+    """Assert every IrrepSet invariant on s's group, dims and stacks; return the rows.
 
     The irreps of one dimension are checked in blocks (_check_block), and
     the rows, snapped block by block, need no Gram product:
@@ -371,48 +373,43 @@ def _dihedral_irreps(m: int) -> tuple:
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
     refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
     dims = (1,) * one + (2,) * len(mats)
-    return dims, [(np.arange(one), vals.reshape(one, n, 1, 1)), (np.arange(one, len(dims)), mats)]
+    pieces = [(np.arange(one), vals.reshape(one, n, 1, 1)), (np.arange(one, len(dims)), mats)]
+    return dims, pieces[:2 if len(mats) else 1]  # dihedral:2 has no 2-dim irrep
 
 
-def _product_irreps(factor_specs: list) -> tuple:
-    factors = [builtin_irreps(build_builtin_group(spec)) for spec in factor_specs]
-    counts = [len(f.dims) for f in factors]
-    dims = reduce(np.multiply.outer, [f.dims for f in factors]).reshape(-1)
+_FAMILY_IRREPS = {"cyclic": _cyclic_irreps, "dihedral": _dihedral_irreps}
+
+
+def _builtin_pieces(factors: list) -> tuple:
+    """dims and pieces of the irreps of the product of the factors (kind, m),
+    a single family included: Kronecker products of the factors' irreps
+    (Serre, Linear Representations of Finite Groups, 3.2)."""
+    irreps = [_FAMILY_IRREPS[kind](m) for kind, m in factors]
+    counts = [len(dims) for dims, _ in irreps]
+    dims = reduce(np.multiply.outer, [dims for dims, _ in irreps], 1).reshape(-1)
     pieces = []
-    # one piece per choice of an irrep dimension in every factor: the
-    # Kronecker product of those stacks, over the irrep, element and both
-    # matrix axes at once. Irrep and element indices are lexicographic,
-    # first factor most significant.
-    for choice in itertools.product(*(list(by_dimension(f.dims)) for f in factors)):
-        mats = factors[0].stacks[choice[0][0]]
-        for f, (e, _) in zip(factors[1:], choice[1:]):
+    # per choice of a piece in every factor, their Kronecker product over the irrep,
+    # element and both matrix axes at once, the first factor most significant
+    for choice in itertools.product(*(p for _, p in irreps)):
+        mats = choice[0][1]
+        for _, b in choice[1:]:
             # np.kron(mats, b), except that a product -0.0 comes out as 0.0
-            b = f.stacks[e]
             shape = np.multiply(mats.shape, b.shape)
             mats = np.einsum("pgij,qhkl->pqghikjl", mats, b).reshape(shape)
-        irreps = np.ravel_multi_index(np.ix_(*(idx for _, idx in choice)), counts)
-        pieces.append((irreps.reshape(-1), mats))
+        idx = np.ravel_multi_index(np.ix_(*(idx for idx, _ in choice)), counts)
+        pieces.append((idx.reshape(-1), mats))
     return dims, pieces
 
 
 def builtin_irreps(g: GroupTable) -> IrrepSet:
-    """A complete validated IrrepSet for a group built by build_builtin_group."""
-    if g.family is None:
+    """The IrrepSet of a group tagged with a builtin spec (see
+    build_builtin_group), validated once, as a whole, when made."""
+    try:
+        factors = parse_builtin_spec(g.family or "")  # no tag is no spec
+    except GroupError:
         raise RepresentationError(
-            "group has no builtin family tag; supply irreps via load_irreps"
-        )
-    kind, _, arg = g.family.partition(":")
-    if kind == "cyclic":
-        dims, pieces = _cyclic_irreps(int(arg))
-    elif kind == "dihedral":
-        dims, pieces = _dihedral_irreps(int(arg))
-    elif kind == "product":
-        dims, pieces = _product_irreps(arg.split(","))
-    else:
-        raise RepresentationError(f"unsupported builtin family {g.family!r}")
-    s = make_irrep_set(g, dims, pieces)
-    s.characters  # validates the set and keeps its character rows
-    return s
+            f"unsupported builtin family {g.family!r}; supply irreps via load_irreps") from None
+    return make_irrep_set(g, *_builtin_pieces(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +474,9 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     trivial = [i for i, m in enumerate(irreps) if m.shape[1] == 1 and _is_trivial_row(m[:, 0, 0])]
     if trivial:
         irreps.insert(0, irreps.pop(trivial[0]))
-    s = make_irrep_set(
+    return make_irrep_set(
         g, [m.shape[1] for m in irreps], [([i], m[None]) for i, m in enumerate(irreps)]
     )
-    s.characters  # validates the set and keeps its character rows
-    return s
 
 
 def _is_list_of_lists(value) -> bool:

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .groups import GroupTable, connected_components
-from .reps import CharacterTable, IrrepSet, by_dimension, character_table
+from .reps import CharacterTable, IrrepSet, RepresentationError, by_dimension, character_table
 from .voltage import (
     VoltageDigraph,
     algebra_trace_powers,
@@ -384,10 +384,11 @@ def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -
 
 
 def _irrep_images(d: VoltageDigraph, s: IrrepSet):
-    """Every irrep route's prologue: check s's group, validate s, build B
-    once, and yield (dim, irrep index array, rho_matrix images) per dim."""
+    """Every irrep route's prologue: check that s is an IrrepSet (so valid)
+    of d's group, build B once, and yield (dim, irrep indices, images) per dim."""
+    if not isinstance(s, IrrepSet):
+        raise RepresentationError(f"expected an IrrepSet, got {type(s).__name__}")
     _check_same_group(s.group, d.group, "irrep set")
-    s.characters  # the first read validates the set
     b = associated_matrix(d)
     dims = np.asarray(s.dims)
     for dim, stack in s.stacks.items():

@@ -72,7 +72,12 @@ def make_voltage_digraph(group: GroupTable, vertices: Sequence[str], arcs) -> Vo
         raise VoltageError("duplicate vertex names")
     r = len(vertices)
     checked = []
-    for u, v, x in arcs:
+    for arc in arcs:  # integers only: int() would truncate a float and take a bool
+        entries = tuple(arc) if isinstance(arc, (tuple, list, np.ndarray)) else ()
+        if len(entries) != 3 or bool in map(type, entries) or not all(
+                isinstance(e, (int, np.integer)) for e in entries):
+            raise VoltageError(f"arc {short_repr(arc)} is not three integers (tail, head, voltage)")
+        u, v, x = entries
         if not (0 <= u < r and 0 <= v < r):
             raise VoltageError(f"arc endpoint out of range: ({u}, {v})")
         if not (0 <= x < group.order):

@@ -1,10 +1,12 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import voltlift as vl
+from voltlift import reps
 
 # the worked example: two vertices, a loop at each and two parallel edges
 # between them, over dihedral:3
@@ -52,10 +54,24 @@ def irrep_matrices(s, i):
     return s.stacks[d][s.dims[:i].count(d)]
 
 
-def replaced(s, i, mats):
-    """s with the matrices of irrep i replaced by mats, one piece per irrep."""
+def replaced_pieces(s, i, mats):
+    """The pieces of s, one per irrep, with the matrices of irrep i replaced by mats."""
     pieces = [([j], irrep_matrices(s, j)[None]) for j in range(len(s.dims)) if j != i]
-    return vl.make_irrep_set(s.group, s.dims, pieces + [([i], mats[None])])
+    return pieces + [([i], mats[None])]
+
+
+def replaced(s, i, mats):
+    """s with the matrices of irrep i replaced by mats: a new IrrepSet,
+    validated as it is made, so an invalid one raises here."""
+    return vl.make_irrep_set(s.group, s.dims, replaced_pieces(s, i, mats))
+
+
+def unvalidated(s, i, mats):
+    """The same stacks as replaced(s, i, mats), shape-checked but not
+    validated, in a plain holder of group, dims and stacks: the input of
+    validate_irrep_set and its oracle, which no IrrepSet can carry."""
+    dims, stacks = reps.stack_pieces(s.group, s.dims, replaced_pieces(s, i, mats))
+    return SimpleNamespace(group=s.group, dims=dims, stacks=stacks)
 
 
 # builtin groups of order <= 24 used by the randomized suites

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import voltlift as vl
+from voltlift import groups
 from voltlift.groups import GroupError, connected_components, make_group_table
 
 from conftest import GROUP_POOL_SPECS
@@ -155,6 +156,72 @@ class TestBuiltinGroups:
     def test_order_cap(self):
         with pytest.raises(GroupError):
             vl.build_builtin_group("dihedral:3000")
+
+    def test_product_order_is_not_taken_modulo_2_64(self):
+        # 2^64 factors of order 2 would wrap to 0 in int64
+        message = f"product order {2 ** 64} exceeds supported maximum 4096"
+        with pytest.raises(GroupError, match=message):
+            vl.build_builtin_group("product:" + ",".join(["cyclic:2"] * 64))
+
+
+# (spec, its canonical family tag or the GroupError message)
+SPEC_GRAMMAR = [
+    ("cyclic:007", "cyclic:7"),
+    (" cyclic:+5 ", "cyclic:5"),
+    ("cyclic:1_0", "cyclic:10"),
+    ("product: cyclic:2, dihedral:3", "product:cyclic:2,dihedral:3"),
+    ("cyclic:-3", "cyclic group order must be >= 1"),
+    ("dihedral:1", "dihedral parameter must be >= 2"),
+    ("product:cyclic:2", "product spec needs at least two factors: 'product:cyclic:2'"),
+    ("product:product:cyclic:2,cyclic:2,cyclic:3", "nested product specs are not supported"),
+    ("product:cyclic:5000,cyclic:1", "order 5000 exceeds supported maximum 4096"),
+    ("product:cyclic:64,cyclic:128", "product order 8192 exceeds supported maximum 4096"),
+    ("product:cyclic:2,quat:8", "unknown group family 'quat' in spec 'quat:8'"),
+    ("Cyclic:4", "unknown group family 'Cyclic' in spec 'Cyclic:4'"),
+    ("cyclic:", "malformed group spec 'cyclic:'"),
+    ("cyclic:4:5", "malformed group spec 'cyclic:4:5'"),
+    ("product:cyclic:2,,cyclic:3", "malformed group spec ''"),
+]
+
+
+@pytest.mark.parametrize("spec, outcome", SPEC_GRAMMAR)
+def test_spec_grammar(spec, outcome):
+    if outcome.startswith(("cyclic:", "dihedral:", "product:")):
+        g = vl.build_builtin_group(spec)
+        assert g.family == outcome
+        assert np.array_equal(g.mul, vl.build_builtin_group(outcome).mul)
+    else:
+        with pytest.raises(GroupError) as info:
+            vl.build_builtin_group(spec)
+        assert str(info.value) == outcome
+
+
+class TestFactorChecks:
+    """A product's table is validated once, as a whole, and no factor table
+    on its own: a broken factor must still break the product."""
+
+    @staticmethod
+    def replace_cyclic(monkeypatch, m, mul):
+        cyclic = groups._FAMILIES["cyclic"]
+        table = cyclic[0]
+        monkeypatch.setitem(groups._FAMILIES, "cyclic", (
+            lambda k: (table(k)[0], mul) if k == m else table(k), *cyclic[1:]))
+
+    def test_a_non_latin_factor_breaks_the_product(self, monkeypatch):
+        mul = (np.arange(3)[:, None] + np.arange(3)) % 3
+        mul[2] = mul[1]
+        self.replace_cyclic(monkeypatch, 3, mul)
+        with pytest.raises(GroupError, match="not a Latin square"):
+            vl.build_builtin_group("product:cyclic:2,cyclic:3")
+
+    def test_a_non_associative_factor_breaks_the_product(self, monkeypatch):
+        # the smallest loop that is not a group: a Latin square with
+        # identity 0 and x * x = 0, but (1*2)*4 = 1 != 4 = 1*(2*4)
+        loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        self.replace_cyclic(monkeypatch, 5, loop)
+        with pytest.raises(GroupError, match="associativity fails"):
+            vl.build_builtin_group("product:dihedral:3,cyclic:5")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,15 @@
 
 Every perturbed set below keeps the irrep count and the sum of squared
 dimensions, so only the homomorphism, identity, norm or regular-character
-test can reject it; each test pins the message that names what failed.
+test can reject it; each test pins the message that names what failed. An
+IrrepSet validates itself when made, so the perturbed stacks reach the
+validators in a plain holder (conftest.unvalidated), and make_irrep_set is
+checked on its own to raise the same message.
 """
 
+import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ import voltlift as vl
 from voltlift import reps
 from voltlift.reps import RepresentationError
 
-from conftest import irrep_matrices, replaced
+from conftest import irrep_matrices, replaced, unvalidated
 from oracles import validate_irrep_set_loop
 from test_groups import FAMILY_SPECS
 from test_reps import irreps_to_doc
@@ -28,38 +33,39 @@ D64_BLOCK_ENTRIES = 3 * D64.order * 4 * len(D64.generators)
 NON_GENERATOR = 77
 
 
+# each perturbation is (set, irrep index, its new matrices)
 def duplicate():
-    return replaced(D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 4)))
+    return D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 4))
 
 
 def conjugated_duplicate():
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return replaced(D8_IRREPS, 5, u @ irrep_matrices(D8_IRREPS, 4) @ u.conj().T)
+    return D8_IRREPS, 5, u @ irrep_matrices(D8_IRREPS, 4) @ u.conj().T
 
 
 def reducible():
     mats = np.zeros((D8.order, 2, 2), dtype=complex)
     mats[:, 0, 0] = irrep_matrices(D8_IRREPS, 1)[:, 0, 0]
     mats[:, 1, 1] = irrep_matrices(D8_IRREPS, 2)[:, 0, 0]
-    return replaced(D8_IRREPS, 5, mats)
+    return D8_IRREPS, 5, mats
 
 
 def perturbed_non_generator():
     mats = np.array(irrep_matrices(D64_IRREPS, 8))
     mats[NON_GENERATOR, 0, 1] += 1e-9
-    return replaced(D64_IRREPS, 8, mats)
+    return D64_IRREPS, 8, mats
 
 
 def identity_not_i(i):
     mats = np.array(irrep_matrices(D8_IRREPS, i))
     mats[D8.identity, 0, 0] += 1e-6
-    return replaced(D8_IRREPS, i, mats)
+    return D8_IRREPS, i, mats
 
 
-# (set, message the blocked validator gives): the regular-character test
-# rejects a duplicate, the norm test a reducible row; make_irrep_set
-# rejects a short irrep before any validation
+# (perturbation, message the blocked validator gives): the regular-character
+# test rejects a duplicate, the norm test a reducible row; the shape check
+# (reps.stack_pieces) rejects a short irrep before any validation
 PERTURBED = {
     "duplicate": (duplicate, r"character rows 4 and 5 violate orthogonality"),
     "conjugated duplicate": (conjugated_duplicate, r"rows 4 and 5 violate orthogonality"),
@@ -68,7 +74,7 @@ PERTURBED = {
     "identity dim 1": (lambda: identity_not_i(2), r"irrep 2 \(dim 1\): identity element is"),
     "identity dim 2": (lambda: identity_not_i(5), r"irrep 5 \(dim 2\): identity element is"),
     "one matrix short": (
-        lambda: replaced(D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 5)[:-1])),
+        lambda: (D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 5)[:-1])),
         r"irrep 5 \(dim 2\): expected 16 matrices of size 2x2, got shape \(15, 2, 2\)",
     ),
 }
@@ -83,14 +89,21 @@ def small_blocks(monkeypatch):
 def test_perturbed_set_rejected(small_blocks, name):
     make, message = PERTURBED[name]
     with pytest.raises(RepresentationError, match=message):
-        vl.validate_irrep_set(make())
+        vl.validate_irrep_set(unvalidated(*make()))
 
 
 @pytest.mark.parametrize("name", PERTURBED)
 def test_oracle_rejects_perturbed_set(name):
     make, _ = PERTURBED[name]
     with pytest.raises(RepresentationError):
-        validate_irrep_set_loop(make())
+        validate_irrep_set_loop(unvalidated(*make()))
+
+
+@pytest.mark.parametrize("name", PERTURBED)
+def test_make_irrep_set_rejects_perturbed_set(small_blocks, name):
+    make, message = PERTURBED[name]
+    with pytest.raises(RepresentationError, match=message):
+        replaced(*make())
 
 
 @pytest.mark.parametrize("shape", [(15, 2, 2), (17, 2, 2), (16, 3, 3), (16, 2, 3)])
@@ -112,9 +125,13 @@ def test_constructor_rejects_a_piece_of_mixed_dimensions():
 
 def test_irrep_no_piece_gives_fails_the_identity_check():
     pieces = [([j], irrep_matrices(D8_IRREPS, j)[None]) for j in range(7) if j != 3]
-    s = vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
-    with pytest.raises(RepresentationError, match=r"irrep 3 \(dim 1\): identity element"):
-        vl.validate_irrep_set(s)
+    _, stacks = reps.stack_pieces(D8, D8_IRREPS.dims, pieces)
+    assert not stacks[1][3].any()  # irrep 3 stays zero
+    message = r"irrep 3 \(dim 1\): identity element"
+    with pytest.raises(RepresentationError, match=message):
+        vl.validate_irrep_set(SimpleNamespace(group=D8, dims=D8_IRREPS.dims, stacks=stacks))
+    with pytest.raises(RepresentationError, match=message):
+        vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
 
 
 def test_constructor_keeps_the_only_piece_of_a_dimension_as_a_view():
@@ -136,7 +153,7 @@ def test_perturbed_irrep_is_mid_block():
 
 def test_non_generator_message_names_a_failing_pair(small_blocks):
     with pytest.raises(RepresentationError) as info:
-        vl.validate_irrep_set(perturbed_non_generator())
+        vl.validate_irrep_set(unvalidated(*perturbed_non_generator()))
     a, b = re.search(r"pair \('([^']*)', '([^']*)'\)", str(info.value)).groups()
     g, s = D64.index_of(a), D64.index_of(b)
     assert s in D64.generators
@@ -166,8 +183,25 @@ def test_character_table_reuses_the_validated_rows(d3_irreps):
 
 
 def test_characters_of_an_invalid_set_raise():
-    with pytest.raises(RepresentationError, match="orthogonality"):
-        vl.character_table(duplicate())
+    # an IrrepSet validates before it sets its character rows, however it
+    # is made: by make_irrep_set, by its own constructor or by replace
+    stacks = unvalidated(*duplicate()).stacks
+    for make in (lambda: replaced(*duplicate()),
+                 lambda: vl.IrrepSet(D8, D8_IRREPS.dims, stacks),
+                 lambda: dataclasses.replace(D8_IRREPS, stacks=stacks)):
+        with pytest.raises(RepresentationError, match="rows 4 and 5 violate orthogonality"):
+            make()
+
+
+def test_characters_are_a_read_only_field_set_when_made():
+    s = vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks)
+    assert "characters" in vars(s)  # set by the constructor, not on a first read
+    assert np.array_equal(s.characters, D8_IRREPS.characters)
+    assert not s.characters.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.characters = D8_IRREPS.characters
+    with pytest.raises(TypeError):  # not a constructor argument
+        vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks, characters=D8_IRREPS.characters)
 
 
 def test_cyclic_set_stores_its_table_as_one_view():

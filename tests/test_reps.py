@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import voltlift as vl
+from voltlift import groups, reps
 from voltlift.reps import RepresentationError
 
-from conftest import irrep_matrices, replaced
+from conftest import irrep_matrices, replaced, unvalidated
 
 SMALL_BUILTINS = [
     "cyclic:1",
@@ -100,6 +103,44 @@ class TestBuiltinIrreps:
         with pytest.raises(RepresentationError, match="family"):
             vl.builtin_irreps(g)
 
+    @pytest.mark.parametrize("family", ["quat:8", "cyclic:x", "product:cyclic:2", "cyclic:4:5"])
+    def test_a_family_tag_that_is_no_builtin_spec_is_rejected(self, family):
+        g = dataclasses.replace(vl.build_builtin_group("cyclic:2"), family=family)
+        with pytest.raises(RepresentationError, match="unsupported builtin family"):
+            vl.builtin_irreps(g)
+
+    @pytest.mark.parametrize("spec", ["dihedral:8", "product:dihedral:8,cyclic:3"])
+    def test_one_table_and_one_irrep_set_validated(self, spec, monkeypatch):
+        # every check runs once, on the finished group and irrep set
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        spy(groups, "make_group_table")
+        spy(reps, "validate_irrep_set")
+        vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert sorted(calls) == ["make_group_table", "validate_irrep_set"]
+
+    def test_a_perturbed_factor_irrep_breaks_the_product(self, monkeypatch):
+        # a 2-dim irrep of the dihedral:8 factor off at r^3, which is no
+        # generator of dihedral:8: only the product's validation can see it
+        assert 3 not in vl.build_builtin_group("dihedral:8").generators
+        dihedral = reps._FAMILY_IRREPS["dihedral"]
+
+        def perturbed(m):
+            dims, [ones, (idx, mats)] = dihedral(m)
+            mats = mats.copy()
+            mats[0, 3, 0, 1] += 1e-6
+            return dims, [ones, (idx, mats)]
+
+        monkeypatch.setitem(reps._FAMILY_IRREPS, "dihedral", perturbed)
+        g = vl.build_builtin_group("product:dihedral:8,cyclic:3")
+        with pytest.raises(RepresentationError, match=r"irrep 12 \(dim 2\): not a homomorphism"):
+            vl.builtin_irreps(g)
+
 
 class TestCharacterTable:
     def test_trivial_group(self):
@@ -180,7 +221,9 @@ class TestLoadIrreps:
         mats = np.array(irrep_matrices(s, i))
         mats[77, 0, 1] += 1e-9
         with pytest.raises(RepresentationError, match="homomorphism at pair"):
-            vl.validate_irrep_set(replaced(s, i, mats))
+            vl.validate_irrep_set(unvalidated(s, i, mats))
+        with pytest.raises(RepresentationError, match="homomorphism at pair"):
+            replaced(s, i, mats)
 
     @pytest.mark.parametrize(
         "doc", [{"dim": 1}, [[1, 0]], [{"dim": "x", "matrices": {}}],

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
-from voltlift import spectra
+from voltlift import reps, spectra
 from voltlift.reps import by_dimension
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
@@ -22,6 +23,7 @@ from conftest import (
     random_voltage_digraph,
     random_voltage_graph,
     replaced,
+    unvalidated,
 )
 from oracles import (
     cluster_spectrum_loop,
@@ -616,20 +618,26 @@ class TestSpectrumRoutes:
 
     @pytest.mark.parametrize("route", ["irrep_eigenvalues", "repr", "eigenvectors", "verify"])
     def test_an_unvalidated_irrep_set_raises_on_every_irrep_route(self, route, k2star, d3):
-        # right shapes, wrong matrices: the dim-2 irrep is all zeros, so the
-        # identity maps to no identity matrix; make_irrep_set checks only shapes
-        s = vl.make_irrep_set(d3, (1, 1, 2), [
+        # right shapes, wrong matrices: irrep 1 is a second trivial irrep
+        # and the dim-2 irrep is all zeros. make_irrep_set validates and
+        # raises at the first; the same stacks in a plain holder, which
+        # nothing validated, the route itself refuses
+        dims, pieces = (1, 1, 2), [
             ([0, 1], np.ones((2, d3.order, 1, 1))),
             ([2], np.zeros((1, d3.order, 2, 2))),
-        ])
+        ]
+        with pytest.raises(vl.RepresentationError, match=r"irrep 1 \(dim 1\): non-trivial"):
+            vl.make_irrep_set(d3, dims, pieces)
+        holder = SimpleNamespace(group=d3, dims=dims, stacks=reps.stack_pieces(d3, dims, pieces)[1])
+        message = "expected an IrrepSet, got SimpleNamespace"
         run = {
             "irrep_eigenvalues": vl.irrep_eigenvalues,
             "repr": vl.lift_spectrum_repr,
             "eigenvectors": vl.lift_eigenvectors,
             "verify": vl.verify,
         }[route]
-        with pytest.raises(vl.RepresentationError):
-            run(k2star, s)
+        with pytest.raises(vl.RepresentationError, match=message):
+            run(k2star, holder)
 
     def test_irreps_of_a_rebuilt_equal_group_are_accepted(self, k2star, d3):
         g = vl.build_builtin_group("dihedral:3")
@@ -1050,8 +1058,7 @@ class TestLiftEigenvectors:
         # sqrt(n / dim) / cond(P), so none is zero
         s = vl.builtin_irreps(d3)
         p = np.array([[1.0, 5.0], [0.0, 1.0]])
-        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))
-        loaded.characters  # validates
+        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))  # validates
         cond = np.linalg.cond(p)
         rng = np.random.default_rng(43)
         for _ in range(12):
@@ -1071,9 +1078,11 @@ class TestLiftEigenvectors:
         # a loaded set that validates cannot make lift vectors vanish
         s = vl.builtin_irreps(d3)
         p = np.array([[1.0, 100.0], [0.0, 1.0]])
-        loaded = replaced(s, 2, p @ irrep_matrices(s, 2) @ np.linalg.inv(p))
+        mats = p @ irrep_matrices(s, 2) @ np.linalg.inv(p)
         with pytest.raises(vl.RepresentationError, match="not a homomorphism"):
-            loaded.characters
+            vl.validate_irrep_set(unvalidated(s, 2, mats))
+        with pytest.raises(vl.RepresentationError, match="not a homomorphism"):
+            replaced(s, 2, mats)
 
     @staticmethod
     def accounted(d, s, result):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from math import isqrt, prod
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import voltlift as vl
 from voltlift import voltage
+from voltlift.groups import short_repr
 from voltlift.voltage import VoltageError
 
 from conftest import K2STAR_DOC, random_voltage_digraph
@@ -82,6 +84,26 @@ class TestParseVoltageDigraph:
     def test_malformed_document(self, d3, doc):
         with pytest.raises(VoltageError):
             vl.parse_voltage_digraph(doc, d3)
+
+
+class TestMakeVoltageDigraph:
+    # a float would be truncated, a bool taken as 0 or 1, a string or a
+    # wrong length would raise a bare TypeError or ValueError
+    @pytest.mark.parametrize("arc", [
+        (0, 1.5, 0), (0, 1, 2.9), (0, 1, True), (np.True_, 1, 0), (0, 1, np.float64(2)),
+        ("0", 1, 0), (0, 1), (0, 1, 0, 0), "012", 5, None,
+    ])
+    def test_rejects_an_arc_that_is_not_three_integers(self, d3, arc):
+        message = f"arc {short_repr(arc)} is not three integers"
+        with pytest.raises(VoltageError, match=re.escape(message)):
+            vl.make_voltage_digraph(d3, ["a", "b"], [(0, 0, 0), arc])
+
+    @pytest.mark.parametrize("arc", [
+        (0, 1, 2), [0, 1, 2], (np.int64(0), np.uint8(1), np.int32(2)), np.array([0, 1, 2]),
+    ])
+    def test_accepts_python_and_numpy_integers(self, d3, arc):
+        d = vl.make_voltage_digraph(d3, ["a", "b"], [arc])
+        assert d.arcs == ((0, 1, 2),) and all(type(e) is int for e in d.arcs[0])
 
 
 class TestIsUndirected:
