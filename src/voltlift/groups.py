@@ -161,12 +161,14 @@ def _check_associativity(mul: np.ndarray, generators: tuple) -> None:
 
     The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
     products and include the identity, so if every generator passes, the
-    whole table is associative.
+    whole table is associative. Each generator's two n x n products live
+    only inside one comparison, so the peak is one generator's pair, and
+    they are built again only to name the witness of a failure.
     """
     for a in generators:
-        left = mul[mul[:, a], :]     # (x*a)*y
-        right = mul[:, mul[a]]       # x*(a*y)
-        if not np.array_equal(left, right):
+        # (x*a)*y against x*(a*y)
+        if not np.array_equal(mul[mul[:, a], :], mul[:, mul[a]]):
+            left, right = mul[mul[:, a], :], mul[:, mul[a]]
             x, y = np.argwhere(left != right)[0]
             raise GroupError(
                 f"associativity fails at ({x}, {a}, {y}): "

@@ -10,9 +10,10 @@ equivalence.
 from __future__ import annotations
 
 import itertools
+import types
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,23 +42,28 @@ class IrrepSet:
     """A complete, validated set of irreps for a group, the trivial one first.
 
     ``dims`` gives the dimension of each irrep in the global irrep order,
-    the order of the character rows. ``stacks[d]`` holds the irreps of
-    dimension d as one read-only (K_d, n, d, d) array, in their global
-    order: element index g of its q-th row is rho(g) for the q-th irrep of
-    dimension d. Every IrrepSet is validated when made (validate_irrep_set),
-    which sets ``characters``, the read-only (nu, n) character rows.
-    ``conjugates`` pairs each irrep with the one whose character is the
-    complex conjugate of its own: for a quotient matrix B with integer
-    coefficients the partner's image has the conjugate eigenvalues, so the
-    repr route solves one irrep of each pair.
+    the order of the character rows. ``stacks``, a read-only mapping,
+    holds at ``stacks[d]`` the irreps of dimension d as one read-only
+    (K_d, n, d, d) array, in their global order: element index g of its
+    q-th row is rho(g) for the q-th irrep of dimension d. Every IrrepSet
+    is validated when made (validate_irrep_set), which sets
+    ``characters``, the read-only (nu, n) character rows. ``conjugates``
+    pairs each irrep with the one whose character is the complex conjugate
+    of its own: for a quotient matrix B with integer coefficients the
+    partner's image has the conjugate eigenvalues, so the repr route
+    solves one irrep of each pair.
     """
 
     group: GroupTable
     dims: tuple
-    stacks: dict
+    stacks: Mapping
     characters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # frozen before validation, so no route sees matrices no check saw
+        for stack in self.stacks.values():
+            stack.setflags(write=False)
+        object.__setattr__(self, "stacks", types.MappingProxyType(dict(self.stacks)))
         rows = validate_irrep_set(self)
         rows.setflags(write=False)
         object.__setattr__(self, "characters", rows)

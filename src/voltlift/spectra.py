@@ -5,10 +5,10 @@ representation and solves the resulting small dense eigenproblems, in
 batched calls per irrep dimension. Irreps with complex-conjugate characters
 have conjugate eigenvalues, since the quotient matrix has integer
 coefficients, so only one irrep of each such pair is solved and its
-partner gets the conjugates. When the digraph is undirected (every arc has
-its reverse with the inverse voltage), each image that is Hermitian up to
-rounding, as every image under a unitary irrep is, goes to the Hermitian
-solver; every other image keeps the general one. The character route
+partner gets the conjugates. Each image goes to a solver of its own: one
+that is Hermitian up to rounding, as every image of an undirected digraph
+under a unitary irrep is, to the Hermitian solver, and every other to the
+general one, whatever the digraph. The character route
 recovers the same per-irrep eigenvalues from power sums: Newton's identities give each
 character's polynomial, and one batched companion-matrix eigensolve per
 character degree gives its roots. The brute-force route diagonalizes the
@@ -286,7 +286,10 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     Only H may reach eigh or eigvalsh: they read one triangle. The image of
     an undirected digraph under a unitary irrep passes, unless its sums
     cancel to far below the size of their terms; under a non-unitary irrep
-    P U P^-1 it is off by the order of ||M|| and fails.
+    P U P^-1 it is off by the order of ||M|| and fails. A directed
+    digraph's image passes only when it is Hermitian all the same, as
+    the trivial irrep's image is whenever each pair of vertices has as
+    many arcs one way as the other.
     """
     n = m.shape[-1]
     eps = np.finfo(float).eps
@@ -298,11 +301,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(1, 2)) / 2
 
 
-def _eigvals(m: np.ndarray, measure: bool) -> np.ndarray:
-    """Eigenvalues of a (K, N, N) stack, as a complex (K, N) array. If
-    measure is true, the matrices that _hermitian passes go to one eigvalsh
-    call on their Hermitian parts; every other goes to one eigvals call."""
-    hermitian = _hermitian(m) if measure else np.zeros(len(m), dtype=bool)
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (K, N, N) stack, as a complex (K, N) array: the
+    matrices that _hermitian passes go to one eigvalsh call on their
+    Hermitian parts, every other to one eigvals call."""
+    hermitian = _hermitian(m)
     vals = np.empty(m.shape[:2], dtype=complex)
     if hermitian.any():
         vals[hermitian] = _solve(np.linalg.eigvalsh, _hermitian_part(m[hermitian]))
@@ -325,12 +328,6 @@ def eig(m: np.ndarray):
     the bound too, so a caller that needs a basis also tests the
     conditioning (lift_eigenvectors does).
     """
-    return _eig(m, measure=True)
-
-
-def _eig(m: np.ndarray, measure: bool):
-    """eig, but with measure false no matrix is measured and all go to the
-    general solver, as a directed digraph's images do."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise SpectrumError(f"expected a stack of square matrices, got shape {m.shape}")
@@ -340,7 +337,7 @@ def _eig(m: np.ndarray, measure: bool):
     vecs = np.empty(m.shape, dtype=complex)
     if not m.size:
         return vals, vecs, np.empty(vals.shape), np.zeros(len(m))
-    hermitian = _hermitian(m) if measure else np.zeros(len(m), dtype=bool)
+    hermitian = _hermitian(m)
     norm = np.empty(len(m))
     if hermitian.any():
         vals[hermitian], vecs[hermitian] = _solve(
@@ -406,20 +403,17 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     conjugate character (IrrepSet.conjugates) is conj(rho(B)) up to
     equivalence and has the conjugate eigenvalues. Only the
     representatives, the irreps i with conjugates[i] >= i, are solved,
-    in at most two batched calls per dimension: when d.is_undirected(),
-    each image that is Hermitian up to rounding (see _hermitian; every
-    image under a unitary irrep, bar cancellation) goes to eigvalsh and
-    has real eigenvalues; every other image, and every image of a directed
-    digraph, which is never measured, goes to eigvals. Each partner's row
-    is the exact conj of its representative's row.
+    in at most two batched calls per dimension (_eigvals): each image that
+    is Hermitian up to rounding (see _hermitian) goes to eigvalsh and has
+    real eigenvalues, every other to eigvals. Each partner's row is the
+    exact conj of its representative's row.
     """
-    undirected = d.is_undirected()
     values = {}
     for dim, idx, images in _irrep_images(d, s):
         partner = np.searchsorted(idx, s.conjugates[idx])  # within this dimension
         rep = partner >= np.arange(len(idx))
         vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
-        vals[rep] = _eigvals(images[rep], undirected)
+        vals[rep] = _eigvals(images[rep])
         vals[~rep] = vals[partner[~rep]].conj()
     return values
 
@@ -450,8 +444,9 @@ def lift_spectrum_bruteforce(
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
-    Eigenvalues only, in real arithmetic; a symmetric adjacency (every
-    undirected lift) goes to the Hermitian solver. The oracle uses neither
+    Eigenvalues only, in real arithmetic; an exactly symmetric adjacency
+    (every undirected lift) goes to the Hermitian solver, by a test of its
+    own, not the irrep routes' _hermitian gate. The oracle uses neither
     the irreps nor any block structure of the lift. Lifts of more than
     BRUTEFORCE_MAX_ORDER vertices are refused.
     """
@@ -629,9 +624,9 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     and at least that over cond(P)^2 for rho = P U P^-1.
 
     The irreps of one dimension d are solved together: one batched,
-    residual-checked eigensolve of their (K, r*d, r*d) image stack (eig;
-    only when d.is_undirected() is any image measured, and those that are
-    Hermitian up to rounding go to eigh), and one batched condition number
+    residual-checked eigensolve of their (K, r*d, r*d) image stack (eig:
+    the images that are Hermitian up to rounding go to eigh, every other
+    to the general solver), and one batched condition number
     of the eigenvector matrices. An irrep is skipped when its eigenvector
     matrix is worse conditioned than DEFECTIVE_COND_LIMIT or a column
     misses the residual bound. The vectors of the kept irreps are written
@@ -641,12 +636,11 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     returned vectors are the rows of its (K, r*d*d, r*n) reshape.
     """
     n, r = d.group.order, d.order
-    undirected = d.is_undirected()
     kept = {}
     reasons = {}
     for di, idx, images in _irrep_images(d, s):
         idx = idx.tolist()
-        vals, vecs, res, bound = _eig(images, undirected)
+        vals, vecs, res, bound = eig(images)
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)
         for q, i in enumerate(idx):

@@ -46,18 +46,6 @@ class VoltageDigraph:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(_arc_array(self)[:, 1], minlength=self.order)
 
-    def is_undirected(self) -> bool:
-        """Whether the arc multiset equals its reverse with inverse voltages:
-        every arc (u, v, x) has as many arcs (v, u, x^-1) as it has copies.
-
-        Exactly then is the lift adjacency symmetric, and every unitary
-        irrep maps the quotient matrix to a Hermitian one. One sort of the
-        arcs each way, O(|arcs| log |arcs|).
-        """
-        inverse = self.group.inverse
-        backward = [(v, u, inverse[x]) for u, v, x in self.arcs]
-        return sorted(self.arcs) == sorted(backward)
-
 
 def _arc_array(d: VoltageDigraph) -> np.ndarray:
     """The arcs as an (|arcs|, 3) int64 array of (tail, head, voltage)."""

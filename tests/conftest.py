@@ -125,6 +125,12 @@ def random_voltage_graph(rng, group, max_vertices=6, max_edges=12):
     return vl.make_voltage_digraph(group, [f"v{i}" for i in range(r)], arcs)
 
 
+def symmetric_lift(d):
+    """Whether d is undirected, by definition: its lift adjacency is symmetric."""
+    a = vl.build_lift(d)
+    return np.array_equal(a, a.T)
+
+
 # one PASS/FAIL line per acceptance criterion at the end of the run
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     results = {}

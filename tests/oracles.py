@@ -25,7 +25,7 @@ from voltlift.spectra import (
     LiftEigenvectors,
     MatchReport,
     SpectrumMultiset,
-    _eig,
+    eig,
     rho_matrix,
 )
 from voltlift.voltage import VoltageDigraph, associated_matrix
@@ -179,13 +179,12 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     dim coordinate slots, the lift vector takes value (rho(h) x_v c)_k at
     lift vertex (v, h), where x_v is vertex v's row block of the quotient
     eigenvector matrix. Each image is solved alone, by the solver that the
-    library picks for it (spectra._eig): the Hermitian one only when d is
-    undirected and the image passes the rounding-level test.
+    library picks for it (spectra.eig): the Hermitian one only when the
+    image passes the rounding-level test.
     """
     group = d.group
     n = group.order
     r = d.order
-    undirected = d.is_undirected()
     b = associated_matrix(d)
     pairs = []
     skipped = []
@@ -193,7 +192,7 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     for i, di in enumerate(s.dims):
         mats = irrep_matrices(s, i)
         m = rho_matrix(b, mats[None])[0]
-        vals, u_mat, res, bound = (a[0] for a in _eig(m[None], undirected))
+        vals, u_mat, res, bound = (a[0] for a in eig(m[None]))
         if m.size:
             cond = np.linalg.cond(u_mat)
             if (

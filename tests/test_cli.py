@@ -9,6 +9,7 @@ from voltlift import cli, spectra, voltage
 from voltlift.cli import run
 
 from conftest import HUGE_INPUTS, K2STAR_DOC
+from verify_sweep import sweep
 
 # bench seed 1's cube0: the cube graph (r = 8) over dihedral:32, undirected
 CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.json")
@@ -591,3 +592,22 @@ def test_lift_never_builds_the_adjacency(k2star, k2star_path, monkeypatch, capsy
         assert out == json.dumps({"vertices": labels, "arcs": arcs}, indent=2) + "\n"
     else:
         assert out == "\n".join(f"{a} -> {b}" for a, b in arcs) + "\n"
+
+
+# ROADMAP item 3's open bug: on these 10 correct lifts of the pinned sweep,
+# verify reports "repr vs bruteforce" as a mismatch, because a defective
+# eigenvalue smears past the comparison tolerance. Not hidden: a case that
+# stops failing may leave the set, but a new one fails this test
+KNOWN_FALSE_ALARMS = {
+    ("dihedral:6", 21), ("dihedral:6", 63),
+    ("dihedral:8", 9), ("dihedral:8", 12), ("dihedral:8", 29), ("dihedral:8", 59),
+    ("dihedral:8", 68),
+    ("product:cyclic:2,dihedral:3", 55), ("product:cyclic:2,dihedral:3", 60),
+    ("product:cyclic:2,dihedral:3", 71),
+}
+
+
+def test_verify_sweep_fails_only_on_known_false_alarms():
+    codes, failures = sweep()
+    assert sum(codes.values()) == 400 and set(codes) <= {0, 1}
+    assert {(spec, i) for spec, i, _, _ in failures} <= KNOWN_FALSE_ALARMS

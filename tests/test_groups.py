@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,21 @@ class TestParseGroupTable:
         names = [f"x{i}" for i in range(300)]
         with pytest.raises(GroupError, match="associativity"):
             make_group_table(names, mul)
+
+    def test_associativity_check_holds_one_generator_pair(self):
+        # dihedral:512 has two generators; the check peaks at one
+        # generator's (x*a)*y and x*(a*y), two n x n int64 arrays, and
+        # their n x n bool comparison, never at two generators' pairs
+        g = vl.build_builtin_group("dihedral:512")
+        n = g.order
+        assert len(g.generators) == 2 and g.mul.dtype == np.int64
+        tracemalloc.start()
+        try:
+            groups._check_associativity(g.mul, g.generators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * n * n + 2**20
 
     def test_elements_not_a_list_of_names(self):
         with pytest.raises(GroupError, match="list of names"):

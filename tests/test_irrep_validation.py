@@ -204,6 +204,23 @@ def test_characters_are_a_read_only_field_set_when_made():
         vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks, characters=D8_IRREPS.characters)
 
 
+def test_stacks_are_frozen_when_made():
+    # made from a dict of writable arrays, the set keeps a read-only
+    # mapping of read-only stacks: no matrix can be swapped in or edited
+    # after validation, so every route uses the matrices the checks saw
+    given = {k: np.array(stack) for k, stack in D8_IRREPS.stacks.items()}
+    assert all(stack.flags.writeable for stack in given.values())
+    for s in (vl.IrrepSet(D8, D8_IRREPS.dims, given),
+              dataclasses.replace(D8_IRREPS, stacks=dict(given))):
+        with pytest.raises(TypeError):
+            s.stacks[2] = np.zeros_like(s.stacks[2])
+        with pytest.raises(ValueError, match="read-only"):
+            s.stacks[2][0, 0, 0, 0] = 0
+        assert np.array_equal(s.characters, D8_IRREPS.characters)
+    given.clear()  # the caller's dict is not the set's
+    assert sorted(s.stacks) == [1, 2]
+
+
 def test_cyclic_set_stores_its_table_as_one_view():
     (stack,) = vl.builtin_irreps(vl.build_builtin_group("cyclic:64")).stacks.values()
     assert stack.shape == (64, 64, 1, 1)

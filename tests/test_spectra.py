@@ -23,6 +23,7 @@ from conftest import (
     random_voltage_digraph,
     random_voltage_graph,
     replaced,
+    symmetric_lift,
     unvalidated,
 )
 from oracles import (
@@ -184,7 +185,7 @@ class TestEig:
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, solve=solve: called.append(a) or solve(a))
         vals, vecs, res, bound = vl.eig(m)
-        only_vals = spectra._eigvals(m, measure=True)
+        only_vals = spectra._eigvals(m)
         monkeypatch.undo()
         # eigh and eigvalsh read one triangle, so they are given the
         # Hermitian part alone, and agree on the eigenvalues
@@ -409,18 +410,18 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
     def test_repr_batches_one_eigvals_per_dimension(self, spec, monkeypatch):
         # one solver call per dimension, on one irrep of each conjugate
-        # pair: every real character and half of the complex ones. The
-        # images of a directed digraph go to eigvals
-        self.check_one_call_per_dimension(spec, False, monkeypatch)
+        # pair: every real character and half of the complex ones. Images
+        # far from Hermitian miss the gate and go to eigvals
+        self.check_one_call_per_dimension(spec, "eigvals", monkeypatch)
 
     @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
     def test_repr_batches_one_eigvalsh_per_dimension_when_undirected(self, spec, monkeypatch):
         # the images of an undirected voltage graph are Hermitian and go to
         # eigvalsh, in as many calls on as many images
-        self.check_one_call_per_dimension(spec, True, monkeypatch)
+        self.check_one_call_per_dimension(spec, "eigvalsh", monkeypatch)
 
     @staticmethod
-    def check_one_call_per_dimension(spec, undirected, monkeypatch):
+    def check_one_call_per_dimension(spec, solver, monkeypatch):
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         real = np.abs(s.characters.imag).max(axis=1) < 1e-9
@@ -428,14 +429,13 @@ class TestSpectrumRoutes:
             k: int(real[idx].sum()) + int((~real[idx]).sum()) // 2
             for k, idx in by_dimension(s.dims)
         }
-        solver = "eigvalsh" if undirected else "eigvals"
         rng = np.random.default_rng(21)
         for _ in range(4):
-            if undirected:
+            if solver == "eigvalsh":
                 d = random_voltage_graph(rng, g, max_vertices=4, max_edges=8)
+                assert symmetric_lift(d)
             else:
-                d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=12)
-            assert d.is_undirected() == undirected
+                d = gate_missing_digraph(rng, s, max_vertices=4, max_arcs=12)
             b = vl.associated_matrix(d)
             # reference: one residual-checked eig per irrep
             values = []
@@ -525,13 +525,13 @@ class TestSpectrumRoutes:
         def fail(m):
             raise np.linalg.LinAlgError("no convergence")
 
-        # k2star is directed: its arc a -> b with voltage r^1 has a reverse
-        # with r^1, not r^2. The triangle with every reverse is undirected
+        # k2star's 2-dim image misses the Hermitian gate (see
+        # TestSolverChoice); the triangle with every reverse is undirected
         d3 = k2star.group
         r1, r2 = d3.element_names.index("r^1"), d3.element_names.index("r^2")
         triangle = vl.make_voltage_digraph(d3, ["a", "b", "c"], [
             (0, 1, r1), (1, 0, r2), (1, 2, r1), (2, 1, r2), (2, 0, 0), (0, 2, 0)])
-        assert not k2star.is_undirected() and triangle.is_undirected()
+        assert not symmetric_lift(k2star) and symmetric_lift(triangle)
         call = {
             "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
             "charsum": lambda: vl.lift_spectrum_charsum(
@@ -651,6 +651,20 @@ class TestSpectrumRoutes:
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
 
 
+def gate_missing_digraph(rng, s, **draw):
+    """A random_voltage_digraph over s's group, drawn again until every
+    irrep image M has ||M - M^H||_F > 1e-3 ||M||_F, far past the Hermitian
+    gate. Such a digraph is directed; the converse fails, since an image of
+    a directed digraph can be Hermitian (a 1 x 1 real one always is)."""
+    while True:
+        d = random_voltage_digraph(rng, s.group, **draw)
+        b = vl.associated_matrix(d)
+        images = [vl.rho_matrix(b, stack) for stack in s.stacks.values()]
+        if all(np.all(np.linalg.norm(m - m.conj().swapaxes(1, 2), axis=(1, 2))
+                      > 1e-3 * np.linalg.norm(m, axis=(1, 2))) for m in images):
+            return d
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
     """Every call of numpy's four dense eigensolvers, as (name, stack shape)."""
@@ -669,8 +683,8 @@ def solver_calls(monkeypatch):
 
 class TestSolverChoice:
     """Which solver the repr and eigenvector routes give each irrep image:
-    the Hermitian one exactly when the digraph is undirected and the image
-    is Hermitian up to rounding."""
+    the Hermitian one exactly when the image is Hermitian up to rounding,
+    whatever the digraph."""
 
     @staticmethod
     def solve_both_routes(d, s, calls):
@@ -685,7 +699,7 @@ class TestSolverChoice:
         vectors = vl.lift_eigenvectors(d, s)
         by_vectors = list(calls)
         by_repr = spectra.spectrum_from_irrep_eigenvalues(values, 1e-8)
-        tol = 1e-7 if d.is_undirected() else 1e-3
+        tol = 1e-7 if symmetric_lift(d) else 1e-3
         assert vl.spectra_equal(by_repr, vl.lift_spectrum_bruteforce(d, 1e-8), tol).matched
         return by_values, by_vectors, vectors
 
@@ -707,7 +721,7 @@ class TestSolverChoice:
         rng = np.random.default_rng(51)
         for _ in range(4):
             d = random_voltage_graph(rng, g, max_vertices=5, max_edges=9)
-            assert d.is_undirected()
+            assert symmetric_lift(d)
             by_values, by_vectors, vectors = self.solve_both_routes(d, s, solver_calls)
             assert sorted(by_values) == self.per_dimension(s, d, "eigvalsh", solved)
             assert sorted(by_vectors) == self.per_dimension(s, d, "eigh")
@@ -716,21 +730,20 @@ class TestSolverChoice:
 
     @pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:12", "product:cyclic:3,dihedral:4"])
     def test_directed_digraphs_take_the_general_solver(self, spec, solver_calls):
+        # directed digraphs whose every image misses the gate
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in by_dimension(s.dims)}
         rng = np.random.default_rng(52)
         for _ in range(4):
-            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
-            while d.is_undirected():  # a lone loop with a self-inverse voltage
-                d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
+            d = gate_missing_digraph(rng, s, max_vertices=5, max_arcs=12)
             by_values, by_vectors, _ = self.solve_both_routes(d, s, solver_calls)
             assert sorted(by_values) == self.per_dimension(s, d, "eigvals", solved)
             assert sorted(by_vectors) == self.per_dimension(s, d, "eig")
 
     def test_a_missing_reverse_arc_takes_the_general_solver(self, solver_calls):
-        # the cube over dihedral:4 with one arc dropped: its trivial image
-        # is no longer symmetric, and no image is even measured
+        # the cube over dihedral:4 with one arc dropped: every image lacks
+        # one term rho(x^-1) of its Hermitian form and misses the gate
         g = vl.build_builtin_group("dihedral:4")
         s = vl.builtin_irreps(g)
         rng = np.random.default_rng(53)
@@ -739,12 +752,25 @@ class TestSolverChoice:
             x = int(rng.integers(g.order))
             arcs += [(u, v, x), (v, u, int(g.inverse[x]))]
         names = [f"v{i}" for i in range(8)]
-        assert vl.make_voltage_digraph(g, names, arcs).is_undirected()
+        assert symmetric_lift(vl.make_voltage_digraph(g, names, arcs))
         d = vl.make_voltage_digraph(g, names, arcs[:-1])
-        assert not d.is_undirected()
+        assert not symmetric_lift(d)
         by_values, by_vectors, _ = self.solve_both_routes(d, s, solver_calls)
         assert sorted(by_values) == self.per_dimension(s, d, "eigvals")
         assert sorted(by_vectors) == self.per_dimension(s, d, "eig")
+
+    def test_a_directed_digraph_sends_each_image_to_its_own_solver(
+            self, k2star, d3_irreps, solver_calls):
+        # k2star is directed: its arc a -> b with voltage r^1 has a reverse
+        # with r^1, not r^2. Its images under the two 1-dim irreps are real
+        # symmetric all the same and pass the gate; the 2-dim image misses it
+        assert not symmetric_lift(k2star)
+        by_values, by_vectors, vectors = self.solve_both_routes(k2star, d3_irreps, solver_calls)
+        assert sorted(by_values) == [("eigvals", (1, 4, 4)), ("eigvalsh", (2, 2, 2))]
+        assert sorted(by_vectors) == [("eig", (1, 4, 4)), ("eigh", (2, 2, 2))]
+        assert not vectors.skipped_irreps
+        # the first four pairs are the 1-dim irreps', from eigh
+        assert all(mu.imag == 0 for mu, _ in vectors.pairs[:4])
 
     def test_a_non_unitary_loaded_irrep_takes_the_general_solver(self, d3, solver_calls):
         # the 2-dim irrep conjugated by P, as in
@@ -1127,20 +1153,24 @@ class TestLiftEigenvectors:
         assert [mu for mu, _ in result.pairs] == [mu for mu, _ in want.pairs]
 
     def test_residual_branch_reports_residual_and_bound(self, k2star, d3_irreps, monkeypatch):
-        # a bound far below rounding error fails every residual test. k2star
-        # is directed (see test_solver_failure_is_a_spectrum_error), so its
-        # images go to the general solver, whose residuals are not 0; a
-        # Hermitian image's eigh residuals can be exactly 0
-        assert not k2star.is_undirected()
+        # a bound far below rounding error fails every residual test. With
+        # its arc b -> a of voltage r^1 dropped, no image of k2star is
+        # Hermitian, so every image goes to the general solver, whose
+        # residuals are not 0; a Hermitian image's eigh residuals can be
+        # exactly 0
+        d = vl.make_voltage_digraph(k2star.group, k2star.vertices, k2star.arcs[:-1])
+        b = vl.associated_matrix(d)
+        for stack in d3_irreps.stacks.values():
+            assert not spectra._hermitian(vl.rho_matrix(b, stack)).any()
         monkeypatch.setattr(spectra, "EIG_RESIDUAL_FACTOR", 1e-30)
-        result = vl.lift_eigenvectors(k2star, d3_irreps)
+        result = vl.lift_eigenvectors(d, d3_irreps)
         assert result.skipped_irreps == (0, 1, 2)
-        assert self.accounted(k2star, d3_irreps, result) == 12
+        assert self.accounted(d, d3_irreps, result) == 12
         for why in result.skip_reasons:
             match = re.fullmatch(r"residual (\S+) > bound (\S+)", why)
             assert match, why
             assert float(match[1]) > float(match[2])
-        assert lift_eigenvectors_loop(k2star, d3_irreps).skipped_irreps == (0, 1, 2)
+        assert lift_eigenvectors_loop(d, d3_irreps).skipped_irreps == (0, 1, 2)
 
 
 class TestMainEquivalenceSample:

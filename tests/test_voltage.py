@@ -106,41 +106,6 @@ class TestMakeVoltageDigraph:
         assert d.arcs == ((0, 1, 2),) and all(type(e) is int for e in d.arcs[0])
 
 
-class TestIsUndirected:
-    def test_small_cases(self, d3):
-        r1, r2, s = (d3.element_names.index(x) for x in ("r^1", "r^2", "r^0*s"))
-
-        def undirected(arcs, r=2):
-            return vl.make_voltage_digraph(d3, [f"v{i}" for i in range(r)], arcs).is_undirected()
-
-        assert undirected([])
-        assert undirected([(0, 0, s)])  # a loop whose voltage is its own inverse
-        assert not undirected([(0, 0, r1)])
-        assert undirected([(0, 0, r1), (0, 0, r2)])
-        assert undirected([(0, 1, r1), (1, 0, r2)])
-        assert not undirected([(0, 1, r1), (1, 0, r1)])
-        # parallel arcs count: two copies need two reverses
-        assert not undirected([(0, 1, r1), (0, 1, r1), (1, 0, r2)])
-        assert undirected([(0, 1, r1), (1, 0, r2), (0, 1, r1), (1, 0, r2)])
-
-    @pytest.mark.parametrize("spec", ["dihedral:4", "cyclic:6", "product:cyclic:2,dihedral:3"])
-    def test_iff_the_lift_is_symmetric(self, spec):
-        g = vl.build_builtin_group(spec)
-        rng = np.random.default_rng(17)
-        seen = set()
-        for t in range(40):
-            d = random_voltage_digraph(rng, g, max_vertices=3, max_arcs=6)
-            if t % 2:
-                # every arc gets its reverse with the inverse voltage, one
-                # of them possibly dropped again
-                arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
-                d = vl.make_voltage_digraph(g, d.vertices, arcs[:len(arcs) - t % 3 // 2])
-            a = vl.build_lift(d)
-            seen.add(d.is_undirected())
-            assert d.is_undirected() == np.array_equal(a, a.T)
-        assert seen == {False, True}
-
-
 class TestAssociatedMatrix:
     def test_k2star_entries(self, d3, k2star):
         b = vl.associated_matrix(k2star)

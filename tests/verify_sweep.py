@@ -11,7 +11,9 @@ default tolerance.
 
 prints the count of each exit code and every failing case with the
 `matched` flag of each of its reports. It imports voltlift from src/ of
-this checkout. The file name keeps pytest from collecting it.
+this checkout. The file name keeps pytest from collecting it; the tier-1
+test tests/test_cli.py::test_verify_sweep_fails_only_on_known_false_alarms
+runs sweep() and checks its failing cases against the known ones.
 """
 
 import collections
@@ -44,7 +46,9 @@ def digraph_doc(d):
     }
 
 
-def main():
+def sweep():
+    """Run the sweep: the count of each exit code, and the failing cases as
+    (spec, index, exit code, {report name: matched}) in sweep order."""
     rng = np.random.default_rng(77)
     codes = collections.Counter()
     failures = []
@@ -66,6 +70,11 @@ def main():
                         with open(out) as f:
                             reports = {k: v["matched"] for k, v in json.load(f).items()}
                     failures.append((spec, i, code, reports))
+    return codes, failures
+
+
+def main():
+    codes, failures = sweep()
     total = sum(codes.values())
     print("exit codes: " + ", ".join(f"{c}: {codes[c]}" for c in sorted(codes)))
     print(f"failing: {total - codes[0]} of {total}")
