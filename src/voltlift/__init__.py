@@ -21,7 +21,6 @@ from .reps import (
     character_table,
     load_character_table,
     load_irreps,
-    make_irrep_set,
     validate_character_table,
     validate_irrep_set,
 )

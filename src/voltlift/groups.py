@@ -7,6 +7,7 @@ only used for I/O. The multiplication convention is ``mul[g][x] = g * x``
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import reprlib
@@ -211,12 +212,8 @@ def _conjugacy_partition(
     return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-def make_group_table(
-    element_names: Sequence[str],
-    mul: Sequence[Sequence[int]],
-    family: Optional[str] = None,
-) -> GroupTable:
-    """Build and fully validate a GroupTable from names and a raw table."""
+def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]]) -> GroupTable:
+    """Build and fully validate an untagged GroupTable from names and a raw table."""
     names = tuple(element_names)
     n = len(names)
     if n == 0:
@@ -256,7 +253,6 @@ def make_group_table(
         inverse=inverse,
         classes=classes,
         generators=generators,
-        family=family,
     )
 
 
@@ -332,7 +328,7 @@ def build_builtin_group(spec: str) -> GroupTable:
             n = len(mul) * len(b)
             mul = (mul[:, None, :, None] * len(b) + b[None, :, None, :]).reshape(n, n)
         del tables, b  # only the product's table is kept while it is validated
-    return make_group_table(names, mul, family=family)
+    return dataclasses.replace(make_group_table(names, mul), family=family)
 
 
 def parse_group_table(doc) -> GroupTable:

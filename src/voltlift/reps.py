@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import types
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,12 +41,14 @@ class RepresentationError(ValueError):
 class IrrepSet:
     """A complete, validated set of irreps for a group, the trivial one first.
 
-    ``dims`` gives the dimension of each irrep in the global irrep order,
-    the order of the character rows. ``stacks``, a read-only mapping,
-    holds at ``stacks[d]`` the irreps of dimension d as one read-only
-    (K_d, n, d, d) array, in their global order: element index g of its
-    q-th row is rho(g) for the q-th irrep of dimension d. Every IrrepSet
-    is validated when made (validate_irrep_set), which sets
+    ``stacks``, a read-only mapping, holds at ``stacks[d]`` the irreps of
+    dimension d as one read-only (K_d, n, d, d) array: element index g of
+    its q-th row is rho(g). The irrep order, that of the character rows,
+    is dimension-major: the stacks by ascending d, each in row order. So
+    ``dims``, derived from the stacks, is non-decreasing, and row q of
+    stacks[d] is irrep dims.index(d) + q. A given stack is kept only when
+    no array a caller holds can write to it, else copied (_unwritable).
+    Every IrrepSet is validated when made (validate_irrep_set), which sets
     ``characters``, the read-only (nu, n) character rows. ``conjugates``
     pairs each irrep with the one whose character is the complex conjugate
     of its own: for a quotient matrix B with integer coefficients the
@@ -55,18 +57,20 @@ class IrrepSet:
     """
 
     group: GroupTable
-    dims: tuple
     stacks: Mapping
     characters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # frozen before validation, so no route sees matrices no check saw
-        for stack in self.stacks.values():
-            stack.setflags(write=False)
-        object.__setattr__(self, "stacks", types.MappingProxyType(dict(self.stacks)))
+        stacks = {d: _unwritable(stack) for d, stack in sorted(self.stacks.items())}
+        object.__setattr__(self, "stacks", types.MappingProxyType(stacks))
         rows = validate_irrep_set(self)
         rows.setflags(write=False)
         object.__setattr__(self, "characters", rows)
+
+    @cached_property
+    def dims(self) -> tuple:
+        return tuple(d for d, stack in self.stacks.items() for _ in range(len(stack)))
 
     @cached_property
     def conjugates(self) -> np.ndarray:
@@ -76,6 +80,25 @@ class IrrepSet:
         pairing = _conjugate_pairing(self.group, self.characters)
         pairing.setflags(write=False)
         return pairing
+
+
+def _unwritable(stack) -> np.ndarray:
+    """stack as a read-only complex array: kept when it and every array it
+    views are read-only, copied if a writable array or a foreign buffer
+    lies under it."""
+    a = view = np.asarray(stack, dtype=complex)
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        view = view.base
+    return a if view is None else _freeze(a.copy())
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a made read-only with every array it views, for one no caller holds."""
+    view = a
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
+    return a
 
 
 @dataclass(frozen=True)
@@ -101,57 +124,20 @@ def by_dimension(dims: Sequence[int]):
         yield int(dim), np.flatnonzero(dims == dim).tolist()
 
 
-def make_irrep_set(group: GroupTable, dims: Sequence[int], pieces) -> IrrepSet:
-    """An IrrepSet from dims, in global irrep order, and pieces (indices,
-    mats), mats[q] holding the n matrices of irrep indices[q]."""
-    return IrrepSet(group, *stack_pieces(group, dims, pieces))
-
-
-def stack_pieces(group: GroupTable, dims: Sequence[int], pieces) -> tuple:
-    """make_irrep_set's dims tuple and stacks, shape-checked, naming the first
-    irrep that fails, but not validated. The only piece of a dimension, all
-    its irreps in order, becomes its stack as a view; others are copied."""
-    n, dims = group.order, tuple(int(d) for d in dims)
-    by_dim = {}
-    for idx, mats in pieces:
-        idx, mats = np.asarray(idx, dtype=np.int64), np.asarray(mats, dtype=complex)
-        d = mats.shape[-1]
-        other = np.asarray(dims)[idx] != d  # irreps of another dimension
-        if other.any() or mats.shape != (idx.size, n, d, d):
-            i = int(idx[np.argmax(other)])
-            raise RepresentationError(
-                f"irrep {i} (dim {dims[i]}): expected {n} matrices of size "
-                f"{dims[i]}x{dims[i]}, got shape {mats.shape[1:]}"
-            )
-        by_dim.setdefault(d, []).append((idx, mats))
-    stacks = {}
-    for d, idx in by_dimension(dims):
-        given = by_dim.get(d, [])
-        if len(given) == 1 and np.array_equal(given[0][0], idx):
-            stack = given[0][1].view()
-        else:  # an irrep no piece gives stays zero and fails the identity check
-            stack = np.zeros((len(idx), n, d, d), dtype=complex)
-            for i, mats in given:
-                stack[np.searchsorted(idx, i)] = mats
-        stack.setflags(write=False)
-        stacks[d] = stack
-    return dims, stacks
-
-
-def _reject_first(bad: np.ndarray, block: list, d: int, what: str) -> None:
+def _reject_first(bad: np.ndarray, first: int, d: int, what: str) -> None:
     if bad.any():
-        raise RepresentationError(f"irrep {block[int(np.argmax(bad))]} (dim {d}): {what}")
+        raise RepresentationError(f"irrep {first + int(np.argmax(bad))} (dim {d}): {what}")
 
 
-def _check_block(group: GroupTable, a: np.ndarray, block: list, gens: list) -> np.ndarray:
-    """Check irreps block[k] of one dimension d, stacked as a[k, i, j, g] =
+def _check_block(group: GroupTable, a: np.ndarray, first: int, gens: list) -> np.ndarray:
+    """Check irreps first + k of one dimension d, stacked as a[k, i, j, g] =
     rho_k(g)[i, j]: rho(e) = I, rho(g) rho(s) = rho(g s) for every element
     g and generator s (which gives the homomorphism property by induction
     on word length), and a zero element sum for all but irrep 0. Returns
     the characters of the block, (K, n)."""
     num, d, _, n = a.shape
     off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
-    _reject_first(off > HOM_TOL, block, d, "identity element is not mapped to I")
+    _reject_first(off > HOM_TOL, first, d, "identity element is not mapped to I")
     # diff[k, i, l, j, g] = rho(g s_j)[i, l] - sum_t rho(g)[i, t] rho(s_j)[t, l],
     # the element axis innermost, so each product runs over n entries
     diff = np.take(a, group.mul[:, gens].T, axis=3)
@@ -166,12 +152,12 @@ def _check_block(group: GroupTable, a: np.ndarray, block: list, gens: list) -> n
         j, g = divmod(int(np.argmax(err[q])), n)
         names = group.element_names
         raise RepresentationError(
-            f"irrep {block[q]} (dim {d}): not a homomorphism at pair "
+            f"irrep {first + q} (dim {d}): not a homomorphism at pair "
             f"{short_repr((names[g], names[gens[j]]))}, max entry error {err[q].max():.3e}"
         )
     total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
-    nonzero = (total > SUM_TOL * n) & (np.asarray(block) > 0)
-    _reject_first(nonzero, block, d, "non-trivial irrep with nonzero element sum")
+    nonzero = (total > SUM_TOL * n) & (np.arange(first, first + num) > 0)
+    _reject_first(nonzero, first, d, "non-trivial irrep with nonzero element sum")
     return np.trace(a, axis1=1, axis2=2)
 
 
@@ -195,15 +181,22 @@ def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
 def validate_irrep_set(s) -> np.ndarray:
     """Assert every IrrepSet invariant on s's group, dims and stacks; return the rows.
 
-    The irreps of one dimension are checked in blocks (_check_block), and
+    Each stacks[d] must be a (K, n, d, d) array with K >= 1, and dims
+    their dimensions in order (see IrrepSet). The irreps of one
+    dimension are checked in blocks (_check_block), and
     the rows, snapped block by block, need no Gram product:
     <chi_i, chi_i> = n makes each row irreducible, and then, with nu rows
     and sum dim^2 = n, sum_i dim_i chi_i = n [g = e] (the regular
     character) holds only if each irreducible character appears once
     (Serre, Linear Representations of Finite Groups, 2.3-2.4).
     """
-    group, dims = s.group, s.dims
+    group = s.group
     n, nu = group.order, len(group.classes)
+    for d, stack in s.stacks.items():
+        if not (np.ndim(stack) == 4 and len(stack) and np.shape(stack)[1:] == (n, d, d) and d >= 1):
+            raise RepresentationError(f"stack of dim {d}: expected shape (K, {n}, {d}, {d}) "
+                                      f"with K >= 1, got {np.shape(stack)}")
+    dims = s.dims
     if len(dims) != nu:
         raise RepresentationError(
             f"expected {nu} irreps (one per conjugacy class), got {len(dims)}"
@@ -214,12 +207,12 @@ def validate_irrep_set(s) -> np.ndarray:
         )
     gens = list(group.generators) or [group.identity]
     rows = np.empty((nu, n), dtype=complex)
-    for d, idx in by_dimension(dims):
+    for d, stack in s.stacks.items():
         size = max(1, BLOCK_ENTRIES // (n * d * d * len(gens)))
-        for start in range(0, len(idx), size):
-            block = idx[start:start + size]
-            a = np.ascontiguousarray(s.stacks[d][start:start + size].transpose(0, 2, 3, 1))
-            rows[block] = _snap_integers(_check_block(group, a, block, gens))
+        for start in range(0, len(stack), size):
+            first = dims.index(d) + start
+            a = np.ascontiguousarray(stack[start:start + size].transpose(0, 2, 3, 1))
+            rows[first:first + len(a)] = _snap_integers(_check_block(group, a, first, gens))
     re, im = rows.real, rows.imag
     norms = np.einsum("ig,ig->i", re, re) + np.einsum("ig,ig->i", im, im)
     i = int(np.argmax(np.abs(norms - n)))
@@ -302,7 +295,27 @@ def character_table(s: IrrepSet) -> CharacterTable:
     return CharacterTable(group=s.group, rows=s.characters)
 
 
+def _check_linear_rows(group: GroupTable, rows: np.ndarray, linear: np.ndarray) -> None:
+    """chi(g s) = chi(g) chi(s) at 1e-9 for each degree-1 row rows[linear],
+    element g and generator s (so for all pairs, by induction on word
+    length): one generator at a time, on blocks of at most
+    BLOCK_ENTRIES / |generators| entries."""
+    gens = list(group.generators) or [group.identity]
+    size = max(1, BLOCK_ENTRIES // (group.order * len(gens)))
+    for start in range(0, len(linear), size):
+        chi = rows[linear[start:start + size]]
+        for s in gens:
+            err = np.abs(chi[:, group.mul[:, s]] - chi * chi[:, s, None])
+            if err.max() > 1e-9:
+                q, g = np.unravel_index(np.argmax(err), err.shape)
+                raise RepresentationError(
+                    f"row {linear[start + q]} has degree 1 but is not a homomorphism at pair "
+                    f"{short_repr((group.element_names[g], group.element_names[s]))}")
+
+
 def validate_character_table(t: CharacterTable) -> None:
+    """Class constancy, degrees, degree-1 rows as homomorphisms, the trivial
+    row first, and orthogonality, the only check of rows of degree 2 or more."""
     group = t.group
     nu = len(group.classes)
     if t.rows.shape != (nu, group.order):
@@ -325,6 +338,7 @@ def validate_character_table(t: CharacterTable) -> None:
         raise RepresentationError(
             f"row {i}: value at identity is {d[i]:.6g}, not a positive integer"
         )
+    _check_linear_rows(group, t.rows, np.flatnonzero(degree == 1))
     if not _is_trivial_row(t.rows[0]):
         raise RepresentationError("first character row is not all ones")
     _check_row_orthogonality(group, t.rows)
@@ -351,16 +365,15 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return w
 
 
-def _cyclic_irreps(m: int) -> tuple:
+def _cyclic_irreps(m: int) -> dict:
     # [k, j] = w^(k j mod m), gathered
     k = np.arange(m)
     kj = np.outer(k, k)
     kj %= m
-    table = _roots_of_unity(m)[kj]
-    return (1,) * m, [(k, table.reshape(m, m, 1, 1))]
+    return {1: _roots_of_unity(m)[kj].reshape(m, m, 1, 1)}
 
 
-def _dihedral_irreps(m: int) -> tuple:
+def _dihedral_irreps(m: int) -> dict:
     # element indices: j -> r^j, m+j -> r^j * s
     n = 2 * m
     powers = np.arange(m)
@@ -370,7 +383,7 @@ def _dihedral_irreps(m: int) -> tuple:
     chi_r, chi_s = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :one, None]
     at_r = chi_r ** powers
     vals = np.concatenate([at_r, at_r * chi_s], axis=1).astype(complex)
-    j = np.arange(1, (m + 1) // 2)[:, None]  # the 2-dim irreps, (m - 1) // 2 of them
+    j = np.arange(1, (m + 1) // 2)[:, None]  # (m - 1) // 2 irreps of dim 2, none for m = 2
     w = _roots_of_unity(m)[j * powers % m]
     c, s = w.real, w.imag
     # r^a -> rotation by 2 pi j a / m; r^a s -> rotation @ diag(1, -1)
@@ -378,33 +391,29 @@ def _dihedral_irreps(m: int) -> tuple:
     rot, refl = mats[:, :m], mats[:, m:]
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
     refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
-    dims = (1,) * one + (2,) * len(mats)
-    pieces = [(np.arange(one), vals.reshape(one, n, 1, 1)), (np.arange(one, len(dims)), mats)]
-    return dims, pieces[:2 if len(mats) else 1]  # dihedral:2 has no 2-dim irrep
+    return {d: stack for d, stack in {1: vals.reshape(one, n, 1, 1), 2: mats}.items() if len(stack)}
 
 
 _FAMILY_IRREPS = {"cyclic": _cyclic_irreps, "dihedral": _dihedral_irreps}
 
 
-def _builtin_pieces(factors: list) -> tuple:
-    """dims and pieces of the irreps of the product of the factors (kind, m),
-    a single family included: Kronecker products of the factors' irreps
-    (Serre, Linear Representations of Finite Groups, 3.2)."""
-    irreps = [_FAMILY_IRREPS[kind](m) for kind, m in factors]
-    counts = [len(dims) for dims, _ in irreps]
-    dims = reduce(np.multiply.outer, [dims for dims, _ in irreps], 1).reshape(-1)
-    pieces = []
-    # per choice of a piece in every factor, their Kronecker product over the irrep,
-    # element and both matrix axes at once, the first factor most significant
-    for choice in itertools.product(*(p for _, p in irreps)):
-        mats = choice[0][1]
-        for _, b in choice[1:]:
+def _builtin_stacks(factors: list) -> dict:
+    """The stacks of the irreps of the product of the factors (kind, m), a
+    single family included: Kronecker products of the factors' irreps
+    (Serre, Linear Representations of Finite Groups, 3.2). Each choice of
+    one stack per factor, in itertools.product order, gives a block, the
+    first factor most significant; a dimension's stack is its blocks in
+    that order, frozen, and a lone block is not copied."""
+    blocks = {}
+    for choice in itertools.product(*(_FAMILY_IRREPS[kind](m).values() for kind, m in factors)):
+        mats = choice[0]
+        for b in choice[1:]:
             # np.kron(mats, b), except that a product -0.0 comes out as 0.0
             shape = np.multiply(mats.shape, b.shape)
             mats = np.einsum("pgij,qhkl->pqghikjl", mats, b).reshape(shape)
-        idx = np.ravel_multi_index(np.ix_(*(idx for idx, _ in choice)), counts)
-        pieces.append((idx.reshape(-1), mats))
-    return dims, pieces
+        blocks.setdefault(mats.shape[-1], []).append(mats)
+    return {d: _freeze(np.concatenate(parts) if len(parts) > 1 else parts[0])
+            for d, parts in blocks.items()}
 
 
 def builtin_irreps(g: GroupTable) -> IrrepSet:
@@ -415,7 +424,7 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
     except GroupError:
         raise RepresentationError(
             f"unsupported builtin family {g.family!r}; supply irreps via load_irreps") from None
-    return make_irrep_set(g, *_builtin_pieces(factors))
+    return IrrepSet(g, _builtin_stacks(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +452,14 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     """Load and validate a user-supplied complete set of irreps.
 
     Document format: ``[{"dim": d, "matrices": {"<element-name>":
-    [[[re, im], ...], ...]}}, ...]``. The trivial irrep is moved to the
-    front if it appears elsewhere.
+    [[[re, im], ...], ...]}}, ...]``. The irreps of each dimension are
+    stacked in document order, the trivial irrep moved to the front of
+    the 1-dim ones, so the set's order (see IrrepSet) is dimension-major.
     """
     doc = decode_json(doc, RepresentationError)
     if not isinstance(doc, list):
         raise RepresentationError("irreps document must be a JSON list")
-    irreps = []
+    by_dim = {}
     for i, entry in enumerate(doc):
         if not (
             isinstance(entry, dict)
@@ -475,14 +485,9 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
             raise RepresentationError(
                 f"irrep {i}: matrices have shape {mats.shape[1:]}, expected ({d}, {d})"
             )
-        irreps.append(mats)
-    # move the trivial irrep first if present elsewhere
-    trivial = [i for i, m in enumerate(irreps) if m.shape[1] == 1 and _is_trivial_row(m[:, 0, 0])]
-    if trivial:
-        irreps.insert(0, irreps.pop(trivial[0]))
-    return make_irrep_set(
-        g, [m.shape[1] for m in irreps], [([i], m[None]) for i, m in enumerate(irreps)]
-    )
+        by_dim.setdefault(d, []).append(mats)
+    by_dim.get(1, []).sort(key=lambda m: not _is_trivial_row(m))  # the trivial irrep first
+    return IrrepSet(g, {d: _freeze(np.stack(mats)) for d, mats in by_dim.items()})
 
 
 def _is_list_of_lists(value) -> bool:

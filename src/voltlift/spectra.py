@@ -382,22 +382,21 @@ def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -
 
 def _irrep_images(d: VoltageDigraph, s: IrrepSet):
     """Every irrep route's prologue: check that s is an IrrepSet (so valid)
-    of d's group, build B once, and yield (dim, irrep indices, images) per dim."""
+    of d's group, build B once, and yield (dim, first irrep, images) per stack."""
     if not isinstance(s, IrrepSet):
         raise RepresentationError(f"expected an IrrepSet, got {type(s).__name__}")
     _check_same_group(s.group, d.group, "irrep set")
     b = associated_matrix(d)
-    dims = np.asarray(s.dims)
     for dim, stack in s.stacks.items():
-        yield dim, np.flatnonzero(dims == dim), rho_matrix(b, stack)
+        yield dim, s.dims.index(dim), rho_matrix(b, stack)
 
 
 def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     """Eigenvalues of the image of the quotient matrix under each irrep.
 
     For each irrep dimension k, a (K, r*k) array whose row q holds the
-    eigenvalues of the image under the q-th irrep of dimension k, in global
-    irrep order.
+    eigenvalues of the image under the q-th irrep of dimension k, row q of
+    stacks[k].
 
     B has integer coefficients, so the image under the irrep with the
     conjugate character (IrrepSet.conjugates) is conj(rho(B)) up to
@@ -409,9 +408,10 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     exact conj of its representative's row.
     """
     values = {}
-    for dim, idx, images in _irrep_images(d, s):
-        partner = np.searchsorted(idx, s.conjugates[idx])  # within this dimension
-        rep = partner >= np.arange(len(idx))
+    for dim, first, images in _irrep_images(d, s):
+        # conjugate characters have one degree: the partner is in this stack
+        partner = s.conjugates[first:first + len(images)] - first
+        rep = partner >= np.arange(len(images))
         vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
         vals[rep] = _eigvals(images[rep])
         vals[~rep] = vals[partner[~rep]].conj()
@@ -601,7 +601,7 @@ class LiftEigenvectors:
 
     ``pairs`` holds (eigenvalue, vector) with vectors indexed in lift
     vertex order (vertex-major, element-index minor). Irreps whose quotient
-    image is defective are skipped and listed in ``skipped_irreps``;
+    image is defective are skipped and listed in ``skipped_irreps``, by index;
     ``skip_reasons`` names, for each, the failed test and its numbers.
     No vector can be zero (see lift_eigenvectors): ``zero_vectors_excluded``
     is always 0 and stays only for readers that still account for it.
@@ -619,9 +619,9 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     For each irrep rho, each eigencolumn x of its quotient image and each
     of the dim coordinate slots k, the lift vector takes the value
     (rho(h) x_v)_k at lift vertex (v, h), where x_v is vertex v's block of
-    x. Pairs come in irrep order, then eigencolumn, then slot. None is zero:
-    by Schur orthogonality its norm^2 is (n/dim) ||x||^2 for a unitary rho,
-    and at least that over cond(P)^2 for rho = P U P^-1.
+    x. Pairs come in the set's irrep order, then eigencolumn, then slot.
+    None is zero: by Schur orthogonality its norm^2 is (n/dim) ||x||^2 for
+    a unitary rho, and at least that over cond(P)^2 for rho = P U P^-1.
 
     The irreps of one dimension d are solved together: one batched,
     residual-checked eigensolve of their (K, r*d, r*d) image stack (eig:
@@ -636,20 +636,18 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     returned vectors are the rows of its (K, r*d*d, r*n) reshape.
     """
     n, r = d.group.order, d.order
-    kept = {}
-    reasons = {}
-    for di, idx, images in _irrep_images(d, s):
-        idx = idx.tolist()
+    pairs, skipped, reasons = [], [], []
+    for di, first, images in _irrep_images(d, s):
         vals, vecs, res, bound = eig(images)
         cond = np.linalg.cond(vecs)
         worst = res.max(axis=1)
-        for q, i in enumerate(idx):
-            if not (np.isfinite(cond[q]) and cond[q] <= DEFECTIVE_COND_LIMIT):
-                reasons[i] = f"cond {cond[q]:.1e} > {DEFECTIVE_COND_LIMIT:.0e}"
-            elif not worst[q] <= bound[q]:
-                reasons[i] = f"residual {worst[q]:.1e} > bound {bound[q]:.1e}"
-        ok = [q for q, i in enumerate(idx) if i not in reasons]
-        if not ok:
+        bad_cond, bad_res = ~(cond <= DEFECTIVE_COND_LIMIT), ~(worst <= bound)  # nan is bad
+        for q in np.flatnonzero(bad_cond | bad_res).tolist():
+            skipped.append(first + q)
+            reasons.append(f"cond {cond[q]:.1e} > {DEFECTIVE_COND_LIMIT:.0e}" if bad_cond[q]
+                           else f"residual {worst[q]:.1e} > bound {bound[q]:.1e}")
+        ok = np.flatnonzero(~(bad_cond | bad_res))
+        if not len(ok):
             continue
         # fib[q, c, k, v, h] = sum_j rho_q(h)[k, j] x[q, v*d + j, c]: for
         # slot k, a (K, r) batch of (r*d, d) @ (d, n) products, written
@@ -664,14 +662,13 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
             )
         # row c*d + k is column c, slot k
         mus = np.repeat(vals[ok], di, axis=1).tolist()
-        for q, mq, wq in zip(ok, mus, fib.reshape(len(ok), r * di * di, r * n)):
-            kept[idx[q]] = zip(mq, wq)
-    skipped = sorted(reasons)
+        for mq, wq in zip(mus, fib.reshape(len(ok), r * di * di, r * n)):
+            pairs += zip(mq, wq)
     return LiftEigenvectors(
-        pairs=tuple(p for i in sorted(kept) for p in kept[i]),
+        pairs=tuple(pairs),
         zero_vectors_excluded=0,
         skipped_irreps=tuple(skipped),
-        skip_reasons=tuple(reasons[i] for i in skipped),
+        skip_reasons=tuple(reasons),
     )
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import voltlift as vl
-from voltlift import reps
 
 # the worked example: two vertices, a loop at each and two parallel edges
 # between them, over dihedral:3
@@ -48,30 +47,32 @@ def k2star(d3):
 
 
 def irrep_matrices(s, i):
-    """The (n, d, d) matrices of irrep i of s: its row of the stack of its
-    dimension, counted in global irrep order."""
+    """The (n, d, d) matrices of irrep i of s: the stacks are in
+    dimension-major order, so irrep i is row i - dims.index(d) of stacks[d]."""
     d = s.dims[i]
-    return s.stacks[d][s.dims[:i].count(d)]
+    return s.stacks[d][i - s.dims.index(d)]
 
 
-def replaced_pieces(s, i, mats):
-    """The pieces of s, one per irrep, with the matrices of irrep i replaced by mats."""
-    pieces = [([j], irrep_matrices(s, j)[None]) for j in range(len(s.dims)) if j != i]
-    return pieces + [([i], mats[None])]
+def replaced_stacks(s, i, mats):
+    """The stacks of s, with the matrices of irrep i replaced by mats in a
+    copy of its dimension's stack."""
+    d = s.dims[i]
+    stack = np.array(s.stacks[d])
+    stack[i - s.dims.index(d)] = mats
+    return {**s.stacks, d: stack}
 
 
 def replaced(s, i, mats):
     """s with the matrices of irrep i replaced by mats: a new IrrepSet,
     validated as it is made, so an invalid one raises here."""
-    return vl.make_irrep_set(s.group, s.dims, replaced_pieces(s, i, mats))
+    return vl.IrrepSet(s.group, replaced_stacks(s, i, mats))
 
 
 def unvalidated(s, i, mats):
-    """The same stacks as replaced(s, i, mats), shape-checked but not
-    validated, in a plain holder of group, dims and stacks: the input of
-    validate_irrep_set and its oracle, which no IrrepSet can carry."""
-    dims, stacks = reps.stack_pieces(s.group, s.dims, replaced_pieces(s, i, mats))
-    return SimpleNamespace(group=s.group, dims=dims, stacks=stacks)
+    """The same stacks as replaced(s, i, mats), not validated, in a plain
+    holder of group, dims and stacks: the input of validate_irrep_set and
+    its oracle, which no IrrepSet can carry."""
+    return SimpleNamespace(group=s.group, dims=s.dims, stacks=replaced_stacks(s, i, mats))
 
 
 # builtin groups of order <= 24 used by the randomized suites

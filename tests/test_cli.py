@@ -70,6 +70,18 @@ def test_verify_cube_at_default_tol(capsys):
     assert report["worst_distance"] < report["tolerance"] < 1e-3
 
 
+def test_charsum_refuses_a_mixed_character_table(capsys):
+    # the CI fixture: two rows of cyclic:3 mixed by a unitary matrix pass
+    # every test but the homomorphism test of degree-1 rows; unchecked,
+    # charsum printed 1, 0.366, -1.366 where the lift has 1, -0.5 +- 0.866i
+    data = os.path.join(os.path.dirname(__file__), "data")
+    code = run(["spectrum", "--digraph", os.path.join(data, "loop_cyclic3.json"),
+                "--group", "cyclic:3", "--method", "charsum",
+                "--chars", os.path.join(data, "c3_mixed_chars.json")])
+    assert code == 2
+    assert "not a homomorphism" in capsys.readouterr().err
+
+
 TRIANGLE_PATH = os.path.join(os.path.dirname(__file__), "data", "triangle_dihedral3.json")
 NON_UNITARY_PATH = os.path.join(os.path.dirname(__file__), "data", "d3_non_unitary_irreps.json")
 

@@ -4,12 +4,13 @@ Every perturbed set below keeps the irrep count and the sum of squared
 dimensions, so only the homomorphism, identity, norm or regular-character
 test can reject it; each test pins the message that names what failed. An
 IrrepSet validates itself when made, so the perturbed stacks reach the
-validators in a plain holder (conftest.unvalidated), and make_irrep_set is
-checked on its own to raise the same message.
+validators in a plain holder of group, dims and stacks, and the IrrepSet
+constructor is checked on its own to raise the same message.
 """
 
 import dataclasses
 import re
+import types
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ import voltlift as vl
 from voltlift import reps
 from voltlift.reps import RepresentationError
 
-from conftest import irrep_matrices, replaced, unvalidated
+from conftest import irrep_matrices, replaced_stacks, unvalidated
 from oracles import validate_irrep_set_loop
 from test_groups import FAMILY_SPECS
 from test_reps import irreps_to_doc
@@ -33,25 +34,29 @@ D64_BLOCK_ENTRIES = 3 * D64.order * 4 * len(D64.generators)
 NON_GENERATOR = 77
 
 
-# each perturbation is (set, irrep index, its new matrices)
+# each perturbation is (set, its perturbed stacks)
 def duplicate():
-    return D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 4))
+    return D8_IRREPS, replaced_stacks(D8_IRREPS, 5, irrep_matrices(D8_IRREPS, 4))
 
 
 def conjugated_duplicate():
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return D8_IRREPS, 5, u @ irrep_matrices(D8_IRREPS, 4) @ u.conj().T
+    return D8_IRREPS, replaced_stacks(D8_IRREPS, 5, u @ irrep_matrices(D8_IRREPS, 4) @ u.conj().T)
 
 
 def reducible():
     mats = np.zeros((D8.order, 2, 2), dtype=complex)
     mats[:, 0, 0] = irrep_matrices(D8_IRREPS, 1)[:, 0, 0]
     mats[:, 1, 1] = irrep_matrices(D8_IRREPS, 2)[:, 0, 0]
-    return D8_IRREPS, 5, mats
+    return D8_IRREPS, replaced_stacks(D8_IRREPS, 5, mats)
 
 
 def perturbed_non_generator():
+    return D64_IRREPS, replaced_stacks(*non_generator_change())
+
+
+def non_generator_change():
     mats = np.array(irrep_matrices(D64_IRREPS, 8))
     mats[NON_GENERATOR, 0, 1] += 1e-9
     return D64_IRREPS, 8, mats
@@ -60,12 +65,17 @@ def perturbed_non_generator():
 def identity_not_i(i):
     mats = np.array(irrep_matrices(D8_IRREPS, i))
     mats[D8.identity, 0, 0] += 1e-6
-    return D8_IRREPS, i, mats
+    return D8_IRREPS, replaced_stacks(D8_IRREPS, i, mats)
+
+
+def holder(s, stacks):
+    """stacks in a plain holder with s's group and dims, not validated."""
+    return SimpleNamespace(group=s.group, dims=s.dims, stacks=stacks)
 
 
 # (perturbation, message the blocked validator gives): the regular-character
 # test rejects a duplicate, the norm test a reducible row; the shape check
-# (reps.stack_pieces) rejects a short irrep before any validation
+# rejects a stack whose irreps are one matrix short before any validation
 PERTURBED = {
     "duplicate": (duplicate, r"character rows 4 and 5 violate orthogonality"),
     "conjugated duplicate": (conjugated_duplicate, r"rows 4 and 5 violate orthogonality"),
@@ -74,8 +84,8 @@ PERTURBED = {
     "identity dim 1": (lambda: identity_not_i(2), r"irrep 2 \(dim 1\): identity element is"),
     "identity dim 2": (lambda: identity_not_i(5), r"irrep 5 \(dim 2\): identity element is"),
     "one matrix short": (
-        lambda: (D8_IRREPS, 5, np.array(irrep_matrices(D8_IRREPS, 5)[:-1])),
-        r"irrep 5 \(dim 2\): expected 16 matrices of size 2x2, got shape \(15, 2, 2\)",
+        lambda: (D8_IRREPS, {**D8_IRREPS.stacks, 2: D8_IRREPS.stacks[2][:, :-1]}),
+        r"stack of dim 2: expected shape \(K, 16, 2, 2\) with K >= 1, got \(3, 15, 2, 2\)",
     ),
 }
 
@@ -89,58 +99,100 @@ def small_blocks(monkeypatch):
 def test_perturbed_set_rejected(small_blocks, name):
     make, message = PERTURBED[name]
     with pytest.raises(RepresentationError, match=message):
-        vl.validate_irrep_set(unvalidated(*make()))
+        vl.validate_irrep_set(holder(*make()))
 
 
 @pytest.mark.parametrize("name", PERTURBED)
 def test_oracle_rejects_perturbed_set(name):
     make, _ = PERTURBED[name]
     with pytest.raises(RepresentationError):
-        validate_irrep_set_loop(unvalidated(*make()))
+        validate_irrep_set_loop(holder(*make()))
 
 
 @pytest.mark.parametrize("name", PERTURBED)
 def test_make_irrep_set_rejects_perturbed_set(small_blocks, name):
+    # making an IrrepSet from the perturbed stacks raises the same message
     make, message = PERTURBED[name]
+    s, stacks = make()
     with pytest.raises(RepresentationError, match=message):
-        replaced(*make())
+        vl.IrrepSet(s.group, stacks)
 
 
-@pytest.mark.parametrize("shape", [(15, 2, 2), (17, 2, 2), (16, 3, 3), (16, 2, 3)])
+# the dim-2 stack of dihedral:8 with every irrep one matrix short or one too
+# many, of size 3x3 under key 2, not square, with no irrep axis, or empty
+@pytest.mark.parametrize("shape", [(3, 15, 2, 2), (3, 17, 2, 2), (3, 16, 3, 3), (3, 16, 2, 3),
+                                   (16, 2, 2), (0, 16, 2, 2)])
 def test_constructor_rejects_a_misshapen_irrep(shape):
-    # a short irrep, one matrix too many, and the wrong size d: named
-    # before anything is validated
-    message = f"irrep 6 (dim 2): expected 16 matrices of size 2x2, got shape {shape}"
+    # named by its dimension before anything is validated, also in a holder
+    stacks = {**D8_IRREPS.stacks, 2: np.zeros(shape, dtype=complex)}
+    message = f"stack of dim 2: expected shape (K, 16, 2, 2) with K >= 1, got {shape}"
     with pytest.raises(RepresentationError, match=re.escape(message)):
-        replaced(D8_IRREPS, 6, np.zeros(shape, dtype=complex))
-
-
-def test_constructor_rejects_a_piece_of_mixed_dimensions():
-    # one (7, 16, 1, 1) piece for all of dihedral:8: irrep 4 is the first of dim 2
-    pieces = [(range(7), np.ones((7, D8.order, 1, 1)))]
-    message = "irrep 4 (dim 2): expected 16 matrices of size 2x2, got shape (16, 1, 1)"
+        vl.IrrepSet(D8, stacks)
     with pytest.raises(RepresentationError, match=re.escape(message)):
-        vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
+        vl.validate_irrep_set(holder(D8_IRREPS, stacks))
 
 
-def test_irrep_no_piece_gives_fails_the_identity_check():
-    pieces = [([j], irrep_matrices(D8_IRREPS, j)[None]) for j in range(7) if j != 3]
-    _, stacks = reps.stack_pieces(D8, D8_IRREPS.dims, pieces)
-    assert not stacks[1][3].any()  # irrep 3 stays zero
-    message = r"irrep 3 \(dim 1\): identity element"
-    with pytest.raises(RepresentationError, match=message):
-        vl.validate_irrep_set(SimpleNamespace(group=D8, dims=D8_IRREPS.dims, stacks=stacks))
-    with pytest.raises(RepresentationError, match=message):
-        vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
+@pytest.mark.parametrize("key", [3, 0])
+def test_constructor_rejects_a_stack_under_another_dimension(key):
+    # the dim-2 stack keyed 3, or a (3, 16, 0, 0) stack keyed 0: the key
+    # must be the stack's matrix size, and at least 1
+    stack = D8_IRREPS.stacks[2] if key else np.zeros((3, D8.order, 0, 0))
+    message = f"stack of dim {key}: expected shape (K, 16, {key}, {key}) with K >= 1"
+    with pytest.raises(RepresentationError, match=re.escape(message)):
+        vl.IrrepSet(D8, {**D8_IRREPS.stacks, key: stack})
 
 
-def test_constructor_keeps_the_only_piece_of_a_dimension_as_a_view():
-    mats = np.array(D8_IRREPS.stacks[2])
-    pieces = [([0, 1, 2, 3], D8_IRREPS.stacks[1]), ([4, 5, 6], mats)]
-    s = vl.make_irrep_set(D8, D8_IRREPS.dims, pieces)
-    assert s.stacks[2].base is mats and not s.stacks[2].flags.writeable
-    assert mats.flags.writeable  # the caller's array is not frozen
+def test_one_irrep_too_many_fails_the_count():
+    stacks = {**D8_IRREPS.stacks, 2: np.concatenate([D8_IRREPS.stacks[2]] * 2)[:4]}
+    with pytest.raises(RepresentationError, match=r"expected 7 irreps .*, got 8"):
+        vl.IrrepSet(D8, stacks)
+
+
+def test_orders_the_stacks_by_dimension_and_derives_dims():
+    s = vl.IrrepSet(D8, {2: D8_IRREPS.stacks[2], 1: D8_IRREPS.stacks[1]})
+    assert list(s.stacks) == [1, 2] and s.dims == (1, 1, 1, 1, 2, 2, 2)
     assert np.array_equal(s.characters, D8_IRREPS.characters)
+
+
+# one vertex with loops r and r^2 over dihedral:3: spectrum 2^2, -1^4
+D3 = vl.build_builtin_group("dihedral:3")
+D3_IRREPS = vl.builtin_irreps(D3)
+LOOPS = vl.make_voltage_digraph(D3, ["v"], [(0, 0, D3.index_of("r^1")), (0, 0, D3.index_of("r^2"))])
+
+
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_a_set_does_not_change_with_its_callers_array(read_only_view):
+    # made from a writable array, or from a read-only view of one, the set
+    # keeps a copy: zeroing the caller's array changes neither its stack
+    # nor its spectrum
+    mats = np.array(D3_IRREPS.stacks[2])
+    given = mats
+    if read_only_view:
+        given = mats.view()
+        given.setflags(write=False)
+    s = vl.IrrepSet(D3, {1: D3_IRREPS.stacks[1], 2: given})
+    mats[:] = 0
+    assert mats.flags.writeable and not np.shares_memory(s.stacks[2], mats)
+    assert np.array_equal(s.stacks[2], D3_IRREPS.stacks[2])
+    assert str(vl.lift_spectrum_repr(LOOPS, s)) == "2^2, -1^4"
+    assert str(vl.lift_spectrum_bruteforce(LOOPS)) == "2^2, -1^4"
+
+
+def test_a_read_only_stack_no_caller_can_write_to_is_kept():
+    frozen = np.array(D3_IRREPS.stacks[2])
+    frozen.setflags(write=False)
+    view = frozen[::-1][::-1]  # a read-only view of a read-only array
+    for stack in (frozen, view):
+        assert vl.IrrepSet(D3, {1: D3_IRREPS.stacks[1], 2: stack}).stacks[2] is stack
+
+
+@pytest.mark.parametrize("spec", ["cyclic:64", "dihedral:8", "dihedral:2",
+                                  "product:dihedral:4,cyclic:3", "product:dihedral:3,dihedral:4"])
+def test_no_builtin_stack_is_copied(spec):
+    g = vl.build_builtin_group(spec)
+    stacks = reps._builtin_stacks(vl.groups.parse_builtin_spec(spec))
+    s = vl.IrrepSet(g, stacks)
+    assert all(s.stacks[d] is stack for d, stack in stacks.items())
 
 
 def test_perturbed_irrep_is_mid_block():
@@ -153,7 +205,7 @@ def test_perturbed_irrep_is_mid_block():
 
 def test_non_generator_message_names_a_failing_pair(small_blocks):
     with pytest.raises(RepresentationError) as info:
-        vl.validate_irrep_set(unvalidated(*perturbed_non_generator()))
+        vl.validate_irrep_set(unvalidated(*non_generator_change()))
     a, b = re.search(r"pair \('([^']*)', '([^']*)'\)", str(info.value)).groups()
     g, s = D64.index_of(a), D64.index_of(b)
     assert s in D64.generators
@@ -184,39 +236,41 @@ def test_character_table_reuses_the_validated_rows(d3_irreps):
 
 def test_characters_of_an_invalid_set_raise():
     # an IrrepSet validates before it sets its character rows, however it
-    # is made: by make_irrep_set, by its own constructor or by replace
-    stacks = unvalidated(*duplicate()).stacks
-    for make in (lambda: replaced(*duplicate()),
-                 lambda: vl.IrrepSet(D8, D8_IRREPS.dims, stacks),
+    # is made: by its constructor from a dict or a read-only mapping, or by replace
+    _, stacks = duplicate()
+    for make in (lambda: vl.IrrepSet(D8, stacks),
+                 lambda: vl.IrrepSet(D8, types.MappingProxyType(stacks)),
                  lambda: dataclasses.replace(D8_IRREPS, stacks=stacks)):
         with pytest.raises(RepresentationError, match="rows 4 and 5 violate orthogonality"):
             make()
 
 
 def test_characters_are_a_read_only_field_set_when_made():
-    s = vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks)
+    s = vl.IrrepSet(D8, D8_IRREPS.stacks)
     assert "characters" in vars(s)  # set by the constructor, not on a first read
     assert np.array_equal(s.characters, D8_IRREPS.characters)
     assert not s.characters.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.characters = D8_IRREPS.characters
-    with pytest.raises(TypeError):  # not a constructor argument
-        vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks, characters=D8_IRREPS.characters)
+    with pytest.raises(TypeError):  # not constructor arguments: dims come from the stacks
+        vl.IrrepSet(D8, D8_IRREPS.stacks, characters=D8_IRREPS.characters)
+    with pytest.raises(TypeError):
+        vl.IrrepSet(D8, D8_IRREPS.dims, D8_IRREPS.stacks)
 
 
 def test_stacks_are_frozen_when_made():
     # made from a dict of writable arrays, the set keeps a read-only
-    # mapping of read-only stacks: no matrix can be swapped in or edited
+    # mapping of read-only copies: no matrix can be swapped in or edited
     # after validation, so every route uses the matrices the checks saw
     given = {k: np.array(stack) for k, stack in D8_IRREPS.stacks.items()}
-    assert all(stack.flags.writeable for stack in given.values())
-    for s in (vl.IrrepSet(D8, D8_IRREPS.dims, given),
+    for s in (vl.IrrepSet(D8, given),
               dataclasses.replace(D8_IRREPS, stacks=dict(given))):
         with pytest.raises(TypeError):
             s.stacks[2] = np.zeros_like(s.stacks[2])
         with pytest.raises(ValueError, match="read-only"):
             s.stacks[2][0, 0, 0, 0] = 0
         assert np.array_equal(s.characters, D8_IRREPS.characters)
+    assert all(stack.flags.writeable for stack in given.values())  # not frozen: copied
     given.clear()  # the caller's dict is not the set's
     assert sorted(s.stacks) == [1, 2]
 
@@ -235,8 +289,8 @@ class TestCyclicIrrepsByGather:
     @pytest.fixture(scope="class")
     def table(self):
         """Rows K of the character table [k, j] = chi_k(g^j), and row 1."""
-        dims, [(_, stack)] = reps._cyclic_irreps(self.M)
-        assert dims == (1,) * self.M and stack.shape == (self.M, self.M, 1, 1)
+        (stack,) = reps._cyclic_irreps(self.M).values()
+        assert stack.shape == (self.M, self.M, 1, 1)
         return stack[self.K[:, 0], :, 0, 0], stack[1, :, 0, 0]
 
     def test_entries_are_gathered_roots(self, table):

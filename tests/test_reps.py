@@ -1,4 +1,8 @@
 import dataclasses
+import itertools
+import math
+import os
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,7 +11,17 @@ import voltlift as vl
 from voltlift import groups, reps
 from voltlift.reps import RepresentationError
 
-from conftest import irrep_matrices, replaced, unvalidated
+from conftest import (
+    GROUP_POOL_SPECS,
+    irrep_matrices,
+    random_voltage_digraph,
+    random_voltage_graph,
+    replaced,
+    symmetric_lift,
+    unvalidated,
+)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 SMALL_BUILTINS = [
     "cyclic:1",
@@ -131,15 +145,54 @@ class TestBuiltinIrreps:
         dihedral = reps._FAMILY_IRREPS["dihedral"]
 
         def perturbed(m):
-            dims, [ones, (idx, mats)] = dihedral(m)
-            mats = mats.copy()
+            stacks = dihedral(m)
+            mats = stacks[2].copy()
             mats[0, 3, 0, 1] += 1e-6
-            return dims, [ones, (idx, mats)]
+            return {**stacks, 2: mats}
 
         monkeypatch.setitem(reps._FAMILY_IRREPS, "dihedral", perturbed)
         g = vl.build_builtin_group("product:dihedral:8,cyclic:3")
         with pytest.raises(RepresentationError, match=r"irrep 12 \(dim 2\): not a homomorphism"):
             vl.builtin_irreps(g)
+
+
+# every product in the pool, and one whose factor-by-factor order would
+# interleave the dimensions 1, 2, 4 and 8
+PRODUCT_SPECS = [spec for spec in GROUP_POOL_SPECS if spec.startswith("product:")] + [
+    "product:dihedral:4,dihedral:4,dihedral:4"]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_SPECS)
+class TestProductOrder:
+    def test_characters_are_kronecker_products_per_dimension(self, spec):
+        # dims never decrease, and the rows are, per choice of one dimension
+        # for each factor in itertools.product order, the Kronecker products
+        # of the factors' rows of those dimensions, in itertools.product
+        # order; listed per dimension
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert list(s.dims) == sorted(s.dims)
+        factors = [vl.builtin_irreps(vl.build_builtin_group(f"{kind}:{m}"))
+                   for kind, m in groups.parse_builtin_spec(spec)]
+        want = {}
+        for choice in itertools.product(*(sorted(set(f.dims)) for f in factors)):
+            rows = [f.characters[np.equal(f.dims, k)] for f, k in zip(factors, choice)]
+            want.setdefault(math.prod(choice), []).extend(
+                reduce(np.kron, combo) for combo in itertools.product(*rows))
+        want = np.array([row for k in sorted(want) for row in want[k]])
+        assert s.characters.shape == want.shape
+        assert np.abs(s.characters - want).max() <= 1e-12
+
+    def test_repr_spectrum_matches_bruteforce(self, spec):
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(61)
+        size = max(1, 1000 // g.order)  # lifts of at most 1000 vertices
+        for d in (random_voltage_digraph(rng, g, max_vertices=size, max_arcs=8),
+                  random_voltage_graph(rng, g, max_vertices=size, max_edges=6)):
+            tol = 1e-7 if symmetric_lift(d) else 1e-3
+            match = vl.spectra_equal(
+                vl.lift_spectrum_repr(d, s, 1e-8), vl.lift_spectrum_bruteforce(d, 1e-8), tol)
+            assert match.matched, match
 
 
 class TestCharacterTable:
@@ -183,6 +236,14 @@ class TestLoadIrreps:
         t2 = vl.character_table(d3_irreps)
         assert np.allclose(sorted(t1.rows.tolist(), key=str),
                            sorted(t2.rows.tolist(), key=str))
+
+    def test_irreps_are_stacked_by_dimension(self, d3, d3_irreps):
+        # the fixture lists the 2-dim irrep first, then the trivial and the
+        # sign irrep: loaded, the set is dimension-major, trivial first
+        with open(os.path.join(DATA, "d3_irreps_2dim_first.json")) as f:
+            loaded = vl.load_irreps(f.read(), d3)
+        assert loaded.dims == (1, 1, 2)
+        assert np.array_equal(loaded.characters, d3_irreps.characters)
 
     def test_trivial_moved_first(self, d3, d3_irreps):
         doc = irreps_to_doc(d3, d3_irreps)
@@ -300,6 +361,27 @@ class TestLoadCharacterTable:
         }
         t = vl.load_character_table(doc, g)
         assert t.rows.shape == (3, 3)
+
+    def test_a_degree_1_row_must_be_a_homomorphism(self):
+        # rows 1 and 2 mix chi_1 and chi_2 of cyclic:3 by a unitary 2 x 2
+        # matrix: constant on classes, degree 1 and orthonormal, but not
+        # characters (chi(g)^2 = 1.866, chi(g^2) = 0.366)
+        g = vl.build_builtin_group("cyclic:3")
+        with open(os.path.join(DATA, "c3_mixed_chars.json")) as f:
+            doc = f.read()
+        with pytest.raises(RepresentationError,
+                           match=r"row 1 has degree 1 but is not a homomorphism at pair"):
+            vl.load_character_table(doc, g)
+
+    def test_each_row_block_is_checked(self, monkeypatch):
+        # one row per block: the last row of the cyclic:8 table, negated at
+        # one element, fails in the last block
+        monkeypatch.setattr(reps, "BLOCK_ENTRIES", 8)
+        g = vl.build_builtin_group("cyclic:8")
+        rows = np.array(vl.builtin_irreps(g).characters)
+        rows[7, 3] *= -1
+        with pytest.raises(RepresentationError, match="row 7 has degree 1"):
+            vl.validate_character_table(vl.CharacterTable(group=g, rows=rows))
 
     def test_non_integer_identity_value(self, d3):
         doc = self.d3_doc(d3)

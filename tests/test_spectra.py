@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
-from voltlift import reps, spectra
+from voltlift import spectra
 from voltlift.reps import by_dimension
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
@@ -619,16 +619,13 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("route", ["irrep_eigenvalues", "repr", "eigenvectors", "verify"])
     def test_an_unvalidated_irrep_set_raises_on_every_irrep_route(self, route, k2star, d3):
         # right shapes, wrong matrices: irrep 1 is a second trivial irrep
-        # and the dim-2 irrep is all zeros. make_irrep_set validates and
-        # raises at the first; the same stacks in a plain holder, which
-        # nothing validated, the route itself refuses
-        dims, pieces = (1, 1, 2), [
-            ([0, 1], np.ones((2, d3.order, 1, 1))),
-            ([2], np.zeros((1, d3.order, 2, 2))),
-        ]
+        # and the dim-2 irrep is all zeros. The IrrepSet constructor
+        # validates and raises at the first; the same stacks in a plain
+        # holder, which nothing validated, the route itself refuses
+        stacks = {1: np.ones((2, d3.order, 1, 1)), 2: np.zeros((1, d3.order, 2, 2))}
         with pytest.raises(vl.RepresentationError, match=r"irrep 1 \(dim 1\): non-trivial"):
-            vl.make_irrep_set(d3, dims, pieces)
-        holder = SimpleNamespace(group=d3, dims=dims, stacks=reps.stack_pieces(d3, dims, pieces)[1])
+            vl.IrrepSet(d3, stacks)
+        holder = SimpleNamespace(group=d3, dims=(1, 1, 2), stacks=stacks)
         message = "expected an IrrepSet, got SimpleNamespace"
         run = {
             "irrep_eigenvalues": vl.irrep_eigenvalues,
