@@ -2,9 +2,10 @@
 
 Builtin constructions cover cyclic groups, dihedral groups, and direct
 products of these; anything else is supplied by the user as a JSON document
-and validated here. Representations are always compared through their
-character rows, never matrix-by-matrix, since they are only defined up to
-equivalence.
+and validated here. Representations are validated and compared through
+their character rows, since they are only defined up to equivalence; only
+the conjugate pairing (IrrepSet.conjugates) compares matrices, exactly,
+and an irrep it cannot pair is merely solved on its own.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .groups import GroupError, GroupTable, decode_json, has_bool, parse_builtin
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
 HOM_TOL = 1e-10
 SUM_TOL = 1e-8
-# Entrywise tolerance for chi_j(g) = chi_i(g^-1) when pairing conjugate
-# characters: two distinct characters, orthogonal rows of norm sqrt(n),
-# differ by at least sqrt(2) at some element.
-CONJ_TOL = 1e-8
 SNAP_TOL = 1e-9  # character values this close to a Gaussian integer snap to it
 # Irrep validation checks K irreps of one dimension d at a time, with
 # K * n * d^2 * |generators| at most this many entries per product (cache-sized).
@@ -50,10 +47,10 @@ class IrrepSet:
     no array a caller holds can write to it, else copied (_unwritable).
     Every IrrepSet is validated when made (validate_irrep_set), which sets
     ``characters``, the read-only (nu, n) character rows. ``conjugates``
-    pairs each irrep with the one whose character is the complex conjugate
-    of its own: for a quotient matrix B with integer coefficients the
-    partner's image has the conjugate eigenvalues, so the repr route
-    solves one irrep of each pair.
+    pairs each irrep with the one whose matrices at the generators are
+    exactly the complex conjugates of its own: for a quotient matrix B with
+    integer coefficients the partner's image is conj(rho(B)), with the
+    conjugate eigenvalues, so the repr route solves one irrep of each pair.
     """
 
     group: GroupTable
@@ -62,8 +59,10 @@ class IrrepSet:
 
     def __post_init__(self):
         # frozen before validation, so no route sees matrices no check saw
-        stacks = {d: _unwritable(stack) for d, stack in sorted(self.stacks.items())}
-        object.__setattr__(self, "stacks", types.MappingProxyType(stacks))
+        stacks = {d: _unwritable(stack) for d, stack in self.stacks.items()}
+        for d, stack in stacks.items():  # before sorting, which needs comparable keys
+            _check_stack_shape(d, stack, self.group.order)
+        object.__setattr__(self, "stacks", types.MappingProxyType(dict(sorted(stacks.items()))))
         rows = validate_irrep_set(self)
         rows.setflags(write=False)
         object.__setattr__(self, "characters", rows)
@@ -74,10 +73,26 @@ class IrrepSet:
 
     @cached_property
     def conjugates(self) -> np.ndarray:
-        """Read-only (nu,) int array: conjugates[i] is the irrep whose
-        character is conj(chi_i). An involution that fixes each real
-        character; computed on first read by _conjugate_pairing."""
-        pairing = _conjugate_pairing(self.group, self.characters)
+        """Read-only (nu,) int array, an involution computed on first read:
+        conjugates[i] = j when rho_j(s) = conj(rho_i(s)) exactly, entry by
+        entry, at every generator s, and i when no irrep is.
+
+        Homomorphisms that agree on a generating set are equal, so then
+        rho_j = conj(rho_i) and chi_j = conj(chi_i); distinct irreps differ
+        at some generator, so a partner is unique. One dict per stack, keyed
+        by the bytes of each irrep's generator images (+ 0, so that -0.0
+        reads as 0.0), finds the pairs in O(nu |gens| d^2) time with no
+        tolerance. An irrep whose conjugate is written in another basis, or
+        is one ulp off, is its own partner and is solved on its own.
+        """
+        gens = list(self.group.generators) or [self.group.identity]
+        pairing = np.arange(len(self.dims))
+        for d, stack in self.stacks.items():
+            first = self.dims.index(d)
+            at_gens = stack[:, gens] + 0
+            index = {images.tobytes(): q for q, images in enumerate(at_gens)}
+            for q, images in enumerate(at_gens.conj() + 0):
+                pairing[first + q] = first + index.get(images.tobytes(), q)
         pairing.setflags(write=False)
         return pairing
 
@@ -113,8 +128,27 @@ class CharacterTable:
 
     @property
     def dims(self) -> tuple:
-        e = self.group.identity
-        return tuple(int(round(v.real)) for v in self.rows[:, e])
+        """The degrees chi_i(e), once the shape and degrees are checked to
+        be those of the group's irreps: nu x n rows, each degree a positive
+        integer, the squares summing to n. O(nu); the checks of the rows
+        themselves are validate_character_table's."""
+        group, rows = self.group, self.rows
+        nu, n = len(group.classes), group.order
+        if rows.shape != (nu, n):
+            raise RepresentationError(f"character table must be {nu} x {n}, got {rows.shape}")
+        d = rows[:, group.identity]
+        degree = np.round(d.real)
+        good = (np.abs(d.imag) <= 1e-9) & (np.abs(d.real - degree) <= 1e-9) & (degree >= 1)
+        if not good.all():  # nan is bad
+            i = int(np.argmin(good))
+            raise RepresentationError(
+                f"row {i}: value at identity is {d[i]:.6g}, not a positive integer"
+            )
+        dims = tuple(int(k) for k in degree)
+        squares = sum(k * k for k in dims)
+        if squares != n:
+            raise RepresentationError(f"sum of squared degrees {squares} != group order {n}")
+        return dims
 
 
 def by_dimension(dims: Sequence[int]):
@@ -178,11 +212,20 @@ def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
         )
 
 
+def _check_stack_shape(d, stack, n: int) -> None:
+    """stack must be a (K, n, d, d) array with K >= 1, for an int d >= 1."""
+    if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1 and np.ndim(stack) == 4
+            and len(stack) and np.shape(stack)[1:] == (n, d, d)):
+        d = short_repr(d)
+        raise RepresentationError(f"stack of dim {d}: expected shape (K, {n}, {d}, {d}) "
+                                  f"with K >= 1, got {np.shape(stack)}")
+
+
 def validate_irrep_set(s) -> np.ndarray:
     """Assert every IrrepSet invariant on s's group, dims and stacks; return the rows.
 
-    Each stacks[d] must be a (K, n, d, d) array with K >= 1, and dims
-    their dimensions in order (see IrrepSet). The irreps of one
+    Each stacks[d] must be a finite (K, n, d, d) array with K >= 1, and
+    dims their dimensions in order (see IrrepSet). The irreps of one
     dimension are checked in blocks (_check_block), and
     the rows, snapped block by block, need no Gram product:
     <chi_i, chi_i> = n makes each row irreducible, and then, with nu rows
@@ -193,9 +236,10 @@ def validate_irrep_set(s) -> np.ndarray:
     group = s.group
     n, nu = group.order, len(group.classes)
     for d, stack in s.stacks.items():
-        if not (np.ndim(stack) == 4 and len(stack) and np.shape(stack)[1:] == (n, d, d) and d >= 1):
-            raise RepresentationError(f"stack of dim {d}: expected shape (K, {n}, {d}, {d}) "
-                                      f"with K >= 1, got {np.shape(stack)}")
+        _check_stack_shape(d, stack, n)
+        # every comparison with nan is false, so no later check would see one
+        if not np.isfinite(stack).all():
+            raise RepresentationError(f"stack of dim {d}: holds a non-finite entry")
     dims = s.dims
     if len(dims) != nu:
         raise RepresentationError(
@@ -248,47 +292,6 @@ def _snap_integers(rows: np.ndarray) -> np.ndarray:
     return np.where(close, snapped, rows)
 
 
-def _conjugate_pairing(group: GroupTable, rows: np.ndarray) -> np.ndarray:
-    """The index j of the row chi_j = conj(chi_i) for each character row i,
-    found through conj(chi)(g) = chi(g^-1) in O(nu n) time.
-
-    Each row gets two real keys, t_i = f(chi_i) and t'_i = f(chi_i o inv),
-    for the linear form f(chi) = Re + Im of sum_g chi(g) w(g), w a fixed
-    pseudo-random real vector; one product of the table with two columns
-    gives both. A partner has t_j = t'_i up to rounding, so the row of k-th
-    smallest t' is paired with the row of k-th smallest t. Every pair is
-    then confirmed entrywise, a block of rows at a time, so a row with no
-    partner raises RepresentationError instead of taking a wrong one. The
-    rows of a validated set are distinct, so a confirmed pairing is an
-    involution.
-    """
-    nu, n = rows.shape
-    if not rows.imag.any():  # every character is its own conjugate
-        return np.arange(nu)
-    inverse = np.asarray(group.inverse)
-    # fixed pseudo-random weights in [-0.5, 0.5), without numpy.random,
-    # whose import alone takes about 15 ms and 6 MB
-    w = np.sin(np.arange(1, n + 1) * 12.9898) * 43758.5453 % 1 - 0.5
-    # complex weights: with two BLAS threads, the mixed complex-by-real
-    # product of a 512 x 512 table took 20 times as long as this one
-    keys = rows @ np.stack([w, w[inverse]], axis=1).astype(complex)
-    t, t_conj = (keys.real + keys.imag).T
-    pairing = np.empty(nu, dtype=np.int64)
-    pairing[np.argsort(t_conj, kind="stable")] = np.argsort(t, kind="stable")
-    size = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, nu, size):
-        stop = min(nu, start + size)
-        err = np.abs(rows[pairing[start:stop]] - rows[start:stop, inverse]).max(axis=1)
-        bad = err > CONJ_TOL
-        if bad.any():
-            i = start + int(np.argmax(bad))
-            raise RepresentationError(
-                f"character row {i} has no complex-conjugate row: its candidate, "
-                f"row {pairing[i]}, is {err[i - start]:.3e} away from conj(chi_{i})"
-            )
-    return pairing
-
-
 def character_table(s: IrrepSet) -> CharacterTable:
     """Character table of an IrrepSet: rows[i][g] = trace of irrep i at g,
     the rows that validating the set computed."""
@@ -314,14 +317,11 @@ def _check_linear_rows(group: GroupTable, rows: np.ndarray, linear: np.ndarray) 
 
 
 def validate_character_table(t: CharacterTable) -> None:
-    """Class constancy, degrees, degree-1 rows as homomorphisms, the trivial
-    row first, and orthogonality, the only check of rows of degree 2 or more."""
+    """Shape and degrees (CharacterTable.dims), class constancy, degree-1
+    rows as homomorphisms, the trivial row first, and orthogonality, the
+    only check of rows of degree 2 or more."""
     group = t.group
-    nu = len(group.classes)
-    if t.rows.shape != (nu, group.order):
-        raise RepresentationError(
-            f"character table must be {nu} x {group.order}, got {t.rows.shape}"
-        )
+    degree = np.asarray(t.dims)
     class_min = np.empty(group.order, dtype=np.int64)  # element -> its class's first element
     for cls in group.classes:
         class_min[list(cls)] = cls[0]
@@ -330,14 +330,6 @@ def validate_character_table(t: CharacterTable) -> None:
         i, g = off[0]
         cls = next(c for c in group.classes if g in c)
         raise RepresentationError(f"row {i} is not constant on class {short_repr(cls)}")
-    d = t.rows[:, group.identity]
-    degree = np.round(d.real)
-    bad = (np.abs(d.imag) > 1e-9) | (np.abs(d.real - degree) > 1e-9) | (degree < 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RepresentationError(
-            f"row {i}: value at identity is {d[i]:.6g}, not a positive integer"
-        )
     _check_linear_rows(group, t.rows, np.flatnonzero(degree == 1))
     if not _is_trivial_row(t.rows[0]):
         raise RepresentationError("first character row is not all ones")

@@ -2,20 +2,22 @@
 
 The default route maps the quotient matrix through each irreducible
 representation and solves the resulting small dense eigenproblems, in
-batched calls per irrep dimension. Irreps with complex-conjugate characters
-have conjugate eigenvalues, since the quotient matrix has integer
-coefficients, so only one irrep of each such pair is solved and its
-partner gets the conjugates. Each image goes to a solver of its own: one
-that is Hermitian up to rounding, as every image of an undirected digraph
-under a unitary irrep is, to the Hermitian solver, and every other to the
-general one, whatever the digraph. The character route
-recovers the same per-irrep eigenvalues from power sums: Newton's identities give each
-character's polynomial, and one batched companion-matrix eigensolve per
-character degree gives its roots. The brute-force route diagonalizes the
-explicit lift. The spectrum routes compute eigenvalues only; the lift
-eigenvectors come from one batched residual-checked eigensolve per irrep
-dimension. verify cross-checks the routes: it alone decides which are
-compared and at what tolerance, and `voltlift verify` prints its reports.
+batched calls per irrep dimension. An irrep whose matrices at the
+generators are exactly the complex conjugates of another's
+(IrrepSet.conjugates) has the conjugate image, since the quotient matrix
+has integer coefficients, so only one irrep of each such pair is solved
+and its partner gets the conjugate eigenvalues. Each image goes to a
+solver of its own: one that is Hermitian up to rounding, as every image
+of an undirected digraph under a unitary irrep is, to the Hermitian
+solver, and every other to the general one, whatever the digraph. The
+character route recovers the same per-irrep eigenvalues from power sums:
+Newton's identities give each character's polynomial, and one batched
+companion-matrix eigensolve per character degree gives its roots. The
+brute-force route diagonalizes the explicit lift. The spectrum routes
+compute eigenvalues only; the lift eigenvectors come from one batched
+residual-checked eigensolve per irrep dimension. verify cross-checks the
+routes: it alone decides which are compared and at what tolerance, and
+`voltlift verify` prints its reports.
 """
 
 from __future__ import annotations
@@ -398,18 +400,18 @@ def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
     eigenvalues of the image under the q-th irrep of dimension k, row q of
     stacks[k].
 
-    B has integer coefficients, so the image under the irrep with the
-    conjugate character (IrrepSet.conjugates) is conj(rho(B)) up to
-    equivalence and has the conjugate eigenvalues. Only the
-    representatives, the irreps i with conjugates[i] >= i, are solved,
-    in at most two batched calls per dimension (_eigvals): each image that
-    is Hermitian up to rounding (see _hermitian) goes to eigvalsh and has
-    real eigenvalues, every other to eigvals. Each partner's row is the
-    exact conj of its representative's row.
+    B has integer coefficients, so the image under the partner
+    (IrrepSet.conjugates) of irrep i, conj(rho_i) at every generator and
+    so everywhere, is conj(rho_i(B)) and has the conjugate eigenvalues.
+    Only the representatives, the irreps i with conjugates[i] >= i, are
+    solved, in at most two batched calls per dimension (_eigvals): each
+    image that is Hermitian up to rounding (see _hermitian) goes to
+    eigvalsh and has real eigenvalues, every other to eigvals. Each
+    partner's row is the exact conj of its representative's row.
     """
     values = {}
     for dim, first, images in _irrep_images(d, s):
-        # conjugate characters have one degree: the partner is in this stack
+        # a partner has the same matrix size, so it is in this stack
         partner = s.conjugates[first:first + len(images)] - first
         rep = partner >= np.arange(len(images))
         vals = values[dim] = np.empty(images.shape[:2], dtype=complex)
@@ -528,7 +530,9 @@ def lift_spectrum_charsum(
     Character row i gives the power sums chi_i(tr B^l), l = 1..r*d_i, of
     the eigenvalues of the image of B under the i-th irrep. The rows of one
     degree d_i are solved together by roots_from_power_sums, and the roots
-    are assembled as in the repr route, each entered d_i times.
+    are assembled as in the repr route, each entered d_i times. t.dims
+    refuses a table whose shape or degrees no irrep set of the group has,
+    so the spectrum has r * sum d_i^2 = r * n values.
     """
     _check_same_group(t.group, d.group, "character table")
     tol = _checked_cluster_tol(d, tol)

@@ -9,8 +9,9 @@ eigenvectors by one eigensolve per irrep and one product per eigencolumn
 and base vertex, the polynomial behind a row of power sums by a
 determinant formula and by a scalar Newton recurrence with np.roots, and
 irrep-set validation by one check per irrep plus the character Gram
-product, and the greedy spectrum match by one nearest-value search per
-copy of each value.
+product, the greedy spectrum match by one nearest-value search per
+copy of each value, and the conjugate pairing by a nearest-row search
+over the character table.
 """
 
 from math import factorial
@@ -317,3 +318,10 @@ def validate_irrep_set_loop(s: IrrepSet) -> None:
         )
     if not np.allclose(rows[0], 1.0, atol=1e-8):
         raise RepresentationError("first irrep is not the trivial representation")
+
+
+def conjugate_pairing_by_characters(rows: np.ndarray) -> np.ndarray:
+    """For each character row i, the row j nearest to conj(chi_i) in the
+    max norm: a brute-force O(nu^2 n) search over the whole table."""
+    dist = np.abs(rows[None, :, :] - rows.conj()[:, None, :]).max(axis=2)
+    return dist.argmin(axis=1)

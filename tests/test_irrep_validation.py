@@ -142,6 +142,28 @@ def test_constructor_rejects_a_stack_under_another_dimension(key):
         vl.IrrepSet(D8, {**D8_IRREPS.stacks, key: stack})
 
 
+@pytest.mark.parametrize("key", ["2", 2.0])
+def test_constructor_rejects_a_key_that_is_no_int(key):
+    # beside the int key 1, which sorting could not compare it with
+    message = f"stack of dim {key!r}: expected shape (K, 16, {key!r}, {key!r}) with K >= 1"
+    with pytest.raises(RepresentationError, match=re.escape(message)):
+        vl.IrrepSet(D8, {1: D8_IRREPS.stacks[1], key: D8_IRREPS.stacks[2]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_non_finite_entry_is_rejected(d, value):
+    # every comparison with nan is false, so only a finiteness check sees it
+    stack = np.array(D3_IRREPS.stacks[d])
+    stack[-1, 1, 0, 0] = value
+    stacks = {**D3_IRREPS.stacks, d: stack}
+    message = f"stack of dim {d}: holds a non-finite entry"
+    for make in (lambda: vl.IrrepSet(D3, stacks),
+                 lambda: dataclasses.replace(D3_IRREPS, stacks=stacks)):
+        with pytest.raises(RepresentationError, match=message):
+            make()
+
+
 def test_one_irrep_too_many_fails_the_count():
     stacks = {**D8_IRREPS.stacks, 2: np.concatenate([D8_IRREPS.stacks[2]] * 2)[:4]}
     with pytest.raises(RepresentationError, match=r"expected 7 irreps .*, got 8"):

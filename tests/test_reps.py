@@ -20,6 +20,7 @@ from conftest import (
     symmetric_lift,
     unvalidated,
 )
+from oracles import conjugate_pairing_by_characters
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -475,14 +476,30 @@ class TestConjugates:
         # loaded order, the trivial irrep moved first: chi_0, chi_1, chi_2, chi_4, chi_3
         assert conj.tolist() == [0, 3, 4, 1, 2]
 
-    @pytest.mark.parametrize("tamper", ["perturbed", "duplicated"])
-    def test_row_without_partner_raises(self, tamper):
-        s = vl.builtin_irreps(vl.build_builtin_group("cyclic:5"))
-        rows = s.characters.copy()
-        if tamper == "perturbed":
-            rows[2, 1] += 1e-3
-        else:  # rows 1 and 4 both conj(chi_1), so chi_1 itself is missing
-            rows[1] = rows[4]
-        s.__dict__["characters"] = rows
-        with pytest.raises(RepresentationError, match="no complex-conjugate row"):
-            s.conjugates
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS + ["product:dihedral:4,cyclic:3"])
+    def test_pairing_matches_the_character_oracle(self, spec):
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert np.array_equal(self.check_pairing(s), conjugate_pairing_by_characters(s.characters))
+
+    def test_a_partner_one_ulp_off_is_solved_on_its_own(self, monkeypatch):
+        # irrep 4 of cyclic:5 is conj(rho_1); moved by one ulp at the
+        # generator g^1, it pairs with nothing, and neither does irrep 1:
+        # both are solved, and the spectrum is unchanged
+        g = vl.build_builtin_group("cyclic:5")
+        assert g.generators == (g.index_of("g^1"),)
+        doc = irreps_to_doc(g, vl.builtin_irreps(g))
+        entry = doc[4]["matrices"]["g^1"][0][0]
+        entry[1] = float(np.nextafter(entry[1], np.inf))
+        s = vl.load_irreps(doc, g)
+        assert s.conjugates.tolist() == [0, 1, 3, 2, 4]
+        d = vl.make_voltage_digraph(g, ["u", "v"], [(0, 1, 1), (1, 0, 2), (1, 1, 1), (0, 0, 3)])
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: solved.append(m) or eigvals(m))
+        got = vl.lift_spectrum_repr(d, s, 1e-8)
+        monkeypatch.undo()
+        images = vl.rho_matrix(vl.associated_matrix(d), s.stacks[1])
+        (stack,) = solved
+        for i in (1, 4):
+            assert any(np.array_equal(m, images[i]) for m in stack)
+        assert vl.spectra_equal(got, vl.lift_spectrum_bruteforce(d, 1e-8), 1e-12).matched

@@ -406,6 +406,20 @@ class TestSpectrumRoutes:
             b = vl.lift_spectrum_charsum(d, t, 1e-8)
             assert vl.spectra_equal(a, b, 1e-6).matched
 
+    def test_charsum_refuses_degrees_no_irrep_set_has(self):
+        # the all-ones 3 x 6 table over dihedral:3 has degrees 1, 1, 1,
+        # whose squares sum to 3, not 6: its spectrum would miss 3 of the
+        # lift's 6 eigenvalues (one vertex, loops r and r^2: 2^2, -1^4)
+        g = vl.build_builtin_group("dihedral:3")
+        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, g.index_of("r^1")),
+                                              (0, 0, g.index_of("r^2"))])
+        t = vl.CharacterTable(g, np.ones((3, 6)))
+        s = vl.builtin_irreps(g)
+        for route in (lambda: vl.lift_spectrum_charsum(d, t), lambda: vl.verify(d, s, t)):
+            with pytest.raises(vl.RepresentationError,
+                               match="sum of squared degrees 3 != group order 6"):
+                route()
+
 
     @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
     def test_repr_batches_one_eigvals_per_dimension(self, spec, monkeypatch):
