@@ -481,6 +481,22 @@ class TestConjugates:
         s = vl.builtin_irreps(vl.build_builtin_group(spec))
         assert np.array_equal(self.check_pairing(s), conjugate_pairing_by_characters(s.characters))
 
+    @pytest.mark.parametrize("tamper", ["perturbed", "duplicated"])
+    def test_row_without_partner_raises(self, tamper):
+        # a cyclic:5 document whose row 2 (perturbed) or row 1 (a copy of
+        # row 4) has lost its conjugate partner is no irrep set of the
+        # group, and is refused at load, before any pairing
+        g = vl.build_builtin_group("cyclic:5")
+        doc = irreps_to_doc(g, vl.builtin_irreps(g))
+        if tamper == "perturbed":
+            doc[2]["matrices"]["g^1"][0][0][1] += 1e-3
+            match = "not a homomorphism"
+        else:
+            doc[1]["matrices"] = doc[4]["matrices"]
+            match = "violate orthogonality"
+        with pytest.raises(RepresentationError, match=match):
+            vl.load_irreps(doc, g)
+
     def test_a_partner_one_ulp_off_is_solved_on_its_own(self, monkeypatch):
         # irrep 4 of cyclic:5 is conj(rho_1); moved by one ulp at the
         # generator g^1, it pairs with nothing, and neither does irrep 1:
