@@ -14,7 +14,7 @@ import itertools
 import types
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class IrrepSet:
 
     def __post_init__(self):
         # frozen before validation, so no route sees matrices no check saw
-        stacks = {d: _unwritable(stack) for d, stack in self.stacks.items()}
+        stacks = {d: _unwritable(stack, f"stack of dim {short_repr(d)}")
+                  for d, stack in self.stacks.items()}
         for d, stack in stacks.items():  # before sorting, which needs comparable keys
             _check_stack_shape(d, stack, self.group.order)
         object.__setattr__(self, "stacks", types.MappingProxyType(dict(sorted(stacks.items()))))
@@ -97,11 +98,14 @@ class IrrepSet:
         return pairing
 
 
-def _unwritable(stack) -> np.ndarray:
-    """stack as a read-only complex array: kept when it and every array it
-    views are read-only, copied if a writable array or a foreign buffer
-    lies under it."""
-    a = view = np.asarray(stack, dtype=complex)
+def _unwritable(a, what: str) -> np.ndarray:
+    """a as a read-only complex array: kept when it and every array it
+    views are read-only, else copied. What numpy cannot read as one
+    complex array, a ragged list say, raises RepresentationError."""
+    try:
+        a = view = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise RepresentationError(f"{what}: not one array of numbers") from None
     while isinstance(view, np.ndarray) and not view.flags.writeable:
         view = view.base
     return a if view is None else _freeze(a.copy())
@@ -118,44 +122,44 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Character values per element index, one row per irrep."""
+    """Character values per element index, one row per irrep, held as an
+    IrrepSet holds its stacks: ``rows`` is a read-only (nu, n) complex
+    array, copied unless no array a caller holds can write to it
+    (_unwritable). When made, the rows are checked to be finite, nu x n,
+    with positive integer degrees chi_i(e) whose squares sum to n, and put
+    in dimension-major order by a stable sort on degree, which copies
+    nothing when they are in order (character_table's always are); ``dims``,
+    the sorted degrees, is set then. validate_character_table checks that
+    the rows are irreducible characters; a table from an IrrepSet needs no
+    such check, its rows were proven when the set was made."""
 
     group: GroupTable
     rows: np.ndarray  # shape (nu, n), complex
+    dims: tuple = field(init=False)
 
     def __post_init__(self):
-        self.rows.setflags(write=False)
-
-    @property
-    def dims(self) -> tuple:
-        """The degrees chi_i(e), once the shape and degrees are checked to
-        be those of the group's irreps: nu x n rows, each degree a positive
-        integer, the squares summing to n. O(nu); the checks of the rows
-        themselves are validate_character_table's."""
-        group, rows = self.group, self.rows
+        group, rows = self.group, _unwritable(self.rows, "character rows")
         nu, n = len(group.classes), group.order
         if rows.shape != (nu, n):
-            raise RepresentationError(f"character table must be {nu} x {n}, got {rows.shape}")
+            raise RepresentationError(f"character rows: expected shape ({nu}, {n}), "
+                                      f"got {rows.shape}")
+        # every comparison with nan is false, so no later check would see one
+        if not np.isfinite(rows).all():
+            raise RepresentationError("character rows hold a non-finite entry")
         d = rows[:, group.identity]
         degree = np.round(d.real)
         good = (np.abs(d.imag) <= 1e-9) & (np.abs(d.real - degree) <= 1e-9) & (degree >= 1)
-        if not good.all():  # nan is bad
+        if not good.all():
             i = int(np.argmin(good))
-            raise RepresentationError(
-                f"row {i}: value at identity is {d[i]:.6g}, not a positive integer"
-            )
-        dims = tuple(int(k) for k in degree)
-        squares = sum(k * k for k in dims)
+            raise RepresentationError(f"row {i}: value at identity is {d[i]:.6g}, "
+                                      "not a positive integer")
+        squares = sum(int(k) ** 2 for k in degree)
         if squares != n:
             raise RepresentationError(f"sum of squared degrees {squares} != group order {n}")
-        return dims
-
-
-def by_dimension(dims: Sequence[int]):
-    """(dim, irrep indices) for each irrep dimension, smallest first."""
-    dims = np.asarray(dims)
-    for dim in np.unique(dims):
-        yield int(dim), np.flatnonzero(dims == dim).tolist()
+        if (np.diff(degree) < 0).any():
+            rows, degree = _freeze(rows[np.argsort(degree, kind="stable")]), np.sort(degree)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "dims", tuple(int(k) for k in degree))
 
 
 def _reject_first(bad: np.ndarray, first: int, d: int, what: str) -> None:
@@ -199,17 +203,34 @@ def _is_trivial_row(row: np.ndarray) -> bool:
     return bool(np.allclose(row, 1.0, atol=1e-8))
 
 
-def _check_row_orthogonality(group: GroupTable, rows: np.ndarray) -> None:
-    n = group.order
-    gram = rows @ rows.conj().T
-    target = n * np.eye(len(rows))
-    err = np.abs(gram - target)
+def _check_orthogonality(gram: np.ndarray, first: int, n: int) -> None:
+    """gram[q, j] = <chi_(first + q), chi_j> must be n [first + q = j]
+    within SUM_TOL * n; the worst pair is named."""
+    q = np.arange(len(gram))
+    err = np.abs(gram)
+    err[q, first + q] = np.abs(gram[q, first + q] - n)
     if err.max() > SUM_TOL * n:
-        i, j = np.unravel_index(np.argmax(err), err.shape)
+        k, j = np.unravel_index(np.argmax(err), err.shape)
+        i = first + int(k)
         raise RepresentationError(
             f"character rows {i} and {j} violate orthogonality "
-            f"(<chi_{i}, chi_{j}> = {gram[i, j]:.6g}, expected {target[i, j]:.0f})"
+            f"(<chi_{i}, chi_{j}> = {gram[k, j]:.6g}, expected {n if i == j else 0})"
         )
+
+
+def _check_regular_character(group: GroupTable, rows: np.ndarray, dims) -> None:
+    """sum_i dims_i chi_i must be n [g = e], the regular character, and row 0
+    trivial. Only on failure is the Gram product formed, to name a pair."""
+    n = group.order
+    regular = np.asarray(dims, dtype=float) @ rows
+    regular[group.identity] -= n
+    if np.abs(regular).max() > SUM_TOL * n:
+        _check_orthogonality(rows @ rows.conj().T, 0, n)
+        raise RepresentationError(
+            "character rows violate orthogonality: sum of dim * chi is not the regular character"
+        )
+    if not _is_trivial_row(rows[0]):
+        raise RepresentationError("first character row is not the trivial character")
 
 
 def _check_stack_shape(d, stack, n: int) -> None:
@@ -265,15 +286,7 @@ def validate_irrep_set(s) -> np.ndarray:
             f"character rows {i} and {i} violate orthogonality "
             f"(<chi_{i}, chi_{i}> = {norms[i]:.6g}, expected {n})"
         )
-    regular = np.asarray(dims, dtype=float) @ rows
-    regular[group.identity] -= n
-    if np.abs(regular).max() > SUM_TOL * n:
-        _check_row_orthogonality(group, rows)  # names a pair
-        raise RepresentationError(
-            "character rows violate orthogonality: sum of dim * chi is not the regular character"
-        )
-    if not _is_trivial_row(rows[0]):
-        raise RepresentationError("first irrep is not the trivial representation")
+    _check_regular_character(group, rows, dims)
     return rows
 
 
@@ -298,42 +311,36 @@ def character_table(s: IrrepSet) -> CharacterTable:
     return CharacterTable(group=s.group, rows=s.characters)
 
 
-def _check_linear_rows(group: GroupTable, rows: np.ndarray, linear: np.ndarray) -> None:
-    """chi(g s) = chi(g) chi(s) at 1e-9 for each degree-1 row rows[linear],
-    element g and generator s (so for all pairs, by induction on word
-    length): one generator at a time, on blocks of at most
-    BLOCK_ENTRIES / |generators| entries."""
-    gens = list(group.generators) or [group.identity]
-    size = max(1, BLOCK_ENTRIES // (group.order * len(gens)))
-    for start in range(0, len(linear), size):
-        chi = rows[linear[start:start + size]]
-        for s in gens:
-            err = np.abs(chi[:, group.mul[:, s]] - chi * chi[:, s, None])
-            if err.max() > 1e-9:
-                q, g = np.unravel_index(np.argmax(err), err.shape)
-                raise RepresentationError(
-                    f"row {linear[start + q]} has degree 1 but is not a homomorphism at pair "
-                    f"{short_repr((group.element_names[g], group.element_names[s]))}")
-
-
 def validate_character_table(t: CharacterTable) -> None:
-    """Shape and degrees (CharacterTable.dims), class constancy, degree-1
-    rows as homomorphisms, the trivial row first, and orthogonality, the
-    only check of rows of degree 2 or more."""
-    group = t.group
-    degree = np.asarray(t.dims)
-    class_min = np.empty(group.order, dtype=np.int64)  # element -> its class's first element
-    for cls in group.classes:
-        class_min[list(cls)] = cls[0]
-    off = np.argwhere(np.abs(t.rows - t.rows[:, class_min]) > 1e-9)
-    if off.size:
-        i, g = off[0]
-        cls = next(c for c in group.classes if g in c)
+    """Check that t's rows, whose shape, finiteness and degrees were
+    checked when t was made, are the irreducible characters of its group:
+    constant on classes; the degree-1 rows a stack of 1-dim irreps
+    (_check_block, at HOM_TOL); sum_i d_i chi_i regular and row 0 trivial,
+    as for an IrrepSet; and each row of degree 2 or more orthogonal to
+    every row, in one product over classes weighted by their sizes.
+    This accepts what the full Gram test XX* = nI accepts, bar the
+    tolerance on degree-1 rows: a linear row psi listed twice would give
+    <sum_i d_i chi_i, psi> = 2n, not n, so the linear rows are distinct
+    homomorphisms, which are pairwise orthogonal."""
+    group, rows, n = t.group, t.rows, t.group.order
+    # each element after the first of its class, none in an abelian group
+    later = np.array([(g, c[0]) for c in group.classes for g in c[1:]], dtype=np.int64)
+    later, first = later.reshape(-1, 2).T
+    off = np.abs(rows[:, later] - rows[:, first]) > 1e-9
+    if off.any():
+        i, k = np.unravel_index(np.argmax(off), off.shape)
+        cls = next(c for c in group.classes if later[k] in c)
         raise RepresentationError(f"row {i} is not constant on class {short_repr(cls)}")
-    _check_linear_rows(group, t.rows, np.flatnonzero(degree == 1))
-    if not _is_trivial_row(t.rows[0]):
-        raise RepresentationError("first character row is not all ones")
-    _check_row_orthogonality(group, t.rows)
+    linear = t.dims.count(1)  # the degree-1 rows come first
+    gens = list(group.generators) or [group.identity]
+    size = max(1, BLOCK_ENTRIES // (n * len(gens)))
+    for start in range(0, linear, size):
+        _check_block(group, rows[start:min(start + size, linear), None, None, :], start, gens)
+    _check_regular_character(group, rows, t.dims)
+    if linear < len(rows):  # never for an abelian group
+        at = rows[:, [cls[0] for cls in group.classes]]
+        sizes = np.array([len(cls) for cls in group.classes], dtype=float)
+        _check_orthogonality((at[linear:] * sizes) @ at.conj().T, linear, n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +522,7 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
         raise RepresentationError(
             "document classes do not match the group's conjugacy classes"
         )
-    rows_in = doc["rows"]
-    nu = len(g.classes)
-    if len(rows_in) != nu:
-        raise RepresentationError(f"expected {nu} character rows, got {len(rows_in)}")
-    values = _complex_from_json(rows_in, 2, "character rows")
+    values = _complex_from_json(doc["rows"], 2, "character rows")
     if values.shape[1] != len(classes):
         raise RepresentationError(
             f"rows have {values.shape[1]} values, expected {len(classes)} (one per class)"
@@ -529,8 +532,7 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
         column[list(cls)] = c
     rows = values[:, column]
     # put the trivial row first if it is elsewhere
-    order = sorted(range(nu), key=lambda i: not _is_trivial_row(rows[i]))
-    rows = rows[order]
-    t = CharacterTable(group=g, rows=rows)
+    order = sorted(range(len(rows)), key=lambda i: not _is_trivial_row(rows[i]))
+    t = CharacterTable(group=g, rows=_freeze(rows[order]))
     validate_character_table(t)
     return t

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .groups import GroupTable, connected_components
-from .reps import CharacterTable, IrrepSet, RepresentationError, by_dimension, character_table
+from .reps import CharacterTable, IrrepSet, RepresentationError, character_table
 from .voltage import (
     VoltageDigraph,
     algebra_trace_powers,
@@ -530,9 +530,10 @@ def lift_spectrum_charsum(
     Character row i gives the power sums chi_i(tr B^l), l = 1..r*d_i, of
     the eigenvalues of the image of B under the i-th irrep. The rows of one
     degree d_i are solved together by roots_from_power_sums, and the roots
-    are assembled as in the repr route, each entered d_i times. t.dims
-    refuses a table whose shape or degrees no irrep set of the group has,
-    so the spectrum has r * sum d_i^2 = r * n values.
+    are assembled as in the repr route, each entered d_i times. A table's
+    shape and degrees are checked when it is made, and its rows are in
+    dimension-major order (see CharacterTable), so each degree's rows are
+    one slice and the spectrum has r * sum d_i^2 = r * n values.
     """
     _check_same_group(t.group, d.group, "character table")
     tol = _checked_cluster_tol(d, tol)
@@ -543,19 +544,16 @@ def lift_spectrum_charsum(
         raise SpectrumError(
             f"power-sum degree {top} exceeds conditioning cap {CHARSUM_HARD_CAP}"
         )
-    for k in sorted(set(dims)):
-        if r * k > CHARSUM_WARN_DEGREE:
-            warnings.warn(
-                f"power-sum degree {r * k} above {CHARSUM_WARN_DEGREE}; "
-                "root recovery may lose accuracy",
-                stacklevel=2,
-            )
     # exact traces of B^l once for every l any row needs, then the whole
     # character table in one (nu x n) @ (n x L) product
     sums = power_sums_from_characters(associated_matrix(d), t.rows, top, d.group)
-    values = {
-        k: roots_from_power_sums(sums[idx, :r * k]) for k, idx in by_dimension(dims)
-    }
+    values = {}
+    for k in sorted(set(dims)):
+        if r * k > CHARSUM_WARN_DEGREE:
+            warnings.warn(f"power-sum degree {r * k} above {CHARSUM_WARN_DEGREE}; "
+                          "root recovery may lose accuracy", stacklevel=2)
+        first = dims.index(k)
+        values[k] = roots_from_power_sums(sums[first:first + dims.count(k), :r * k])
     return spectrum_from_irrep_eigenvalues(values, tol)
 
 

@@ -9,7 +9,8 @@ eigenvectors by one eigensolve per irrep and one product per eigencolumn
 and base vertex, the polynomial behind a row of power sums by a
 determinant formula and by a scalar Newton recurrence with np.roots, and
 irrep-set validation by one check per irrep plus the character Gram
-product, the greedy spectrum match by one nearest-value search per
+product, character-table validation by the Gram product over every
+element, the greedy spectrum match by one nearest-value search per
 copy of each value, and the conjugate pairing by a nearest-row search
 over the character table.
 """
@@ -273,7 +274,7 @@ def _validate_irrep(group: GroupTable, mats: np.ndarray, d: int, label: str) -> 
     prod = np.tensordot(mats, mats[gens], axes=(2, 1)).transpose(2, 0, 1, 3)
     expected = mats[group.mul[:, gens].T]          # [k, g] = rho(g s_k)
     err = np.abs(prod - expected).reshape(len(gens), n, -1).max(axis=2)
-    if err.max() > HOM_TOL:
+    if not err.max() <= HOM_TOL:
         k, a = np.unravel_index(np.argmax(err), err.shape)
         b = gens[k]
         raise RepresentationError(
@@ -283,10 +284,13 @@ def _validate_irrep(group: GroupTable, mats: np.ndarray, d: int, label: str) -> 
         )
 
 
+@np.errstate(invalid="ignore")  # an inf entry gives nan, which must fail a test
 def validate_irrep_set_loop(s: IrrepSet) -> None:
     """Irrep-set validation one irrep at a time: identity, homomorphism
     through the generators and zero element sum per irrep, then the full
-    nu x nu Gram product of the character rows."""
+    nu x nu Gram product of the character rows. Each tolerance test here
+    and in validate_character_table_gram reads not (x <= tol), so that a
+    nan, which compares false with everything, fails it."""
     group = s.group
     n = group.order
     nu = len(group.classes)
@@ -303,21 +307,59 @@ def validate_irrep_set_loop(s: IrrepSet) -> None:
         label = f"irrep {i} (dim {d})"
         mats = irrep_matrices(s, i)
         _validate_irrep(group, mats, d, label)
-        if i > 0 and np.abs(mats.sum(axis=0)).max() > SUM_TOL * n:
+        if i > 0 and not np.abs(mats.sum(axis=0)).max() <= SUM_TOL * n:
             raise RepresentationError(f"{label}: non-trivial irrep with nonzero element sum")
         rows.append(np.trace(mats, axis1=1, axis2=2))
-    rows = np.asarray(rows)
+    _check_gram(np.asarray(rows), n)
+    if not np.allclose(rows[0], 1.0, atol=1e-8):
+        raise RepresentationError("first irrep is not the trivial representation")
+
+
+def _check_gram(rows: np.ndarray, n: int) -> None:
     gram = rows @ rows.conj().T
     target = n * np.eye(len(rows))
     err = np.abs(gram - target)
-    if err.max() > SUM_TOL * n:
+    if not err.max() <= SUM_TOL * n:
         i, j = np.unravel_index(np.argmax(err), err.shape)
         raise RepresentationError(
             f"character rows {i} and {j} violate orthogonality "
             f"(<chi_{i}, chi_{j}> = {gram[i, j]:.6g}, expected {target[i, j]:.0f})"
         )
+
+
+@np.errstate(invalid="ignore")  # an inf entry gives nan, which must fail a test
+def validate_character_table_gram(t) -> None:
+    """Character-table validation by the full Gram product, on any holder
+    of group and rows: shape and degrees, constancy on every element of
+    each class, each degree-1 row a homomorphism at 1e-9 one row and one
+    generator at a time, the trivial row first, then the nu x nu Gram
+    product of the rows over all n elements."""
+    group, rows = t.group, np.asarray(t.rows, dtype=complex)
+    nu, n = len(group.classes), group.order
+    if rows.shape != (nu, n):
+        raise RepresentationError(f"character table must be {nu} x {n}, got {rows.shape}")
+    d = rows[:, group.identity]
+    degree = np.round(d.real)
+    good = (np.abs(d.imag) <= 1e-9) & (np.abs(d.real - degree) <= 1e-9) & (degree >= 1)
+    if not good.all():
+        raise RepresentationError(f"row {np.argmin(good)}: value at identity is not a "
+                                  "positive integer")
+    if sum(int(k) ** 2 for k in degree) != n:
+        raise RepresentationError(f"sum of squared degrees != group order {n}")
+    for cls in group.classes:
+        off = ~(np.abs(rows[:, cls] - rows[:, cls[:1]]) <= 1e-9)
+        if off.any():
+            i = np.argmax(off.any(axis=1))
+            raise RepresentationError(f"row {i} is not constant on class {cls}")
+    gens = list(group.generators) or [group.identity]
+    for i in np.flatnonzero(degree == 1):
+        for s in gens:
+            err = np.abs(rows[i, group.mul[:, s]] - rows[i] * rows[i, s])
+            if not err.max() <= 1e-9:
+                raise RepresentationError(f"row {i} has degree 1 but is not a homomorphism")
     if not np.allclose(rows[0], 1.0, atol=1e-8):
-        raise RepresentationError("first irrep is not the trivial representation")
+        raise RepresentationError("first character row is not all ones")
+    _check_gram(rows, n)
 
 
 def conjugate_pairing_by_characters(rows: np.ndarray) -> np.ndarray:

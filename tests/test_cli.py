@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_charsum_refuses_a_mixed_character_table(capsys):
                 "--chars", os.path.join(data, "c3_mixed_chars.json")])
     assert code == 2
     assert "not a homomorphism" in capsys.readouterr().err
+
+
+def test_validate_refuses_a_mixed_degree_2_character_table(capsys):
+    # the CI fixture: the degree-2 rows of dihedral:5 mixed with the linear
+    # ones keep every norm n and the regular character, but a degree-2 row
+    # is not orthogonal to a linear row
+    data = os.path.join(os.path.dirname(__file__), "data")
+    code = run(["validate", "--group", "dihedral:5",
+                "--chars", os.path.join(data, "d5_mixed_chars.json")])
+    assert code == 2
+    assert re.search(r"character rows [23] and [01] violate orthogonality", capsys.readouterr().err)
 
 
 TRIANGLE_PATH = os.path.join(os.path.dirname(__file__), "data", "triangle_dihedral3.json")

@@ -68,6 +68,12 @@ def identity_not_i(i):
     return D8_IRREPS, replaced_stacks(D8_IRREPS, i, mats)
 
 
+def non_finite(i, value):
+    mats = np.array(irrep_matrices(D8_IRREPS, i))
+    mats[1, 0, -1] = value
+    return D8_IRREPS, replaced_stacks(D8_IRREPS, i, mats)
+
+
 def holder(s, stacks):
     """stacks in a plain holder with s's group and dims, not validated."""
     return SimpleNamespace(group=s.group, dims=s.dims, stacks=stacks)
@@ -75,7 +81,8 @@ def holder(s, stacks):
 
 # (perturbation, message the blocked validator gives): the regular-character
 # test rejects a duplicate, the norm test a reducible row; the shape check
-# rejects a stack whose irreps are one matrix short before any validation
+# rejects a stack whose irreps are one matrix short, and the finiteness
+# check a nan or an inf, before any validation
 PERTURBED = {
     "duplicate": (duplicate, r"character rows 4 and 5 violate orthogonality"),
     "conjugated duplicate": (conjugated_duplicate, r"rows 4 and 5 violate orthogonality"),
@@ -87,6 +94,10 @@ PERTURBED = {
         lambda: (D8_IRREPS, {**D8_IRREPS.stacks, 2: D8_IRREPS.stacks[2][:, :-1]}),
         r"stack of dim 2: expected shape \(K, 16, 2, 2\) with K >= 1, got \(3, 15, 2, 2\)",
     ),
+    "nan dim 1": (lambda: non_finite(2, np.nan), r"stack of dim 1: holds a non-finite entry"),
+    "nan dim 2": (lambda: non_finite(5, np.nan), r"stack of dim 2: holds a non-finite entry"),
+    "inf dim 1": (lambda: non_finite(2, np.inf), r"stack of dim 1: holds a non-finite entry"),
+    "inf dim 2": (lambda: non_finite(5, -np.inf), r"stack of dim 2: holds a non-finite entry"),
 }
 
 
@@ -170,7 +181,7 @@ def test_one_irrep_too_many_fails_the_count():
         vl.IrrepSet(D8, stacks)
 
 
-def test_orders_the_stacks_by_dimension_and_derives_dims():
+def test_orders_the_stacks_by_their_dimension_and_derives_dims():
     s = vl.IrrepSet(D8, {2: D8_IRREPS.stacks[2], 1: D8_IRREPS.stacks[1]})
     assert list(s.stacks) == [1, 2] and s.dims == (1, 1, 1, 1, 2, 2, 2)
     assert np.array_equal(s.characters, D8_IRREPS.characters)

@@ -238,7 +238,7 @@ class TestLoadIrreps:
         assert np.allclose(sorted(t1.rows.tolist(), key=str),
                            sorted(t2.rows.tolist(), key=str))
 
-    def test_irreps_are_stacked_by_dimension(self, d3, d3_irreps):
+    def test_irreps_are_stacked_per_dimension(self, d3, d3_irreps):
         # the fixture lists the 2-dim irrep first, then the trivial and the
         # sign irrep: loaded, the set is dimension-major, trivial first
         with open(os.path.join(DATA, "d3_irreps_2dim_first.json")) as f:
@@ -346,7 +346,10 @@ class TestLoadCharacterTable:
             "classes": [["g^0"], ["g^1"]],
             "rows": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]],
         }
-        with pytest.raises(RepresentationError, match="orthogonality"):
+        # the second all-ones row is checked as a 1-dim irrep: its element
+        # sum, its inner product with the trivial row, is not 0
+        with pytest.raises(RepresentationError,
+                           match=r"irrep 1 \(dim 1\): non-trivial irrep with nonzero element sum"):
             vl.load_character_table(doc, g)
 
     def test_cyclic_3_roots_of_unity(self):
@@ -371,7 +374,7 @@ class TestLoadCharacterTable:
         with open(os.path.join(DATA, "c3_mixed_chars.json")) as f:
             doc = f.read()
         with pytest.raises(RepresentationError,
-                           match=r"row 1 has degree 1 but is not a homomorphism at pair"):
+                           match=r"irrep 1 \(dim 1\): not a homomorphism at pair"):
             vl.load_character_table(doc, g)
 
     def test_each_row_block_is_checked(self, monkeypatch):
@@ -381,7 +384,7 @@ class TestLoadCharacterTable:
         g = vl.build_builtin_group("cyclic:8")
         rows = np.array(vl.builtin_irreps(g).characters)
         rows[7, 3] *= -1
-        with pytest.raises(RepresentationError, match="row 7 has degree 1"):
+        with pytest.raises(RepresentationError, match=r"irrep 7 \(dim 1\): not a homomorphism"):
             vl.validate_character_table(vl.CharacterTable(group=g, rows=rows))
 
     def test_non_integer_identity_value(self, d3):

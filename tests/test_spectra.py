@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import voltlift as vl
 from voltlift import spectra
-from voltlift.reps import by_dimension
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     EIG_RESIDUAL_FACTOR,
@@ -35,6 +34,14 @@ from oracles import (
     spectra_equal_loop,
 )
 from test_groups import FAMILY_SPECS
+
+
+def stack_indices(s):
+    """(dim, indices of its irreps) for each stack of s: one range each,
+    since the irrep order is dimension-major."""
+    for d, stack in s.stacks.items():
+        first = s.dims.index(d)
+        yield d, np.arange(first, first + len(stack))
 
 
 def power_sums_of(roots, length):
@@ -409,16 +416,12 @@ class TestSpectrumRoutes:
     def test_charsum_refuses_degrees_no_irrep_set_has(self):
         # the all-ones 3 x 6 table over dihedral:3 has degrees 1, 1, 1,
         # whose squares sum to 3, not 6: its spectrum would miss 3 of the
-        # lift's 6 eigenvalues (one vertex, loops r and r^2: 2^2, -1^4)
+        # lift's 6 eigenvalues (one vertex, loops r and r^2: 2^2, -1^4).
+        # No such table can be made, so no route ever receives one
         g = vl.build_builtin_group("dihedral:3")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, g.index_of("r^1")),
-                                              (0, 0, g.index_of("r^2"))])
-        t = vl.CharacterTable(g, np.ones((3, 6)))
-        s = vl.builtin_irreps(g)
-        for route in (lambda: vl.lift_spectrum_charsum(d, t), lambda: vl.verify(d, s, t)):
-            with pytest.raises(vl.RepresentationError,
-                               match="sum of squared degrees 3 != group order 6"):
-                route()
+        with pytest.raises(vl.RepresentationError,
+                           match="sum of squared degrees 3 != group order 6"):
+            vl.CharacterTable(g, np.ones((3, 6)))
 
 
     @pytest.mark.parametrize("spec", ["dihedral:7", "product:dihedral:4,cyclic:3", "cyclic:12"])
@@ -441,7 +444,7 @@ class TestSpectrumRoutes:
         real = np.abs(s.characters.imag).max(axis=1) < 1e-9
         solved = {
             k: int(real[idx].sum()) + int((~real[idx]).sum()) // 2
-            for k, idx in by_dimension(s.dims)
+            for k, idx in stack_indices(s)
         }
         rng = np.random.default_rng(21)
         for _ in range(4):
@@ -482,10 +485,10 @@ class TestSpectrumRoutes:
         d = random_voltage_digraph(np.random.default_rng(5), g, max_vertices=4, max_arcs=12)
         values = vl.irrep_eigenvalues(d, s)
         paired = 0
-        for k, idx in by_dimension(s.dims):
+        for k, idx in stack_indices(s):
             assert values[k].shape == (len(idx), d.order * k)
             for q, i in enumerate(idx):
-                p = idx.index(int(s.conjugates[i]))
+                p = int(s.conjugates[i]) - idx[0]
                 if p < q:
                     assert np.array_equal(values[k][q], values[k][p].conj())
                     paired += 1
@@ -728,7 +731,7 @@ class TestSolverChoice:
         # is solved in the repr route, and all of them for eigenvectors
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
-        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in by_dimension(s.dims)}
+        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in stack_indices(s)}
         rng = np.random.default_rng(51)
         for _ in range(4):
             d = random_voltage_graph(rng, g, max_vertices=5, max_edges=9)
@@ -744,7 +747,7 @@ class TestSolverChoice:
         # directed digraphs whose every image misses the gate
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
-        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in by_dimension(s.dims)}
+        solved = {k: int((s.conjugates[idx] >= idx).sum()) for k, idx in stack_indices(s)}
         rng = np.random.default_rng(52)
         for _ in range(4):
             d = gate_missing_digraph(rng, s, max_vertices=5, max_arcs=12)
