@@ -167,12 +167,11 @@ def _reject_first(bad: np.ndarray, first: int, d: int, what: str) -> None:
         raise RepresentationError(f"irrep {first + int(np.argmax(bad))} (dim {d}): {what}")
 
 
-def _check_block(group: GroupTable, a: np.ndarray, first: int, gens: list) -> np.ndarray:
+def _check_block(group: GroupTable, a: np.ndarray, first: int, gens: list) -> None:
     """Check irreps first + k of one dimension d, stacked as a[k, i, j, g] =
     rho_k(g)[i, j]: rho(e) = I, rho(g) rho(s) = rho(g s) for every element
     g and generator s (which gives the homomorphism property by induction
-    on word length), and a zero element sum for all but irrep 0. Returns
-    the characters of the block, (K, n)."""
+    on word length), and a zero element sum for all but irrep 0."""
     num, d, _, n = a.shape
     off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
     _reject_first(off > HOM_TOL, first, d, "identity element is not mapped to I")
@@ -196,7 +195,6 @@ def _check_block(group: GroupTable, a: np.ndarray, first: int, gens: list) -> np
     total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
     nonzero = (total > SUM_TOL * n) & (np.arange(first, first + num) > 0)
     _reject_first(nonzero, first, d, "non-trivial irrep with nonzero element sum")
-    return np.trace(a, axis1=1, axis2=2)
 
 
 def _is_trivial_row(row: np.ndarray) -> bool:
@@ -277,7 +275,8 @@ def validate_irrep_set(s) -> np.ndarray:
         for start in range(0, len(stack), size):
             first = dims.index(d) + start
             a = np.ascontiguousarray(stack[start:start + size].transpose(0, 2, 3, 1))
-            rows[first:first + len(a)] = _snap_integers(_check_block(group, a, first, gens))
+            _check_block(group, a, first, gens)
+            rows[first:first + len(a)] = _snap_integers(np.trace(a, axis1=1, axis2=2))
     re, im = rows.real, rows.imag
     norms = np.einsum("ig,ig->i", re, re) + np.einsum("ig,ig->i", im, im)
     i = int(np.argmax(np.abs(norms - n)))

@@ -17,7 +17,10 @@ brute-force route diagonalizes the explicit lift. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
-`voltlift verify` prints its reports.
+`voltlift verify` prints its reports. One single-linkage kernel serves
+both clustering and comparison: spectra_equal links the values of both
+sides and pairs the copies of each component that holds as many of one
+side as of the other.
 """
 
 from __future__ import annotations
@@ -93,15 +96,33 @@ def _check_tol(tol: float) -> None:
         raise SpectrumError(f"tolerance must be positive and finite, got {tol}")
 
 
+def _link_components(distinct: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage component labels of distinct values, sorted as
+    np.unique sorts them: two are linked iff |z_i - z_j| < tol."""
+    m = distinct.size
+    # every value that can link to i lies in its window i .. i + width[i] - 1:
+    # a real part past fl(re_i + tol) is at least tol away, and so is the value
+    re = distinct.real
+    width = np.searchsorted(re, re + tol, side="right") - np.arange(m)
+    links = [(np.arange(0), np.arange(0))]
+    for k in range(1, int(width.max(initial=0))):
+        i = np.flatnonzero(width > k)
+        gap = distinct[i + k] - distinct[i]
+        # hypot, as abs() of a complex scalar: the vectorised complex abs
+        # can round differently and flip a link at distance ~tol
+        i = i[np.hypot(gap.real, gap.imag) < tol]
+        links.append((i, i + k))
+    return connected_components(m, *map(np.concatenate, zip(*links)))
+
+
 def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
     """Single-linkage clustering of eigenvalues in the complex plane.
 
     Two values are linked iff |z_i - z_j| < tol; each cluster is reported
     at its mean, which for a smeared multiple eigenvalue is far more
     accurate than the individual values (the sum is trace-exact). Exact
-    duplicates are merged first, and only pairs whose real parts lie
-    within tol of each other are ever compared; the clusters are the
-    components that groups.connected_components finds over those links.
+    duplicates are merged first; the clusters are the components that
+    _link_components finds among the distinct values.
     """
     _check_tol(tol)
     vals = np.asarray(values, dtype=complex).reshape(-1)
@@ -111,21 +132,7 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
         raise SpectrumError("cannot cluster non-finite eigenvalues")
     # distinct values, sorted by real part then imaginary part
     distinct, counts = np.unique(vals, return_counts=True)
-    m = distinct.size
-    # every value that can link to i lies in its window i .. i + width[i] - 1:
-    # a real part past fl(re_i + tol) is at least tol away, and so is the value
-    re = distinct.real
-    width = np.searchsorted(re, re + tol, side="right") - np.arange(m)
-    links = [(np.arange(0), np.arange(0))]
-    for k in range(1, int(width.max())):
-        i = np.flatnonzero(width > k)
-        gap = distinct[i + k] - distinct[i]
-        # hypot, as abs() of a complex scalar: the vectorised complex abs
-        # can round differently and flip a link at distance ~tol
-        i = i[np.hypot(gap.real, gap.imag) < tol]
-        links.append((i, i + k))
-    label = connected_components(m, *map(np.concatenate, zip(*links)))
-    _, cluster = np.unique(label, return_inverse=True)
+    _, cluster = np.unique(_link_components(distinct, tol), return_inverse=True)
     mult = np.bincount(cluster, weights=counts).astype(np.int64)
     weighted = distinct * counts
     mean = (
@@ -156,57 +163,48 @@ class MatchReport:
         return f"{verdict} (worst {self.worst_distance:.1e}){extra}"
 
 
-def _distinct(s: SpectrumMultiset) -> tuple:
-    """The distinct values of s, sorted by real part then imaginary part,
-    and the total multiplicity of each."""
-    vals, inverse = np.unique(
-        np.array([v for v, _ in s.entries], dtype=complex), return_inverse=True
-    )
-    mults = np.bincount(inverse, weights=[m for _, m in s.entries], minlength=len(vals))
-    return vals, mults.astype(np.int64)
-
-
 def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> MatchReport:
-    """Greedy minimal-distance matching of two eigenvalue multisets.
+    """Compare two eigenvalue multisets by balanced components.
 
-    Both sides are sorted, then each left value grabs its nearest unused
-    right value, the first in sorted order on a tie. Adequate whenever tol
-    is far below the eigenvalue gaps; mismatch is reported, never raised.
-
-    Copies of one value are adjacent after sorting and all see the same
-    distances, so each distinct left value is processed once: its copies
-    take the nearest distinct right value with copies left, as many as it
-    has, then the next nearest, and so on.
+    The distinct values of both sides are linked when at most tol apart;
+    each left copy weighs +1, each right copy -1. Inside each component
+    that sums to zero, and in one pool of the copies of all others, the
+    left and right copies are paired in sorted (re, im) order.
+    worst_distance is the largest distance of that pairing, always of a
+    real left-right pair, so a shifted eigenvalue reports its shift. The
+    sides match iff every component balances and worst_distance <= tol:
+    - a MATCH is sound: its pairing is within tol;
+    - the verdict is exact for real spectra, and whenever tol is below the
+      least distance between distinct values of the two sides;
+    - from there on, single linkage can chain values more than tol apart,
+      and a complex component's sorted pairing can miss a pairing within
+      tol that exists; neither this rule nor a greedy one is complete.
+    Unequal sizes give a MISMATCH at worst inf. tol must be non-negative
+    and finite (inf would link every pair, nan none); 0 is exact equality.
     """
-    va, ma = _distinct(a)
-    vb, mb = _distinct(b)
-    count_left, count_right = int(ma.sum()), int(mb.sum())
+    if not 0 <= tol < np.inf:
+        raise SpectrumError(f"tolerance must be non-negative and finite, got {tol}")
+    vals = [np.array([v for v, _ in s.entries], dtype=complex) for s in (a, b)]
+    mults = [np.array([m for _, m in s.entries], dtype=np.int64) for s in (a, b)]
+    count_left, count_right = (int(m.sum()) for m in mults)
     if count_left != count_right:
-        return MatchReport(
-            matched=False,
-            worst_distance=float("inf"),
-            count_left=count_left,
-            count_right=count_right,
-            message=f"sizes differ: {count_left} vs {count_right}",
-        )
-    worst = 0.0
-    for x, need in zip(va, ma.tolist()):
-        dist = np.abs(vb - x)
-        dist[mb == 0] = np.inf
-        while need:
-            j = int(np.argmin(dist))
-            take = min(need, int(mb[j]))
-            need -= take
-            mb[j] -= take
-            worst = max(worst, float(dist[j]))
-            if not mb[j]:
-                dist[j] = np.inf
-    return MatchReport(
-        matched=worst <= tol,
-        worst_distance=worst,
-        count_left=count_left,
-        count_right=count_right,
+        return MatchReport(False, float("inf"), count_left, count_right,
+                           f"sizes differ: {count_left} vs {count_right}")
+    values, inverse = np.unique(np.concatenate(vals), return_inverse=True)
+    # copies[side][j]: how many copies of values[j] that side holds
+    copies = [np.bincount(i, weights=m, minlength=len(values)).astype(np.int64)
+              for i, m in zip(np.split(inverse, [len(vals[0])]), mults)]
+    label = _link_components(values, np.nextafter(tol, np.inf))
+    unbalanced = np.bincount(label, weights=copies[0] - copies[1]) != 0
+    # one part per balanced component, and one pool (-1) for the rest
+    part = np.where(unbalanced[label], -1, label)
+    left_copies, right_copies = (
+        idx[np.argsort(part[idx], kind="stable")]
+        for idx in (np.repeat(np.arange(len(values)), c) for c in copies)
     )
+    worst = float(np.abs(values[right_copies] - values[left_copies]).max(initial=0.0))
+    matched = not unbalanced.any() and worst <= tol
+    return MatchReport(matched, worst, count_left, count_right)
 
 
 def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:

@@ -10,9 +10,9 @@ and base vertex, the polynomial behind a row of power sums by a
 determinant formula and by a scalar Newton recurrence with np.roots, and
 irrep-set validation by one check per irrep plus the character Gram
 product, character-table validation by the Gram product over every
-element, the greedy spectrum match by one nearest-value search per
-copy of each value, and the conjugate pairing by a nearest-row search
-over the character table.
+element, the least distance within which two spectra pair up by an exact
+bottleneck matching over every copy, and the conjugate pairing by a
+nearest-row search over the character table.
 """
 
 from math import factorial
@@ -25,7 +25,6 @@ from voltlift.reps import HOM_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     LiftEigenvectors,
-    MatchReport,
     SpectrumMultiset,
     eig,
     rho_matrix,
@@ -120,23 +119,40 @@ def algebra_trace_powers_loop(b: np.ndarray, length: int, group: GroupTable) -> 
     return traces
 
 
-def spectra_equal_loop(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> MatchReport:
-    """Greedy match over every copy: both sides sorted, each left value in
-    turn takes the nearest unused right value (the first on a tie)."""
-    va = np.sort(np.array([v for v, m in a.entries for _ in range(m)], dtype=complex))
-    vb = np.sort(np.array([v for v, m in b.entries for _ in range(m)], dtype=complex))
+def bottleneck_distance_loop(a: SpectrumMultiset, b: SpectrumMultiset) -> float:
+    """The least d such that the copies of a and b can be paired one to one
+    with every pair at most d apart (inf if the sizes differ).
+
+    An exact bottleneck matching over every copy: the distinct pair
+    distances are swept in increasing order, each threshold adds its pairs
+    to a bipartite graph, and augmenting paths grow one matching until it
+    is perfect. Distances are np.abs of right minus left, as spectra_equal
+    takes them.
+    """
+    va = [v for v, m in a.entries for _ in range(m)]
+    vb = [v for v, m in b.entries for _ in range(m)]
     if len(va) != len(vb):
-        return MatchReport(False, float("inf"), len(va), len(vb),
-                           f"sizes differ: {len(va)} vs {len(vb)}")
-    used = np.zeros(len(vb), dtype=bool)
-    worst = 0.0
-    for x in va:
-        dist = np.abs(vb - x)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        worst = max(worst, float(dist[j]))
-    return MatchReport(worst <= tol, worst, len(va), len(vb))
+        return float("inf")
+    if not va:
+        return 0.0
+    dist = np.abs(np.asarray(vb, dtype=complex)[None, :] - np.asarray(va, dtype=complex)[:, None])
+    partner = [-1] * len(vb)  # the left copy each right copy is paired with
+
+    def augment(i, seen, limit):
+        for j in np.flatnonzero(dist[i] <= limit):
+            if j not in seen:
+                seen.add(j)
+                if partner[j] < 0 or augment(partner[j], seen, limit):
+                    partner[j] = i
+                    return True
+        return False
+
+    unmatched = list(range(len(va)))
+    for limit in np.unique(dist):
+        unmatched = [i for i in unmatched if not augment(i, set(), limit)]
+        if not unmatched:
+            return float(limit)
+    raise AssertionError("the complete bipartite graph has a perfect matching")
 
 
 def cluster_spectrum_loop(values: Sequence[complex], tol: float) -> list:

@@ -26,12 +26,12 @@ from conftest import (
     unvalidated,
 )
 from oracles import (
+    bottleneck_distance_loop,
     cluster_spectrum_loop,
     determinant_poly_coeffs,
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
     roots_from_power_sums_loop,
-    spectra_equal_loop,
 )
 from test_groups import FAMILY_SPECS
 
@@ -351,7 +351,7 @@ class TestSpectraEqual:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_matches_greedy_loop_over_every_copy(self, data):
+    def test_agrees_with_the_bottleneck_matching_over_every_copy(self, data):
         # values on a coarse grid, so that distances tie and entries repeat a
         # mean; multiplicities up to 4, zero included
         grid = st.integers(min_value=-2, max_value=2)
@@ -365,7 +365,65 @@ class TestSpectraEqual:
                 (v + data.draw(st.sampled_from([0, 0.5, 1e-9j])), m) for v, m in a.entries
             ))
         tol = data.draw(st.sampled_from([1e-12, 1e-7, 0.5, 2.0]))
-        assert vl.spectra_equal(a, b, tol) == spectra_equal_loop(a, b, tol)
+        rep = vl.spectra_equal(a, b, tol)
+        if a.total != b.total:
+            assert rep == vl.MatchReport(False, float("inf"), a.total, b.total,
+                                         f"sizes differ: {a.total} vs {b.total}")
+            return
+        assert (rep.count_left, rep.count_right, rep.message) == (a.total, b.total, "")
+        # the reported pairing is a real one: never below the bottleneck,
+        # and within tol whenever it is a MATCH
+        bottleneck = bottleneck_distance_loop(a, b)
+        assert rep.worst_distance >= bottleneck
+        if rep.matched:
+            assert rep.worst_distance <= tol
+        # on the real line the sorted pairing is a bottleneck matching: the
+        # verdict is exact, and a MATCH reports the bottleneck itself
+        a, b = (vl.SpectrumMultiset(tuple((complex(v.real), m) for v, m in s.entries))
+                for s in (a, b))
+        rep, bottleneck = vl.spectra_equal(a, b, tol), bottleneck_distance_loop(a, b)
+        assert rep.worst_distance >= bottleneck
+        assert rep.matched == (bottleneck <= tol)
+        if rep.matched:
+            assert rep.worst_distance == bottleneck
+
+    @staticmethod
+    def of(*values):
+        return vl.SpectrumMultiset(tuple((complex(v), 1) for v in values))
+
+    def test_a_pairing_greedy_matching_misses(self):
+        # greedy pairs 0.5 with its nearest, 0.9, and leaves 1 with 0
+        rep = vl.spectra_equal(self.of(0.5, 1), self.of(0, 0.9), 0.6)
+        assert rep.matched and rep.worst_distance == 0.5
+
+    def test_a_mismatch_only_the_counts_show(self):
+        # equal totals, and every value has a copy on both sides
+        rep = vl.spectra_equal(self.of(0, 0, 1), self.of(0, 1, 1), 0.1)
+        assert not rep.matched and rep.worst_distance == 1.0
+
+    def test_a_shifted_value_reports_its_shift(self):
+        rep = vl.spectra_equal(self.of(0, 5), self.of(0, 5.5), 0.1)
+        assert not rep.matched and rep.worst_distance == 0.5
+
+    def test_a_pair_exactly_tol_apart_matches(self):
+        a, b = self.of(0.1, 2j), self.of(0.3, 2j)
+        tol = float(np.abs(complex(0.3) - complex(0.1)))
+        rep = vl.spectra_equal(a, b, tol)
+        assert rep.matched and rep.worst_distance == tol
+        assert not vl.spectra_equal(a, b, np.nextafter(tol, 0)).matched
+
+    def test_tol_zero_is_exact_equality(self):
+        a = cluster_spectrum([3, -1, 1j, 1j], 1e-9)
+        assert vl.spectra_equal(a, a, 0.0) == vl.MatchReport(True, 0.0, 4, 4)
+        assert not vl.spectra_equal(self.of(1), self.of(np.nextafter(1, 2)), 0.0).matched
+
+    def test_empty_spectra_match(self):
+        assert vl.spectra_equal(self.of(), self.of(), 0.5) == vl.MatchReport(True, 0.0, 0, 0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_a_tolerance_that_is_negative_or_not_finite(self, tol):
+        with pytest.raises(SpectrumError):
+            vl.spectra_equal(self.of(1), self.of(1), tol)
 
 
 class TestSpectrumRoutes:
