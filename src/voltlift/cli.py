@@ -107,11 +107,50 @@ def _load_char_table(args, group):
     return reps.character_table(_load_irrep_set(args, group))
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """json's C encoder, made once per depth, for a container at that depth
+    whose items are all scalars (and for a lone scalar). With no indent, and
+    an item separator that carries the newline and the items' indent, it
+    writes json.dumps(indent=2)'s layout bar the brackets' own lines. It
+    takes the options json.dumps passes it by default, bar the circular
+    check, which a payload, a tree, does not need."""
+    encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * (depth + 1), False, False, True)
+    return lambda x: "".join(encode(x, 0))
+
+
+def _json_text(x, depth: int = 0) -> str:
+    """json.dumps(x, indent=2), byte for byte. A container of scalars goes
+    whole to the C encoder (_encoder); above those, containers are opened
+    here and their items written by recursion."""
+    if not isinstance(x, _CONTAINERS):
+        return _encoder(depth)(x)
+    is_dict = isinstance(x, dict)
+    if not x:
+        return "{}" if is_dict else "[]"
+    pad = "  " * depth
+    if not any(isinstance(v, _CONTAINERS) for v in (x.values() if is_dict else x)):
+        inner = _encoder(depth)(x)[1:-1]
+    elif is_dict:  # each key as the C encoder writes it, then ": "
+        key = _encoder(depth + 1)
+        inner = (",\n  " + pad).join(key({k: 0})[1:-2] + _json_text(v, depth + 1)
+                                     for k, v in x.items())
+    else:
+        inner = (",\n  " + pad).join(_json_text(v, depth + 1) for v in x)
+    opening, closing = ("{", "}") if is_dict else ("[", "]")
+    return f"{opening}\n  {pad}{inner}\n{pad}{closing}"
+
+
 def _emit(args, payload, text) -> None:
-    """Write payload as JSON, or text() for --format text: the text form is
-    built only when it is written."""
+    """Write payload as JSON in json.dumps(payload, indent=2)'s layout, or
+    text() for --format text: the text form is built only when it is written."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2) + "\n"
+        out = _json_text(payload) + "\n"
     else:
         out = text() + "\n"
     if args.out:
@@ -170,15 +209,13 @@ def _cmd_walks(args) -> int:
     digraph = _load_digraph(args.digraph, group)
     b = voltage.associated_matrix(digraph)
     power = voltage.algebra_matrix_power(b, args.length, group)
-    entries = [
-        {
-            "from": digraph.vertices[u],
-            "to": digraph.vertices[v],
-            "coeffs": {group.element_names[g]: power[u, v, g] for g in np.flatnonzero(power[u, v])},
-        }
-        for u in range(digraph.order)
-        for v in range(digraph.order)
-    ]
+    names = group.element_names
+    entries = []
+    for u, v in np.ndindex(power.shape[:2]):
+        row = power[u, v]
+        support = np.flatnonzero(row != 0)
+        coeffs = {names[g]: c for g, c in zip(support.tolist(), row[support].tolist())}
+        entries.append({"from": digraph.vertices[u], "to": digraph.vertices[v], "coeffs": coeffs})
     n = group.order
     payload = {"length": args.length, "entries": entries}
     if digraph.order * n <= 200:

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import reprlib
+import weakref
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Optional, Sequence
@@ -18,6 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 MAX_ORDER = 4096
+# The Latin-square and associativity checks, and the irrep checks of reps,
+# work in blocks of at most this many entries at a time (cache-sized).
+BLOCK_ENTRIES = 2 ** 16
 
 
 class GroupError(ValueError):
@@ -90,6 +94,28 @@ def short_repr(value) -> str:
     return text if len(text) <= 100 else text[:97] + "..."
 
 
+# id -> each array the library made read-only itself, while it lives
+_FROZEN = weakref.WeakValueDictionary()
+
+
+def freeze(a: np.ndarray) -> np.ndarray:
+    """a made read-only with every array it views, for an array no caller
+    holds; it is recorded, so that frozen_here(a) holds from then on."""
+    view = a
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
+    _FROZEN[id(a)] = a
+    return a
+
+
+def frozen_here(a) -> bool:
+    """Whether freeze made a read-only. Only such an array is kept as given:
+    a caller's array, read-only or not, is copied, since its owner can
+    turn writing back on."""
+    return _FROZEN.get(id(a)) is a
+
+
 def has_bool(nested, depth: int) -> bool:
     """Whether a regular nested list of the given depth holds a bool.
 
@@ -104,16 +130,34 @@ def has_bool(nested, depth: int) -> bool:
 
 def _check_latin_square(mul: np.ndarray) -> None:
     # entries are already known to lie in range(n), so a row (column) is a
-    # permutation iff every value occurs in it
+    # permutation iff every value occurs in it. A block of k rows (columns)
+    # is keyed line * n + value (value * k + line), and every one of its
+    # k * n keys occurs only if each of its lines is a permutation. The
+    # buffers are made once: a fresh block-sized array per block costs
+    # more than the check
     n = mul.shape[0]
-    seen = np.zeros((n, n), dtype=bool)
-    seen[np.arange(n)[:, None], mul] = True
-    if not seen.all():
-        raise GroupError("multiplication table is not a Latin square (bad row)")
-    seen[:] = False
-    seen[mul, np.arange(n)[None, :]] = True
-    if not seen.all():
-        raise GroupError("multiplication table is not a Latin square (bad column)")
+    size = min(n, max(1, BLOCK_ENTRIES // n))
+    buffer, seen = np.empty(size * n, dtype=np.int64), np.empty(size * n, dtype=bool)
+    for start in range(0, n, size):
+        rows = mul[start:start + size]
+        keys = buffer[:rows.size].reshape(rows.shape)
+        np.add(rows, n * np.arange(len(rows))[:, None], out=keys)
+        if not _covers(keys, seen):
+            raise GroupError("multiplication table is not a Latin square (bad row)")
+    for start in range(0, n, size):
+        cols = mul[:, start:start + size]  # read row by row, not down each column
+        keys = buffer[:cols.size].reshape(cols.shape)
+        np.multiply(cols, cols.shape[1], out=keys)
+        keys += np.arange(cols.shape[1])
+        if not _covers(keys, seen):
+            raise GroupError("multiplication table is not a Latin square (bad column)")
+
+
+def _covers(keys: np.ndarray, seen: np.ndarray) -> bool:
+    """Whether keys, all in range(keys.size), hit every value in it."""
+    seen[:keys.size] = False
+    seen[keys.ravel()] = True
+    return bool(seen[:keys.size].all())
 
 
 def _find_identity(mul: np.ndarray) -> int:
@@ -162,19 +206,25 @@ def _check_associativity(mul: np.ndarray, generators: tuple) -> None:
 
     The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
     products and include the identity, so if every generator passes, the
-    whole table is associative. Each generator's two n x n products live
-    only inside one comparison, so the peak is one generator's pair, and
-    they are built again only to name the witness of a failure.
+    whole table is associative. Each generator's two sides are compared
+    in row blocks of at most BLOCK_ENTRIES entries, each side one
+    contiguous gather, so the first failing (x, y) of a generator is the
+    first in row-major order, the one the whole n x n comparison names.
     """
+    n = mul.shape[0]
+    size = max(1, BLOCK_ENTRIES // n)
     for a in generators:
-        # (x*a)*y against x*(a*y)
-        if not np.array_equal(mul[mul[:, a], :], mul[:, mul[a]]):
-            left, right = mul[mul[:, a], :], mul[:, mul[a]]
-            x, y = np.argwhere(left != right)[0]
-            raise GroupError(
-                f"associativity fails at ({x}, {a}, {y}): "
-                f"({x}*{a})*{y} = {left[x, y]} != {x}*({a}*{y}) = {right[x, y]}"
-            )
+        at_left, at_right = mul[:, a], mul[a]
+        for start in range(0, n, size):
+            left = mul.take(at_left[start:start + size], axis=0)   # (x*a)*y
+            right = mul[start:start + size].take(at_right, axis=1)  # x*(a*y)
+            if not np.array_equal(left, right):
+                i, y = np.argwhere(left != right)[0]
+                x = start + i
+                raise GroupError(
+                    f"associativity fails at ({x}, {a}, {y}): "
+                    f"({x}*{a})*{y} = {left[i, y]} != {x}*({a}*{y}) = {right[i, y]}"
+                )
 
 
 def connected_components(m: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -234,7 +284,8 @@ def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]])
         or (table.ndim == 2 and table is not mul and has_bool(mul, 2))
     ):
         raise GroupError("multiplication table must be a square array of integers")
-    table = table.astype(np.int64)
+    if not frozen_here(table):  # a caller's table is copied
+        table = table.astype(np.int64)
     if table.shape != (n, n):
         raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
     if table.min() < 0 or table.max() >= n:
@@ -260,17 +311,28 @@ def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]])
 # Builtin families
 
 
+def _windows(m: int) -> np.ndarray:
+    """The (m + 1) x m view [s, b] = (s + b) mod m: row s is the window at s
+    of arange(2m) mod m, so a table built from it needs no m x m modulo."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) % m, m)
+
+
 def _cyclic_table(m: int) -> tuple:
-    return [f"g^{j}" for j in range(m)], (np.arange(m)[:, None] + np.arange(m)) % m
+    return [f"g^{j}" for j in range(m)], _windows(m)[:m].copy()
 
 
 def _dihedral_table(m: int) -> tuple:
     # order 2m: r^j at index j, r^j*s at m + j; r^m = s^2 = (r s)^2 = identity
     names = [f"r^{j}" for j in range(m)] + [f"r^{j}*s" for j in range(m)]
-    plus = (np.arange(m)[:, None] + np.arange(m)) % m     # r^a r^b
-    minus = (np.arange(m)[:, None] - np.arange(m)) % m    # (r^a s) r^b = r^(a-b) s
-    return names, np.block([[plus, m + plus],       # r^a (r^b s) = r^(a+b) s
-                            [m + minus, minus]])    # (r^a s)(r^b s) = r^(a-b)
+    windows = _windows(m)
+    plus = windows[:m]             # r^a r^b = r^(a+b)
+    minus = windows[1:, ::-1]      # [a, b] = (a + 1 + m - 1 - b) mod m = (a - b) mod m
+    mul = np.empty((2 * m, 2 * m), dtype=np.int64)
+    mul[:m, :m] = plus
+    np.add(plus, m, out=mul[:m, m:])    # r^a (r^b s) = r^(a+b) s
+    np.add(minus, m, out=mul[m:, :m])   # (r^a s) r^b = r^(a-b) s
+    mul[m:, m:] = minus                 # (r^a s)(r^b s) = r^(a-b)
+    return names, mul
 
 
 # kind -> (table builder, order per unit of m, least m, message for a smaller m)
@@ -328,7 +390,8 @@ def build_builtin_group(spec: str) -> GroupTable:
             n = len(mul) * len(b)
             mul = (mul[:, None, :, None] * len(b) + b[None, :, None, :]).reshape(n, n)
         del tables, b  # only the product's table is kept while it is validated
-    return dataclasses.replace(make_group_table(names, mul), family=family)
+    # frozen here, so that make_group_table validates and keeps it uncopied
+    return dataclasses.replace(make_group_table(names, freeze(mul)), family=family)
 
 
 def parse_group_table(doc) -> GroupTable:

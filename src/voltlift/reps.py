@@ -18,7 +18,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .groups import GroupError, GroupTable, decode_json, has_bool, parse_builtin_spec, short_repr
+from .groups import (
+    BLOCK_ENTRIES, GroupError, GroupTable, decode_json, freeze, frozen_here, has_bool,
+    parse_builtin_spec, short_repr,
+)
 
 # Entrywise tolerance for the homomorphism check; aggregate sums (zero-sum,
 # orthogonality) use 1e-8 * n. Roots of unity are computed, not exact.
@@ -26,8 +29,7 @@ HOM_TOL = 1e-10
 SUM_TOL = 1e-8
 SNAP_TOL = 1e-9  # character values this close to a Gaussian integer snap to it
 # Irrep validation checks K irreps of one dimension d at a time, with
-# K * n * d^2 * |generators| at most this many entries per product (cache-sized).
-BLOCK_ENTRIES = 2 ** 16
+# K * n * d^2 * |generators| at most BLOCK_ENTRIES entries per product.
 
 
 class RepresentationError(ValueError):
@@ -44,7 +46,7 @@ class IrrepSet:
     is dimension-major: the stacks by ascending d, each in row order. So
     ``dims``, derived from the stacks, is non-decreasing, and row q of
     stacks[d] is irrep dims.index(d) + q. A given stack is kept only when
-    no array a caller holds can write to it, else copied (_unwritable).
+    the library froze it itself; a caller's array is copied (_unwritable).
     Every IrrepSet is validated when made (validate_irrep_set), which sets
     ``characters``, the read-only (nu, n) character rows. ``conjugates``
     pairs each irrep with the one whose matrices at the generators are
@@ -64,9 +66,7 @@ class IrrepSet:
         for d, stack in stacks.items():  # before sorting, which needs comparable keys
             _check_stack_shape(d, stack, self.group.order)
         object.__setattr__(self, "stacks", types.MappingProxyType(dict(sorted(stacks.items()))))
-        rows = validate_irrep_set(self)
-        rows.setflags(write=False)
-        object.__setattr__(self, "characters", rows)
+        object.__setattr__(self, "characters", freeze(validate_irrep_set(self)))
 
     @cached_property
     def dims(self) -> tuple:
@@ -99,34 +99,23 @@ class IrrepSet:
 
 
 def _unwritable(a, what: str) -> np.ndarray:
-    """a as a read-only complex array: kept when it and every array it
-    views are read-only, else copied. What numpy cannot read as one
-    complex array, a ragged list say, raises RepresentationError."""
+    """a as a read-only complex array: kept when the library froze it
+    itself (groups.frozen_here), else copied and frozen. What numpy cannot
+    read as one complex array, a ragged list say, raises RepresentationError."""
     try:
-        a = view = np.asarray(a, dtype=complex)
+        a = np.asarray(a, dtype=complex)
     except (TypeError, ValueError):
         raise RepresentationError(f"{what}: not one array of numbers") from None
-    while isinstance(view, np.ndarray) and not view.flags.writeable:
-        view = view.base
-    return a if view is None else _freeze(a.copy())
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """a made read-only with every array it views, for one no caller holds."""
-    view = a
-    while isinstance(view, np.ndarray):
-        view.setflags(write=False)
-        view = view.base
-    return a
+    return a if frozen_here(a) else freeze(a.copy())
 
 
 @dataclass(frozen=True)
 class CharacterTable:
     """Character values per element index, one row per irrep, held as an
     IrrepSet holds its stacks: ``rows`` is a read-only (nu, n) complex
-    array, copied unless no array a caller holds can write to it
-    (_unwritable). When made, the rows are checked to be finite, nu x n,
-    with positive integer degrees chi_i(e) whose squares sum to n, and put
+    array, copied unless the library froze it itself (_unwritable). When
+    made, the rows are checked to be finite, nu x n, with positive
+    integer degrees chi_i(e) whose squares sum to n, and put
     in dimension-major order by a stable sort on degree, which copies
     nothing when they are in order (character_table's always are); ``dims``,
     the sorted degrees, is set then. validate_character_table checks that
@@ -157,7 +146,7 @@ class CharacterTable:
         if squares != n:
             raise RepresentationError(f"sum of squared degrees {squares} != group order {n}")
         if (np.diff(degree) < 0).any():
-            rows, degree = _freeze(rows[np.argsort(degree, kind="stable")]), np.sort(degree)
+            rows, degree = freeze(rows[np.argsort(degree, kind="stable")]), np.sort(degree)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dims", tuple(int(k) for k in degree))
 
@@ -322,14 +311,20 @@ def validate_character_table(t: CharacterTable) -> None:
     <sum_i d_i chi_i, psi> = 2n, not n, so the linear rows are distinct
     homomorphisms, which are pairwise orthogonal."""
     group, rows, n = t.group, t.rows, t.group.order
-    # each element after the first of its class, none in an abelian group
+    # each element after the first of its class, none in an abelian group,
+    # compared with that first element in blocks of rows of at most
+    # BLOCK_ENTRIES entries, so the first failure found is the first in
+    # row-major order
     later = np.array([(g, c[0]) for c in group.classes for g in c[1:]], dtype=np.int64)
     later, first = later.reshape(-1, 2).T
-    off = np.abs(rows[:, later] - rows[:, first]) > 1e-9
-    if off.any():
-        i, k = np.unravel_index(np.argmax(off), off.shape)
-        cls = next(c for c in group.classes if later[k] in c)
-        raise RepresentationError(f"row {i} is not constant on class {short_repr(cls)}")
+    size = max(1, BLOCK_ENTRIES // max(1, len(later)))
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
+        off = np.abs(block.take(later, axis=1) - block.take(first, axis=1)) > 1e-9
+        if off.any():
+            i, k = np.unravel_index(np.argmax(off), off.shape)
+            cls = next(c for c in group.classes if later[k] in c)
+            raise RepresentationError(f"row {start + i} is not constant on class {short_repr(cls)}")
     linear = t.dims.count(1)  # the degree-1 rows come first
     gens = list(group.generators) or [group.identity]
     size = max(1, BLOCK_ENTRIES // (n * len(gens)))
@@ -410,7 +405,7 @@ def _builtin_stacks(factors: list) -> dict:
             shape = np.multiply(mats.shape, b.shape)
             mats = np.einsum("pgij,qhkl->pqghikjl", mats, b).reshape(shape)
         blocks.setdefault(mats.shape[-1], []).append(mats)
-    return {d: _freeze(np.concatenate(parts) if len(parts) > 1 else parts[0])
+    return {d: freeze(np.concatenate(parts) if len(parts) > 1 else parts[0])
             for d, parts in blocks.items()}
 
 
@@ -485,7 +480,7 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
             )
         by_dim.setdefault(d, []).append(mats)
     by_dim.get(1, []).sort(key=lambda m: not _is_trivial_row(m))  # the trivial irrep first
-    return IrrepSet(g, {d: _freeze(np.stack(mats)) for d, mats in by_dim.items()})
+    return IrrepSet(g, {d: freeze(np.stack(mats)) for d, mats in by_dim.items()})
 
 
 def _is_list_of_lists(value) -> bool:
@@ -532,6 +527,6 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     rows = values[:, column]
     # put the trivial row first if it is elsewhere
     order = sorted(range(len(rows)), key=lambda i: not _is_trivial_row(rows[i]))
-    t = CharacterTable(group=g, rows=_freeze(rows[order]))
+    t = CharacterTable(group=g, rows=freeze(rows[order]))
     validate_character_table(t)
     return t

@@ -197,8 +197,9 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     axis.
 
     The mixed-radix digits of x mod M, x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)),
-    are found in int64, one prime at a time; only their final combination
-    uses Python ints.
+    are found in int64, one prime at a time. With one or two primes M is
+    below 2^62, so x and its sign fix stay in int64 too and become Python
+    ints once; more digits are combined in Python ints.
     """
     digits = []
     for j, p in enumerate(primes):
@@ -209,6 +210,10 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
             acc = (acc * q + d) % p
         scale = pow(prod(primes[:j]) % p, -1, p)
         digits.append((res[j] - acc) * scale % p)
+    m = prod(primes)
+    if len(primes) <= 2:
+        x = digits[0] + primes[0] * digits[1] if len(primes) == 2 else digits[0]
+        return np.where(x > m // 2, x - m, x).astype(object)
     # Horner's rule in Python ints, two digits at a time: d + p d' < p p'
     # still fits in int64
     x = 0
@@ -216,7 +221,6 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
         pair = primes[j:j + 2]
         low = digits[j] + pair[0] * digits[j + 1] if len(pair) == 2 else digits[j]
         x = x * prod(pair) + low.astype(object)
-    m = prod(primes)
     return np.where(x > m // 2, x - m, x)
 
 

@@ -12,6 +12,7 @@ tables validate_character_table_gram accepts.
 
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -178,10 +179,16 @@ def test_a_table_does_not_change_with_its_callers_array(read_only_view):
     assert np.array_equal(t.rows, D3_ROWS) and not t.rows.flags.writeable
 
 
-def test_read_only_rows_in_order_are_kept():
+def test_read_only_rows_of_a_caller_are_copied():
+    # a caller can turn writing back on, so only rows the library froze
+    # itself are kept as given
     frozen = np.array(D3_ROWS)
     frozen.setflags(write=False)
-    assert vl.CharacterTable(D3, frozen).rows is frozen
+    t = vl.CharacterTable(D3, frozen)
+    assert not np.shares_memory(t.rows, frozen)
+    frozen.setflags(write=True)
+    frozen[:] = 0
+    assert np.array_equal(t.rows, D3_ROWS)
     s = vl.builtin_irreps(D4C3)
     assert vl.character_table(s).rows is s.characters
 
@@ -215,3 +222,27 @@ def test_success_forms_no_gram_product(spec, monkeypatch):
     linear = t.dims.count(1)
     nu = len(t.dims)
     assert shapes == ([((nu - linear, nu), linear)] if linear < nu else [])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, None])
+def test_class_constancy_names_the_first_row_and_class_in_row_major_order(
+        rows_per_block, monkeypatch):
+    # rows 8 and 9 of dihedral:16 are each broken on two classes; blocked
+    # or not, the message names what the whole (nu, n - k) comparison
+    # names first in row-major order: row 8, at its earlier class
+    g = vl.build_builtin_group("dihedral:16")
+    rows = np.array(vl.character_table(vl.builtin_irreps(g)).rows)
+    later = [x for cls in g.classes for x in cls[1:]]
+    if rows_per_block:
+        monkeypatch.setattr(reps, "BLOCK_ENTRIES", rows_per_block * len(later))
+    broken = [(9, g.classes[1][1]), (8, g.classes[-1][-1]), (8, g.classes[2][1]),
+              (9, g.classes[-2][1])]
+    for i, x in broken:
+        rows[i, x] += 0.5
+    first = [cls[0] for cls in g.classes for _ in cls[1:]]
+    i, k = np.unravel_index(np.argmax(np.abs(rows[:, later] - rows[:, first]) > 1e-9),
+                            (len(rows), len(later)))
+    cls = next(c for c in g.classes if later[k] in c)
+    assert (i, cls) == (8, g.classes[2])
+    with pytest.raises(RepresentationError, match=re.escape(f"row 8 is not constant on class {cls}")):
+        vl.validate_character_table(vl.CharacterTable(g, rows))

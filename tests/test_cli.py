@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voltlift as vl
 from voltlift import cli, spectra, voltage
@@ -639,3 +641,81 @@ def test_verify_sweep_fails_only_on_known_false_alarms():
     codes, failures = sweep()
     assert codes == {0: 390, 1: 10}
     assert failures == KNOWN_FALSE_ALARMS
+
+
+# JSON values as a payload may hold them, and some no payload holds: ints
+# past 2^63, -0.0, inf and nan, non-ASCII and control characters, keys of
+# every type json accepts, tuples, and empty containers at any depth
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**63, 2**200),
+    st.integers(-(2**200), -(2**63)),
+    st.floats(), st.sampled_from([-0.0, float("inf"), -float("inf"), 2.0**70]),
+    st.text(), st.sampled_from(["é", "日本", " ", "\x00", '"\\']),
+)
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(["é", "日本", ""]), st.integers(),
+                      st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda items: st.one_of(
+        st.lists(items, max_size=4), st.lists(items, max_size=3).map(tuple),
+        st.dictionaries(JSON_KEYS, items, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_is_json_dumps_indent_2(x):
+    assert cli._json_text(x) == json.dumps(x, indent=2)
+
+
+def test_json_writer_on_hand_picked_values():
+    for x in [{}, [], (), [[]], [{}], {"a": {}}, [[[]], {}], 2**64, -0.0, float("inf"),
+              {"é": {"日本": [2**70, -0.0]}, 1: [], 2.5: {"x": None}, None: [True]},
+              [{"re": 1.0, "im": -0.0, "mult": 3}], (1, (2, (3,)), [])]:
+        assert cli._json_text(x) == json.dumps(x, indent=2)
+
+
+# each digraph fixture with the group, irreps and characters the CI steps
+# give it; every command's JSON output is json.dumps(..., indent=2)'s layout
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CI_FIXTURES = [
+    ("cube_dihedral32.json", "dihedral:32", None, None),
+    ("cube_cyclic64.json", "cyclic:64", None, None),
+    ("circ6_cyclic16.json", "cyclic:16", None, None),
+    ("k2star_dihedral3.json", "dihedral:3", None, None),
+    ("q8_triangle.json", "q8_group.json", "q8_irreps.json", "q8_chars.json"),
+    ("triangle_dihedral3.json", "dihedral:3", "d3_irreps_2dim_first.json", None),
+    ("triangle_dihedral3.json", "dihedral:3", "d3_non_unitary_irreps.json", None),
+    ("loop_cyclic3.json", "cyclic:3", None, None),
+]
+
+
+def _ci_argv(command, digraph, group, irreps, chars):
+    data = lambda name: os.path.join(DATA, name)
+    group = data(group) if group.endswith(".json") else group
+    argv = [command, "--group", group]
+    if command != "validate":
+        argv += ["--digraph", data(digraph)]
+    if command in ("spectrum", "verify", "validate"):
+        argv += ["--irreps", data(irreps)] if irreps else []
+        argv += ["--chars", data(chars)] if chars else []
+    return argv + (["--length", "3"] if command == "walks" else [])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "lift", "walks", "validate"])
+@pytest.mark.parametrize("fixture", CI_FIXTURES, ids=lambda f: "-".join(filter(None, f)))
+def test_cli_json_output_has_the_indent_2_layout(command, fixture, capsys):
+    assert run(_ci_argv(command, *fixture)) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_walks_output_at_max_order_has_the_indent_2_layout(capsys):
+    path = os.path.join(DATA, "walks4_dihedral2048.json")
+    assert run(["walks", "--digraph", path, "--group", "dihedral:2048", "--length", "8"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert doc["oracle_checked"] is False and len(doc["entries"]) == 16

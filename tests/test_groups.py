@@ -344,19 +344,75 @@ class TestParseGroupTable:
             make_group_table(names, mul)
 
     def test_associativity_check_holds_one_generator_pair(self):
-        # dihedral:512 has two generators; the check peaks at one
-        # generator's (x*a)*y and x*(a*y), two n x n int64 arrays, and
-        # their n x n bool comparison, never at two generators' pairs
+        # dihedral:512 has two generators and n = 1024; the check peaks at
+        # a block of rows of each side, BLOCK_ENTRIES int64 entries each
+        # (the previous block's two sides live until the new left side
+        # replaces them), and their bool comparison: never at an n x n
+        # array, let alone at two generators' pairs
         g = vl.build_builtin_group("dihedral:512")
         n = g.order
         assert len(g.generators) == 2 and g.mul.dtype == np.int64
+        assert 25 * groups.BLOCK_ENTRIES + 2**16 < 8 * n * n  # one n x n int64 array
         tracemalloc.start()
         try:
             groups._check_associativity(g.mul, g.generators)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17 * n * n + 2**20
+        assert peak <= 25 * groups.BLOCK_ENTRIES + 2**16
+
+    def test_latin_square_check_holds_one_block(self):
+        # one int64 key and one flag per entry of a block, made once
+        g = vl.build_builtin_group("dihedral:512")
+        tracemalloc.start()
+        try:
+            groups._check_latin_square(g.mul)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * groups.BLOCK_ENTRIES + 2**16
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 64, None])
+    def test_associativity_failure_in_the_last_row_block(self, rows_per_block, monkeypatch):
+        # product:cyclic:150,cyclic:2 puts (i, j) at 2i + j, so (0, 1), of
+        # order 2, links rows 298 and 299, and columns 6 and 7: swapping the
+        # four entries keeps a Latin square with identity and inverses. The
+        # first failure, at generator (1, 0), is in row 296 = 298 - 2, in
+        # the last block of 7, 64 or the default number of rows, and the
+        # blocked test names the witness of the whole n x n comparison: the
+        # first failing generator's first (x, y) in row-major order
+        g = vl.build_builtin_group("product:cyclic:150,cyclic:2")
+        mul = np.array(g.mul)
+        mul[np.ix_([298, 299], [6, 7])] = mul[np.ix_([298, 299], [7, 6])]
+        for a in groups._generating_set(mul, g.identity):
+            left, right = mul[mul[:, a], :], mul[:, mul[a]]
+            if (left != right).any():
+                x, y = np.argwhere(left != right)[0]
+                break
+        assert (a, x) == (2, 296)
+        if rows_per_block:
+            monkeypatch.setattr(groups, "BLOCK_ENTRIES", rows_per_block * g.order)
+        message = (f"associativity fails at ({x}, {a}, {y}): ({x}*{a})*{y} = {left[x, y]} "
+                   f"!= {x}*({a}*{y}) = {right[x, y]}")
+        with pytest.raises(GroupError) as info:
+            make_group_table(g.element_names, mul)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, None])
+    @pytest.mark.parametrize("what", ["row", "column"])
+    def test_latin_square_failure_in_the_last_block(self, what, rows_per_block, monkeypatch):
+        # cyclic:300 with a repeated entry in row 299, or with row 10's
+        # entries in columns 298 and 299 swapped, which leaves every row a
+        # permutation but not those two columns: either is in the last block
+        mul = np.array(vl.build_builtin_group("cyclic:300").mul)
+        if what == "row":
+            mul[299, 5] = mul[299, 6]
+        else:
+            mul[10, [298, 299]] = mul[10, [299, 298]]
+        if rows_per_block:
+            monkeypatch.setattr(groups, "BLOCK_ENTRIES", rows_per_block * 300)
+        with pytest.raises(GroupError, match=fr"not a Latin square \(bad {what}\)"):
+            make_group_table([f"x{i}" for i in range(300)], mul)
 
     def test_elements_not_a_list_of_names(self):
         with pytest.raises(GroupError, match="list of names"):

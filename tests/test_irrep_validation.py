@@ -211,12 +211,43 @@ def test_a_set_does_not_change_with_its_callers_array(read_only_view):
     assert str(vl.lift_spectrum_bruteforce(LOOPS)) == "2^2, -1^4"
 
 
-def test_a_read_only_stack_no_caller_can_write_to_is_kept():
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_a_callers_read_only_stack_is_copied(read_only_view):
+    # the owner of a read-only array can turn writing back on, so a set
+    # copies every stack it did not freeze itself: zeroing the caller's
+    # array after that changes neither the stack nor its spectrum
     frozen = np.array(D3_IRREPS.stacks[2])
     frozen.setflags(write=False)
-    view = frozen[::-1][::-1]  # a read-only view of a read-only array
-    for stack in (frozen, view):
-        assert vl.IrrepSet(D3, {1: D3_IRREPS.stacks[1], 2: stack}).stacks[2] is stack
+    given = frozen[::-1][::-1] if read_only_view else frozen
+    s = vl.IrrepSet(D3, {1: D3_IRREPS.stacks[1], 2: given})
+    assert not np.shares_memory(s.stacks[2], frozen)
+    frozen.setflags(write=True)
+    frozen[:] = 0
+    assert np.array_equal(s.stacks[2], D3_IRREPS.stacks[2])
+    assert str(vl.lift_spectrum_repr(LOOPS, s)) == "2^2, -1^4"
+
+
+def _kept_as_given(monkeypatch):
+    """Record, for each array _unwritable reads, whether it was kept as given."""
+    kept = []
+    unwritable = reps._unwritable
+
+    def spy(a, what):
+        out = unwritable(a, what)
+        kept.append(out is a)
+        return out
+
+    monkeypatch.setattr(reps, "_unwritable", spy)
+    return kept
+
+
+def test_loaded_and_reused_stacks_are_not_copied(d3, d3_irreps, monkeypatch):
+    kept = _kept_as_given(monkeypatch)
+    s = vl.load_irreps(irreps_to_doc(d3, d3_irreps), d3)
+    again = vl.IrrepSet(d3, s.stacks)
+    vl.character_table(again)
+    assert kept == [True] * (2 * len(s.stacks) + 1)
+    assert all(again.stacks[d] is s.stacks[d] for d in s.stacks)
 
 
 @pytest.mark.parametrize("spec", ["cyclic:64", "dihedral:8", "dihedral:2",

@@ -334,6 +334,19 @@ class TestResidueArithmetic:
             assert voltage._primes_for((m + 1) // 2) == PRIMES[:k + 1]
         assert voltage._primes_for(0) == PRIMES[:1]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_from_residues_at_the_ends_of_the_range(self, k):
+        # one or two primes take the int64 path, three the Python-int one;
+        # each returns Python ints, with both ends of |x| < M / 2 and the
+        # values next to 0 exact
+        primes = PRIMES[:k]
+        m = prod(primes)
+        values = [-(m - 1) // 2, -1, 0, 1, (m - 1) // 2]
+        res = np.array([[v % p for v in values] for p in primes], dtype=np.int64)
+        for shape in [(5,), (5, 1), (1, 5, 1)]:
+            got = voltage._from_residues(res.reshape(k, *shape), primes)
+            assert_exact(got, obj(values).reshape(shape))
+
     @pytest.mark.parametrize("k", range(1, 5))
     @pytest.mark.parametrize("sign", [1, -1])
     def test_power_at_a_prime_product_boundary(self, k, sign):
