@@ -13,7 +13,9 @@ solver, and every other to the general one, whatever the digraph. The
 character route recovers the same per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
-brute-force route diagonalizes the explicit lift. The spectrum routes
+brute-force route diagonalizes the explicit lift: a directed lift whole,
+a symmetric one per connected component, with the singular values of its
+biadjacency block for a bipartite component. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -35,6 +37,7 @@ from .groups import GroupTable, connected_components
 from .reps import CharacterTable, IrrepSet, RepresentationError, character_table
 from .voltage import (
     VoltageDigraph,
+    _lift_arcs,
     algebra_trace_powers,
     associated_matrix,
     build_lift,
@@ -262,11 +265,11 @@ def _checked_cluster_tol(d: VoltageDigraph, tol: Optional[float]) -> float:
 # Dense eigensolvers
 
 
-def _solve(solver, m: np.ndarray):
-    """solver(m) for one of numpy's eigensolvers, a convergence failure
-    raised as SpectrumError."""
+def _solve(solver, m: np.ndarray, **kwargs):
+    """solver(m, **kwargs) for one of numpy's eigensolvers or svd, a
+    convergence failure raised as SpectrumError."""
     try:
-        return solver(m)
+        return solver(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"eigensolver did not converge: {exc}") from exc
 
@@ -444,10 +447,14 @@ def lift_spectrum_bruteforce(
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
-    Eigenvalues only, in real arithmetic; an exactly symmetric adjacency
-    (every undirected lift) goes to the Hermitian solver, by a test of its
-    own, not the irrep routes' _hermitian gate. The oracle uses neither
-    the irreps nor any block structure of the lift. Lifts of more than
+    Eigenvalues only, in real arithmetic. A lift whose adjacency is not
+    exactly symmetric goes whole to the general solver. An exactly
+    symmetric one (every undirected lift) is solved per connected
+    component (_symmetric_lift_eigenvalues): a non-bipartite component by
+    the symmetric solver, a bipartite one by the singular values of its
+    biadjacency block. The symmetry test is the oracle's own, not the
+    irrep routes' _hermitian gate, and the oracle uses neither the irreps
+    nor the voltage block structure of the lift. Lifts of more than
     BRUTEFORCE_MAX_ORDER vertices are refused.
     """
     tol = _checked_cluster_tol(d, tol)  # before the lift is built
@@ -455,8 +462,64 @@ def lift_spectrum_bruteforce(
     if rn > BRUTEFORCE_MAX_ORDER:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
     a = build_lift(d)
-    vals = _solve(np.linalg.eigvalsh if np.array_equal(a, a.T) else np.linalg.eigvals, a)
+    if np.array_equal(a, a.T):
+        vals = _symmetric_lift_eigenvalues(d, a)
+    else:
+        vals = _solve(np.linalg.eigvals, a)
     return cluster_spectrum(vals, tol)
+
+
+def _symmetric_lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of d's lift adjacency a, exactly symmetric, as the union
+    of its connected components' spectra.
+
+    The components come from one connected_components call on the
+    bipartite double cover: nodes v and v + rn per lift vertex v, a link
+    t -- h + rn per lift arc t -> h (the reverse arc h -> t gives
+    t + rn -- h). A component of the lift is bipartite iff its vertices'
+    two copies fall in different components of the cover, so with labels
+    lo = label[v], hi = label[v + rn], vertex v lies in component
+    min(lo, hi), its smallest vertex, which is bipartite iff lo != hi, and
+    on the side away from that vertex iff lo > hi.
+
+    One non-bipartite component is all of a, which goes whole to eigvalsh.
+    Otherwise the components are gathered into stacks of one shape each:
+    (K, s, s) for non-bipartite ones of size s, solved by one eigvalsh
+    call, and (K, p, q) biadjacency blocks C for bipartite ones with sides
+    of p and q vertices, solved by one svd call. The adjacency
+    [[0, C], [C^T, 0]] has eigenvalues +sigma and -sigma for each singular
+    value sigma of C, and |p - q| zeros (Cvetkovic, Doob and Sachs,
+    Spectra of Graphs, sections 1.4 and 3). Each computed sigma is exact
+    for some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every
+    eigenvalue moves by at most ||E||_2: the backward error eigvalsh gives
+    too.
+    """
+    rn = len(a)
+    tails, heads = (x.ravel() for x in _lift_arcs(d))
+    label = connected_components(2 * rn, tails, heads + rn)
+    lo, hi = label[:rn], label[rn:]
+    comp = np.minimum(lo, hi)
+    if not comp.any() and lo[0] == hi[0]:
+        return _solve(np.linalg.eigvalsh, a)
+    side = lo > hi
+    # each component's vertices in a row, the side of its smallest first
+    order = np.lexsort((side, comp))
+    roots, start, size = np.unique(comp[order], return_index=True, return_counts=True)
+    bipartite = lo[roots] != hi[roots]
+    first_side = np.where(bipartite, np.bincount(comp[~side], minlength=rn)[roots], 0)
+    shapes, kind = np.unique(np.stack([bipartite, size, first_side], axis=1), axis=0,
+                             return_inverse=True)
+    vals = []
+    for k, (bip, s, p) in enumerate(shapes.tolist()):
+        rows = order[start[kind.ravel() == k][:, None] + np.arange(s)]
+        if bip:
+            c = a[rows[:, :p, None], rows[:, None, p:]]
+            sigma = _solve(np.linalg.svd, c, compute_uv=False).ravel()
+            vals += [sigma, -sigma, np.zeros(len(rows) * abs(s - 2 * p))]
+        else:
+            m = a[rows[:, :, None], rows[:, None, :]]
+            vals.append(_solve(np.linalg.eigvalsh, m).ravel())
+    return np.concatenate(vals)
 
 
 # ---------------------------------------------------------------------------

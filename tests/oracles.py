@@ -11,8 +11,9 @@ determinant formula and by a scalar Newton recurrence with np.roots, and
 irrep-set validation by one check per irrep plus the character Gram
 product, character-table validation by the Gram product over every
 element, the least distance within which two spectra pair up by an exact
-bottleneck matching over every copy, and the conjugate pairing by a
-nearest-row search over the character table.
+bottleneck matching over every copy, the conjugate pairing by a
+nearest-row search over the character table, and the eigenvalues of a
+lift by one dense solve of its whole adjacency.
 """
 
 from math import factorial
@@ -29,7 +30,7 @@ from voltlift.spectra import (
     eig,
     rho_matrix,
 )
-from voltlift.voltage import VoltageDigraph, associated_matrix
+from voltlift.voltage import VoltageDigraph, associated_matrix, build_lift
 
 from conftest import irrep_matrices
 
@@ -383,3 +384,10 @@ def conjugate_pairing_by_characters(rows: np.ndarray) -> np.ndarray:
     max norm: a brute-force O(nu^2 n) search over the whole table."""
     dist = np.abs(rows[None, :, :] - rows.conj()[:, None, :]).max(axis=2)
     return dist.argmin(axis=1)
+
+
+def lift_eigenvalues_whole(d: VoltageDigraph) -> np.ndarray:
+    """The eigenvalues of d's lift from one solve of its whole adjacency:
+    eigvalsh when it is exactly symmetric, eigvals otherwise."""
+    a = build_lift(d)
+    return (np.linalg.eigvalsh if np.array_equal(a, a.T) else np.linalg.eigvals)(a)

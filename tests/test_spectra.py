@@ -29,6 +29,7 @@ from oracles import (
     bottleneck_distance_loop,
     cluster_spectrum_loop,
     determinant_poly_coeffs,
+    lift_eigenvalues_whole,
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
     roots_from_power_sums_loop,
@@ -42,6 +43,14 @@ def stack_indices(s):
     for d, stack in s.stacks.items():
         first = s.dims.index(d)
         yield d, np.arange(first, first + len(stack))
+
+
+def reverse_completed(d):
+    """d plus, for each arc, its reverse with the inverse voltage: a digraph
+    whose lift is undirected."""
+    inverse = d.group.inverse
+    arcs = d.arcs + tuple((v, u, int(inverse[x])) for u, v, x in d.arcs)
+    return vl.make_voltage_digraph(d.group, d.vertices, arcs)
 
 
 def power_sums_of(roots, length):
@@ -552,30 +561,52 @@ class TestSpectrumRoutes:
                     paired += 1
         assert paired
 
+    @staticmethod
+    def bruteforce_solver_calls(d, monkeypatch):
+        """lift_spectrum_bruteforce(d) and each of its solver calls, as
+        (name, matrix) for eigvals, eigvalsh and svd."""
+        called = []
+
+        def spy(name, solver):
+            def solve(a, **kwargs):
+                called.append((name, a))
+                return solver(a, **kwargs)
+            return solve
+
+        for name in ("eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        by_brute = vl.lift_spectrum_bruteforce(d, 1e-8)
+        monkeypatch.undo()
+        return by_brute, called
+
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_bruteforce_solver_matches_repr(self, symmetric, monkeypatch):
+        # the symmetric lift is one bipartite component: a loop at v1 with
+        # voltage 3, not the identity, lifts to no loop
         g = vl.build_builtin_group("dihedral:4")
         rng = np.random.default_rng(8)
         d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10)
         if symmetric:
-            # every arc gets its reverse with the inverse voltage
-            arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
-            d = vl.make_voltage_digraph(g, d.vertices, arcs)
-        called = []
-
-        def spy(name, solver):
-            def solve(a):
-                called.append(name)
-                return solver(a)
-            return solve
-
-        for name in ("eigvals", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-        by_brute = vl.lift_spectrum_bruteforce(d, 1e-8)
-        monkeypatch.undo()
-        assert called == ["eigvalsh" if symmetric else "eigvals"]
+            d = reverse_completed(d)
+        by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
+        assert [name for name, _ in called] == ["svd" if symmetric else "eigvals"]
         by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-8)
         assert by_brute.total == d.order * g.order
+        assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
+
+    def test_one_non_bipartite_component_is_solved_whole(self, monkeypatch):
+        # the symmetric lift above with a loop of voltage identity at v0:
+        # one component, not bipartite, so one eigvalsh call on the lift
+        # adjacency itself, read-only as build_lift returns it
+        g = vl.build_builtin_group("dihedral:4")
+        rng = np.random.default_rng(8)
+        d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10))
+        d = vl.make_voltage_digraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
+        rn = d.order * g.order
+        by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
+        assert [(name, a.shape) for name, a in called] == [("eigvalsh", (rn, rn))]
+        assert not called[0][1].flags.writeable
+        by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-8)
         assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
 
     def test_acyclic_lift_is_one_zero_cluster(self):
@@ -594,19 +625,23 @@ class TestSpectrumRoutes:
         ("repr", "eigvals"), ("charsum", "eigvals"), ("bruteforce", "eigvals"),
         ("eigenvectors", "eig"), ("undirected repr", "eigvalsh"),
         ("undirected bruteforce", "eigvalsh"), ("undirected eigenvectors", "eigh"),
+        ("bipartite bruteforce", "svd"),
     ])
     def test_solver_failure_is_a_spectrum_error(self, route, solver, k2star, d3_irreps,
                                                 monkeypatch):
-        def fail(m):
+        def fail(m, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
         # k2star's 2-dim image misses the Hermitian gate (see
-        # TestSolverChoice); the triangle with every reverse is undirected
+        # TestSolverChoice); the triangle with every reverse is undirected,
+        # and its lift is two 9-cycles, not bipartite; an edge lifts to six
+        # disjoint edges, bipartite
         d3 = k2star.group
         r1, r2 = d3.element_names.index("r^1"), d3.element_names.index("r^2")
         triangle = vl.make_voltage_digraph(d3, ["a", "b", "c"], [
             (0, 1, r1), (1, 0, r2), (1, 2, r1), (2, 1, r2), (2, 0, 0), (0, 2, 0)])
-        assert not symmetric_lift(k2star) and symmetric_lift(triangle)
+        edge = vl.make_voltage_digraph(d3, ["a", "b"], [(0, 1, r1), (1, 0, r2)])
+        assert not symmetric_lift(k2star) and symmetric_lift(triangle) and symmetric_lift(edge)
         call = {
             "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
             "charsum": lambda: vl.lift_spectrum_charsum(
@@ -616,6 +651,7 @@ class TestSpectrumRoutes:
             "undirected repr": lambda: vl.lift_spectrum_repr(triangle, d3_irreps, 1e-7),
             "undirected bruteforce": lambda: vl.lift_spectrum_bruteforce(triangle, 1e-7),
             "undirected eigenvectors": lambda: vl.lift_eigenvectors(triangle, d3_irreps),
+            "bipartite bruteforce": lambda: vl.lift_spectrum_bruteforce(edge, 1e-7),
         }[route]
         monkeypatch.setattr(np.linalg, solver, fail)
         with pytest.raises(SpectrumError, match="eigensolver did not converge: no convergence"):
@@ -718,6 +754,104 @@ class TestSpectrumRoutes:
         assert vl.lift_spectrum_repr(k2star, s).total == 12
         assert vl.lift_spectrum_charsum(k2star, vl.character_table(s)).total == 12
         assert len(vl.lift_eigenvectors(k2star, s).pairs) > 0
+
+
+class TestBruteforceComponents:
+    """The brute-force route on an exactly symmetric lift, solved per
+    connected component, against one solve of the whole adjacency
+    (lift_eigenvalues_whole)."""
+
+    @staticmethod
+    def solve(d, monkeypatch):
+        """The lift's eigenvalues as the brute-force route computes them,
+        checked against the oracle, and its svd and eigvalsh calls as
+        sorted (name, stack shape) pairs."""
+        calls = []
+
+        def spy(name, solver):
+            def call(m, **kwargs):
+                calls.append((name, m.shape))
+                return solver(m, **kwargs)
+            return call
+
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        a = vl.build_lift(d)
+        assert np.array_equal(a, a.T)
+        vals = spectra._symmetric_lift_eigenvalues(d, a)
+        monkeypatch.undo()
+        want = lift_eigenvalues_whole(d)
+        assert vals.shape == (d.order * d.group.order,) and vals.dtype == float
+        # both solvers are backward stable: each eigenvalue within
+        # O(eps ||A||_2), and ||A||_2 <= ||A||_1, the largest in-degree
+        tol = 1e-12 * (1 + int(d.in_degrees().max()))
+        assert np.abs(np.sort(vals) - np.sort(want)).max() <= tol
+        assert vl.lift_spectrum_bruteforce(d, 1e-9) == cluster_spectrum(vals, 1e-9)
+        return vals, sorted(calls)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_reverse_completed_random_lifts(self, spec, monkeypatch):
+        g = vl.build_builtin_group(spec)
+        rng = np.random.default_rng(61)
+        solvers = set()
+        for _ in range(6):
+            d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=5, max_arcs=8))
+            solvers.update(name for name, _ in self.solve(d, monkeypatch)[1])
+        assert "svd" in solvers
+
+    def test_a_lift_split_by_a_proper_subgroup(self, monkeypatch):
+        # a 4-cycle over cyclic:12 whose voltages lie in {0, 4, 8}: its lift
+        # is four 12-cycles, one per coset, each bipartite with sides of 6
+        g = vl.build_builtin_group("cyclic:12")
+        d = reverse_completed(vl.make_voltage_digraph(
+            g, ["a", "b", "c", "d"], [(0, 1, 4), (1, 2, 0), (2, 3, 8), (3, 0, 8)]))
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("svd", (4, 6, 6))]
+        # the 12-cycle's spectrum 2 cos(2 pi k / 12), four times
+        cycle = 2 * np.cos(2 * np.pi * np.arange(12) / 12)
+        assert np.allclose(np.sort(vals), np.sort(np.tile(cycle, 4)), atol=1e-12)
+
+    def test_a_path_has_sides_of_unequal_size(self, monkeypatch):
+        # a path a - b - c lifts to n paths, each with sides {a, c} and {b}:
+        # eigenvalues +sqrt 2 and -sqrt 2, and |2 - 1| = 1 zero, per copy
+        g = vl.build_builtin_group("cyclic:3")
+        d = reverse_completed(vl.make_voltage_digraph(
+            g, ["a", "b", "c"], [(0, 1, 1), (1, 2, 2)]))
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("svd", (3, 2, 1))]
+        assert np.allclose(np.sort(vals), np.repeat([-np.sqrt(2), 0, np.sqrt(2)], 3),
+                           atol=1e-12)
+
+    def test_a_disjoint_edge_and_triangle_make_two_shapes(self, monkeypatch):
+        # over cyclic:3, the edge lifts to three disjoint edges and the
+        # triangle, of net voltage 1, to one 9-cycle, not bipartite
+        g = vl.build_builtin_group("cyclic:3")
+        d = reverse_completed(vl.make_voltage_digraph(
+            g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (2, 3, 1), (3, 4, 0), (4, 2, 0)]))
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("eigvalsh", (1, 9, 9)), ("svd", (3, 1, 1))]
+        cycle = 2 * np.cos(2 * np.pi * np.arange(9) / 9)
+        assert np.allclose(np.sort(vals), np.sort([-1, -1, -1, 1, 1, 1, *cycle]), atol=1e-12)
+
+    def test_a_digraph_with_no_arcs_lifts_to_zeros(self, monkeypatch):
+        # every lift vertex is a component of its own, bipartite with an
+        # empty second side
+        g = vl.build_builtin_group("cyclic:4")
+        d = vl.make_voltage_digraph(g, ["a", "b", "c"], [])
+        vals, _ = self.solve(d, monkeypatch)
+        assert vals.tolist() == [0.0] * 12
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS)
+    def test_a_directed_lift_is_solved_whole(self, spec):
+        # bitwise: the whole adjacency goes to eigvals, as the oracle does
+        g = vl.build_builtin_group(spec)
+        rng = np.random.default_rng(62)
+        for _ in range(4):
+            d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=8)
+            if symmetric_lift(d):
+                continue
+            assert vl.lift_spectrum_bruteforce(d, 1e-9) == cluster_spectrum(
+                lift_eigenvalues_whole(d), 1e-9)
 
 
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
