@@ -13,9 +13,9 @@ solver, and every other to the general one, whatever the digraph. The
 character route recovers the same per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
-brute-force route diagonalizes the explicit lift: a directed lift whole,
-a symmetric one per connected component, with the singular values of its
-biadjacency block for a bipartite component. The spectrum routes
+brute-force route diagonalizes the explicit lift whole, or, when the lift
+is undirected and bipartite, takes the singular values of its
+biadjacency block. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -448,14 +448,14 @@ def lift_spectrum_bruteforce(
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
     Eigenvalues only, in real arithmetic. A lift whose adjacency is not
-    exactly symmetric goes whole to the general solver. An exactly
-    symmetric one (every undirected lift) is solved per connected
-    component (_symmetric_lift_eigenvalues): a non-bipartite component by
-    the symmetric solver, a bipartite one by the singular values of its
-    biadjacency block. The symmetry test is the oracle's own, not the
-    irrep routes' _hermitian gate, and the oracle uses neither the irreps
-    nor the voltage block structure of the lift. Lifts of more than
-    BRUTEFORCE_MAX_ORDER vertices are refused.
+    exactly symmetric goes whole to the general solver, and an exactly
+    symmetric one (every undirected lift) whole to the symmetric solver,
+    unless every connected component of the lift is bipartite: then the
+    singular values of its biadjacency block give the eigenvalues
+    (_symmetric_lift_eigenvalues). The symmetry test is the oracle's own,
+    not the irrep routes' _hermitian gate, and the oracle uses neither the
+    irreps nor the voltage block structure of the lift. Lifts of more
+    than BRUTEFORCE_MAX_ORDER vertices are refused.
     """
     tol = _checked_cluster_tol(d, tol)  # before the lift is built
     rn = d.order * d.group.order
@@ -470,56 +470,32 @@ def lift_spectrum_bruteforce(
 
 
 def _symmetric_lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of d's lift adjacency a, exactly symmetric, as the union
-    of its connected components' spectra.
+    """Eigenvalues of d's lift adjacency a, exactly symmetric.
 
-    The components come from one connected_components call on the
-    bipartite double cover: nodes v and v + rn per lift vertex v, a link
-    t -- h + rn per lift arc t -> h (the reverse arc h -> t gives
-    t + rn -- h). A component of the lift is bipartite iff its vertices'
-    two copies fall in different components of the cover, so with labels
-    lo = label[v], hi = label[v + rn], vertex v lies in component
-    min(lo, hi), its smallest vertex, which is bipartite iff lo != hi, and
-    on the side away from that vertex iff lo > hi.
-
-    One non-bipartite component is all of a, which goes whole to eigvalsh.
-    Otherwise the components are gathered into stacks of one shape each:
-    (K, s, s) for non-bipartite ones of size s, solved by one eigvalsh
-    call, and (K, p, q) biadjacency blocks C for bipartite ones with sides
-    of p and q vertices, solved by one svd call. The adjacency
-    [[0, C], [C^T, 0]] has eigenvalues +sigma and -sigma for each singular
-    value sigma of C, and |p - q| zeros (Cvetkovic, Doob and Sachs,
-    Spectra of Graphs, sections 1.4 and 3). Each computed sigma is exact
-    for some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every
+    One connected_components call on the bipartite double cover (nodes v
+    and v + rn per lift vertex v, a link t -- h + rn per lift arc t -> h,
+    the reverse arc h -> t giving t + rn -- h) tells whether the lift is
+    bipartite: a component is iff its vertices' two copies fall in
+    different components of the cover. If every component is, vertex v
+    lies on the side of label[v] > label[v + rn], and a, ordered by side,
+    is [[0, C], [C^T, 0]] with C a p x q block. Its eigenvalues are +sigma
+    and -sigma for each singular value sigma of C, and |p - q| zeros
+    (Cvetkovic, Doob and Sachs, Spectra of Graphs, sections 1.4 and 3),
+    so one svd call on C replaces eigvalsh on a. Each computed sigma is
+    exact for some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every
     eigenvalue moves by at most ||E||_2: the backward error eigvalsh gives
-    too.
+    too. A lift with a non-bipartite component goes whole to eigvalsh.
     """
     rn = len(a)
     tails, heads = (x.ravel() for x in _lift_arcs(d))
     label = connected_components(2 * rn, tails, heads + rn)
     lo, hi = label[:rn], label[rn:]
-    comp = np.minimum(lo, hi)
-    if not comp.any() and lo[0] == hi[0]:
+    if np.any(lo == hi):
         return _solve(np.linalg.eigvalsh, a)
     side = lo > hi
-    # each component's vertices in a row, the side of its smallest first
-    order = np.lexsort((side, comp))
-    roots, start, size = np.unique(comp[order], return_index=True, return_counts=True)
-    bipartite = lo[roots] != hi[roots]
-    first_side = np.where(bipartite, np.bincount(comp[~side], minlength=rn)[roots], 0)
-    shapes, kind = np.unique(np.stack([bipartite, size, first_side], axis=1), axis=0,
-                             return_inverse=True)
-    vals = []
-    for k, (bip, s, p) in enumerate(shapes.tolist()):
-        rows = order[start[kind.ravel() == k][:, None] + np.arange(s)]
-        if bip:
-            c = a[rows[:, :p, None], rows[:, None, p:]]
-            sigma = _solve(np.linalg.svd, c, compute_uv=False).ravel()
-            vals += [sigma, -sigma, np.zeros(len(rows) * abs(s - 2 * p))]
-        else:
-            m = a[rows[:, :, None], rows[:, None, :]]
-            vals.append(_solve(np.linalg.eigvalsh, m).ravel())
-    return np.concatenate(vals)
+    c = a[np.ix_(np.flatnonzero(~side), np.flatnonzero(side))]
+    sigma = _solve(np.linalg.svd, c, compute_uv=False)
+    return np.concatenate([sigma, -sigma, np.zeros(rn - 2 * len(sigma))])
 
 
 # ---------------------------------------------------------------------------

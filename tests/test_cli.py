@@ -690,6 +690,7 @@ CI_FIXTURES = [
     ("triangle_dihedral3.json", "dihedral:3", "d3_non_unitary_irreps.json", None),
     ("loop_cyclic3.json", "cyclic:3", None, None),
     ("split_bipartite_cyclic12.json", "cyclic:12", None, None),
+    ("pendant_cycle_cyclic12.json", "cyclic:12", None, None),
 ]
 
 

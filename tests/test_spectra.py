@@ -757,9 +757,9 @@ class TestSpectrumRoutes:
 
 
 class TestBruteforceComponents:
-    """The brute-force route on an exactly symmetric lift, solved per
-    connected component, against one solve of the whole adjacency
-    (lift_eigenvalues_whole)."""
+    """The brute-force route on an exactly symmetric lift, by the singular
+    values of its biadjacency block when every component is bipartite,
+    against one solve of the whole adjacency (lift_eigenvalues_whole)."""
 
     @staticmethod
     def solve(d, monkeypatch):
@@ -801,12 +801,13 @@ class TestBruteforceComponents:
 
     def test_a_lift_split_by_a_proper_subgroup(self, monkeypatch):
         # a 4-cycle over cyclic:12 whose voltages lie in {0, 4, 8}: its lift
-        # is four 12-cycles, one per coset, each bipartite with sides of 6
+        # is four 12-cycles, one per coset, each bipartite with sides of 6,
+        # and C holds the four 6 x 6 blocks
         g = vl.build_builtin_group("cyclic:12")
         d = reverse_completed(vl.make_voltage_digraph(
             g, ["a", "b", "c", "d"], [(0, 1, 4), (1, 2, 0), (2, 3, 8), (3, 0, 8)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (4, 6, 6))]
+        assert calls == [("svd", (24, 24))]
         # the 12-cycle's spectrum 2 cos(2 pi k / 12), four times
         cycle = 2 * np.cos(2 * np.pi * np.arange(12) / 12)
         assert np.allclose(np.sort(vals), np.sort(np.tile(cycle, 4)), atol=1e-12)
@@ -818,27 +819,40 @@ class TestBruteforceComponents:
         d = reverse_completed(vl.make_voltage_digraph(
             g, ["a", "b", "c"], [(0, 1, 1), (1, 2, 2)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (3, 2, 1))]
+        assert calls == [("svd", (6, 3))]
         assert np.allclose(np.sort(vals), np.repeat([-np.sqrt(2), 0, np.sqrt(2)], 3),
                            atol=1e-12)
 
-    def test_a_disjoint_edge_and_triangle_make_two_shapes(self, monkeypatch):
+    def test_bipartite_components_of_two_shapes_share_one_block(self, monkeypatch):
+        # the path a - b - c and an edge d - e over cyclic:3: C holds three
+        # 2 x 1 blocks and three 1 x 1 blocks, so it is 9 x 6, and the
+        # lift adds 3 zeros to the singular values' +sigma and -sigma
+        g = vl.build_builtin_group("cyclic:3")
+        d = reverse_completed(vl.make_voltage_digraph(
+            g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (1, 2, 2), (3, 4, 1)]))
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("svd", (9, 6))]
+        assert np.allclose(np.sort(vals), np.repeat([-np.sqrt(2), -1, 0, 1, np.sqrt(2)], 3),
+                           atol=1e-12)
+
+    def test_a_non_bipartite_component_sends_the_lift_whole(self, monkeypatch):
         # over cyclic:3, the edge lifts to three disjoint edges and the
         # triangle, of net voltage 1, to one 9-cycle, not bipartite
         g = vl.build_builtin_group("cyclic:3")
         d = reverse_completed(vl.make_voltage_digraph(
             g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (2, 3, 1), (3, 4, 0), (4, 2, 0)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("eigvalsh", (1, 9, 9)), ("svd", (3, 1, 1))]
+        assert calls == [("eigvalsh", (15, 15))]
         cycle = 2 * np.cos(2 * np.pi * np.arange(9) / 9)
         assert np.allclose(np.sort(vals), np.sort([-1, -1, -1, 1, 1, 1, *cycle]), atol=1e-12)
 
     def test_a_digraph_with_no_arcs_lifts_to_zeros(self, monkeypatch):
         # every lift vertex is a component of its own, bipartite with an
-        # empty second side
+        # empty second side: C is 12 x 0
         g = vl.build_builtin_group("cyclic:4")
         d = vl.make_voltage_digraph(g, ["a", "b", "c"], [])
-        vals, _ = self.solve(d, monkeypatch)
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("svd", (12, 0))]
         assert vals.tolist() == [0.0] * 12
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
