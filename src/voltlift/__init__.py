@@ -27,9 +27,7 @@ from .reps import (
 from .voltage import (
     VoltageDigraph,
     VoltageError,
-    algebra_matmul,
     algebra_matrix_power,
-    algebra_mul,
     associated_matrix,
     build_lift,
     lift_to_json,

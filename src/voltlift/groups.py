@@ -63,7 +63,8 @@ class GroupTable:
             raise GroupError(f"unknown element name {short_repr(name)}") from None
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
+        # abelian iff every conjugacy class is a singleton
+        return len(self.classes) == self.order
 
     def __repr__(self):
         tag = self.family or "custom"

@@ -125,9 +125,10 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # the end. k comes from an a-priori bound on the result: the row norm
 # ||b|| = max_u sum_{v,g} |b[u, v, g]| is submultiplicative, so every
 # coefficient of B^l lies within ||b||^l, and the primes' product M
-# exceeds twice the bound. Each residue stays below 2^31 and each product
-# of two below 2^62, and no sum of them passes 2^63 - 1 (see
-# _product_terms), so the int64 arithmetic is exact.
+# exceeds twice the bound. One rule keeps the int64 arithmetic exact:
+# every term added to a sum is a residue below 2^31, so a product of two
+# residues (below 2^62) is reduced before it is added (see
+# _residue_product).
 
 def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     """The quotient matrix: b[u, v, x] counts the arcs u->v with voltage x."""
@@ -135,9 +136,6 @@ def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     for u, v, x in d.arcs:
         b[u, v, x] += 1
     return b
-
-
-_INT64_MAX = 2**63 - 1
 
 
 def _is_prime(m: int) -> bool:
@@ -225,44 +223,39 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
 
 
 def _product_terms(b: np.ndarray, primes: list, group: GroupTable) -> list:
-    """The nonzeros b[w, v, h] of a right operand as (w, v, cols, scale,
-    reduce) terms for _residue_product.
+    """The nonzeros b[w, v, h] of a right operand as (w, v, cols, scale)
+    terms for _residue_product.
 
     cols[g] = g h^-1 lists the element of the left operand that lands on g.
-    A coefficient 0 < c < min(primes) is its own residue and scales by the
-    int c (by None for c = 1, which needs no product); any other scales by
-    its (k, 1) column of residues. The terms of one column v add up to at
-    most (max p - 1) * (sum of their scales). Only where that could pass
-    2^63 - 1 is the column reduced term by term: each term then lies below
-    max p < 2^31, and a column has at most r * n terms, far fewer than the
-    2^32 whose sum could pass 2^63 - 1.
+    scale is None for a coefficient of 1, which needs no product, and the
+    int64 (k, 1) column of the coefficient's residues for any other.
     """
-    top = max(primes) - 1
     terms = []
-    load = {}
     for w, v, h in zip(*np.nonzero(b)):
         c = int(b[w, v, h])
-        if 0 < c < min(primes):
-            scale, size = (None if c == 1 else c), c
-        else:
-            scale = np.array([c % p for p in primes])[:, None]
-            size = int(scale.max())
+        scale = None if c == 1 else np.array([c % p for p in primes])[:, None]
         terms.append((w, v, group.mul[:, group.inverse[h]], scale))
-        load[v] = load.get(v, 0) + size
-    return [(w, v, cols, scale, load[v] * top > _INT64_MAX) for w, v, cols, scale in terms]
+    return terms
 
 
 def _residue_product(a: np.ndarray, terms: list, width: int, primes: list) -> np.ndarray:
     """a times the right operand given by its terms, in residues: a and the
-    result are laid out as _to_residues makes them, the result reduced."""
+    result are laid out as _to_residues makes them, the result reduced.
+
+    A scaled term is a product of two residues, below 2^62, and is reduced
+    at once; an unscaled one is a residue of a. So every term added is a
+    residue below max p < 2^31, and a column of an r-row right operand has
+    at most r * n terms, fewer than 2^32 for any B that fits in memory
+    (r * n >= 2^32 needs r >= 2^20, so a square B has r^2 * n >= 2^52
+    entries): no sum passes 2^63 - 1.
+    """
     mod = np.array(primes)[:, None]
     out = np.zeros((width,) + a.shape[1:], dtype=np.int64)
     rows = list(out)  # views, so that += adds in place without a setitem
-    for w, v, cols, scale, reduce in terms:
+    for w, v, cols, scale in terms:
         term = a[w].take(cols, axis=0)
         if scale is not None:
             term *= scale
-        if reduce:
             term %= mod
         rows[v] += term
     out %= mod

@@ -7,7 +7,8 @@ checked as 1-dim irreps, the trivial row and the regular character as for
 an IrrepSet, and only the rows of degree 2 or more against every row, over
 class representatives. The tables below show what each part catches that
 the irrep shortcut alone would not, and that the check accepts exactly the
-tables validate_character_table_gram accepts.
+tables validate_character_table_gram accepts, bar a table at the edge of
+the tolerances, which the regular-character test alone refuses.
 """
 
 import json
@@ -127,6 +128,35 @@ def test_the_mixed_degree_2_rows_pass_the_irrep_shortcut():
     with pytest.raises(RepresentationError,
                        match=r"character rows [23] and [01] violate orthogonality"):
         vl.load_character_table(doc, g)
+
+
+def test_the_regular_character_test_is_stricter_than_the_gram_product():
+    # every 2-dim row of dihedral:12 raised by eps at the central r^6, where
+    # each is +-2: every Gram entry moves by at most 4 eps + eps^2, inside
+    # SUM_TOL * n, but sum_i d_i chi_i moves by 2 * 5 * eps at r^6, past it;
+    # the Gram product passes, and the regular-character test refuses
+    g = vl.build_builtin_group("dihedral:12")
+    rows, eps = builtin_rows(g), 4e-8
+    rows[np.array(vl.builtin_irreps(g).dims) == 2, g.index_of("r^6")] += eps
+    n = g.order
+    assert np.abs(rows @ rows.conj().T - n * np.eye(len(rows))).max() < reps.SUM_TOL * n
+    assert oracle_accepts(g, rows)
+    with pytest.raises(RepresentationError, match=re.escape(
+            "character rows violate orthogonality: sum of dim * chi is not the regular character")):
+        vl.validate_character_table(vl.CharacterTable(g, rows))
+
+
+def test_a_first_row_that_is_not_trivial_is_refused():
+    # sign, sign and 3 [g = e] - sign: the degree-1 rows are homomorphisms,
+    # the second with zero sum, and 2 sign + 2 (3 [g = e] - sign) is the
+    # regular character; only the trivial-row test is left to refuse it.
+    # An IrrepSet cannot get here: its rows are characters, and the
+    # zero-sum test refuses a trivial irrep that is not first
+    sign = D3_ROWS[1]
+    rows = np.array([sign, sign, 3 * (np.arange(D3.order) == D3.identity) - sign])
+    with pytest.raises(RepresentationError, match="first character row is not the trivial character"):
+        vl.validate_character_table(vl.CharacterTable(D3, rows))
+    assert not oracle_accepts(D3, rows)
 
 
 def test_a_duplicated_degree_1_row_is_refused():

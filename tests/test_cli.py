@@ -280,6 +280,50 @@ def test_walks_oracle(k2star_path, capsys):
     assert aa["coeffs"] == {"r^0": 2, "r^1": 2, "r^2": 1}
 
 
+def test_walks_text_output(k2star_path, capsys):
+    code = run(["walks", "--digraph", k2star_path, "--group", "dihedral:3",
+                "--length", "2", "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a -> a: 2*r^0 + 2*r^1 + r^2",
+        "a -> b: 2*r^0*s + r^1*s + r^2*s",
+        "b -> a: 2*r^0*s + r^1*s + r^2*s",
+        "b -> b: 2*r^0 + 2*r^1 + r^2",
+        "oracle: MATCH",
+    ]
+
+
+def test_walks_negative_length_is_input_error(k2star_path, capsys):
+    code = run(["walks", "--digraph", k2star_path, "--group", "dihedral:3", "--length", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "voltlift: error: --length must be >= 0\n"
+
+
+def test_spectrum_text_output_with_non_real_eigenvalues(capsys):
+    # the directed circulant over cyclic:16 has conjugate pairs a +- bi;
+    # each text line is the JSON entry's value and multiplicity
+    argv = ["spectrum", "--digraph", os.path.join(os.path.dirname(__file__), "data",
+                                                  "circ6_cyclic16.json"),
+            "--group", "cyclic:16"]
+    assert run(argv) == 0
+    entries = json.loads(capsys.readouterr().out)["eigenvalues"]
+    assert run(argv + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(entries)
+    pattern = re.compile(r"(-?[0-9.]+)(?:([+-])([0-9.]+)i)?\^([0-9]+)")
+    non_real = 0
+    for line, e in zip(lines, entries):
+        re_part, sign, im_part, mult = pattern.fullmatch(line).groups()
+        im = 0.0 if sign is None else float(sign + im_part)
+        assert abs(complex(float(re_part), im) - complex(e["re"], e["im"])) < 1e-9
+        assert int(mult) == e["mult"]
+        assert (sign is None) == (abs(e["im"]) < 1e-9)
+        non_real += sign is not None
+    assert non_real >= 2
+
+
 def test_walks_exact_past_int64(k2star, k2star_path, capsys):
     # length-45 coefficients exceed 2**63 and must reach the JSON exactly
     code = run(

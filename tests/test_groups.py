@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -131,8 +132,6 @@ class TestBuiltinGroups:
     def test_invariants_across_families(self, spec):
         g = vl.build_builtin_group(spec)
         assert_group_invariants(g)
-        # nu = n iff abelian
-        assert (len(g.classes) == g.order) == g.is_abelian()
 
     def test_dihedral_relations(self):
         g = vl.build_builtin_group("dihedral:5")
@@ -237,6 +236,25 @@ def test_generators_and_classes(spec):
     assert closure_under_products(g, g.generators) == set(range(g.order))
     assert len(g.generators) <= math.ceil(math.log2(g.order))
     assert g.classes == conjugacy_partition_all_elements(g)
+
+
+@pytest.mark.parametrize("spec", GROUP_POOL_SPECS + ["q8", "s3_relabelled"])
+def test_is_abelian_matches_the_table(spec):
+    # is_abelian reads the classes; the oracle is the table's own symmetry
+    if spec == "q8":
+        with open(Q8_PATH) as f:
+            g = vl.parse_group_table(f.read())
+    elif spec == "s3_relabelled":
+        # dihedral:3 as a custom table, rows and columns shuffled
+        d3 = vl.build_builtin_group("dihedral:3")
+        p = np.array([3, 0, 5, 1, 4, 2])
+        mul = np.empty_like(d3.mul)
+        mul[p[:, None], p[None, :]] = p[d3.mul]
+        g = make_group_table([f"x{i}" for i in range(6)], mul)
+        assert g.family is None
+    else:
+        g = vl.build_builtin_group(spec)
+    assert g.is_abelian() == np.array_equal(g.mul, g.mul.T)
 
 
 def test_identity_class_first_at_any_index():
@@ -450,6 +468,33 @@ class TestParseGroupTable:
             {"elements": [str(p) for p in elements], "mul": mul}
         )
         assert find_isomorphism(g, d3) is not None
+
+
+class TestMakeGroupTableRefusals:
+    def test_more_names_than_max_order(self):
+        names = [f"x{i}" for i in range(groups.MAX_ORDER + 1)]
+        with pytest.raises(GroupError, match=f"group order {groups.MAX_ORDER + 1} exceeds "
+                                             f"supported maximum {groups.MAX_ORDER}"):
+            make_group_table(names, [[0]])
+
+    def test_table_not_n_by_n(self):
+        with pytest.raises(GroupError, match=re.escape("must be 2x2, got (2, 3)")):
+            make_group_table(["e", "a"], [[0, 1, 0], [1, 0, 1]])
+
+    def test_entry_out_of_range(self):
+        with pytest.raises(GroupError, match="table entry out of range"):
+            make_group_table(["e", "a"], [[0, 1], [1, 2]])
+
+    def test_latin_loop_without_two_sided_inverses(self):
+        # a Latin square with identity 0 where 2 * 3 = 0 but 3 * 2 = 1
+        rows = ["01234", "10342", "23401", "34120", "42013"]
+        mul = [[int(c) for c in row] for row in rows]
+        with pytest.raises(GroupError, match="element 2 has no two-sided inverse"):
+            make_group_table([f"x{i}" for i in range(5)], mul)
+
+    def test_index_of_an_unknown_name(self, d3):
+        with pytest.raises(GroupError, match="unknown element name 'x'"):
+            d3.index_of("x")
 
 
 class TestConjugacyClasses:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 from functools import reduce
 
 import numpy as np
@@ -324,6 +325,19 @@ class TestLoadIrreps:
         with pytest.raises(RepresentationError, match="3 irreps"):
             vl.load_irreps(doc[:2], d3)
 
+    def test_matrices_of_the_wrong_shape(self, d3, d3_irreps):
+        doc = irreps_to_doc(d3, d3_irreps)
+        doc[2]["dim"] = 3  # its matrices stay 2 x 2
+        with pytest.raises(RepresentationError, match=re.escape(
+                "irrep 2: matrices have shape (2, 2), expected (3, 3)")):
+            vl.load_irreps(doc, d3)
+
+    def test_squared_dimensions_must_sum_to_the_order(self, d3):
+        # three 1-dim irreps, one per class of dihedral:3, but 3 != 6
+        with pytest.raises(RepresentationError,
+                           match="sum of squared dimensions 3 != group order 6"):
+            vl.IrrepSet(d3, {1: np.ones((3, d3.order, 1, 1))})
+
 
 class TestLoadCharacterTable:
     def d3_doc(self, d3):
@@ -440,6 +454,13 @@ class TestLoadCharacterTable:
         doc = self.d3_doc(d3)
         with pytest.raises(RepresentationError, match="rows"):
             vl.load_character_table({"classes": doc["classes"], "rows": doc["rows"][:2]}, d3)
+
+    def test_a_row_with_the_wrong_number_of_class_values(self, d3):
+        doc = self.d3_doc(d3)
+        doc["rows"] = [row[:2] for row in doc["rows"]]
+        with pytest.raises(RepresentationError,
+                           match=re.escape("rows have 2 values, expected 3 (one per class)")):
+            vl.load_character_table(doc, d3)
 
 
 def test_zero_sum_all_builtin_nontrivial():

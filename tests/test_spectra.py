@@ -145,6 +145,12 @@ class TestEig:
         with pytest.raises(SpectrumError, match="stack"):
             vl.eig(np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0)])
+    def test_empty_stacks(self, shape):
+        vals, vecs, res, bounds = vl.eig(np.zeros(shape))
+        assert vals.shape == res.shape == shape[:2] and vecs.shape == shape
+        assert bounds.shape == (shape[0],) and not bounds.any()
+
     def test_flags_only_the_defective_matrix(self):
         # a diagonalizable matrix and the Jordan block J_3(2) (+) (5) in one
         # stack, the block conjugated by the unimodular integer matrix
@@ -246,6 +252,10 @@ class TestSpectrumMultiset:
     def test_total(self):
         sp = cluster_spectrum([1, 2, 3], tol=1e-9)
         assert sp.total == 3
+
+    def test_no_values(self):
+        sp = cluster_spectrum([], tol=1e-9)
+        assert sp.entries == () and sp.total == 0
 
     @pytest.mark.parametrize(
         "values, tol",
@@ -479,6 +489,14 @@ class TestSpectrumRoutes:
             a = vl.lift_spectrum_repr(d, s, 1e-8)
             b = vl.lift_spectrum_charsum(d, t, 1e-8)
             assert vl.spectra_equal(a, b, 1e-6).matched
+
+    def test_charsum_refuses_a_degree_past_the_hard_cap(self):
+        # 17 vertices times the 2-dim irrep of dihedral:3: degree 34 > 32
+        g = vl.build_builtin_group("dihedral:3")
+        d = vl.make_voltage_digraph(g, [f"v{i}" for i in range(17)], [(0, 1, 0)])
+        with pytest.raises(SpectrumError, match=re.escape(
+                f"power-sum degree 34 exceeds conditioning cap {spectra.CHARSUM_HARD_CAP}")):
+            vl.lift_spectrum_charsum(d, vl.character_table(vl.builtin_irreps(g)))
 
     def test_charsum_refuses_degrees_no_irrep_set_has(self):
         # the all-ones 3 x 6 table over dihedral:3 has degrees 1, 1, 1,
@@ -1095,6 +1113,11 @@ class TestRootsFromPowerSums:
     def test_degree_cap(self):
         with pytest.raises(SpectrumError, match="cap"):
             vl.roots_from_power_sums(np.arange(40))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_degree_zero(self, shape):
+        with pytest.raises(SpectrumError, match="degree must be >= 1"):
+            vl.roots_from_power_sums(np.zeros(shape))
 
     def test_newton_and_determinant_agree(self):
         # the batched recurrence against the determinant formula, row by

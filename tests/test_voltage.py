@@ -105,6 +105,17 @@ class TestMakeVoltageDigraph:
         d = vl.make_voltage_digraph(d3, ["a", "b"], [arc])
         assert d.arcs == ((0, 1, 2),) and all(type(e) is int for e in d.arcs[0])
 
+    @pytest.mark.parametrize("vertices, arc, message", [
+        ([], None, "vertex list is empty"),
+        (["a", "a"], None, "duplicate vertex names"),
+        (["a", "b"], (0, 2, 0), "arc endpoint out of range: (0, 2)"),
+        (["a", "b"], (-1, 0, 0), "arc endpoint out of range: (-1, 0)"),
+        (["a", "b"], (0, 1, 6), "voltage index out of range: 6"),
+    ])
+    def test_refusals(self, d3, vertices, arc, message):
+        with pytest.raises(VoltageError, match=re.escape(message)):
+            vl.make_voltage_digraph(d3, vertices, [] if arc is None else [arc])
+
 
 class TestAssociatedMatrix:
     def test_k2star_entries(self, d3, k2star):
@@ -131,20 +142,20 @@ class TestAssociatedMatrix:
 class TestAlgebraMul:
     def test_iota_plus_rho_squared(self, d3):
         x = elem(d3, {"r^0": 1, "r^1": 1})
-        got = vl.algebra_mul(x, x, d3)
+        got = voltage.algebra_mul(x, x, d3)
         expected = elem(d3, {"r^0": 1, "r^1": 2, "r^2": 1})
         assert tuple(got) == tuple(expected)
         assert tuple(got) == naive_convolution(x, x, d3)
 
     def test_involution(self, d3):
         s = elem(d3, {"r^0*s": 1})
-        assert tuple(vl.algebra_mul(s, s, d3)) == tuple(elem(d3, {"r^0": 1}))
+        assert tuple(voltage.algebra_mul(s, s, d3)) == tuple(elem(d3, {"r^0": 1}))
 
     def test_unit(self, d3):
         x = elem(d3, {"r^1": 3, "r^2*s": 2})
         unit = elem(d3, {"r^0": 1})
-        assert tuple(vl.algebra_mul(x, unit, d3)) == tuple(x)
-        assert tuple(vl.algebra_mul(unit, x, d3)) == tuple(x)
+        assert tuple(voltage.algebra_mul(x, unit, d3)) == tuple(x)
+        assert tuple(voltage.algebra_mul(unit, x, d3)) == tuple(x)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -158,10 +169,10 @@ class TestAlgebraMul:
         a = np.array(data.draw(vec), dtype=object)
         b = np.array(data.draw(vec), dtype=object)
         c = np.array(data.draw(vec), dtype=object)
-        left = vl.algebra_mul(vl.algebra_mul(a, b, g), c, g)
-        right = vl.algebra_mul(a, vl.algebra_mul(b, c, g), g)
+        left = voltage.algebra_mul(voltage.algebra_mul(a, b, g), c, g)
+        right = voltage.algebra_mul(a, voltage.algebra_mul(b, c, g), g)
         assert tuple(left) == tuple(right)
-        assert tuple(vl.algebra_mul(a, b, g)) == naive_convolution(a, b, g)
+        assert tuple(voltage.algebra_mul(a, b, g)) == naive_convolution(a, b, g)
 
 
 class TestMatrixPower:
@@ -377,8 +388,8 @@ class TestResidueArithmetic:
         a = obj(data.draw(st.lists(coeff, min_size=r * s * g.order, max_size=r * s * g.order)))
         b = obj(data.draw(st.lists(coeff, min_size=s * t * g.order, max_size=s * t * g.order)))
         a, b = a.reshape(r, s, g.order), b.reshape(s, t, g.order)
-        assert_exact(vl.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
-        assert_exact(vl.algebra_mul(a[0, 0], b[0, 0], g),
+        assert_exact(voltage.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+        assert_exact(voltage.algebra_mul(a[0, 0], b[0, 0], g),
                      algebra_matmul_loop(a[:1, :1], b[:1, :1], g)[0, 0])
 
     @pytest.mark.parametrize("c", [-1, -(2**70) - 1, PRIMES[-1] - 1])
@@ -391,7 +402,7 @@ class TestResidueArithmetic:
         b[:, 1] = c
         b[0, 2, :2] = c
         a = np.full((2, 3, g.order), -1, dtype=object)
-        assert_exact(vl.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+        assert_exact(voltage.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
         for ell in (2, 3):
             assert_exact(vl.algebra_matrix_power(b, ell, g),
                          algebra_matrix_power_loop(b, ell, g))
@@ -438,6 +449,15 @@ class TestResidueArithmetic:
         b = np.zeros((2, 3, d3.order), dtype=object)
         with pytest.raises(VoltageError, match="size mismatch"):
             vl.algebra_matrix_power(b, 2, d3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda z, g: voltage.algebra_trace_powers(z(2, 3), 2, g), "matrix size mismatch"),
+        (lambda z, g: voltage.algebra_matmul(z(1, 2), z(3, 1), g), "matrix size mismatch"),
+        (lambda z, g: vl.algebra_matrix_power(z(2, 2), -1, g), "negative power"),
+    ])
+    def test_refusals(self, d3, call, message):
+        with pytest.raises(VoltageError, match=message):
+            call(lambda r, s: np.zeros((r, s, d3.order), dtype=object), d3)
 
 
 def test_lift_json_roundtrip(d3, k2star):
