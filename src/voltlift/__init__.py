@@ -22,7 +22,6 @@ from .reps import (
     load_character_table,
     load_irreps,
     validate_character_table,
-    validate_irrep_set,
 )
 from .voltage import (
     VoltageDigraph,

@@ -161,6 +161,13 @@ def _emit(args, payload, text) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    # a file the method never reads is refused, not silently ignored:
+    # charsum reads the irreps only to build the characters --chars gives
+    unread = {"repr": ["chars"], "charsum": ["irreps"] if args.chars else [],
+              "bruteforce": ["irreps", "chars"]}[args.method]
+    for option in unread:
+        if getattr(args, option):
+            raise spectra.SpectrumError(f"--method {args.method} does not read --{option}")
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
     if args.method == "repr":

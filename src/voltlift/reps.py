@@ -306,10 +306,13 @@ def validate_character_table(t: CharacterTable) -> None:
     (_check_block, at HOM_TOL); sum_i d_i chi_i regular and row 0 trivial,
     as for an IrrepSet; and each row of degree 2 or more orthogonal to
     every row, in one product over classes weighted by their sizes.
-    This accepts what the full Gram test XX* = nI accepts, bar the
-    tolerance on degree-1 rows: a linear row psi listed twice would give
+    On exact tables this accepts what the full Gram test XX* = nI
+    accepts: a linear row psi listed twice would give
     <sum_i d_i chi_i, psi> = 2n, not n, so the linear rows are distinct
-    homomorphisms, which are pairwise orthogonal."""
+    homomorphisms, which are pairwise orthogonal. At the edge of the
+    tolerances the two differ: the degree-1 rows are held to HOM_TOL, and
+    the error of sum_i d_i chi_i grows with sum_i d_i, so the
+    regular-character test can refuse a table the Gram product accepts."""
     group, rows, n = t.group, t.rows, t.group.order
     # each element after the first of its class, none in an abelian group,
     # compared with that first element in blocks of rows of at most

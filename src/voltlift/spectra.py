@@ -20,9 +20,9 @@ compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
 `voltlift verify` prints its reports. One single-linkage kernel serves
-both clustering and comparison: spectra_equal links the values of both
-sides and pairs the copies of each component that holds as many of one
-side as of the other.
+clustering, comparison and charsum's root multiplicity: spectra_equal
+links the values of both sides and pairs the copies of each component
+that holds as many of one side as of the other.
 """
 
 from __future__ import annotations
@@ -99,23 +99,30 @@ def _check_tol(tol: float) -> None:
         raise SpectrumError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _link_components(distinct: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage component labels of distinct values, sorted as
-    np.unique sorts them: two are linked iff |z_i - z_j| < tol."""
-    m = distinct.size
-    # every value that can link to i lies in its window i .. i + width[i] - 1:
-    # a real part past fl(re_i + tol) is at least tol away, and so is the value
-    re = distinct.real
-    width = np.searchsorted(re, re + tol, side="right") - np.arange(m)
-    links = [(np.arange(0), np.arange(0))]
-    for k in range(1, int(width.max(initial=0))):
-        i = np.flatnonzero(width > k)
-        gap = distinct[i + k] - distinct[i]
+def _link_components(values: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage component labels of a (K, m) array of finite values,
+    each row sorted as np.sort sorts complex values: two values of one row
+    are linked iff |z_i - z_j| < tol, and no two rows are. A label is the
+    flat index of its component's first value in the rows laid end to
+    end, each with one pad slot after it: for one row, an index into it."""
+    num, m = values.shape
+    # the values that can link to i lie in its window, those after it in
+    # its row up to re_j <= fl(re_i + tol): a real part past that is at
+    # least tol away, and so is the value. A +inf pad ends each row, and a
+    # window that misses offset k misses k + 1
+    flat = np.concatenate([values, np.full((num, 1), np.inf)], axis=1).ravel()
+    reach, i = flat.real + tol, np.arange(flat.size).reshape(num, m + 1)[:, :m].ravel()
+    links, k = [(np.arange(0), np.arange(0))], 1
+    while i.size:
+        i = i[flat.real[i + k] <= reach[i]]
+        gap = flat[i + k] - flat[i]
         # hypot, as abs() of a complex scalar: the vectorised complex abs
         # can round differently and flip a link at distance ~tol
-        i = i[np.hypot(gap.real, gap.imag) < tol]
-        links.append((i, i + k))
-    return connected_components(m, *map(np.concatenate, zip(*links)))
+        linked = i[np.hypot(gap.real, gap.imag) < tol]
+        links.append((linked, linked + k))
+        k += 1
+    label = connected_components(flat.size, *map(np.concatenate, zip(*links)))
+    return label.reshape(num, m + 1)[:, :m]
 
 
 def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
@@ -135,7 +142,7 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
         raise SpectrumError("cannot cluster non-finite eigenvalues")
     # distinct values, sorted by real part then imaginary part
     distinct, counts = np.unique(vals, return_counts=True)
-    _, cluster = np.unique(_link_components(distinct, tol), return_inverse=True)
+    _, cluster = np.unique(_link_components(distinct[None], tol)[0], return_inverse=True)
     mult = np.bincount(cluster, weights=counts).astype(np.int64)
     weighted = distinct * counts
     mean = (
@@ -197,7 +204,7 @@ def spectra_equal(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Match
     # copies[side][j]: how many copies of values[j] that side holds
     copies = [np.bincount(i, weights=m, minlength=len(values)).astype(np.int64)
               for i, m in zip(np.split(inverse, [len(vals[0])]), mults)]
-    label = _link_components(values, np.nextafter(tol, np.inf))
+    label = _link_components(values[None], np.nextafter(tol, np.inf))[0]
     unbalanced = np.bincount(label, weights=copies[0] - copies[1]) != 0
     # one part per balanced component, and one pool (-1) for the rest
     part = np.where(unbalanced[label], -1, label)
@@ -217,20 +224,13 @@ def charsum_match_tol(values: Dict[int, np.ndarray], tol: float) -> tuple:
     about eps**(1/k), relative to the spectral radius rho. ``values`` are
     repr's eigenvalues per irrep image, as irrep_eigenvalues returns them;
     k is the largest multiplicity of one of them within one image,
-    clustered at tol by single linkage as in cluster_spectrum: the largest
-    component of the links |z_i - z_j| < tol within one image, all images
-    in one groups.connected_components call per dimension. Returns
-    (max(tol, 1e-6, 10 * (1 + rho) * eps**(1/k)), k): the bound depends on
-    the root multiplicity, never on the polynomial degree.
+    clustered at tol as in cluster_spectrum: the largest component that
+    _link_components finds in a dimension's images, sorted row by row.
+    Returns (max(tol, 1e-6, 10 * (1 + rho) * eps**(1/k)), k): the bound
+    depends on the root multiplicity, never on the polynomial degree.
     """
-    k = 1
-    for v in values.values():
-        num, size = v.shape
-        gap = v[:, :, None] - v[:, None, :]
-        # value i of image q is node q * size + i: no link joins two images
-        q, i, j = np.nonzero(np.hypot(gap.real, gap.imag) < tol)
-        label = connected_components(num * size, q * size + i, q * size + j)
-        k = max(k, int(np.bincount(label).max()))
+    k = max(int(np.bincount(_link_components(np.sort(v, axis=1), tol).ravel()).max())
+            for v in values.values())
     rho = max(float(np.abs(v).max()) for v in values.values())
     eps = float(np.finfo(float).eps)
     return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k

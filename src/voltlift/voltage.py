@@ -11,6 +11,7 @@ explicit lift is the brute-force oracle everything else is checked against.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Sequence
@@ -357,8 +358,20 @@ def build_lift(d: VoltageDigraph) -> np.ndarray:
 
 
 def lift_to_json(d: VoltageDigraph) -> dict:
-    """Serialize the lift of d with vertex names ``<base>.<element>``."""
-    labels = [f"{u}.{e}" for u in d.vertices for e in d.group.element_names]
+    """Serialize the lift of d with vertex names ``<base>.<element>``.
+
+    Names that hold dots can give two lift vertices one label, as base
+    vertex x.y with element z and base vertex x with element y.z do; such
+    a label is refused, never written twice."""
+    names = d.group.element_names
+    labels = [f"{u}.{e}" for u in d.vertices for e in names]
+    if len(set(labels)) < len(labels):
+        owner = {}
+        for label, pair in zip(labels, itertools.product(d.vertices, names)):
+            pair = "({}, {})".format(*pair)
+            if owner.setdefault(label, pair) != pair:
+                raise VoltageError(f"lift vertex label {label!r} names both {owner[label]} "
+                                   f"and {pair}; rename the dotted names")
     tails, heads = (a.ravel().tolist() for a in _lift_arcs(d))
     return {
         "vertices": labels,

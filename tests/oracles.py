@@ -4,24 +4,25 @@ Each serves only as an independent second route: a search for a
 multiplication-preserving bijection between two group tables and
 closed-walk power sums by direct enumeration (both exponential in their
 input), group-algebra products by a loop over the right operand's nonzeros
-in Python-int object arithmetic, single-linkage clustering by a quadratic pairwise loop, lift
-eigenvectors by one eigensolve per irrep and one product per eigencolumn
-and base vertex, the polynomial behind a row of power sums by a
-determinant formula and by a scalar Newton recurrence with np.roots, and
-irrep-set validation by one check per irrep plus the character Gram
-product, character-table validation by the Gram product over every
-element, the least distance within which two spectra pair up by an exact
-bottleneck matching over every copy, the conjugate pairing by a
-nearest-row search over the character table, and the eigenvalues of a
+in Python-int object arithmetic, single-linkage clustering by a quadratic
+pairwise loop, charsum's root multiplicity by dense linking of every pair
+within one image, lift eigenvectors by one eigensolve per irrep and one
+product per eigencolumn and base vertex, the polynomial behind a row of
+power sums by a determinant formula and by a scalar Newton recurrence with
+np.roots, and irrep-set validation by one check per irrep plus the
+character Gram product, character-table validation by the Gram product
+over every element, the least distance within which two spectra pair up
+by an exact bottleneck matching over every copy, the conjugate pairing by
+a nearest-row search over the character table, and the eigenvalues of a
 lift by one dense solve of its whole adjacency.
 """
 
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from voltlift.groups import GroupTable
+from voltlift.groups import GroupTable, connected_components
 from voltlift.reps import HOM_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
@@ -189,6 +190,24 @@ def cluster_spectrum_loop(values: Sequence[complex], tol: float) -> list:
     entries = [(complex(np.mean(c)), len(c)) for c in groups.values()]
     entries.sort(key=lambda e: (-e[0].real, e[0].imag))
     return entries
+
+
+def charsum_match_tol_dense(values: Dict[int, np.ndarray], tol: float) -> tuple:
+    """charsum_match_tol by dense linking: every pair of values within one
+    image is linked iff |z_i - z_j| < tol, from a (K, N, N) array of gaps
+    per dimension, and k is the largest component of one
+    groups.connected_components call per dimension."""
+    k = 1
+    for v in values.values():
+        num, size = v.shape
+        gap = v[:, :, None] - v[:, None, :]
+        # value i of image q is node q * size + i: no link joins two images
+        q, i, j = np.nonzero(np.hypot(gap.real, gap.imag) < tol)
+        label = connected_components(num * size, q * size + i, q * size + j)
+        k = max(k, int(np.bincount(label).max()))
+    rho = max(float(np.abs(v).max()) for v in values.values())
+    eps = float(np.finfo(float).eps)
+    return max(tol, 1e-6, 10 * (1 + rho) * eps ** (1 / k)), k
 
 
 def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:

@@ -218,6 +218,35 @@ def test_one_parser_serves_every_command_as_a_fresh_one_does(k2star_path, tmp_pa
     assert "invalid choice" in fresh[4][2] and "--length" in fresh[5][2]
 
 
+@pytest.mark.parametrize("method, options", [
+    ("repr", ["--chars"]),
+    ("bruteforce", ["--irreps"]),
+    ("bruteforce", ["--chars"]),
+    ("charsum", ["--chars", "--irreps"]),
+], ids=["repr-chars", "bruteforce-irreps", "bruteforce-chars", "charsum-chars-irreps"])
+def test_spectrum_refuses_a_file_its_method_does_not_read(k2star_path, capsys, method, options):
+    # the last option names the file the method does not read; every file
+    # is missing, and the refusal comes before any file is opened
+    argv = ["spectrum", "--digraph", k2star_path, "--group", "dihedral:3", "--method", method]
+    for option in options:
+        argv += [option, f"/nonexistent/{option[2:]}.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"voltlift: error: --method {method} does not read {options[-1]}\n")
+
+
+def test_lift_refuses_a_label_of_two_vertices(tmp_path, capsys):
+    group, digraph = tmp_path / "group.json", tmp_path / "digraph.json"
+    group.write_text(json.dumps({"elements": ["z", "y.z"], "mul": [[0, 1], [1, 0]]}))
+    digraph.write_text(json.dumps({
+        "vertices": ["x", "x.y"], "arcs": [{"from": "x", "to": "x.y", "voltage": "y.z"}]}))
+    assert run(["lift", "--digraph", str(digraph), "--group", str(group)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("voltlift: error: lift vertex label 'x.y.z' names both (x, y.z) "
+                       "and (x.y, z); rename the dotted names\n")
+
+
 def test_missing_file_is_input_error(capsys):
     code = run(["spectrum", "--digraph", "/nonexistent.json", "--group", "cyclic:2"])
     assert code == 2
@@ -746,6 +775,7 @@ def _ci_argv(command, digraph, group, irreps, chars):
         argv += ["--digraph", data(digraph)]
     if command in ("spectrum", "verify", "validate"):
         argv += ["--irreps", data(irreps)] if irreps else []
+    if command in ("verify", "validate"):  # spectrum's default method, repr, reads no characters
         argv += ["--chars", data(chars)] if chars else []
     return argv + (["--length", "3"] if command == "walks" else [])
 

@@ -110,7 +110,7 @@ def small_blocks(monkeypatch):
 def test_perturbed_set_rejected(small_blocks, name):
     make, message = PERTURBED[name]
     with pytest.raises(RepresentationError, match=message):
-        vl.validate_irrep_set(holder(*make()))
+        reps.validate_irrep_set(holder(*make()))
 
 
 @pytest.mark.parametrize("name", PERTURBED)
@@ -140,7 +140,7 @@ def test_constructor_rejects_a_misshapen_irrep(shape):
     with pytest.raises(RepresentationError, match=re.escape(message)):
         vl.IrrepSet(D8, stacks)
     with pytest.raises(RepresentationError, match=re.escape(message)):
-        vl.validate_irrep_set(holder(D8_IRREPS, stacks))
+        reps.validate_irrep_set(holder(D8_IRREPS, stacks))
 
 
 @pytest.mark.parametrize("key", [3, 0])
@@ -269,7 +269,7 @@ def test_perturbed_irrep_is_mid_block():
 
 def test_non_generator_message_names_a_failing_pair(small_blocks):
     with pytest.raises(RepresentationError) as info:
-        vl.validate_irrep_set(unvalidated(*non_generator_change()))
+        reps.validate_irrep_set(unvalidated(*non_generator_change()))
     a, b = re.search(r"pair \('([^']*)', '([^']*)'\)", str(info.value)).groups()
     g, s = D64.index_of(a), D64.index_of(b)
     assert s in D64.generators
@@ -281,7 +281,7 @@ def test_non_generator_message_names_a_failing_pair(small_blocks):
 def test_accepts_builtin_sets_as_the_oracle_does(spec):
     s = vl.builtin_irreps(vl.build_builtin_group(spec))
     validate_irrep_set_loop(s)
-    rows = vl.validate_irrep_set(s)
+    rows = reps.validate_irrep_set(s)
     traces = [np.trace(irrep_matrices(s, i), axis1=1, axis2=2) for i in range(len(s.dims))]
     assert np.allclose(rows, traces, atol=1e-9)
 
@@ -289,7 +289,7 @@ def test_accepts_builtin_sets_as_the_oracle_does(spec):
 def test_accepts_loaded_d3_set_as_the_oracle_does(d3, d3_irreps):
     s = vl.load_irreps(irreps_to_doc(d3, d3_irreps), d3)
     validate_irrep_set_loop(s)
-    vl.validate_irrep_set(s)
+    reps.validate_irrep_set(s)
 
 
 def test_character_table_reuses_the_validated_rows(d3_irreps):

@@ -98,7 +98,7 @@ class TestBuiltinIrreps:
     def test_all_invariants(self, spec):
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
-        vl.validate_irrep_set(s)  # homomorphism, zero-sum, orthogonality
+        reps.validate_irrep_set(s)  # homomorphism, zero-sum, orthogonality
         t = vl.character_table(s)
         vl.validate_character_table(t)
         assert len(s.dims) == len(g.classes)
@@ -284,7 +284,7 @@ class TestLoadIrreps:
         mats = np.array(irrep_matrices(s, i))
         mats[77, 0, 1] += 1e-9
         with pytest.raises(RepresentationError, match="homomorphism at pair"):
-            vl.validate_irrep_set(unvalidated(s, i, mats))
+            reps.validate_irrep_set(unvalidated(s, i, mats))
         with pytest.raises(RepresentationError, match="homomorphism at pair"):
             replaced(s, i, mats)
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
-from voltlift import spectra
+from voltlift import reps, spectra
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     EIG_RESIDUAL_FACTOR,
@@ -27,6 +28,7 @@ from conftest import (
 )
 from oracles import (
     bottleneck_distance_loop,
+    charsum_match_tol_dense,
     cluster_spectrum_loop,
     determinant_poly_coeffs,
     lift_eigenvalues_whole,
@@ -335,6 +337,50 @@ class TestCharsumMatchTol:
             got_tol, got_k = spectra.charsum_match_tol(values, tol)
             assert got_k == k
             assert got_tol == max(tol, 1e-6, 10 * (1 + rho) * self.EPS ** (1 / k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_dense_reference(self, data):
+        # the reference links every pair of one image iff |z_i - z_j| < tol;
+        # draw the images from one pool of the cases where that decision is
+        # closest, so values repeat within and across images: conjugate
+        # pairs, chains spaced just under tol, pairs exactly tol apart, and
+        # rows of one value
+        tol = data.draw(st.sampled_from([1e-9, 2.0 ** -20, 0.25, 0.3]))
+        offset = data.draw(st.sampled_from([0.0, 1.0, -3.0]))
+        grid = st.integers(min_value=-4, max_value=4)
+        direction = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / np.sqrt(2)])
+        pool = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            z = offset + complex(data.draw(grid), data.draw(grid)) * tol * data.draw(
+                st.sampled_from([0.3, 1.0, 2.5]))
+            step = data.draw(direction)
+            pool += [z, z.conjugate(), z + tol * step]
+            pool += [z + k * np.nextafter(tol, 0) * step for k in (1, 2, 3)]
+        values = {}
+        for dim in data.draw(st.sets(st.integers(min_value=1, max_value=3), min_size=1)):
+            num = data.draw(st.integers(min_value=1, max_value=4))
+            size = data.draw(st.sampled_from([1, 2, 4, 6]))
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                       min_size=num * size, max_size=num * size))
+            values[dim] = np.array(pool)[picks].reshape(num, size)
+        assert spectra.charsum_match_tol(values, tol) == charsum_match_tol_dense(values, tol)
+
+    def test_a_full_stack_holds_no_pairwise_gaps(self):
+        # 4096 images of 32 values, the largest stack of 1-dim images that
+        # charsum solves at MAX_ORDER: their pairwise gaps alone would be a
+        # (4096, 32, 32) complex array, 64 MiB. The windows of distinct
+        # random values hold few links, and the kernel a few arrays of one
+        # entry per value
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((4096, 32)) + 1j * rng.standard_normal((4096, 32))
+        tracemalloc.start()
+        try:
+            assert spectra.charsum_match_tol({1: v}, 1e-9) == (1e-6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_equal_values_in_different_images_do_not_add_up(self):
         tol, k = spectra.charsum_match_tol({1: np.array([[1.0, 3.0], [1.0, 2.0]])}, 1e-9)
@@ -1349,7 +1395,7 @@ class TestLiftEigenvectors:
         p = np.array([[1.0, 100.0], [0.0, 1.0]])
         mats = p @ irrep_matrices(s, 2) @ np.linalg.inv(p)
         with pytest.raises(vl.RepresentationError, match="not a homomorphism"):
-            vl.validate_irrep_set(unvalidated(s, 2, mats))
+            reps.validate_irrep_set(unvalidated(s, 2, mats))
         with pytest.raises(vl.RepresentationError, match="not a homomorphism"):
             replaced(s, 2, mats)
 

@@ -471,3 +471,24 @@ def test_lift_json_roundtrip(d3, k2star):
     arcs = [{"from": a, "to": b, "voltage": "g^0"} for a, b in doc["arcs"]]
     d = vl.parse_voltage_digraph({"vertices": doc["vertices"], "arcs": arcs}, g1)
     assert np.array_equal(vl.build_lift(d), adj)
+
+
+# base vertex x.y with element z and base vertex x with element y.z would
+# both be labelled x.y.z
+DOTTED_GROUP = {"elements": ["z", "y.z"], "mul": [[0, 1], [1, 0]]}
+
+
+def test_lift_json_refuses_a_label_of_two_vertices():
+    g = vl.parse_group_table(DOTTED_GROUP)
+    d = vl.make_voltage_digraph(g, ["x", "x.y"], [(0, 1, 1)])
+    with pytest.raises(VoltageError, match=re.escape(
+            "lift vertex label 'x.y.z' names both (x, y.z) and (x.y, z)")):
+        vl.lift_to_json(d)
+
+
+def test_lift_json_keeps_dotted_labels_that_do_not_collide():
+    g = vl.parse_group_table(DOTTED_GROUP)
+    d = vl.make_voltage_digraph(g, ["x.y", "w"], [(0, 1, 1)])
+    doc = vl.lift_to_json(d)
+    assert doc["vertices"] == ["x.y.z", "x.y.y.z", "w.z", "w.y.z"]
+    assert doc["arcs"] == [["x.y.z", "w.y.z"], ["x.y.y.z", "w.z"]]
