@@ -360,9 +360,11 @@ def parse_builtin_spec(spec: str) -> list:
         if n > MAX_ORDER:
             raise GroupError(f"product order {n} exceeds supported maximum {MAX_ORDER}")
         return factors
-    try:
-        kind, _, arg = spec.partition(":")
-        m = int(arg)
+    kind, _, arg = spec.partition(":")
+    try:  # n is ASCII digits: int() alone takes "+3", " 3", "3_0" and other scripts' digits
+        if not (arg.isascii() and arg.isdigit()):
+            raise ValueError
+        m = int(arg)  # past the interpreter's digit limit, this raises too
     except ValueError:
         raise GroupError(f"malformed group spec {short_repr(spec)}") from None
     if kind not in _FAMILIES:

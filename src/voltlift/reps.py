@@ -455,7 +455,7 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     doc = decode_json(doc, RepresentationError)
     if not isinstance(doc, list):
         raise RepresentationError("irreps document must be a JSON list")
-    by_dim = {}
+    by_dim, names = {}, set(g.element_names)
     for i, entry in enumerate(doc):
         if not (
             isinstance(entry, dict)
@@ -474,6 +474,9 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
             raise RepresentationError(
                 f"irrep {i}: missing matrix for element {short_repr(missing[0])}"
             )
+        unknown = [name for name in given if name not in names]
+        if unknown:
+            raise RepresentationError(f"irrep {i}: unknown element name {short_repr(unknown[0])}")
         mats = _complex_from_json(  # in element-index order
             [given[name] for name in g.element_names], 3, f"irrep {i}: matrix entry"
         )

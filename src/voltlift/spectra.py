@@ -112,6 +112,12 @@ def _link_components(values: np.ndarray, tol: float) -> np.ndarray:
     # window that misses offset k misses k + 1
     flat = np.concatenate([values, np.full((num, 1), np.inf)], axis=1).ravel()
     reach, i = flat.real + tol, np.arange(flat.size).reshape(num, m + 1)[:, :m].ravel()
+    # run[j] counts the steps j -> j + 1 -> ... linked one after another
+    # from j. Once the steps are known, (j, j + k) is implied for
+    # k <= run[j] and not stored, so c values within tol of each other
+    # cost c - 1 links, not c (c - 1) / 2; and j whose window ends within
+    # its run has no link left to find
+    run = np.zeros(flat.size, dtype=np.int64)
     links, k = [(np.arange(0), np.arange(0))], 1
     while i.size:
         i = i[flat.real[i + k] <= reach[i]]
@@ -119,7 +125,12 @@ def _link_components(values: np.ndarray, tol: float) -> np.ndarray:
         # hypot, as abs() of a complex scalar: the vectorised complex abs
         # can round differently and flip a link at distance ~tol
         linked = i[np.hypot(gap.real, gap.imag) < tol]
+        linked = linked[run[linked] < k]
         links.append((linked, linked + k))
+        if k == 1 and linked.size:  # j less its place in linked is constant along a run
+            key = linked - np.arange(linked.size)
+            run[linked] = np.searchsorted(key, key, side="right") - np.arange(linked.size)
+            i = i[flat.real[i + run[i] + 1] <= reach[i]]
         k += 1
     label = connected_components(flat.size, *map(np.concatenate, zip(*links)))
     return label.reshape(num, m + 1)[:, :m]

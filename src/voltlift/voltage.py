@@ -10,6 +10,7 @@ explicit lift is the brute-force oracle everything else is checked against.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -196,9 +197,10 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     axis.
 
     The mixed-radix digits of x mod M, x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)),
-    are found in int64, one prime at a time. With one or two primes M is
-    below 2^62, so x and its sign fix stay in int64 too and become Python
-    ints once; more digits are combined in Python ints.
+    are found in int64, one prime at a time, and Horner's rule sums them
+    from the most significant: its first step, d + p d' < p p' < 2^62, stays
+    in int64 and every later one runs in Python ints, so with one or two
+    primes x and its sign fix stay in int64 and become Python ints once.
     """
     digits = []
     for j, p in enumerate(primes):
@@ -209,18 +211,13 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
             acc = (acc * q + d) % p
         scale = pow(prod(primes[:j]) % p, -1, p)
         digits.append((res[j] - acc) * scale % p)
+    x = digits[-1]
+    for j in reversed(range(len(primes) - 1)):
+        x = digits[j] + primes[j] * x
+        if j:  # a later step follows
+            x = x.astype(object)
     m = prod(primes)
-    if len(primes) <= 2:
-        x = digits[0] + primes[0] * digits[1] if len(primes) == 2 else digits[0]
-        return np.where(x > m // 2, x - m, x).astype(object)
-    # Horner's rule in Python ints, two digits at a time: d + p d' < p p'
-    # still fits in int64
-    x = 0
-    for j in reversed(range(0, len(primes), 2)):
-        pair = primes[j:j + 2]
-        low = digits[j] + pair[0] * digits[j + 1] if len(pair) == 2 else digits[j]
-        x = x * prod(pair) + low.astype(object)
-    return np.where(x > m // 2, x - m, x)
+    return np.where(x > m // 2, x - m, x).astype(object, copy=False)
 
 
 def _product_terms(b: np.ndarray, primes: list, group: GroupTable) -> list:
@@ -283,11 +280,20 @@ def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
     return algebra_matmul(x[None, None], y[None, None], group)[0, 0]
 
 
-def _identity_residues(r: int, group: GroupTable, primes: list) -> np.ndarray:
-    """The r x r identity matrix in residues, laid out as _to_residues makes it."""
-    out = np.zeros((r, group.order, len(primes), r), dtype=np.int64)
-    out[np.arange(r), group.identity, :, np.arange(r)] = 1
-    return out
+def _residue_powers(b: np.ndarray, length: int, primes: list, group: GroupTable):
+    """B^0, B^1, ..., B^length in residues, laid out as _to_residues makes
+    them, one at a time: each is made from the one before, so a caller that
+    drops each before the next holds two at most."""
+    if b.shape[0] != b.shape[1]:
+        raise VoltageError("matrix size mismatch")
+    r = b.shape[0]
+    terms = _product_terms(b, primes, group)
+    power = np.zeros((r, group.order, len(primes), r), dtype=np.int64)
+    power[np.arange(r), group.identity, :, np.arange(r)] = 1
+    yield power
+    for _ in range(length):
+        power = _residue_product(power, terms, r, primes)
+        yield power
 
 
 def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
@@ -297,15 +303,9 @@ def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarr
     """
     if ell < 0:
         raise VoltageError("negative power")
-    if b.shape[0] != b.shape[1]:
-        raise VoltageError("matrix size mismatch")
     primes = _primes_for(_row_norm(b) ** ell)
-    terms = _product_terms(b, primes, group)
-    r = b.shape[0]
-    out = _identity_residues(r, group, primes)
-    for _ in range(ell):
-        out = _residue_product(out, terms, r, primes)
-    return _from_residues(out.transpose(2, 3, 0, 1), primes)
+    power = collections.deque(_residue_powers(b, ell, primes, group), maxlen=1).pop()
+    return _from_residues(power.transpose(2, 3, 0, 1), primes)
 
 
 def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
@@ -313,16 +313,12 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
 
     Every trace coefficient lies within r ||b||^length.
     """
-    if b.shape[0] != b.shape[1]:
-        raise VoltageError("matrix size mismatch")
     r = b.shape[0]
     primes = _primes_for(r * _row_norm(b) ** length)
-    terms = _product_terms(b, primes, group)
     traces = np.zeros((len(primes), group.order, length), dtype=np.int64)
-    power = _identity_residues(r, group, primes)
     diag = np.arange(r)
-    for ell in range(length):
-        power = _residue_product(power, terms, r, primes)
+    powers = itertools.islice(_residue_powers(b, length, primes, group), 1, None)
+    for ell, power in enumerate(powers):
         # power[u, g, i, u] summed over u: r residues, each below 2^31
         traces[:, :, ell] = power[diag, :, :, diag].sum(axis=0).T % np.array(primes)[:, None]
     return _from_residues(traces, primes)

@@ -85,6 +85,25 @@ def test_charsum_refuses_a_mixed_character_table(capsys):
     assert "not a homomorphism" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_matrix_for_no_element(capsys):
+    # the CI fixture: dihedral:3's irreps, the sign irrep with one more
+    # matrix, under "bogus"
+    data = os.path.join(os.path.dirname(__file__), "data")
+    code = run(["validate", "--group", "dihedral:3",
+                "--irreps", os.path.join(data, "d3_irreps_bogus_element.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "voltlift: error: irrep 2: unknown element name 'bogus'\n"
+
+
+@pytest.mark.parametrize("spec", ["cyclic:3_0", "cyclic:+3", "cyclic: 3", "cyclic:\u0663"])
+def test_a_spec_number_is_ascii_digits(capsys, spec):
+    # int() reads each of these as 30 or 3; the CI loop runs them too
+    data = os.path.join(os.path.dirname(__file__), "data")
+    code = run(["spectrum", "--digraph", os.path.join(data, "loop_cyclic3.json"), "--group", spec])
+    assert code == 2
+    assert capsys.readouterr().err == f"voltlift: error: malformed group spec {spec!r}\n"
+
+
 def test_validate_refuses_a_mixed_degree_2_character_table(capsys):
     # the CI fixture: the degree-2 rows of dihedral:5 mixed with the linear
     # ones keep every norm n and the regular character, but a degree-2 row
@@ -795,3 +814,16 @@ def test_walks_output_at_max_order_has_the_indent_2_layout(capsys):
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["oracle_checked"] is False and len(doc["entries"]) == 16
+    # the lift has 8192 vertices, past the oracle's cap: the trivial
+    # character instead, each entry's coefficients summing to (A_base^8)[u][v]
+    with open(path) as f:
+        digraph = json.load(f)
+    index = {name: i for i, name in enumerate(digraph["vertices"])}
+    base = np.zeros((len(index), len(index)), dtype=object)
+    for arc in digraph["arcs"]:
+        base[index[arc["from"]], index[arc["to"]]] += 1
+    want = np.linalg.matrix_power(base, 8)
+    got = np.zeros_like(want)
+    for e in doc["entries"]:
+        got[index[e["from"]], index[e["to"]]] = sum(e["coeffs"].values())
+    assert (got == want).all() and want.sum() > 0

@@ -167,10 +167,9 @@ class TestBuiltinGroups:
 # (spec, its canonical family tag or the GroupError message)
 SPEC_GRAMMAR = [
     ("cyclic:007", "cyclic:7"),
-    (" cyclic:+5 ", "cyclic:5"),
-    ("cyclic:1_0", "cyclic:10"),
+    (" cyclic:5 ", "cyclic:5"),
     ("product: cyclic:2, dihedral:3", "product:cyclic:2,dihedral:3"),
-    ("cyclic:-3", "cyclic group order must be >= 1"),
+    ("cyclic:0", "cyclic group order must be >= 1"),
     ("dihedral:1", "dihedral parameter must be >= 2"),
     ("product:cyclic:2", "product spec needs at least two factors: 'product:cyclic:2'"),
     ("product:product:cyclic:2,cyclic:2,cyclic:3", "nested product specs are not supported"),
@@ -181,6 +180,18 @@ SPEC_GRAMMAR = [
     ("cyclic:", "malformed group spec 'cyclic:'"),
     ("cyclic:4:5", "malformed group spec 'cyclic:4:5'"),
     ("product:cyclic:2,,cyclic:3", "malformed group spec ''"),
+    # n is ASCII decimal digits, nothing else int() would read
+    ("cyclic:3_0", "malformed group spec 'cyclic:3_0'"),
+    ("dihedral:0_2", "malformed group spec 'dihedral:0_2'"),
+    ("cyclic:+3", "malformed group spec 'cyclic:+3'"),
+    ("cyclic: 3", "malformed group spec 'cyclic: 3'"),
+    ("cyclic:-3", "malformed group spec 'cyclic:-3'"),
+    ("cyclic:\u0663", "malformed group spec 'cyclic:\u0663'"),
+    ("product:cyclic:2,dihedral:+3", "malformed group spec 'dihedral:+3'"),
+    # past the interpreter's digit limit int() raises too
+    pytest.param("cyclic:" + "1" * 5000,
+                 "malformed group spec " + groups.short_repr("cyclic:" + "1" * 5000),
+                 id="5000-digit-n"),
 ]
 
 

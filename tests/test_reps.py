@@ -320,6 +320,15 @@ class TestLoadIrreps:
         with pytest.raises(RepresentationError, match="missing matrix"):
             vl.load_irreps(doc, d3)
 
+    @pytest.mark.parametrize("irrep", [0, 2])
+    def test_a_matrix_for_no_element_is_refused(self, d3, d3_irreps, irrep):
+        # every element has its matrix, and one more key names none
+        doc = irreps_to_doc(d3, d3_irreps)
+        doc[irrep]["matrices"]["bogus"] = doc[irrep]["matrices"]["r^1"]
+        with pytest.raises(RepresentationError) as info:
+            vl.load_irreps(doc, d3)
+        assert str(info.value) == f"irrep {irrep}: unknown element name 'bogus'"
+
     def test_wrong_count(self, d3, d3_irreps):
         doc = irreps_to_doc(d3, d3_irreps)
         with pytest.raises(RepresentationError, match="3 irreps"):

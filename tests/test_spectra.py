@@ -382,6 +382,23 @@ class TestCharsumMatchTol:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    @pytest.mark.parametrize("last, k", [(0, 32), (5e-10 + 10j, 31)])
+    def test_a_stack_of_equal_values_holds_no_implied_links(self, last, k):
+        # 4096 images of 31 zeros and one more value: every pair of zeros
+        # is within tol, 2 million pairs in all, but the 30 steps between
+        # them link them and the kernel stores no other link. A last value
+        # of 5e-10 + 10i is in every zero's window but links to none, so
+        # each zero stays a candidate to the end of its row
+        v = np.zeros((4096, 32), dtype=complex)
+        v[:, -1] = last
+        tracemalloc.start()
+        try:
+            assert spectra.charsum_match_tol({1: v}, 1e-9)[1] == k
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
     def test_equal_values_in_different_images_do_not_add_up(self):
         tol, k = spectra.charsum_match_tol({1: np.array([[1.0, 3.0], [1.0, 2.0]])}, 1e-9)
         assert k == 1

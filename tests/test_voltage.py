@@ -320,7 +320,7 @@ def largest_primes_below_2_31(k):
     return primes
 
 
-PRIMES = largest_primes_below_2_31(5)
+PRIMES = largest_primes_below_2_31(6)
 
 
 def obj(x):
@@ -345,11 +345,12 @@ class TestResidueArithmetic:
             assert voltage._primes_for((m + 1) // 2) == PRIMES[:k + 1]
         assert voltage._primes_for(0) == PRIMES[:1]
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_from_residues_at_the_ends_of_the_range(self, k):
-        # one or two primes take the int64 path, three the Python-int one;
-        # each returns Python ints, with both ends of |x| < M / 2 and the
-        # values next to 0 exact
+        # Horner's first step stays in int64, so one or two primes never
+        # leave it, and every later step runs in Python ints; each k returns
+        # Python ints, with both ends of |x| < M / 2 and the values next to
+        # 0 exact
         primes = PRIMES[:k]
         m = prod(primes)
         values = [-(m - 1) // 2, -1, 0, 1, (m - 1) // 2]
@@ -392,7 +393,7 @@ class TestResidueArithmetic:
         assert_exact(voltage.algebra_mul(a[0, 0], b[0, 0], g),
                      algebra_matmul_loop(a[:1, :1], b[:1, :1], g)[0, 0])
 
-    @pytest.mark.parametrize("c", [-1, -(2**70) - 1, PRIMES[-1] - 1])
+    @pytest.mark.parametrize("c", [-1, -(2**70) - 1, PRIMES[4] - 1])
     def test_column_of_residues_near_p_does_not_overflow(self, c):
         # -1 is p - 1 modulo every prime: unreduced, the 24 terms of
         # (p - 1)^2 in column 1 would sum to about 12 * 2^63; so would the
@@ -420,6 +421,21 @@ class TestResidueArithmetic:
                          algebra_matrix_power_loop(b, ell, g))
         assert_exact(voltage.algebra_trace_powers(b, 20, g),
                      algebra_trace_powers_loop(b, 20, g))
+
+    @pytest.mark.parametrize("case", ["k2star", "signed"])
+    def test_traces_are_the_traces_of_the_powers(self, d3, k2star, case):
+        # one power loop serves both: tr B^l from algebra_matrix_power is
+        # column l - 1 of algebra_trace_powers, at a bound of 3 or more primes
+        if case == "k2star":
+            b, length = vl.associated_matrix(k2star), 45
+        else:
+            rng = np.random.default_rng(3)
+            b, length = obj(rng.integers(-5, 6, size=(3, 3, d3.order)).tolist()), 30
+        assert len(voltage._primes_for(len(b) * voltage._row_norm(b) ** length)) >= 3
+        traces = voltage.algebra_trace_powers(b, length, d3)
+        for ell in range(1, length + 1):
+            power = vl.algebra_matrix_power(b, ell, d3)
+            assert_exact(traces[:, ell - 1], power[range(len(b)), range(len(b))].sum(axis=0))
 
     def test_digraph_without_arcs(self, d3):
         d = vl.make_voltage_digraph(d3, ["u", "v"], [])
