@@ -14,7 +14,7 @@ m = 12
 deltas = [1, 3, 8]
 
 group = vl.build_builtin_group(f"cyclic:{m}")
-digraph = vl.make_voltage_digraph(group, ["v"], [(0, 0, d) for d in deltas])
+digraph = vl.VoltageDigraph(group, ["v"], [(0, 0, d) for d in deltas])
 
 spectrum = vl.lift_spectrum_repr(digraph, vl.builtin_irreps(group))
 print(f"circulant on Z_{m} with connection set {deltas}")
@@ -33,7 +33,7 @@ print("agreement:", vl.spectra_equal(spectrum, expected, 1e-9))
 # roughly the square root of machine precision; clustering at 1e-6
 # collapses the smear back onto its (trace-accurate) mean
 group = vl.build_builtin_group("dihedral:4")
-digraph = vl.make_voltage_digraph(
+digraph = vl.VoltageDigraph(
     group, ["v"], [(0, 0, group.index_of("r^1")), (0, 0, group.index_of("r^0*s"))]
 )
 by_repr = vl.lift_spectrum_repr(digraph, vl.builtin_irreps(group), tol=1e-6)

@@ -14,7 +14,7 @@ import voltlift as vl
 
 group = vl.build_builtin_group("dihedral:3")
 irreps = vl.builtin_irreps(group)
-digraph = vl.make_voltage_digraph(
+digraph = vl.VoltageDigraph(
     group,
     ["u", "v", "w"],
     [(0, 1, 1), (1, 2, 4), (2, 0, 3), (0, 0, 0), (2, 1, 2)],
@@ -36,7 +36,7 @@ print(f"worst eigenpair residual: {worst:.2e}")
 d4 = vl.build_builtin_group("dihedral:4")
 d4_irreps = vl.builtin_irreps(d4)
 names = d4.element_names
-nilpotent = vl.make_voltage_digraph(
+nilpotent = vl.VoltageDigraph(
     d4, ["u"], [(0, 0, names.index("r^1")), (0, 0, names.index("r^1*s"))]
 )
 result = vl.lift_eigenvectors(nilpotent, d4_irreps)

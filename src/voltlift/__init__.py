@@ -21,7 +21,6 @@ from .reps import (
     character_table,
     load_character_table,
     load_irreps,
-    validate_character_table,
 )
 from .voltage import (
     VoltageDigraph,
@@ -30,7 +29,6 @@ from .voltage import (
     associated_matrix,
     build_lift,
     lift_to_json,
-    make_voltage_digraph,
     parse_voltage_digraph,
 )
 from .spectra import (

@@ -7,12 +7,11 @@ only used for I/O. The multiplication convention is ``mul[g][x] = g * x``
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import reprlib
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Optional, Sequence
 
@@ -30,7 +29,10 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its full multiplication table, proven when
+    made: GroupError unless the names are distinct and ``mul`` is a Latin
+    square with an identity, inverses and an associative product. A caller's
+    table is copied (frozen_here), and the other fields are derived from it.
 
     ``classes`` is the conjugacy-class partition, each class sorted, classes
     ordered by minimum element index with the identity's class first.
@@ -41,17 +43,53 @@ class GroupTable:
     :func:`build_builtin_group`, else ``None``.
     """
 
-    order: int
     element_names: tuple
     mul: np.ndarray
-    identity: int
-    inverse: tuple
-    classes: tuple
-    generators: tuple = ()
     family: Optional[str] = None
+    order: int = field(init=False)
+    identity: int = field(init=False)
+    inverse: tuple = field(init=False)
+    classes: tuple = field(init=False)
+    generators: tuple = field(init=False)
 
     def __post_init__(self):
-        self.mul.setflags(write=False)
+        names, mul = tuple(self.element_names), self.mul
+        n = len(names)
+        if n == 0:
+            raise GroupError("empty element list")
+        if n > MAX_ORDER:
+            raise GroupError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
+        if len(set(names)) != n:
+            raise GroupError("duplicate element names")
+        try:
+            table = np.asarray(mul)
+        except (TypeError, ValueError):  # ragged nesting
+            table = None
+        # integer dtypes only: floats would be truncated, ints past int64 come
+        # out as dtype object, and booleans mixed with ints as int64
+        if (
+            table is None
+            or table.dtype.kind not in "iu"
+            or (table.ndim == 2 and table is not mul and has_bool(mul, 2))
+        ):
+            raise GroupError("multiplication table must be a square array of integers")
+        if not frozen_here(table):  # a caller's table is copied
+            table = table.astype(np.int64)
+            table.setflags(write=False)
+        if table.shape != (n, n):
+            raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
+        if table.min() < 0 or table.max() >= n:
+            raise GroupError("table entry out of range")
+        _check_latin_square(table)
+        identity = _find_identity(table)
+        inverse = _find_inverses(table, identity)
+        generators = _generating_set(table, identity)
+        _check_associativity(table, generators)
+        classes = _conjugacy_partition(table, inverse, identity, generators)
+        for name, value in (("element_names", names), ("mul", table), ("order", n),
+                            ("identity", identity), ("inverse", inverse),
+                            ("classes", classes), ("generators", generators)):
+            object.__setattr__(self, name, value)
 
     def mul_idx(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -263,49 +301,10 @@ def _conjugacy_partition(
     return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]]) -> GroupTable:
-    """Build and fully validate an untagged GroupTable from names and a raw table."""
-    names = tuple(element_names)
-    n = len(names)
-    if n == 0:
-        raise GroupError("empty element list")
-    if n > MAX_ORDER:
-        raise GroupError(f"group order {n} exceeds supported maximum {MAX_ORDER}")
-    if len(set(names)) != n:
-        raise GroupError("duplicate element names")
-    try:
-        table = np.asarray(mul)
-    except (TypeError, ValueError):  # ragged nesting
-        table = None
-    # integer dtypes only: floats would be truncated, ints past int64 come
-    # out as dtype object, and booleans mixed with ints as int64
-    if (
-        table is None
-        or table.dtype.kind not in "iu"
-        or (table.ndim == 2 and table is not mul and has_bool(mul, 2))
-    ):
-        raise GroupError("multiplication table must be a square array of integers")
-    if not frozen_here(table):  # a caller's table is copied
-        table = table.astype(np.int64)
-    if table.shape != (n, n):
-        raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
-    if table.min() < 0 or table.max() >= n:
-        raise GroupError("table entry out of range")
-    _check_latin_square(table)
-    identity = _find_identity(table)
-    inverse = _find_inverses(table, identity)
-    generators = _generating_set(table, identity)
-    _check_associativity(table, generators)
-    classes = _conjugacy_partition(table, inverse, identity, generators)
-    return GroupTable(
-        order=n,
-        element_names=names,
-        mul=table,
-        identity=identity,
-        inverse=inverse,
-        classes=classes,
-        generators=generators,
-    )
+def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]],
+                     family: Optional[str] = None) -> GroupTable:
+    """The GroupTable of names and a raw table, proven when made (see GroupTable)."""
+    return GroupTable(element_names, mul, family)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def parse_builtin_spec(spec: str) -> list:
             factors += parse_builtin_spec(part)  # one factor: a part has no comma
         n = math.prod(_FAMILIES[kind][1] * m for kind, m in factors)
         if n > MAX_ORDER:
-            raise GroupError(f"product order {n} exceeds supported maximum {MAX_ORDER}")
+            raise GroupError(f"product order {short_repr(n)} exceeds supported maximum {MAX_ORDER}")
         return factors
     kind, _, arg = spec.partition(":")
     try:  # n is ASCII digits: int() alone takes "+3", " 3", "3_0" and other scripts' digits
@@ -371,7 +370,7 @@ def parse_builtin_spec(spec: str) -> list:
         raise GroupError(f"unknown group family {short_repr(kind)} in spec {short_repr(spec)}")
     _, per_m, least, too_small = _FAMILIES[kind]
     if per_m * m > MAX_ORDER:
-        raise GroupError(f"order {per_m * m} exceeds supported maximum {MAX_ORDER}")
+        raise GroupError(f"order {short_repr(per_m * m)} exceeds supported maximum {MAX_ORDER}")
     if m < least:
         raise GroupError(too_small)
     return [(kind, m)]
@@ -393,8 +392,8 @@ def build_builtin_group(spec: str) -> GroupTable:
             n = len(mul) * len(b)
             mul = (mul[:, None, :, None] * len(b) + b[None, :, None, :]).reshape(n, n)
         del tables, b  # only the product's table is kept while it is validated
-    # frozen here, so that make_group_table validates and keeps it uncopied
-    return dataclasses.replace(make_group_table(names, freeze(mul)), family=family)
+    # frozen here, so that the GroupTable proves and keeps it uncopied
+    return make_group_table(names, freeze(mul), family)
 
 
 def parse_group_table(doc) -> GroupTable:

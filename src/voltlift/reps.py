@@ -113,14 +113,13 @@ def _unwritable(a, what: str) -> np.ndarray:
 class CharacterTable:
     """Character values per element index, one row per irrep, held as an
     IrrepSet holds its stacks: ``rows`` is a read-only (nu, n) complex
-    array, copied unless the library froze it itself (_unwritable). When
-    made, the rows are checked to be finite, nu x n, with positive
-    integer degrees chi_i(e) whose squares sum to n, and put
-    in dimension-major order by a stable sort on degree, which copies
-    nothing when they are in order (character_table's always are); ``dims``,
-    the sorted degrees, is set then. validate_character_table checks that
-    the rows are irreducible characters; a table from an IrrepSet needs no
-    such check, its rows were proven when the set was made."""
+    array, copied unless the library froze it itself (_unwritable). It is
+    proven when made, as an IrrepSet is: the rows are checked to be finite,
+    nu x n, with positive integer degrees chi_i(e) whose squares sum to n,
+    and put in dimension-major order by a stable sort on degree, which
+    copies nothing when they are in order; ``dims``, the sorted degrees, is
+    set then; and _check_characters proves them the irreducible characters
+    of the group. Only character_table(s) skips that proof: s proved its rows."""
 
     group: GroupTable
     rows: np.ndarray  # shape (nu, n), complex
@@ -149,6 +148,7 @@ class CharacterTable:
             rows, degree = freeze(rows[np.argsort(degree, kind="stable")]), np.sort(degree)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dims", tuple(int(k) for k in degree))
+        _check_characters(self)
 
 
 def _reject_first(bad: np.ndarray, first: int, d: int, what: str) -> None:
@@ -232,8 +232,8 @@ def _check_stack_shape(d, stack, n: int) -> None:
 def validate_irrep_set(s) -> np.ndarray:
     """Assert every IrrepSet invariant on s's group, dims and stacks; return the rows.
 
-    Each stacks[d] must be a finite (K, n, d, d) array with K >= 1, and
-    dims their dimensions in order (see IrrepSet). The irreps of one
+    Each stacks[d], whose (K, n, d, d) shape IrrepSet has checked, must be
+    finite, and dims their dimensions in order (see IrrepSet). The irreps of one
     dimension are checked in blocks (_check_block), and
     the rows, snapped block by block, need no Gram product:
     <chi_i, chi_i> = n makes each row irreducible, and then, with nu rows
@@ -244,7 +244,6 @@ def validate_irrep_set(s) -> np.ndarray:
     group = s.group
     n, nu = group.order, len(group.classes)
     for d, stack in s.stacks.items():
-        _check_stack_shape(d, stack, n)
         # every comparison with nan is false, so no later check would see one
         if not np.isfinite(stack).all():
             raise RepresentationError(f"stack of dim {d}: holds a non-finite entry")
@@ -295,11 +294,15 @@ def _snap_integers(rows: np.ndarray) -> np.ndarray:
 
 def character_table(s: IrrepSet) -> CharacterTable:
     """Character table of an IrrepSet: rows[i][g] = trace of irrep i at g,
-    the rows that validating the set computed."""
-    return CharacterTable(group=s.group, rows=s.characters)
+    the rows that validating the set computed. They were proven then, so the
+    table is made without CharacterTable's checks, which would prove them again."""
+    t = object.__new__(CharacterTable)
+    for name, value in (("group", s.group), ("rows", s.characters), ("dims", s.dims)):
+        object.__setattr__(t, name, value)
+    return t
 
 
-def validate_character_table(t: CharacterTable) -> None:
+def _check_characters(t: CharacterTable) -> None:
     """Check that t's rows, whose shape, finiteness and degrees were
     checked when t was made, are the irreducible characters of its group:
     constant on classes; the degree-1 rows a stack of 1-dim irreps
@@ -494,7 +497,7 @@ def _is_list_of_lists(value) -> bool:
 
 
 def load_character_table(doc, g: GroupTable) -> CharacterTable:
-    """Load and validate a character table given per-class values.
+    """Load a character table given per-class values; it is proven when made.
 
     Document format: ``{"classes": [["e"], ["s", "r*s", ...], ...],
     "rows": [[[re, im], ...], ...]}`` with one value per class per row.
@@ -533,6 +536,4 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     rows = values[:, column]
     # put the trivial row first if it is elsewhere
     order = sorted(range(len(rows)), key=lambda i: not _is_trivial_row(rows[i]))
-    t = CharacterTable(group=g, rows=freeze(rows[order]))
-    validate_character_table(t)
-    return t
+    return CharacterTable(group=g, rows=freeze(rows[order]))

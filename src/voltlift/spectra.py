@@ -387,19 +387,19 @@ def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 1, 3, 2, 4).reshape(num, r * d, r * d)
 
 
-def _check_same_group(group: GroupTable, digraph_group: GroupTable, what: str) -> None:
-    """Irreps and characters must be those of the digraph's group: the same
-    multiplication table, not only the same order."""
-    if not (group is digraph_group or np.array_equal(group.mul, digraph_group.mul)):
+def _check_input(x, kind: type, d: VoltageDigraph, what: str) -> None:
+    """x must be a kind, proven when made, of d's group: the same table, not only its order."""
+    if not isinstance(x, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise RepresentationError(f"expected {article} {kind.__name__}, got {type(x).__name__}")
+    if not (x.group is d.group or np.array_equal(x.group.mul, d.group.mul)):
         raise SpectrumError(f"{what} and digraph use different groups")
 
 
 def _irrep_images(d: VoltageDigraph, s: IrrepSet):
     """Every irrep route's prologue: check that s is an IrrepSet (so valid)
     of d's group, build B once, and yield (dim, first irrep, images) per stack."""
-    if not isinstance(s, IrrepSet):
-        raise RepresentationError(f"expected an IrrepSet, got {type(s).__name__}")
-    _check_same_group(s.group, d.group, "irrep set")
+    _check_input(s, IrrepSet, d, "irrep set")
     b = associated_matrix(d)
     for dim, stack in s.stacks.items():
         yield dim, s.dims.index(dim), rho_matrix(b, stack)
@@ -578,12 +578,12 @@ def lift_spectrum_charsum(
     Character row i gives the power sums chi_i(tr B^l), l = 1..r*d_i, of
     the eigenvalues of the image of B under the i-th irrep. The rows of one
     degree d_i are solved together by roots_from_power_sums, and the roots
-    are assembled as in the repr route, each entered d_i times. A table's
-    shape and degrees are checked when it is made, and its rows are in
+    are assembled as in the repr route, each entered d_i times. A table is
+    proven when it is made, and its rows are in
     dimension-major order (see CharacterTable), so each degree's rows are
     one slice and the spectrum has r * sum d_i^2 = r * n values.
     """
-    _check_same_group(t.group, d.group, "character table")
+    _check_input(t, CharacterTable, d, "character table")
     tol = _checked_cluster_tol(d, tol)
     r = d.order
     dims = t.dims
@@ -622,7 +622,7 @@ def verify(
     """
     tol = _checked_cluster_tol(d, tol)
     if t is not None:  # even when charsum does not run
-        _check_same_group(t.group, d.group, "character table")
+        _check_input(t, CharacterTable, d, "character table")
     per_irrep = irrep_eigenvalues(d, s)
     by_repr = spectrum_from_irrep_eigenvalues(per_irrep, tol)
     by_brute = lift_spectrum_bruteforce(d, tol)

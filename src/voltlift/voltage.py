@@ -15,7 +15,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,9 @@ class VoltageError(ValueError):
 
 @dataclass(frozen=True)
 class VoltageDigraph:
-    """A base multidigraph with an arc-indexed voltage assignment.
+    """A base multidigraph with an arc-indexed voltage assignment, proven when
+    made: VoltageError unless the vertex names are distinct and each arc is
+    three integers (tail, head, voltage element) in range, held as Python ints.
 
     Loops and repeated (tail, head, voltage) triples are allowed; repeats
     are genuine parallel arcs, never deduplicated.
@@ -37,6 +38,29 @@ class VoltageDigraph:
     group: GroupTable
     vertices: tuple
     arcs: tuple  # of (tail index, head index, voltage element index)
+
+    def __post_init__(self):
+        vertices, group = tuple(self.vertices), self.group
+        if not vertices:
+            raise VoltageError("vertex list is empty")
+        if len(set(vertices)) != len(vertices):
+            raise VoltageError("duplicate vertex names")
+        r = len(vertices)
+        checked = []
+        for arc in self.arcs:  # integers only: int() would truncate a float and take a bool
+            entries = tuple(arc) if isinstance(arc, (tuple, list, np.ndarray)) else ()
+            if len(entries) != 3 or bool in map(type, entries) or not all(
+                    isinstance(e, (int, np.integer)) for e in entries):
+                raise VoltageError(
+                    f"arc {short_repr(arc)} is not three integers (tail, head, voltage)")
+            u, v, x = entries
+            if not (0 <= u < r and 0 <= v < r):
+                raise VoltageError(f"arc endpoint out of range: ({u}, {v})")
+            if not (0 <= x < group.order):
+                raise VoltageError(f"voltage index out of range: {x}")
+            checked.append((int(u), int(v), int(x)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arcs", tuple(checked))
 
     @property
     def order(self) -> int:
@@ -52,28 +76,6 @@ class VoltageDigraph:
 def _arc_array(d: VoltageDigraph) -> np.ndarray:
     """The arcs as an (|arcs|, 3) int64 array of (tail, head, voltage)."""
     return np.array(d.arcs, dtype=np.int64).reshape(-1, 3)
-
-
-def make_voltage_digraph(group: GroupTable, vertices: Sequence[str], arcs) -> VoltageDigraph:
-    vertices = tuple(vertices)
-    if not vertices:
-        raise VoltageError("vertex list is empty")
-    if len(set(vertices)) != len(vertices):
-        raise VoltageError("duplicate vertex names")
-    r = len(vertices)
-    checked = []
-    for arc in arcs:  # integers only: int() would truncate a float and take a bool
-        entries = tuple(arc) if isinstance(arc, (tuple, list, np.ndarray)) else ()
-        if len(entries) != 3 or bool in map(type, entries) or not all(
-                isinstance(e, (int, np.integer)) for e in entries):
-            raise VoltageError(f"arc {short_repr(arc)} is not three integers (tail, head, voltage)")
-        u, v, x = entries
-        if not (0 <= u < r and 0 <= v < r):
-            raise VoltageError(f"arc endpoint out of range: ({u}, {v})")
-        if not (0 <= x < group.order):
-            raise VoltageError(f"voltage index out of range: {x}")
-        checked.append((int(u), int(v), int(x)))
-    return VoltageDigraph(group=group, vertices=vertices, arcs=tuple(checked))
 
 
 def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
@@ -111,7 +113,7 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
                     f"unknown {what} {short_repr(arc[key])} in arc {short_repr(arc)}"
                 )
         arcs.append((vindex[arc["from"]], vindex[arc["to"]], eindex[arc["voltage"]]))
-    return make_voltage_digraph(group, vertices, arcs)
+    return VoltageDigraph(group, vertices, arcs)
 
 
 # ---------------------------------------------------------------------------

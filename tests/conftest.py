@@ -28,6 +28,7 @@ HUGE_INPUTS = {
         {"from": "a", "to": "a", "voltage": json.loads("[" * 900 + "]" * 900)}]}),
     "class-name": ("chars", {"classes": [[LONG_NAME]], "rows": [[[1, 0]]]}),
     "group-spec": ("group", LONG_NAME),
+    "group-spec-number": ("group", "cyclic:" + "1" * 4000),
 }
 
 
@@ -105,7 +106,7 @@ def random_voltage_digraph(rng, group, max_vertices=6, max_arcs=20):
         for _ in range(n_arcs)
     ]
     names = [f"v{i}" for i in range(r)]
-    return vl.make_voltage_digraph(group, names, arcs)
+    return vl.VoltageDigraph(group, names, arcs)
 
 
 def random_voltage_graph(rng, group, max_vertices=6, max_edges=12):
@@ -123,7 +124,7 @@ def random_voltage_graph(rng, group, max_vertices=6, max_edges=12):
         x = int(rng.integers(group.order))
         x_inv = int(group.inverse[x])
         arcs += [(u, v, x)] if (u, v, x) == (v, u, x_inv) else [(u, v, x), (v, u, x_inv)]
-    return vl.make_voltage_digraph(group, [f"v{i}" for i in range(r)], arcs)
+    return vl.VoltageDigraph(group, [f"v{i}" for i in range(r)], arcs)
 
 
 def symmetric_lift(d):

@@ -152,7 +152,7 @@ def test_criterion_7_cayley_circulant_closed_form():
         k = int(rng.integers(1, min(m, 8) + 1))
         deltas = [int(x) for x in rng.integers(0, m, size=k)]
         g = vl.build_builtin_group(f"cyclic:{m}")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, x) for x in deltas])
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, x) for x in deltas])
         spectrum = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-10)
         closed_form = [
             complex(np.sum(np.exp(2j * np.pi * kk * np.asarray(deltas) / m)))

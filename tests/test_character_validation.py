@@ -1,14 +1,15 @@
 """Character-table validation against the full-Gram oracle.
 
 A CharacterTable checks its rows' shape, finiteness and degrees when it is
-made, and puts them in dimension-major order. validate_character_table
-then needs no nu x nu Gram product on success: the degree-1 rows are
-checked as 1-dim irreps, the trivial row and the regular character as for
-an IrrepSet, and only the rows of degree 2 or more against every row, over
-class representatives. The tables below show what each part catches that
-the irrep shortcut alone would not, and that the check accepts exactly the
-tables validate_character_table_gram accepts, bar a table at the edge of
-the tolerances, which the regular-character test alone refuses.
+made, puts them in dimension-major order, and then proves them the
+irreducible characters with no nu x nu Gram product on success: the
+degree-1 rows are checked as 1-dim irreps, the trivial row and the
+regular character as for an IrrepSet, and only the rows of degree 2 or
+more against every row, over class representatives. The tables below
+show what each part catches that the irrep shortcut alone would not, and
+that construction accepts exactly the tables
+validate_character_table_gram accepts, bar a table at the edge of the
+tolerances, which the regular-character test alone refuses.
 """
 
 import json
@@ -84,7 +85,7 @@ BAD_TABLES = {
 
 def library_accepts(g, rows) -> bool:
     try:
-        vl.validate_character_table(vl.CharacterTable(g, rows))
+        vl.CharacterTable(g, rows)
     except RepresentationError:
         return False
     return True
@@ -143,7 +144,7 @@ def test_the_regular_character_test_is_stricter_than_the_gram_product():
     assert oracle_accepts(g, rows)
     with pytest.raises(RepresentationError, match=re.escape(
             "character rows violate orthogonality: sum of dim * chi is not the regular character")):
-        vl.validate_character_table(vl.CharacterTable(g, rows))
+        vl.CharacterTable(g, rows)
 
 
 def test_a_first_row_that_is_not_trivial_is_refused():
@@ -155,17 +156,19 @@ def test_a_first_row_that_is_not_trivial_is_refused():
     sign = D3_ROWS[1]
     rows = np.array([sign, sign, 3 * (np.arange(D3.order) == D3.identity) - sign])
     with pytest.raises(RepresentationError, match="first character row is not the trivial character"):
-        vl.validate_character_table(vl.CharacterTable(D3, rows))
+        vl.CharacterTable(D3, rows)
     assert not oracle_accepts(D3, rows)
 
 
 def test_a_duplicated_degree_1_row_is_refused():
-    # the higher rows are orthogonal to both copies; the regular character
-    # test fails, and the Gram product names the pair
+    # the rows pass the shape and degree checks (the first three degrees
+    # are 1), but the higher rows are orthogonal to both copies; the
+    # regular character test fails, and the Gram product names the pair,
+    # when the table is made
     g, rows = duplicated_linear_row()
-    assert vl.CharacterTable(g, rows).dims[:3] == (1, 1, 1)
+    assert np.array_equal(rows[:3, g.identity], [1, 1, 1])
     with pytest.raises(RepresentationError, match=r"character rows 1 and 2 violate orthogonality"):
-        vl.validate_character_table(vl.CharacterTable(g, rows))
+        vl.CharacterTable(g, rows)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
@@ -189,7 +192,6 @@ def test_nested_list_rows_are_accepted_or_refused_cleanly(rows, accepted):
     # a list has no setflags: it is read as an array, never an AttributeError
     if accepted:
         t = vl.CharacterTable(D3, rows)
-        vl.validate_character_table(t)
         assert np.array_equal(t.rows, D3_ROWS) and not t.rows.flags.writeable
     else:
         with pytest.raises(RepresentationError):
@@ -231,8 +233,7 @@ def test_rows_out_of_degree_order_come_back_dimension_major():
     t = vl.CharacterTable(g, given)
     assert t.dims == s.dims
     assert np.array_equal(t.rows, given[np.argsort(np.asarray(s.dims)[order], kind="stable")])
-    vl.validate_character_table(t)
-    d = vl.make_voltage_digraph(g, ["u", "v"], [(0, 1, 1), (1, 0, 5), (1, 1, 7), (0, 0, 2)])
+    d = vl.VoltageDigraph(g, ["u", "v"], [(0, 1, 1), (1, 0, 5), (1, 1, 7), (0, 0, 2)])
     want = vl.lift_spectrum_charsum(d, vl.character_table(s), 1e-8)
     got = vl.lift_spectrum_charsum(d, t, 1e-8)
     assert got.total == want.total == d.order * g.order
@@ -244,11 +245,11 @@ def test_success_forms_no_gram_product(spec, monkeypatch):
     # one (nu - linear) x nu product over classes for the higher rows, none
     # for an abelian group; the nu x nu Gram product only names a failure
     g = vl.build_builtin_group(spec)
-    t = vl.character_table(vl.builtin_irreps(g))
+    s = vl.builtin_irreps(g)
     shapes = []
     monkeypatch.setattr(reps, "_check_orthogonality",
                         lambda gram, first, n: shapes.append((gram.shape, first)))
-    vl.validate_character_table(t)
+    t = vl.CharacterTable(g, s.characters)
     linear = t.dims.count(1)
     nu = len(t.dims)
     assert shapes == ([((nu - linear, nu), linear)] if linear < nu else [])
@@ -275,4 +276,4 @@ def test_class_constancy_names_the_first_row_and_class_in_row_major_order(
     cls = next(c for c in g.classes if later[k] in c)
     assert (i, cls) == (8, g.classes[2])
     with pytest.raises(RepresentationError, match=re.escape(f"row 8 is not constant on class {cls}")):
-        vl.validate_character_table(vl.CharacterTable(g, rows))
+        vl.CharacterTable(g, rows)

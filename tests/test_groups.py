@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -506,6 +507,36 @@ class TestMakeGroupTableRefusals:
     def test_index_of_an_unknown_name(self, d3):
         with pytest.raises(GroupError, match="unknown element name 'x'"):
             d3.index_of("x")
+
+
+class TestGroupTableConstructor:
+    """A GroupTable proves itself when made: no table can reach a route unproven."""
+
+    @pytest.mark.parametrize("mul, message", [
+        ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], r"not a Latin square \(bad column\)"),
+        ([[0, 1, 2], [1, 0, 2], [2, 2, 0]], r"not a Latin square \(bad row\)"),
+        # a Latin square with identity 0 and two-sided inverses
+        ([[int(c) for c in row] for row in ["01234", "10342", "24013", "32401", "43120"]],
+         "associativity fails at"),
+    ])
+    def test_a_table_that_is_no_group_is_refused(self, mul, message):
+        with pytest.raises(GroupError, match=message):
+            vl.GroupTable([f"x{i}" for i in range(len(mul))], mul)
+
+    def test_the_derived_fields_are_no_arguments(self):
+        # order, identity, inverse, classes and generators come from the table
+        with pytest.raises(TypeError, match="order"):
+            vl.GroupTable(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], order=3)
+        init = [f.name for f in dataclasses.fields(vl.GroupTable) if f.init]
+        assert init == ["element_names", "mul", "family"]
+
+    def test_the_constructor_derives_the_other_fields(self):
+        g = vl.GroupTable(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        h = make_group_table(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "cyclic:3")
+        assert (g.order, g.identity, g.inverse, g.generators) == (3, 0, (0, 2, 1), (1,))
+        assert g.classes == h.classes == ((0,), (1,), (2,))
+        assert g.family is None and h.family == "cyclic:3" == vl.build_builtin_group("cyclic:3").family
+        assert not g.mul.flags.writeable
 
 
 class TestConjugacyClasses:

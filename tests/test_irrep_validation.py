@@ -5,7 +5,9 @@ dimensions, so only the homomorphism, identity, norm or regular-character
 test can reject it; each test pins the message that names what failed. An
 IrrepSet validates itself when made, so the perturbed stacks reach the
 validators in a plain holder of group, dims and stacks, and the IrrepSet
-constructor is checked on its own to raise the same message.
+constructor is checked on its own to raise the same message. The
+constructor checks the stacks' shapes before it calls validate_irrep_set,
+so a holder for validate_irrep_set has its shapes checked first (shaped).
 """
 
 import dataclasses
@@ -79,6 +81,14 @@ def holder(s, stacks):
     return SimpleNamespace(group=s.group, dims=s.dims, stacks=stacks)
 
 
+def shaped(s, stacks):
+    """holder(s, stacks) after the shape check that IrrepSet runs before it
+    calls validate_irrep_set, which takes the shapes as checked."""
+    for d, stack in stacks.items():
+        reps._check_stack_shape(d, stack, s.group.order)
+    return holder(s, stacks)
+
+
 # (perturbation, message the blocked validator gives): the regular-character
 # test rejects a duplicate, the norm test a reducible row; the shape check
 # rejects a stack whose irreps are one matrix short, and the finiteness
@@ -110,7 +120,7 @@ def small_blocks(monkeypatch):
 def test_perturbed_set_rejected(small_blocks, name):
     make, message = PERTURBED[name]
     with pytest.raises(RepresentationError, match=message):
-        reps.validate_irrep_set(holder(*make()))
+        reps.validate_irrep_set(shaped(*make()))
 
 
 @pytest.mark.parametrize("name", PERTURBED)
@@ -140,7 +150,7 @@ def test_constructor_rejects_a_misshapen_irrep(shape):
     with pytest.raises(RepresentationError, match=re.escape(message)):
         vl.IrrepSet(D8, stacks)
     with pytest.raises(RepresentationError, match=re.escape(message)):
-        reps.validate_irrep_set(holder(D8_IRREPS, stacks))
+        reps.validate_irrep_set(shaped(D8_IRREPS, stacks))
 
 
 @pytest.mark.parametrize("key", [3, 0])
@@ -190,7 +200,7 @@ def test_orders_the_stacks_by_their_dimension_and_derives_dims():
 # one vertex with loops r and r^2 over dihedral:3: spectrum 2^2, -1^4
 D3 = vl.build_builtin_group("dihedral:3")
 D3_IRREPS = vl.builtin_irreps(D3)
-LOOPS = vl.make_voltage_digraph(D3, ["v"], [(0, 0, D3.index_of("r^1")), (0, 0, D3.index_of("r^2"))])
+LOOPS = vl.VoltageDigraph(D3, ["v"], [(0, 0, D3.index_of("r^1")), (0, 0, D3.index_of("r^2"))])
 
 
 @pytest.mark.parametrize("read_only_view", [False, True])
@@ -245,8 +255,10 @@ def test_loaded_and_reused_stacks_are_not_copied(d3, d3_irreps, monkeypatch):
     kept = _kept_as_given(monkeypatch)
     s = vl.load_irreps(irreps_to_doc(d3, d3_irreps), d3)
     again = vl.IrrepSet(d3, s.stacks)
-    vl.character_table(again)
-    assert kept == [True] * (2 * len(s.stacks) + 1)
+    # character_table takes the set's proven rows as they are, with no
+    # _unwritable of its own
+    assert vl.character_table(again).rows is again.characters
+    assert kept == [True] * (2 * len(s.stacks))
     assert all(again.stacks[d] is s.stacks[d] for d in s.stacks)
 
 

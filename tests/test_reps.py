@@ -99,8 +99,7 @@ class TestBuiltinIrreps:
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         reps.validate_irrep_set(s)  # homomorphism, zero-sum, orthogonality
-        t = vl.character_table(s)
-        vl.validate_character_table(t)
+        vl.CharacterTable(g, vl.character_table(s).rows)  # proves the rows
         assert len(s.dims) == len(g.classes)
         assert sum(d * d for d in s.dims) == g.order
 
@@ -136,9 +135,10 @@ class TestBuiltinIrreps:
                 module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
         spy(groups, "make_group_table")
+        spy(groups, "_check_associativity")  # the table's proof, in GroupTable
         spy(reps, "validate_irrep_set")
         vl.builtin_irreps(vl.build_builtin_group(spec))
-        assert sorted(calls) == ["make_group_table", "validate_irrep_set"]
+        assert sorted(calls) == ["_check_associativity", "make_group_table", "validate_irrep_set"]
 
     def test_a_perturbed_factor_irrep_breaks_the_product(self, monkeypatch):
         # a 2-dim irrep of the dihedral:8 factor off at r^3, which is no
@@ -216,7 +216,7 @@ class TestCharacterTable:
         rows = np.array(vl.character_table(d3_irreps).rows)
         rows[1, d3.index_of("r^2*s")] += 1e-6
         with pytest.raises(RepresentationError, match="not constant on class"):
-            vl.validate_character_table(vl.CharacterTable(group=d3, rows=rows))
+            vl.CharacterTable(group=d3, rows=rows)
 
     def test_perturbed_columns_fail_the_row_relation(self, d3, d3_irreps):
         # a table that breaks the column relation X*X = I breaks the row
@@ -225,7 +225,7 @@ class TestCharacterTable:
         rows[2, [d3.index_of("r^1"), d3.index_of("r^2")]] = -1.5
         message = "character rows 2 and 2 violate orthogonality"
         with pytest.raises(RepresentationError, match=message):
-            vl.validate_character_table(vl.CharacterTable(group=d3, rows=rows))
+            vl.CharacterTable(group=d3, rows=rows)
 
 
 class TestLoadIrreps:
@@ -408,7 +408,7 @@ class TestLoadCharacterTable:
         rows = np.array(vl.builtin_irreps(g).characters)
         rows[7, 3] *= -1
         with pytest.raises(RepresentationError, match=r"irrep 7 \(dim 1\): not a homomorphism"):
-            vl.validate_character_table(vl.CharacterTable(group=g, rows=rows))
+            vl.CharacterTable(group=g, rows=rows)
 
     def test_non_integer_identity_value(self, d3):
         doc = self.d3_doc(d3)
@@ -541,7 +541,7 @@ class TestConjugates:
         entry[1] = float(np.nextafter(entry[1], np.inf))
         s = vl.load_irreps(doc, g)
         assert s.conjugates.tolist() == [0, 1, 3, 2, 4]
-        d = vl.make_voltage_digraph(g, ["u", "v"], [(0, 1, 1), (1, 0, 2), (1, 1, 1), (0, 0, 3)])
+        d = vl.VoltageDigraph(g, ["u", "v"], [(0, 1, 1), (1, 0, 2), (1, 1, 1), (0, 0, 3)])
         solved = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda m: solved.append(m) or eigvals(m))

@@ -52,7 +52,7 @@ def reverse_completed(d):
     whose lift is undirected."""
     inverse = d.group.inverse
     arcs = d.arcs + tuple((v, u, int(inverse[x])) for u, v, x in d.arcs)
-    return vl.make_voltage_digraph(d.group, d.vertices, arcs)
+    return vl.VoltageDigraph(d.group, d.vertices, arcs)
 
 
 def power_sums_of(roots, length):
@@ -530,14 +530,14 @@ class TestSpectrumRoutes:
 
     def test_cayley_z4_cycle(self):
         g = vl.build_builtin_group("cyclic:4")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, 1)])
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1)])
         sp = vl.lift_spectrum_bruteforce(d, 1e-9)
         expected = cluster_spectrum([1, 1j, -1, -1j], 1e-9)
         assert vl.spectra_equal(sp, expected, 1e-9).matched
 
     def test_bruteforce_size_cap(self, monkeypatch):
         g = vl.build_builtin_group("cyclic:8")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, 1)])
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1)])
         monkeypatch.setattr(spectra, "BRUTEFORCE_MAX_ORDER", 4)
         with pytest.raises(SpectrumError, match="cap"):
             vl.lift_spectrum_bruteforce(d, 1e-9)
@@ -556,7 +556,7 @@ class TestSpectrumRoutes:
     def test_charsum_refuses_a_degree_past_the_hard_cap(self):
         # 17 vertices times the 2-dim irrep of dihedral:3: degree 34 > 32
         g = vl.build_builtin_group("dihedral:3")
-        d = vl.make_voltage_digraph(g, [f"v{i}" for i in range(17)], [(0, 1, 0)])
+        d = vl.VoltageDigraph(g, [f"v{i}" for i in range(17)], [(0, 1, 0)])
         with pytest.raises(SpectrumError, match=re.escape(
                 f"power-sum degree 34 exceeds conditioning cap {spectra.CHARSUM_HARD_CAP}")):
             vl.lift_spectrum_charsum(d, vl.character_table(vl.builtin_irreps(g)))
@@ -682,7 +682,7 @@ class TestSpectrumRoutes:
         g = vl.build_builtin_group("dihedral:4")
         rng = np.random.default_rng(8)
         d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10))
-        d = vl.make_voltage_digraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
+        d = vl.VoltageDigraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
         rn = d.order * g.order
         by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
         assert [(name, a.shape) for name, a in called] == [("eigvalsh", (rn, rn))]
@@ -698,7 +698,7 @@ class TestSpectrumRoutes:
         pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
         arcs = [(*pairs[i], int(rng.integers(g.order)))
                 for i in rng.integers(len(pairs), size=18)]
-        d = vl.make_voltage_digraph(g, [f"v{i}" for i in range(6)], arcs)
+        d = vl.VoltageDigraph(g, [f"v{i}" for i in range(6)], arcs)
         sp = vl.lift_spectrum_repr(d, vl.builtin_irreps(g))
         assert sp.entries == ((0, 1536),)
 
@@ -719,9 +719,9 @@ class TestSpectrumRoutes:
         # disjoint edges, bipartite
         d3 = k2star.group
         r1, r2 = d3.element_names.index("r^1"), d3.element_names.index("r^2")
-        triangle = vl.make_voltage_digraph(d3, ["a", "b", "c"], [
+        triangle = vl.VoltageDigraph(d3, ["a", "b", "c"], [
             (0, 1, r1), (1, 0, r2), (1, 2, r1), (2, 1, r2), (2, 0, 0), (0, 2, 0)])
-        edge = vl.make_voltage_digraph(d3, ["a", "b"], [(0, 1, r1), (1, 0, r2)])
+        edge = vl.VoltageDigraph(d3, ["a", "b"], [(0, 1, r1), (1, 0, r2)])
         assert not symmetric_lift(k2star) and symmetric_lift(triangle) and symmetric_lift(edge)
         call = {
             "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, 1e-7),
@@ -778,7 +778,7 @@ class TestSpectrumRoutes:
         assert check(k2star, None) == 1e-9 * (1 + int(k2star.in_degrees().max()))
         assert check(k2star, 5.99) == 5.99
         # with no arcs the only eigenvalue is 0, so any tolerance is harmless
-        no_arcs = vl.make_voltage_digraph(d3, ["u"], [])
+        no_arcs = vl.VoltageDigraph(d3, ["u"], [])
         assert check(no_arcs, 1e3) == 1e3
         for d, tol in [(k2star, 6), (k2star, 6.01), (no_arcs, 0.0), (k2star, 0.0),
                        (k2star, np.nan)]:
@@ -802,7 +802,7 @@ class TestSpectrumRoutes:
         # a directed r-cycle over cyclic:6 with dihedral:3's table: at r = 17,
         # r * max(dim) = 34 is past CHARSUM_HARD_CAP and charsum does not run
         g = vl.build_builtin_group("cyclic:6")
-        d = vl.make_voltage_digraph(
+        d = vl.VoltageDigraph(
             g, [f"v{i}" for i in range(r)], [(i, (i + 1) % r, 1) for i in range(r)])
         t = vl.character_table(vl.builtin_irreps(vl.build_builtin_group("dihedral:3")))
         with pytest.raises(SpectrumError, match="different groups"):
@@ -827,6 +827,23 @@ class TestSpectrumRoutes:
         }[route]
         with pytest.raises(vl.RepresentationError, match=message):
             run(k2star, holder)
+
+    @pytest.mark.parametrize("route", ["charsum", "verify"])
+    @pytest.mark.parametrize("table", ["irrep set", "holder"])
+    def test_a_table_that_is_no_character_table_raises_on_every_character_route(
+            self, route, table, k2star, d3_irreps):
+        # an IrrepSet has a group and dims but no rows; a plain holder of a
+        # table's fields was never proven. Each is refused as a table, not
+        # read until an AttributeError
+        t = vl.character_table(d3_irreps)
+        given = {"irrep set": d3_irreps,
+                 "holder": SimpleNamespace(group=t.group, rows=t.rows, dims=t.dims)}[table]
+        run = {"charsum": lambda: vl.lift_spectrum_charsum(k2star, given),
+               "verify": lambda: vl.verify(k2star, d3_irreps, given)}[route]
+        name = type(given).__name__
+        with pytest.raises(vl.RepresentationError,
+                           match=f"expected a CharacterTable, got {name}"):
+            run()
 
     def test_irreps_of_a_rebuilt_equal_group_are_accepted(self, k2star, d3):
         g = vl.build_builtin_group("dihedral:3")
@@ -885,7 +902,7 @@ class TestBruteforceComponents:
         # is four 12-cycles, one per coset, each bipartite with sides of 6,
         # and C holds the four 6 x 6 blocks
         g = vl.build_builtin_group("cyclic:12")
-        d = reverse_completed(vl.make_voltage_digraph(
+        d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d"], [(0, 1, 4), (1, 2, 0), (2, 3, 8), (3, 0, 8)]))
         vals, calls = self.solve(d, monkeypatch)
         assert calls == [("svd", (24, 24))]
@@ -897,7 +914,7 @@ class TestBruteforceComponents:
         # a path a - b - c lifts to n paths, each with sides {a, c} and {b}:
         # eigenvalues +sqrt 2 and -sqrt 2, and |2 - 1| = 1 zero, per copy
         g = vl.build_builtin_group("cyclic:3")
-        d = reverse_completed(vl.make_voltage_digraph(
+        d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c"], [(0, 1, 1), (1, 2, 2)]))
         vals, calls = self.solve(d, monkeypatch)
         assert calls == [("svd", (6, 3))]
@@ -909,7 +926,7 @@ class TestBruteforceComponents:
         # 2 x 1 blocks and three 1 x 1 blocks, so it is 9 x 6, and the
         # lift adds 3 zeros to the singular values' +sigma and -sigma
         g = vl.build_builtin_group("cyclic:3")
-        d = reverse_completed(vl.make_voltage_digraph(
+        d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (1, 2, 2), (3, 4, 1)]))
         vals, calls = self.solve(d, monkeypatch)
         assert calls == [("svd", (9, 6))]
@@ -920,7 +937,7 @@ class TestBruteforceComponents:
         # over cyclic:3, the edge lifts to three disjoint edges and the
         # triangle, of net voltage 1, to one 9-cycle, not bipartite
         g = vl.build_builtin_group("cyclic:3")
-        d = reverse_completed(vl.make_voltage_digraph(
+        d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (2, 3, 1), (3, 4, 0), (4, 2, 0)]))
         vals, calls = self.solve(d, monkeypatch)
         assert calls == [("eigvalsh", (15, 15))]
@@ -931,7 +948,7 @@ class TestBruteforceComponents:
         # every lift vertex is a component of its own, bipartite with an
         # empty second side: C is 12 x 0
         g = vl.build_builtin_group("cyclic:4")
-        d = vl.make_voltage_digraph(g, ["a", "b", "c"], [])
+        d = vl.VoltageDigraph(g, ["a", "b", "c"], [])
         vals, calls = self.solve(d, monkeypatch)
         assert calls == [("svd", (12, 0))]
         assert vals.tolist() == [0.0] * 12
@@ -1053,8 +1070,8 @@ class TestSolverChoice:
             x = int(rng.integers(g.order))
             arcs += [(u, v, x), (v, u, int(g.inverse[x]))]
         names = [f"v{i}" for i in range(8)]
-        assert symmetric_lift(vl.make_voltage_digraph(g, names, arcs))
-        d = vl.make_voltage_digraph(g, names, arcs[:-1])
+        assert symmetric_lift(vl.VoltageDigraph(g, names, arcs))
+        d = vl.VoltageDigraph(g, names, arcs[:-1])
         assert not symmetric_lift(d)
         by_values, by_vectors, _ = self.solve_both_routes(d, s, solver_calls)
         assert sorted(by_values) == self.per_dimension(s, d, "eigvals")
@@ -1101,7 +1118,7 @@ class TestSolverChoice:
             d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=10)
             if t % 2:
                 arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
-                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+                d = vl.VoltageDigraph(g, d.vertices, arcs)
             tol = spectra._checked_cluster_tol(d, None)
             values = vl.irrep_eigenvalues(d, s)
             vectors = vl.lift_eigenvectors(d, s)
@@ -1136,7 +1153,7 @@ class TestPowerSums:
 
     def test_trivial_group_traces(self):
         g = vl.build_builtin_group("cyclic:1")
-        d = vl.make_voltage_digraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 0, 0)])
+        d = vl.VoltageDigraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 0, 0)])
         b = vl.associated_matrix(d)
         adj = np.array([[1.0, 1.0], [1.0, 0.0]])
         ps = vl.power_sums_from_characters(b, np.ones(1), 2, g)
@@ -1327,7 +1344,7 @@ class TestLiftEigenvectors:
             if t % 2:
                 # every arc gets its reverse with the inverse voltage
                 arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
-                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+                d = vl.VoltageDigraph(g, d.vertices, arcs)
             self.assert_matches_loop(d, s)
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
@@ -1376,7 +1393,7 @@ class TestLiftEigenvectors:
             d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=12)
             if t % 2:
                 arcs = d.arcs + tuple((v, u, int(g.inverse[x])) for u, v, x in d.arcs)
-                d = vl.make_voltage_digraph(g, d.vertices, arcs)
+                d = vl.VoltageDigraph(g, d.vertices, arcs)
             result = vl.lift_eigenvectors(d, s)
             assert result.zero_vectors_excluded == 0
             dims = self.pair_dims(d, s, result)
@@ -1428,7 +1445,7 @@ class TestLiftEigenvectors:
         # coordinate, so every eigenvector matrix is singular
         g = vl.build_builtin_group("dihedral:4")
         s = vl.builtin_irreps(g)
-        d = vl.make_voltage_digraph(g, ["a", "b", "c"], [(0, 1, 3), (1, 2, 6)])
+        d = vl.VoltageDigraph(g, ["a", "b", "c"], [(0, 1, 3), (1, 2, 6)])
         result = vl.lift_eigenvectors(d, s)
         assert result.skipped_irreps == tuple(range(len(s.dims)))
         assert result.pairs == ()
@@ -1446,7 +1463,7 @@ class TestLiftEigenvectors:
         g = vl.build_builtin_group("dihedral:4")
         s = vl.builtin_irreps(g)
         names = g.element_names
-        d = vl.make_voltage_digraph(
+        d = vl.VoltageDigraph(
             g, ["v"], [(0, 0, names.index("r^1")), (0, 0, names.index("r^1*s"))])
         result = vl.lift_eigenvectors(d, s)
         two_dim = tuple(i for i, k in enumerate(s.dims) if k == 2)
@@ -1464,7 +1481,7 @@ class TestLiftEigenvectors:
         # Hermitian, so every image goes to the general solver, whose
         # residuals are not 0; a Hermitian image's eigh residuals can be
         # exactly 0
-        d = vl.make_voltage_digraph(k2star.group, k2star.vertices, k2star.arcs[:-1])
+        d = vl.VoltageDigraph(k2star.group, k2star.vertices, k2star.arcs[:-1])
         b = vl.associated_matrix(d)
         for stack in d3_irreps.stacks.values():
             assert not spectra._hermitian(vl.rho_matrix(b, stack)).any()

@@ -96,13 +96,13 @@ class TestMakeVoltageDigraph:
     def test_rejects_an_arc_that_is_not_three_integers(self, d3, arc):
         message = f"arc {short_repr(arc)} is not three integers"
         with pytest.raises(VoltageError, match=re.escape(message)):
-            vl.make_voltage_digraph(d3, ["a", "b"], [(0, 0, 0), arc])
+            vl.VoltageDigraph(d3, ["a", "b"], [(0, 0, 0), arc])
 
     @pytest.mark.parametrize("arc", [
         (0, 1, 2), [0, 1, 2], (np.int64(0), np.uint8(1), np.int32(2)), np.array([0, 1, 2]),
     ])
     def test_accepts_python_and_numpy_integers(self, d3, arc):
-        d = vl.make_voltage_digraph(d3, ["a", "b"], [arc])
+        d = vl.VoltageDigraph(d3, ["a", "b"], [arc])
         assert d.arcs == ((0, 1, 2),) and all(type(e) is int for e in d.arcs[0])
 
     @pytest.mark.parametrize("vertices, arc, message", [
@@ -111,10 +111,13 @@ class TestMakeVoltageDigraph:
         (["a", "b"], (0, 2, 0), "arc endpoint out of range: (0, 2)"),
         (["a", "b"], (-1, 0, 0), "arc endpoint out of range: (-1, 0)"),
         (["a", "b"], (0, 1, 6), "voltage index out of range: 6"),
+        (["a"], (0, 0, -1), "voltage index out of range: -1"),  # not read as the last element
+        (["a"], (0, 0, 7), "voltage index out of range: 7"),
+        (["a"], (0, 0, 1.0), "arc (0, 0, 1.0) is not three integers (tail, head, voltage)"),
     ])
     def test_refusals(self, d3, vertices, arc, message):
         with pytest.raises(VoltageError, match=re.escape(message)):
-            vl.make_voltage_digraph(d3, vertices, [] if arc is None else [arc])
+            vl.VoltageDigraph(d3, vertices, [] if arc is None else [arc])
 
 
 class TestAssociatedMatrix:
@@ -129,12 +132,12 @@ class TestAssociatedMatrix:
 
     def test_cayley_case(self):
         g = vl.build_builtin_group("cyclic:3")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, 1), (0, 0, 2)])
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1), (0, 0, 2)])
         b = vl.associated_matrix(d)
         assert tuple(b[0, 0]) == (0, 1, 1)
 
     def test_parallel_arcs_multiplicity(self, d3):
-        d = vl.make_voltage_digraph(d3, ["u", "v"], [(0, 1, 2), (0, 1, 2)])
+        d = vl.VoltageDigraph(d3, ["u", "v"], [(0, 1, 2), (0, 1, 2)])
         b = vl.associated_matrix(d)
         assert b[0, 1, 2] == 2
 
@@ -215,14 +218,14 @@ class TestBuildLift:
 
     def test_trivial_group_gives_base(self):
         g = vl.build_builtin_group("cyclic:1")
-        d = vl.make_voltage_digraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 0, 0)])
+        d = vl.VoltageDigraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 0, 0)])
         adj = vl.build_lift(d)
         expected = np.array([[1, 1], [1, 0]])
         assert np.array_equal(adj, expected)
 
     def test_single_loop_z3_gives_cycle(self):
         g = vl.build_builtin_group("cyclic:3")
-        d = vl.make_voltage_digraph(g, ["v"], [(0, 0, 1)])
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1)])
         adj = vl.build_lift(d)
         cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert np.array_equal(adj, cycle)
@@ -438,7 +441,7 @@ class TestResidueArithmetic:
             assert_exact(traces[:, ell - 1], power[range(len(b)), range(len(b))].sum(axis=0))
 
     def test_digraph_without_arcs(self, d3):
-        d = vl.make_voltage_digraph(d3, ["u", "v"], [])
+        d = vl.VoltageDigraph(d3, ["u", "v"], [])
         b = vl.associated_matrix(d)
         for ell in range(4):
             assert_exact(vl.algebra_matrix_power(b, ell, d3),
@@ -496,7 +499,7 @@ DOTTED_GROUP = {"elements": ["z", "y.z"], "mul": [[0, 1], [1, 0]]}
 
 def test_lift_json_refuses_a_label_of_two_vertices():
     g = vl.parse_group_table(DOTTED_GROUP)
-    d = vl.make_voltage_digraph(g, ["x", "x.y"], [(0, 1, 1)])
+    d = vl.VoltageDigraph(g, ["x", "x.y"], [(0, 1, 1)])
     with pytest.raises(VoltageError, match=re.escape(
             "lift vertex label 'x.y.z' names both (x, y.z) and (x.y, z)")):
         vl.lift_to_json(d)
@@ -504,7 +507,7 @@ def test_lift_json_refuses_a_label_of_two_vertices():
 
 def test_lift_json_keeps_dotted_labels_that_do_not_collide():
     g = vl.parse_group_table(DOTTED_GROUP)
-    d = vl.make_voltage_digraph(g, ["x.y", "w"], [(0, 1, 1)])
+    d = vl.VoltageDigraph(g, ["x.y", "w"], [(0, 1, 1)])
     doc = vl.lift_to_json(d)
     assert doc["vertices"] == ["x.y.z", "x.y.y.z", "w.z", "w.y.z"]
     assert doc["arcs"] == [["x.y.z", "w.y.z"], ["x.y.y.z", "w.z"]]
