@@ -51,7 +51,7 @@ for length in (2, 3, 4):
     for g in range(n):
         for h in range(n):
             src = a * n + h
-            dst = a * n + group.mul_idx(h, g)
+            dst = a * n + int(group.mul[h, g])
             if ap[src, dst] != bp[a, a, g]:
                 ok = False
     print(f"  all {n * n} fiber-offset walk counts agree: {ok}")

@@ -10,7 +10,6 @@ from .groups import (
     GroupError,
     GroupTable,
     build_builtin_group,
-    make_group_table,
     parse_group_table,
 )
 from .reps import (
@@ -38,7 +37,6 @@ from .spectra import (
     SpectrumMultiset,
     cluster_spectrum,
     eig,
-    format_eigenvalue,
     irrep_eigenvalues,
     lift_eigenvectors,
     lift_spectrum_bruteforce,
@@ -48,8 +46,6 @@ from .spectra import (
     rho_matrix,
     roots_from_power_sums,
     spectra_equal,
-    spectrum_to_json,
-    spectrum_to_text,
     verify,
 )
 

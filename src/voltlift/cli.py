@@ -176,11 +176,9 @@ def _cmd_spectrum(args) -> int:
         spectrum = spectra.lift_spectrum_charsum(digraph, _load_char_table(args, group), args.tol)
     else:
         spectrum = spectra.lift_spectrum_bruteforce(digraph, args.tol)
-    _emit(
-        args,
-        spectra.spectrum_to_json(spectrum, args.method),
-        lambda: spectra.spectrum_to_text(spectrum),
-    )
+    values = [{"re": v.real, "im": v.imag, "mult": m} for v, m in spectrum.entries]
+    _emit(args, {"order": spectrum.total, "eigenvalues": values, "method": args.method},
+          lambda: "\n".join(f"{spectra.format_eigenvalue(v)}^{m}" for v, m in spectrum.entries))
     return EXIT_OK
 
 

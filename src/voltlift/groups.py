@@ -38,14 +38,14 @@ class GroupTable:
     ordered by minimum element index with the identity's class first.
     ``generators`` is a generating set found greedily (at most log2(order)
     elements; empty for the trivial group); validation of the table and of
-    irreps goes through it. ``family`` records the builtin spec string
-    (e.g. ``"dihedral:3"``) when the table came from
-    :func:`build_builtin_group`, else ``None``.
+    irreps goes through it. ``family``, no argument, is the canonical
+    builtin spec (e.g. ``"dihedral:3"``) that only :func:`build_builtin_group`
+    sets, on the table it built; any other table has ``None``.
     """
 
     element_names: tuple
     mul: np.ndarray
-    family: Optional[str] = None
+    family: Optional[str] = field(init=False, default=None)
     order: int = field(init=False)
     identity: int = field(init=False)
     inverse: tuple = field(init=False)
@@ -91,9 +91,6 @@ class GroupTable:
                             ("classes", classes), ("generators", generators)):
             object.__setattr__(self, name, value)
 
-    def mul_idx(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def index_of(self, name: str) -> int:
         try:
             return self.element_names.index(name)
@@ -120,6 +117,13 @@ def decode_json(doc, error: type):
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF, too deep
             raise error(f"document is not valid JSON: {exc}") from None
     return doc
+
+
+def expect_group(group, error: type) -> GroupTable:
+    """group, when it is a GroupTable, so proven; else ``error``, the caller's own type."""
+    if not isinstance(group, GroupTable):
+        raise error(f"expected a GroupTable, got {type(group).__name__}")
+    return group
 
 
 _SHORT = reprlib.Repr()
@@ -301,10 +305,10 @@ def _conjugacy_partition(
     return tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]],
-                     family: Optional[str] = None) -> GroupTable:
-    """The GroupTable of names and a raw table, proven when made (see GroupTable)."""
-    return GroupTable(element_names, mul, family)
+def make_group_table(element_names: Sequence[str], mul: Sequence[Sequence[int]]) -> GroupTable:
+    """The GroupTable of names and a raw table, proven when made (see
+    GroupTable), with no ``family``: only build_builtin_group sets one."""
+    return GroupTable(element_names, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def build_builtin_group(spec: str) -> GroupTable:
     """A builtin group from a spec: ``cyclic:n`` (n >= 1), ``dihedral:n`` (n >= 2,
     order 2n) or ``product:<spec>,<spec>,...`` of these, a product's table
     composed from its factors' plain arrays and validated once, as a whole.
-    ``family`` is the spec in canonical form, e.g. ``cyclic:7``."""
+    Only here is ``family`` set: the spec in canonical form, e.g. ``cyclic:7``."""
     factors = parse_builtin_spec(spec)
     family = ",".join(f"{kind}:{m}" for kind, m in factors)
     tables = [_FAMILIES[kind][0](m) for kind, m in factors]
@@ -393,7 +397,9 @@ def build_builtin_group(spec: str) -> GroupTable:
             mul = (mul[:, None, :, None] * len(b) + b[None, :, None, :]).reshape(n, n)
         del tables, b  # only the product's table is kept while it is validated
     # frozen here, so that the GroupTable proves and keeps it uncopied
-    return make_group_table(names, freeze(mul), family)
+    g = make_group_table(names, freeze(mul))
+    object.__setattr__(g, "family", family)  # the tag of a table proven above
+    return g
 
 
 def parse_group_table(doc) -> GroupTable:

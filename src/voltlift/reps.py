@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .groups import (
-    BLOCK_ENTRIES, GroupError, GroupTable, decode_json, freeze, frozen_here, has_bool,
+    BLOCK_ENTRIES, GroupTable, decode_json, expect_group, freeze, frozen_here, has_bool,
     parse_builtin_spec, short_repr,
 )
 
@@ -60,6 +60,7 @@ class IrrepSet:
     characters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        expect_group(self.group, RepresentationError)
         # frozen before validation, so no route sees matrices no check saw
         stacks = {d: _unwritable(stack, f"stack of dim {short_repr(d)}")
                   for d, stack in self.stacks.items()}
@@ -126,7 +127,8 @@ class CharacterTable:
     dims: tuple = field(init=False)
 
     def __post_init__(self):
-        group, rows = self.group, _unwritable(self.rows, "character rows")
+        group = expect_group(self.group, RepresentationError)
+        rows = _unwritable(self.rows, "character rows")
         nu, n = len(group.classes), group.order
         if rows.shape != (nu, n):
             raise RepresentationError(f"character rows: expected shape ({nu}, {n}), "
@@ -416,14 +418,12 @@ def _builtin_stacks(factors: list) -> dict:
 
 
 def builtin_irreps(g: GroupTable) -> IrrepSet:
-    """The IrrepSet of a group tagged with a builtin spec (see
-    build_builtin_group), validated once, as a whole, when made."""
-    try:
-        factors = parse_builtin_spec(g.family or "")  # no tag is no spec
-    except GroupError:
-        raise RepresentationError(
-            f"unsupported builtin family {g.family!r}; supply irreps via load_irreps") from None
-    return IrrepSet(g, _builtin_stacks(factors))
+    """The IrrepSet of a builtin group, validated once, as a whole, when
+    made. Its ``family`` is None or the canonical spec that only
+    build_builtin_group sets, so a tag needs no check of its own."""
+    if g.family is None:
+        raise RepresentationError("unsupported builtin family None; supply irreps via load_irreps")
+    return IrrepSet(g, _builtin_stacks(parse_builtin_spec(g.family)))
 
 
 # ---------------------------------------------------------------------------

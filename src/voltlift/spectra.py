@@ -720,21 +720,3 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
         skipped_irreps=tuple(skipped),
         skip_reasons=tuple(reasons),
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON output
-
-
-def spectrum_to_json(spectrum: SpectrumMultiset, method: str) -> dict:
-    return {
-        "order": spectrum.total,
-        "eigenvalues": [
-            {"re": v.real, "im": v.imag, "mult": m} for v, m in spectrum.entries
-        ],
-        "method": method,
-    }
-
-
-def spectrum_to_text(spectrum: SpectrumMultiset) -> str:
-    return "\n".join(f"{format_eigenvalue(v)}^{m}" for v, m in spectrum.entries)

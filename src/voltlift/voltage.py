@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .groups import GroupTable, decode_json, short_repr
+from .groups import GroupTable, decode_json, expect_group, short_repr
 
 
 class VoltageError(ValueError):
@@ -40,7 +40,7 @@ class VoltageDigraph:
     arcs: tuple  # of (tail index, head index, voltage element index)
 
     def __post_init__(self):
-        vertices, group = tuple(self.vertices), self.group
+        group, vertices = expect_group(self.group, VoltageError), tuple(self.vertices)
         if not vertices:
             raise VoltageError("vertex list is empty")
         if len(set(vertices)) != len(vertices):
@@ -65,9 +65,6 @@ class VoltageDigraph:
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(_arc_array(self)[:, 0], minlength=self.order)
 
     def in_degrees(self) -> np.ndarray:
         return np.bincount(_arc_array(self)[:, 1], minlength=self.order)

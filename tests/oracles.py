@@ -84,7 +84,7 @@ def power_sums_by_walk_enumeration(
                         total += chi[voltage]
                     continue
                 for head, x in out_arcs[vertex]:
-                    stack.append((head, group.mul_idx(voltage, x), steps + 1))
+                    stack.append((head, int(group.mul[voltage, x]), steps + 1))
         sums.append(complex(total))
     return tuple(sums)
 

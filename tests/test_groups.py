@@ -73,7 +73,7 @@ def closure_under_products(g, gens):
     while frontier:
         x = frontier.pop()
         for s in gens:
-            y = g.mul_idx(x, s)
+            y = int(g.mul[x, s])
             if y not in reached:
                 reached.add(y)
                 frontier.append(y)
@@ -138,12 +138,12 @@ class TestBuiltinGroups:
         g = vl.build_builtin_group("dihedral:5")
         r = g.index_of("r^1")
         s = g.index_of("r^0*s")
-        rs = g.mul_idx(r, s)
-        assert g.mul_idx(s, s) == g.identity
-        assert g.mul_idx(rs, rs) == g.identity
+        rs = int(g.mul[r, s])
+        assert int(g.mul[s, s]) == g.identity
+        assert int(g.mul[rs, rs]) == g.identity
         x = r
         for _ in range(4):
-            x = g.mul_idx(x, r)
+            x = int(g.mul[x, r])
         assert x == g.identity
 
     @pytest.mark.parametrize(
@@ -528,15 +528,41 @@ class TestGroupTableConstructor:
         with pytest.raises(TypeError, match="order"):
             vl.GroupTable(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], order=3)
         init = [f.name for f in dataclasses.fields(vl.GroupTable) if f.init]
-        assert init == ["element_names", "mul", "family"]
+        assert init == ["element_names", "mul"]
+
+    # a tag that is no builtin spec, a spec of another group, and no string
+    @pytest.mark.parametrize("family", ["quat:8", "cyclic:x", "product:cyclic:2", "cyclic:4:5",
+                                        "cyclic:3", 3])
+    def test_the_family_tag_is_no_argument(self, family):
+        # only build_builtin_group sets it, to the spec it built
+        g = vl.build_builtin_group("cyclic:2")
+        with pytest.raises(TypeError, match="family"):
+            vl.GroupTable(g.element_names, g.mul, family=family)
+        with pytest.raises(ValueError, match="family"):
+            dataclasses.replace(g, family=family)
+        assert g.family == "cyclic:2"
 
     def test_the_constructor_derives_the_other_fields(self):
         g = vl.GroupTable(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-        h = make_group_table(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "cyclic:3")
+        h = make_group_table(("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         assert (g.order, g.identity, g.inverse, g.generators) == (3, 0, (0, 2, 1), (1,))
         assert g.classes == h.classes == ((0,), (1,), (2,))
-        assert g.family is None and h.family == "cyclic:3" == vl.build_builtin_group("cyclic:3").family
+        assert g.family is None is h.family
+        assert vl.build_builtin_group("cyclic:3").family == "cyclic:3"
         assert not g.mul.flags.writeable
+
+
+@pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+def test_a_builtin_group_is_tagged_with_its_canonical_spec(spec):
+    # the pool's specs are canonical, so each is its own tag
+    assert vl.build_builtin_group(spec).family == spec
+
+
+def test_names_only_the_cli_or_tests_used_leave_the_package_api():
+    for name in ["make_group_table", "format_eigenvalue", "spectrum_to_json", "spectrum_to_text"]:
+        assert not hasattr(vl, name), name
+    # the benchmark's tracer wraps it in groups by name
+    assert callable(groups.make_group_table)
 
 
 class TestConjugacyClasses:

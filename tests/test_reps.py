@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -115,13 +114,8 @@ class TestBuiltinIrreps:
 
     def test_untagged_group_rejected(self):
         g = vl.parse_group_table({"elements": ["e", "a"], "mul": [[0, 1], [1, 0]]})
-        with pytest.raises(RepresentationError, match="family"):
-            vl.builtin_irreps(g)
-
-    @pytest.mark.parametrize("family", ["quat:8", "cyclic:x", "product:cyclic:2", "cyclic:4:5"])
-    def test_a_family_tag_that_is_no_builtin_spec_is_rejected(self, family):
-        g = dataclasses.replace(vl.build_builtin_group("cyclic:2"), family=family)
-        with pytest.raises(RepresentationError, match="unsupported builtin family"):
+        with pytest.raises(RepresentationError, match=re.escape(
+                "unsupported builtin family None; supply irreps via load_irreps")):
             vl.builtin_irreps(g)
 
     @pytest.mark.parametrize("spec", ["dihedral:8", "product:dihedral:8,cyclic:3"])
@@ -226,6 +220,10 @@ class TestCharacterTable:
         message = "character rows 2 and 2 violate orthogonality"
         with pytest.raises(RepresentationError, match=message):
             vl.CharacterTable(group=d3, rows=rows)
+
+    def test_a_table_of_a_group_that_is_no_group_table(self):
+        with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
+            vl.CharacterTable("x", [[1]])
 
 
 class TestLoadIrreps:
@@ -346,6 +344,10 @@ class TestLoadIrreps:
         with pytest.raises(RepresentationError,
                            match="sum of squared dimensions 3 != group order 6"):
             vl.IrrepSet(d3, {1: np.ones((3, d3.order, 1, 1))})
+
+    def test_an_irrep_set_of_a_group_that_is_no_group_table(self):
+        with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
+            vl.IrrepSet("x", {})
 
 
 class TestLoadCharacterTable:
