@@ -421,7 +421,7 @@ def builtin_irreps(g: GroupTable) -> IrrepSet:
     """The IrrepSet of a builtin group, validated once, as a whole, when
     made. Its ``family`` is None or the canonical spec that only
     build_builtin_group sets, so a tag needs no check of its own."""
-    if g.family is None:
+    if expect_group(g, RepresentationError).family is None:
         raise RepresentationError("unsupported builtin family None; supply irreps via load_irreps")
     return IrrepSet(g, _builtin_stacks(parse_builtin_spec(g.family)))
 
@@ -455,6 +455,7 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     stacked in document order, the trivial irrep moved to the front of
     the 1-dim ones, so the set's order (see IrrepSet) is dimension-major.
     """
+    expect_group(g, RepresentationError)
     doc = decode_json(doc, RepresentationError)
     if not isinstance(doc, list):
         raise RepresentationError("irreps document must be a JSON list")
@@ -502,6 +503,7 @@ def load_character_table(doc, g: GroupTable) -> CharacterTable:
     Document format: ``{"classes": [["e"], ["s", "r*s", ...], ...],
     "rows": [[[re, im], ...], ...]}`` with one value per class per row.
     """
+    expect_group(g, RepresentationError)
     doc = decode_json(doc, RepresentationError)
     if not (
         isinstance(doc, dict)

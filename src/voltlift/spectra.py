@@ -2,15 +2,18 @@
 
 The default route maps the quotient matrix through each irreducible
 representation and solves the resulting small dense eigenproblems, in
-batched calls per irrep dimension. An irrep whose matrices at the
-generators are exactly the complex conjugates of another's
-(IrrepSet.conjugates) has the conjugate image, since the quotient matrix
-has integer coefficients, so only one irrep of each such pair is solved
-and its partner gets the conjugate eigenvalues. Each image goes to a
-solver of its own: one that is Hermitian up to rounding, as every image
-of an undirected digraph under a unitary irrep is, to the Hermitian
-solver, and every other to the general one, whatever the digraph. The
-character route recovers the same per-irrep eigenvalues from power sums:
+batched calls per irrep dimension. The images are sums over the nonzero
+coefficients of B, and the irrep routes read those from the arcs, never
+building B; rho_matrix is the public form of the same kernel, taking them
+from a given B. An irrep whose matrices at the generators are exactly the
+complex conjugates of another's (IrrepSet.conjugates) has the conjugate
+image, since the quotient matrix has integer coefficients, so only one
+irrep of each such pair is solved and its partner gets the conjugate
+eigenvalues. Each image goes to a solver of its own: one that is
+Hermitian up to rounding, as every image of an undirected digraph under a
+unitary irrep is, to the Hermitian solver, and every other to the general
+one, whatever the digraph. The character route recovers the same
+per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
 brute-force route diagonalizes the explicit lift whole, or, when the lift
@@ -38,6 +41,7 @@ from .reps import CharacterTable, IrrepSet, RepresentationError, character_table
 from .voltage import (
     VoltageDigraph,
     _lift_arcs,
+    _quotient_terms,
     algebra_trace_powers,
     associated_matrix,
     build_lift,
@@ -371,20 +375,28 @@ def eig(m: np.ndarray):
 # Representation route
 
 
+def _term_images(terms: tuple, r: int, stack: np.ndarray) -> np.ndarray:
+    """Images of the r x r algebra matrix with nonzeros terms = (u, v, x,
+    coefficient) under a (K, n, d, d) stack of irreps of one dimension d,
+    as a (K, r*d, r*d) stack: each term adds its multiple of rho(x) into
+    its (u, v) d x d block, in the order the terms are listed."""
+    u, v, x, coeff = terms
+    num, _, d, _ = stack.shape
+    blocks = np.zeros((num, r, r, d, d), dtype=complex)
+    np.add.at(blocks, (slice(None), u, v), coeff.astype(complex)[:, None, None] * stack[:, x])
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(num, r * d, r * d)
+
+
 def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Images of b under a (K, n, d, d) stack of irreps of one dimension d,
     as a (K, r*d, r*d) stack: each algebra entry becomes a d x d block.
 
-    Only the nonzero coefficients of b are visited: each adds its multiple
-    of rho(x) into its (u, v) block, in the order np.nonzero lists them.
+    The public form of the irrep routes' kernel (_term_images): its terms
+    are the nonzero coefficients of b, in the order np.nonzero lists them.
+    The routes read the same terms from the arcs (_irrep_images).
     """
-    r = b.shape[0]
-    num, _, d, _ = stack.shape
     u, v, x = np.nonzero(b)
-    terms = b[u, v, x].astype(complex)[:, None, None] * stack[:, x]
-    blocks = np.zeros((num, r, r, d, d), dtype=complex)
-    np.add.at(blocks, (slice(None), u, v), terms)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(num, r * d, r * d)
+    return _term_images((u, v, x, b[u, v, x]), b.shape[0], stack)
 
 
 def _check_input(x, kind: type, d: VoltageDigraph, what: str) -> None:
@@ -398,11 +410,14 @@ def _check_input(x, kind: type, d: VoltageDigraph, what: str) -> None:
 
 def _irrep_images(d: VoltageDigraph, s: IrrepSet):
     """Every irrep route's prologue: check that s is an IrrepSet (so valid)
-    of d's group, build B once, and yield (dim, first irrep, images) per stack."""
+    of d's group, read B's nonzeros from the arcs once (_quotient_terms,
+    the terms rho_matrix takes from B, in its order, so every image is
+    rho_matrix(associated_matrix(d), stack) to the bit), and yield (dim,
+    first irrep, images) per stack. B itself is never built."""
     _check_input(s, IrrepSet, d, "irrep set")
-    b = associated_matrix(d)
+    terms = _quotient_terms(d)
     for dim, stack in s.stacks.items():
-        yield dim, s.dims.index(dim), rho_matrix(b, stack)
+        yield dim, s.dims.index(dim), _term_images(terms, d.order, stack)
 
 
 def irrep_eigenvalues(d: VoltageDigraph, s: IrrepSet) -> Dict[int, np.ndarray]:
@@ -676,11 +691,11 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     The irreps of one dimension d are solved together: one batched,
     residual-checked eigensolve of their (K, r*d, r*d) image stack (eig:
     the images that are Hermitian up to rounding go to eigh, every other
-    to the general solver), and one batched condition number
-    of the eigenvector matrices. An irrep is skipped when its eigenvector
-    matrix is worse conditioned than DEFECTIVE_COND_LIMIT or a column
-    misses the residual bound. The vectors of the kept irreps are written
-    in place into one array
+    to the general solver), and one batched condition number of the
+    general solver's eigenvector matrices; eigh's are unitary. An irrep is
+    skipped when its eigenvector matrix is worse conditioned than
+    DEFECTIVE_COND_LIMIT or a column misses the residual bound. The vectors
+    of the kept irreps are written in place into one array
     fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
     irrep q, column c, slot k, filled by one matmul per slot, and the
     returned vectors are the rows of its (K, r*d*d, r*n) reshape.
@@ -689,7 +704,13 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     pairs, skipped, reasons = [], [], []
     for di, first, images in _irrep_images(d, s):
         vals, vecs, res, bound = eig(images)
-        cond = np.linalg.cond(vecs)
+        # eig sends the images _hermitian passes to eigh, whose basis is
+        # unitary to working precision: its condition number is 1 + O(N eps)
+        # and cannot fail the test, so only the general solver's are taken
+        general = ~_hermitian(images)
+        cond = np.ones(len(images))
+        if general.any():
+            cond[general] = np.linalg.cond(vecs[general])
         worst = res.max(axis=1)
         bad_cond, bad_res = ~(cond <= DEFECTIVE_COND_LIMIT), ~(worst <= bound)  # nan is bad
         for q in np.flatnonzero(bad_cond | bad_res).tolist():

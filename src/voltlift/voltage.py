@@ -75,6 +75,18 @@ def _arc_array(d: VoltageDigraph) -> np.ndarray:
     return np.array(d.arcs, dtype=np.int64).reshape(-1, 3)
 
 
+def _quotient_terms(d: VoltageDigraph) -> tuple:
+    """The nonzeros of the quotient matrix B, read from the arcs without
+    building B: int64 arrays (u, v, x, count), count the number of arcs
+    u -> v with voltage x, in the order np.nonzero(associated_matrix(d))
+    lists them (ascending flat index (u * r + v) * n + x)."""
+    r, n = d.order, d.group.order
+    u, v, x = _arc_array(d).T
+    keys, count = np.unique((u * r + v) * n + x, return_counts=True)
+    uv, x = np.divmod(keys, n)
+    return (*np.divmod(uv, r), x, count)
+
+
 def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
     """Parse a digraph document (JSON text or parsed dict).
 
@@ -82,6 +94,7 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
     "voltage": "s"}, ...]}``. Voltage names must be element names of the
     group.
     """
+    expect_group(group, VoltageError)
     doc = decode_json(doc, VoltageError)
     if not isinstance(doc, dict):
         raise VoltageError("digraph document must be a JSON object")

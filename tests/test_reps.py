@@ -60,6 +60,12 @@ def irreps_to_doc(group, irrep_set):
 
 
 class TestBuiltinIrreps:
+    def test_a_spec_is_no_group_table(self):
+        # a spec names a group but proves none: it is refused by type, not
+        # read as a table
+        with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
+            vl.builtin_irreps("dihedral:3")
+
     def test_cyclic_2_characters(self):
         g = vl.build_builtin_group("cyclic:2")
         t = vl.character_table(vl.builtin_irreps(g))
@@ -349,6 +355,11 @@ class TestLoadIrreps:
         with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
             vl.IrrepSet("x", {})
 
+    def test_loading_over_a_group_that_is_no_group_table(self, d3, d3_irreps):
+        # the group is checked before the document is read
+        with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
+            vl.load_irreps(irreps_to_doc(d3, d3_irreps), "dihedral:3")
+
 
 class TestLoadCharacterTable:
     def d3_doc(self, d3):
@@ -364,6 +375,11 @@ class TestLoadCharacterTable:
     def test_printed_table_valid(self, d3):
         t = vl.load_character_table(self.d3_doc(d3), d3)
         assert t.dims == (1, 1, 2)
+
+    def test_loading_over_a_group_that_is_no_group_table(self, d3):
+        # the group is checked before the document is read
+        with pytest.raises(RepresentationError, match="expected a GroupTable, got str"):
+            vl.load_character_table(self.d3_doc(d3), "dihedral:3")
 
     def test_duplicate_rows_rejected(self):
         g = vl.build_builtin_group("cyclic:2")

@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
-from voltlift import reps, spectra
+from voltlift import reps, spectra, voltage
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     EIG_RESIDUAL_FACTOR,
@@ -120,6 +121,96 @@ class TestRhoMatrix:
                 rhs = np.linalg.matrix_power(m, ell)
                 scale = max(1.0, np.linalg.norm(rhs))
                 assert np.abs(lhs - rhs).max() <= 1e-9 * scale
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def q8_set():
+    """Q8 from its group table, with the irreps loaded from their document."""
+    with open(os.path.join(DATA, "q8_group.json")) as f:
+        g = vl.parse_group_table(f.read())
+    with open(os.path.join(DATA, "q8_irreps.json")) as f:
+        return vl.load_irreps(f.read(), g)
+
+
+def term_cases(rng, g):
+    """Digraphs over g whose quotient matrices have every kind of nonzero:
+    random ones, one with a coefficient of 2 and one of 3 from parallel
+    arcs of one voltage, with loops, and one with no arcs at all."""
+    cases = [random_voltage_digraph(rng, g, max_vertices=5, max_arcs=14) for _ in range(3)]
+    x, y = (int(e) for e in rng.integers(g.order, size=2))
+    parallel = [(0, 1, x)] * 2 + [(1, 1, y)] * 3 + [(2, 2, x), (2, 0, y), (1, 0, x)]
+    cases.append(vl.VoltageDigraph(g, ["a", "b", "c"], parallel))
+    cases.append(vl.VoltageDigraph(g, ["a", "b"], []))
+    return cases
+
+
+class TestQuotientTerms:
+    """The irrep routes read B's nonzeros from the arcs (_quotient_terms)
+    and never build B; their images must be rho_matrix's to the bit."""
+
+    @staticmethod
+    def assert_images_are_rho_matrix(d, s):
+        b = vl.associated_matrix(d)
+        stacks = list(s.stacks.items())
+        got = list(spectra._irrep_images(d, s))
+        assert [(dim, first) for dim, first, _ in got] == [
+            (dim, s.dims.index(dim)) for dim, _ in stacks]
+        for (_, _, images), (_, stack) in zip(got, stacks):
+            want = vl.rho_matrix(b, stack)
+            assert images.shape == want.shape
+            assert images.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_terms_are_the_nonzeros_of_b_in_order(self, spec):
+        g = vl.build_builtin_group(spec)
+        for d in term_cases(np.random.default_rng(5), g):
+            b = vl.associated_matrix(d)
+            u, v, x, count = voltage._quotient_terms(d)
+            want = np.nonzero(b)
+            for got, ref in zip((u, v, x), want):
+                assert got.dtype == np.int64 and np.array_equal(got, ref)
+            assert count.dtype == np.int64
+            assert count.tolist() == b[want].tolist()
+
+    def test_parallel_arcs_count_once_per_arc(self, d3):
+        d = vl.VoltageDigraph(d3, ["a", "b"], [(0, 1, 4), (1, 1, 2), (0, 1, 4), (1, 1, 2),
+                                               (1, 1, 2), (0, 0, 0)])
+        terms = [t.tolist() for t in voltage._quotient_terms(d)]
+        assert terms == [[0, 0, 1], [0, 1, 1], [0, 4, 2], [1, 2, 3]]
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_route_images_equal_rho_matrix_bitwise(self, spec):
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        for d in term_cases(np.random.default_rng(6), g):
+            self.assert_images_are_rho_matrix(d, s)
+
+    def test_route_images_equal_rho_matrix_bitwise_on_loaded_q8(self):
+        s = q8_set()
+        for d in term_cases(np.random.default_rng(7), s.group):
+            self.assert_images_are_rho_matrix(d, s)
+
+    def test_irrep_routes_never_build_b(self, k2star, d3_irreps, monkeypatch):
+        want = (vl.irrep_eigenvalues(k2star, d3_irreps),
+                vl.lift_spectrum_repr(k2star, d3_irreps),
+                vl.lift_eigenvectors(k2star, d3_irreps))
+
+        def refuse(d):
+            raise AssertionError("an irrep route built the quotient matrix")
+
+        for module in (vl, voltage, spectra):
+            monkeypatch.setattr(module, "associated_matrix", refuse)
+        got = (vl.irrep_eigenvalues(k2star, d3_irreps),
+               vl.lift_spectrum_repr(k2star, d3_irreps),
+               vl.lift_eigenvectors(k2star, d3_irreps))
+        for k, vals in want[0].items():
+            assert got[0][k].tobytes() == vals.tobytes()
+        assert got[1] == want[1]
+        assert [mu for mu, _ in got[2].pairs] == [mu for mu, _ in want[2].pairs]
+        for (_, w), (_, v) in zip(got[2].pairs, want[2].pairs):
+            assert w.tobytes() == v.tobytes()
 
 
 class TestEig:
@@ -1474,6 +1565,42 @@ class TestLiftEigenvectors:
         want = lift_eigenvectors_loop(d, s)
         assert want.skipped_irreps == two_dim
         assert [mu for mu, _ in result.pairs] == [mu for mu, _ in want.pairs]
+
+    def test_condition_number_only_of_general_solver_images(self, monkeypatch):
+        # the same loops: the four 1 x 1 images are real, so eigh solves
+        # them, and the defective 2-dim image goes to the general solver.
+        # Only its eigenvector matrix gets a condition number, and it is
+        # still skipped for it
+        g = vl.build_builtin_group("dihedral:4")
+        s = vl.builtin_irreps(g)
+        names = g.element_names
+        d = vl.VoltageDigraph(
+            g, ["v"], [(0, 0, names.index("r^1")), (0, 0, names.index("r^1*s"))])
+        seen, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: seen.append(m.shape) or cond(m))
+        result = vl.lift_eigenvectors(d, s)
+        assert seen == [(1, 2, 2)]
+        assert result.skipped_irreps == tuple(i for i, k in enumerate(s.dims) if k == 2)
+        assert [why.split()[0] for why in result.skip_reasons] == ["cond"]
+
+    @pytest.mark.parametrize("spec", ["dihedral:5", "product:cyclic:2,dihedral:3"])
+    def test_eigh_images_never_report_a_condition_number(self, spec, monkeypatch):
+        # every image of an undirected voltage graph goes to eigh, whose
+        # basis is unitary, so none gets a condition number: even a limit
+        # of 1, which a computed condition number of a unitary matrix
+        # misses by rounding, skips none
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        monkeypatch.setattr(spectra, "DEFECTIVE_COND_LIMIT", 1.0)
+        seen, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: seen.append(m.shape) or cond(m))
+        rng = np.random.default_rng(44)
+        for _ in range(4):
+            d = random_voltage_graph(rng, g, max_vertices=5)
+            result = vl.lift_eigenvectors(d, s)
+            assert seen == []
+            assert result.skipped_irreps == () and result.skip_reasons == ()
+            assert len(result.pairs) == d.order * g.order
 
     def test_residual_branch_reports_residual_and_bound(self, k2star, d3_irreps, monkeypatch):
         # a bound far below rounding error fails every residual test. With

@@ -85,6 +85,11 @@ class TestParseVoltageDigraph:
         with pytest.raises(VoltageError):
             vl.parse_voltage_digraph(doc, d3)
 
+    def test_refuses_a_group_that_is_no_group_table(self):
+        # the group is checked before the document is read
+        with pytest.raises(VoltageError, match="expected a GroupTable, got str"):
+            vl.parse_voltage_digraph(K2STAR_DOC, "dihedral:3")
+
 
 class TestMakeVoltageDigraph:
     # a float would be truncated, a bool taken as 0 or 1, a string or a
