@@ -215,11 +215,11 @@ def _cmd_walks(args) -> int:
     b = voltage.associated_matrix(digraph)
     power = voltage.algebra_matrix_power(b, args.length, group)
     names = group.element_names
+    nonzero = power != 0
     entries = []
     for u, v in np.ndindex(power.shape[:2]):
-        row = power[u, v]
-        support = np.flatnonzero(row != 0)
-        coeffs = {names[g]: c for g, c in zip(support.tolist(), row[support].tolist())}
+        support = np.flatnonzero(nonzero[u, v])
+        coeffs = {names[g]: c for g, c in zip(support.tolist(), power[u, v, support].tolist())}
         entries.append({"from": digraph.vertices[u], "to": digraph.vertices[v], "coeffs": coeffs})
     n = group.order
     payload = {"length": args.length, "entries": entries}

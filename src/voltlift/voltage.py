@@ -13,12 +13,12 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
 
-from .groups import GroupTable, decode_json, expect_group, short_repr
+from .groups import BLOCK_ENTRIES, GroupTable, decode_json, expect_group, short_repr
 
 
 class VoltageError(ValueError):
@@ -32,12 +32,15 @@ class VoltageDigraph:
     three integers (tail, head, voltage element) in range, held as Python ints.
 
     Loops and repeated (tail, head, voltage) triples are allowed; repeats
-    are genuine parallel arcs, never deduplicated.
+    are genuine parallel arcs, never deduplicated. ``arc_array``, no
+    argument, holds the same arcs once more as a read-only (|arcs|, 3)
+    int64 array, the form the array code reads.
     """
 
     group: GroupTable
     vertices: tuple
     arcs: tuple  # of (tail index, head index, voltage element index)
+    arc_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         group, vertices = expect_group(self.group, VoltageError), tuple(self.vertices)
@@ -59,20 +62,18 @@ class VoltageDigraph:
             if not (0 <= x < group.order):
                 raise VoltageError(f"voltage index out of range: {x}")
             checked.append((int(u), int(v), int(x)))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arcs", tuple(checked))
+        arc_array = np.array(checked, dtype=np.int64).reshape(-1, 3)
+        arc_array.setflags(write=False)
+        for name, value in (("vertices", vertices), ("arcs", tuple(checked)),
+                            ("arc_array", arc_array)):
+            object.__setattr__(self, name, value)
 
     @property
     def order(self) -> int:
         return len(self.vertices)
 
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(_arc_array(self)[:, 1], minlength=self.order)
-
-
-def _arc_array(d: VoltageDigraph) -> np.ndarray:
-    """The arcs as an (|arcs|, 3) int64 array of (tail, head, voltage)."""
-    return np.array(d.arcs, dtype=np.int64).reshape(-1, 3)
+        return np.bincount(self.arc_array[:, 1], minlength=self.order)
 
 
 def _quotient_terms(d: VoltageDigraph) -> tuple:
@@ -81,7 +82,7 @@ def _quotient_terms(d: VoltageDigraph) -> tuple:
     u -> v with voltage x, in the order np.nonzero(associated_matrix(d))
     lists them (ascending flat index (u * r + v) * n + x)."""
     r, n = d.order, d.group.order
-    u, v, x = _arc_array(d).T
+    u, v, x = d.arc_array.T
     keys, count = np.unique((u * r + v) * n + x, return_counts=True)
     uv, x = np.divmod(keys, n)
     return (*np.divmod(uv, r), x, count)
@@ -139,10 +140,32 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # the end. k comes from an a-priori bound on the result: the row norm
 # ||b|| = max_u sum_{v,g} |b[u, v, g]| is submultiplicative, so every
 # coefficient of B^l lies within ||b||^l, and the primes' product M
-# exceeds twice the bound. One rule keeps the int64 arithmetic exact:
-# every term added to a sum is a residue below 2^31, so a product of two
-# residues (below 2^62) is reduced before it is added (see
-# _residue_product).
+# exceeds twice the bound.
+#
+# One product is one batched gather (_residue_product). Its operands are
+# int64 buffers whose row w * n + g holds the residues of the coefficients
+# of g^-1 in column w (the involution x* of Z[G], which sends g to g^-1
+# and reverses products), and one zero row ends each buffer. Right
+# multiplication by h sends the coefficient of g h^-1 to g, so it sends
+# that of h y to y = g^-1: each slot reads row h of the group table, one
+# contiguous row. B's nonzeros are grouped by column and padded to the
+# largest column count c, so each entry of a product sums c gathered
+# entries of the left operand, the pads reading the zero row.
+#
+# One bound keeps the int64 arithmetic exact. Every entry is a
+# nonnegative int64 congruent to its coefficient modulo each prime, and
+# the power loop (_residue_powers) tracks an a-priori bound top on the
+# entries. A step of a B whose coefficients are all 1 takes top to
+# c * top. A step with any other coefficient first reduces its operand
+# below 2^31, multiplies by the coefficient's residues and reduces each
+# product at once, so it ends at c * (P - 1), P the largest prime. Entries
+# are reduced modulo the primes only when the next step could pass
+# 2^63 - 1 (delayed reduction, as in von zur Gathen and Gerhard, Modern
+# Computer Algebra), and always before Garner and before a diagonal is
+# summed.
+
+_INT64_MAX = 2**63 - 1
+
 
 def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     """The quotient matrix: b[u, v, x] counts the arcs u->v with voltage x."""
@@ -196,11 +219,25 @@ def _row_norm(x: np.ndarray) -> int:
     return int(np.abs(np.asarray(x, dtype=object)).sum(axis=(1, 2)).max(initial=0))
 
 
-def _to_residues(x: np.ndarray, primes: list) -> np.ndarray:
-    """x[u, w, g] modulo each prime p_i as an int64 array res[w, g, i, u]:
-    the layout that lets one gather over g move contiguous (i, u) rows."""
-    res = np.stack([np.asarray(x % p, dtype=np.int64) for p in primes])
-    return np.ascontiguousarray(res.transpose(2, 3, 0, 1))
+def _to_residues(x: np.ndarray, primes: list, group: GroupTable) -> np.ndarray:
+    """x[u, w, g] modulo each prime p_i as an operand buffer: row
+    w * n + g holds the residues res[i, u] of x[u, w, g^-1], the layout
+    that lets one gather over (w, g) move contiguous (i, u) rows, and a
+    zero row follows the last."""
+    rows, n = x.shape[1:]
+    x = np.asarray(x, dtype=object)[:, :, np.asarray(group.inverse)]
+    buf = np.zeros((rows * n + 1, len(primes), len(x)), dtype=np.int64)
+    for i, p in enumerate(primes):
+        buf[:-1, i] = np.asarray(x % p, dtype=np.int64).reshape(len(x), rows * n).T
+    return buf
+
+
+def _reduced(res: np.ndarray, primes: list, group: GroupTable) -> np.ndarray:
+    """The matrix x an operand buffer holds, given as its (w, g, i, u)
+    view, in the form _from_residues takes: the residues of x[u, w, g],
+    reduced and laid out [i, u, w, g]."""
+    res = res[:, np.asarray(group.inverse)] % np.array(primes)[:, None]
+    return res.transpose(2, 3, 0, 1)
 
 
 def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
@@ -232,43 +269,80 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     return np.where(x > m // 2, x - m, x).astype(object, copy=False)
 
 
-def _product_terms(b: np.ndarray, primes: list, group: GroupTable) -> list:
-    """The nonzeros b[w, v, h] of a right operand as (w, v, cols, scale)
-    terms for _residue_product.
+def _product_terms(b: np.ndarray, primes: list, group: GroupTable, left_rows: int) -> tuple:
+    """The nonzeros b[w, v, h] of a right operand as (c, blocks) for
+    _residue_product, times a left operand of left_rows rows.
 
-    cols[g] = g h^-1 lists the element of the left operand that lands on g.
-    scale is None for a coefficient of 1, which needs no product, and the
-    int64 (k, 1) column of the coefficient's residues for any other.
+    The nonzeros are grouped by column v, and each column is padded to the
+    largest column count c. Slot s of column v reads, for each y, row
+    offset[v, s] + mul[h, y] of the left operand's buffer, where
+    offset[v, s] = w * n and element[v, s] = h. A pad has offset rows * n,
+    the buffer's zero row. Each block is (offset[:, slots, None],
+    element[:, slots], scale) over a run of slots whose gather holds at
+    most BLOCK_ENTRIES entries, or over one slot; an operand with no
+    nonzeros has one block of no slots.
+    scale is None when every coefficient is 1, which needs no product, and
+    else the int64 (columns, slots, 1, k, 1) residues of each slot's
+    coefficient.
     """
-    terms = []
-    for w, v, h in zip(*np.nonzero(b)):
-        c = int(b[w, v, h])
-        scale = None if c == 1 else np.array([c % p for p in primes])[:, None]
-        terms.append((w, v, group.mul[:, group.inverse[h]], scale))
-    return terms
+    rows, width, n = b.shape
+    v, w, h = np.nonzero(b.transpose(1, 0, 2))  # sorted by column
+    coeffs = b[w, v, h]
+    count = np.bincount(v, minlength=width)
+    slot = np.arange(len(v)) - (np.cumsum(count) - count)[v]
+    c = int(count.max(initial=0))
+    offset = np.full((width, c, 1), rows * n, dtype=np.int64)
+    offset[v, slot, 0] = w * n
+    element = np.zeros((width, c), dtype=np.int64)
+    element[v, slot] = h
+    scale = None
+    if not np.all(coeffs == 1):
+        scale = np.zeros((width, c, 1, len(primes), 1), dtype=np.int64)
+        scale[v, slot, 0, :, 0] = np.array([coeffs % p for p in primes], dtype=np.int64).T
+    size = max(1, BLOCK_ENTRIES // max(1, width * n * len(primes) * left_rows))
+    return c, [(offset[:, s:s + size], element[:, s:s + size],
+                None if scale is None else scale[:, s:s + size])
+               for s in range(0, max(c, 1), size)]
 
 
-def _residue_product(a: np.ndarray, terms: list, width: int, primes: list) -> np.ndarray:
-    """a times the right operand given by its terms, in residues: a and the
-    result are laid out as _to_residues makes them, the result reduced.
+def _residue_product(a: np.ndarray, blocks: list, width: int, primes: list,
+                     group: GroupTable) -> np.ndarray:
+    """a times the width-column right operand given by its blocks
+    (_product_terms): a and the result are operand buffers as _to_residues
+    lays them out, and the result's entries are congruent to the
+    product's, unreduced.
 
-    A scaled term is a product of two residues, below 2^62, and is reduced
-    at once; an unscaled one is a residue of a. So every term added is a
-    residue below max p < 2^31, and a column of an r-row right operand has
-    at most r * n terms, fewer than 2^32 for any B that fits in memory
-    (r * n >= 2^32 needs r >= 2^20, so a square B has r^2 * n >= 2^52
-    entries): no sum passes 2^63 - 1.
+    Each block is one gather of (columns, slots, n, k, R) entries and one
+    sum over the slot axis, the first written to the result and each later
+    one added to it. A pad's rows lie past the buffer's last, its zero row,
+    and the gather clips them to it; no live row is clipped.
+
+    Exact in int64: let every entry of a lie in [0, top]. With every
+    coefficient 1, an entry of the result sums c entries of a, so it lies
+    in [0, c * top], and the caller keeps c * top <= 2^63 - 1. Otherwise a
+    is reduced (top < P <= 2^31, P the largest prime); a scaled entry is a
+    product of two residues, below 2^62, reduced at once, so the result
+    lies in [0, c * (P - 1)]. A column has at most rows * n nonzeros,
+    fewer than 2^32 for any right operand that fits in memory (rows * n
+    >= 2^32 would be 2^32 entries of one column of b alone), so
+    c * (P - 1) < 2^63.
     """
+    n = group.order
     mod = np.array(primes)[:, None]
-    out = np.zeros((width,) + a.shape[1:], dtype=np.int64)
-    rows = list(out)  # views, so that += adds in place without a setitem
-    for w, v, cols, scale in terms:
-        term = a[w].take(cols, axis=0)
+
+    def gather(offset, element, scale):
+        part = a.take(offset + group.mul[element], axis=0, mode="clip")
         if scale is not None:
-            term *= scale
-            term %= mod
-        rows[v] += term
-    out %= mod
+            part *= scale
+            part %= mod
+        return part
+
+    out = np.empty((width * n + 1,) + a.shape[1:], dtype=np.int64)
+    out[-1] = 0
+    acc = out[:-1].reshape((width, n) + a.shape[1:])
+    gather(*blocks[0]).sum(axis=1, out=acc)
+    for block in blocks[1:]:
+        acc += gather(*block).sum(axis=1)
     return out
 
 
@@ -282,9 +356,10 @@ def algebra_matmul(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarra
     if a.shape[1] != b.shape[0]:
         raise VoltageError("matrix size mismatch")
     primes = _primes_for(_row_norm(a) * int(np.abs(np.asarray(b, dtype=object)).max(initial=0)))
-    terms = _product_terms(b, primes, group)
-    out = _residue_product(_to_residues(a, primes), terms, b.shape[1], primes)
-    return _from_residues(out.transpose(2, 3, 0, 1), primes)
+    _, blocks = _product_terms(b, primes, group, len(a))
+    out = _residue_product(_to_residues(a, primes, group), blocks, b.shape[1], primes, group)
+    out = out[:-1].reshape(b.shape[1], group.order, len(primes), len(a))
+    return _from_residues(_reduced(out, primes, group), primes)
 
 
 def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -293,19 +368,37 @@ def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
 
 
 def _residue_powers(b: np.ndarray, length: int, primes: list, group: GroupTable):
-    """B^0, B^1, ..., B^length in residues, laid out as _to_residues makes
-    them, one at a time: each is made from the one before, so a caller that
-    drops each before the next holds two at most."""
+    """B^0, B^1, ..., B^length, one at a time, as (r, n, k, r) views
+    res[w, g, i, u] of operand buffers, the residues of B^l[u, w, g^-1]
+    as _to_residues lays them out. Each is made from the one before, so a
+    caller that drops each before the next holds two at most. Entries are
+    nonnegative int64s congruent to the coefficients but not reduced, so a
+    caller reduces them before Garner or before it sums them; a reduction
+    here rewrites the last power yielded in place, to the same residues.
+
+    Exact in int64: every entry lies in [0, top] (the identity has top = 1).
+    Before a step with every coefficient 1, the power is reduced (top =
+    P - 1, P the largest prime) when c * top could pass 2^63 - 1; c * (P - 1)
+    cannot (_residue_product). Before a scaled step it is reduced unless it
+    already lies below P. Either way _residue_product's condition holds,
+    and the step leaves top at c * top or at c * (P - 1).
+    """
     if b.shape[0] != b.shape[1]:
         raise VoltageError("matrix size mismatch")
-    r = b.shape[0]
-    terms = _product_terms(b, primes, group)
-    power = np.zeros((r, group.order, len(primes), r), dtype=np.int64)
-    power[np.arange(r), group.identity, :, np.arange(r)] = 1
-    yield power
+    r, n, top = b.shape[0], group.order, 1
+    c, blocks = _product_terms(b, primes, group, r)
+    scaled = blocks[0][2] is not None
+    mod = np.array(primes)[:, None]
+    power = np.zeros((r * n + 1, len(primes), r), dtype=np.int64)
+    power[np.arange(r) * n + group.identity, :, np.arange(r)] = 1
+    yield power[:-1].reshape(r, n, len(primes), r)
     for _ in range(length):
-        power = _residue_product(power, terms, r, primes)
-        yield power
+        if c * top > _INT64_MAX or (scaled and top >= primes[0]):
+            power %= mod
+            top = primes[0] - 1
+        power = _residue_product(power, blocks, r, primes, group)
+        top = c * (primes[0] - 1 if scaled else top)
+        yield power[:-1].reshape(r, n, len(primes), r)
 
 
 def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
@@ -317,7 +410,7 @@ def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarr
         raise VoltageError("negative power")
     primes = _primes_for(_row_norm(b) ** ell)
     power = collections.deque(_residue_powers(b, ell, primes, group), maxlen=1).pop()
-    return _from_residues(power.transpose(2, 3, 0, 1), primes)
+    return _from_residues(_reduced(power, primes, group), primes)
 
 
 def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
@@ -327,13 +420,15 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
     """
     r = b.shape[0]
     primes = _primes_for(r * _row_norm(b) ** length)
+    mod = np.array(primes)
     traces = np.zeros((len(primes), group.order, length), dtype=np.int64)
     diag = np.arange(r)
     powers = itertools.islice(_residue_powers(b, length, primes, group), 1, None)
     for ell, power in enumerate(powers):
-        # power[u, g, i, u] summed over u: r residues, each below 2^31
-        traces[:, :, ell] = power[diag, :, :, diag].sum(axis=0).T % np.array(primes)[:, None]
-    return _from_residues(traces, primes)
+        # power[u, g, i, u] reduced, then summed over u: r residues, each
+        # below 2^31; column g holds the trace's coefficient of g^-1
+        traces[:, :, ell] = (power[diag, :, :, diag] % mod).sum(axis=0).T % mod[:, None]
+    return _from_residues(traces[:, np.asarray(group.inverse)], primes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +447,7 @@ def _lift_arcs(d: VoltageDigraph):
     every group element g: row a lists arc a's n lift arcs, g = 0..n-1.
     """
     n = d.group.order
-    u, v, x = _arc_array(d).T
+    u, v, x = d.arc_array.T
     return u[:, None] * n + np.arange(n), v[:, None] * n + d.group.mul[:, x].T
 
 

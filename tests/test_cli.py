@@ -395,6 +395,29 @@ def test_walks_exact_past_int64(k2star, k2star_path, capsys):
     assert max(got.values()) > 2**63
 
 
+def test_walks_parallel_arcs_past_int64(monkeypatch, capsys):
+    # the CI step: parallel arcs give B coefficients of 2 and 3, and at
+    # length 64 the coefficients pass 2^95; the lift (rn = 24) is the oracle,
+    # so a wrong coefficient exits 1
+    argv = ["walks", "--digraph", os.path.join(DATA, "parallel_dihedral4.json"),
+            "--group", "dihedral:4", "--length", "64"]
+    assert run(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_checked"] and doc["oracle_match"]
+    assert max(c for e in doc["entries"] for c in e["coeffs"].values()) > 2**95
+
+    power = voltage.algebra_matrix_power
+
+    def off_by_one(b, ell, group):
+        out = power(b, ell, group)
+        out[0, 1, 1] += 1
+        return out
+
+    monkeypatch.setattr(voltage, "algebra_matrix_power", off_by_one)
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["oracle_match"] is False
+
+
 def test_walks_oracle_identity_not_first(tmp_path, capsys):
     # a custom group whose identity is element 1, not element 0
     group_path = tmp_path / "z2.json"
@@ -783,6 +806,7 @@ CI_FIXTURES = [
     ("loop_cyclic3.json", "cyclic:3", None, None),
     ("split_bipartite_cyclic12.json", "cyclic:12", None, None),
     ("pendant_cycle_cyclic12.json", "cyclic:12", None, None),
+    ("parallel_dihedral4.json", "dihedral:4", None, None),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from math import isqrt, prod
 
 import numpy as np
@@ -21,6 +22,9 @@ from oracles import (
 )
 
 CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.json")
+# three vertices over dihedral:4, each column of B two nonzeros, two of them
+# parallel arcs: coefficients 2 and 3
+PARALLEL_PATH = os.path.join(os.path.dirname(__file__), "data", "parallel_dihedral4.json")
 
 
 def naive_convolution(a, b, group):
@@ -109,6 +113,15 @@ class TestMakeVoltageDigraph:
     def test_accepts_python_and_numpy_integers(self, d3, arc):
         d = vl.VoltageDigraph(d3, ["a", "b"], [arc])
         assert d.arcs == ((0, 1, 2),) and all(type(e) is int for e in d.arcs[0])
+
+    def test_arc_array_is_derived_and_read_only(self, d3, k2star):
+        assert k2star.arc_array.dtype == np.int64
+        assert k2star.arc_array.tolist() == [list(arc) for arc in k2star.arcs]
+        assert not k2star.arc_array.flags.writeable
+        assert vl.VoltageDigraph(d3, ["a"], []).arc_array.shape == (0, 3)
+        assert "arc_array" not in repr(k2star)
+        with pytest.raises(TypeError):
+            vl.VoltageDigraph(d3, ["a"], [], arc_array=np.zeros((0, 3), dtype=np.int64))
 
     @pytest.mark.parametrize("vertices, arc, message", [
         ([], None, "vertex list is empty"),
@@ -473,6 +486,103 @@ class TestResidueArithmetic:
         b = vl.associated_matrix(k2star)
         assert_exact(voltage.algebra_trace_powers(b, 64, d3),
                      algebra_trace_powers_loop(b, 64, d3))
+
+    @pytest.mark.parametrize("length", [45, 64])
+    def test_k2star_past_the_deferred_reductions(self, d3, k2star, length):
+        # c = 3 and the bound starts at 1, so the power is reduced before
+        # step 40 and again before step 60; unreduced, the length-45
+        # coefficients (near 3^45 / 6 > 2^63) would wrap
+        b = vl.associated_matrix(k2star)
+        assert_exact(vl.algebra_matrix_power(b, length, d3),
+                     algebra_matrix_power_loop(b, length, d3))
+        assert_exact(voltage.algebra_trace_powers(b, length, d3),
+                     algebra_trace_powers_loop(b, length, d3))
+
+    def test_cube_power_to_length_64(self):
+        g = vl.build_builtin_group("dihedral:32")
+        with open(CUBE_PATH) as f:
+            b = vl.associated_matrix(vl.parse_voltage_digraph(f.read(), g))
+        assert voltage._product_terms(b, PRIMES[:4], g, len(b))[0] == 3
+        got = vl.algebra_matrix_power(b, 64, g)
+        assert_exact(got, algebra_matrix_power_loop(b, 64, g))
+        assert max(got.ravel()) > 2**90
+
+    @pytest.mark.parametrize("length", [62, 63, 64, 65])
+    def test_two_slots_per_column_around_2_to_the_63(self, length):
+        # every arc u -> v of two vertices over the trivial group: c = 2, no
+        # scale, and B^l = 2^(l - 1) everywhere. The bound 2^l first passes
+        # 2^63 - 1 at step 63, which reduces first; from length 64 on an
+        # unreduced entry would be 2^63 or more and wrap
+        g = vl.build_builtin_group("cyclic:1")
+        b = vl.associated_matrix(vl.VoltageDigraph(g, ["u", "v"], [(0, 0, 0), (0, 1, 0),
+                                                                    (1, 0, 0), (1, 1, 0)]))
+        c, blocks = voltage._product_terms(b, PRIMES[:2], g, len(b))
+        assert c == 2 and blocks[0][2] is None
+        got = vl.algebra_matrix_power(b, length, g)
+        assert_exact(got, algebra_matrix_power_loop(b, length, g))
+        assert got[0, 1, 0] == 2 ** (length - 1)
+        assert_exact(voltage.algebra_trace_powers(b, length, g),
+                     algebra_trace_powers_loop(b, length, g))
+
+    def test_a_column_of_pads_only(self, d3):
+        # z has no in-arcs, so column z of B is all pads, while column b
+        # holds the most nonzeros, c = 3
+        d = vl.VoltageDigraph(d3, ["a", "b", "z"],
+                              [(0, 1, 1), (1, 0, 3), (1, 1, 2), (2, 0, 4), (2, 1, 0)])
+        b = vl.associated_matrix(d)
+        offset = voltage._product_terms(b, PRIMES[:1], d3, len(b))[1][0][0]
+        assert offset.shape == (3, 3, 1) and np.all(offset[2] == 3 * d3.order)
+        for ell in (1, 2, 5, 40):
+            got = vl.algebra_matrix_power(b, ell, d3)
+            assert_exact(got, algebra_matrix_power_loop(b, ell, d3))
+            assert not np.any(got[:, 2] != 0)
+        assert_exact(voltage.algebra_trace_powers(b, 40, d3),
+                     algebra_trace_powers_loop(b, 40, d3))
+        assert_exact(voltage.algebra_matmul(b, b, d3), algebra_matmul_loop(b, b, d3))
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 64])
+    def test_parallel_arcs_take_the_scaled_path(self, length):
+        g = vl.build_builtin_group("dihedral:4")
+        with open(PARALLEL_PATH) as f:
+            b = vl.associated_matrix(vl.parse_voltage_digraph(f.read(), g))
+        assert sorted(set(b.ravel())) == [0, 1, 2, 3]
+        c, blocks = voltage._product_terms(b, PRIMES[:1], g, len(b))
+        assert c == 2 and blocks[0][2] is not None
+        got = vl.algebra_matrix_power(b, length, g)
+        assert_exact(got, algebra_matrix_power_loop(b, length, g))
+        assert_exact(voltage.algebra_trace_powers(b, length, g),
+                     algebra_trace_powers_loop(b, length, g))
+        assert (max(got.ravel()) > 2**63) == (length == 64)
+
+    def test_matmul_negative_coefficients(self):
+        # column 0 mixes coefficients 1 and negative ones (the scaled path,
+        # each residue near p), column 1 is all -1, column 2 all pads
+        g = vl.build_builtin_group("dihedral:4")
+        rng = np.random.default_rng(8)
+        a = obj(rng.integers(-9, 10, size=(2, 3, g.order)).tolist())
+        a[0, 1, 3] = -(2**70)
+        b = np.zeros((3, 3, g.order), dtype=object)
+        b[0, 0, :3] = [1, -1, -(2**40)]
+        b[2, 0, 5] = 1
+        b[:, 1] = -1
+        assert_exact(voltage.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+
+    def test_a_full_column_gathers_in_blocks(self):
+        # over cyclic:4096, column 0 of B holds every element in both rows:
+        # c = 8192 slots, so one gather of all of them would hold
+        # 2 * 8192 * 4096 * 2 int64 entries (1 GiB) and its index 512 MiB;
+        # blocks of at most BLOCK_ENTRIES entries keep the step small
+        g = vl.build_builtin_group("cyclic:4096")
+        b = np.zeros((2, 2, g.order), dtype=object)
+        b[:, 0] = 1
+        tracemalloc.start()
+        try:
+            got = vl.algebra_matrix_power(b, 1, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert_exact(got, b)
 
     def test_non_square_power_raises(self, d3):
         b = np.zeros((2, 3, d3.order), dtype=object)
