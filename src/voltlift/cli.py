@@ -134,7 +134,9 @@ def _json_text(x, depth: int = 0) -> str:
     if not x:
         return "{}" if is_dict else "[]"
     pad = "  " * depth
-    if not any(isinstance(v, _CONTAINERS) for v in (x.values() if is_dict else x)):
+    # the items' types, gathered in C, and one subclass test per distinct type
+    types = set(map(type, x.values() if is_dict else x))
+    if not any(issubclass(t, _CONTAINERS) for t in types):
         inner = _encoder(depth)(x)[1:-1]
     elif is_dict:  # each key as the C encoder writes it, then ": "
         key = _encoder(depth + 1)
@@ -212,18 +214,20 @@ def _cmd_walks(args) -> int:
         raise voltage.VoltageError("--length must be >= 0")
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
-    b = voltage.associated_matrix(digraph)
-    power = voltage.algebra_matrix_power(b, args.length, group)
-    names = group.element_names
-    nonzero = power != 0
-    entries = []
-    for u, v in np.ndindex(power.shape[:2]):
-        support = np.flatnonzero(nonzero[u, v])
-        coeffs = {names[g]: c for g, c in zip(support.tolist(), power[u, v, support].tolist())}
-        entries.append({"from": digraph.vertices[u], "to": digraph.vertices[v], "coeffs": coeffs})
+    r = digraph.order
+    power = voltage._matrix_power(voltage._quotient_terms(digraph), r, args.length, group)
+    # one nonzero pass over B^L, split per entry (u, v) by the cuts of the
+    # sorted flat index u * r + v
+    u, v, g = np.nonzero(power)
+    cuts = np.searchsorted(u * r + v, np.arange(r * r + 1)).tolist()
+    names = np.asarray(group.element_names, dtype=object)[g].tolist()
+    coeffs = power[u, v, g].tolist()
+    entries = [{"from": digraph.vertices[k // r], "to": digraph.vertices[k % r],
+                "coeffs": dict(zip(names[a:b], coeffs[a:b]))}
+               for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     n = group.order
     payload = {"length": args.length, "entries": entries}
-    if digraph.order * n <= 200:
+    if r * n <= 200:
         # walks from (u, e) to (v, g) are the coefficients of g in B^L[u, v]:
         # only the r rows of A^L at the identity fibre are compared, so only
         # they are multiplied out, in exact ints

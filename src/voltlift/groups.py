@@ -36,9 +36,10 @@ class GroupTable:
 
     ``classes`` is the conjugacy-class partition, each class sorted, classes
     ordered by minimum element index with the identity's class first.
-    ``generators`` is a generating set found greedily (at most log2(order)
-    elements; empty for the trivial group); validation of the table and of
-    irreps goes through it. ``family``, no argument, is the canonical
+    ``generators`` is a generating set found greedily, each the first
+    element not yet reached from the identity by right multiplication by
+    the ones before (at most log2(order) elements; empty for the trivial
+    group); validation of the table and of irreps goes through it. ``family``, no argument, is the canonical
     builtin spec (e.g. ``"dihedral:3"``) that only :func:`build_builtin_group`
     sets, on the table it built; any other table has ``None``.
     """
@@ -222,25 +223,30 @@ def _find_inverses(mul: np.ndarray, identity: int) -> tuple:
 
 
 def _generating_set(mul: np.ndarray, identity: int) -> tuple:
-    """Greedy generators: add the first element not yet reached, then close.
+    """Greedy generators: add the first element not yet reached, until every
+    element is reached.
 
-    The reached set is closed under products by repeated squaring, so a
-    closure takes O(log n) rounds. In a group each new generator at least
-    doubles the reached subgroup, giving at most log2(n) generators.
+    The reached set is the identity's component of the links x -- x*s over
+    the generators s so far, one connected_components pass per generator.
+    The table is already a Latin square, so right multiplication by s is a
+    permutation of the elements, and its inverse is one of its powers: the
+    component is exactly the set of left-bracketed products
+    (..((e*s_1)*s_2)..)*s_k of generators. Light's test (_check_associativity)
+    needs no more: the elements it passes are closed under products, so if
+    every generator passes, so does every such product, that is, every
+    element. In a group the component is the subgroup the generators
+    generate, the set a closure under products reaches, so the generators
+    are the ones that closure rule picks; each new one at least doubles the
+    reached subgroup, giving at most log2(n) generators.
     """
     n = mul.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
+    nodes = np.arange(n)
+    reached = nodes == identity
     gens = []
     while not reached.all():
-        g = int(np.argmin(reached))
-        gens.append(g)
-        reached[g] = True
-        while not reached.all():
-            r = np.flatnonzero(reached)
-            reached[mul[np.ix_(r, r)]] = True
-            if reached.sum() == r.size:  # closed under products
-                break
+        gens.append(int(np.argmin(reached)))
+        label = connected_components(n, np.tile(nodes, len(gens)), mul[:, gens].T.ravel())
+        reached = label == label[identity]
     return tuple(gens)
 
 

@@ -42,8 +42,8 @@ from .voltage import (
     VoltageDigraph,
     _lift_arcs,
     _quotient_terms,
+    _trace_powers,
     algebra_trace_powers,
-    associated_matrix,
     build_lift,
 )
 
@@ -536,7 +536,12 @@ def power_sums_from_characters(
     ``chi`` is one character row (n,) or a stack of rows (nu, n); the sums
     come back as (length,) or (nu, length), one row per character.
     """
-    traces = algebra_trace_powers(b, length, group)
+    return _power_sums(algebra_trace_powers(b, length, group), chi)
+
+
+def _power_sums(traces: np.ndarray, chi) -> np.ndarray:
+    """Power sums: character rows chi, (n,) or (nu, n), times the exact
+    traces (n, L), one column per power of B."""
     return np.asarray(chi, dtype=complex) @ traces.astype(complex)
 
 
@@ -607,9 +612,10 @@ def lift_spectrum_charsum(
         raise SpectrumError(
             f"power-sum degree {top} exceeds conditioning cap {CHARSUM_HARD_CAP}"
         )
-    # exact traces of B^l once for every l any row needs, then the whole
-    # character table in one (nu x n) @ (n x L) product
-    sums = power_sums_from_characters(associated_matrix(d), t.rows, top, d.group)
+    # exact traces of B^l, from B's terms read off the arcs, once for every
+    # l any row needs, then the whole character table in one (nu x n) @
+    # (n x L) product
+    sums = _power_sums(_trace_powers(_quotient_terms(d), r, top, d.group), t.rows)
     values = {}
     for k in sorted(set(dims)):
         if r * k > CHARSUM_WARN_DEGREE:

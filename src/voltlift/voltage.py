@@ -135,12 +135,19 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # (u, v), and an algebra element is a length-n vector. The arrays carry no
 # group, so every function here takes the GroupTable.
 #
+# The exact engine reads a right operand as its terms (w, v, h, coeff):
+# one int64 array per index and one of coefficients, a nonzero b[w, v, h]
+# = coeff per position, in np.nonzero's order. The quotient matrix B's
+# terms come from the arcs (_quotient_terms), int64 counts, so no library
+# route builds B; a public function given an object array passes its
+# np.nonzero into the same kernel (_terms), with Python-int coefficients.
+#
 # Products run in int64 residues modulo k primes below 2^31 at once, and
 # Garner's Chinese remaindering turns the residues back into Python ints at
 # the end. k comes from an a-priori bound on the result: the row norm
-# ||b|| = max_u sum_{v,g} |b[u, v, g]| is submultiplicative, so every
-# coefficient of B^l lies within ||b||^l, and the primes' product M
-# exceeds twice the bound.
+# ||b|| = max_w sum_{v,h} |b[w, v, h]|, an exact sum over the terms, is
+# submultiplicative, so every coefficient of B^l lies within ||b||^l, and
+# the primes' product M exceeds twice the bound.
 #
 # One product is one batched gather (_residue_product). Its operands are
 # int64 buffers whose row w * n + g holds the residues of the coefficients
@@ -148,21 +155,22 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # and reverses products), and one zero row ends each buffer. Right
 # multiplication by h sends the coefficient of g h^-1 to g, so it sends
 # that of h y to y = g^-1: each slot reads row h of the group table, one
-# contiguous row. B's nonzeros are grouped by column and padded to the
+# contiguous row. B's terms are grouped by column and padded to the
 # largest column count c, so each entry of a product sums c gathered
 # entries of the left operand, the pads reading the zero row.
 #
 # One bound keeps the int64 arithmetic exact. Every entry is a
 # nonnegative int64 congruent to its coefficient modulo each prime, and
 # the power loop (_residue_powers) tracks an a-priori bound top on the
-# entries. A step of a B whose coefficients are all 1 takes top to
-# c * top. A step with any other coefficient first reduces its operand
-# below 2^31, multiplies by the coefficient's residues and reduces each
-# product at once, so it ends at c * (P - 1), P the largest prime. Entries
-# are reduced modulo the primes only when the next step could pass
-# 2^63 - 1 (delayed reduction, as in von zur Gathen and Gerhard, Modern
-# Computer Algebra), and always before Garner and before a diagonal is
-# summed.
+# entries. The first step, from the identity, leaves B's own
+# coefficients, at most 1 when they all are 1. Each later step of such a
+# B takes top to c * top, so top is c^(l - 1) after step l. A step with
+# any other coefficient first reduces its operand below 2^31, multiplies
+# by the coefficient's residues and reduces each product at once, so it
+# ends at c * (P - 1), P the largest prime. Entries are reduced modulo the
+# primes only when the next step could pass 2^63 - 1 (delayed reduction,
+# as in von zur Gathen and Gerhard, Modern Computer Algebra), and always
+# before Garner and before a diagonal is summed.
 
 _INT64_MAX = 2**63 - 1
 
@@ -214,9 +222,28 @@ def _primes_for(bound: int) -> list:
     return primes
 
 
-def _row_norm(x: np.ndarray) -> int:
-    """||x|| = max_u sum_{v,g} |x[u, v, g]|, exact; 0 for an empty matrix."""
-    return int(np.abs(np.asarray(x, dtype=object)).sum(axis=(1, 2)).max(initial=0))
+def _terms(b: np.ndarray) -> tuple:
+    """The terms (w, v, h, coeff) of a group-algebra matrix b: its nonzeros
+    in the order np.nonzero lists them, each coefficient a Python int."""
+    w, v, h = np.nonzero(b)
+    return w, v, h, np.asarray(b[w, v, h], dtype=object)
+
+
+def _square_terms(b: np.ndarray) -> tuple:
+    """The terms of b, an r x r matrix: VoltageError if it is not square."""
+    if b.shape[0] != b.shape[1]:
+        raise VoltageError("matrix size mismatch")
+    return _terms(b)
+
+
+def _row_norm(terms: tuple, rows: int) -> int:
+    """||x|| = max_w sum_{v,h} |x[w, v, h]| of the matrix of rows rows with
+    these terms, exact: summed in the coefficients' own dtype, int64 counts
+    of arcs or Python ints; 0 for a matrix with no rows."""
+    w, coeff = terms[0], terms[3]
+    norm = np.zeros(rows, dtype=coeff.dtype)
+    np.add.at(norm, w, np.abs(coeff))
+    return int(norm.max(initial=0))
 
 
 def _to_residues(x: np.ndarray, primes: list, group: GroupTable) -> np.ndarray:
@@ -269,25 +296,28 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     return np.where(x > m // 2, x - m, x).astype(object, copy=False)
 
 
-def _product_terms(b: np.ndarray, primes: list, group: GroupTable, left_rows: int) -> tuple:
-    """The nonzeros b[w, v, h] of a right operand as (c, blocks) for
-    _residue_product, times a left operand of left_rows rows.
+def _product_terms(terms: tuple, shape: tuple, primes: list, group: GroupTable,
+                   left_rows: int) -> tuple:
+    """The terms (w, v, h, coeff) of a right operand of shape (rows, width)
+    as (c, blocks) for _residue_product, times a left operand of left_rows
+    rows.
 
-    The nonzeros are grouped by column v, and each column is padded to the
-    largest column count c. Slot s of column v reads, for each y, row
-    offset[v, s] + mul[h, y] of the left operand's buffer, where
-    offset[v, s] = w * n and element[v, s] = h. A pad has offset rows * n,
-    the buffer's zero row. Each block is (offset[:, slots, None],
-    element[:, slots], scale) over a run of slots whose gather holds at
-    most BLOCK_ENTRIES entries, or over one slot; an operand with no
-    nonzeros has one block of no slots.
+    The terms are grouped by column v, each column's in the order given,
+    and each column is padded to the largest column count c. Slot s of
+    column v reads, for each y, row offset[v, s] + mul[h, y] of the left
+    operand's buffer, where offset[v, s] = w * n and element[v, s] = h. A
+    pad has offset rows * n, the buffer's zero row. Each block is
+    (offset[:, slots, None], element[:, slots], scale) over a run of slots
+    whose gather holds at most BLOCK_ENTRIES entries, or over one slot; an
+    operand with no terms has one block of no slots.
     scale is None when every coefficient is 1, which needs no product, and
     else the int64 (columns, slots, 1, k, 1) residues of each slot's
     coefficient.
     """
-    rows, width, n = b.shape
-    v, w, h = np.nonzero(b.transpose(1, 0, 2))  # sorted by column
-    coeffs = b[w, v, h]
+    rows, width = shape
+    n = group.order
+    order = np.argsort(terms[1], kind="stable")  # by column
+    w, v, h, coeff = (t[order] for t in terms)
     count = np.bincount(v, minlength=width)
     slot = np.arange(len(v)) - (np.cumsum(count) - count)[v]
     c = int(count.max(initial=0))
@@ -296,9 +326,9 @@ def _product_terms(b: np.ndarray, primes: list, group: GroupTable, left_rows: in
     element = np.zeros((width, c), dtype=np.int64)
     element[v, slot] = h
     scale = None
-    if not np.all(coeffs == 1):
+    if not np.all(coeff == 1):
         scale = np.zeros((width, c, 1, len(primes), 1), dtype=np.int64)
-        scale[v, slot, 0, :, 0] = np.array([coeffs % p for p in primes], dtype=np.int64).T
+        scale[v, slot, 0, :, 0] = np.array([coeff % p for p in primes], dtype=np.int64).T
     size = max(1, BLOCK_ENTRIES // max(1, width * n * len(primes) * left_rows))
     return c, [(offset[:, s:s + size], element[:, s:s + size],
                 None if scale is None else scale[:, s:s + size])
@@ -355,8 +385,9 @@ def algebra_matmul(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarra
     """
     if a.shape[1] != b.shape[0]:
         raise VoltageError("matrix size mismatch")
-    primes = _primes_for(_row_norm(a) * int(np.abs(np.asarray(b, dtype=object)).max(initial=0)))
-    _, blocks = _product_terms(b, primes, group, len(a))
+    terms = _terms(b)
+    primes = _primes_for(_row_norm(_terms(a), len(a)) * int(np.abs(terms[3]).max(initial=0)))
+    _, blocks = _product_terms(terms, b.shape[:2], primes, group, len(a))
     out = _residue_product(_to_residues(a, primes, group), blocks, b.shape[1], primes, group)
     out = out[:-1].reshape(b.shape[1], group.order, len(primes), len(a))
     return _from_residues(_reduced(out, primes, group), primes)
@@ -367,38 +398,54 @@ def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
     return algebra_matmul(x[None, None], y[None, None], group)[0, 0]
 
 
-def _residue_powers(b: np.ndarray, length: int, primes: list, group: GroupTable):
-    """B^0, B^1, ..., B^length, one at a time, as (r, n, k, r) views
-    res[w, g, i, u] of operand buffers, the residues of B^l[u, w, g^-1]
-    as _to_residues lays them out. Each is made from the one before, so a
-    caller that drops each before the next holds two at most. Entries are
-    nonnegative int64s congruent to the coefficients but not reduced, so a
-    caller reduces them before Garner or before it sums them; a reduction
-    here rewrites the last power yielded in place, to the same residues.
+def _residue_powers(terms: tuple, r: int, length: int, primes: list, group: GroupTable):
+    """B^0, B^1, ..., B^length of the r x r matrix B with these terms, one
+    at a time, as (r, n, k, r) views res[w, g, i, u] of operand buffers,
+    the residues of B^l[u, w, g^-1] as _to_residues lays them out. Each is
+    made from the one before, so a caller that drops each before the next
+    holds two at most. Entries are nonnegative int64s congruent to the
+    coefficients but not reduced, so a caller reduces them before Garner or
+    before it sums them; a reduction here rewrites the last power yielded
+    in place, to the same residues.
 
-    Exact in int64: every entry lies in [0, top] (the identity has top = 1).
-    Before a step with every coefficient 1, the power is reduced (top =
-    P - 1, P the largest prime) when c * top could pass 2^63 - 1; c * (P - 1)
-    cannot (_residue_product). Before a scaled step it is reduced unless it
-    already lies below P. Either way _residue_product's condition holds,
-    and the step leaves top at c * top or at c * (P - 1).
+    Exact in int64: every entry lies in [0, top]. The identity has top = 1.
+    Entry (u, v, g) of I B sums the slots (w, h) of column v, each reading
+    I[u, w, g h^-1], which is nonzero only for w = u and h = g: one slot
+    of the column at most. So step 1 leaves B's coefficients (their
+    residues below P, P the largest prime, on a scaled step), top = 1 when
+    every coefficient is 1, and each later step sums c slots: top is
+    c^(l - 1) after step l, attained by the all-ones B over the trivial
+    group. Before a step with every coefficient 1, the power is reduced
+    (top = P - 1) when c * top could pass 2^63 - 1; c * (P - 1) cannot
+    (_residue_product). Before a scaled step it is reduced unless it
+    already lies below P. Either way _residue_product's condition holds.
     """
-    if b.shape[0] != b.shape[1]:
-        raise VoltageError("matrix size mismatch")
-    r, n, top = b.shape[0], group.order, 1
-    c, blocks = _product_terms(b, primes, group, r)
+    n = group.order
+    c, blocks = _product_terms(terms, (r, r), primes, group, r)
     scaled = blocks[0][2] is not None
     mod = np.array(primes)[:, None]
     power = np.zeros((r * n + 1, len(primes), r), dtype=np.int64)
     power[np.arange(r) * n + group.identity, :, np.arange(r)] = 1
     yield power[:-1].reshape(r, n, len(primes), r)
-    for _ in range(length):
+    top = 1
+    for step in range(length):
         if c * top > _INT64_MAX or (scaled and top >= primes[0]):
             power %= mod
             top = primes[0] - 1
         power = _residue_product(power, blocks, r, primes, group)
-        top = c * (primes[0] - 1 if scaled else top)
+        top = (primes[0] - 1 if scaled else top) * (c if step else 1)
         yield power[:-1].reshape(r, n, len(primes), r)
+
+
+def _matrix_power(terms: tuple, r: int, ell: int, group: GroupTable) -> np.ndarray:
+    """B^ell of the r x r matrix B with these terms, by ell multiplications
+    with the sparse B; B^0 is the identity. Every coefficient of B^ell lies
+    within ||B||^ell."""
+    if ell < 0:
+        raise VoltageError("negative power")
+    primes = _primes_for(_row_norm(terms, r) ** ell)
+    power = collections.deque(_residue_powers(terms, r, ell, primes, group), maxlen=1).pop()
+    return _from_residues(_reduced(power, primes, group), primes)
 
 
 def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:
@@ -406,11 +453,23 @@ def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarr
 
     Every coefficient of B^ell lies within ||b||^ell.
     """
-    if ell < 0:
-        raise VoltageError("negative power")
-    primes = _primes_for(_row_norm(b) ** ell)
-    power = collections.deque(_residue_powers(b, ell, primes, group), maxlen=1).pop()
-    return _from_residues(_reduced(power, primes, group), primes)
+    return _matrix_power(_square_terms(b), len(b), ell, group)
+
+
+def _trace_powers(terms: tuple, r: int, length: int, group: GroupTable) -> np.ndarray:
+    """Exact traces of B^1..B^length, B the r x r matrix with these terms,
+    as the columns of an (n, length) array. Every trace coefficient lies
+    within r ||B||^length."""
+    primes = _primes_for(r * _row_norm(terms, r) ** length)
+    mod = np.array(primes)
+    traces = np.zeros((len(primes), group.order, length), dtype=np.int64)
+    diag = np.arange(r)
+    powers = itertools.islice(_residue_powers(terms, r, length, primes, group), 1, None)
+    for ell, power in enumerate(powers):
+        # power[u, g, i, u] reduced, then summed over u: r residues, each
+        # below 2^31; column g holds the trace's coefficient of g^-1
+        traces[:, :, ell] = (power[diag, :, :, diag] % mod).sum(axis=0).T % mod[:, None]
+    return _from_residues(traces[:, np.asarray(group.inverse)], primes)
 
 
 def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.ndarray:
@@ -418,17 +477,7 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
 
     Every trace coefficient lies within r ||b||^length.
     """
-    r = b.shape[0]
-    primes = _primes_for(r * _row_norm(b) ** length)
-    mod = np.array(primes)
-    traces = np.zeros((len(primes), group.order, length), dtype=np.int64)
-    diag = np.arange(r)
-    powers = itertools.islice(_residue_powers(b, length, primes, group), 1, None)
-    for ell, power in enumerate(powers):
-        # power[u, g, i, u] reduced, then summed over u: r residues, each
-        # below 2^31; column g holds the trace's coefficient of g^-1
-        traces[:, :, ell] = (power[diag, :, :, diag] % mod).sum(axis=0).T % mod[:, None]
-    return _from_residues(traces[:, np.asarray(group.inverse)], primes)
+    return _trace_powers(_square_terms(b), len(b), length, group)
 
 
 # ---------------------------------------------------------------------------

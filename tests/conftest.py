@@ -109,6 +109,19 @@ def random_voltage_digraph(rng, group, max_vertices=6, max_arcs=20):
     return vl.VoltageDigraph(group, names, arcs)
 
 
+def term_cases(rng, g):
+    """Digraphs over g whose quotient matrices have every kind of nonzero:
+    random ones, one with a coefficient of 2 and one of 3 from parallel
+    arcs of one voltage, with loops and a vertex d with no in-arcs (a
+    column of B with no nonzeros), and one with no arcs at all."""
+    cases = [random_voltage_digraph(rng, g, max_vertices=5, max_arcs=14) for _ in range(3)]
+    x, y = (int(e) for e in rng.integers(g.order, size=2))
+    parallel = [(0, 1, x)] * 2 + [(1, 1, y)] * 3 + [(2, 2, x), (2, 0, y), (1, 0, x), (3, 1, y)]
+    cases.append(vl.VoltageDigraph(g, ["a", "b", "c", "d"], parallel))
+    cases.append(vl.VoltageDigraph(g, ["a", "b"], []))
+    return cases
+
+
 def random_voltage_graph(rng, group, max_vertices=6, max_edges=12):
     """An undirected voltage graph: at most one edge per pair of vertices
     and one loop per vertex, each an arc (u, v, x) and its reverse

@@ -13,8 +13,9 @@ np.roots, and irrep-set validation by one check per irrep plus the
 character Gram product, character-table validation by the Gram product
 over every element, the least distance within which two spectra pair up
 by an exact bottleneck matching over every copy, the conjugate pairing by
-a nearest-row search over the character table, and the eigenvalues of a
-lift by one dense solve of its whole adjacency.
+a nearest-row search over the character table, the eigenvalues of a
+lift by one dense solve of its whole adjacency, and a group's greedy
+generators by closing the reached set under products.
 """
 
 from math import factorial
@@ -87,6 +88,26 @@ def power_sums_by_walk_enumeration(
                     stack.append((head, int(group.mul[voltage, x]), steps + 1))
         sums.append(complex(total))
     return tuple(sums)
+
+
+def closure_generators(mul: np.ndarray, identity: int) -> tuple:
+    """Greedy generators by the closure rule: add the first element not yet
+    reached, then close the reached set under products, by repeated
+    squaring of the reached set, until no product adds an element."""
+    n = mul.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        reached[g] = True
+        while not reached.all():
+            r = np.flatnonzero(reached)
+            reached[mul[np.ix_(r, r)]] = True
+            if reached.sum() == r.size:  # closed under products
+                break
+    return tuple(gens)
 
 
 def algebra_matmul_loop(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:

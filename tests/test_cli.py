@@ -406,14 +406,14 @@ def test_walks_parallel_arcs_past_int64(monkeypatch, capsys):
     assert doc["oracle_checked"] and doc["oracle_match"]
     assert max(c for e in doc["entries"] for c in e["coeffs"].values()) > 2**95
 
-    power = voltage.algebra_matrix_power
+    power = voltage._matrix_power  # what walks calls, on B's terms
 
-    def off_by_one(b, ell, group):
-        out = power(b, ell, group)
+    def off_by_one(terms, r, ell, group):
+        out = power(terms, r, ell, group)
         out[0, 1, 1] += 1
         return out
 
-    monkeypatch.setattr(voltage, "algebra_matrix_power", off_by_one)
+    monkeypatch.setattr(voltage, "_matrix_power", off_by_one)
     assert run(argv) == 1
     assert json.loads(capsys.readouterr().out)["oracle_match"] is False
 
@@ -677,14 +677,14 @@ def test_walks_oracle_catches_a_wrong_coefficient_at_the_cap(tmp_path, monkeypat
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_checked"] and doc["oracle_match"]
 
-    power = voltage.algebra_matrix_power
+    power = voltage._matrix_power  # what walks calls, on B's terms
 
-    def off_by_one(b, ell, group):
-        out = power(b, ell, group)
+    def off_by_one(terms, r, ell, group):
+        out = power(terms, r, ell, group)
         out[1, 2, 7] += 1
         return out
 
-    monkeypatch.setattr(voltage, "algebra_matrix_power", off_by_one)
+    monkeypatch.setattr(voltage, "_matrix_power", off_by_one)
     assert run(argv) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_checked"] and doc["oracle_match"] is False

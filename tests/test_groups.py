@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from voltlift import groups
 from voltlift.groups import GroupError, connected_components, make_group_table
 
 from conftest import GROUP_POOL_SPECS
-from oracles import find_isomorphism
+from oracles import closure_generators, find_isomorphism
 from test_reps import SMALL_BUILTINS
 
 FAMILY_SPECS = ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
@@ -248,6 +249,39 @@ def test_generators_and_classes(spec):
     assert closure_under_products(g, g.generators) == set(range(g.order))
     assert len(g.generators) <= math.ceil(math.log2(g.order))
     assert g.classes == conjugacy_partition_all_elements(g)
+
+
+# CI's four MAX_ORDER specs
+MAX_ORDER_SPECS = ["cyclic:4096", "dihedral:2048", "product:dihedral:32,cyclic:64",
+                   "product:cyclic:2,cyclic:2048"]
+
+
+@pytest.mark.parametrize(
+    "spec", ALL_BUILTIN_SPECS + ["dihedral:128", "product:dihedral:8,cyclic:16", "q8"]
+    + MAX_ORDER_SPECS)
+def test_generators_equal_the_closure_rule(spec):
+    # the identity's component of the links x -- x*s is the subgroup the
+    # generators generate, so the greedy rule picks the closure rule's tuple
+    if spec == "q8":
+        with open(Q8_PATH) as f:
+            g = vl.parse_group_table(f.read())
+    else:
+        g = vl.build_builtin_group(spec)
+    assert g.generators == closure_generators(g.mul, g.identity)
+
+
+def test_a_non_associative_latin_square_is_refused_through_its_generators():
+    # the smallest loop that is not a group: every element is reached by
+    # left-bracketed products of the generators, so Light's test over them
+    # still finds a failure, (1*1)*2 = 2 != 4 = 1*(1*2) at the first one
+    loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                     [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    gens = groups._generating_set(loop, 0)
+    table = SimpleNamespace(mul=loop, identity=0)
+    assert closure_under_products(table, gens) == set(range(5))
+    assert gens == closure_generators(loop, 0)
+    with pytest.raises(GroupError, match=re.escape("associativity fails at (1, 1, 2)")):
+        make_group_table(list("eabcd"), loop)
 
 
 @pytest.mark.parametrize("spec", GROUP_POOL_SPECS + ["q8", "s3_relabelled"])

@@ -25,6 +25,7 @@ from conftest import (
     random_voltage_graph,
     replaced,
     symmetric_lift,
+    term_cases,
     unvalidated,
 )
 from oracles import (
@@ -134,18 +135,6 @@ def q8_set():
         return vl.load_irreps(f.read(), g)
 
 
-def term_cases(rng, g):
-    """Digraphs over g whose quotient matrices have every kind of nonzero:
-    random ones, one with a coefficient of 2 and one of 3 from parallel
-    arcs of one voltage, with loops, and one with no arcs at all."""
-    cases = [random_voltage_digraph(rng, g, max_vertices=5, max_arcs=14) for _ in range(3)]
-    x, y = (int(e) for e in rng.integers(g.order, size=2))
-    parallel = [(0, 1, x)] * 2 + [(1, 1, y)] * 3 + [(2, 2, x), (2, 0, y), (1, 0, x)]
-    cases.append(vl.VoltageDigraph(g, ["a", "b", "c"], parallel))
-    cases.append(vl.VoltageDigraph(g, ["a", "b"], []))
-    return cases
-
-
 class TestQuotientTerms:
     """The irrep routes read B's nonzeros from the arcs (_quotient_terms)
     and never build B; their images must be rho_matrix's to the bit."""
@@ -200,8 +189,10 @@ class TestQuotientTerms:
         def refuse(d):
             raise AssertionError("an irrep route built the quotient matrix")
 
+        # every module that binds it: spectra no longer does
         for module in (vl, voltage, spectra):
-            monkeypatch.setattr(module, "associated_matrix", refuse)
+            if hasattr(module, "associated_matrix"):
+                monkeypatch.setattr(module, "associated_matrix", refuse)
         got = (vl.irrep_eigenvalues(k2star, d3_irreps),
                vl.lift_spectrum_repr(k2star, d3_irreps),
                vl.lift_eigenvectors(k2star, d3_irreps))
@@ -1621,6 +1612,40 @@ class TestLiftEigenvectors:
             assert match, why
             assert float(match[1]) > float(match[2])
         assert lift_eigenvectors_loop(d, d3_irreps).skipped_irreps == (0, 1, 2)
+
+    def test_one_column_past_the_residual_bound_skips_its_irrep(
+            self, k2star, d3_irreps, monkeypatch):
+        # the general solver's worst residual over random images is about
+        # 4e-10 * (1 + ||M||), and the bound is 1e-8 * (1 + ||M||). One
+        # eigenvector column of the 2-dim image, moved off its eigenvector
+        # until its residual is 1e-6 * (1 + ||M||), between the two, must
+        # fail the bound: that irrep alone is skipped, for its residual,
+        # where a bound 10^4 times looser would keep it
+        d = vl.VoltageDigraph(k2star.group, k2star.vertices, k2star.arcs[:-1])
+        two = d3_irreps.dims.index(2)
+        assert vl.lift_eigenvectors(d, d3_irreps).skipped_irreps == ()
+        solve, target = spectra._solve, []
+
+        def perturbed(solver, m, **kwargs):
+            vals, vecs = solve(solver, m, **kwargs)
+            if solver is np.linalg.eig and m.shape == (1, 4, 4):
+                # v + eps e_0 has residual eps ||(M - lambda) e_0|| up to rounding
+                shift = m[0] - vals[0, 0] * np.eye(4)
+                target.append(1e-6 * (1 + np.linalg.norm(m[0], 2)))
+                vecs = vecs.copy()
+                vecs[0, 0, 0] += target[0] / np.linalg.norm(shift[:, 0])
+            return vals, vecs
+
+        monkeypatch.setattr(spectra, "_solve", perturbed)
+        result = vl.lift_eigenvectors(d, d3_irreps)
+        assert len(target) == 1
+        assert result.skipped_irreps == (two,)
+        assert self.accounted(d, d3_irreps, result) == 12
+        match = re.fullmatch(r"residual (\S+) > bound (\S+)", result.skip_reasons[0])
+        assert match, result.skip_reasons
+        residual, bound = float(match[1]), float(match[2])
+        assert 0.5 * target[0] < residual < 2 * target[0]
+        assert bound == pytest.approx(1e-8 / 1e-6 * target[0], rel=5e-2)  # printed to 2 digits
 
 
 class TestMainEquivalenceSample:

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import voltlift as vl
 from voltlift import voltage
+from voltlift.cli import run
 from voltlift.groups import short_repr
 from voltlift.voltage import VoltageError
 
-from conftest import K2STAR_DOC, random_voltage_digraph
+from conftest import GROUP_POOL_SPECS, K2STAR_DOC, random_voltage_digraph, term_cases
 from oracles import (
     algebra_matmul_loop,
     algebra_matrix_power_loop,
@@ -25,6 +26,7 @@ CUBE_PATH = os.path.join(os.path.dirname(__file__), "data", "cube_dihedral32.jso
 # three vertices over dihedral:4, each column of B two nonzeros, two of them
 # parallel arcs: coefficients 2 and 3
 PARALLEL_PATH = os.path.join(os.path.dirname(__file__), "data", "parallel_dihedral4.json")
+K2STAR_PATH = os.path.join(os.path.dirname(__file__), "data", "k2star_dihedral3.json")
 
 
 def naive_convolution(a, b, group):
@@ -457,7 +459,8 @@ class TestResidueArithmetic:
         else:
             rng = np.random.default_rng(3)
             b, length = obj(rng.integers(-5, 6, size=(3, 3, d3.order)).tolist()), 30
-        assert len(voltage._primes_for(len(b) * voltage._row_norm(b) ** length)) >= 3
+        norm = voltage._row_norm(voltage._terms(b), len(b))
+        assert len(voltage._primes_for(len(b) * norm ** length)) >= 3
         traces = voltage.algebra_trace_powers(b, length, d3)
         for ell in range(1, length + 1):
             power = vl.algebra_matrix_power(b, ell, d3)
@@ -501,28 +504,57 @@ class TestResidueArithmetic:
     def test_cube_power_to_length_64(self):
         g = vl.build_builtin_group("dihedral:32")
         with open(CUBE_PATH) as f:
-            b = vl.associated_matrix(vl.parse_voltage_digraph(f.read(), g))
-        assert voltage._product_terms(b, PRIMES[:4], g, len(b))[0] == 3
+            d = vl.parse_voltage_digraph(f.read(), g)
+        b = vl.associated_matrix(d)
+        terms = voltage._quotient_terms(d)
+        assert voltage._product_terms(terms, b.shape[:2], PRIMES[:4], g, len(b))[0] == 3
         got = vl.algebra_matrix_power(b, 64, g)
         assert_exact(got, algebra_matrix_power_loop(b, 64, g))
+        assert_exact(voltage._matrix_power(terms, len(b), 64, g), got)
         assert max(got.ravel()) > 2**90
+
+    @staticmethod
+    def all_ones_pair():
+        # every arc u -> v of two vertices over the trivial group: c = 2, no
+        # scale, and B^l = 2^(l - 1) everywhere
+        g = vl.build_builtin_group("cyclic:1")
+        d = vl.VoltageDigraph(g, ["u", "v"], [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)])
+        return g, d
 
     @pytest.mark.parametrize("length", [62, 63, 64, 65])
     def test_two_slots_per_column_around_2_to_the_63(self, length):
-        # every arc u -> v of two vertices over the trivial group: c = 2, no
-        # scale, and B^l = 2^(l - 1) everywhere. The bound 2^l first passes
-        # 2^63 - 1 at step 63, which reduces first; from length 64 on an
-        # unreduced entry would be 2^63 or more and wrap
-        g = vl.build_builtin_group("cyclic:1")
-        b = vl.associated_matrix(vl.VoltageDigraph(g, ["u", "v"], [(0, 0, 0), (0, 1, 0),
-                                                                    (1, 0, 0), (1, 1, 0)]))
-        c, blocks = voltage._product_terms(b, PRIMES[:2], g, len(b))
+        # the bound c^(l - 1) after step l is exact here; it first passes
+        # 2^63 - 1 before step 64, which reduces first. From length 64 on an
+        # unreduced entry would be 2^63 or more and wrap, so a guard that
+        # lets c * top reach 2 * (2^63 - 1) fails at 64 and 65
+        g, d = self.all_ones_pair()
+        b = vl.associated_matrix(d)
+        terms = voltage._quotient_terms(d)
+        c, blocks = voltage._product_terms(terms, b.shape[:2], PRIMES[:2], g, len(b))
         assert c == 2 and blocks[0][2] is None
         got = vl.algebra_matrix_power(b, length, g)
         assert_exact(got, algebra_matrix_power_loop(b, length, g))
         assert got[0, 1, 0] == 2 ** (length - 1)
+        assert_exact(voltage._matrix_power(terms, len(b), length, g), got)
         assert_exact(voltage.algebra_trace_powers(b, length, g),
                      algebra_trace_powers_loop(b, length, g))
+
+    def test_the_bound_is_exact_so_reductions_wait(self):
+        # a reduction rewrites the last power yielded in place, so the
+        # yielded views show where the loop reduced: with the bound 2^(l - 1)
+        # after step l, B^63 is the first power reduced, before step 64, and
+        # every earlier one holds its coefficient 2^(l - 1) unreduced; B^64
+        # and B^65 are sums of reduced entries, congruent to theirs
+        g, d = self.all_ones_pair()
+        primes = voltage._primes_for(2**64)
+        mod = np.array(primes)[:, None]
+        powers = list(voltage._residue_powers(voltage._quotient_terms(d), 2, 65, primes, g))
+        for ell, power in enumerate(powers[1:], 1):
+            if ell < 63:
+                assert np.all(power == 2 ** (ell - 1))
+            else:
+                assert np.all(power % mod == np.array([2 ** (ell - 1) % p for p in primes])[:, None])
+        assert np.all(powers[63] < mod)
 
     def test_a_column_of_pads_only(self, d3):
         # z has no in-arcs, so column z of B is all pads, while column b
@@ -530,8 +562,11 @@ class TestResidueArithmetic:
         d = vl.VoltageDigraph(d3, ["a", "b", "z"],
                               [(0, 1, 1), (1, 0, 3), (1, 1, 2), (2, 0, 4), (2, 1, 0)])
         b = vl.associated_matrix(d)
-        offset = voltage._product_terms(b, PRIMES[:1], d3, len(b))[1][0][0]
+        terms = voltage._quotient_terms(d)
+        offset = voltage._product_terms(terms, b.shape[:2], PRIMES[:1], d3, len(b))[1][0][0]
         assert offset.shape == (3, 3, 1) and np.all(offset[2] == 3 * d3.order)
+        assert_exact(voltage._matrix_power(terms, len(b), 40, d3),
+                     vl.algebra_matrix_power(b, 40, d3))
         for ell in (1, 2, 5, 40):
             got = vl.algebra_matrix_power(b, ell, d3)
             assert_exact(got, algebra_matrix_power_loop(b, ell, d3))
@@ -544,12 +579,15 @@ class TestResidueArithmetic:
     def test_parallel_arcs_take_the_scaled_path(self, length):
         g = vl.build_builtin_group("dihedral:4")
         with open(PARALLEL_PATH) as f:
-            b = vl.associated_matrix(vl.parse_voltage_digraph(f.read(), g))
+            d = vl.parse_voltage_digraph(f.read(), g)
+        b = vl.associated_matrix(d)
         assert sorted(set(b.ravel())) == [0, 1, 2, 3]
-        c, blocks = voltage._product_terms(b, PRIMES[:1], g, len(b))
+        terms = voltage._quotient_terms(d)
+        c, blocks = voltage._product_terms(terms, b.shape[:2], PRIMES[:1], g, len(b))
         assert c == 2 and blocks[0][2] is not None
         got = vl.algebra_matrix_power(b, length, g)
         assert_exact(got, algebra_matrix_power_loop(b, length, g))
+        assert_exact(voltage._matrix_power(terms, len(b), length, g), got)
         assert_exact(voltage.algebra_trace_powers(b, length, g),
                      algebra_trace_powers_loop(b, length, g))
         assert (max(got.ravel()) > 2**63) == (length == 64)
@@ -597,6 +635,59 @@ class TestResidueArithmetic:
     def test_refusals(self, d3, call, message):
         with pytest.raises(VoltageError, match=message):
             call(lambda r, s: np.zeros((r, s, d3.order), dtype=object), d3)
+
+
+class TestQuotientEngine:
+    """The exact routes read B's terms from the arcs (_quotient_terms), and
+    the public B-form functions read them from np.nonzero(b) (_terms): one
+    kernel, so both forms must give the same results, to the bit."""
+
+    @staticmethod
+    def assert_same_blocks(got, want):
+        assert got[0] == want[0] and len(got[1]) == len(want[1])
+        for got_block, want_block in zip(got[1], want[1]):
+            for x, y in zip(got_block, want_block):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_terms_path_equals_the_b_path(self, spec):
+        # random digraphs, parallel arcs (coefficients 2 and 3), loops, a
+        # vertex with no in-arcs and a digraph with no arcs (term_cases)
+        g = vl.build_builtin_group(spec)
+        for d in term_cases(np.random.default_rng(12), g):
+            b, r = vl.associated_matrix(d), d.order
+            terms, b_terms = voltage._quotient_terms(d), voltage._terms(b)
+            assert voltage._row_norm(terms, r) == voltage._row_norm(b_terms, r)
+            for primes in (PRIMES[:1], PRIMES[:3]):
+                self.assert_same_blocks(
+                    voltage._product_terms(terms, (r, r), primes, g, r),
+                    voltage._product_terms(b_terms, (r, r), primes, g, r))
+            for ell in (0, 1, 2, 5):
+                assert_exact(voltage._matrix_power(terms, r, ell, g),
+                             vl.algebra_matrix_power(b, ell, g))
+            assert_exact(voltage._trace_powers(terms, r, 6, g),
+                         voltage.algebra_trace_powers(b, 6, g))
+
+    def test_exact_routes_never_build_b(self, k2star, d3_irreps, monkeypatch, capsys):
+        # charsum's traces and the CLI's walks read the arcs' terms: neither
+        # builds the object array B nor takes its np.nonzero (_terms)
+        t = vl.character_table(d3_irreps)
+        argv = ["walks", "--digraph", K2STAR_PATH, "--group", "dihedral:3", "--length", "45"]
+        want = vl.lift_spectrum_charsum(k2star, t)
+        assert run(argv) == 0
+        want_out = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("an exact route built the quotient matrix")
+
+        for module in (vl, voltage):
+            monkeypatch.setattr(module, "associated_matrix", refuse)
+        monkeypatch.setattr(voltage, "_terms", refuse)
+        assert vl.lift_spectrum_charsum(k2star, t) == want
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want_out
 
 
 def test_lift_json_roundtrip(d3, k2star):
