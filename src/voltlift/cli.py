@@ -230,11 +230,13 @@ def _cmd_walks(args) -> int:
     if r * n <= 200:
         # walks from (u, e) to (v, g) are the coefficients of g in B^L[u, v]:
         # only the r rows of A^L at the identity fibre are compared, so only
-        # they are multiplied out, in exact ints
-        adj = voltage.build_lift(digraph).astype(object)
-        rows = np.eye(len(adj), dtype=object)[group.identity::n]
+        # they are stepped L times over the lift's arcs, in exact ints
+        tails, heads = (a.ravel() for a in voltage._lift_arcs(digraph))
+        rows = np.zeros((r, r * n), dtype=object)
+        rows[np.arange(r), np.arange(r) * n + group.identity] = 1
         for _ in range(args.length):
-            rows = rows @ adj
+            walked, rows = rows, np.zeros_like(rows)
+            np.add.at(rows, (slice(None), heads), walked[:, tails])
         payload["oracle_checked"] = True
         payload["oracle_match"] = np.array_equal(rows.reshape(power.shape), power)
     else:

@@ -42,6 +42,7 @@ from .voltage import (
     VoltageDigraph,
     _lift_arcs,
     _quotient_terms,
+    _terms,
     _trace_powers,
     algebra_trace_powers,
     build_lift,
@@ -392,11 +393,11 @@ def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
     as a (K, r*d, r*d) stack: each algebra entry becomes a d x d block.
 
     The public form of the irrep routes' kernel (_term_images): its terms
-    are the nonzero coefficients of b, in the order np.nonzero lists them.
-    The routes read the same terms from the arcs (_irrep_images).
+    are the nonzero coefficients of b, in the order np.nonzero lists them
+    (voltage._terms). The routes read the same terms from the arcs
+    (_irrep_images).
     """
-    u, v, x = np.nonzero(b)
-    return _term_images((u, v, x, b[u, v, x]), b.shape[0], stack)
+    return _term_images(_terms(b), b.shape[0], stack)
 
 
 def _check_input(x, kind: type, d: VoltageDigraph, what: str) -> None:

@@ -135,29 +135,31 @@ def parse_voltage_digraph(doc, group: GroupTable) -> VoltageDigraph:
 # (u, v), and an algebra element is a length-n vector. The arrays carry no
 # group, so every function here takes the GroupTable.
 #
-# The exact engine reads a right operand as its terms (w, v, h, coeff):
-# one int64 array per index and one of coefficients, a nonzero b[w, v, h]
-# = coeff per position, in np.nonzero's order. The quotient matrix B's
-# terms come from the arcs (_quotient_terms), int64 counts, so no library
-# route builds B; a public function given an object array passes its
-# np.nonzero into the same kernel (_terms), with Python-int coefficients.
+# Every exact result is a power of one square matrix B, read as its terms
+# (w, v, h, coeff): one int64 array per index and one of coefficients, a
+# nonzero b[w, v, h] = coeff per position, in np.nonzero's order. The
+# quotient matrix's terms come from the arcs (_quotient_terms), int64
+# counts, and associated_matrix scatters the same terms; a public function
+# given an object array passes its np.nonzero into the kernel (_terms),
+# with Python-int coefficients. A product ab is block (0, 2) of M^2 for
+# M = [[0, a, 0], [0, 0, b], [0, 0, 0]], so it is a power too.
 #
 # Products run in int64 residues modulo k primes below 2^31 at once, and
 # Garner's Chinese remaindering turns the residues back into Python ints at
 # the end. k comes from an a-priori bound on the result: the row norm
 # ||b|| = max_w sum_{v,h} |b[w, v, h]|, an exact sum over the terms, is
 # submultiplicative, so every coefficient of B^l lies within ||b||^l, and
-# the primes' product M exceeds twice the bound.
+# the product of the primes exceeds twice the bound.
 #
-# One product is one batched gather (_residue_product). Its operands are
-# int64 buffers whose row w * n + g holds the residues of the coefficients
-# of g^-1 in column w (the involution x* of Z[G], which sends g to g^-1
-# and reverses products), and one zero row ends each buffer. Right
-# multiplication by h sends the coefficient of g h^-1 to g, so it sends
-# that of h y to y = g^-1: each slot reads row h of the group table, one
-# contiguous row. B's terms are grouped by column and padded to the
-# largest column count c, so each entry of a product sums c gathered
-# entries of the left operand, the pads reading the zero row.
+# One step B^l -> B^(l+1) is one batched gather (_residue_product). The
+# power is an int64 buffer whose row w * n + g holds the residues res[i, u]
+# of B^l[u, w, g^-1] (the involution x* of Z[G], which sends g to g^-1 and
+# reverses products), and one zero row ends it. Right multiplication by h
+# sends the coefficient of g h^-1 to g, so it sends that of h y to
+# y = g^-1: each slot reads row h of the group table, one contiguous row.
+# B's terms are grouped by column and padded to the largest column count
+# c, so each entry of a product sums c gathered entries of the power, the
+# pads reading the zero row.
 #
 # One bound keeps the int64 arithmetic exact. Every entry is a
 # nonnegative int64 congruent to its coefficient modulo each prime, and
@@ -177,9 +179,9 @@ _INT64_MAX = 2**63 - 1
 
 def associated_matrix(d: VoltageDigraph) -> np.ndarray:
     """The quotient matrix: b[u, v, x] counts the arcs u->v with voltage x."""
+    u, v, x, count = _quotient_terms(d)
     b = np.zeros((d.order, d.order, d.group.order), dtype=object)
-    for u, v, x in d.arcs:
-        b[u, v, x] += 1
+    b[u, v, x] = count
     return b
 
 
@@ -246,27 +248,6 @@ def _row_norm(terms: tuple, rows: int) -> int:
     return int(norm.max(initial=0))
 
 
-def _to_residues(x: np.ndarray, primes: list, group: GroupTable) -> np.ndarray:
-    """x[u, w, g] modulo each prime p_i as an operand buffer: row
-    w * n + g holds the residues res[i, u] of x[u, w, g^-1], the layout
-    that lets one gather over (w, g) move contiguous (i, u) rows, and a
-    zero row follows the last."""
-    rows, n = x.shape[1:]
-    x = np.asarray(x, dtype=object)[:, :, np.asarray(group.inverse)]
-    buf = np.zeros((rows * n + 1, len(primes), len(x)), dtype=np.int64)
-    for i, p in enumerate(primes):
-        buf[:-1, i] = np.asarray(x % p, dtype=np.int64).reshape(len(x), rows * n).T
-    return buf
-
-
-def _reduced(res: np.ndarray, primes: list, group: GroupTable) -> np.ndarray:
-    """The matrix x an operand buffer holds, given as its (w, g, i, u)
-    view, in the form _from_residues takes: the residues of x[u, w, g],
-    reduced and laid out [i, u, w, g]."""
-    res = res[:, np.asarray(group.inverse)] % np.array(primes)[:, None]
-    return res.transpose(2, 3, 0, 1)
-
-
 def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     """Garner's Chinese remaindering: the Python ints x with |x| < M / 2,
     M the product of the primes, whose residues lie along res's leading
@@ -296,53 +277,49 @@ def _from_residues(res: np.ndarray, primes: list) -> np.ndarray:
     return np.where(x > m // 2, x - m, x).astype(object, copy=False)
 
 
-def _product_terms(terms: tuple, shape: tuple, primes: list, group: GroupTable,
-                   left_rows: int) -> tuple:
-    """The terms (w, v, h, coeff) of a right operand of shape (rows, width)
-    as (c, blocks) for _residue_product, times a left operand of left_rows
-    rows.
+def _product_terms(terms: tuple, r: int, primes: list, group: GroupTable) -> tuple:
+    """The terms (w, v, h, coeff) of an r x r matrix B as (c, blocks) for
+    _residue_product.
 
     The terms are grouped by column v, each column's in the order given,
     and each column is padded to the largest column count c. Slot s of
-    column v reads, for each y, row offset[v, s] + mul[h, y] of the left
-    operand's buffer, where offset[v, s] = w * n and element[v, s] = h. A
-    pad has offset rows * n, the buffer's zero row. Each block is
+    column v reads, for each y, row offset[v, s] + mul[h, y] of the power's
+    buffer, where offset[v, s] = w * n and element[v, s] = h. A pad has
+    offset r * n, the buffer's zero row. Each block is
     (offset[:, slots, None], element[:, slots], scale) over a run of slots
-    whose gather holds at most BLOCK_ENTRIES entries, or over one slot; an
-    operand with no terms has one block of no slots.
+    whose gather holds at most BLOCK_ENTRIES entries, or over one slot; a
+    matrix with no terms has one block of no slots.
     scale is None when every coefficient is 1, which needs no product, and
     else the int64 (columns, slots, 1, k, 1) residues of each slot's
     coefficient.
     """
-    rows, width = shape
     n = group.order
     order = np.argsort(terms[1], kind="stable")  # by column
     w, v, h, coeff = (t[order] for t in terms)
-    count = np.bincount(v, minlength=width)
+    count = np.bincount(v, minlength=r)
     slot = np.arange(len(v)) - (np.cumsum(count) - count)[v]
     c = int(count.max(initial=0))
-    offset = np.full((width, c, 1), rows * n, dtype=np.int64)
+    offset = np.full((r, c, 1), r * n, dtype=np.int64)
     offset[v, slot, 0] = w * n
-    element = np.zeros((width, c), dtype=np.int64)
+    element = np.zeros((r, c), dtype=np.int64)
     element[v, slot] = h
     scale = None
     if not np.all(coeff == 1):
-        scale = np.zeros((width, c, 1, len(primes), 1), dtype=np.int64)
+        scale = np.zeros((r, c, 1, len(primes), 1), dtype=np.int64)
         scale[v, slot, 0, :, 0] = np.array([coeff % p for p in primes], dtype=np.int64).T
-    size = max(1, BLOCK_ENTRIES // max(1, width * n * len(primes) * left_rows))
+    size = max(1, BLOCK_ENTRIES // max(1, r * r * n * len(primes)))
     return c, [(offset[:, s:s + size], element[:, s:s + size],
                 None if scale is None else scale[:, s:s + size])
                for s in range(0, max(c, 1), size)]
 
 
-def _residue_product(a: np.ndarray, blocks: list, width: int, primes: list,
+def _residue_product(a: np.ndarray, blocks: list, r: int, primes: list,
                      group: GroupTable) -> np.ndarray:
-    """a times the width-column right operand given by its blocks
-    (_product_terms): a and the result are operand buffers as _to_residues
-    lays them out, and the result's entries are congruent to the
-    product's, unreduced.
+    """a B for the r x r matrix B given by its blocks (_product_terms): a
+    and the result are power buffers, laid out as the comment above says,
+    and the result's entries are congruent to the product's, unreduced.
 
-    Each block is one gather of (columns, slots, n, k, R) entries and one
+    Each block is one gather of (columns, slots, n, k, r) entries and one
     sum over the slot axis, the first written to the result and each later
     one added to it. A pad's rows lie past the buffer's last, its zero row,
     and the gather clips them to it; no live row is clipped.
@@ -352,10 +329,9 @@ def _residue_product(a: np.ndarray, blocks: list, width: int, primes: list,
     in [0, c * top], and the caller keeps c * top <= 2^63 - 1. Otherwise a
     is reduced (top < P <= 2^31, P the largest prime); a scaled entry is a
     product of two residues, below 2^62, reduced at once, so the result
-    lies in [0, c * (P - 1)]. A column has at most rows * n nonzeros,
-    fewer than 2^32 for any right operand that fits in memory (rows * n
-    >= 2^32 would be 2^32 entries of one column of b alone), so
-    c * (P - 1) < 2^63.
+    lies in [0, c * (P - 1)]. A column has at most r * n nonzeros, fewer
+    than 2^32 for any B that fits in memory (r * n >= 2^32 would be 2^32
+    entries of one column of b alone), so c * (P - 1) < 2^63.
     """
     n = group.order
     mod = np.array(primes)[:, None]
@@ -367,9 +343,9 @@ def _residue_product(a: np.ndarray, blocks: list, width: int, primes: list,
             part %= mod
         return part
 
-    out = np.empty((width * n + 1,) + a.shape[1:], dtype=np.int64)
+    out = np.empty((r * n + 1,) + a.shape[1:], dtype=np.int64)
     out[-1] = 0
-    acc = out[:-1].reshape((width, n) + a.shape[1:])
+    acc = out[:-1].reshape((r, n) + a.shape[1:])
     gather(*blocks[0]).sum(axis=1, out=acc)
     for block in blocks[1:]:
         acc += gather(*block).sum(axis=1)
@@ -379,18 +355,17 @@ def _residue_product(a: np.ndarray, blocks: list, width: int, primes: list,
 def algebra_matmul(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:
     """Exact product of group-algebra matrices, (ab)[u, v] = sum_w a[u, w] b[w, v].
 
-    Each nonzero b[w, v, h] adds b[w, v, h] * a[u, w, g h^-1] to the
-    coefficient of g in (ab)[u, v], so the cost scales with the nonzeros of
-    the right operand. Every coefficient lies within ||a|| * max |b|.
+    ab is block (0, 2) of M^2 for the square M = [[0, a, 0], [0, 0, b],
+    [0, 0, 0]], so it is one power of M's terms. Every coefficient lies
+    within ||M||^2 = max(||a||, ||b||)^2.
     """
-    if a.shape[1] != b.shape[0]:
+    (p, q), s = a.shape[:2], b.shape[1]
+    if q != b.shape[0]:
         raise VoltageError("matrix size mismatch")
-    terms = _terms(b)
-    primes = _primes_for(_row_norm(_terms(a), len(a)) * int(np.abs(terms[3]).max(initial=0)))
-    _, blocks = _product_terms(terms, b.shape[:2], primes, group, len(a))
-    out = _residue_product(_to_residues(a, primes, group), blocks, b.shape[1], primes, group)
-    out = out[:-1].reshape(b.shape[1], group.order, len(primes), len(a))
-    return _from_residues(_reduced(out, primes, group), primes)
+    (aw, av, ah, ac), (bw, bv, bh, bc) = _terms(a), _terms(b)
+    terms = (np.concatenate([aw, p + bw]), np.concatenate([p + av, p + q + bv]),
+             np.concatenate([ah, bh]), np.concatenate([ac, bc]))
+    return _matrix_power(terms, p + q + s, 2, group)[:p, p + q:]
 
 
 def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -400,10 +375,10 @@ def algebra_mul(x: np.ndarray, y: np.ndarray, group: GroupTable) -> np.ndarray:
 
 def _residue_powers(terms: tuple, r: int, length: int, primes: list, group: GroupTable):
     """B^0, B^1, ..., B^length of the r x r matrix B with these terms, one
-    at a time, as (r, n, k, r) views res[w, g, i, u] of operand buffers,
-    the residues of B^l[u, w, g^-1] as _to_residues lays them out. Each is
-    made from the one before, so a caller that drops each before the next
-    holds two at most. Entries are nonnegative int64s congruent to the
+    at a time, as (r, n, k, r) views res[w, g, i, u] of power buffers, the
+    residues of B^l[u, w, g^-1] (the comment above). Each is made from the
+    one before, so a caller that drops each before the next holds two at
+    most. Entries are nonnegative int64s congruent to the
     coefficients but not reduced, so a caller reduces them before Garner or
     before it sums them; a reduction here rewrites the last power yielded
     in place, to the same residues.
@@ -421,7 +396,7 @@ def _residue_powers(terms: tuple, r: int, length: int, primes: list, group: Grou
     already lies below P. Either way _residue_product's condition holds.
     """
     n = group.order
-    c, blocks = _product_terms(terms, (r, r), primes, group, r)
+    c, blocks = _product_terms(terms, r, primes, group)
     scaled = blocks[0][2] is not None
     mod = np.array(primes)[:, None]
     power = np.zeros((r * n + 1, len(primes), r), dtype=np.int64)
@@ -445,7 +420,9 @@ def _matrix_power(terms: tuple, r: int, ell: int, group: GroupTable) -> np.ndarr
         raise VoltageError("negative power")
     primes = _primes_for(_row_norm(terms, r) ** ell)
     power = collections.deque(_residue_powers(terms, r, ell, primes, group), maxlen=1).pop()
-    return _from_residues(_reduced(power, primes, group), primes)
+    # the residues of B^ell[u, w, g], reduced and laid out [i, u, w, g]
+    power = power[:, np.asarray(group.inverse)] % np.array(primes)[:, None]
+    return _from_residues(power.transpose(2, 3, 0, 1), primes)
 
 
 def algebra_matrix_power(b: np.ndarray, ell: int, group: GroupTable) -> np.ndarray:

@@ -14,8 +14,9 @@ character Gram product, character-table validation by the Gram product
 over every element, the least distance within which two spectra pair up
 by an exact bottleneck matching over every copy, the conjugate pairing by
 a nearest-row search over the character table, the eigenvalues of a
-lift by one dense solve of its whole adjacency, and a group's greedy
-generators by closing the reached set under products.
+lift by one dense solve of its whole adjacency, a group's greedy
+generators by closing the reached set under products, and the quotient
+matrix by one increment per arc.
 """
 
 from math import factorial
@@ -32,7 +33,7 @@ from voltlift.spectra import (
     eig,
     rho_matrix,
 )
-from voltlift.voltage import VoltageDigraph, associated_matrix, build_lift
+from voltlift.voltage import VoltageDigraph, build_lift
 
 from conftest import irrep_matrices
 
@@ -108,6 +109,15 @@ def closure_generators(mul: np.ndarray, identity: int) -> tuple:
             if reached.sum() == r.size:  # closed under products
                 break
     return tuple(gens)
+
+
+def associated_matrix_loop(d: VoltageDigraph) -> np.ndarray:
+    """The quotient matrix by one increment per arc: b[u, v, x] counts the
+    arcs u -> v with voltage x, in Python ints."""
+    b = np.zeros((d.order, d.order, d.group.order), dtype=object)
+    for u, v, x in d.arcs:
+        b[u, v, x] += 1
+    return b
 
 
 def algebra_matmul_loop(a: np.ndarray, b: np.ndarray, group: GroupTable) -> np.ndarray:
@@ -244,7 +254,7 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     group = d.group
     n = group.order
     r = d.order
-    b = associated_matrix(d)
+    b = associated_matrix_loop(d)
     pairs = []
     skipped = []
     zeros = 0

@@ -655,27 +655,19 @@ def test_unread_option_exits_2(k2star_path, tmp_path, command, option):
     assert exc.value.code == 2
 
 
-def _clique_with_loops_doc(n_rot, r):
-    # arc (i, j) for every ordered pair, loops included, with voltage
-    # r^((i + 2j) mod n_rot) in dihedral:n_rot
-    vertices = [f"v{i}" for i in range(r)]
-    return {
-        "vertices": vertices,
-        "arcs": [
-            {"from": vertices[i], "to": vertices[j], "voltage": f"r^{(i + 2 * j) % n_rot}"}
-            for i in range(r) for j in range(r)
-        ],
-    }
-
-
-def test_walks_oracle_catches_a_wrong_coefficient_at_the_cap(tmp_path, monkeypatch, capsys):
-    # 4 vertices over dihedral:25: 200 lift vertices, the largest the oracle checks
-    path = tmp_path / "clique.json"
-    path.write_text(json.dumps(_clique_with_loops_doc(25, 4)))
-    argv = ["walks", "--digraph", str(path), "--group", "dihedral:25", "--length", "3"]
+@pytest.mark.parametrize("length", [3, 64])
+def test_walks_oracle_catches_a_wrong_coefficient_at_the_cap(monkeypatch, capsys, length):
+    # 4 vertices over dihedral:25: 200 lift vertices, the largest the oracle
+    # checks. The digraph has arc (i, j) for every ordered pair, loops
+    # included, with voltage r^((i + 2j) mod 25); at length 64 its
+    # coefficients pass 2^63, and the oracle's Python ints must follow them
+    argv = ["walks", "--digraph", os.path.join(DATA, "clique4_dihedral25.json"),
+            "--group", "dihedral:25", "--length", str(length)]
     assert run(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_checked"] and doc["oracle_match"]
+    top = max(c for e in doc["entries"] for c in e["coeffs"].values())
+    assert (top > 2**63) == (length == 64)
 
     power = voltage._matrix_power  # what walks calls, on B's terms
 
@@ -691,7 +683,8 @@ def test_walks_oracle_catches_a_wrong_coefficient_at_the_cap(tmp_path, monkeypat
 
 
 def test_walks_oracle_skipped_past_the_cap(tmp_path, monkeypatch, capsys):
-    # 3 vertices over cyclic:67: 201 lift vertices, so the lift is never built
+    # 3 vertices over cyclic:67: 201 lift vertices, so the oracle reads
+    # nothing of the lift, not even its arcs
     doc = {"vertices": ["a", "b", "c"], "arcs": [
         {"from": "a", "to": "b", "voltage": "g^1"},
         {"from": "b", "to": "c", "voltage": "g^5"},
@@ -701,9 +694,9 @@ def test_walks_oracle_skipped_past_the_cap(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(doc))
 
     def no_lift(d):
-        raise AssertionError("lift built")
+        raise AssertionError("lift read")
 
-    monkeypatch.setattr(voltage, "build_lift", no_lift)
+    monkeypatch.setattr(voltage, "_lift_arcs", no_lift)
     code = run(["walks", "--digraph", str(path), "--group", "cyclic:67", "--length", "3"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)

@@ -29,6 +29,7 @@ from conftest import (
     unvalidated,
 )
 from oracles import (
+    associated_matrix_loop,
     bottleneck_distance_loop,
     charsum_match_tol_dense,
     cluster_spectrum_loop,
@@ -153,9 +154,14 @@ class TestQuotientTerms:
 
     @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
     def test_terms_are_the_nonzeros_of_b_in_order(self, spec):
+        # B by one increment per arc (tests/oracles.py), not from the terms
+        # that associated_matrix itself scatters
         g = vl.build_builtin_group(spec)
         for d in term_cases(np.random.default_rng(5), g):
-            b = vl.associated_matrix(d)
+            b = associated_matrix_loop(d)
+            got = vl.associated_matrix(d)
+            assert got.dtype == object and np.array_equal(got, b)
+            assert all(type(c) is int for c in got.flat)
             u, v, x, count = voltage._quotient_terms(d)
             want = np.nonzero(b)
             for got, ref in zip((u, v, x), want):

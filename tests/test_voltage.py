@@ -421,6 +421,20 @@ class TestResidueArithmetic:
         assert_exact(voltage.algebra_mul(a[0, 0], b[0, 0], g),
                      algebra_matmul_loop(a[:1, :1], b[:1, :1], g)[0, 0])
 
+    @pytest.mark.parametrize("p, q, s", [(3, 2, 1), (1, 3, 4), (2, 0, 3), (0, 2, 3), (2, 3, 0)])
+    @pytest.mark.parametrize("a_scale", [1, 2**70])
+    def test_matmul_is_a_block_of_a_square(self, p, q, s, a_scale):
+        # ab is block (0, 2) of M^2, M of size p + q + s: outer sizes that
+        # differ, an empty inner size (ab = 0), empty outer ones, and an a
+        # whose row norm exceeds b's, so that ||a|| sets the bound
+        g = vl.build_builtin_group("dihedral:3")
+        rng = np.random.default_rng(100 * p + 10 * q + s)
+        a = rng.integers(-4, 5, size=(p, q, g.order)).astype(object) * a_scale
+        b = rng.integers(-4, 5, size=(q, s, g.order)).astype(object)
+        if a_scale > 1 and p * q:
+            assert voltage._row_norm(voltage._terms(a), p) > voltage._row_norm(voltage._terms(b), q)
+        assert_exact(voltage.algebra_matmul(a, b, g), algebra_matmul_loop(a, b, g))
+
     @pytest.mark.parametrize("c", [-1, -(2**70) - 1, PRIMES[4] - 1])
     def test_column_of_residues_near_p_does_not_overflow(self, c):
         # -1 is p - 1 modulo every prime: unreduced, the 24 terms of
@@ -507,7 +521,7 @@ class TestResidueArithmetic:
             d = vl.parse_voltage_digraph(f.read(), g)
         b = vl.associated_matrix(d)
         terms = voltage._quotient_terms(d)
-        assert voltage._product_terms(terms, b.shape[:2], PRIMES[:4], g, len(b))[0] == 3
+        assert voltage._product_terms(terms, len(b), PRIMES[:4], g)[0] == 3
         got = vl.algebra_matrix_power(b, 64, g)
         assert_exact(got, algebra_matrix_power_loop(b, 64, g))
         assert_exact(voltage._matrix_power(terms, len(b), 64, g), got)
@@ -530,7 +544,7 @@ class TestResidueArithmetic:
         g, d = self.all_ones_pair()
         b = vl.associated_matrix(d)
         terms = voltage._quotient_terms(d)
-        c, blocks = voltage._product_terms(terms, b.shape[:2], PRIMES[:2], g, len(b))
+        c, blocks = voltage._product_terms(terms, len(b), PRIMES[:2], g)
         assert c == 2 and blocks[0][2] is None
         got = vl.algebra_matrix_power(b, length, g)
         assert_exact(got, algebra_matrix_power_loop(b, length, g))
@@ -563,7 +577,7 @@ class TestResidueArithmetic:
                               [(0, 1, 1), (1, 0, 3), (1, 1, 2), (2, 0, 4), (2, 1, 0)])
         b = vl.associated_matrix(d)
         terms = voltage._quotient_terms(d)
-        offset = voltage._product_terms(terms, b.shape[:2], PRIMES[:1], d3, len(b))[1][0][0]
+        offset = voltage._product_terms(terms, len(b), PRIMES[:1], d3)[1][0][0]
         assert offset.shape == (3, 3, 1) and np.all(offset[2] == 3 * d3.order)
         assert_exact(voltage._matrix_power(terms, len(b), 40, d3),
                      vl.algebra_matrix_power(b, 40, d3))
@@ -583,7 +597,7 @@ class TestResidueArithmetic:
         b = vl.associated_matrix(d)
         assert sorted(set(b.ravel())) == [0, 1, 2, 3]
         terms = voltage._quotient_terms(d)
-        c, blocks = voltage._product_terms(terms, b.shape[:2], PRIMES[:1], g, len(b))
+        c, blocks = voltage._product_terms(terms, len(b), PRIMES[:1], g)
         assert c == 2 and blocks[0][2] is not None
         got = vl.algebra_matrix_power(b, length, g)
         assert_exact(got, algebra_matrix_power_loop(b, length, g))
@@ -630,6 +644,7 @@ class TestResidueArithmetic:
     @pytest.mark.parametrize("call, message", [
         (lambda z, g: voltage.algebra_trace_powers(z(2, 3), 2, g), "matrix size mismatch"),
         (lambda z, g: voltage.algebra_matmul(z(1, 2), z(3, 1), g), "matrix size mismatch"),
+        (lambda z, g: voltage.algebra_matmul(z(1, 3), z(2, 1), g), "matrix size mismatch"),
         (lambda z, g: vl.algebra_matrix_power(z(2, 2), -1, g), "negative power"),
     ])
     def test_refusals(self, d3, call, message):
@@ -662,8 +677,8 @@ class TestQuotientEngine:
             assert voltage._row_norm(terms, r) == voltage._row_norm(b_terms, r)
             for primes in (PRIMES[:1], PRIMES[:3]):
                 self.assert_same_blocks(
-                    voltage._product_terms(terms, (r, r), primes, g, r),
-                    voltage._product_terms(b_terms, (r, r), primes, g, r))
+                    voltage._product_terms(terms, r, primes, g),
+                    voltage._product_terms(b_terms, r, primes, g))
             for ell in (0, 1, 2, 5):
                 assert_exact(voltage._matrix_power(terms, r, ell, g),
                              vl.algebra_matrix_power(b, ell, g))

@@ -24,10 +24,9 @@ import tempfile
 from bench_backfill import ROOT, extract, git, run_workload, write_bench
 
 SECONDS = 20
-# (workload, seed, pairs): the claimed metric's workload on its seed and two
-# seeds held out while writing the change, then each other workload
-SERIES = [("big_groups", 1, 10), ("big_groups", 3, 10), ("big_groups", 4, 10),
-          ("dense_lift", 1, 5), ("cli_exact", 1, 5)]
+# (workload, seed, pairs): seed 1 of each workload, for a change that claims
+# no gain and must show no regression
+SERIES = [("big_groups", 1, 5), ("cli_exact", 1, 5), ("dense_lift", 1, 5)]
 
 
 def summarize(runs: list) -> None:
