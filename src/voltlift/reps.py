@@ -28,8 +28,6 @@ from .groups import (
 HOM_TOL = 1e-10
 SUM_TOL = 1e-8
 SNAP_TOL = 1e-9  # character values this close to a Gaussian integer snap to it
-# Irrep validation checks K irreps of one dimension d at a time, with
-# K * n * d^2 * |generators| at most BLOCK_ENTRIES entries per product.
 
 
 class RepresentationError(ValueError):
@@ -81,20 +79,22 @@ class IrrepSet:
 
         Homomorphisms that agree on a generating set are equal, so then
         rho_j = conj(rho_i) and chi_j = conj(chi_i); distinct irreps differ
-        at some generator, so a partner is unique. One dict per stack, keyed
-        by the bytes of each irrep's generator images (+ 0, so that -0.0
-        reads as 0.0), finds the pairs in O(nu |gens| d^2) time with no
-        tolerance. An irrep whose conjugate is written in another basis, or
-        is one ulp off, is its own partner and is solved on its own.
+        at some generator, so a partner is unique. Per stack, one np.unique
+        over the bytes of each irrep's generator images and of their
+        conjugates (+ 0, so that -0.0 reads as 0.0) labels equal keys alike,
+        with no tolerance. An irrep whose conjugate is written in another
+        basis, or is one ulp off, is its own partner and is solved on its own.
         """
         gens = list(self.group.generators) or [self.group.identity]
         pairing = np.arange(len(self.dims))
         for d, stack in self.stacks.items():
-            first = self.dims.index(d)
-            at_gens = stack[:, gens] + 0
-            index = {images.tobytes(): q for q, images in enumerate(at_gens)}
-            for q, images in enumerate(at_gens.conj() + 0):
-                pairing[first + q] = first + index.get(images.tobytes(), q)
+            first, k = self.dims.index(d), len(stack)
+            at_gens = (stack[:, gens] + 0).reshape(k, -1)
+            keys = np.ascontiguousarray(np.concatenate([at_gens, at_gens.conj() + 0]))
+            _, seen, label = np.unique(keys.view(f"V{keys.itemsize * keys.shape[1]}")[:, 0],
+                                       return_index=True, return_inverse=True)
+            partner = seen[label[k:]]  # the first key equal to conj(rho_q)'s, < k iff an irrep's
+            pairing[first:first + k] = first + np.where(partner < k, partner, np.arange(k))
         pairing.setflags(write=False)
         return pairing
 
@@ -158,34 +158,47 @@ def _reject_first(bad: np.ndarray, first: int, d: int, what: str) -> None:
         raise RepresentationError(f"irrep {first + int(np.argmax(bad))} (dim {d}): {what}")
 
 
-def _check_block(group: GroupTable, a: np.ndarray, first: int, gens: list) -> None:
-    """Check irreps first + k of one dimension d, stacked as a[k, i, j, g] =
-    rho_k(g)[i, j]: rho(e) = I, rho(g) rho(s) = rho(g s) for every element
-    g and generator s (which gives the homomorphism property by induction
-    on word length), and a zero element sum for all but irrep 0."""
-    num, d, _, n = a.shape
-    off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
-    _reject_first(off > HOM_TOL, first, d, "identity element is not mapped to I")
-    # diff[k, i, l, j, g] = rho(g s_j)[i, l] - sum_t rho(g)[i, t] rho(s_j)[t, l],
-    # the element axis innermost, so each product runs over n entries
-    diff = np.take(a, group.mul[:, gens].T, axis=3)
-    term = np.empty_like(diff)
-    at_gens = a[..., gens]  # [k, t, l, j] = rho(s_j)[t, l]
-    for t in range(d):
-        np.multiply(a[:, :, t, None, None, :], at_gens[:, None, t, :, :, None], out=term)
-        diff -= term
-    err = np.abs(diff).max(axis=(1, 2)).reshape(num, -1)  # [k, j * n + g]
-    if err.max() > HOM_TOL:
-        q = int(np.argmax(err.max(axis=1) > HOM_TOL))
-        j, g = divmod(int(np.argmax(err[q])), n)
-        names = group.element_names
-        raise RepresentationError(
-            f"irrep {first + q} (dim {d}): not a homomorphism at pair "
-            f"{short_repr((names[g], names[gens[j]]))}, max entry error {err[q].max():.3e}"
-        )
-    total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
-    nonzero = (total > SUM_TOL * n) & (np.arange(first, first + num) > 0)
-    _reject_first(nonzero, first, d, "non-trivial irrep with nonzero element sum")
+def _proven_blocks(group: GroupTable, stack: np.ndarray, first: int):
+    """Prove the irreps first + k of one (K, n, d, d) stack, laid out as
+    IrrepSet holds it, in blocks of at most BLOCK_ENTRIES entries per
+    product; yield (start, a), a[k, i, j, g] = stack[start + k][g][i, j],
+    for each block once it is proven: every entry finite, rho(e) = I,
+    rho(g) rho(s) = rho(g s) for every element g and generator s (which
+    gives the homomorphism property by induction on word length), and a
+    zero element sum for all but irrep 0."""
+    n, d = group.order, stack.shape[-1]
+    gens = list(group.generators) or [group.identity]
+    size = max(1, BLOCK_ENTRIES // (n * d * d * len(gens)))
+    for start in range(0, len(stack), size):
+        a = np.ascontiguousarray(stack[start:start + size].transpose(0, 2, 3, 1))
+        num, at = len(a), first + start
+        # every comparison with nan is false, so no later check would see one
+        if not np.isfinite(a).all():
+            raise RepresentationError(f"stack of dim {d}: holds a non-finite entry")
+        off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
+        _reject_first(off > HOM_TOL, at, d, "identity element is not mapped to I")
+        # diff[k, i, l, j, g] = rho(g s_j)[i, l] - sum_t rho(g)[i, t] rho(s_j)[t, l],
+        # the element axis innermost, so each product runs over n entries
+        diff = np.take(a, group.mul[:, gens].T, axis=3)
+        term = np.empty_like(diff)
+        at_gens = a[..., gens]  # [k, t, l, j] = rho(s_j)[t, l]
+        for t in range(d):
+            np.multiply(a[:, :, t, None, None, :], at_gens[:, None, t, :, :, None], out=term)
+            diff -= term
+        err = np.abs(diff).max(axis=(1, 2)).reshape(num, -1)  # [k, j * n + g]
+        if err.max() > HOM_TOL:
+            q = int(np.argmax(err.max(axis=1) > HOM_TOL))
+            j, g = divmod(int(np.argmax(err[q])), n)
+            names = group.element_names
+            raise RepresentationError(
+                f"irrep {at + q} (dim {d}): not a homomorphism at pair "
+                f"{short_repr((names[g], names[gens[j]]))}, max entry error {err[q].max():.3e}"
+            )
+        total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
+        nonzero = (total > SUM_TOL * n) & (np.arange(at, at + num) > 0)
+        _reject_first(nonzero, at, d, "non-trivial irrep with nonzero element sum")
+        del diff, term  # freed before the caller works on the block, as a function's would be
+        yield start, a
 
 
 def _is_trivial_row(row: np.ndarray) -> bool:
@@ -234,10 +247,11 @@ def _check_stack_shape(d, stack, n: int) -> None:
 def validate_irrep_set(s) -> np.ndarray:
     """Assert every IrrepSet invariant on s's group, dims and stacks; return the rows.
 
-    Each stacks[d], whose (K, n, d, d) shape IrrepSet has checked, must be
-    finite, and dims their dimensions in order (see IrrepSet). The irreps of one
-    dimension are checked in blocks (_check_block), and
-    the rows, snapped block by block, need no Gram product:
+    Each stacks[d] has the (K, n, d, d) shape IrrepSet has checked, and dims
+    their dimensions in order (see IrrepSet). After the two counts, one walk
+    per stack (_proven_blocks) proves it block by block, and each proven
+    block's snapped traces and their norms <chi, chi> are kept as it
+    arrives. The rows need no Gram product:
     <chi_i, chi_i> = n makes each row irreducible, and then, with nu rows
     and sum dim^2 = n, sum_i dim_i chi_i = n [g = e] (the regular
     character) holds only if each irreducible character appears once
@@ -245,36 +259,24 @@ def validate_irrep_set(s) -> np.ndarray:
     """
     group = s.group
     n, nu = group.order, len(group.classes)
-    for d, stack in s.stacks.items():
-        # every comparison with nan is false, so no later check would see one
-        if not np.isfinite(stack).all():
-            raise RepresentationError(f"stack of dim {d}: holds a non-finite entry")
     dims = s.dims
     if len(dims) != nu:
-        raise RepresentationError(
-            f"expected {nu} irreps (one per conjugacy class), got {len(dims)}"
-        )
+        raise RepresentationError(f"expected {nu} irreps (one per conjugacy class), "
+                                  f"got {len(dims)}")
     if sum(d * d for d in dims) != n:
-        raise RepresentationError(
-            f"sum of squared dimensions {sum(d * d for d in dims)} != group order {n}"
-        )
-    gens = list(group.generators) or [group.identity]
-    rows = np.empty((nu, n), dtype=complex)
+        raise RepresentationError(f"sum of squared dimensions {sum(d * d for d in dims)} "
+                                  f"!= group order {n}")
+    rows, norms = np.empty((nu, n), dtype=complex), np.empty(nu)
     for d, stack in s.stacks.items():
-        size = max(1, BLOCK_ENTRIES // (n * d * d * len(gens)))
-        for start in range(0, len(stack), size):
-            first = dims.index(d) + start
-            a = np.ascontiguousarray(stack[start:start + size].transpose(0, 2, 3, 1))
-            _check_block(group, a, first, gens)
-            rows[first:first + len(a)] = _snap_integers(np.trace(a, axis1=1, axis2=2))
-    re, im = rows.real, rows.imag
-    norms = np.einsum("ig,ig->i", re, re) + np.einsum("ig,ig->i", im, im)
+        first = dims.index(d)
+        for start, a in _proven_blocks(group, stack, first):
+            at = slice(first + start, first + start + len(a))
+            rows[at] = _snap_integers(np.trace(a, axis1=1, axis2=2))
+            norms[at] = np.einsum("ig,ig->i", rows[at].view(float), rows[at].view(float))
     i = int(np.argmax(np.abs(norms - n)))
     if abs(norms[i] - n) > SUM_TOL * n:
-        raise RepresentationError(
-            f"character rows {i} and {i} violate orthogonality "
-            f"(<chi_{i}, chi_{i}> = {norms[i]:.6g}, expected {n})"
-        )
+        raise RepresentationError(f"character rows {i} and {i} violate orthogonality "
+                                  f"(<chi_{i}, chi_{i}> = {norms[i]:.6g}, expected {n})")
     _check_regular_character(group, rows, dims)
     return rows
 
@@ -308,7 +310,7 @@ def _check_characters(t: CharacterTable) -> None:
     """Check that t's rows, whose shape, finiteness and degrees were
     checked when t was made, are the irreducible characters of its group:
     constant on classes; the degree-1 rows a stack of 1-dim irreps
-    (_check_block, at HOM_TOL); sum_i d_i chi_i regular and row 0 trivial,
+    (_proven_blocks, at HOM_TOL); sum_i d_i chi_i regular and row 0 trivial,
     as for an IrrepSet; and each row of degree 2 or more orthogonal to
     every row, in one product over classes weighted by their sizes.
     On exact tables this accepts what the full Gram test XX* = nI
@@ -334,10 +336,8 @@ def _check_characters(t: CharacterTable) -> None:
             cls = next(c for c in group.classes if later[k] in c)
             raise RepresentationError(f"row {start + i} is not constant on class {short_repr(cls)}")
     linear = t.dims.count(1)  # the degree-1 rows come first
-    gens = list(group.generators) or [group.identity]
-    size = max(1, BLOCK_ENTRIES // (n * len(gens)))
-    for start in range(0, linear, size):
-        _check_block(group, rows[start:min(start + size, linear), None, None, :], start, gens)
+    for _ in _proven_blocks(group, rows[:linear, :, None, None], 0):
+        pass
     _check_regular_character(group, rows, t.dims)
     if linear < len(rows):  # never for an abelian group
         at = rows[:, [cls[0] for cls in group.classes]]

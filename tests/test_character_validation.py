@@ -277,3 +277,17 @@ def test_class_constancy_names_the_first_row_and_class_in_row_major_order(
     assert (i, cls) == (8, g.classes[2])
     with pytest.raises(RepresentationError, match=re.escape(f"row 8 is not constant on class {cls}")):
         vl.CharacterTable(g, rows)
+
+
+def test_a_degree_1_row_that_fails_only_in_a_later_block_is_refused(monkeypatch):
+    # the 64 linear rows of cyclic:64, 48 to a block: row 60, in the second
+    # block, moved by 1e-6 at g^5 is no homomorphism, and nothing in the
+    # first block fails
+    g = vl.build_builtin_group("cyclic:64")
+    size = 48
+    monkeypatch.setattr(reps, "BLOCK_ENTRIES", size * g.order * len(g.generators))
+    _, rows = changed(g, 60, g.index_of("g^5"), builtin_rows(g)[60, g.index_of("g^5")] + 1e-6)
+    assert size <= 60 < 2 * size
+    with pytest.raises(RepresentationError, match=r"irrep 60 \(dim 1\): not a homomorphism at pair"):
+        vl.CharacterTable(g, rows)
+    assert not oracle_accepts(g, rows)

@@ -271,11 +271,16 @@ def test_no_builtin_stack_is_copied(spec):
     assert all(s.stacks[d] is stack for d, stack in stacks.items())
 
 
-def test_perturbed_irrep_is_mid_block():
+def d64_blocks():
+    """The blocks the walk cuts dihedral:64's dim-2 stack into under
+    small_blocks, as lists of irrep indices."""
     two = [i for i, d in enumerate(D64_IRREPS.dims) if d == 2]
     size = D64_BLOCK_ENTRIES // (D64.order * 4 * len(D64.generators))
-    blocks = [two[k:k + size] for k in range(0, len(two), size)]
-    assert [7, 8, 9] in blocks
+    return [two[k:k + size] for k in range(0, len(two), size)]
+
+
+def test_perturbed_irrep_is_mid_block():
+    assert [7, 8, 9] in d64_blocks()
     assert NON_GENERATOR not in D64.generators
 
 
@@ -287,6 +292,47 @@ def test_non_generator_message_names_a_failing_pair(small_blocks):
     assert s in D64.generators
     # rho(g) rho(s) = rho(g s) fails exactly where g or g s is the element
     assert NON_GENERATOR in (g, int(D64.mul[g, s]))
+
+
+def test_a_non_finite_entry_in_a_later_block_is_refused(small_blocks):
+    # irrep 34, the last of the dim-2 stack, is in its last block; every
+    # earlier block is proven first, and the walk still finds the nan
+    blocks = d64_blocks()
+    assert len(blocks) > 1 and blocks[-1][-1] == 34 and 34 not in blocks[0]
+    mats = np.array(irrep_matrices(D64_IRREPS, 34))
+    mats[NON_GENERATOR, 1, 0] = np.nan
+    stacks = replaced_stacks(D64_IRREPS, 34, mats)
+    for validate in (lambda: reps.validate_irrep_set(shaped(D64_IRREPS, stacks)),
+                     lambda: vl.IrrepSet(D64, stacks)):
+        with pytest.raises(RepresentationError, match="stack of dim 2: holds a non-finite entry"):
+            validate()
+
+
+def doubled(i, j):
+    """diag(chi_i, chi_j) of dihedral:64's 1-dim irreps i and j: a reducible
+    representation with <chi, chi> = 2n, or 4n when i = j."""
+    mats = np.zeros((D64.order, 2, 2), dtype=complex)
+    mats[:, 0, 0] = irrep_matrices(D64_IRREPS, i)[:, 0, 0]
+    mats[:, 1, 1] = irrep_matrices(D64_IRREPS, j)[:, 0, 0]
+    return mats
+
+
+@pytest.mark.parametrize("early, late, worse", [(doubled(1, 2), doubled(1, 1), 30),
+                                                (doubled(3, 3), doubled(1, 2), 5)])
+def test_the_worse_of_two_reducible_rows_in_different_blocks_is_named(
+        small_blocks, early, late, worse):
+    # irreps 5 and 30 are in different blocks; the norms of every block are
+    # kept, and the norm check names the row farthest from n, 4n against 2n
+    assert not any(5 in block and 30 in block for block in d64_blocks())
+    stacks = replaced_stacks(D64_IRREPS, 5, early)
+    stacks[2][30 - D64_IRREPS.dims.index(2)] = late
+    n = D64.order
+    message = re.escape(f"character rows {worse} and {worse} violate orthogonality "
+                        f"(<chi_{worse}, chi_{worse}> = {4 * n}, expected {n})")
+    with pytest.raises(RepresentationError, match=message):
+        reps.validate_irrep_set(shaped(D64_IRREPS, stacks))
+    with pytest.raises(RepresentationError, match=message):
+        vl.IrrepSet(D64, stacks)
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
