@@ -16,9 +16,17 @@ one, whatever the digraph. The character route recovers the same
 per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
-brute-force route diagonalizes the explicit lift whole, or, when the lift
-is undirected and bipartite, takes the singular values of its
-biadjacency block. The spectrum routes
+brute-force route splits the explicit lift into its weakly connected
+components and solves each component's diagonal block alone, by the
+singular values of its biadjacency block when the lift is undirected and
+the component bipartite, else by the symmetric or the general solver;
+components of one shape share one batched call. The lift of a connected
+base digraph whose closed walks' net voltages generate a subgroup of
+index k has k isomorphic components (Gross and Tucker, Topological Graph
+Theory, 1987), so it pays about 1/k^2 of the whole solve: at the cap of
+2000 vertices, one BLAS thread, a directed lift of 20 components takes
+0.07 s, not 2.4 s, and an undirected one of 4 components 0.08 s, not
+0.7 s. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -474,55 +482,94 @@ def lift_spectrum_bruteforce(
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
-    Eigenvalues only, in real arithmetic. A lift whose adjacency is not
-    exactly symmetric goes whole to the general solver, and an exactly
-    symmetric one (every undirected lift) whole to the symmetric solver,
-    unless every connected component of the lift is bipartite: then the
-    singular values of its biadjacency block give the eigenvalues
-    (_symmetric_lift_eigenvalues). The symmetry test is the oracle's own,
-    not the irrep routes' _hermitian gate, and the oracle uses neither the
-    irreps nor the voltage block structure of the lift. Lifts of more
-    than BRUTEFORCE_MAX_ORDER vertices are refused.
+    Eigenvalues only, in real arithmetic. The lift is split into its
+    weakly connected components, and each component's diagonal block is
+    solved alone (_lift_eigenvalues): in an exactly symmetric lift (every
+    undirected lift) by the singular values of its biadjacency block when
+    it is bipartite and by the symmetric solver otherwise, and in any other
+    lift by the general solver. Components of one kind and shape share one
+    batched call, so a lift of a connected base digraph, whose components
+    are isomorphic, makes one, and a connected lift goes to its solver
+    whole, as one matrix. At the cap (one BLAS thread), a directed lift of
+    2000 vertices in 20 components costs 0.07 s, not the 2.4 s of one
+    2000 x 2000 eigvals call, and an undirected one in 4 components, one
+    (4, 500, 500) eigvalsh call, 0.08 s, not 0.7 s. The symmetry test is the
+    oracle's own, not the irrep routes' _hermitian gate, and the oracle uses
+    neither the irreps nor the voltage block structure of the lift. Lifts
+    of more than BRUTEFORCE_MAX_ORDER vertices are refused.
     """
     tol = _checked_cluster_tol(d, tol)  # before the lift is built
     rn = d.order * d.group.order
     if rn > BRUTEFORCE_MAX_ORDER:
         raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
-    a = build_lift(d)
-    if np.array_equal(a, a.T):
-        vals = _symmetric_lift_eigenvalues(d, a)
-    else:
-        vals = _solve(np.linalg.eigvals, a)
-    return cluster_spectrum(vals, tol)
+    return cluster_spectrum(_lift_eigenvalues(d, build_lift(d)), tol)
 
 
-def _symmetric_lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of d's lift adjacency a, exactly symmetric.
+def _lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of d's lift adjacency a, one diagonal block per weakly
+    connected component of the lift: a disconnected graph's spectrum is
+    the union of its components' (Cvetkovic, Doob and Sachs, Spectra of
+    Graphs, section 1.4).
 
-    One connected_components call on the bipartite double cover (nodes v
-    and v + rn per lift vertex v, a link t -- h + rn per lift arc t -> h,
-    the reverse arc h -> t giving t + rn -- h) tells whether the lift is
-    bipartite: a component is iff its vertices' two copies fall in
-    different components of the cover. If every component is, vertex v
-    lies on the side of label[v] > label[v + rn], and a, ordered by side,
-    is [[0, C], [C^T, 0]] with C a p x q block. Its eigenvalues are +sigma
-    and -sigma for each singular value sigma of C, and |p - q| zeros
-    (Cvetkovic, Doob and Sachs, Spectra of Graphs, sections 1.4 and 3),
-    so one svd call on C replaces eigvalsh on a. Each computed sigma is
-    exact for some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every
-    eigenvalue moves by at most ||E||_2: the backward error eigvalsh gives
-    too. A lift with a non-bipartite component goes whole to eigvalsh.
+    One connected_components pass labels the components. If a is exactly
+    symmetric, the pass runs over the bipartite double cover (nodes v and
+    v + rn per lift vertex v, a link t -- h + rn per lift arc t -> h, the
+    reverse arc h -> t giving t + rn -- h). Labels are smallest nodes, so
+    min(label[v], label[v + rn]) is the smallest vertex of v's component,
+    and the component is bipartite iff v's two copies fall in different
+    components of the cover; then v lies on the side label[v] >
+    label[v + rn], the side without that smallest vertex. Ordered by
+    side, the block is [[0, C], [C^T, 0]] with C a p x q block, whose
+    eigenvalues are +sigma and -sigma for each singular value sigma of C,
+    and |p - q| zeros (ibid., section 3). Each computed sigma is exact for
+    some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every eigenvalue
+    moves by at most ||E||_2: the backward error eigvalsh gives too. A
+    non-bipartite component goes to eigvalsh. If a is not symmetric, the
+    cover joins only t and h + rn, which says nothing of t's and h's
+    components, so the pass runs over the lift's own arcs, and every
+    component goes to eigvals.
+
+    Sorting the vertices by (component, side, index) makes each component
+    one run, its rows side first. Components of one kind and shape (p, q)
+    are gathered into one (K, p, q) stack and solved in one batched call.
+    A connected lift that is not bipartite needs no sort and no gather: it
+    goes to its solver as a itself, so the largest lift is never copied.
     """
     rn = len(a)
     tails, heads = (x.ravel() for x in _lift_arcs(d))
-    label = connected_components(2 * rn, tails, heads + rn)
-    lo, hi = label[:rn], label[rn:]
-    if np.any(lo == hi):
-        return _solve(np.linalg.eigvalsh, a)
-    side = lo > hi
-    c = a[np.ix_(np.flatnonzero(~side), np.flatnonzero(side))]
-    sigma = _solve(np.linalg.svd, c, compute_uv=False)
-    return np.concatenate([sigma, -sigma, np.zeros(rn - 2 * len(sigma))])
+    symmetric = np.array_equal(a, a.T)
+    if symmetric:
+        label = connected_components(2 * rn, tails, heads + rn)
+        lo, hi = label[:rn], label[rn:]
+        component, side, bipartite = np.minimum(lo, hi), lo > hi, lo != hi
+    else:
+        component = connected_components(rn, tails, heads)
+        side = bipartite = np.zeros(rn, dtype=bool)
+    solver = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
+    roots = np.flatnonzero(component == np.arange(rn))  # each component's smallest vertex
+    if len(roots) == 1 and not bipartite[0]:
+        return _solve(solver, a)  # no rn x rn copy
+    order = np.lexsort((side, component))
+    starts = np.searchsorted(component[order], roots)
+    qs = np.bincount(component[side], minlength=rn)[roots]
+    ps = np.diff(starts, append=rn) - qs
+    shapes = np.stack([bipartite[roots], ps, qs], axis=1)
+    # one integer per shape, since p and q are at most rn
+    _, first, shape_of = np.unique((shapes[:, 0] * (rn + 1) + ps) * (rn + 1) + qs,
+                                   return_index=True, return_inverse=True)
+    parts = []
+    for j, (bip, p, q) in enumerate(shapes[first].tolist()):
+        at = starts[shape_of == j]
+        rows = order[at[:, None] + np.arange(p)]
+        cols = order[at[:, None] + p + np.arange(q)] if bip else rows
+        block = a[rows[:, :, None], cols[:, None, :]]
+        if bip:
+            sigma = _solve(np.linalg.svd, block, compute_uv=False)
+            zeros = np.zeros((*sigma.shape[:-1], abs(p - q)))
+            parts.append(np.concatenate([sigma, -sigma, zeros], axis=-1))
+        else:
+            parts.append(_solve(solver, block))
+    return np.concatenate([x.ravel() for x in parts])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ character Gram product, character-table validation by the Gram product
 over every element, the least distance within which two spectra pair up
 by an exact bottleneck matching over every copy, the conjugate pairing by
 a nearest-row search over the character table, the eigenvalues of a
-lift by one dense solve of its whole adjacency, a group's greedy
+lift by one dense solve of its whole adjacency and by one solve per
+connected component, found by breadth-first search, a group's greedy
 generators by closing the reached set under products, and the quotient
 matrix by one increment per arc.
 """
@@ -441,3 +442,42 @@ def lift_eigenvalues_whole(d: VoltageDigraph) -> np.ndarray:
     eigvalsh when it is exactly symmetric, eigvals otherwise."""
     a = build_lift(d)
     return (np.linalg.eigvalsh if np.array_equal(a, a.T) else np.linalg.eigvals)(a)
+
+
+def lift_eigenvalues_by_component(d: VoltageDigraph) -> np.ndarray:
+    """The eigenvalues of d's lift from one solve per weakly connected
+    component, in a loop. Each component is found and 2-coloured by a
+    breadth-first search from its smallest vertex, and its vertices are
+    taken in ascending order. If the whole adjacency is exactly symmetric,
+    a component whose colouring holds is solved by the singular values of
+    its biadjacency block, rows the smallest vertex's colour (+sigma,
+    -sigma and |p - q| zeros), and any other by eigvalsh; if it is not,
+    every component goes to eigvals."""
+    a = build_lift(d)
+    rn = len(a)
+    symmetric = np.array_equal(a, a.T)
+    neighbours = [np.flatnonzero(a[v] + a[:, v]).tolist() for v in range(rn)]
+    colour = [-1] * rn
+    parts = []
+    for root in range(rn):
+        if colour[root] >= 0:
+            continue
+        colour[root], queue, bipartite = 0, [root], True
+        for v in queue:
+            for w in neighbours[v]:
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    bipartite = False
+        comp = sorted(queue)
+        if not symmetric:
+            parts.append(np.linalg.eigvals(a[np.ix_(comp, comp)]))
+        elif bipartite:
+            rows = [v for v in comp if colour[v] == 0]
+            cols = [v for v in comp if colour[v] == 1]
+            sigma = np.linalg.svd(a[np.ix_(rows, cols)], compute_uv=False)
+            parts.append(np.concatenate([sigma, -sigma, np.zeros(abs(len(rows) - len(cols)))]))
+        else:
+            parts.append(np.linalg.eigvalsh(a[np.ix_(comp, comp)]))
+    return np.concatenate(parts)

@@ -34,12 +34,13 @@ from oracles import (
     charsum_match_tol_dense,
     cluster_spectrum_loop,
     determinant_poly_coeffs,
+    lift_eigenvalues_by_component,
     lift_eigenvalues_whole,
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
     roots_from_power_sums_loop,
 )
-from test_groups import FAMILY_SPECS
+from test_groups import FAMILY_SPECS, components_bfs
 
 
 def stack_indices(s):
@@ -943,15 +944,17 @@ class TestSpectrumRoutes:
 
 
 class TestBruteforceComponents:
-    """The brute-force route on an exactly symmetric lift, by the singular
-    values of its biadjacency block when every component is bipartite,
-    against one solve of the whole adjacency (lift_eigenvalues_whole)."""
+    """The brute-force route solves each weakly connected component of the
+    lift alone, components of one kind and shape in one batched call:
+    bitwise against one solve per component in a loop
+    (lift_eigenvalues_by_component), and against one solve of the whole
+    adjacency (lift_eigenvalues_whole)."""
 
     @staticmethod
     def solve(d, monkeypatch):
         """The lift's eigenvalues as the brute-force route computes them,
-        checked against the oracle, and its svd and eigvalsh calls as
-        sorted (name, stack shape) pairs."""
+        checked against both oracles, and its svd, eigvalsh and eigvals
+        calls as sorted (name, stack shape) pairs."""
         calls = []
 
         def spy(name, solver):
@@ -960,18 +963,19 @@ class TestBruteforceComponents:
                 return solver(m, **kwargs)
             return call
 
-        for name in ("svd", "eigvalsh"):
+        for name in ("svd", "eigvalsh", "eigvals"):
             monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-        a = vl.build_lift(d)
-        assert np.array_equal(a, a.T)
-        vals = spectra._symmetric_lift_eigenvalues(d, a)
+        vals = spectra._lift_eigenvalues(d, vl.build_lift(d))
         monkeypatch.undo()
-        want = lift_eigenvalues_whole(d)
-        assert vals.shape == (d.order * d.group.order,) and vals.dtype == float
-        # both solvers are backward stable: each eigenvalue within
-        # O(eps ||A||_2), and ||A||_2 <= ||A||_1, the largest in-degree
-        tol = 1e-12 * (1 + int(d.in_degrees().max()))
-        assert np.abs(np.sort(vals) - np.sort(want)).max() <= tol
+        assert vals.shape == (d.order * d.group.order,)
+        assert np.array_equal(np.sort_complex(vals),
+                              np.sort_complex(lift_eigenvalues_by_component(d)))
+        if symmetric_lift(d):
+            # both solvers are backward stable: each eigenvalue within
+            # O(eps ||A||_2), and ||A||_2 <= ||A||_1, the largest in-degree
+            assert vals.dtype == float
+            tol = 1e-12 * (1 + int(d.in_degrees().max()))
+            assert np.abs(np.sort(vals) - np.sort(lift_eigenvalues_whole(d))).max() <= tol
         assert vl.lift_spectrum_bruteforce(d, 1e-9) == cluster_spectrum(vals, 1e-9)
         return vals, sorted(calls)
 
@@ -983,17 +987,17 @@ class TestBruteforceComponents:
         for _ in range(6):
             d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=5, max_arcs=8))
             solvers.update(name for name, _ in self.solve(d, monkeypatch)[1])
-        assert "svd" in solvers
+        assert "svd" in solvers and "eigvals" not in solvers
 
     def test_a_lift_split_by_a_proper_subgroup(self, monkeypatch):
         # a 4-cycle over cyclic:12 whose voltages lie in {0, 4, 8}: its lift
         # is four 12-cycles, one per coset, each bipartite with sides of 6,
-        # and C holds the four 6 x 6 blocks
+        # so one svd call solves the four 6 x 6 biadjacency blocks
         g = vl.build_builtin_group("cyclic:12")
         d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d"], [(0, 1, 4), (1, 2, 0), (2, 3, 8), (3, 0, 8)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (24, 24))]
+        assert calls == [("svd", (4, 6, 6))]
         # the 12-cycle's spectrum 2 cos(2 pi k / 12), four times
         cycle = 2 * np.cos(2 * np.pi * np.arange(12) / 12)
         assert np.allclose(np.sort(vals), np.sort(np.tile(cycle, 4)), atol=1e-12)
@@ -1005,53 +1009,118 @@ class TestBruteforceComponents:
         d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c"], [(0, 1, 1), (1, 2, 2)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (6, 3))]
+        assert calls == [("svd", (3, 2, 1))]
         assert np.allclose(np.sort(vals), np.repeat([-np.sqrt(2), 0, np.sqrt(2)], 3),
                            atol=1e-12)
 
-    def test_bipartite_components_of_two_shapes_share_one_block(self, monkeypatch):
-        # the path a - b - c and an edge d - e over cyclic:3: C holds three
-        # 2 x 1 blocks and three 1 x 1 blocks, so it is 9 x 6, and the
-        # lift adds 3 zeros to the singular values' +sigma and -sigma
+    def test_bipartite_components_of_two_shapes_make_one_call_each(self, monkeypatch):
+        # the path a - b - c and an edge d - e over cyclic:3: three 2 x 1
+        # blocks and three 1 x 1 blocks, and each path adds one zero to the
+        # singular values' +sigma and -sigma
         g = vl.build_builtin_group("cyclic:3")
         d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (1, 2, 2), (3, 4, 1)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (9, 6))]
+        assert calls == [("svd", (3, 1, 1)), ("svd", (3, 2, 1))]
         assert np.allclose(np.sort(vals), np.repeat([-np.sqrt(2), -1, 0, 1, np.sqrt(2)], 3),
                            atol=1e-12)
 
-    def test_a_non_bipartite_component_sends_the_lift_whole(self, monkeypatch):
-        # over cyclic:3, the edge lifts to three disjoint edges and the
-        # triangle, of net voltage 1, to one 9-cycle, not bipartite
+    def test_each_component_takes_its_own_solver(self, monkeypatch):
+        # over cyclic:3, the edge lifts to three disjoint edges, bipartite,
+        # and the triangle, of net voltage 1, to one 9-cycle, which is not:
+        # the edges go to svd and the 9-cycle alone to eigvalsh, a stack
+        # of one, since it is the one component of its shape
         g = vl.build_builtin_group("cyclic:3")
         d = reverse_completed(vl.VoltageDigraph(
             g, ["a", "b", "c", "d", "e"], [(0, 1, 1), (2, 3, 1), (3, 4, 0), (4, 2, 0)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("eigvalsh", (15, 15))]
+        assert calls == [("eigvalsh", (1, 9, 9)), ("svd", (3, 1, 1))]
         cycle = 2 * np.cos(2 * np.pi * np.arange(9) / 9)
         assert np.allclose(np.sort(vals), np.sort([-1, -1, -1, 1, 1, 1, *cycle]), atol=1e-12)
 
-    def test_a_digraph_with_no_arcs_lifts_to_zeros(self, monkeypatch):
-        # every lift vertex is a component of its own, bipartite with an
-        # empty second side: C is 12 x 0
+    def test_components_of_two_sizes_and_both_kinds_make_one_call_per_shape(
+            self, monkeypatch):
+        # over cyclic:4: an edge a - b lifts to four edges (1 x 1 blocks),
+        # the triangle c - d - e of net voltage 0 to four triangles, not
+        # bipartite, and the triangle f - g - h of net voltage 2 to two
+        # 6-cycles with sides of 3: three shapes, one call each
         g = vl.build_builtin_group("cyclic:4")
-        d = vl.VoltageDigraph(g, ["a", "b", "c"], [])
+        d = reverse_completed(vl.VoltageDigraph(
+            g, list("abcdefgh"),
+            [(0, 1, 3), (2, 3, 1), (3, 4, 2), (4, 2, 1), (5, 6, 0), (6, 7, 2), (7, 5, 0)]))
         vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("svd", (12, 0))]
-        assert vals.tolist() == [0.0] * 12
+        assert calls == [("eigvalsh", (4, 3, 3)), ("svd", (2, 3, 3)), ("svd", (4, 1, 1))]
+        hexagon = 2 * np.cos(2 * np.pi * np.arange(6) / 6)
+        want = [*[-1, 1] * 4, *[2, -1, -1] * 4, *hexagon, *hexagon]
+        assert np.allclose(np.sort(vals), np.sort(want), atol=1e-12)
+
+    @pytest.mark.parametrize("spec, vertices, call", [
+        ("cyclic:4", ["a", "b", "c"], ("svd", (12, 1, 0))),
+        ("cyclic:1", ["a"], ("svd", (1, 1, 0))),
+    ])
+    def test_a_digraph_with_no_arcs_lifts_to_zeros(self, spec, vertices, call, monkeypatch):
+        # every lift vertex is a component of its own, bipartite with an
+        # empty second side: 1 x 0 blocks, one for each, even when the
+        # one vertex is the whole lift
+        d = vl.VoltageDigraph(vl.build_builtin_group(spec), vertices, [])
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [call]
+        assert vals.tolist() == [0.0] * len(vals)
+
+    def test_a_connected_lift_goes_to_its_solver_whole(self, monkeypatch):
+        # the lift of the triangle fixture over dihedral:3 is connected and
+        # not bipartite: one eigvalsh call on the whole adjacency
+        g = vl.build_builtin_group("dihedral:3")
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "triangle_dihedral3.json")) as f:
+            d = vl.parse_voltage_digraph(f.read(), g)
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("eigvalsh", (18, 18))]
+        assert np.array_equal(vals, lift_eigenvalues_whole(d))
+
+    def test_a_directed_lift_is_split_by_its_own_arcs(self, monkeypatch):
+        # the directed triangle a -> b -> c -> a with identity voltages
+        # lifts to four directed triangles. The double cover links only
+        # a -- b', b -- c' and c -- a', so its labels would put c apart
+        # from a and b, and every block would be nilpotent
+        g = vl.build_builtin_group("cyclic:4")
+        d = vl.VoltageDigraph(g, ["a", "b", "c"], [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+        vals, calls = self.solve(d, monkeypatch)
+        assert calls == [("eigvals", (4, 3, 3))]
+        roots = np.exp(2j * np.pi * np.arange(3) / 3)
+        assert np.allclose(np.sort_complex(vals), np.sort_complex(np.tile(roots, 4)),
+                           atol=1e-12)
 
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
-    def test_a_directed_lift_is_solved_whole(self, spec):
-        # bitwise: the whole adjacency goes to eigvals, as the oracle does
+    def test_a_directed_lift_is_solved_per_component(self, spec, monkeypatch):
+        # bitwise: as the per-component oracle on every draw, and, when
+        # the lift is connected, as one eigvals call on the whole adjacency.
+        # A split lift is also matched one to one with the whole solve,
+        # which shares no component split, within verify's 1e-7 for repr
+        # against bruteforce: a defective eigenvalue of multiplicity k
+        # moves by about eps^(1/k), so eigvals' backward error gives no
+        # tighter bound (one dihedral:6 draw is 9e-9 apart)
         g = vl.build_builtin_group(spec)
         rng = np.random.default_rng(62)
-        for _ in range(4):
+        connected = split = 0
+        for _ in range(8):
             d = random_voltage_digraph(rng, g, max_vertices=5, max_arcs=8)
             if symmetric_lift(d):
                 continue
-            assert vl.lift_spectrum_bruteforce(d, 1e-9) == cluster_spectrum(
-                lift_eigenvalues_whole(d), 1e-9)
+            vals, calls = self.solve(d, monkeypatch)
+            assert {name for name, _ in calls} == {"eigvals"}
+            whole = lift_eigenvalues_whole(d)
+            label = components_bfs(len(vals), *np.nonzero(vl.build_lift(d)))
+            if max(label) == 0:
+                connected += 1
+                assert calls == [("eigvals", vals.shape * 2)]
+                assert np.array_equal(vals, whole)
+            else:
+                split += 1
+                copies = [vl.SpectrumMultiset(tuple((complex(v), 1) for v in x))
+                          for x in (vals, whole)]
+                assert bottleneck_distance_loop(*copies) <= 1e-7
+        assert connected and split
 
 
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
