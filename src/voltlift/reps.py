@@ -51,6 +51,8 @@ class IrrepSet:
     exactly the complex conjugates of its own: for a quotient matrix B with
     integer coefficients the partner's image is conj(rho(B)), with the
     conjugate eigenvalues, so the repr route solves one irrep of each pair.
+    ``real_dims`` names the dimensions whose stack is exactly real; the
+    stacks stay complex, and the irrep routes take such a stack's real part.
     """
 
     group: GroupTable
@@ -97,6 +99,14 @@ class IrrepSet:
             pairing[first:first + k] = first + np.where(partner < k, partner, np.arange(k))
         pairing.setflags(write=False)
         return pairing
+
+    @cached_property
+    def real_dims(self) -> frozenset:
+        """The dimensions whose stack is exactly real, computed on first
+        read: not stack.imag.any(), so a -0.0 imaginary part counts as
+        zero and any other, however small, keeps the stack complex. The
+        irrep routes build, solve and write such a stack in float64."""
+        return frozenset(d for d, stack in self.stacks.items() if not stack.imag.any())
 
 
 def _unwritable(a, what: str) -> np.ndarray:

@@ -12,7 +12,13 @@ irrep of each such pair is solved and its partner gets the conjugate
 eigenvalues. Each image goes to a solver of its own: one that is
 Hermitian up to rounding, as every image of an undirected digraph under a
 unitary irrep is, to the Hermitian solver, and every other to the general
-one, whatever the digraph. The character route recovers the same
+one, whatever the digraph. A stack with no nonzero imaginary part
+(IrrepSet.real_dims), as every dihedral one is, is taken as its real part:
+its images are float64 and the Hermitian solvers, eigvalsh and eigh, and
+the lift vectors stay real. Its images that miss the gate are cast to
+complex128 for the general solver, so their eigenvalues are those of the
+complex images, to the bit: a real general solver would split a defective
+eigenvalue differently. The character route recovers the same
 per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
@@ -329,15 +335,16 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (K, N, N) stack, as a complex (K, N) array: the
-    matrices that _hermitian passes go to one eigvalsh call on their
-    Hermitian parts, every other to one eigvals call."""
+    """Eigenvalues of a float64 or complex128 (K, N, N) stack, as a complex
+    (K, N) array: the matrices that _hermitian passes go to one eigvalsh
+    call on their Hermitian parts, real symmetric ones for a float64 stack,
+    and every other, cast to complex128, to one eigvals call."""
     hermitian = _hermitian(m)
     vals = np.empty(m.shape[:2], dtype=complex)
     if hermitian.any():
         vals[hermitian] = _solve(np.linalg.eigvalsh, _hermitian_part(m[hermitian]))
     if not hermitian.all():
-        vals[~hermitian] = _solve(np.linalg.eigvals, m[~hermitian])
+        vals[~hermitian] = _solve(np.linalg.eigvals, m[~hermitian].astype(complex, copy=False))
     return vals
 
 
@@ -345,26 +352,39 @@ def eig(m: np.ndarray):
     """Residual-checked eigenpairs of a (K, N, N) stack, in one batched
     solve per solver.
 
-    Returns the eigenvalues (K, N), the eigenvectors (K, N, N) as columns,
-    the per-column residuals (K, N), each relative to its column's norm,
-    and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a (K,) array. Each
-    matrix that _hermitian passes goes to eigh, on its Hermitian part H:
-    its eigenvalues are real, its eigenvectors orthonormal, and ||M||_2
-    is taken as max |lambda| = ||H||_2. Every other goes to eig. Residuals
-    are always of M itself. The computed vectors of a Jordan block meet
-    the bound too, so a caller that needs a basis also tests the
-    conditioning (lift_eigenvectors does).
+    Returns the eigenvalues (K, N), complex, the eigenvectors (K, N, N) as
+    columns, the per-column residuals (K, N), each relative to its
+    column's norm, and the per-matrix bounds 1e-8 * (1 + ||M||_2) as a
+    (K,) array. A float64 stack stays real, and any other is taken as
+    complex128. Each matrix that _hermitian passes goes to eigh, on its
+    Hermitian part H, real symmetric for a float64 stack: its eigenvalues
+    are real, its eigenvectors orthonormal, and ||M||_2 is taken as
+    max |lambda| = ||H||_2. Every other, cast to complex128, goes to eig.
+    So the eigenvectors are float64 when the stack is and every matrix
+    passes the gate, and complex128 otherwise. Residuals are always of M
+    itself. The computed vectors of a Jordan block meet the bound too, so
+    a caller that needs a basis also tests the conditioning
+    (lift_eigenvectors does).
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m if m.dtype == float else m.astype(complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise SpectrumError(f"expected a stack of square matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SpectrumError("matrix has non-finite entries")
-    vals = np.empty(m.shape[:2], dtype=complex)
-    vecs = np.empty(m.shape, dtype=complex)
-    if not m.size:
-        return vals, vecs, np.empty(vals.shape), np.zeros(len(m))
+    return _eig(m)[1:]
+
+
+def _eig(m: np.ndarray):
+    """eig's solve of a checked float64 or complex128 stack, led by the
+    (K,) mask _hermitian(m) of the matrices that went to eigh: (hermitian,
+    eigenvalues, eigenvectors, residuals, bounds)."""
     hermitian = _hermitian(m)
+    real = m.dtype == float and hermitian.all()
+    vals = np.empty(m.shape[:2], dtype=complex)
+    vecs = np.empty(m.shape, dtype=float if real else complex)
+    if not m.size:
+        return hermitian, vals, vecs, np.empty(vals.shape), np.zeros(len(m))
     norm = np.empty(len(m))
     if hermitian.any():
         vals[hermitian], vecs[hermitian] = _solve(
@@ -372,12 +392,12 @@ def eig(m: np.ndarray):
         norm[hermitian] = np.abs(vals[hermitian]).max(axis=1)
     general = ~hermitian
     if general.any():
-        g = m[general]
+        g = m[general].astype(complex, copy=False)
         vals[general], vecs[general] = _solve(np.linalg.eig, g)
         norm[general] = np.linalg.norm(g, 2, axis=(1, 2))
-    res = np.linalg.norm(m @ vecs - vecs * vals[:, None, :], axis=1)
+    res = np.linalg.norm(m @ vecs - vecs * (vals.real if real else vals)[:, None, :], axis=1)
     res = res / np.maximum(np.linalg.norm(vecs, axis=1), 1e-300)
-    return vals, vecs, res, EIG_RESIDUAL_FACTOR * (1 + norm)
+    return hermitian, vals, vecs, res, EIG_RESIDUAL_FACTOR * (1 + norm)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +407,19 @@ def eig(m: np.ndarray):
 def _term_images(terms: tuple, r: int, stack: np.ndarray) -> np.ndarray:
     """Images of the r x r algebra matrix with nonzeros terms = (u, v, x,
     coefficient) under a (K, n, d, d) stack of irreps of one dimension d,
-    as a (K, r*d, r*d) stack: each term adds its multiple of rho(x) into
-    its (u, v) d x d block, in the order the terms are listed."""
+    as a (K, r*d, r*d) stack, float64 for a float64 stack and complex128
+    for any other: each term adds its multiple of rho(x) into its (u, v)
+    d x d block, in the order the terms are listed. Where rho(x) has zero
+    imaginary parts, the real part of the complex product c rho(x) is the
+    float product c Re rho(x), up to the sign of a zero, which the sum into
+    zeros drops, and it is summed in the same order: so the images of a
+    real stack's real part are the real parts of its complex images, to
+    the bit."""
     u, v, x, coeff = terms
     num, _, d, _ = stack.shape
-    blocks = np.zeros((num, r, r, d, d), dtype=complex)
-    np.add.at(blocks, (slice(None), u, v), coeff.astype(complex)[:, None, None] * stack[:, x])
+    dtype = float if stack.dtype == float else complex
+    blocks = np.zeros((num, r, r, d, d), dtype=dtype)
+    np.add.at(blocks, (slice(None), u, v), coeff.astype(dtype)[:, None, None] * stack[:, x])
     return blocks.transpose(0, 1, 3, 2, 4).reshape(num, r * d, r * d)
 
 
@@ -403,7 +430,8 @@ def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
     The public form of the irrep routes' kernel (_term_images): its terms
     are the nonzero coefficients of b, in the order np.nonzero lists them
     (voltage._terms). The routes read the same terms from the arcs
-    (_irrep_images).
+    (_irrep_images). The images are float64 for a float64 stack, such as
+    the real part of an exactly real one, and complex128 for any other.
     """
     return _term_images(_terms(b), b.shape[0], stack)
 
@@ -422,10 +450,13 @@ def _irrep_images(d: VoltageDigraph, s: IrrepSet):
     of d's group, read B's nonzeros from the arcs once (_quotient_terms,
     the terms rho_matrix takes from B, in its order, so every image is
     rho_matrix(associated_matrix(d), stack) to the bit), and yield (dim,
-    first irrep, images) per stack. B itself is never built."""
+    first irrep, images) per stack. A stack in IrrepSet.real_dims is
+    given as its real part, a view, so its images are float64. B itself is
+    never built."""
     _check_input(s, IrrepSet, d, "irrep set")
     terms = _quotient_terms(d)
     for dim, stack in s.stacks.items():
+        stack = stack.real if dim in s.real_dims else stack
         yield dim, s.dims.index(dim), _term_images(terms, d.order, stack)
 
 
@@ -719,7 +750,11 @@ class LiftEigenvectors:
     """Eigenpairs of the lift plus bookkeeping about skipped irreps.
 
     ``pairs`` holds (eigenvalue, vector) with vectors indexed in lift
-    vertex order (vertex-major, element-index minor). Irreps whose quotient
+    vertex order (vertex-major, element-index minor). Each eigenvalue is a
+    complex number. A vector is float64 when its irrep's stack is real
+    (IrrepSet.real_dims) and every image of that stack passed the Hermitian
+    gate, so that eigh's real vectors built it, and complex128 otherwise:
+    the vectors of an undirected dihedral lift are real. Irreps whose quotient
     image is defective are skipped and listed in ``skipped_irreps``, by index;
     ``skip_reasons`` names, for each, the failed test and its numbers.
     No vector can be zero (see lift_eigenvectors): ``zero_vectors_excluded``
@@ -752,16 +787,18 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     of the kept irreps are written in place into one array
     fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
     irrep q, column c, slot k, filled by one matmul per slot, and the
-    returned vectors are the rows of its (K, r*d*d, r*n) reshape.
+    returned vectors are the rows of its (K, r*d*d, r*n) reshape. fib is
+    float64, written from the stack's real part, when the eigenvectors are
+    real, and complex128 otherwise.
     """
     n, r = d.group.order, d.order
     pairs, skipped, reasons = [], [], []
     for di, first, images in _irrep_images(d, s):
-        vals, vecs, res, bound = eig(images)
-        # eig sends the images _hermitian passes to eigh, whose basis is
+        hermitian, vals, vecs, res, bound = _eig(images)
+        # _eig sends the images _hermitian passes to eigh, whose basis is
         # unitary to working precision: its condition number is 1 + O(N eps)
         # and cannot fail the test, so only the general solver's are taken
-        general = ~_hermitian(images)
+        general = ~hermitian
         cond = np.ones(len(images))
         if general.any():
             cond[general] = np.linalg.cond(vecs[general])
@@ -776,10 +813,12 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
             continue
         # fib[q, c, k, v, h] = sum_j rho_q(h)[k, j] x[q, v*d + j, c]: for
         # slot k, a (K, r) batch of (r*d, d) @ (d, n) products, written
-        # through a strided view of fib
-        rho = s.stacks[di][ok]
+        # through a strided view of fib. Real vectors come only from a real
+        # stack, and are written in float64 from its real part
+        stack = s.stacks[di]
+        rho = (stack.real if vecs.dtype == float else stack)[ok]
         x = vecs[ok].reshape(len(ok), r, di, r * di).transpose(0, 1, 3, 2)
-        fib = np.empty((len(ok), r * di, di, r, n), dtype=complex)
+        fib = np.empty((len(ok), r * di, di, r, n), dtype=vecs.dtype)
         for k in range(di):
             np.matmul(
                 x, rho[:, None, :, k, :].transpose(0, 1, 3, 2),

@@ -250,17 +250,21 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     lift vertex (v, h), where x_v is vertex v's row block of the quotient
     eigenvector matrix. Each image is solved alone, by the solver that the
     library picks for it (spectra.eig): the Hermitian one only when the
-    image passes the rounding-level test.
+    image passes the rounding-level test. An irrep whose stack has no
+    nonzero imaginary part, tested here on the stack itself, is built from
+    its real matrices, so its image is a real one.
     """
     group = d.group
     n = group.order
     r = d.order
     b = associated_matrix_loop(d)
+    real = {k for k, stack in s.stacks.items() if not stack.imag.any()}
     pairs = []
     skipped = []
     zeros = 0
     for i, di in enumerate(s.dims):
         mats = irrep_matrices(s, i)
+        mats = mats.real if di in real else mats
         m = rho_matrix(b, mats[None])[0]
         vals, u_mat, res, bound = (a[0] for a in eig(m[None]))
         if m.size:
@@ -277,7 +281,7 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
             mu = complex(vals[c])
             col = u_mat[:, c]
             # value at lift vertex (v, h), all h at once: rho(h) @ x_v_col
-            fibers = np.empty((r, n, di), dtype=complex)
+            fibers = np.empty((r, n, di), dtype=np.result_type(mats, u_mat))
             for v in range(r):
                 xc = col[v * di:(v + 1) * di]
                 fibers[v] = np.einsum("hij,j->hi", mats, xc)

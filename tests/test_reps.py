@@ -570,3 +570,45 @@ class TestConjugates:
         for i in (1, 4):
             assert any(np.array_equal(m, images[i]) for m in stack)
         assert vl.spectra_equal(got, vl.lift_spectrum_bruteforce(d, 1e-8), 1e-12).matched
+
+
+def d3_with_one_imaginary_part():
+    """dihedral:3 loaded from its document, with the 2-dim irrep's (1, 1)
+    entry at r^1 given the imaginary part 5e-324, the least there is."""
+    g = vl.build_builtin_group("dihedral:3")
+    doc = irreps_to_doc(g, vl.builtin_irreps(g))
+    next(e for e in doc if e["dim"] == 2)["matrices"]["r^1"][1][1][1] = 5e-324
+    return vl.load_irreps(doc, g)
+
+
+def with_negative_zero_imaginary_parts(s):
+    """s with every imaginary part set to -0.0: a new IrrepSet."""
+    stacks = {k: np.array(stack) for k, stack in s.stacks.items()}
+    for stack in stacks.values():
+        stack.imag = -0.0
+    return vl.IrrepSet(s.group, stacks)
+
+
+class TestRealDims:
+    """IrrepSet.real_dims: the dimensions whose stack has no nonzero
+    imaginary part, decided exactly, on first read."""
+
+    @pytest.mark.parametrize("spec, real", [
+        ("cyclic:1", {1}), ("cyclic:2", {1}), ("cyclic:12", set()), ("dihedral:5", {1, 2}),
+        ("product:dihedral:3,dihedral:4", {1, 2, 4}), ("product:cyclic:3,dihedral:4", set()),
+    ])
+    def test_builtin_stacks(self, spec, real):
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert "real_dims" not in vars(s)  # not computed when the set is made
+        assert isinstance(s.real_dims, frozenset) and s.real_dims == real
+        assert "real_dims" in vars(s)
+
+    def test_one_tiny_imaginary_part_keeps_a_stack_complex(self):
+        s = d3_with_one_imaginary_part()
+        assert s.stacks[2].imag.max() == 5e-324
+        assert s.real_dims == {1}
+
+    def test_negative_zero_imaginary_parts_count_as_zero(self):
+        s = with_negative_zero_imaginary_parts(d3_with_one_imaginary_part())
+        assert all(np.signbit(stack.imag).all() for stack in s.stacks.values())
+        assert s.real_dims == {1, 2}

@@ -41,6 +41,7 @@ from oracles import (
     roots_from_power_sums_loop,
 )
 from test_groups import FAMILY_SPECS, components_bfs
+from test_reps import d3_with_one_imaginary_part, with_negative_zero_imaginary_parts
 
 
 def stack_indices(s):
@@ -143,15 +144,24 @@ class TestQuotientTerms:
 
     @staticmethod
     def assert_images_are_rho_matrix(d, s):
+        # in the dtype the route builds them in: float64 from the real part
+        # of a stack with no nonzero imaginary part, whose images are then
+        # the real parts of the complex stack's, to the bit
         b = vl.associated_matrix(d)
         stacks = list(s.stacks.items())
         got = list(spectra._irrep_images(d, s))
         assert [(dim, first) for dim, first, _ in got] == [
             (dim, s.dims.index(dim)) for dim, _ in stacks]
         for (_, _, images), (_, stack) in zip(got, stacks):
-            want = vl.rho_matrix(b, stack)
+            real = not stack.imag.any()
+            want = vl.rho_matrix(b, stack.real if real else stack)
+            assert images.dtype == want.dtype == (float if real else complex)
             assert images.shape == want.shape
             assert images.tobytes() == want.tobytes()
+            if real:
+                full = vl.rho_matrix(b, stack)
+                assert full.dtype == complex and not full.imag.any()
+                assert images.tobytes() == np.ascontiguousarray(full.real).tobytes()
 
     @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
     def test_terms_are_the_nonzeros_of_b_in_order(self, spec):
@@ -1291,6 +1301,119 @@ class TestSolverChoice:
                 for got, want in checks:
                     got, want = cluster_spectrum(got, tol), cluster_spectrum(want, tol)
                     assert vl.spectra_equal(got, want, tol).matched, (spec, t, i)
+
+
+@pytest.fixture
+def solver_dtypes(monkeypatch):
+    """Every call of numpy's four dense eigensolvers, as (name, input
+    dtype, number of matrices)."""
+    calls = []
+
+    def spy(name, solve):
+        def call(a):
+            calls.append((name, a.dtype, len(a)))
+            return solve(a)
+        return call
+
+    for name in SOLVERS:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+class TestRealStacks:
+    """A stack in IrrepSet.real_dims is built, solved by eigvalsh and eigh
+    and written in float64; a complex stack, and every image that misses
+    the Hermitian gate, reach the solvers as complex128."""
+
+    @pytest.mark.parametrize("spec", ["dihedral:5", "product:dihedral:3,dihedral:4", "cyclic:12"])
+    def test_each_solver_gets_the_dtype_of_its_path(self, spec, solver_dtypes):
+        # the dihedral groups' stacks are all real and cyclic:12's all
+        # complex; directed and undirected draws reach all four solvers
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        real = spec != "cyclic:12"
+        assert s.real_dims == (set(s.stacks) if real else set())
+        rng = np.random.default_rng(56)
+        for t in range(6):
+            d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10)
+            d = reverse_completed(d) if t % 2 else d
+            vl.irrep_eigenvalues(d, s)
+            vl.lift_eigenvectors(d, s)
+        assert {name for name, _, _ in solver_dtypes} == set(SOLVERS)
+        for name, dtype, _ in solver_dtypes:
+            hermitian_path = name in ("eigvalsh", "eigh")
+            assert dtype == (np.float64 if real and hermitian_path else np.complex128), name
+
+    def test_realness_is_exact(self, solver_dtypes):
+        # an undirected voltage graph over dihedral:3, whose every image
+        # passes the gate: a 2-dim stack with one imaginary part of 5e-324
+        # is solved as complex128, and with imaginary parts of -0.0 as
+        # float64; the 1-dim stack (2 irreps) is real in both
+        tiny = d3_with_one_imaginary_part()
+        zero = with_negative_zero_imaginary_parts(tiny)
+        d = random_voltage_graph(np.random.default_rng(57), tiny.group, max_vertices=4)
+        by_repr = []
+        for s, two in ((tiny, np.complex128), (zero, np.float64)):
+            solver_dtypes.clear()
+            by_repr.append(vl.lift_spectrum_repr(d, s, 1e-8))
+            result = vl.lift_eigenvectors(d, s)
+            assert sorted(solver_dtypes, key=lambda c: (c[0], -c[2])) == [
+                ("eigh", np.float64, 2), ("eigh", two, 1),
+                ("eigvalsh", np.float64, 2), ("eigvalsh", two, 1)]
+            assert not result.skipped_irreps
+            assert {w.dtype for _, w in result.pairs} == {np.dtype(np.float64), np.dtype(two)}
+        assert vl.spectra_equal(*by_repr, 1e-12).matched
+
+    @pytest.mark.parametrize("spec", ["dihedral:4", "dihedral:5", "product:dihedral:3,dihedral:4"])
+    def test_gate_missing_images_get_the_complex_solvers_results_bitwise(self, spec):
+        # directed draws over real stacks: the float64 image misses the gate
+        # exactly when the complex one does, and each that misses gets the
+        # eigenvalues (and eig's vectors) of the complex image, to the bit
+        g = vl.build_builtin_group(spec)
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(58)
+        missed = 0
+        for _ in range(6):
+            d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10)
+            b = vl.associated_matrix(d)
+            values = vl.irrep_eigenvalues(d, s)
+            for k, stack in s.stacks.items():
+                images = vl.rho_matrix(b, stack)
+                miss = ~spectra._hermitian(images)
+                hermitian, vals, vecs, *_ = spectra._eig(vl.rho_matrix(b, stack.real))
+                assert np.array_equal(hermitian, ~miss)
+                if miss.any():
+                    missed += int(miss.sum())
+                    want = np.linalg.eigvals(images[miss])
+                    assert values[k][miss].tobytes() == want.tobytes()
+                    want_vals, want_vecs = np.linalg.eig(images[miss])
+                    assert vals[miss].tobytes() == want_vals.tobytes()
+                    assert vecs[miss].tobytes() == want_vecs.tobytes()
+        assert missed >= 10
+
+    def test_undirected_dihedral_lifts_give_float64_vectors(self, k2star, d3_irreps):
+        g = vl.build_builtin_group("dihedral:5")
+        s = vl.builtin_irreps(g)
+        rng = np.random.default_rng(59)
+        for _ in range(3):
+            d = random_voltage_graph(rng, g, max_vertices=4)
+            result = vl.lift_eigenvectors(d, s)
+            assert len(result.pairs) == d.order * g.order
+            assert all(w.dtype == np.float64 for _, w in result.pairs)
+        # directed k2star: its 1-dim images pass the gate and its 2-dim
+        # image misses it, so 2 * 2 real pairs, then 4 * 2 complex ones
+        result = vl.lift_eigenvectors(k2star, d3_irreps)
+        assert [w.dtype for _, w in result.pairs] == [np.float64] * 4 + [np.complex128] * 8
+
+    def test_eig_returns_float64_vectors_only_when_every_matrix_passes(self):
+        sym = np.array([[2.0, 1.0], [1.0, -1.0]])
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        for stack, dtype in ((np.array([sym, 3 * sym]), np.float64),
+                             (np.array([sym, rot]), np.complex128),
+                             (np.array([sym, sym]).astype(complex), np.complex128)):
+            vals, vecs, res, bound = vl.eig(stack)
+            assert vals.dtype == np.complex128 and vecs.dtype == dtype
+            assert np.all(res <= bound[:, None])
 
 
 class TestPowerSums:

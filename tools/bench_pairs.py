@@ -24,10 +24,10 @@ import tempfile
 from bench_backfill import ROOT, extract, git, run_workload, write_bench
 
 SECONDS = 20
-# (workload, seed, pairs): 10 pairs of big_groups on seed 5, to test a claimed
-# verify_s gain on a seed the change was not tuned on, and 5 pairs each of
-# cli_exact and dense_lift on seed 1, which must show no regression
-SERIES = [("big_groups", 5, 10), ("cli_exact", 1, 5), ("dense_lift", 1, 5)]
+# (workload, seed, pairs): 10 pairs of dense_lift on seed 9, to test a claimed
+# eigvecs_s gain on a seed the change was not tuned on, and 5 pairs each of
+# big_groups and cli_exact on seed 1, which must show no regression
+SERIES = [("dense_lift", 9, 10), ("big_groups", 1, 5), ("cli_exact", 1, 5)]
 
 
 def summarize(runs: list) -> None:
