@@ -22,17 +22,17 @@ eigenvalue differently. The character route recovers the same
 per-irrep eigenvalues from power sums:
 Newton's identities give each character's polynomial, and one batched
 companion-matrix eigensolve per character degree gives its roots. The
-brute-force route splits the explicit lift into its weakly connected
-components and solves each component's diagonal block alone, by the
-singular values of its biadjacency block when the lift is undirected and
-the component bipartite, else by the symmetric or the general solver;
-components of one shape share one batched call. The lift of a connected
-base digraph whose closed walks' net voltages generate a subgroup of
-index k has k isomorphic components (Gross and Tucker, Topological Graph
-Theory, 1987), so it pays about 1/k^2 of the whole solve: at the cap of
-2000 vertices, one BLAS thread, a directed lift of 20 components takes
-0.07 s, not 2.4 s, and an undirected one of 4 components 0.08 s, not
-0.7 s. The spectrum routes
+brute-force route reads the explicit lift from its arc list, splits it
+into its weakly connected components and solves each component's
+diagonal block alone, written from the arcs, by the singular values of
+its biadjacency block when the lift is undirected and the component
+bipartite, else by the symmetric or the general solver; components of
+one shape share one batched call. The lift of a connected base digraph
+whose closed walks' net voltages generate a subgroup of index k has k
+isomorphic components (Gross and Tucker, Topological Graph Theory, 1987),
+so it pays about 1/k^2 of the whole solve, and the route admits a lift by
+that cost, priced from measured solver rates, not by its vertex count:
+at most one general solve of 2000 vertices. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -59,7 +59,6 @@ from .voltage import (
     _terms,
     _trace_powers,
     algebra_trace_powers,
-    build_lift,
 )
 
 # Power-sum root recovery is ill-conditioned as the degree grows; refuse
@@ -67,8 +66,16 @@ from .voltage import (
 CHARSUM_HARD_CAP = 32
 CHARSUM_WARN_DEGREE = 12
 
-# the largest lift the brute-force route builds and diagonalizes densely
-BRUTEFORCE_MAX_ORDER = 2000
+# The brute-force route's admission by solve cost. Measured seconds of one
+# dense solve at p = 2000, one BLAS thread: eigvals of a general matrix,
+# eigvalsh of a symmetric one, and the singular values (svd, compute_uv
+# False) of a square one. A p x p block is priced at its solver's rate
+# times (p / 2000)^3, a p x q biadjacency block at the svd rate times
+# p q min(p, q) / 2000^3, and a lift whose blocks sum past the budget, one
+# general solve of 2000 vertices, is refused.
+BRUTEFORCE_SECONDS = {"eigvals": 2.75, "eigvalsh": 0.67, "svd": 2.28}
+BRUTEFORCE_SIZE = 2000
+BRUTEFORCE_BUDGET = BRUTEFORCE_SECONDS["eigvals"]
 
 EIG_RESIDUAL_FACTOR = 1e-8
 DEFECTIVE_COND_LIMIT = 1e12
@@ -179,9 +186,10 @@ def cluster_spectrum(values: Sequence[complex], tol: float) -> SpectrumMultiset:
         np.bincount(cluster, weights=weighted.real)
         + 1j * np.bincount(cluster, weights=weighted.imag)
     ) / mult
-    # descending real part, then ascending imaginary part; ties keep the
-    # order of each cluster's smallest value
-    order = np.lexsort((mean.imag, -mean.real))
+    # descending real part, then ascending imaginary part: one stable sort
+    # of the complex keys (-re, im), so ties keep the order of each
+    # cluster's smallest value
+    order = np.argsort(-mean.conj(), kind="stable")
     return SpectrumMultiset(
         entries=tuple(zip(mean[order].tolist(), mult[order].tolist()))
     )
@@ -513,62 +521,73 @@ def lift_spectrum_bruteforce(
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
-    Eigenvalues only, in real arithmetic. The lift is split into its
-    weakly connected components, and each component's diagonal block is
-    solved alone (_lift_eigenvalues): in an exactly symmetric lift (every
-    undirected lift) by the singular values of its biadjacency block when
-    it is bipartite and by the symmetric solver otherwise, and in any other
-    lift by the general solver. Components of one kind and shape share one
+    Eigenvalues only, in real arithmetic, read from the lift's arc list:
+    the dense lift is never built (_lift_eigenvalues). The lift is split
+    into its weakly connected components, and each component's diagonal
+    block is solved alone: in an exactly symmetric lift (every undirected
+    lift) by the singular values of its biadjacency block when it is
+    bipartite and by the symmetric solver otherwise, and in any other lift
+    by the general solver. Components of one kind and shape share one
     batched call, so a lift of a connected base digraph, whose components
     are isomorphic, makes one, and a connected lift goes to its solver
-    whole, as one matrix. At the cap (one BLAS thread), a directed lift of
-    2000 vertices in 20 components costs 0.07 s, not the 2.4 s of one
-    2000 x 2000 eigvals call, and an undirected one in 4 components, one
-    (4, 500, 500) eigvalsh call, 0.08 s, not 0.7 s. The symmetry test is the
-    oracle's own, not the irrep routes' _hermitian gate, and the oracle uses
-    neither the irreps nor the voltage block structure of the lift. Lifts
-    of more than BRUTEFORCE_MAX_ORDER vertices are refused.
+    whole, as one matrix. The symmetry test is the oracle's own, not the
+    irrep routes' _hermitian gate, and the oracle uses neither the irreps
+    nor the voltage block structure of the lift.
+
+    A lift is admitted by its solve cost, priced from its component shapes
+    before any block is made: the sum over blocks of BRUTEFORCE_SECONDS'
+    rate of its solver times (p / 2000)^3, or p q min(p, q) / 2000^3 for a
+    p x q biadjacency block. A lift that costs more than BRUTEFORCE_BUDGET,
+    one general solve of 2000 vertices, is refused with SpectrumError. So
+    every lift of at most 2000 vertices is admitted, a lift in small
+    components at any size, and a connected undirected one up to about
+    3200 vertices, or 4256 when it is bipartite with sides of equal size.
     """
-    tol = _checked_cluster_tol(d, tol)  # before the lift is built
-    rn = d.order * d.group.order
-    if rn > BRUTEFORCE_MAX_ORDER:
-        raise SpectrumError(f"lift order {rn} exceeds brute-force cap {BRUTEFORCE_MAX_ORDER}")
-    return cluster_spectrum(_lift_eigenvalues(d, build_lift(d)), tol)
+    tol = _checked_cluster_tol(d, tol)  # before the lift is read
+    return cluster_spectrum(_lift_eigenvalues(d), tol)
 
 
-def _lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of d's lift adjacency a, one diagonal block per weakly
-    connected component of the lift: a disconnected graph's spectrum is
-    the union of its components' (Cvetkovic, Doob and Sachs, Spectra of
-    Graphs, section 1.4).
+def _lift_eigenvalues(d: VoltageDigraph) -> np.ndarray:
+    """Eigenvalues of d's lift adjacency A, one diagonal block per weakly
+    connected component of the lift, written from the lift's arcs
+    (voltage._lift_arcs): a disconnected graph's spectrum is the union of
+    its components' (Cvetkovic, Doob and Sachs, Spectra of Graphs, section
+    1.4).
 
-    One connected_components pass labels the components. If a is exactly
-    symmetric, the pass runs over the bipartite double cover (nodes v and
-    v + rn per lift vertex v, a link t -- h + rn per lift arc t -> h, the
-    reverse arc h -> t giving t + rn -- h). Labels are smallest nodes, so
-    min(label[v], label[v + rn]) is the smallest vertex of v's component,
-    and the component is bipartite iff v's two copies fall in different
-    components of the cover; then v lies on the side label[v] >
+    A is exactly symmetric iff its arc multiset equals its reverse: iff
+    the sorted keys t * rn + h of its arcs t -> h equal the sorted keys
+    h * rn + t. One connected_components pass labels the components. If A
+    is symmetric, the pass runs over the bipartite double cover (nodes v
+    and v + rn per lift vertex v, a link t -- h + rn per lift arc t -> h,
+    the reverse arc h -> t giving t + rn -- h). Labels are smallest nodes,
+    so min(label[v], label[v + rn]) is the smallest vertex of v's
+    component, and the component is bipartite iff v's two copies fall in
+    different components of the cover; then v lies on the side label[v] >
     label[v + rn], the side without that smallest vertex. Ordered by
     side, the block is [[0, C], [C^T, 0]] with C a p x q block, whose
     eigenvalues are +sigma and -sigma for each singular value sigma of C,
     and |p - q| zeros (ibid., section 3). Each computed sigma is exact for
     some C + E with ||E||_2 = O(eps ||C||_2), so by Weyl every eigenvalue
     moves by at most ||E||_2: the backward error eigvalsh gives too. A
-    non-bipartite component goes to eigvalsh. If a is not symmetric, the
+    non-bipartite component goes to eigvalsh. If A is not symmetric, the
     cover joins only t and h + rn, which says nothing of t's and h's
     components, so the pass runs over the lift's own arcs, and every
     component goes to eigvals.
 
-    Sorting the vertices by (component, side, index) makes each component
-    one run, its rows side first. Components of one kind and shape (p, q)
-    are gathered into one (K, p, q) stack and solved in one batched call.
-    A connected lift that is not bipartite needs no sort and no gather: it
-    goes to its solver as a itself, so the largest lift is never copied.
+    The components' shapes (kind, p, q) price the solve, and a lift that
+    costs more than BRUTEFORCE_BUDGET is refused before any block is made
+    (see lift_spectrum_bruteforce). Each vertex's place in its block is its
+    rank among the vertices of its component and side, in index order.
+    Components of one kind and shape, in the order of their smallest
+    vertices, make one float64 (K, p, q) stack, written by one np.add.at
+    over the arcs out of their row sides, and solved in one batched call.
+    A connected lift that is not bipartite is written as one (rn, rn)
+    float64 matrix in vertex order, the one rn x rn array this function
+    makes, and goes to its solver whole.
     """
-    rn = len(a)
+    rn = d.order * d.group.order
     tails, heads = (x.ravel() for x in _lift_arcs(d))
-    symmetric = np.array_equal(a, a.T)
+    symmetric = np.array_equal(np.sort(tails * rn + heads), np.sort(heads * rn + tails))
     if symmetric:
         label = connected_components(2 * rn, tails, heads + rn)
         lo, hi = label[:rn], label[rn:]
@@ -576,24 +595,34 @@ def _lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
     else:
         component = connected_components(rn, tails, heads)
         side = bipartite = np.zeros(rn, dtype=bool)
-    solver = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
+    kind = "eigvalsh" if symmetric else "eigvals"
+    solver = getattr(np.linalg, kind)
     roots = np.flatnonzero(component == np.arange(rn))  # each component's smallest vertex
-    if len(roots) == 1 and not bipartite[0]:
-        return _solve(solver, a)  # no rn x rn copy
-    order = np.lexsort((side, component))
-    starts = np.searchsorted(component[order], roots)
     qs = np.bincount(component[side], minlength=rn)[roots]
-    ps = np.diff(starts, append=rn) - qs
-    shapes = np.stack([bipartite[roots], ps, qs], axis=1)
+    ps = np.bincount(component, minlength=rn)[roots] - qs
+    bips = bipartite[roots]
+    _check_solve_cost(kind, ps, qs, bips, rn)
+    if len(roots) == 1 and not bips[0]:
+        a = np.zeros((rn, rn))
+        np.add.at(a, (tails, heads), 1.0)
+        return _solve(solver, a)
     # one integer per shape, since p and q are at most rn
-    _, first, shape_of = np.unique((shapes[:, 0] * (rn + 1) + ps) * (rn + 1) + qs,
+    _, first, shape_of = np.unique((bips * (rn + 1) + ps) * (rn + 1) + qs,
                                    return_index=True, return_inverse=True)
+    # each arc out of a row side, as (its block's place in its shape's
+    # stack, row, column): a vertex's row or column is its rank in its
+    # component and side, and a block's place its rank in its shape
+    out = ~side[tails]
+    tails, heads = tails[out], heads[out]
+    which = np.searchsorted(roots, component[tails])
+    rank = _ranks(component * 2 + side)
+    slot, row, col = _ranks(shape_of)[which], rank[tails], rank[heads]
+    arc_shape, counts = shape_of[which], np.bincount(shape_of)
     parts = []
-    for j, (bip, p, q) in enumerate(shapes[first].tolist()):
-        at = starts[shape_of == j]
-        rows = order[at[:, None] + np.arange(p)]
-        cols = order[at[:, None] + p + np.arange(q)] if bip else rows
-        block = a[rows[:, :, None], cols[:, None, :]]
+    for j, (bip, p, q) in enumerate(zip(bips[first], ps[first], qs[first])):
+        at = arc_shape == j
+        block = np.zeros((counts[j], p, q if bip else p))
+        np.add.at(block, (slot[at], row[at], col[at]), 1.0)
         if bip:
             sigma = _solve(np.linalg.svd, block, compute_uv=False)
             zeros = np.zeros((*sigma.shape[:-1], abs(p - q)))
@@ -601,6 +630,31 @@ def _lift_eigenvalues(d: VoltageDigraph, a: np.ndarray) -> np.ndarray:
         else:
             parts.append(_solve(solver, block))
     return np.concatenate([x.ravel() for x in parts])
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """rank[i]: how many j < i have keys[j] == keys[i]."""
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - np.searchsorted(keys[order], keys[order])
+    return rank
+
+
+def _check_solve_cost(kind: str, ps: np.ndarray, qs: np.ndarray, bips: np.ndarray,
+                      rn: int) -> None:
+    """Refuse, with SpectrumError, a lift whose component blocks, p x p
+    ones for the solver kind and p x q biadjacency ones (bips) for svd,
+    cost more than BRUTEFORCE_BUDGET (see lift_spectrum_bruteforce)."""
+    ps, qs = ps.astype(float), qs.astype(float)
+    size = float(BRUTEFORCE_SIZE) ** 3
+    cost = (BRUTEFORCE_SECONDS[kind] * (np.sum(ps[~bips] ** 3) / size)
+            + BRUTEFORCE_SECONDS["svd"] * (np.sum((ps * qs * np.minimum(ps, qs))[bips]) / size))
+    if not cost <= BRUTEFORCE_BUDGET:
+        raise SpectrumError(
+            f"brute-force solve of the {rn}-vertex lift costs an estimated {cost:.6g} s, "
+            f"over the budget of {BRUTEFORCE_BUDGET:.6g} s (one {BRUTEFORCE_SIZE}-vertex "
+            "eigvals call)"
+        )
 
 
 # ---------------------------------------------------------------------------

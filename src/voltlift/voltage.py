@@ -462,8 +462,9 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
 #
 # One vertex (u, g) per base vertex and group element, vertex-major and
 # element-index minor: (u, g) sits at index u * n + g, and is labelled
-# "<u>.<g>". Only the brute-force oracles need the adjacency matrix; the
-# digraph alone fully describes the lift, so lift_to_json never builds it.
+# "<u>.<g>". The library's oracles read the lift's arcs (_lift_arcs), and
+# build_lift's dense adjacency is for callers and tests: the digraph alone
+# fully describes the lift, so lift_to_json never builds it either.
 
 
 def _lift_arcs(d: VoltageDigraph):

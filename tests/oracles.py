@@ -14,8 +14,10 @@ character Gram product, character-table validation by the Gram product
 over every element, the least distance within which two spectra pair up
 by an exact bottleneck matching over every copy, the conjugate pairing by
 a nearest-row search over the character table, the eigenvalues of a
-lift by one dense solve of its whole adjacency and by one solve per
-connected component, found by breadth-first search, a group's greedy
+lift by one dense solve of its whole adjacency, by one solve per
+connected component, found by breadth-first search, and by the blocks
+gathered out of the dense adjacency, as the brute-force route once
+did, a group's greedy
 generators by closing the reached set under products, and the quotient
 matrix by one increment per arc.
 """
@@ -34,7 +36,7 @@ from voltlift.spectra import (
     eig,
     rho_matrix,
 )
-from voltlift.voltage import VoltageDigraph, build_lift
+from voltlift.voltage import VoltageDigraph, _lift_arcs, build_lift
 
 from conftest import irrep_matrices
 
@@ -446,6 +448,51 @@ def lift_eigenvalues_whole(d: VoltageDigraph) -> np.ndarray:
     eigvalsh when it is exactly symmetric, eigvals otherwise."""
     a = build_lift(d)
     return (np.linalg.eigvalsh if np.array_equal(a, a.T) else np.linalg.eigvals)(a)
+
+
+def lift_eigenvalues_gathered(d: VoltageDigraph) -> np.ndarray:
+    """The eigenvalues of d's lift as the brute-force route computed them
+    from the dense lift, before it read the arcs: symmetry by A == A^T on
+    build_lift's adjacency A, the same component labels, the vertices
+    sorted by (component, side, index), and each shape's (K, p, q) stack
+    gathered out of A by fancy indexing; a connected lift that is not
+    bipartite goes to its solver as A itself. The route must give these
+    eigenvalues bit for bit, in this order."""
+    a = build_lift(d)
+    rn = len(a)
+    tails, heads = (x.ravel() for x in _lift_arcs(d))
+    symmetric = np.array_equal(a, a.T)
+    if symmetric:
+        label = connected_components(2 * rn, tails, heads + rn)
+        lo, hi = label[:rn], label[rn:]
+        component, side, bipartite = np.minimum(lo, hi), lo > hi, lo != hi
+    else:
+        component = connected_components(rn, tails, heads)
+        side = bipartite = np.zeros(rn, dtype=bool)
+    solver = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
+    roots = np.flatnonzero(component == np.arange(rn))
+    if len(roots) == 1 and not bipartite[0]:
+        return solver(a)
+    order = np.lexsort((side, component))
+    starts = np.searchsorted(component[order], roots)
+    qs = np.bincount(component[side], minlength=rn)[roots]
+    ps = np.diff(starts, append=rn) - qs
+    shapes = np.stack([bipartite[roots], ps, qs], axis=1)
+    _, first, shape_of = np.unique((shapes[:, 0] * (rn + 1) + ps) * (rn + 1) + qs,
+                                   return_index=True, return_inverse=True)
+    parts = []
+    for j, (bip, p, q) in enumerate(shapes[first].tolist()):
+        at = starts[shape_of == j]
+        rows = order[at[:, None] + np.arange(p)]
+        cols = order[at[:, None] + p + np.arange(q)] if bip else rows
+        block = a[rows[:, :, None], cols[:, None, :]]
+        if bip:
+            sigma = np.linalg.svd(block, compute_uv=False)
+            zeros = np.zeros((*sigma.shape[:-1], abs(p - q)))
+            parts.append(np.concatenate([sigma, -sigma, zeros], axis=-1))
+        else:
+            parts.append(solver(block))
+    return np.concatenate([x.ravel() for x in parts])
 
 
 def lift_eigenvalues_by_component(d: VoltageDigraph) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ from oracles import (
     cluster_spectrum_loop,
     determinant_poly_coeffs,
     lift_eigenvalues_by_component,
+    lift_eigenvalues_gathered,
     lift_eigenvalues_whole,
     lift_eigenvectors_loop,
     power_sums_by_walk_enumeration,
@@ -634,12 +636,17 @@ class TestSpectrumRoutes:
         expected = cluster_spectrum([1, 1j, -1, -1j], 1e-9)
         assert vl.spectra_equal(sp, expected, 1e-9).matched
 
-    def test_bruteforce_size_cap(self, monkeypatch):
+    def test_bruteforce_solve_budget(self, monkeypatch):
+        # the directed 8-cycle costs 2.75 s * (8 / 2000)^3: refused under
+        # any smaller budget, and admitted under it
         g = vl.build_builtin_group("cyclic:8")
         d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1)])
-        monkeypatch.setattr(spectra, "BRUTEFORCE_MAX_ORDER", 4)
-        with pytest.raises(SpectrumError, match="cap"):
+        cost = spectra.BRUTEFORCE_SECONDS["eigvals"] * (8 / 2000) ** 3
+        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", np.nextafter(cost, 0))
+        with pytest.raises(SpectrumError, match="over the budget"):
             vl.lift_spectrum_bruteforce(d, 1e-9)
+        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", cost)
+        assert vl.lift_spectrum_bruteforce(d, 1e-9).total == 8
 
     def test_abelian_charsum_agrees_with_repr(self):
         g = vl.build_builtin_group("product:cyclic:2,cyclic:3")
@@ -776,18 +783,34 @@ class TestSpectrumRoutes:
 
     def test_one_non_bipartite_component_is_solved_whole(self, monkeypatch):
         # the symmetric lift above with a loop of voltage identity at v0:
-        # one component, not bipartite, so one eigvalsh call on the lift
-        # adjacency itself, read-only as build_lift returns it
+        # one component, not bipartite, so one eigvalsh call on one float64
+        # (rn, rn) matrix written from the arcs
         g = vl.build_builtin_group("dihedral:4")
         rng = np.random.default_rng(8)
         d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10))
         d = vl.VoltageDigraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
         rn = d.order * g.order
         by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
-        assert [(name, a.shape) for name, a in called] == [("eigvalsh", (rn, rn))]
-        assert not called[0][1].flags.writeable
+        assert [(name, a.shape, a.dtype) for name, a in called] == [
+            ("eigvalsh", (rn, rn), np.float64)]
         by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-8)
         assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
+        # and it is the one rn x rn array: on the Cayley graph of
+        # dihedral:256 on r and s with a loop at every vertex (rn = 512),
+        # the traced peak stays under 1.25 rn^2 * 8 bytes, which a second
+        # copy, a gather or an int64 lift cast to float, would pass
+        g = vl.build_builtin_group("dihedral:256")
+        r, s = g.element_names.index("r^1"), g.element_names.index("r^0*s")
+        d = vl.VoltageDigraph(g, ["v"], [(0, 0, r), (0, 0, int(g.inverse[r])), (0, 0, s),
+                                         (0, 0, g.identity)])
+        rn = g.order
+        tracemalloc.start()
+        by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert [(name, a.shape, a.dtype) for name, a in called] == [
+            ("eigvalsh", (rn, rn), np.float64)]
+        assert by_brute.total == rn and peak <= 1.25 * rn * rn * 8, peak
 
     def test_acyclic_lift_is_one_zero_cluster(self):
         # arcs only run from lower to higher vertices, so every image of B is
@@ -841,11 +864,11 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
     def test_non_finite_tol_raises(self, route, tol, k2star, d3_irreps, monkeypatch):
         # inf would cluster every eigenvalue into one entry; bruteforce must
-        # refuse before it builds the lift
+        # refuse before it reads the lift's arcs
         def no_lift(d):
-            raise AssertionError("lift built")
+            raise AssertionError("lift read")
 
-        monkeypatch.setattr(spectra, "build_lift", no_lift)
+        monkeypatch.setattr(spectra, "_lift_arcs", no_lift)
         run = {
             "repr": lambda: vl.lift_spectrum_repr(k2star, d3_irreps, tol),
             "bruteforce": lambda: vl.lift_spectrum_bruteforce(k2star, tol),
@@ -858,8 +881,9 @@ class TestSpectrumRoutes:
     @pytest.mark.parametrize("route", ["repr", "bruteforce", "charsum"])
     def test_tol_that_links_every_pair_raises(self, route, k2star, d3_irreps, monkeypatch):
         # every eigenvalue of the k2star lift lies within its max in-degree 3
-        # of 0, so from 2 * 3 = 6 on any two spectra would match
-        monkeypatch.setattr(spectra, "build_lift", lambda d: 1 / 0)
+        # of 0, so from 2 * 3 = 6 on any two spectra would match; bruteforce
+        # must refuse before it reads the lift's arcs
+        monkeypatch.setattr(spectra, "_lift_arcs", lambda d: 1 / 0)
         run = {
             "repr": lambda tol: vl.lift_spectrum_repr(k2star, d3_irreps, tol),
             "bruteforce": lambda tol: vl.lift_spectrum_bruteforce(k2star, tol),
@@ -975,7 +999,7 @@ class TestBruteforceComponents:
 
         for name in ("svd", "eigvalsh", "eigvals"):
             monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-        vals = spectra._lift_eigenvalues(d, vl.build_lift(d))
+        vals = spectra._lift_eigenvalues(d)
         monkeypatch.undo()
         assert vals.shape == (d.order * d.group.order,)
         assert np.array_equal(np.sort_complex(vals),
@@ -1131,6 +1155,182 @@ class TestBruteforceComponents:
                           for x in (vals, whole)]
                 assert bottleneck_distance_loop(*copies) <= 1e-7
         assert connected and split
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+# every digraph fixture of tests/data, read over the builtin group its name
+# ends in (cube_dihedral32 over dihedral:32), or over Q8's table
+DIGRAPH_FIXTURES = [
+    "bouquet_dihedral1000", "circ6_cyclic16", "clique4_dihedral25", "cube_cyclic64",
+    "cube_dihedral32", "cycle_cyclic4096", "directed_dihedral500", "k2star_dihedral3",
+    "loop_cyclic3", "parallel_dihedral4", "pendant_cycle_cyclic12", "q8_triangle",
+    "split_bipartite_cyclic12", "split_directed_dihedral512", "triangle_dihedral3",
+    "walks4_dihedral2048",
+]
+
+
+def load_fixture(name):
+    if name.startswith("q8"):
+        with open(os.path.join(DATA, "q8_group.json")) as f:
+            g = vl.parse_group_table(f.read())
+    else:
+        spec = name.rsplit("_", 1)[1]
+        family = spec.rstrip("0123456789")
+        g = vl.build_builtin_group(f"{family}:{spec[len(family):]}")
+    with open(os.path.join(DATA, f"{name}.json")) as f:
+        return vl.parse_voltage_digraph(f.read(), g)
+
+
+def test_the_fixture_list_is_every_digraph_in_tests_data():
+    names = set()
+    for entry in os.listdir(DATA):
+        with open(os.path.join(DATA, entry)) as f:
+            if "vertices" in json.load(f):
+                names.add(entry[:-len(".json")])
+    assert names == set(DIGRAPH_FIXTURES)
+
+
+def fake_solvers(monkeypatch):
+    """Replace eigvals, eigvalsh and svd by the row sums of the matrices
+    they are given, cut to as many values as the solver returns: exact and
+    cheap, so the matrices of two routes can be compared through them."""
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda m: m.sum(axis=-1))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, compute_uv: m.sum(axis=-1)[..., :min(m.shape[-2:])])
+
+
+class TestBruteforceFromArcs:
+    """The brute-force route reads the lift from its arc list: its exact
+    symmetry test, its blocks, written from the arcs, and its admission by
+    solve cost, BRUTEFORCE_BUDGET."""
+
+    @pytest.mark.parametrize("name", DIGRAPH_FIXTURES)
+    def test_eigenvalues_equal_the_dense_gather_bitwise(self, name, monkeypatch):
+        d = load_fixture(name)
+        rn = d.order * d.group.order
+        if name == "walks4_dihedral2048":
+            # 16384 vertices in one component, about 1500 s of eigvals
+            with pytest.raises(SpectrumError, match="over the budget"):
+                spectra._lift_eigenvalues(d)
+            return
+        if rn > 2000:
+            # past 2000 vertices the solves would take seconds: the blocks
+            # themselves are compared, through their row sums
+            fake_solvers(monkeypatch)
+        assert np.array_equal(spectra._lift_eigenvalues(d), lift_eigenvalues_gathered(d))
+
+    def test_a_missing_reverse_arc_or_a_parallel_pair_facing_one_arc_is_not_symmetric(
+            self, monkeypatch):
+        # an undirected path a - b - c over dihedral:3 is symmetric; with
+        # one reverse arc dropped, or with a second a -> b arc facing the
+        # one b -> a, it is not, although every arc still has a reverse
+        # in the second case: only the arc multiset tells
+        g = vl.build_builtin_group("dihedral:3")
+        r1, r2 = g.element_names.index("r^1"), g.element_names.index("r^2")
+        path = [(0, 1, r1), (1, 0, r2), (1, 2, r1), (2, 1, r2)]
+        cases = {
+            "undirected": (path, {"svd"}),
+            "a reverse arc missing": (path[:3], {"eigvals"}),
+            "a parallel pair facing one arc": (path + [(0, 1, r1)], {"eigvals"}),
+            "a parallel pair facing a parallel pair": (path + [(0, 1, r1), (1, 0, r2)],
+                                                      {"svd"}),
+        }
+        for arcs, solvers in cases.values():
+            d = vl.VoltageDigraph(g, ["a", "b", "c"], arcs)
+            vals, calls = TestBruteforceComponents.solve(d, monkeypatch)
+            assert {name for name, _ in calls} == solvers
+            assert symmetric_lift(d) == (solvers == {"svd"})
+
+    def test_a_lift_of_many_components_past_2000_vertices(self):
+        # 4 vertices over dihedral:512, voltages in <r^8>: 16 components of
+        # 256, so the blocks hold rn^2 / 16 entries; a dense lift, rn^2
+        # entries of 8 bytes, is never made
+        d = load_fixture("split_directed_dihedral512")
+        rn = d.order * d.group.order
+        tracemalloc.start()
+        by_brute = vl.lift_spectrum_bruteforce(d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rn == 4096 and by_brute.total == rn
+        assert peak <= rn * rn * 8 / 8, peak
+        reports = vl.verify(d, vl.builtin_irreps(d.group))
+        assert all(report.matched for report, _ in reports.values()), reports
+
+    @pytest.mark.parametrize("name", [
+        "bouquet_dihedral1000", "circ6_cyclic16", "clique4_dihedral25", "cube_cyclic64",
+        "cube_dihedral32", "directed_dihedral500", "k2star_dihedral3", "loop_cyclic3",
+        "parallel_dihedral4", "pendant_cycle_cyclic12", "q8_triangle",
+        "split_directed_dihedral512", "triangle_dihedral3",
+    ])
+    def test_a_connected_base_lifts_to_components_of_one_shape(self, name, monkeypatch):
+        # left translation by G permutes the lift's components
+        # transitively (Gross and Tucker, Topological Graph Theory, ch. 2):
+        # one shape, one solver call, and every eigenvalue of one component
+        # is one of each, so every multiplicity is a multiple of their count
+        d = load_fixture(name)
+        u, v, _ = d.arc_array.T
+        assert set(components_bfs(d.order, u, v)) == {0}
+        tails, heads = (x.ravel() for x in voltage._lift_arcs(d))
+        c = len(set(components_bfs(d.order * d.group.order, tails, heads)))
+        by_brute, called = TestSpectrumRoutes.bruteforce_solver_calls(d, monkeypatch)
+        assert len(called) == 1
+        (_, m), = called
+        assert (1 if m.ndim == 2 else len(m)) == c
+        assert all(mult % c == 0 for _, mult in by_brute.entries), (c, by_brute)
+        if name == "split_directed_dihedral512":
+            assert c == 16
+
+    @staticmethod
+    def cycle(n, undirected=False):
+        """A loop g^1 over cyclic:n, and its reverse g^-1 if undirected: the
+        lift is the n-cycle, connected, and bipartite when undirected and n
+        is even."""
+        g = vl.build_builtin_group(f"cyclic:{n}")
+        arcs = [(0, 0, 1)] + ([(0, 0, int(g.inverse[1]))] if undirected else [])
+        return vl.VoltageDigraph(g, ["v"], arcs)
+
+    def test_a_connected_directed_lift_of_2000_vertices_costs_the_budget(self, monkeypatch):
+        # eigvals at 2000 is the budget itself: admitted, and refused under
+        # the next smaller budget; one vertex more is refused before any
+        # solver runs, with the cost and the budget named
+        calls = []
+
+        def solve(m):
+            calls.append(m.shape)
+            return np.zeros(m.shape[:-1], dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigvals", solve)
+        d = self.cycle(2000)
+        assert vl.lift_spectrum_bruteforce(d).entries == ((0, 2000),)
+        assert calls == [(2000, 2000)]
+        budget = spectra.BRUTEFORCE_BUDGET
+        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", np.nextafter(budget, 0))
+        with pytest.raises(SpectrumError, match="over the budget"):
+            vl.lift_spectrum_bruteforce(d)
+        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", budget)
+        cost = spectra.BRUTEFORCE_SECONDS["eigvals"] * 2001 ** 3 / 2000 ** 3
+        with pytest.raises(SpectrumError, match=re.escape(
+                f"2001-vertex lift costs an estimated {cost:.6g} s, over the budget "
+                f"of {budget:.6g} s")):
+            vl.lift_spectrum_bruteforce(self.cycle(2001))
+        assert calls == [(2000, 2000)]
+
+    def test_a_bipartite_lift_is_priced_by_its_singular_values(self, monkeypatch):
+        # the undirected 2n-cycle, sides of n: svd's 2.28 s * (n / 2000)^3
+        # admits n = 2128 and refuses n = 2129, before any solver runs. The
+        # undirected 4096-cycle over cyclic:4096 (n = 2048) fits
+        def no_solve(m, **kwargs):
+            raise AssertionError("solver called")
+
+        for name in ("eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, no_solve)
+        for n, admitted in ((2048, True), (2128, True), (2129, False)):
+            g = vl.build_builtin_group(f"cyclic:{n}")
+            d = vl.VoltageDigraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 1, 1),
+                                                  (1, 0, int(g.inverse[1]))])
+            with pytest.raises((AssertionError if admitted else SpectrumError),
+                               match="solver called" if admitted else "over the budget"):
+                spectra._lift_eigenvalues(d)
 
 
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
