@@ -31,8 +31,9 @@ one shape share one batched call. The lift of a connected base digraph
 whose closed walks' net voltages generate a subgroup of index k has k
 isomorphic components (Gross and Tucker, Topological Graph Theory, 1987),
 so it pays about 1/k^2 of the whole solve, and the route admits a lift by
-that cost, priced from measured solver rates, not by its vertex count:
-at most one general solve of 2000 vertices. The spectrum routes
+that cost, priced from solver times measured at each block size, not by
+its vertex count: at most one general solve of 2000 vertices, with a
+ceiling on vertices for memory. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -66,16 +67,29 @@ from .voltage import (
 CHARSUM_HARD_CAP = 32
 CHARSUM_WARN_DEGREE = 12
 
-# The brute-force route's admission by solve cost. Measured seconds of one
-# dense solve at p = 2000, one BLAS thread: eigvals of a general matrix,
-# eigvalsh of a symmetric one, and the singular values (svd, compute_uv
-# False) of a square one. A p x p block is priced at its solver's rate
-# times (p / 2000)^3, a p x q biadjacency block at the svd rate times
-# p q min(p, q) / 2000^3, and a lift whose blocks sum past the budget, one
-# general solve of 2000 vertices, is refused.
-BRUTEFORCE_SECONDS = {"eigvals": 2.75, "eigvalsh": 0.67, "svd": 2.28}
-BRUTEFORCE_SIZE = 2000
-BRUTEFORCE_BUDGET = BRUTEFORCE_SECONDS["eigvals"]
+# The brute-force route's admission. BRUTEFORCE_COST[kind][i] is the time
+# of one solve of a BRUTEFORCE_SIZES[i]-vertex block as a fraction of one
+# eigvals solve of 2000 vertices, measured in batched solves of random
+# matrices, one OpenBLAS thread, on an Intel Xeon, where eigvals at 2000
+# took 2.77 s: eigvals of a general matrix, eigvalsh of a symmetric one,
+# and the singular values (svd, compute_uv False) of a square one. Per
+# p^3, a 256 x 256 eigvals block costs about 5 times what a 2000 x 2000
+# one does, and a 64 x 64 one about 9 times, so the sizes the route admits
+# are measured, not scaled from one. A lift whose blocks cost more than 1,
+# one eigvals solve of 2000 vertices, is refused, and so is one of more
+# than BRUTEFORCE_MAX_VERTICES vertices: the route holds about 115 bytes
+# per vertex besides the arcs (traced peak), so that many come to about
+# one 2000 x 2000 float64 matrix.
+BRUTEFORCE_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2000)
+BRUTEFORCE_COST = {
+    "eigvals": (6.8e-8, 2.5e-7, 1.2e-6, 4.2e-6, 1.4e-5, 5.9e-5, 2.8e-4, 1.9e-3, 9.5e-3,
+                0.067, 0.28, 1.0),
+    "eigvalsh": (8e-9, 9.1e-8, 5e-7, 1.5e-6, 4.6e-6, 1.5e-5, 5.8e-5, 2.3e-4, 9.9e-4,
+                 4.8e-3, 0.039, 0.26),
+    "svd": (1.6e-7, 3.3e-7, 8e-7, 2.2e-6, 6e-6, 1.9e-5, 7e-5, 3.7e-4, 1.9e-3, 0.011,
+            0.11, 0.84),
+}
+BRUTEFORCE_MAX_VERTICES = 250_000
 
 EIG_RESIDUAL_FACTOR = 1e-8
 DEFECTIVE_COND_LIMIT = 1e12
@@ -535,13 +549,16 @@ def lift_spectrum_bruteforce(
     nor the voltage block structure of the lift.
 
     A lift is admitted by its solve cost, priced from its component shapes
-    before any block is made: the sum over blocks of BRUTEFORCE_SECONDS'
-    rate of its solver times (p / 2000)^3, or p q min(p, q) / 2000^3 for a
-    p x q biadjacency block. A lift that costs more than BRUTEFORCE_BUDGET,
-    one general solve of 2000 vertices, is refused with SpectrumError. So
-    every lift of at most 2000 vertices is admitted, a lift in small
-    components at any size, and a connected undirected one up to about
-    3200 vertices, or 4256 when it is bipartite with sides of equal size.
+    before any block is made: each p x p block at its solver's measured
+    cost at size p (BRUTEFORCE_COST, interpolated between the measured
+    sizes), and a p x q biadjacency block at the svd cost of the square
+    block of as many p q min(p, q) operations. A lift that costs more than
+    one eigvals solve of 2000 vertices is refused with SpectrumError, and
+    so, before its arcs are read, is one of more than
+    BRUTEFORCE_MAX_VERTICES vertices. So every lift of at most 2000
+    vertices is admitted, a lift in small components up to that ceiling,
+    and a connected undirected one up to 3133 vertices, or 4238 when it
+    is bipartite with sides of equal size.
     """
     tol = _checked_cluster_tol(d, tol)  # before the lift is read
     return cluster_spectrum(_lift_eigenvalues(d), tol)
@@ -574,8 +591,9 @@ def _lift_eigenvalues(d: VoltageDigraph) -> np.ndarray:
     components, so the pass runs over the lift's own arcs, and every
     component goes to eigvals.
 
-    The components' shapes (kind, p, q) price the solve, and a lift that
-    costs more than BRUTEFORCE_BUDGET is refused before any block is made
+    A lift of more than BRUTEFORCE_MAX_VERTICES vertices is refused before
+    its arcs are read, and one whose components' shapes (kind, p, q) cost
+    more than one eigvals solve of 2000 vertices before any block is made
     (see lift_spectrum_bruteforce). Each vertex's place in its block is its
     rank among the vertices of its component and side, in index order.
     Components of one kind and shape, in the order of their smallest
@@ -586,6 +604,9 @@ def _lift_eigenvalues(d: VoltageDigraph) -> np.ndarray:
     makes, and goes to its solver whole.
     """
     rn = d.order * d.group.order
+    if rn > BRUTEFORCE_MAX_VERTICES:
+        raise SpectrumError(f"the {rn}-vertex lift is past the brute-force route's ceiling "
+                            f"of {BRUTEFORCE_MAX_VERTICES} vertices")
     tails, heads = (x.ravel() for x in _lift_arcs(d))
     symmetric = np.array_equal(np.sort(tails * rn + heads), np.sort(heads * rn + tails))
     if symmetric:
@@ -644,17 +665,26 @@ def _check_solve_cost(kind: str, ps: np.ndarray, qs: np.ndarray, bips: np.ndarra
                       rn: int) -> None:
     """Refuse, with SpectrumError, a lift whose component blocks, p x p
     ones for the solver kind and p x q biadjacency ones (bips) for svd,
-    cost more than BRUTEFORCE_BUDGET (see lift_spectrum_bruteforce)."""
+    cost more than one eigvals solve of 2000 vertices (see
+    lift_spectrum_bruteforce)."""
     ps, qs = ps.astype(float), qs.astype(float)
-    size = float(BRUTEFORCE_SIZE) ** 3
-    cost = (BRUTEFORCE_SECONDS[kind] * (np.sum(ps[~bips] ** 3) / size)
-            + BRUTEFORCE_SECONDS["svd"] * (np.sum((ps * qs * np.minimum(ps, qs))[bips]) / size))
-    if not cost <= BRUTEFORCE_BUDGET:
+    cost = (np.sum(_block_cost(kind, ps[~bips]))
+            + np.sum(_block_cost("svd", np.cbrt((ps * qs * np.minimum(ps, qs))[bips]))))
+    if not cost <= 1:
         raise SpectrumError(
-            f"brute-force solve of the {rn}-vertex lift costs an estimated {cost:.6g} s, "
-            f"over the budget of {BRUTEFORCE_BUDGET:.6g} s (one {BRUTEFORCE_SIZE}-vertex "
-            "eigvals call)"
+            f"brute-force solve of the {rn}-vertex lift costs as much as {cost:.6g} eigvals "
+            f"solves of {BRUTEFORCE_SIZES[-1]} vertices, over the budget of one"
         )
+
+
+def _block_cost(kind: str, sizes: np.ndarray) -> np.ndarray:
+    """BRUTEFORCE_COST[kind] at each size, interpolated linearly in log-log
+    between the measured sizes; a block smaller than the first is priced as
+    one of it, and one past the last at the last cost times the cube of
+    the size ratio."""
+    sizes, top = np.maximum(sizes, 1.0), BRUTEFORCE_SIZES[-1]
+    cost = np.interp(np.log(sizes), np.log(BRUTEFORCE_SIZES), np.log(BRUTEFORCE_COST[kind]))
+    return np.exp(cost) * np.maximum(sizes / top, 1.0) ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -637,16 +637,21 @@ class TestSpectrumRoutes:
         assert vl.spectra_equal(sp, expected, 1e-9).matched
 
     def test_bruteforce_solve_budget(self, monkeypatch):
-        # the directed 8-cycle costs 2.75 s * (8 / 2000)^3: refused under
-        # any smaller budget, and admitted under it
+        # the directed 8-cycle is priced at the measured eigvals cost of an
+        # 8-vertex block: admitted when that cost is the budget, one eigvals
+        # solve of 2000 vertices, and refused when it is more
         g = vl.build_builtin_group("cyclic:8")
         d = vl.VoltageDigraph(g, ["v"], [(0, 0, 1)])
-        cost = spectra.BRUTEFORCE_SECONDS["eigvals"] * (8 / 2000) ** 3
-        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", np.nextafter(cost, 0))
-        with pytest.raises(SpectrumError, match="over the budget"):
-            vl.lift_spectrum_bruteforce(d, 1e-9)
-        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", cost)
-        assert vl.lift_spectrum_bruteforce(d, 1e-9).total == 8
+        at = spectra.BRUTEFORCE_SIZES.index(8)
+        for cost, admitted in ((1.0, True), (1.01, False)):
+            table = list(spectra.BRUTEFORCE_COST["eigvals"])
+            table[at] = cost
+            monkeypatch.setitem(spectra.BRUTEFORCE_COST, "eigvals", tuple(table))
+            if admitted:
+                assert vl.lift_spectrum_bruteforce(d, 1e-9).total == 8
+            else:
+                with pytest.raises(SpectrumError, match="over the budget"):
+                    vl.lift_spectrum_bruteforce(d, 1e-9)
 
     def test_abelian_charsum_agrees_with_repr(self):
         g = vl.build_builtin_group("product:cyclic:2,cyclic:3")
@@ -1202,7 +1207,7 @@ def fake_solvers(monkeypatch):
 class TestBruteforceFromArcs:
     """The brute-force route reads the lift from its arc list: its exact
     symmetry test, its blocks, written from the arcs, and its admission by
-    solve cost, BRUTEFORCE_BUDGET."""
+    solve cost, priced from BRUTEFORCE_COST, and by BRUTEFORCE_MAX_VERTICES."""
 
     @pytest.mark.parametrize("name", DIGRAPH_FIXTURES)
     def test_eigenvalues_equal_the_dense_gather_bitwise(self, name, monkeypatch):
@@ -1290,9 +1295,9 @@ class TestBruteforceFromArcs:
         return vl.VoltageDigraph(g, ["v"], arcs)
 
     def test_a_connected_directed_lift_of_2000_vertices_costs_the_budget(self, monkeypatch):
-        # eigvals at 2000 is the budget itself: admitted, and refused under
-        # the next smaller budget; one vertex more is refused before any
-        # solver runs, with the cost and the budget named
+        # eigvals at 2000 is the budget itself, and is admitted; one vertex
+        # more is refused before any solver runs, with the cost and the
+        # budget named
         calls = []
 
         def solve(m):
@@ -1300,31 +1305,27 @@ class TestBruteforceFromArcs:
             return np.zeros(m.shape[:-1], dtype=complex)
 
         monkeypatch.setattr(np.linalg, "eigvals", solve)
-        d = self.cycle(2000)
-        assert vl.lift_spectrum_bruteforce(d).entries == ((0, 2000),)
+        assert spectra._block_cost("eigvals", np.array([2000.0])).tolist() == [1.0]
+        assert vl.lift_spectrum_bruteforce(self.cycle(2000)).entries == ((0, 2000),)
         assert calls == [(2000, 2000)]
-        budget = spectra.BRUTEFORCE_BUDGET
-        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", np.nextafter(budget, 0))
-        with pytest.raises(SpectrumError, match="over the budget"):
-            vl.lift_spectrum_bruteforce(d)
-        monkeypatch.setattr(spectra, "BRUTEFORCE_BUDGET", budget)
-        cost = spectra.BRUTEFORCE_SECONDS["eigvals"] * 2001 ** 3 / 2000 ** 3
+        cost = (2001 / 2000) ** 3
         with pytest.raises(SpectrumError, match=re.escape(
-                f"2001-vertex lift costs an estimated {cost:.6g} s, over the budget "
-                f"of {budget:.6g} s")):
+                f"2001-vertex lift costs as much as {cost:.6g} eigvals solves of 2000 "
+                "vertices, over the budget of one")):
             vl.lift_spectrum_bruteforce(self.cycle(2001))
         assert calls == [(2000, 2000)]
 
     def test_a_bipartite_lift_is_priced_by_its_singular_values(self, monkeypatch):
-        # the undirected 2n-cycle, sides of n: svd's 2.28 s * (n / 2000)^3
-        # admits n = 2128 and refuses n = 2129, before any solver runs. The
-        # undirected 4096-cycle over cyclic:4096 (n = 2048) fits
+        # the undirected 2n-cycle, sides of n: svd at n = 2000 costs 0.84
+        # eigvals solves of 2000 vertices, and (n / 2000)^3 times that past
+        # it, so n = 2119 is admitted and n = 2120 refused, before any
+        # solver runs. The undirected 4096-cycle over cyclic:4096 (n = 2048) fits
         def no_solve(m, **kwargs):
             raise AssertionError("solver called")
 
         for name in ("eigvals", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, no_solve)
-        for n, admitted in ((2048, True), (2128, True), (2129, False)):
+        for n, admitted in ((2048, True), (2119, True), (2120, False)):
             g = vl.build_builtin_group(f"cyclic:{n}")
             d = vl.VoltageDigraph(g, ["a", "b"], [(0, 1, 0), (1, 0, 0), (0, 1, 1),
                                                   (1, 0, int(g.inverse[1]))])
@@ -1332,6 +1333,52 @@ class TestBruteforceFromArcs:
                                match="solver called" if admitted else "over the budget"):
                 spectra._lift_eigenvalues(d)
 
+    def test_every_lift_of_at_most_2000_vertices_is_admitted(self):
+        # no block of any kind costs more per vertex than the eigvals solve
+        # of 2000 vertices, 1/2000, so blocks of 2000 vertices in all cost
+        # at most one such solve (a p x q biadjacency block is priced at a
+        # size of at most p + q). Between the measured sizes the cost is
+        # interpolated in log-log: at 362, about sqrt(256 * 512), it is
+        # about the geometric mean of the costs at 256 and 512
+        sizes = np.arange(1, 2001, dtype=float)
+        for kind, table in spectra.BRUTEFORCE_COST.items():
+            cost = spectra._block_cost(kind, sizes)
+            assert (cost <= sizes / 2000).all(), kind
+            assert (np.diff(cost / sizes) >= 0).all(), kind
+            at = spectra.BRUTEFORCE_SIZES.index(256)
+            mid = spectra._block_cost(kind, np.array([np.sqrt(256 * 512)]))[0]
+            assert mid == pytest.approx(np.sqrt(table[at] * table[at + 1]))
+        # 1000 directed edges a -> b, each a 2-vertex component
+        g = vl.build_builtin_group("cyclic:1000")
+        d = vl.VoltageDigraph(g, ["a", "b"], [(0, 1, 0)])
+        assert vl.lift_spectrum_bruteforce(d).entries == ((0, 2000),)
+
+    def test_a_lift_past_the_vertex_ceiling_is_refused_before_its_arcs_are_read(
+            self, monkeypatch):
+        # base vertices with no arcs over cyclic:4096 lift to isolated
+        # vertices, 1 x 0 biadjacency blocks that cost next to nothing: 61
+        # of them (249856 lift vertices) are admitted, with a traced peak
+        # under one 2000 x 2000 float64 matrix, and 62 (253952) are refused
+        # before the arcs are read or the components labelled
+        g = vl.build_builtin_group("cyclic:4096")
+        d = vl.VoltageDigraph(g, [f"v{i}" for i in range(61)], [])
+        tracemalloc.start()
+        vals = spectra._lift_eigenvalues(d)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert vals.shape == (249856,) and not vals.any()
+        assert peak <= 2000 * 2000 * 8, peak
+
+        def no_work(*args):
+            raise AssertionError("lift read")
+
+        monkeypatch.setattr(spectra, "_lift_arcs", no_work)
+        monkeypatch.setattr(spectra, "connected_components", no_work)
+        d = vl.VoltageDigraph(g, [f"v{i}" for i in range(62)], [])
+        with pytest.raises(SpectrumError, match=re.escape(
+                "the 253952-vertex lift is past the brute-force route's ceiling of 250000 "
+                "vertices")):
+            vl.lift_spectrum_bruteforce(d)
 
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
 
