@@ -27,13 +27,14 @@ into its weakly connected components and solves each component's
 diagonal block alone, written from the arcs, by the singular values of
 its biadjacency block when the lift is undirected and the component
 bipartite, else by the symmetric or the general solver; components of
-one shape share one batched call. The lift of a connected base digraph
-whose closed walks' net voltages generate a subgroup of index k has k
-isomorphic components (Gross and Tucker, Topological Graph Theory, 1987),
-so it pays about 1/k^2 of the whole solve, and the route admits a lift by
-that cost, priced from solver times measured at each block size, not by
-its vertex count: at most one general solve of 2000 vertices, with a
-ceiling on vertices for memory. The spectrum routes
+one shape share one batched call, and a connected lift is a stack of one
+block, so every dense solve takes a 3-D stack. The lift of a connected
+base digraph whose closed walks' net voltages generate a subgroup of
+index k has k isomorphic components (Gross and Tucker, Topological Graph
+Theory, 1987), so it pays about 1/k^2 of the whole solve, and the route
+admits a lift by that cost, priced from solver times measured at each
+block size, not by its vertex count: at most one general solve of 2000
+vertices, with a ceiling on vertices for memory. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
 routes: it alone decides which are compared and at what tolerance, and
@@ -535,18 +536,11 @@ def lift_spectrum_bruteforce(
 ) -> SpectrumMultiset:
     """Spectrum of the explicit lift adjacency matrix (the oracle path).
 
-    Eigenvalues only, in real arithmetic, read from the lift's arc list:
-    the dense lift is never built (_lift_eigenvalues). The lift is split
-    into its weakly connected components, and each component's diagonal
-    block is solved alone: in an exactly symmetric lift (every undirected
-    lift) by the singular values of its biadjacency block when it is
-    bipartite and by the symmetric solver otherwise, and in any other lift
-    by the general solver. Components of one kind and shape share one
-    batched call, so a lift of a connected base digraph, whose components
-    are isomorphic, makes one, and a connected lift goes to its solver
-    whole, as one matrix. The symmetry test is the oracle's own, not the
-    irrep routes' _hermitian gate, and the oracle uses neither the irreps
-    nor the voltage block structure of the lift.
+    Eigenvalues only, in real arithmetic, from the lift's arc list, one
+    diagonal block per weakly connected component (_lift_eigenvalues): the
+    dense lift is never built. The symmetry test is the oracle's own, not
+    the irrep routes' _hermitian gate, and the oracle uses neither the
+    irreps nor the voltage block structure of the lift.
 
     A lift is admitted by its solve cost, priced from its component shapes
     before any block is made: each p x p block at its solver's measured
@@ -598,10 +592,9 @@ def _lift_eigenvalues(d: VoltageDigraph) -> np.ndarray:
     rank among the vertices of its component and side, in index order.
     Components of one kind and shape, in the order of their smallest
     vertices, make one float64 (K, p, q) stack, written by one np.add.at
-    over the arcs out of their row sides, and solved in one batched call.
-    A connected lift that is not bipartite is written as one (rn, rn)
-    float64 matrix in vertex order, the one rn x rn array this function
-    makes, and goes to its solver whole.
+    over the arcs out of their row sides, and solved in one batched call;
+    a connected lift is a (1, rn, rn) stack, or (1, p, q) when it is
+    bipartite.
     """
     rn = d.order * d.group.order
     if rn > BRUTEFORCE_MAX_VERTICES:
@@ -623,10 +616,6 @@ def _lift_eigenvalues(d: VoltageDigraph) -> np.ndarray:
     ps = np.bincount(component, minlength=rn)[roots] - qs
     bips = bipartite[roots]
     _check_solve_cost(kind, ps, qs, bips, rn)
-    if len(roots) == 1 and not bips[0]:
-        a = np.zeros((rn, rn))
-        np.add.at(a, (tails, heads), 1.0)
-        return _solve(solver, a)
     # one integer per shape, since p and q are at most rn
     _, first, shape_of = np.unique((bips * (rn + 1) + ps) * (rn + 1) + qs,
                                    return_index=True, return_inverse=True)
@@ -802,14 +791,18 @@ def verify(
     Returns {name: (MatchReport, details)}, details naming the comparison
     tolerance: "repr vs bruteforce" at max(tol, 1e-7), then, if r * max(dim)
     <= CHARSUM_HARD_CAP, "charsum vs repr" with characters from t (from s
-    if None) at charsum_match_tol, whose root multiplicity k is added.
+    if None) at charsum_match_tol, whose root multiplicity k is added. The
+    inputs are checked first, then the brute-force oracle runs, so a lift
+    past its solve budget or its vertex ceiling is refused with
+    SpectrumError before any irrep image is made.
     """
     tol = _checked_cluster_tol(d, tol)
     if t is not None:  # even when charsum does not run
         _check_input(t, CharacterTable, d, "character table")
+    _check_input(s, IrrepSet, d, "irrep set")
+    by_brute = lift_spectrum_bruteforce(d, tol)
     per_irrep = irrep_eigenvalues(d, s)
     by_repr = spectrum_from_irrep_eigenvalues(per_irrep, tol)
-    by_brute = lift_spectrum_bruteforce(d, tol)
     cmp_tol = max(tol, 1e-7)
     reports = {"repr vs bruteforce": (
         spectra_equal(by_repr, by_brute, cmp_tol), {"tolerance": cmp_tol})}

@@ -456,8 +456,9 @@ def lift_eigenvalues_gathered(d: VoltageDigraph) -> np.ndarray:
     build_lift's adjacency A, the same component labels, the vertices
     sorted by (component, side, index), and each shape's (K, p, q) stack
     gathered out of A by fancy indexing; a connected lift that is not
-    bipartite goes to its solver as A itself. The route must give these
-    eigenvalues bit for bit, in this order."""
+    bipartite goes to its solver as A itself, where the route solves it as
+    a stack of one. The route must give these eigenvalues bit for bit, in
+    this order."""
     a = build_lift(d)
     rn = len(a)
     tails, heads = (x.ravel() for x in _lift_arcs(d))

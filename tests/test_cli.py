@@ -134,10 +134,11 @@ def test_verify_undirected_triangle_picks_the_solver_per_image(irreps, monkeypat
     assert code == 0, capsys.readouterr()
     report = json.loads(capsys.readouterr().out)
     assert all(r["matched"] for r in report.values()) and len(report) == 2
-    # verify's repr route, one call per irrep dimension, then bruteforce on
-    # the symmetric lift; charsum's companion matrices follow
+    # verify's bruteforce on the symmetric lift, connected and not
+    # bipartite, a stack of one, then its repr route, one call per irrep
+    # dimension; charsum's companion matrices follow
     two_dim = ("eigvals" if irreps else "eigvalsh", (1, 6, 6))
-    assert calls[:3] == [("eigvalsh", (2, 3, 3)), two_dim, ("eigvalsh", (18, 18))]
+    assert calls[:3] == [("eigvalsh", (1, 18, 18)), ("eigvalsh", (2, 3, 3)), two_dim]
 
 
 @pytest.mark.filterwarnings("ignore:power-sum degree")

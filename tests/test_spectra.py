@@ -756,11 +756,13 @@ class TestSpectrumRoutes:
     @staticmethod
     def bruteforce_solver_calls(d, monkeypatch):
         """lift_spectrum_bruteforce(d) and each of its solver calls, as
-        (name, matrix) for eigvals, eigvalsh and svd."""
+        (name, matrix) for eigvals, eigvalsh and svd; every call must be
+        given a float64 stack of blocks, 3-D even when it holds one."""
         called = []
 
         def spy(name, solver):
             def solve(a, **kwargs):
+                assert a.ndim == 3 and a.dtype == np.float64, (name, a.shape, a.dtype)
                 called.append((name, a))
                 return solver(a, **kwargs)
             return solve
@@ -787,20 +789,26 @@ class TestSpectrumRoutes:
         assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
 
     def test_one_non_bipartite_component_is_solved_whole(self, monkeypatch):
-        # the symmetric lift above with a loop of voltage identity at v0:
-        # one component, not bipartite, so one eigvalsh call on one float64
-        # (rn, rn) matrix written from the arcs
+        # the symmetric lift above with a loop of voltage identity at v0,
+        # and the lift of the triangle fixture over dihedral:3: each is one
+        # component, not bipartite, so one eigvalsh call on a float64
+        # (1, rn, rn) stack written from the arcs, and bitwise the
+        # eigenvalues of one solve of the whole adjacency
         g = vl.build_builtin_group("dihedral:4")
         rng = np.random.default_rng(8)
         d = reverse_completed(random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10))
-        d = vl.VoltageDigraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
-        rn = d.order * g.order
-        by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
-        assert [(name, a.shape, a.dtype) for name, a in called] == [
-            ("eigvalsh", (rn, rn), np.float64)]
-        by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(g), 1e-8)
-        assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
-        # and it is the one rn x rn array: on the Cayley graph of
+        looped = vl.VoltageDigraph(g, d.vertices, d.arcs + ((0, 0, g.identity),))
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "triangle_dihedral3.json")) as f:
+            triangle = vl.parse_voltage_digraph(f.read(), vl.build_builtin_group("dihedral:3"))
+        for d in (looped, triangle):
+            rn = d.order * d.group.order
+            by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
+            assert [(name, a.shape) for name, a in called] == [("eigvalsh", (1, rn, rn))]
+            by_repr = vl.lift_spectrum_repr(d, vl.builtin_irreps(d.group), 1e-8)
+            assert vl.spectra_equal(by_brute, by_repr, 1e-7).matched
+            assert np.array_equal(spectra._lift_eigenvalues(d), lift_eigenvalues_whole(d))
+        # and the stack is the one rn x rn array: on the Cayley graph of
         # dihedral:256 on r and s with a loop at every vertex (rn = 512),
         # the traced peak stays under 1.25 rn^2 * 8 bytes, which a second
         # copy, a gather or an int64 lift cast to float, would pass
@@ -813,8 +821,7 @@ class TestSpectrumRoutes:
         by_brute, called = self.bruteforce_solver_calls(d, monkeypatch)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert [(name, a.shape, a.dtype) for name, a in called] == [
-            ("eigvalsh", (rn, rn), np.float64)]
+        assert [(name, a.shape) for name, a in called] == [("eigvalsh", (1, rn, rn))]
         assert by_brute.total == rn and peak <= 1.25 * rn * rn * 8, peak
 
     def test_acyclic_lift_is_one_zero_cluster(self):
@@ -998,6 +1005,7 @@ class TestBruteforceComponents:
 
         def spy(name, solver):
             def call(m, **kwargs):
+                assert m.ndim == 3 and m.dtype == np.float64, (name, m.shape, m.dtype)
                 calls.append((name, m.shape))
                 return solver(m, **kwargs)
             return call
@@ -1106,17 +1114,6 @@ class TestBruteforceComponents:
         assert calls == [call]
         assert vals.tolist() == [0.0] * len(vals)
 
-    def test_a_connected_lift_goes_to_its_solver_whole(self, monkeypatch):
-        # the lift of the triangle fixture over dihedral:3 is connected and
-        # not bipartite: one eigvalsh call on the whole adjacency
-        g = vl.build_builtin_group("dihedral:3")
-        with open(os.path.join(os.path.dirname(__file__), "data",
-                               "triangle_dihedral3.json")) as f:
-            d = vl.parse_voltage_digraph(f.read(), g)
-        vals, calls = self.solve(d, monkeypatch)
-        assert calls == [("eigvalsh", (18, 18))]
-        assert np.array_equal(vals, lift_eigenvalues_whole(d))
-
     def test_a_directed_lift_is_split_by_its_own_arcs(self, monkeypatch):
         # the directed triangle a -> b -> c -> a with identity voltages
         # lifts to four directed triangles. The double cover links only
@@ -1133,7 +1130,8 @@ class TestBruteforceComponents:
     @pytest.mark.parametrize("spec", FAMILY_SPECS)
     def test_a_directed_lift_is_solved_per_component(self, spec, monkeypatch):
         # bitwise: as the per-component oracle on every draw, and, when
-        # the lift is connected, as one eigvals call on the whole adjacency.
+        # the lift is connected, as one eigvals call on the whole adjacency,
+        # a stack of one.
         # A split lift is also matched one to one with the whole solve,
         # which shares no component split, within verify's 1e-7 for repr
         # against bruteforce: a defective eigenvalue of multiplicity k
@@ -1152,7 +1150,7 @@ class TestBruteforceComponents:
             label = components_bfs(len(vals), *np.nonzero(vl.build_lift(d)))
             if max(label) == 0:
                 connected += 1
-                assert calls == [("eigvals", vals.shape * 2)]
+                assert calls == [("eigvals", (1, *vals.shape * 2))]
                 assert np.array_equal(vals, whole)
             else:
                 split += 1
@@ -1166,11 +1164,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # every digraph fixture of tests/data, read over the builtin group its name
 # ends in (cube_dihedral32 over dihedral:32), or over Q8's table
 DIGRAPH_FIXTURES = [
-    "bouquet_dihedral1000", "circ6_cyclic16", "clique4_dihedral25", "cube_cyclic64",
-    "cube_dihedral32", "cycle_cyclic4096", "directed_dihedral500", "k2star_dihedral3",
-    "loop_cyclic3", "parallel_dihedral4", "pendant_cycle_cyclic12", "q8_triangle",
-    "split_bipartite_cyclic12", "split_directed_dihedral512", "triangle_dihedral3",
-    "walks4_dihedral2048",
+    "bouquet_dihedral1000", "cayley_dihedral1500", "circ6_cyclic16", "clique4_dihedral25",
+    "cube_cyclic64", "cube_dihedral32", "cycle_cyclic4096", "directed_dihedral500",
+    "k2star_dihedral3", "loop_cyclic3", "parallel_dihedral4", "pendant_cycle_cyclic12",
+    "q8_triangle", "split_bipartite_cyclic12", "split_directed_dihedral512",
+    "triangle_dihedral3", "walks4_dihedral2048",
 ]
 
 
@@ -1280,7 +1278,7 @@ class TestBruteforceFromArcs:
         by_brute, called = TestSpectrumRoutes.bruteforce_solver_calls(d, monkeypatch)
         assert len(called) == 1
         (_, m), = called
-        assert (1 if m.ndim == 2 else len(m)) == c
+        assert len(m) == c
         assert all(mult % c == 0 for _, mult in by_brute.entries), (c, by_brute)
         if name == "split_directed_dihedral512":
             assert c == 16
@@ -1307,13 +1305,13 @@ class TestBruteforceFromArcs:
         monkeypatch.setattr(np.linalg, "eigvals", solve)
         assert spectra._block_cost("eigvals", np.array([2000.0])).tolist() == [1.0]
         assert vl.lift_spectrum_bruteforce(self.cycle(2000)).entries == ((0, 2000),)
-        assert calls == [(2000, 2000)]
+        assert calls == [(1, 2000, 2000)]
         cost = (2001 / 2000) ** 3
         with pytest.raises(SpectrumError, match=re.escape(
                 f"2001-vertex lift costs as much as {cost:.6g} eigvals solves of 2000 "
                 "vertices, over the budget of one")):
             vl.lift_spectrum_bruteforce(self.cycle(2001))
-        assert calls == [(2000, 2000)]
+        assert calls == [(1, 2000, 2000)]
 
     def test_a_bipartite_lift_is_priced_by_its_singular_values(self, monkeypatch):
         # the undirected 2n-cycle, sides of n: svd at n = 2000 costs 0.84
@@ -1379,6 +1377,27 @@ class TestBruteforceFromArcs:
                 "the 253952-vertex lift is past the brute-force route's ceiling of 250000 "
                 "vertices")):
             vl.lift_spectrum_bruteforce(d)
+
+    def test_verify_refuses_an_over_budget_lift_before_any_irrep_image(self, monkeypatch):
+        # verify runs the oracle before the irrep route, so a lift the
+        # oracle refuses costs no irrep image: 251 isolated vertices over
+        # cyclic:1000 (251000 lift vertices, past the ceiling) and the
+        # directed 40-cycle with one arc of voltage g^1 (one component of
+        # 40000 vertices, past the budget)
+        g = vl.build_builtin_group("cyclic:1000")
+        s = vl.builtin_irreps(g)
+
+        def no_images(*args):
+            raise AssertionError("irrep images made")
+
+        monkeypatch.setattr(spectra, "irrep_eigenvalues", no_images)
+        isolated = vl.VoltageDigraph(g, [f"v{i}" for i in range(251)], [])
+        cycle = vl.VoltageDigraph(g, [f"v{i}" for i in range(40)],
+                                  [(i, (i + 1) % 40, int(i == 0)) for i in range(40)])
+        for d, refusal in ((isolated, "past the brute-force route's ceiling"),
+                           (cycle, "over the budget of one")):
+            with pytest.raises(SpectrumError, match=refusal):
+                vl.verify(d, s)
 
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
 

@@ -24,10 +24,11 @@ import tempfile
 from bench_backfill import ROOT, extract, git, run_workload, write_bench
 
 SECONDS = 20
-# (workload, seed, pairs): 10 pairs of dense_lift on seed 9, to test a claimed
-# eigvecs_s gain on a seed the change was not tuned on, and 5 pairs each of
-# big_groups and cli_exact on seed 1, which must show no regression
-SERIES = [("dense_lift", 9, 10), ("big_groups", 1, 5), ("cli_exact", 1, 5)]
+# (workload, seed, pairs): 10 pairs of cli_exact, the one workload whose
+# lift the brute-force oracle solves as a single block, on seed 7, one the
+# change was not tuned on, and 5 pairs each of big_groups and dense_lift,
+# which run no changed code and must show no regression
+SERIES = [("cli_exact", 7, 10), ("big_groups", 1, 5), ("dense_lift", 9, 5)]
 
 
 def summarize(runs: list) -> None:
