@@ -43,16 +43,18 @@ class IrrepSet:
     its q-th row is rho(g). The irrep order, that of the character rows,
     is dimension-major: the stacks by ascending d, each in row order. So
     ``dims``, derived from the stacks, is non-decreasing, and row q of
-    stacks[d] is irrep dims.index(d) + q. A given stack is kept only when
-    the library froze it itself; a caller's array is copied (_unwritable).
-    Every IrrepSet is validated when made (validate_irrep_set), which sets
-    ``characters``, the read-only (nu, n) character rows. ``conjugates``
+    stacks[d] is irrep dims.index(d) + q. A stack is float64 when it has no
+    nonzero imaginary part, as every dihedral one has, and complex128
+    otherwise, so its dtype is the record of its realness: the irrep routes
+    build, solve and write a float64 stack's images in float64. A given
+    stack is kept only when the library froze it itself, its maker having
+    chosen the dtype; a caller's array is copied (_stored_stack). Every
+    IrrepSet is validated when made (validate_irrep_set), which sets
+    ``characters``, the read-only (nu, n) complex character rows. ``conjugates``
     pairs each irrep with the one whose matrices at the generators are
     exactly the complex conjugates of its own: for a quotient matrix B with
     integer coefficients the partner's image is conj(rho(B)), with the
     conjugate eigenvalues, so the repr route solves one irrep of each pair.
-    ``real_dims`` names the dimensions whose stack is exactly real; the
-    stacks stay complex, and the irrep routes take such a stack's real part.
     """
 
     group: GroupTable
@@ -62,7 +64,7 @@ class IrrepSet:
     def __post_init__(self):
         expect_group(self.group, RepresentationError)
         # frozen before validation, so no route sees matrices no check saw
-        stacks = {d: _unwritable(stack, f"stack of dim {short_repr(d)}")
+        stacks = {d: _stored_stack(stack, f"stack of dim {short_repr(d)}")
                   for d, stack in self.stacks.items()}
         for d, stack in stacks.items():  # before sorting, which needs comparable keys
             _check_stack_shape(d, stack, self.group.order)
@@ -100,37 +102,48 @@ class IrrepSet:
         pairing.setflags(write=False)
         return pairing
 
-    @cached_property
-    def real_dims(self) -> frozenset:
-        """The dimensions whose stack is exactly real, computed on first
-        read: not stack.imag.any(), so a -0.0 imaginary part counts as
-        zero and any other, however small, keeps the stack complex. The
-        irrep routes build, solve and write such a stack in float64."""
-        return frozenset(d for d, stack in self.stacks.items() if not stack.imag.any())
+
+def _numbers(a, what: str) -> np.ndarray:
+    """a as one complex array. What numpy cannot read as one, a ragged
+    list say, raises RepresentationError."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise RepresentationError(f"{what}: not one array of numbers") from None
 
 
 def _unwritable(a, what: str) -> np.ndarray:
     """a as a read-only complex array: kept when the library froze it
-    itself (groups.frozen_here), else copied and frozen. What numpy cannot
-    read as one complex array, a ragged list say, raises RepresentationError."""
-    try:
-        a = np.asarray(a, dtype=complex)
-    except (TypeError, ValueError):
-        raise RepresentationError(f"{what}: not one array of numbers") from None
+    itself (groups.frozen_here), else copied and frozen."""
+    a = _numbers(a, what)
     return a if frozen_here(a) else freeze(a.copy())
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """A complex array's real part, a view, when none of its imaginary
+    parts is nonzero (-0.0 counts as zero, 5e-324 does not); else the array."""
+    return a if a.imag.any() else a.real
+
+
+def _stored_stack(a, what: str) -> np.ndarray:
+    """a as IrrepSet stores a stack: kept when the library froze it itself
+    (groups.frozen_here), float64 or complex128 as its maker built it, with
+    no scan; else copied and frozen, float64 when no imaginary part is
+    nonzero (_real_if_exact) and complex128 otherwise."""
+    return a if frozen_here(a) else freeze(_real_if_exact(_numbers(a, what)).copy())
 
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Character values per element index, one row per irrep, held as an
-    IrrepSet holds its stacks: ``rows`` is a read-only (nu, n) complex
-    array, copied unless the library froze it itself (_unwritable). It is
-    proven when made, as an IrrepSet is: the rows are checked to be finite,
-    nu x n, with positive integer degrees chi_i(e) whose squares sum to n,
-    and put in dimension-major order by a stable sort on degree, which
-    copies nothing when they are in order; ``dims``, the sorted degrees, is
-    set then; and _check_characters proves them the irreducible characters
-    of the group. Only character_table(s) skips that proof: s proved its rows."""
+    """Character values per element index, one row per irrep: ``rows`` is
+    a read-only (nu, n) complex array, copied unless the library froze it
+    itself (_unwritable). It is proven when made, as an IrrepSet is: the
+    rows are checked to be finite, nu x n, with positive integer degrees
+    chi_i(e) whose squares sum to n, and put in dimension-major order by a
+    stable sort on degree, which copies nothing when they are in order;
+    ``dims``, the sorted degrees, is set then; and _check_characters proves
+    them the irreducible characters of the group. Only character_table(s)
+    skips that proof: s proved its rows."""
 
     group: GroupTable
     rows: np.ndarray  # shape (nu, n), complex
@@ -377,15 +390,18 @@ def _roots_of_unity(m: int) -> np.ndarray:
 
 
 def _cyclic_irreps(m: int) -> dict:
-    # [k, j] = w^(k j mod m), gathered
+    # [k, j] = w^(k j mod m), gathered; for m <= 2 every root is 1 or -1,
+    # and the stack is float64
     k = np.arange(m)
     kj = np.outer(k, k)
     kj %= m
-    return {1: _roots_of_unity(m)[kj].reshape(m, m, 1, 1)}
+    w = _roots_of_unity(m)
+    return {1: (w if m > 2 else w.real)[kj].reshape(m, m, 1, 1)}
 
 
 def _dihedral_irreps(m: int) -> dict:
-    # element indices: j -> r^j, m+j -> r^j * s
+    # element indices: j -> r^j, m+j -> r^j * s; every matrix is real, and
+    # both stacks are float64
     n = 2 * m
     powers = np.arange(m)
     # the 1-dim irreps r -> chi_r, s -> chi_s, for (chi_r, chi_s) = (1, 1),
@@ -393,12 +409,12 @@ def _dihedral_irreps(m: int) -> dict:
     one = 4 if m % 2 == 0 else 2
     chi_r, chi_s = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, :one, None]
     at_r = chi_r ** powers
-    vals = np.concatenate([at_r, at_r * chi_s], axis=1).astype(complex)
+    vals = np.concatenate([at_r, at_r * chi_s], axis=1)
     j = np.arange(1, (m + 1) // 2)[:, None]  # (m - 1) // 2 irreps of dim 2, none for m = 2
     w = _roots_of_unity(m)[j * powers % m]
     c, s = w.real, w.imag
     # r^a -> rotation by 2 pi j a / m; r^a s -> rotation @ diag(1, -1)
-    mats = np.empty((len(j), n, 2, 2), dtype=complex)
+    mats = np.empty((len(j), n, 2, 2))
     rot, refl = mats[:, :m], mats[:, m:]
     rot[..., 0, 0], rot[..., 0, 1], rot[..., 1, 0], rot[..., 1, 1] = c, -s, s, c
     refl[..., 0, 0], refl[..., 0, 1], refl[..., 1, 0], refl[..., 1, 1] = c, s, s, -c
@@ -414,7 +430,11 @@ def _builtin_stacks(factors: list) -> dict:
     (Serre, Linear Representations of Finite Groups, 3.2). Each choice of
     one stack per factor, in itertools.product order, gives a block, the
     first factor most significant; a dimension's stack is its blocks in
-    that order, frozen, and a lone block is not copied."""
+    that order, frozen, and a lone block is not copied. A block is float64
+    when every factor's stack is, and complex128 otherwise: a cyclic factor
+    of order 3 or more, whose stack has a nonreal value, is in every block,
+    and at its identity elements each other factor's irrep is I, so every
+    complex block, and so every complex stack, has a nonzero imaginary part."""
     blocks = {}
     for choice in itertools.product(*(_FAMILY_IRREPS[kind](m).values() for kind, m in factors)):
         mats = choice[0]
@@ -464,6 +484,8 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
     [[[re, im], ...], ...]}}, ...]``. The irreps of each dimension are
     stacked in document order, the trivial irrep moved to the front of
     the 1-dim ones, so the set's order (see IrrepSet) is dimension-major.
+    A stack whose imaginary parts are all zero is stored once, as float64
+    (_real_if_exact).
     """
     expect_group(g, RepresentationError)
     doc = decode_json(doc, RepresentationError)
@@ -500,7 +522,8 @@ def load_irreps(doc, g: GroupTable) -> IrrepSet:
             )
         by_dim.setdefault(d, []).append(mats)
     by_dim.get(1, []).sort(key=lambda m: not _is_trivial_row(m))  # the trivial irrep first
-    return IrrepSet(g, {d: freeze(np.stack(mats)) for d, mats in by_dim.items()})
+    return IrrepSet(g, {d: freeze(np.ascontiguousarray(_real_if_exact(np.stack(mats))))
+                        for d, mats in by_dim.items()})
 
 
 def _is_list_of_lists(value) -> bool:

@@ -12,16 +12,17 @@ irrep of each such pair is solved and its partner gets the conjugate
 eigenvalues. Each image goes to a solver of its own: one that is
 Hermitian up to rounding, as every image of an undirected digraph under a
 unitary irrep is, to the Hermitian solver, and every other to the general
-one, whatever the digraph. A stack with no nonzero imaginary part
-(IrrepSet.real_dims), as every dihedral one is, is taken as its real part:
-its images are float64 and the Hermitian solvers, eigvalsh and eigh, and
-the lift vectors stay real. Its images that miss the gate are cast to
-complex128 for the general solver, so their eigenvalues are those of the
-complex images, to the bit: a real general solver would split a defective
-eigenvalue differently. The character route recovers the same
-per-irrep eigenvalues from power sums:
-Newton's identities give each character's polynomial, and one batched
-companion-matrix eigensolve per character degree gives its roots. The
+one, whatever the digraph. Each stack is read as IrrepSet stores it,
+float64 when it has no nonzero imaginary part, as every dihedral one, and
+complex128 otherwise. A float64 stack's images are float64, so the
+Hermitian solvers, eigvalsh and eigh, and the lift vectors stay real; its
+images that miss the gate are cast to complex128 for the general solver,
+so their eigenvalues are those of the same images in complex128, to the
+bit: a real general solver would split a defective eigenvalue
+differently. The character route recovers the same per-irrep eigenvalues
+from power sums: Newton's identities give each character's polynomial,
+and one batched companion-matrix eigensolve per character degree gives
+its roots. The
 brute-force route reads the explicit lift from its arc list, splits it
 into its weakly connected components and solves each component's
 diagonal block alone, written from the arcs, by the singular values of
@@ -436,8 +437,8 @@ def _term_images(terms: tuple, r: int, stack: np.ndarray) -> np.ndarray:
     imaginary parts, the real part of the complex product c rho(x) is the
     float product c Re rho(x), up to the sign of a zero, which the sum into
     zeros drops, and it is summed in the same order: so the images of a
-    real stack's real part are the real parts of its complex images, to
-    the bit."""
+    float64 stack are the real parts of those of the same stack in
+    complex128, to the bit."""
     u, v, x, coeff = terms
     num, _, d, _ = stack.shape
     dtype = float if stack.dtype == float else complex
@@ -453,8 +454,9 @@ def rho_matrix(b: np.ndarray, stack: np.ndarray) -> np.ndarray:
     The public form of the irrep routes' kernel (_term_images): its terms
     are the nonzero coefficients of b, in the order np.nonzero lists them
     (voltage._terms). The routes read the same terms from the arcs
-    (_irrep_images). The images are float64 for a float64 stack, such as
-    the real part of an exactly real one, and complex128 for any other.
+    (_irrep_images). The images are float64 for a float64 stack, as
+    IrrepSet stores every stack with no nonzero imaginary part, and
+    complex128 for any other.
     """
     return _term_images(_terms(b), b.shape[0], stack)
 
@@ -473,13 +475,11 @@ def _irrep_images(d: VoltageDigraph, s: IrrepSet):
     of d's group, read B's nonzeros from the arcs once (_quotient_terms,
     the terms rho_matrix takes from B, in its order, so every image is
     rho_matrix(associated_matrix(d), stack) to the bit), and yield (dim,
-    first irrep, images) per stack. A stack in IrrepSet.real_dims is
-    given as its real part, a view, so its images are float64. B itself is
-    never built."""
+    first irrep, images) per stack, read as stored: a float64 stack's
+    images are float64. B itself is never built."""
     _check_input(s, IrrepSet, d, "irrep set")
     terms = _quotient_terms(d)
     for dim, stack in s.stacks.items():
-        stack = stack.real if dim in s.real_dims else stack
         yield dim, s.dims.index(dim), _term_images(terms, d.order, stack)
 
 
@@ -828,10 +828,10 @@ class LiftEigenvectors:
 
     ``pairs`` holds (eigenvalue, vector) with vectors indexed in lift
     vertex order (vertex-major, element-index minor). Each eigenvalue is a
-    complex number. A vector is float64 when its irrep's stack is real
-    (IrrepSet.real_dims) and every image of that stack passed the Hermitian
-    gate, so that eigh's real vectors built it, and complex128 otherwise:
-    the vectors of an undirected dihedral lift are real. Irreps whose quotient
+    complex number. A vector is float64 when its irrep's stack is float64
+    (IrrepSet) and every image of that stack passed the Hermitian gate, so
+    that eigh's real vectors built it, and complex128 otherwise: the
+    vectors of an undirected dihedral lift are real. Irreps whose quotient
     image is defective are skipped and listed in ``skipped_irreps``, by index;
     ``skip_reasons`` names, for each, the failed test and its numbers.
     No vector can be zero (see lift_eigenvectors): ``zero_vectors_excluded``
@@ -865,8 +865,8 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     fib[K, r*d, d, r, n]: slice (q, c, k) is already the lift vector of
     irrep q, column c, slot k, filled by one matmul per slot, and the
     returned vectors are the rows of its (K, r*d*d, r*n) reshape. fib is
-    float64, written from the stack's real part, when the eigenvectors are
-    real, and complex128 otherwise.
+    float64 when the eigenvectors are, which needs a float64 stack, and
+    complex128 otherwise.
     """
     n, r = d.group.order, d.order
     pairs, skipped, reasons = [], [], []
@@ -890,10 +890,8 @@ def lift_eigenvectors(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
             continue
         # fib[q, c, k, v, h] = sum_j rho_q(h)[k, j] x[q, v*d + j, c]: for
         # slot k, a (K, r) batch of (r*d, d) @ (d, n) products, written
-        # through a strided view of fib. Real vectors come only from a real
-        # stack, and are written in float64 from its real part
-        stack = s.stacks[di]
-        rho = (stack.real if vecs.dtype == float else stack)[ok]
+        # through a strided view of fib, in the dtype of the eigenvectors
+        rho = s.stacks[di][ok]
         x = vecs[ok].reshape(len(ok), r, di, r * di).transpose(0, 1, 3, 2)
         fib = np.empty((len(ok), r * di, di, r, n), dtype=vecs.dtype)
         for k in range(di):

@@ -56,9 +56,10 @@ def irrep_matrices(s, i):
 
 def replaced_stacks(s, i, mats):
     """The stacks of s, with the matrices of irrep i replaced by mats in a
-    copy of its dimension's stack."""
+    copy of its dimension's stack, in the dtype that holds both: complex
+    mats are written whole into a copy of a float64 stack."""
     d = s.dims[i]
-    stack = np.array(s.stacks[d])
+    stack = np.array(s.stacks[d], dtype=np.result_type(s.stacks[d], mats))
     stack[i - s.dims.index(d)] = mats
     return {**s.stacks, d: stack}
 

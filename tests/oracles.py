@@ -252,21 +252,19 @@ def lift_eigenvectors_loop(d: VoltageDigraph, s: IrrepSet) -> LiftEigenvectors:
     lift vertex (v, h), where x_v is vertex v's row block of the quotient
     eigenvector matrix. Each image is solved alone, by the solver that the
     library picks for it (spectra.eig): the Hermitian one only when the
-    image passes the rounding-level test. An irrep whose stack has no
-    nonzero imaginary part, tested here on the stack itself, is built from
-    its real matrices, so its image is a real one.
+    image passes the rounding-level test. Each irrep's matrices are read
+    from its stack as stored: those of a float64 stack, one with no nonzero
+    imaginary part, give a real image.
     """
     group = d.group
     n = group.order
     r = d.order
     b = associated_matrix_loop(d)
-    real = {k for k, stack in s.stacks.items() if not stack.imag.any()}
     pairs = []
     skipped = []
     zeros = 0
     for i, di in enumerate(s.dims):
         mats = irrep_matrices(s, i)
-        mats = mats.real if di in real else mats
         m = rho_matrix(b, mats[None])[0]
         vals, u_mat, res, bound = (a[0] for a in eig(m[None]))
         if m.size:

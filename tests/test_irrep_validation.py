@@ -25,7 +25,7 @@ from voltlift.reps import RepresentationError
 from conftest import irrep_matrices, replaced_stacks, unvalidated
 from oracles import validate_irrep_set_loop
 from test_groups import FAMILY_SPECS
-from test_reps import irreps_to_doc
+from test_reps import irreps_to_doc, loaded_set
 
 D8 = vl.build_builtin_group("dihedral:8")
 D8_IRREPS = vl.builtin_irreps(D8)  # dims (1, 1, 1, 1, 2, 2, 2)
@@ -174,8 +174,9 @@ def test_constructor_rejects_a_key_that_is_no_int(key):
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
 @pytest.mark.parametrize("d", [1, 2])
 def test_a_non_finite_entry_is_rejected(d, value):
-    # every comparison with nan is false, so only a finiteness check sees it
-    stack = np.array(D3_IRREPS.stacks[d])
+    # every comparison with nan is false, so only a finiteness check sees
+    # it; a complex one is written whole, into a complex copy of the stack
+    stack = np.array(D3_IRREPS.stacks[d], dtype=np.result_type(D3_IRREPS.stacks[d], value))
     stack[-1, 1, 0, 0] = value
     stacks = {**D3_IRREPS.stacks, d: stack}
     message = f"stack of dim {d}: holds a non-finite entry"
@@ -238,16 +239,16 @@ def test_a_callers_read_only_stack_is_copied(read_only_view):
 
 
 def _kept_as_given(monkeypatch):
-    """Record, for each array _unwritable reads, whether it was kept as given."""
+    """Record, for each array _stored_stack or _unwritable reads, whether
+    it was kept as given."""
     kept = []
-    unwritable = reps._unwritable
+    for name in ("_stored_stack", "_unwritable"):
+        def spy(a, what, original=getattr(reps, name)):
+            out = original(a, what)
+            kept.append(out is a)
+            return out
 
-    def spy(a, what):
-        out = unwritable(a, what)
-        kept.append(out is a)
-        return out
-
-    monkeypatch.setattr(reps, "_unwritable", spy)
+        monkeypatch.setattr(reps, name, spy)
     return kept
 
 
@@ -260,6 +261,15 @@ def test_loaded_and_reused_stacks_are_not_copied(d3, d3_irreps, monkeypatch):
     assert vl.character_table(again).rows is again.characters
     assert kept == [True] * (2 * len(s.stacks))
     assert all(again.stacks[d] is s.stacks[d] for d in s.stacks)
+    # the Q8 document's 1-dim stack is real: load_irreps stores it once,
+    # as a float64 array of its own, not a view of a complex one, and the
+    # set keeps it
+    kept.clear()
+    q8 = loaded_set("q8_group.json", "q8_irreps.json")
+    assert kept == [True] * len(q8.stacks)
+    one = q8.stacks[1]
+    assert one.dtype == np.float64 and one.flags.owndata and one.base is None
+    assert q8.stacks[2].dtype == np.complex128
 
 
 @pytest.mark.parametrize("spec", ["cyclic:64", "dihedral:8", "dihedral:2",

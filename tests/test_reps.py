@@ -581,17 +581,41 @@ def d3_with_one_imaginary_part():
     return vl.load_irreps(doc, g)
 
 
-def with_negative_zero_imaginary_parts(s):
-    """s with every imaginary part set to -0.0: a new IrrepSet."""
-    stacks = {k: np.array(stack) for k, stack in s.stacks.items()}
+def negative_zero_stacks(s):
+    """Complex128 copies of the stacks of s with every imaginary part -0.0."""
+    stacks = {k: np.array(stack, dtype=complex) for k, stack in s.stacks.items()}
     for stack in stacks.values():
         stack.imag = -0.0
-    return vl.IrrepSet(s.group, stacks)
+    return stacks
 
 
-class TestRealDims:
-    """IrrepSet.real_dims: the dimensions whose stack has no nonzero
-    imaginary part, decided exactly, on first read."""
+def with_negative_zero_imaginary_parts(s):
+    """s made again from negative_zero_stacks(s): a new IrrepSet."""
+    return vl.IrrepSet(s.group, negative_zero_stacks(s))
+
+
+def real_family(spec):
+    """Whether every factor of a builtin spec is dihedral, or cyclic of
+    order 1 or 2: whether its irreps are real matrices."""
+    return all(kind == "dihedral" or m <= 2 for kind, m in groups.parse_builtin_spec(spec))
+
+
+def loaded_set(group, name):
+    """The IrrepSet of the document tests/data/<name> over group, a builtin
+    spec or the name of a group-table document."""
+    if group.endswith(".json"):
+        with open(os.path.join(DATA, group)) as f:
+            g = vl.parse_group_table(f.read())
+    else:
+        g = vl.build_builtin_group(group)
+    with open(os.path.join(DATA, name)) as f:
+        return vl.load_irreps(f.read(), g)
+
+
+class TestStackDtype:
+    """A stack is float64 exactly when it has no nonzero imaginary part,
+    and complex128 otherwise: the builtins build it so, and a document's or
+    a caller's stack is stored so when the set is made."""
 
     @pytest.mark.parametrize("spec, real", [
         ("cyclic:1", {1}), ("cyclic:2", {1}), ("cyclic:12", set()), ("dihedral:5", {1, 2}),
@@ -599,16 +623,42 @@ class TestRealDims:
     ])
     def test_builtin_stacks(self, spec, real):
         s = vl.builtin_irreps(vl.build_builtin_group(spec))
-        assert "real_dims" not in vars(s)  # not computed when the set is made
-        assert isinstance(s.real_dims, frozenset) and s.real_dims == real
-        assert "real_dims" in vars(s)
+        assert {d for d, stack in s.stacks.items() if stack.dtype == np.float64} == real
+        assert all(stack.dtype == np.complex128 for d, stack in s.stacks.items() if d not in real)
 
     def test_one_tiny_imaginary_part_keeps_a_stack_complex(self):
         s = d3_with_one_imaginary_part()
         assert s.stacks[2].imag.max() == 5e-324
-        assert s.real_dims == {1}
+        assert s.stacks[1].dtype == np.float64 and s.stacks[2].dtype == np.complex128
 
     def test_negative_zero_imaginary_parts_count_as_zero(self):
-        s = with_negative_zero_imaginary_parts(d3_with_one_imaginary_part())
-        assert all(np.signbit(stack.imag).all() for stack in s.stacks.values())
-        assert s.real_dims == {1, 2}
+        given = negative_zero_stacks(d3_with_one_imaginary_part())
+        assert all(np.signbit(stack.imag).all() for stack in given.values())
+        s = vl.IrrepSet(vl.build_builtin_group("dihedral:3"), given)
+        for d, stack in s.stacks.items():
+            assert stack.dtype == np.float64
+            assert stack.tobytes() == np.ascontiguousarray(given[d].real).tobytes()
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_real_builtin_families_build_float64_stacks(self, spec):
+        # dihedral groups, cyclic ones of order 1 and 2, and their products
+        # build every stack as float64; every other stack is complex128
+        # and has a nonzero imaginary part
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        want = np.float64 if real_family(spec) else np.complex128
+        for stack in s.stacks.values():
+            assert stack.dtype == want
+            assert stack.dtype == np.float64 or stack.imag.any()
+
+    @pytest.mark.parametrize("group, name, real", [
+        ("q8_group.json", "q8_irreps.json", {1}),
+        ("dihedral:3", "d3_irreps_2dim_first.json", {1, 2}),
+        ("dihedral:3", "d3_non_unitary_irreps.json", {1, 2}),
+    ])
+    def test_loaded_stacks(self, group, name, real):
+        # the Q8 document's 2-dim stack has quaternion units, and is complex
+        s = loaded_set(group, name)
+        assert {d for d, stack in s.stacks.items() if stack.dtype == np.float64} == real
+        for stack in s.stacks.values():
+            assert stack.dtype == np.float64 or (stack.dtype == np.complex128
+                                                 and stack.imag.any())

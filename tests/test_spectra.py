@@ -146,22 +146,23 @@ class TestQuotientTerms:
 
     @staticmethod
     def assert_images_are_rho_matrix(d, s):
-        # in the dtype the route builds them in: float64 from the real part
-        # of a stack with no nonzero imaginary part, whose images are then
-        # the real parts of the complex stack's, to the bit
+        # in the dtype of the stack as stored: float64 for a stack with no
+        # nonzero imaginary part, whose images are then the real parts of
+        # those of the same stack in complex128, to the bit
         b = vl.associated_matrix(d)
         stacks = list(s.stacks.items())
         got = list(spectra._irrep_images(d, s))
         assert [(dim, first) for dim, first, _ in got] == [
             (dim, s.dims.index(dim)) for dim, _ in stacks]
         for (_, _, images), (_, stack) in zip(got, stacks):
-            real = not stack.imag.any()
-            want = vl.rho_matrix(b, stack.real if real else stack)
+            real = stack.dtype == float
+            assert real or (stack.dtype == complex and stack.imag.any())
+            want = vl.rho_matrix(b, stack)
             assert images.dtype == want.dtype == (float if real else complex)
             assert images.shape == want.shape
             assert images.tobytes() == want.tobytes()
             if real:
-                full = vl.rho_matrix(b, stack)
+                full = vl.rho_matrix(b, stack.astype(complex))
                 assert full.dtype == complex and not full.imag.any()
                 assert images.tobytes() == np.ascontiguousarray(full.real).tobytes()
 
@@ -1558,7 +1559,9 @@ class TestSolverChoice:
             mus = iter(mu for mu, _ in vectors.pairs)
             b = vl.associated_matrix(d)
             for i, k in enumerate(s.dims):
-                image = vl.rho_matrix(b, irrep_matrices(s, i)[None])[0]
+                # the complex128 image: on a float64 one, eigvals would split
+                # a defective eigenvalue differently from the route's solver
+                image = vl.rho_matrix(b, irrep_matrices(s, i)[None])[0].astype(complex)
                 checks = [(values[k][s.dims[:i].count(k)], np.linalg.eigvals(image))]
                 if i not in vectors.skipped_irreps:
                     # r * k eigencolumns of k slots each, slot-minor
@@ -1587,9 +1590,10 @@ def solver_dtypes(monkeypatch):
 
 
 class TestRealStacks:
-    """A stack in IrrepSet.real_dims is built, solved by eigvalsh and eigh
-    and written in float64; a complex stack, and every image that misses
-    the Hermitian gate, reach the solvers as complex128."""
+    """A float64 stack, one with no nonzero imaginary part, is built,
+    solved by eigvalsh and eigh and written in float64; a complex stack,
+    and every image that misses the Hermitian gate, reach the solvers as
+    complex128."""
 
     @pytest.mark.parametrize("spec", ["dihedral:5", "product:dihedral:3,dihedral:4", "cyclic:12"])
     def test_each_solver_gets_the_dtype_of_its_path(self, spec, solver_dtypes):
@@ -1598,7 +1602,7 @@ class TestRealStacks:
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         real = spec != "cyclic:12"
-        assert s.real_dims == (set(s.stacks) if real else set())
+        assert {stack.dtype for stack in s.stacks.values()} == {np.dtype(float if real else complex)}
         rng = np.random.default_rng(56)
         for t in range(6):
             d = random_voltage_digraph(rng, g, max_vertices=4, max_arcs=10)
@@ -1632,9 +1636,10 @@ class TestRealStacks:
 
     @pytest.mark.parametrize("spec", ["dihedral:4", "dihedral:5", "product:dihedral:3,dihedral:4"])
     def test_gate_missing_images_get_the_complex_solvers_results_bitwise(self, spec):
-        # directed draws over real stacks: the float64 image misses the gate
-        # exactly when the complex one does, and each that misses gets the
-        # eigenvalues (and eig's vectors) of the complex image, to the bit
+        # directed draws over float64 stacks: the float64 image misses the
+        # gate exactly when the complex128 one does, and each that misses
+        # gets the eigenvalues (and eig's vectors) of the complex image, to
+        # the bit
         g = vl.build_builtin_group(spec)
         s = vl.builtin_irreps(g)
         rng = np.random.default_rng(58)
@@ -1644,9 +1649,10 @@ class TestRealStacks:
             b = vl.associated_matrix(d)
             values = vl.irrep_eigenvalues(d, s)
             for k, stack in s.stacks.items():
-                images = vl.rho_matrix(b, stack)
+                assert stack.dtype == float
+                images = vl.rho_matrix(b, stack.astype(complex))
                 miss = ~spectra._hermitian(images)
-                hermitian, vals, vecs, *_ = spectra._eig(vl.rho_matrix(b, stack.real))
+                hermitian, vals, vecs, *_ = spectra._eig(vl.rho_matrix(b, stack))
                 assert np.array_equal(hermitian, ~miss)
                 if miss.any():
                     missed += int(miss.sum())

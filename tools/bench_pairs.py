@@ -24,11 +24,11 @@ import tempfile
 from bench_backfill import ROOT, extract, git, run_workload, write_bench
 
 SECONDS = 20
-# (workload, seed, pairs): 10 pairs of cli_exact, the one workload whose
-# lift the brute-force oracle solves as a single block, on seed 7, one the
-# change was not tuned on, and 5 pairs each of big_groups and dense_lift,
-# which run no changed code and must show no regression
-SERIES = [("cli_exact", 7, 10), ("big_groups", 1, 5), ("dense_lift", 9, 5)]
+# (workload, seed, pairs): 5 pairs of each workload on seed 11, one the
+# change was not tuned on. Every workload builds a dihedral irrep set
+# (dihedral:31, :32 and :128), whose stacks are float64, so each may
+# move a little in setup_s and spectrum_s and none may regress
+SERIES = [("cli_exact", 11, 5), ("dense_lift", 11, 5), ("big_groups", 11, 5)]
 
 
 def summarize(runs: list) -> None:
