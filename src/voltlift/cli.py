@@ -187,7 +187,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
-    irreps = _load_irrep_set(args, group)
+    # without --irreps, verify builds the builtin irreps once its oracle has
+    # admitted the lift
+    irreps = _load_irrep_set(args, group) if args.irreps else None
     chars = _load_char_table(args, group) if args.chars else None
     reports = spectra.verify(digraph, irreps, chars, args.tol)
     payload = {
@@ -210,12 +212,16 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    """Write B^L, one entry per ordered pair (u, v) of base vertices, and
+    the explicit lift's check of it, both from voltage._walk_table; a
+    mismatch exits 1, and past the check's 200 lift vertices
+    oracle_checked is false."""
     if args.length < 0:
         raise voltage.VoltageError("--length must be >= 0")
     group = _load_group(args.group)
     digraph = _load_digraph(args.digraph, group)
+    power, match = voltage._walk_table(digraph, args.length)
     r = digraph.order
-    power = voltage._matrix_power(voltage._quotient_terms(digraph), r, args.length, group)
     # one nonzero pass over B^L, split per entry (u, v) by the cuts of the
     # sorted flat index u * r + v
     u, v, g = np.nonzero(power)
@@ -225,22 +231,9 @@ def _cmd_walks(args) -> int:
     entries = [{"from": digraph.vertices[k // r], "to": digraph.vertices[k % r],
                 "coeffs": dict(zip(names[a:b], coeffs[a:b]))}
                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
-    n = group.order
-    payload = {"length": args.length, "entries": entries}
-    if r * n <= 200:
-        # walks from (u, e) to (v, g) are the coefficients of g in B^L[u, v]:
-        # only the r rows of A^L at the identity fibre are compared, so only
-        # they are stepped L times over the lift's arcs, in exact ints
-        tails, heads = (a.ravel() for a in voltage._lift_arcs(digraph))
-        rows = np.zeros((r, r * n), dtype=object)
-        rows[np.arange(r), np.arange(r) * n + group.identity] = 1
-        for _ in range(args.length):
-            walked, rows = rows, np.zeros_like(rows)
-            np.add.at(rows, (slice(None), heads), walked[:, tails])
-        payload["oracle_checked"] = True
-        payload["oracle_match"] = np.array_equal(rows.reshape(power.shape), power)
-    else:
-        payload["oracle_checked"] = False
+    payload = {"length": args.length, "entries": entries, "oracle_checked": match is not None}
+    if match is not None:
+        payload["oracle_match"] = match
 
     def text():
         lines = []
@@ -249,14 +242,12 @@ def _cmd_walks(args) -> int:
                 name if c == 1 else f"{c}*{name}" for name, c in e["coeffs"].items()
             )
             lines.append(f"{e['from']} -> {e['to']}: {terms or '0'}")
-        if payload["oracle_checked"]:
-            lines.append(f"oracle: {'MATCH' if payload['oracle_match'] else 'MISMATCH'}")
+        if match is not None:
+            lines.append(f"oracle: {'MATCH' if match else 'MISMATCH'}")
         return "\n".join(lines)
 
     _emit(args, payload, text)
-    if payload.get("oracle_checked") and not payload["oracle_match"]:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return EXIT_MISMATCH if match is False else EXIT_OK
 
 
 def _cmd_validate(args) -> int:

@@ -447,13 +447,19 @@ def _builtin_stacks(factors: list) -> dict:
             for d, parts in blocks.items()}
 
 
-def builtin_irreps(g: GroupTable) -> IrrepSet:
-    """The IrrepSet of a builtin group, validated once, as a whole, when
-    made. Its ``family`` is None or the canonical spec that only
-    build_builtin_group sets, so a tag needs no check of its own."""
+def _builtin_family(g: GroupTable) -> str:
+    """g's ``family``: None or the canonical spec that only
+    build_builtin_group sets, so a tag needs no check of its own. None, a
+    group read from a document, has no builtin irreps: RepresentationError."""
     if expect_group(g, RepresentationError).family is None:
         raise RepresentationError("unsupported builtin family None; supply irreps via load_irreps")
-    return IrrepSet(g, _builtin_stacks(parse_builtin_spec(g.family)))
+    return g.family
+
+
+def builtin_irreps(g: GroupTable) -> IrrepSet:
+    """The IrrepSet of a builtin group, validated once, as a whole, when
+    made."""
+    return IrrepSet(g, _builtin_stacks(parse_builtin_spec(_builtin_family(g))))
 
 
 # ---------------------------------------------------------------------------

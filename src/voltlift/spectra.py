@@ -38,11 +38,12 @@ block size, not by its vertex count: at most one general solve of 2000
 vertices, with a ceiling on vertices for memory. The spectrum routes
 compute eigenvalues only; the lift eigenvectors come from one batched
 residual-checked eigensolve per irrep dimension. verify cross-checks the
-routes: it alone decides which are compared and at what tolerance, and
-`voltlift verify` prints its reports. One single-linkage kernel serves
-clustering, comparison and charsum's root multiplicity: spectra_equal
-links the values of both sides and pairs the copies of each component
-that holds as many of one side as of the other.
+routes: it alone decides which are compared and at what tolerance, it
+builds the builtin irreps, when none are given, only once the oracle has
+admitted the lift, and `voltlift verify` prints its reports. One
+single-linkage kernel serves clustering, comparison and charsum's root
+multiplicity: spectra_equal links the values of both sides and pairs the
+copies of each component that holds as many of one side as of the other.
 """
 
 from __future__ import annotations
@@ -54,7 +55,14 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .groups import GroupTable, connected_components
-from .reps import CharacterTable, IrrepSet, RepresentationError, character_table
+from .reps import (
+    CharacterTable,
+    IrrepSet,
+    RepresentationError,
+    _builtin_family,
+    builtin_irreps,
+    character_table,
+)
 from .voltage import (
     VoltageDigraph,
     _lift_arcs,
@@ -783,7 +791,7 @@ def lift_spectrum_charsum(
 
 
 def verify(
-    d: VoltageDigraph, s: IrrepSet, t: Optional[CharacterTable] = None,
+    d: VoltageDigraph, s: Optional[IrrepSet] = None, t: Optional[CharacterTable] = None,
     tol: Optional[float] = None,
 ) -> Dict[str, tuple]:
     """Cross-check the spectrum routes on d's lift, all clustered at tol.
@@ -792,15 +800,22 @@ def verify(
     tolerance: "repr vs bruteforce" at max(tol, 1e-7), then, if r * max(dim)
     <= CHARSUM_HARD_CAP, "charsum vs repr" with characters from t (from s
     if None) at charsum_match_tol, whose root multiplicity k is added. The
-    inputs are checked first, then the brute-force oracle runs, so a lift
-    past its solve budget or its vertex ceiling is refused with
-    SpectrumError before any irrep image is made.
+    irreps are s, or builtin_irreps(d.group) if s is None. The inputs are
+    checked first, and a group read from a document, given no s, is
+    refused with RepresentationError. Then the brute-force oracle runs, so
+    a lift past its solve budget or its vertex ceiling is refused with
+    SpectrumError before the builtin irreps are built or any irrep image
+    is made.
     """
     tol = _checked_cluster_tol(d, tol)
     if t is not None:  # even when charsum does not run
         _check_input(t, CharacterTable, d, "character table")
-    _check_input(s, IrrepSet, d, "irrep set")
+    if s is not None:
+        _check_input(s, IrrepSet, d, "irrep set")
+    else:
+        _builtin_family(d.group)  # a document group has no builtin irreps
     by_brute = lift_spectrum_bruteforce(d, tol)
+    s = builtin_irreps(d.group) if s is None else s
     per_irrep = irrep_eigenvalues(d, s)
     by_repr = spectrum_from_irrep_eigenvalues(per_irrep, tol)
     cmp_tol = max(tol, 1e-7)

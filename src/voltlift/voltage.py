@@ -462,7 +462,8 @@ def algebra_trace_powers(b: np.ndarray, length: int, group: GroupTable) -> np.nd
 #
 # One vertex (u, g) per base vertex and group element, vertex-major and
 # element-index minor: (u, g) sits at index u * n + g, and is labelled
-# "<u>.<g>". The library's oracles read the lift's arcs (_lift_arcs), and
+# "<u>.<g>". The library's oracles, the brute-force spectrum and the walks
+# table's check (_walk_table), read the lift's arcs (_lift_arcs), and
 # build_lift's dense adjacency is for callers and tests: the digraph alone
 # fully describes the lift, so lift_to_json never builds it either.
 
@@ -476,6 +477,30 @@ def _lift_arcs(d: VoltageDigraph):
     n = d.group.order
     u, v, x = d.arc_array.T
     return u[:, None] * n + np.arange(n), v[:, None] * n + d.group.mul[:, x].T
+
+
+def _walk_table(d: VoltageDigraph, ell: int) -> tuple:
+    """(B^ell, verdict): the walks table of d, and whether the explicit
+    lift's walks agree with it entry by entry, or None past 200 lift
+    vertices, where nothing of the lift is read.
+
+    Walks of length ell from (u, e) to (v, g) are the coefficients of g in
+    B^ell[u, v]: only the r rows of A^ell at the identity fibre are
+    compared, so only they are stepped ell times over the lift's arcs
+    (_lift_arcs, which reads the table's columns mul[:, x] where the exact
+    engine reads its rows), in exact Python ints.
+    """
+    group, r, n = d.group, d.order, d.group.order
+    power = _matrix_power(_quotient_terms(d), r, ell, group)
+    if r * n > 200:
+        return power, None
+    tails, heads = (a.ravel() for a in _lift_arcs(d))
+    rows = np.zeros((r, r * n), dtype=object)
+    rows[np.arange(r), np.arange(r) * n + group.identity] = 1
+    for _ in range(ell):
+        walked, rows = rows, np.zeros_like(rows)
+        np.add.at(rows, (slice(None), heads), walked[:, tails])
+    return power, np.array_equal(rows.reshape(power.shape), power)
 
 
 def build_lift(d: VoltageDigraph) -> np.ndarray:

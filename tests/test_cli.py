@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import voltlift as vl
-from voltlift import cli, spectra, voltage
+from voltlift import cli, reps, spectra, voltage
 from voltlift.cli import run
 
 from conftest import HUGE_INPUTS, K2STAR_DOC
@@ -616,6 +616,34 @@ def test_verify_inf_tol_cannot_hide_a_wrong_oracle(k2star_path, monkeypatch, cap
     doc = json.loads(capsys.readouterr().out)
     assert not doc["repr vs bruteforce"]["matched"]
     assert run(argv + ["--tol", "inf"]) == 2
+
+
+@pytest.mark.parametrize("arcs, refusal", [
+    # the directed 40-cycle with one arc of voltage g^1: one component of
+    # 40000 lift vertices, over the solve budget
+    ([(i, (i + 1) % 40, int(i == 0)) for i in range(40)], "over the budget of one"),
+    # 251 isolated vertices: 251000 lift vertices, past the vertex ceiling
+    ([], "past the brute-force route's ceiling"),
+], ids=["budget", "ceiling"])
+def test_verify_refuses_a_lift_past_the_oracle_before_building_the_irreps(
+        tmp_path, monkeypatch, capsys, arcs, refusal):
+    names = [f"v{i}" for i in range(40 if arcs else 251)]
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"vertices": names, "arcs": [
+        {"from": names[u], "to": names[v], "voltage": f"g^{x}"} for u, v, x in arcs]}))
+    d = vl.VoltageDigraph(vl.build_builtin_group("cyclic:1000"), names, arcs)
+    with pytest.raises(vl.SpectrumError, match=refusal) as exc:
+        vl.lift_spectrum_bruteforce(d)
+
+    def no_irreps(g):
+        raise AssertionError("builtin irreps built")
+
+    # every module that binds it
+    for module in (vl, reps, spectra, cli):
+        if hasattr(module, "builtin_irreps"):
+            monkeypatch.setattr(module, "builtin_irreps", no_irreps)
+    assert run(["verify", "--digraph", str(path), "--group", "cyclic:1000"]) == 2
+    assert capsys.readouterr() == ("", f"voltlift: error: {exc.value}\n")
 
 
 @pytest.mark.parametrize("tol", ["1e3", "8", "6"])

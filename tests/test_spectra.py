@@ -1400,6 +1400,32 @@ class TestBruteforceFromArcs:
             with pytest.raises(SpectrumError, match=refusal):
                 vl.verify(d, s)
 
+    @pytest.mark.parametrize("name", ["cube_cyclic64", "k2star_dihedral3", None],
+                             ids=["cyclic", "dihedral", "product"])
+    def test_verify_without_irreps_reads_the_builtin_ones(self, name):
+        # the same reports, matched, worst distance and details, as when
+        # the builtin set is given
+        if name is None:
+            g = vl.build_builtin_group("product:cyclic:2,dihedral:3")
+            d = vl.VoltageDigraph(g, ["a", "b", "c"],
+                                  [(0, 1, 1), (1, 2, 5), (2, 0, 3), (0, 0, 7), (1, 0, 10)])
+        else:
+            d = load_fixture(name)
+        want = vl.verify(d, vl.builtin_irreps(d.group))
+        assert list(want) == ["repr vs bruteforce", "charsum vs repr"]
+        assert vl.verify(d) == want
+
+    def test_verify_refuses_a_document_group_without_irreps_before_the_oracle(
+            self, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(spectra, "_lift_eigenvalues", no_oracle)
+        d = load_fixture("q8_triangle")
+        with pytest.raises(vl.RepresentationError, match=re.escape(
+                "unsupported builtin family None; supply irreps via load_irreps")):
+            vl.verify(d)
+
 SOLVERS = ("eigvals", "eigvalsh", "eig", "eigh")
 
 
