@@ -50,7 +50,11 @@ class IrrepSet:
     stack is kept only when the library froze it itself, its maker having
     chosen the dtype; a caller's array is copied (_stored_stack). Every
     IrrepSet is validated when made (validate_irrep_set), which sets
-    ``characters``, the read-only (nu, n) complex character rows. ``conjugates``
+    ``characters``, the read-only (nu, n) complex character rows: for an
+    all-1-dim complex128 set whose values snapping leaves bit for bit, as
+    every builtin cyclic set's, the view stacks[1][:, :, 0, 0], and
+    otherwise a snapped copy, so an abelian set holds its n x n values
+    once. ``conjugates``
     pairs each irrep with the one whose matrices at the generators are
     exactly the complex conjugates of its own: for a quotient matrix B with
     integer coefficients the partner's image is conj(rho(B)), with the
@@ -195,8 +199,9 @@ def _proven_blocks(group: GroupTable, stack: np.ndarray, first: int):
     for start in range(0, len(stack), size):
         a = np.ascontiguousarray(stack[start:start + size].transpose(0, 2, 3, 1))
         num, at = len(a), first + start
-        # every comparison with nan is false, so no later check would see one
-        if not np.isfinite(a).all():
+        # every comparison with nan is false, so no later check would see one;
+        # a complex block is tested as its float view, in one real pass
+        if not np.isfinite(a.view(float) if a.dtype == complex else a).all():
             raise RepresentationError(f"stack of dim {d}: holds a non-finite entry")
         off = np.abs(a[..., group.identity] - np.eye(d)).reshape(num, -1).max(axis=1)
         _reject_first(off > HOM_TOL, at, d, "identity element is not mapped to I")
@@ -220,7 +225,7 @@ def _proven_blocks(group: GroupTable, stack: np.ndarray, first: int):
         total = np.abs(a.sum(axis=3)).reshape(num, -1).max(axis=1)
         nonzero = (total > SUM_TOL * n) & (np.arange(at, at + num) > 0)
         _reject_first(nonzero, at, d, "non-trivial irrep with nonzero element sum")
-        del diff, term  # freed before the caller works on the block, as a function's would be
+        del diff, term, err  # freed before the caller works on the block, as a function's would be
         yield start, a
 
 
@@ -279,6 +284,14 @@ def validate_irrep_set(s) -> np.ndarray:
     and sum dim^2 = n, sum_i dim_i chi_i = n [g = e] (the regular
     character) holds only if each irreducible character appears once
     (Serre, Linear Representations of Finite Groups, 2.3-2.4).
+
+    When s's only stack is a complex128 stack of dimension 1, its entries
+    are its character values. The rows are then the read-only view
+    stacks[1][:, :, 0, 0], for as long as every block's snapped traces equal
+    its entries bit for bit; the first block where they do not turns the
+    rows into a copy, and from it on each block's snapped traces are
+    written, as they are for every other set. So the rows are the snapped
+    traces bit for bit either way.
     """
     group = s.group
     n, nu = group.order, len(group.classes)
@@ -289,13 +302,20 @@ def validate_irrep_set(s) -> np.ndarray:
     if sum(d * d for d in dims) != n:
         raise RepresentationError(f"sum of squared dimensions {sum(d * d for d in dims)} "
                                   f"!= group order {n}")
-    rows, norms = np.empty((nu, n), dtype=complex), np.empty(nu)
+    view = list(s.stacks) == [1] and s.stacks[1].dtype == complex
+    rows = s.stacks[1][:, :, 0, 0] if view else np.empty((nu, n), dtype=complex)
+    norms = np.empty(nu)
     for d, stack in s.stacks.items():
         first = dims.index(d)
         for start, a in _proven_blocks(group, stack, first):
             at = slice(first + start, first + start + len(a))
-            rows[at] = _snap_integers(np.trace(a, axis1=1, axis2=2))
+            snapped = _snap_integers(np.trace(a, axis1=1, axis2=2))
+            if view and not np.array_equal(snapped.view(np.int64), a[:, 0, 0].view(np.int64)):
+                rows, view = np.array(rows), False
+            if not view:
+                rows[at] = snapped
             norms[at] = np.einsum("ig,ig->i", rows[at].view(float), rows[at].view(float))
+            del snapped  # freed before the next block is proven
     i = int(np.argmax(np.abs(norms - n)))
     if abs(norms[i] - n) > SUM_TOL * n:
         raise RepresentationError(f"character rows {i} and {i} violate orthogonality "
@@ -305,18 +325,28 @@ def validate_irrep_set(s) -> np.ndarray:
 
 
 def _snap_integers(rows: np.ndarray) -> np.ndarray:
-    """Replace values within SNAP_TOL of a Gaussian integer by that integer.
+    """Replace values within SNAP_TOL of a Gaussian integer by that integer;
+    rows itself when that changes no value bit for bit, else a complex copy.
 
     Character values are algebraic integers; when the true value is an
     ordinary integer (as for all dihedral characters), snapping removes the
     rounding noise of the trigonometric construction and keeps downstream
-    power sums exact.
+    power sums exact. |z - snapped| is at least |Re z - round(Re z)|, so
+    only the values whose real part is within SNAP_TOL of an integer, few
+    in a row of roots of unity, are snapped and compared; the result is
+    that of snapping every value.
     """
     re = np.round(rows.real)
-    im = np.round(rows.imag)
-    snapped = re + 1j * im
-    close = np.abs(rows - snapped) < SNAP_TOL
-    return np.where(close, snapped, rows)
+    near = np.nonzero(np.abs(rows.real - re) < SNAP_TOL)
+    z = rows[near].astype(complex, copy=False)
+    snapped = re[near] + 1j * np.round(z.imag)
+    moved = np.abs(z - snapped) < SNAP_TOL
+    moved &= (snapped.view(np.int64) != z.view(np.int64)).reshape(-1, 2).any(axis=1)
+    if not moved.any():
+        return rows
+    out = rows.astype(complex)
+    out[tuple(i[moved] for i in near)] = snapped[moved]
+    return out
 
 
 def character_table(s: IrrepSet) -> CharacterTable:
@@ -374,15 +404,21 @@ def _check_characters(t: CharacterTable) -> None:
 
 def _roots_of_unity(m: int) -> np.ndarray:
     """w^k = exp(2 pi i k / m) for k = 0..m-1, each computed once, at an
-    argument at most pi, with w^(m-k) = conj(w^k) exactly and w^(m/2) = -1.
+    argument at most pi, with w^(m-k) = conj(w^k) exactly, w^(m/2) = -1
+    and, when 4 divides m, w^(m/4) = i and w^(3m/4) = -i.
 
     So every builtin irrep maps x^-1 to rho(x)^H bit for bit, and the image
     of an undirected digraph's quotient matrix is Hermitian up to the
-    rounding of its sums alone (see spectra._hermitian).
+    rounding of its sums alone (see spectra._hermitian). Every root that is
+    a Gaussian integer is exact, so snapping a cyclic stack's characters
+    changes nothing (validate_irrep_set), and a quarter turn of a dihedral
+    rotation has cosine 0.
     """
     k = np.arange(m // 2 + 1)
     w = np.empty(m, dtype=complex)
     w[k] = np.exp(2j * np.pi * k / m)
+    if m % 4 == 0:
+        w[m // 4] = 1j
     w[m - k[1:]] = w[k[1:]].conj()
     if m % 2 == 0:
         w[m // 2] = -1
@@ -390,13 +426,19 @@ def _roots_of_unity(m: int) -> np.ndarray:
 
 
 def _cyclic_irreps(m: int) -> dict:
-    # [k, j] = w^(k j mod m), gathered; for m <= 2 every root is 1 or -1,
-    # and the stack is float64
-    k = np.arange(m)
-    kj = np.outer(k, k)
-    kj %= m
+    """The stack of the m x m table [k, j] = w^(k j mod m), gathered in
+    blocks of rows of at most BLOCK_ENTRIES entries, so no m x m index
+    array is made; for m <= 2 every root is 1 or -1, and the stack is
+    float64."""
     w = _roots_of_unity(m)
-    return {1: (w if m > 2 else w.real)[kj].reshape(m, m, 1, 1)}
+    w = w if m > 2 else w.real
+    table, k = np.empty((m, m), dtype=w.dtype), np.arange(m)
+    size = max(1, BLOCK_ENTRIES // m)
+    for start in range(0, m, size):
+        kj = np.outer(k[start:start + size], k)
+        kj %= m  # so "clip", which writes to out unbuffered, clips nothing
+        np.take(w, kj, mode="clip", out=table[start:start + size])
+    return {1: table.reshape(m, m, 1, 1)}
 
 
 def _dihedral_irreps(m: int) -> dict:

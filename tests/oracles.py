@@ -13,7 +13,8 @@ np.roots, and irrep-set validation by one check per irrep plus the
 character Gram product, character-table validation by the Gram product
 over every element, the least distance within which two spectra pair up
 by an exact bottleneck matching over every copy, the conjugate pairing by
-a nearest-row search over the character table, the eigenvalues of a
+a nearest-row search over the character table, an irrep set's character
+rows by snapping every trace, with no prefilter, the eigenvalues of a
 lift by one dense solve of its whole adjacency, by one solve per
 connected component, found by breadth-first search, and by the blocks
 gathered out of the dense adjacency, as the brute-force route once
@@ -28,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from voltlift.groups import GroupTable, connected_components
-from voltlift.reps import HOM_TOL, SUM_TOL, IrrepSet, RepresentationError
+from voltlift.reps import HOM_TOL, SNAP_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
     LiftEigenvectors,
@@ -432,6 +433,15 @@ def validate_character_table_gram(t) -> None:
     if not np.allclose(rows[0], 1.0, atol=1e-8):
         raise RepresentationError("first character row is not all ones")
     _check_gram(rows, n)
+
+
+def snapped_characters(s: IrrepSet) -> np.ndarray:
+    """The (nu, n) complex character rows of s: the traces of its stacks,
+    each value within SNAP_TOL of a Gaussian integer replaced by that
+    integer, computed over every value at once."""
+    traces = np.concatenate([np.trace(stack, axis1=2, axis2=3) for stack in s.stacks.values()])
+    snapped = np.round(traces.real) + 1j * np.round(traces.imag)
+    return np.where(np.abs(traces - snapped) < SNAP_TOL, snapped, traces)
 
 
 def conjugate_pairing_by_characters(rows: np.ndarray) -> np.ndarray:

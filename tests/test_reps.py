@@ -20,7 +20,7 @@ from conftest import (
     symmetric_lift,
     unvalidated,
 )
-from oracles import conjugate_pairing_by_characters
+from oracles import conjugate_pairing_by_characters, snapped_characters
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -662,3 +662,93 @@ class TestStackDtype:
         for stack in s.stacks.values():
             assert stack.dtype == np.float64 or (stack.dtype == np.complex128
                                                  and stack.imag.any())
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def near_i_cyclic_4_doc(row=1):
+    """The cyclic:4 irreps chi_k(g^j) = i^(k j) as a document, with irrep
+    row's value at g^1, i or -i, moved by 1e-12, within SNAP_TOL; the
+    row is still a homomorphism to within HOM_TOL."""
+    doc = [{"dim": 1, "matrices": {f"g^{j}": [[[round((1j ** (k * j)).real),
+                                                 round((1j ** (k * j)).imag)]]]
+                                   for j in range(4)}}
+           for k in range(4)]
+    doc[row]["matrices"]["g^1"] = [[[1e-12, (1j ** row).imag]]]
+    return doc
+
+
+class TestCharactersViewTheStack:
+    """An all-1-dim complex128 set's character rows are the read-only view
+    stacks[1][:, :, 0, 0] when snapping its traces changes no value bit for
+    bit; every other set keeps the snapped copy. Either way the rows are
+    the snapped traces bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["cyclic:3", "cyclic:4", "cyclic:12", "cyclic:512",
+                                      "product:cyclic:2,cyclic:8"])
+    def test_builtin_abelian_sets_view_their_stack(self, spec):
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert list(s.stacks) == [1] and s.stacks[1].dtype == np.complex128
+        assert np.shares_memory(s.characters, s.stacks[1])
+        assert not s.characters.flags.writeable
+        assert same_bits(s.characters, s.stacks[1][:, :, 0, 0])
+
+    @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
+    def test_characters_are_the_snapped_traces(self, spec):
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        want = snapped_characters(s)
+        assert same_bits(s.characters, want)
+        viewable = (list(s.stacks) == [1] and s.stacks[1].dtype == np.complex128
+                    and same_bits(s.stacks[1][:, :, 0, 0], want))
+        assert any(np.shares_memory(s.characters, stack) for stack in s.stacks.values()) == viewable
+
+    @pytest.mark.parametrize("spec", ["dihedral:3", "dihedral:4", "dihedral:12",
+                                      "product:cyclic:3,dihedral:4", "product:dihedral:3,cyclic:4",
+                                      "cyclic:2", "product:cyclic:2,cyclic:2"])
+    def test_other_sets_keep_their_copy(self, spec):
+        # non-abelian sets have a stack of dim 2; the abelian ones here are float64
+        s = vl.builtin_irreps(vl.build_builtin_group(spec))
+        assert not any(np.shares_memory(s.characters, stack) for stack in s.stacks.values())
+        assert s.characters.flags.c_contiguous and s.characters.dtype == np.complex128
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 4096])
+    def test_the_quarter_turn_is_exact(self, m):
+        w = reps._roots_of_unity(m)
+        k = np.arange(m // 2 + 1)
+        old = np.empty(m, dtype=complex)
+        old[k] = np.exp(2j * np.pi * k / m)
+        old[m - k[1:]] = old[k[1:]].conj()
+        old[m // 2] = -1
+        assert same_bits(w[m // 4:m // 4 + 1], np.array([1j]))
+        assert same_bits(w[3 * m // 4:3 * m // 4 + 1], np.array([w[m // 4].conj()]))
+        rest = np.setdiff1d(np.arange(m), [m // 4, 3 * m // 4])
+        assert same_bits(w[rest], old[rest])
+
+    @pytest.mark.parametrize("row", [1, 3])
+    @pytest.mark.parametrize("entries", [4, reps.BLOCK_ENTRIES])
+    def test_a_value_snapping_moves_is_written_to_a_copy(self, monkeypatch, row, entries):
+        # with 4 entries each row is its own block: the rows before `row`
+        # were proven as views, then the copy takes over
+        monkeypatch.setattr(reps, "BLOCK_ENTRIES", entries)
+        s = vl.load_irreps(near_i_cyclic_4_doc(row), vl.build_builtin_group("cyclic:4"))
+        assert s.stacks[1].dtype == np.complex128
+        exact = complex(0.0, (1j ** row).imag)  # i at row 1, the document's [1e-12, 1]
+        assert same_bits(s.stacks[1][row, 1, 0, 0:1], np.array([exact + 1e-12]))
+        assert same_bits(s.characters[row, 1:2], np.array([exact]))
+        assert same_bits(s.characters, snapped_characters(s))
+        assert not np.shares_memory(s.characters, s.stacks[1])
+        assert not s.characters.flags.writeable
+
+    def test_a_negative_zero_is_no_snapped_trace(self):
+        # a trace adds to +0.0, so an entry -0.0 + 1j has the trace 0.0 + 1j,
+        # which snapping keeps; the rows are that trace, not the entry
+        g = vl.build_builtin_group("cyclic:4")
+        stack = np.array(vl.builtin_irreps(g).stacks[1])
+        stack[1, 1, 0, 0] = complex(-0.0, 1.0)
+        s = vl.IrrepSet(g, {1: stack})
+        assert np.signbit(s.stacks[1][1, 1, 0, 0].real)
+        assert same_bits(s.characters, snapped_characters(s))
+        assert not np.signbit(s.characters[1, 1].real)
+        assert not np.shares_memory(s.characters, s.stacks[1])
