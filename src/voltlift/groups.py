@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 MAX_ORDER = 4096
-# The Latin-square and associativity checks, and the irrep checks of reps,
-# work in blocks of at most this many entries at a time (cache-sized).
+# Light's associativity test, the Latin scan that names a refused table and
+# the irrep checks of reps work in blocks of at most this many entries at a
+# time (cache-sized).
 BLOCK_ENTRIES = 2 ** 16
 
 
@@ -30,9 +31,18 @@ class GroupError(ValueError):
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group given by its full multiplication table, proven when
-    made: GroupError unless the names are distinct and ``mul`` is a Latin
-    square with an identity, inverses and an associative product. A caller's
-    table is copied (frozen_here), and the other fields are derived from it.
+    made: GroupError unless the names are distinct and ``mul`` has a
+    two-sided identity, two-sided inverses and an associative product. A
+    caller's table is copied (frozen_here), and the other fields are derived
+    from it.
+
+    No Latin-square scan runs on a table that is accepted: Light's test over
+    the greedy generators proves the product associative (_generating_set,
+    _check_associativity), identity, inverses and associativity make a group,
+    and a group's table is a Latin square. The n x n scan runs only on a
+    refused table, before the error is raised, so that a table that is no
+    Latin square is refused as one whichever check found it out: with the
+    message it would get were the scan run first.
 
     ``classes`` is the conjugacy-class partition, each class sorted, classes
     ordered by minimum element index with the identity's class first.
@@ -79,13 +89,19 @@ class GroupTable:
             table.setflags(write=False)
         if table.shape != (n, n):
             raise GroupError(f"multiplication table must be {n}x{n}, got {table.shape}")
-        if table.min() < 0 or table.max() >= n:
+        # read as unsigned, a negative entry is at least 2**63: one pass
+        if table.view(f"u{table.itemsize}").max() >= n:
             raise GroupError("table entry out of range")
-        _check_latin_square(table)
-        identity = _find_identity(table)
-        inverse = _find_inverses(table, identity)
-        generators = _generating_set(table, identity)
-        _check_associativity(table, generators)
+        try:
+            identity = _find_identity(table)
+            inverse = _find_inverses(table, identity)
+            generators = _generating_set(table, identity)
+            _check_associativity(table, generators)
+        except GroupError:
+            # a table these checks accept is a group, so a Latin square; one
+            # they refuse is named as the Latin scan, run first, would name it
+            _check_latin_square(table)
+            raise
         classes = _conjugacy_partition(table, inverse, identity, generators)
         for name, value in (("element_names", names), ("mul", table), ("order", n),
                             ("identity", identity), ("inverse", inverse),
@@ -205,7 +221,9 @@ def _covers(keys: np.ndarray, seen: np.ndarray) -> bool:
 
 
 def _find_identity(mul: np.ndarray) -> int:
-    # in a Latin square only one row maps 0 to 0, so only it can be the identity
+    # only the first row that maps 0 to 0 is tried: in a group no other row
+    # does. If another one does, column 0 is no permutation, and the Latin
+    # scan that follows a refusal names it
     n = mul.shape[0]
     target = np.arange(n)
     e = int(np.argmax(mul[:, 0] == 0))
@@ -224,29 +242,48 @@ def _find_inverses(mul: np.ndarray, identity: int) -> tuple:
 
 def _generating_set(mul: np.ndarray, identity: int) -> tuple:
     """Greedy generators: add the first element not yet reached, until every
-    element is reached.
+    element is reached or a new generator fails to at least double the
+    reached set. That generator is kept, and Light's test
+    (_check_associativity) over the list then refuses the table.
 
     The reached set is the identity's component of the links x -- x*s over
     the generators s so far, one connected_components pass per generator.
-    The table is already a Latin square, so right multiplication by s is a
-    permutation of the elements, and its inverse is one of its powers: the
-    component is exactly the set of left-bracketed products
-    (..((e*s_1)*s_2)..)*s_k of generators. Light's test (_check_associativity)
-    needs no more: the elements it passes are closed under products, so if
-    every generator passes, so does every such product, that is, every
-    element. In a group the component is the subgroup the generators
-    generate, the set a closure under products reaches, so the generators
-    are the ones that closure rule picks; each new one at least doubles the
-    reached subgroup, giving at most log2(n) generators.
+    The table has a two-sided identity e and two-sided inverses, but need
+    not be a Latin square. What Light's test needs of the component:
+
+    1. Light's test at s makes row s a permutation, as
+       s^-1*(s*y) = (s^-1*s)*y = y, and column s one, as
+       (x*s)*s^-1 = x*(s*s^-1) = x.
+    2. So if every generator passes, right multiplication by each is a
+       permutation, whose inverse is one of its powers, and the component
+       is exactly the set of left-bracketed products (..((e*s_1)*s_2)..)*s_k
+       of generators. The elements that pass are closed under products, so
+       every such product passes: every element, once all are reached.
+    3. If s_1, ..., s_k all pass, each set reached on the way is closed
+       under products, and its elements pass too. By 1 the row of each maps
+       the set into itself one to one, so onto, and hits e there: the set
+       holds inverses, and is a subgroup of the next. By Lagrange's theorem
+       s_k then at least doubles the set s_1, ..., s_(k-1) reached. A step
+       that does not double means Light's test fails at a generator of that
+       prefix, so the first failing generator of the whole greedy list is in
+       it, and the test over the prefix names the same witness (x, a, y).
+
+    In a group the component is the subgroup the generators generate, the
+    set a closure under products reaches, so the generators are the ones
+    that closure rule picks, at most log2(n) of them. Any table takes at
+    most floor(log2(n)) + 1 connected_components passes.
     """
     n = mul.shape[0]
     nodes = np.arange(n)
     reached = nodes == identity
-    gens = []
-    while not reached.all():
+    gens, size = [], 1
+    while size < n:
         gens.append(int(np.argmin(reached)))
         label = connected_components(n, np.tile(nodes, len(gens)), mul[:, gens].T.ravel())
         reached = label == label[identity]
+        before, size = size, int(np.count_nonzero(reached))
+        if size < 2 * before:  # no subgroup's double: Light's test fails
+            break
     return tuple(gens)
 
 
@@ -254,9 +291,13 @@ def _check_associativity(mul: np.ndarray, generators: tuple) -> None:
     """Light's associativity test over a generating set.
 
     The elements a with (x*a)*y == x*(a*y) for all x, y are closed under
-    products and include the identity, so if every generator passes, the
-    whole table is associative. Each generator's two sides are compared
-    in row blocks of at most BLOCK_ENTRIES entries, each side one
+    products and include the identity, so if every generator passes, every
+    left-bracketed product of generators does, and by _generating_set those
+    are all the elements: the table is associative. With its two-sided
+    identity and inverses it is then a group, so a Latin square
+    (x*y = x*z gives y = x^-1*(x*y) = z, and so on for columns), and no
+    Latin scan runs on a table that passes. Each generator's two sides are
+    compared in row blocks of at most BLOCK_ENTRIES entries, each side one
     contiguous gather, so the first failing (x, y) of a generator is the
     first in row-major order, the one the whole n x n comparison names.
     """

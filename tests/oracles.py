@@ -19,16 +19,20 @@ lift by one dense solve of its whole adjacency, by one solve per
 connected component, found by breadth-first search, and by the blocks
 gathered out of the dense adjacency, as the brute-force route once
 did, a group's greedy
-generators by closing the reached set under products, and the quotient
-matrix by one increment per arc.
+generators by closing the reached set under products, whether a small
+table is a group by testing every triple, the message a refused table gets
+when the Latin scan runs first, and the quotient matrix by one increment
+per arc.
 """
 
+from itertools import product
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from voltlift.groups import GroupTable, connected_components
+from voltlift import groups
+from voltlift.groups import GroupError, GroupTable, connected_components
 from voltlift.reps import HOM_TOL, SNAP_TOL, SUM_TOL, IrrepSet, RepresentationError
 from voltlift.spectra import (
     DEFECTIVE_COND_LIMIT,
@@ -113,6 +117,61 @@ def closure_generators(mul: np.ndarray, identity: int) -> tuple:
             if reached.sum() == r.size:  # closed under products
                 break
     return tuple(gens)
+
+
+def naive_group(mul) -> Optional[tuple]:
+    """(identity, inverse, classes) of a table, as GroupTable orders them,
+    or None when it is no group: every triple is tested for associativity,
+    every element for a two-sided identity and each for a two-sided inverse,
+    and a class is the set of s x s^-1 over every element s."""
+    m = [[int(v) for v in row] for row in mul]
+    n = len(m)
+    if any(m[m[x][y]][z] != m[x][m[y][z]] for x, y, z in product(range(n), repeat=3)):
+        return None
+    ids = [e for e in range(n) if all(m[e][x] == x == m[x][e] for x in range(n))]
+    if not ids:
+        return None
+    e = ids[0]
+    inverse = [next((y for y in range(n) if m[x][y] == e == m[y][x]), None) for x in range(n)]
+    if None in inverse:
+        return None
+    classes = {tuple(sorted({m[m[s][x]][inverse[s]] for s in range(n)})) for x in range(n)}
+    return e, tuple(inverse), tuple(sorted(classes, key=lambda c: (e not in c, c[0])))
+
+
+def right_product_generators(mul: np.ndarray, identity: int) -> tuple:
+    """Greedy generators of a Latin square with no doubling guard: add the
+    first element not yet reached, the reached set being every product
+    (..((e*s_1)*s_2)..)*s_k, until every element is reached. On a Latin
+    square right multiplication is a permutation, so this is the set the
+    links x -- x*s connect to the identity."""
+    n = mul.shape[0]
+    reached, gens = {identity}, []
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        frontier = list(reached)
+        for x in frontier:  # the frontier grows while it is read
+            for s in gens:
+                y = int(mul[x, s])
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(gens)
+
+
+def latin_first_refusal(mul: np.ndarray) -> Optional[str]:
+    """The message of the first GroupError the table's checks raise in the
+    order Latin scan, identity, inverses, greedy generators, Light's test,
+    or None when none does. Each check is the library's own, bar the
+    generators, which are right_product_generators."""
+    try:
+        groups._check_latin_square(mul)
+        identity = groups._find_identity(mul)
+        groups._find_inverses(mul, identity)
+        groups._check_associativity(mul, right_product_generators(mul, identity))
+    except GroupError as exc:
+        return str(exc)
+    return None
 
 
 def associated_matrix_loop(d: VoltageDigraph) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from voltlift import groups
 from voltlift.groups import GroupError, connected_components, make_group_table
 
 from conftest import GROUP_POOL_SPECS
-from oracles import closure_generators, find_isomorphism
+from oracles import closure_generators, find_isomorphism, latin_first_refusal, naive_group
 from test_reps import SMALL_BUILTINS
 
 FAMILY_SPECS = ["cyclic:5", "cyclic:12", "dihedral:2", "dihedral:4", "dihedral:6",
@@ -584,6 +585,121 @@ class TestGroupTableConstructor:
         assert g.family is None is h.family
         assert vl.build_builtin_group("cyclic:3").family == "cyclic:3"
         assert not g.mul.flags.writeable
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose row and column 0 are 0, 1, ..., n - 1."""
+    squares, mul = [], np.zeros((n, n), dtype=np.int64)
+    mul[0], mul[:, 0] = np.arange(n), np.arange(n)
+
+    def fill(cell):
+        if cell == (n - 1) * (n - 1):
+            squares.append(mul.copy())
+            return
+        x, y = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        for v in set(range(n)) - set(mul[x, :y].tolist()) - set(mul[:x, y].tolist()):
+            mul[x, y] = v
+            fill(cell + 1)
+
+    fill(0)
+    return squares
+
+
+def identity_and_involution_table(n):
+    """x*y = x for y not in {e, x}, and x*x = e, with e = 0: a table with a
+    two-sided identity and inverses whose greedy generators each reach one
+    more element, and whose row 2 repeats 2."""
+    mul = np.repeat(np.arange(n)[:, None], n, axis=1)
+    mul[0] = np.arange(n)
+    mul[np.arange(n), np.arange(n)] = 0
+    return mul
+
+
+class TestProofWithoutLatinScan:
+    """GroupTable proves a table by its identity, inverses and Light's test
+    over the greedy generators, and scans for a Latin square only to name a
+    refused table."""
+
+    def test_small_tables_get_the_latin_first_verdicts(self):
+        # every 3 x 3 table over {0, 1, 2}; 4 x 4 tables whose row and
+        # column 0 are the identity's: each with x*x = e, every one of which
+        # gets past the inverses to the generators (48 stop at the doubling
+        # guard), and a seeded sample of all; and the 56 reduced Latin
+        # squares of order 5: the cyclic group's 6 tables and 50 loops that
+        # are no group. A table is accepted iff it is a group, an accepted one's
+        # fields are the oracles', and a refused one's message is the one
+        # the Latin scan, run first, gives
+        threes = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+        off = ~np.eye(3, dtype=bool)
+        sample = np.random.default_rng(41).choice(4 ** 9, size=4000, replace=False)
+        interiors = np.zeros((4 ** 6 + len(sample), 3, 3), dtype=np.int64)
+        interiors[:4 ** 6, off] = np.arange(4 ** 6)[:, None] // 4 ** np.arange(6) % 4
+        interiors[4 ** 6:] = (sample[:, None] // 4 ** np.arange(9) % 4).reshape(-1, 3, 3)
+        fours = np.empty((len(interiors), 4, 4), dtype=np.int64)
+        fours[:, 0], fours[:, :, 0], fours[:, 1:, 1:] = np.arange(4), np.arange(4), interiors
+        fives = reduced_latin_squares(5)
+        assert len(fives) == 56
+        accepted = {}
+        for mul in itertools.chain(threes, fours, fives):
+            n = len(mul)
+            expected = naive_group(mul)
+            try:
+                g = vl.GroupTable([f"x{i}" for i in range(n)], mul)
+            except GroupError as exc:
+                assert expected is None, mul
+                assert str(exc) == latin_first_refusal(mul), mul
+            else:
+                assert (g.identity, g.inverse, g.classes) == expected, mul
+                assert g.generators == closure_generators(g.mul, g.identity), mul
+                assert latin_first_refusal(mul) is None, mul
+                accepted[n] = accepted.get(n, 0) + 1
+        # Z3 under each choice of identity, Klein's four-group, and Z5's six tables
+        assert accepted == {3: 3, 4: 1, 5: 6}
+
+    def test_a_table_whose_generators_each_reach_one_element_stops_early(self, monkeypatch):
+        # without the doubling guard it takes n - 1 components passes; with
+        # it, the second generator reaches 3 elements, not 4, and Light's
+        # test fails over the two, so the Latin scan names the bad row
+        n = groups.MAX_ORDER
+        bound = int(math.log2(n)) + 1
+        calls = []
+        components = groups.connected_components
+
+        def counted(*args):
+            calls.append(args[0])
+            assert len(calls) <= bound, "more components passes than the doubling guard allows"
+            return components(*args)
+
+        monkeypatch.setattr(groups, "connected_components", counted)
+        mul = groups.freeze(identity_and_involution_table(n))  # kept uncopied
+        with pytest.raises(GroupError, match=re.escape("not a Latin square (bad row)")):
+            vl.GroupTable([f"x{i}" for i in range(n)], mul)
+        assert 1 <= len(calls) <= bound
+
+    def test_the_guard_keeps_the_generator_that_did_not_double(self):
+        mul = identity_and_involution_table(8)
+        assert groups._generating_set(mul, 0) == (1, 2)
+        with pytest.raises(GroupError, match=re.escape("associativity fails at (1, 1, 2)")):
+            groups._check_associativity(mul, (1, 2))
+
+    def test_no_accepted_table_is_scanned(self, monkeypatch):
+        def scanned(mul):
+            raise AssertionError("the Latin scan ran on an accepted table")
+
+        monkeypatch.setattr(groups, "_check_latin_square", scanned)
+        for spec in ALL_BUILTIN_SPECS:
+            vl.build_builtin_group(spec)
+        with open(Q8_PATH) as f:
+            assert vl.parse_group_table(f.read()).order == 8
+
+    @pytest.mark.parametrize("bad", [-1, -2 ** 63, 2 ** 63])
+    def test_a_negative_entry_is_out_of_range(self, bad):
+        # read as unsigned, -1 and -2**63 are past n; a uint64 2**63 is
+        # copied as the int64 -2**63
+        mul = np.array([[0, 1], [1, 0]], dtype=np.uint64 if bad > 0 else np.int64)
+        mul[1, 1] = bad
+        with pytest.raises(GroupError, match="table entry out of range"):
+            make_group_table(["e", "a"], mul)
 
 
 @pytest.mark.parametrize("spec", GROUP_POOL_SPECS)
